@@ -214,9 +214,6 @@ class BingoConfig:
 
     # -- storage -----------------------------------------------------------
     bulk_batch_size: int = 200
-    validate_storage: bool = False
-    """Row validation is off on the hot path (the schema is exercised in
-    tests); flip on for debugging."""
 
     # -- type management ----------------------------------------------------
     mime_policies: dict[str, MimePolicy] = field(

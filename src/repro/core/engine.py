@@ -139,7 +139,7 @@ class BingoEngine:
         self.classifier = HierarchicalClassifier(
             tree, self.config, spaces=list(self.spaces)
         )
-        self.database = Database(validate=self.config.validate_storage)
+        self.database = Database()
         self.loader = BulkLoader(
             self.database, batch_size=self.config.bulk_batch_size
         )

@@ -15,7 +15,8 @@ sanctioned methods, is a finding.
 one-release compatibility shims (``LocalSearchEngine.cache_token``,
 ``LocalSearchEngine.refresh()``, the top-level ``crawl``/``queryload``
 CLI aliases) are now removed, and this rule keeps them from creeping
-back in.
+back in.  It does the same for knobs deleted since
+(``BingoConfig.validate_storage``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.lint.analysis.writes import iter_attr_writes
-from repro.lint.engine import ProjectContext
+from repro.lint.engine import ProjectContext, dotted_name
 from repro.lint.findings import Finding
 from repro.lint.graph import (
     ClassSymbol,
@@ -156,13 +157,23 @@ class EpochMutation(Rule):
             )
 
 
-#: removed shim name -> replacement guidance.  Uses are only flagged
-#: when the receiver provably types as LocalSearchEngine -- "refresh"
-#: is far too common a name to flag on sight.
-_REMOVED_ENGINE_SHIMS: dict[str, str] = {
-    "cache_token": "read engine.epoch instead",
-    "refresh": "call rebuild(reason=...) instead",
+#: class name -> removed member -> replacement guidance.  Uses are
+#: only flagged when the receiver provably types as that class --
+#: "refresh" is far too common a name to flag on sight.
+_REMOVED_MEMBERS: dict[str, dict[str, str]] = {
+    "LocalSearchEngine": {
+        "cache_token": "read engine.epoch instead",
+        "refresh": "call rebuild(reason=...) instead",
+    },
+    "BingoConfig": {
+        "validate_storage": (
+            "the engine's store always validates its rows"
+        ),
+    },
 }
+_REMOVED_NAMES = frozenset(
+    name for members in _REMOVED_MEMBERS.values() for name in members
+)
 
 
 @register
@@ -172,14 +183,16 @@ class DeprecatedApi(Rule):
     id = "deprecated-api"
     scope = "project"
     description = (
-        "removed shims (LocalSearchEngine.cache_token/refresh, "
-        "_deprecated_alias CLI wrappers) must not be reintroduced"
+        "removed shims and knobs (LocalSearchEngine.cache_token/refresh, "
+        "_deprecated_alias CLI wrappers, BingoConfig.validate_storage) "
+        "must not be reintroduced"
     )
     rationale = (
-        "PR 9 shipped these as one-release bridges and this release "
-        "removed them; code that defines or calls them again would "
-        "resurrect the untyped (version, generation) cache token and "
-        "the alias maze the typed Epoch replaced."
+        "PR 9 shipped the shims as one-release bridges and the next "
+        "release removed them; code that defines or calls them again "
+        "would resurrect the untyped (version, generation) cache token "
+        "and the alias maze the typed Epoch replaced.  A deleted config "
+        "knob that comes back doubles the configurations to test."
     )
 
     def check_project(
@@ -187,7 +200,7 @@ class DeprecatedApi(Rule):
     ) -> Iterator[Finding]:
         for qualname in sorted(index.classes):
             symbol = index.classes[qualname]
-            if symbol.name == "LocalSearchEngine":
+            if symbol.name in _REMOVED_MEMBERS:
                 yield from self._check_definitions(index, symbol)
         for qualname in sorted(index.functions):
             function = index.functions[qualname]
@@ -206,19 +219,30 @@ class DeprecatedApi(Rule):
     def _check_definitions(
         self, index: ProjectIndex, symbol: ClassSymbol
     ) -> Iterator[Finding]:
-        for name in sorted(_REMOVED_ENGINE_SHIMS):
-            method_qualname = symbol.methods.get(name)
-            if method_qualname is None:
+        removed = _REMOVED_MEMBERS[symbol.name]
+        # dataclass fields and plain class attributes, beside methods
+        fields: dict[str, int] = {}
+        for statement in symbol.node.body:
+            if isinstance(statement, ast.AnnAssign):
+                targets: list[ast.expr] = [statement.target]
+            elif isinstance(statement, ast.Assign):
+                targets = statement.targets
+            else:
                 continue
-            method = index.functions.get(method_qualname)
-            if method is None:
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    fields.setdefault(target.id, statement.lineno)
+        for name in sorted(removed):
+            method = index.functions.get(symbol.methods.get(name, ""))
+            line = fields.get(name) if method is None else method.line
+            if line is None:
                 continue
             yield self.finding_at(
                 symbol.module.display_path,
-                method.line,
+                line,
                 0,
-                f"LocalSearchEngine.{name} is a removed shim; "
-                f"{_REMOVED_ENGINE_SHIMS[name]}",
+                f"{symbol.name}.{name} is a removed "
+                f"{'field' if method is None else 'shim'}; {removed[name]}",
             )
 
     def _check_uses(
@@ -226,10 +250,12 @@ class DeprecatedApi(Rule):
     ) -> Iterator[Finding]:
         unit = function.module
         for node in scope_expressions(function.node):
-            if not isinstance(node, ast.Attribute):
-                continue
-            shim = _REMOVED_ENGINE_SHIMS.get(node.attr)
-            if shim is None:
+            if isinstance(node, ast.Call):
+                yield from self._check_keywords(index, function, node)
+            if (
+                not isinstance(node, ast.Attribute)
+                or node.attr not in _REMOVED_NAMES
+            ):
                 continue
             receiver = index.expr_type(
                 unit, node.value, function.local_types
@@ -237,11 +263,35 @@ class DeprecatedApi(Rule):
             if receiver is None or receiver.container:
                 continue
             owner = index.classes.get(receiver.qualname)
-            if owner is None or owner.name != "LocalSearchEngine":
+            if owner is None:
+                continue
+            guidance = _REMOVED_MEMBERS.get(owner.name, {}).get(node.attr)
+            if guidance is None:
                 continue
             yield self.finding_at(
                 unit.display_path,
                 node.lineno,
                 node.col_offset,
-                f"LocalSearchEngine.{node.attr} was removed; {shim}",
+                f"{owner.name}.{node.attr} was removed; {guidance}",
             )
+
+    def _check_keywords(
+        self, index: ProjectIndex, function: FunctionSymbol, call: ast.Call
+    ) -> Iterator[Finding]:
+        """``Class(removed_field=...)``: a removed constructor keyword."""
+        dotted = dotted_name(call.func)
+        if dotted is None:
+            return
+        owner = index.resolve_class(function.module, dotted)
+        if owner is None:
+            return
+        removed = _REMOVED_MEMBERS.get(owner.name, {})
+        for keyword in call.keywords:
+            if keyword.arg in removed:
+                yield self.finding_at(
+                    function.module.display_path,
+                    keyword.value.lineno,
+                    keyword.value.col_offset,
+                    f"{owner.name}.{keyword.arg} was removed; "
+                    f"{removed[keyword.arg]}",
+                )

@@ -28,15 +28,27 @@ archetypes.
 On-disk layout (all via :func:`repro.storage.persistence.dump_state`
 and :func:`~repro.storage.persistence.dump_database`)::
 
-    <directory>/crawl.json        # versioned runtime state blob
-    <directory>/database/*.jsonl  # relational rows (when a loader is set)
+    <directory>/crawl.json     # versioned runtime state blob of save n
+    <directory>/database-<n>/  # relational rows of save n (with a loader)
+
+A save is atomic against a kill at any point.  Its rows go into a fresh
+``database-<n>`` beside the previous save's, and the one rename that
+puts the new ``crawl.json`` in place publishes both: the blob names its
+database by the save ordinal ``n``, the database's manifest is stamped
+with the same ``n``, and a restore refuses a pair that disagrees.  Until
+that rename the previous blob and its untouched database are the
+checkpoint; the superseded database is deleted only after it.  (Nothing
+is fsynced: this guards against a dying process, not a dying machine.)
 """
 
 from __future__ import annotations
 
 import pathlib
+import shutil
 from collections import Counter
+from typing import TYPE_CHECKING, Any
 
+from repro.errors import StorageError
 from repro.storage.persistence import (
     dump_database,
     dump_state,
@@ -54,11 +66,32 @@ __all__ = [
     "Checkpointer",
 ]
 
+if TYPE_CHECKING:
+    from repro.core.crawler import CrawledDocument, CrawlStats
+
+Crawl = Any
+"""A :class:`FocusedCrawler` facade or its :class:`CrawlContext`."""
+State = dict[str, Any]
+Source = str | pathlib.Path | State
+"""A checkpoint directory, or a state dict already loaded from one."""
+
 _KIND = "crawl"
-_DB_SUBDIR = "database"
+_DB_PREFIX = "database-"
 
 
-def _context_of(obj):
+def _database_dirs(
+    directory: pathlib.Path,
+) -> list[tuple[int, pathlib.Path]]:
+    """``(save ordinal, path)`` of every database directory under a
+    checkpoint directory, oldest first."""
+    return sorted(
+        (int(ordinal), path)
+        for path in directory.glob(f"{_DB_PREFIX}*")
+        if (ordinal := path.name.removeprefix(_DB_PREFIX)).isdigit()
+    )
+
+
+def _context_of(obj: Crawl) -> Any:
     """The :class:`CrawlContext` of a crawler facade, or ``obj`` itself
     when it already is a context."""
     return getattr(obj, "ctx", obj)
@@ -68,7 +101,7 @@ def _context_of(obj):
 # stats / document (de)serialization
 # ----------------------------------------------------------------------
 
-def _stats_to_dict(stats) -> dict:
+def _stats_to_dict(stats: CrawlStats) -> State:
     data = {
         field: getattr(stats, field)
         for field in stats.__dataclass_fields__
@@ -78,7 +111,7 @@ def _stats_to_dict(stats) -> dict:
     return data
 
 
-def _stats_from_dict(data: dict):
+def _stats_from_dict(data: State) -> CrawlStats:
     from repro.core.crawler import CrawlStats
 
     data = dict(data)
@@ -88,7 +121,7 @@ def _stats_from_dict(data: dict):
     return stats
 
 
-def _document_to_dict(doc) -> dict:
+def _document_to_dict(doc: CrawledDocument) -> State:
     data = {
         field: getattr(doc, field)
         for field in doc.__dataclass_fields__
@@ -100,7 +133,7 @@ def _document_to_dict(doc) -> dict:
     return data
 
 
-def _document_from_dict(data: dict):
+def _document_from_dict(data: State) -> CrawledDocument:
     from repro.core.crawler import CrawledDocument
 
     data = dict(data)
@@ -114,7 +147,7 @@ def _document_from_dict(data: dict):
 # whole-context snapshot
 # ----------------------------------------------------------------------
 
-def snapshot_context(ctx, stats) -> dict:
+def snapshot_context(ctx: Crawl, stats: CrawlStats) -> State:
     """The complete serializable runtime state of one crawl context.
 
     For sharded crawls (``crawl_workers > 1``) the frontier and host
@@ -161,34 +194,50 @@ def snapshot_context(ctx, stats) -> dict:
     return state
 
 
-def snapshot_crawler(crawler, stats) -> dict:
+def snapshot_crawler(crawler: Crawl, stats: CrawlStats) -> State:
     """Facade-level alias of :func:`snapshot_context`."""
     return snapshot_context(crawler, stats)
 
 
-def save_checkpoint(crawler, stats, directory) -> pathlib.Path:
+def save_checkpoint(
+    crawler: Crawl, stats: CrawlStats, directory: str | pathlib.Path
+) -> pathlib.Path:
     """Persist the crawl state (and database rows, if a loader is set).
 
     ``crawler`` may be a :class:`FocusedCrawler` or its context.
     """
     ctx = _context_of(crawler)
     directory = pathlib.Path(directory)
+    ordinal: int | None = None
+    superseded: list[tuple[int, pathlib.Path]] = []
     if ctx.loader is not None:
         ctx.loader.flush_all()
-        dump_database(ctx.loader.database, directory / _DB_SUBDIR)
-    path = dump_state(snapshot_context(ctx, stats), directory, kind=_KIND)
+        superseded = _database_dirs(directory)
+        ordinal = superseded[-1][0] + 1 if superseded else 1
+        dump_database(
+            ctx.loader.database, directory / f"{_DB_PREFIX}{ordinal}",
+            stamp=ordinal,
+        )
+    state = snapshot_context(ctx, stats)
+    state["save_ordinal"] = ordinal
+    # this rename publishes the save; everything before it is invisible
+    path = dump_state(state, directory, kind=_KIND)
+    for _, stale in superseded:
+        shutil.rmtree(stale)
     obs = getattr(ctx, "obs", None)
     if obs is not None:
         obs.registry.counter("robust_checkpoint_saves_total").inc()
     return path
 
 
-def load_checkpoint(directory) -> dict:
+def load_checkpoint(directory: str | pathlib.Path) -> State:
     """Read a checkpoint's state blob (without applying it)."""
     return load_state(directory, kind=_KIND)
 
 
-def restore_context(ctx, source, restore_database: bool = True):
+def restore_context(
+    ctx: Crawl, source: Source, restore_database: bool = True
+) -> CrawlStats:
     """Apply a checkpoint to a freshly constructed crawl context.
 
     ``source`` is a checkpoint directory or a state dict from
@@ -226,6 +275,21 @@ def restore_context(ctx, source, restore_database: bool = True):
             "crawl_workers"
         )
 
+    # rows first: a database that is missing, torn or from another save
+    # raises here, before the context has taken anything from the blob
+    if directory is not None:
+        if "save_ordinal" not in state:
+            raise StorageError(
+                f"checkpoint in {directory} names no save ordinal: it "
+                "predates the atomic layout and cannot be resumed"
+            )
+        ordinal = state["save_ordinal"]
+        if restore_database and ctx.loader is not None and ordinal is not None:
+            load_database(
+                directory / f"{_DB_PREFIX}{ordinal}",
+                into=ctx.loader.database, stamp=ordinal,
+            )
+
     ctx.clock.now = state["clock_now"]
     ctx.pool._free_at = list(state["pool_free_at"])
     heapq.heapify(ctx.pool._free_at)
@@ -262,25 +326,15 @@ def restore_context(ctx, source, restore_database: bool = True):
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
-    if (
-        restore_database
-        and directory is not None
-        and ctx.loader is not None
-        and (directory / _DB_SUBDIR / "manifest.json").exists()
-    ):
-        dumped = load_database(directory / _DB_SUBDIR, validate=False)
-        for name, relation in dumped.relations.items():
-            rows = relation.scan()
-            if rows:
-                ctx.loader.database.table(name).bulk_insert(rows)
-
     obs = getattr(ctx, "obs", None)
     if obs is not None:
         obs.registry.counter("robust_checkpoint_restores_total").inc()
     return _stats_from_dict(state["stats"])
 
 
-def restore_crawler(crawler, source, restore_database: bool = True):
+def restore_crawler(
+    crawler: Crawl, source: Source, restore_database: bool = True
+) -> CrawlStats:
     """Facade-level alias of :func:`restore_context`."""
     return restore_context(crawler, source, restore_database)
 
@@ -292,7 +346,7 @@ class Checkpointer:
     kill during a save leaves the previous checkpoint intact).
     """
 
-    def __init__(self, directory, every: int = 50) -> None:
+    def __init__(self, directory: str | pathlib.Path, every: int = 50) -> None:
         if every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {every}")
         self.directory = pathlib.Path(directory)
@@ -300,7 +354,7 @@ class Checkpointer:
         self.saves = 0
         self._since_save = 0
 
-    def on_visit(self, crawler, stats) -> bool:
+    def on_visit(self, crawler: Crawl, stats: CrawlStats) -> bool:
         """Called by the crawl loop after each visit; True if it saved."""
         self._since_save += 1
         if self._since_save < self.every:
@@ -308,7 +362,7 @@ class Checkpointer:
         self.save(crawler, stats)
         return True
 
-    def save(self, crawler, stats) -> None:
+    def save(self, crawler: Crawl, stats: CrawlStats) -> None:
         save_checkpoint(crawler, stats, self.directory)
         self.saves += 1
         self._since_save = 0

@@ -431,7 +431,7 @@ def run_query_load(
         cache_hits=0, sim_elapsed=0.0, latencies=[],
     )
     issued: list[QueryRequest] = []
-    for sequence in range(config.requests):
+    for _ in range(config.requests):
         server.clock.advance(rng.expovariate(config.arrival_rate))
         if issued and rng.random() < config.retry_fraction:
             request = rng.choice(issued)
@@ -439,7 +439,7 @@ def run_query_load(
             rank = bisect.bisect_left(cumulative, rng.random())
             request = QueryRequest(
                 client_id=f"client-{rng.randrange(config.clients)}",
-                request_id=f"req-{sequence}",
+                request_id=f"req-{server.requests}",
                 query=pool[min(rank, len(pool) - 1)],
                 topic=rng.choice(list(config.topics)),
                 top_k=config.top_k,

@@ -5,22 +5,23 @@ a relational database.  Section 4.1 of the paper reports two hard-won
 lessons which this substrate bakes in:
 
 1. **flat relations beat nested tables** -- the schema is a set of flat
-   relations with secondary indexes (no nested collections), mirroring the
-   paper's redesign to "a schema with 24 flat relations";
+   relations with secondary indexes (no nested collections; an index is
+   built when a lookup first asks for it), mirroring the paper's redesign
+   to "a schema with 24 flat relations";
 2. **bulk loading beats per-row inserts** -- crawler threads collect rows
    in private workspaces and flush them in batches through the
    :class:`~repro.storage.bulkloader.BulkLoader`, which is how the paper's
    crawler sustained ~10k documents/minute.
 """
 
-from repro.storage.schema import BINGO_SCHEMA, Column, RelationSchema
-from repro.storage.database import Database, Relation
 from repro.storage.bulkloader import BulkLoader, Workspace
+from repro.storage.database import Database, Relation
 from repro.storage.persistence import (
     dump_database,
     load_database,
     sync_term_statistics,
 )
+from repro.storage.schema import BINGO_SCHEMA, Column, RelationSchema
 
 __all__ = [
     "BINGO_SCHEMA",

@@ -13,8 +13,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.storage.database import Database
+from repro.storage.schema import Row
+
+if TYPE_CHECKING:
+    from repro.obs import Obs
 
 __all__ = ["Workspace", "BulkLoader"]
 
@@ -24,17 +29,17 @@ class Workspace:
     """One crawler thread's private row buffers."""
 
     thread_id: int
-    buffers: dict[str, list[dict]] = field(
+    buffers: dict[str, list[Row]] = field(
         default_factory=lambda: defaultdict(list)
     )
 
-    def add(self, relation: str, row: dict) -> int:
+    def add(self, relation: str, row: Row) -> int:
         """Buffer a row; returns the buffer's new length."""
         buffer = self.buffers[relation]
         buffer.append(row)
         return len(buffer)
 
-    def take(self, relation: str) -> list[dict]:
+    def take(self, relation: str) -> list[Row]:
         """Remove and return the buffered rows for one relation."""
         rows = self.buffers[relation]
         self.buffers[relation] = []
@@ -49,7 +54,7 @@ class BulkLoader:
     """Routes buffered rows into the database in batches."""
 
     def __init__(self, database: Database, batch_size: int = 200,
-                 obs=None) -> None:
+                 obs: Obs | None = None) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.database = database
@@ -69,14 +74,14 @@ class BulkLoader:
             self._workspaces[thread_id] = workspace
         return workspace
 
-    def add(self, thread_id: int, relation: str, row: dict) -> None:
+    def add(self, thread_id: int, relation: str, row: Row) -> None:
         """Buffer a row; flushes that buffer if it reached the batch size."""
         workspace = self.workspace(thread_id)
         if workspace.add(relation, row) >= self.batch_size:
             self._flush_buffer(workspace, relation)
 
     def add_many(self, thread_id: int, relation: str,
-                 rows: list[dict]) -> None:
+                 rows: list[Row]) -> None:
         """Buffer a row sequence with the same flush cadence as repeated
         :meth:`add` calls (every ``batch_size``-th row flushes), so the
         pipeline's batched persist stage writes identical batches."""

@@ -2,27 +2,42 @@
 
 A :class:`Database` hosts :class:`Relation` instances built from
 :class:`~repro.storage.schema.RelationSchema` declarations.  Rows are
-plain dicts validated against the schema; each relation keeps
+plain dicts validated against the schema; each relation keeps a
+primary-key hash map (uniqueness enforced) and supports point lookups,
+index scans, predicate scans, updates and deletes.
 
-* a primary-key hash map (uniqueness enforced),
-* one hash index per declared secondary index,
+A declared secondary index costs nothing until it is read: the first
+:meth:`Relation.lookup` on it builds it from the rows, and every
+mutation after that maintains it.  The crawl writes millions of rows
+into relations whose indexes only an interactive reader ever uses, so
+its inserts touch the primary-key map alone.
 
-and supports point lookups, index scans, predicate scans, updates and
-deletes.  ``bulk_insert`` is the fast path used by the
-:class:`~repro.storage.bulkloader.BulkLoader`: it validates and indexes a
-whole batch with one call, skipping the per-statement overhead that the
-paper found dominated row-at-a-time SQL inserts.
+``bulk_insert`` is the fast path used by the
+:class:`~repro.storage.bulkloader.BulkLoader`: it validates, key-checks
+and stores a whole batch with one call, skipping the per-statement and
+per-row overhead that the paper found dominated row-at-a-time SQL
+inserts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import StorageError
-from repro.storage.schema import BINGO_SCHEMA, RelationSchema
+from repro.storage.schema import (
+    BINGO_SCHEMA,
+    RelationSchema,
+    Row,
+    row_getter,
+)
 
 __all__ = ["Relation", "Database"]
+
+Key = tuple[Any, ...]
+_Buckets = dict[Key, dict[Key, None]]
+"""index key -> the primary keys under it, in insertion order."""
 
 
 class Relation:
@@ -31,29 +46,24 @@ class Relation:
     def __init__(self, schema: RelationSchema, validate: bool = True) -> None:
         self.schema = schema
         self.validate = validate
-        self._rows: dict[tuple, dict] = {}
-        self._indexes: dict[tuple[str, ...], dict[tuple, set[tuple]]] = {
-            index: {} for index in schema.indexes
+        self._rows: dict[Key, Row] = {}
+        self._pk = row_getter(schema.primary_key)
+        self._index_keys = {
+            index: row_getter(index) for index in schema.indexes
         }
+        self._indexes: dict[tuple[str, ...], _Buckets] = {}
+        """The indexes some ``lookup`` has asked for so far."""
         #: simulated per-statement overhead counter (for the throughput bench)
         self.statements = 0
 
-    # -- keys ------------------------------------------------------------
-
-    def _pk(self, row: dict) -> tuple:
-        return tuple(row[c] for c in self.schema.primary_key)
-
-    def _index_key(self, index: tuple[str, ...], row: dict) -> tuple:
-        return tuple(row[c] for c in index)
-
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, row: dict) -> None:
+    def insert(self, row: Row) -> None:
         """Insert one row; raises on duplicate primary key."""
         self.statements += 1
         self._insert_unchecked(row)
 
-    def _insert_unchecked(self, row: dict) -> None:
+    def _insert_unchecked(self, row: Row) -> None:
         if self.validate:
             self.schema.validate_row(row)
         key = self._pk(row)
@@ -62,19 +72,31 @@ class Relation:
                 f"{self.schema.name}: duplicate primary key {key!r}"
             )
         self._rows[key] = row
-        for index, mapping in self._indexes.items():
-            mapping.setdefault(self._index_key(index, row), set()).add(key)
+        self._index((key,), (row,))
 
-    def bulk_insert(self, rows: Iterable[dict]) -> int:
-        """Insert many rows under a single statement; returns the count."""
+    def bulk_insert(self, rows: Iterable[Row]) -> int:
+        """Insert many rows under a single statement; returns the count.
+
+        A schema error rejects the whole batch.  A duplicate primary key
+        raises on the exact key with the rows before it inserted, as the
+        same sequence of single inserts would.
+        """
         self.statements += 1
-        count = 0
-        for row in rows:
-            self._insert_unchecked(row)
-            count += 1
-        return count
+        if not isinstance(rows, list):
+            rows = list(rows)
+        if self.validate:
+            self.schema.validate_rows(rows)
+        keys = list(map(self._pk, rows))
+        stored = self._rows
+        if len(set(keys)) == len(keys) and stored.keys().isdisjoint(keys):
+            stored.update(zip(keys, rows))
+            self._index(keys, rows)
+        else:
+            for row in rows:
+                self._insert_unchecked(row)
+        return len(rows)
 
-    def upsert(self, row: dict) -> None:
+    def upsert(self, row: Row) -> None:
         """Insert, or replace the existing row with the same primary key."""
         self.statements += 1
         if self.validate:
@@ -83,10 +105,9 @@ class Relation:
         if key in self._rows:
             self._remove_key(key)
         self._rows[key] = row
-        for index, mapping in self._indexes.items():
-            mapping.setdefault(self._index_key(index, row), set()).add(key)
+        self._index((key,), (row,))
 
-    def delete(self, **key_columns) -> int:
+    def delete(self, **key_columns: Any) -> int:
         """Delete rows matching the equality conditions; returns the count."""
         self.statements += 1
         victims = [
@@ -97,17 +118,7 @@ class Relation:
             self._remove_key(key)
         return len(victims)
 
-    def _remove_key(self, key: tuple) -> None:
-        row = self._rows.pop(key)
-        for index, mapping in self._indexes.items():
-            index_key = self._index_key(index, row)
-            bucket = mapping.get(index_key)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del mapping[index_key]
-
-    def update(self, key: Sequence, **changes) -> None:
+    def update(self, key: Sequence[Any], **changes: Any) -> None:
         """Update non-key columns of the row with primary key ``key``."""
         self.statements += 1
         key = tuple(key)
@@ -122,39 +133,62 @@ class Relation:
         updated = {**row, **changes}
         if self.validate:
             self.schema.validate_row(updated)
-        # re-index only the affected secondary indexes
-        for index, mapping in self._indexes.items():
-            old_key = self._index_key(index, row)
-            new_key = self._index_key(index, updated)
-            if old_key != new_key:
-                bucket = mapping.get(old_key)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del mapping[old_key]
-                mapping.setdefault(new_key, set()).add(key)
+        # the row keeps its place in scan order, which is not the end of
+        # the bucket it moves to: forget such an index, the next lookup
+        # rebuilds it in scan order
+        for index in list(self._indexes):
+            index_key = self._index_keys[index]
+            if index_key(row) != index_key(updated):
+                del self._indexes[index]
         self._rows[key] = updated
+
+    def _index(self, keys: Sequence[Key], rows: Sequence[Row]) -> None:
+        """Enter newly stored rows into the indexes that exist."""
+        for index, buckets in self._indexes.items():
+            index_key = self._index_keys[index]
+            for key, row in zip(keys, rows):
+                buckets.setdefault(index_key(row), {})[key] = None
+
+    def _remove_key(self, key: Key) -> None:
+        row = self._rows.pop(key)
+        for index, buckets in self._indexes.items():
+            index_key = self._index_keys[index](row)
+            bucket = buckets[index_key]
+            del bucket[key]
+            if not bucket:
+                del buckets[index_key]
 
     # -- access -------------------------------------------------------------
 
-    def get(self, *key) -> dict | None:
+    def get(self, *key: Any) -> Row | None:
         """Primary-key point lookup."""
         return self._rows.get(tuple(key))
 
-    def lookup(self, index: Sequence[str], *values) -> list[dict]:
-        """Equality scan over a declared secondary index."""
-        index = tuple(index)
-        mapping = self._indexes.get(index)
-        if mapping is None:
-            raise StorageError(
-                f"{self.schema.name}: no index on {index!r} "
-                f"(declared: {list(self._indexes)})"
-            )
-        keys = mapping.get(tuple(values), set())
-        return [self._rows[k] for k in keys]
+    def lookup(self, index: Sequence[str], *values: Any) -> list[Row]:
+        """Equality scan over a declared secondary index.
 
-    def scan(self, predicate: Callable[[dict], bool] | None = None) -> list[dict]:
-        """Full scan, optionally filtered."""
+        Rows come back in :meth:`scan` order.  The first lookup on an
+        index builds it (one pass over the relation).
+        """
+        index = tuple(index)
+        buckets = self._indexes.get(index)
+        if buckets is None:
+            index_key = self._index_keys.get(index)
+            if index_key is None:
+                raise StorageError(
+                    f"{self.schema.name}: no index on {index!r} "
+                    f"(declared: {list(self._index_keys)})"
+                )
+            buckets = {}
+            for key, row in self._rows.items():
+                buckets.setdefault(index_key(row), {})[key] = None
+            self._indexes[index] = buckets
+        return [self._rows[k] for k in buckets.get(tuple(values), ())]
+
+    def scan(
+        self, predicate: Callable[[Row], bool] | None = None
+    ) -> list[Row]:
+        """Full scan, optionally filtered; rows in insertion order."""
         if predicate is None:
             return list(self._rows.values())
         return [row for row in self._rows.values() if predicate(row)]
@@ -162,7 +196,7 @@ class Relation:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __contains__(self, key: tuple) -> bool:
+    def __contains__(self, key: Sequence[Any]) -> bool:
         return tuple(key) in self._rows
 
 

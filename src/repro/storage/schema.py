@@ -10,22 +10,38 @@ key, and the secondary indexes the access paths require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Sequence
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Any
 
 from repro.errors import SchemaError
 
-__all__ = ["Column", "RelationSchema", "BINGO_SCHEMA"]
+__all__ = ["Column", "RelationSchema", "BINGO_SCHEMA", "Row", "row_getter"]
+
+Row = dict[str, Any]
+"""One stored row: a value (or None) under every declared column."""
+
+
+def row_getter(columns: Sequence[str]) -> Callable[[Row], tuple[Any, ...]]:
+    """``row -> tuple`` of the named columns' values, in that order."""
+    getter = itemgetter(*columns)
+    if len(columns) == 1:
+        # itemgetter yields the bare value for a single column
+        return lambda row: (getter(row),)
+    return getter
 
 
 @dataclass(frozen=True)
 class Column:
-    """One typed column.  ``type`` is a Python type; None allowed if nullable."""
+    """One typed column: ``type`` is a Python type, None allowed if
+    nullable."""
 
     name: str
     type: type
     nullable: bool = False
 
-    def check(self, value) -> None:
+    def check(self, value: Any) -> None:
         if value is None:
             if not self.nullable:
                 raise SchemaError(f"column {self.name!r} is not nullable")
@@ -47,12 +63,14 @@ class RelationSchema:
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...]
     indexes: tuple[tuple[str, ...], ...] = ()
+    column_names: tuple[str, ...] = field(init=False, compare=False)
+    _known: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        names = tuple(c.name for c in self.columns)
+        known = frozenset(names)
+        if len(known) != len(names):
             raise SchemaError(f"duplicate column in relation {self.name!r}")
-        known = set(names)
         for key in (self.primary_key, *self.indexes):
             for column in key:
                 if column not in known:
@@ -60,26 +78,59 @@ class RelationSchema:
                         f"relation {self.name!r}: key column {column!r} "
                         "is not a declared column"
                     )
+        object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "_known", known)
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
+    def validate_row(self, row: Row) -> None:
+        """Raise :class:`SchemaError` unless ``row`` names exactly the
+        declared columns with values of their types."""
+        if row.keys() != self._known:
+            raise self._wrong_columns(row)
+        for column in self.columns:
+            value = row[column.name]
+            if type(value) is not column.type:
+                column.check(value)
 
-    def validate_row(self, row: dict) -> None:
-        """Raise :class:`SchemaError` unless ``row`` matches the columns."""
-        extra = set(row) - set(self.column_names)
-        if extra:
-            raise SchemaError(
-                f"relation {self.name!r}: unknown columns {sorted(extra)}"
+    def validate_rows(self, rows: Collection[Row]) -> None:
+        """:meth:`validate_row` for a batch, a column at a time: one pass
+        over the key sets, then one per column over the value *types*,
+        so :meth:`Column.check` (subclasses, ints in float columns, the
+        error message) runs only for a column that holds something other
+        than its exact type."""
+        known = self._known
+        if set(map(frozenset, rows)) - {known}:
+            raise self._wrong_columns(
+                next(row for row in rows if row.keys() != known)
             )
         for column in self.columns:
-            column.check(row.get(column.name))
+            name = column.name
+            kinds = {type(row[name]) for row in rows}
+            kinds.discard(column.type)
+            if column.nullable:
+                kinds.discard(type(None))
+            if kinds:
+                for row in rows:
+                    column.check(row[name])
+
+    def _wrong_columns(self, row: Row) -> SchemaError:
+        return SchemaError(
+            f"relation {self.name!r}: unknown columns "
+            f"{sorted(row.keys() - self._known)}, missing columns "
+            f"{sorted(self._known - row.keys())}"
+        )
 
 
-def _rel(name, columns, pk, indexes=()) -> RelationSchema:
+def _rel(
+    name: str,
+    columns: Sequence[Column | tuple[Any, ...]],
+    pk: Sequence[str],
+    indexes: Sequence[Sequence[str]] = (),
+) -> RelationSchema:
     return RelationSchema(
         name=name,
-        columns=tuple(Column(*c) if isinstance(c, tuple) else c for c in columns),
+        columns=tuple(
+            Column(*c) if isinstance(c, tuple) else c for c in columns
+        ),
         primary_key=tuple(pk),
         indexes=tuple(tuple(i) for i in indexes),
     )
@@ -139,7 +190,7 @@ BINGO_SCHEMA: dict[str, RelationSchema] = {
             ("topic", str), ("iteration", int), ("feature_space", str),
             ("xi_alpha", float), ("trained_at", float),
         ], ["topic", "iteration", "feature_space"], [["topic"]]),
-        # -- crawl bookkeeping --------------------------------------------------
+        # -- crawl bookkeeping ------------------------------------------------
         _rel("crawl_frontier", [
             ("url", str), ("topic", str, True), ("priority", float),
             ("depth", int), ("tunnelled", int), ("enqueued_at", float),

@@ -4,21 +4,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BingoEngine
+from repro.core import BingoConfig, BingoEngine
 
 from tests.core.conftest import fast_engine_config
 
 
 @pytest.fixture(scope="module")
 def consistent_run(small_web):
-    engine = BingoEngine.for_portal(
-        small_web, config=fast_engine_config(validate_storage=True)
-    )
+    engine = BingoEngine.for_portal(small_web, config=fast_engine_config())
     report = engine.run(harvesting_fetch_budget=200)
     return engine, report
 
 
 class TestEngineConsistency:
+    def test_store_validates_with_no_knob_to_turn_it_off(
+        self, consistent_run
+    ) -> None:
+        engine, _ = consistent_run
+        assert all(
+            relation.validate
+            for relation in engine.database.relations.values()
+        )
+        assert "validate_storage" not in BingoConfig.__dataclass_fields__
+
     def test_doc_ids_contiguous(self, consistent_run) -> None:
         engine, _ = consistent_run
         ids = [doc.doc_id for doc in engine.crawler.documents]

@@ -1,4 +1,4 @@
-"""Fixture: removed PR 9 shims being defined and used again."""
+"""Fixture: removed shims and knobs being defined and used again."""
 
 
 class LocalSearchEngine:
@@ -23,3 +23,16 @@ def bump(engine: LocalSearchEngine) -> None:
 
 def _deprecated_alias(name: str) -> str:
     return name
+
+
+class BingoConfig:
+    seed: int = 0
+    validate_storage: bool = False
+
+
+def unchecked(config: BingoConfig) -> bool:
+    return config.validate_storage
+
+
+def debugging() -> BingoConfig:
+    return BingoConfig(validate_storage=True)

@@ -112,4 +112,4 @@ class TestContextSnapshotSurface:
         stats = crawler.crawl(settings(20))
         path = save_checkpoint(crawler.ctx, stats, tmp_path)
         assert path.exists()
-        assert (tmp_path / "database" / "manifest.json").exists()
+        assert (tmp_path / "database-1" / "manifest.json").exists()

@@ -141,7 +141,7 @@ class TestSnapshotRoundTrip:
         assert path.exists()
         state = load_checkpoint(tmp_path)
         assert state["stats"]["visited_urls"] == stats.visited_urls
-        assert (tmp_path / "database" / "manifest.json").exists()
+        assert (tmp_path / "database-1" / "manifest.json").exists()
 
     def test_checkpointer_cadence(self, tmp_path) -> None:
         crawler, _ = build_crawler()

@@ -1,0 +1,290 @@
+"""A checkpoint save is atomic: kill it anywhere and the previous
+checkpoint still restores bit-identically; damage a published one and
+the restore raises -- it never resumes on half a state.
+
+The kill is injected into the real ``save_checkpoint``: every file it
+opens for writing, every rename and every ``rmtree`` is a write
+boundary, and the save is re-run once per boundary, dying just before
+it (and once more with the file written last torn in half, for a kill
+in mid-write).  Nothing here knows the order of the writes -- which
+side of the publishing rename a kill fell on is read off the operations
+that ran, so a save that published before its rows were complete would
+fail these tests rather than match them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import pathlib
+import shutil
+
+import pytest
+
+from repro.core import FocusedCrawler
+from repro.core.crawler import SOFT, PhaseSettings
+from repro.errors import StorageError
+from repro.robust import checkpoint
+from repro.robust.checkpoint import (
+    Checkpointer,
+    restore_context,
+    save_checkpoint,
+    snapshot_context,
+)
+from repro.storage.bulkloader import BulkLoader
+from repro.storage.database import Database
+from repro.web import SyntheticWeb
+
+from tests.conftest import small_web_config
+from tests.core.conftest import fast_engine_config
+from tests.core.test_crawler import make_trained_classifier
+
+
+def settings(budget: int) -> PhaseSettings:
+    return PhaseSettings(name="t", focus=SOFT, fetch_budget=budget)
+
+
+class Rig:
+    """One Web and trained classifier; crawlers over them on demand.
+
+    A restore overwrites everything a crawl left on the Web's server, so
+    restore targets can share one rig -- but not with a crawl that is
+    still to be saved.
+    """
+
+    def __init__(self, workers: int = 1) -> None:
+        self.web = SyntheticWeb.generate(small_web_config())
+        sharding = (
+            {"crawl_workers": workers, "crawler_threads": 2}
+            if workers > 1 else {}
+        )
+        self.config = fast_engine_config(max_retries=2, **sharding)
+        self.classifier = make_trained_classifier(self.web, self.config)
+
+    def crawler(self) -> tuple[FocusedCrawler, Database]:
+        database = Database()
+        crawler = FocusedCrawler(
+            self.web, self.classifier, self.config,
+            loader=BulkLoader(database, batch_size=10),
+        )
+        return crawler, database
+
+
+def image(crawler, stats, database: Database) -> tuple[str, dict]:
+    """Everything a restore must bring back, comparably: the runtime
+    state as canonical JSON, and every relation's rows with their value
+    types (``==`` alone lets ``True`` pass for ``1``)."""
+    state = json.dumps(snapshot_context(crawler, stats), sort_keys=True)
+    rows = {
+        name: [
+            [(column, type(value).__name__, value)
+             for column, value in row.items()]
+            for row in relation.scan()
+        ]
+        for name, relation in database.relations.items()
+    }
+    return state, rows
+
+
+class _Killed(Exception):
+    pass
+
+
+def killed_save(monkeypatch, crawler, stats, directory, kill_at: int):
+    """``save_checkpoint`` dying just before write operation ``kill_at``;
+    returns the ``(kind, path)`` operations that did run."""
+    ran: list[tuple[str, pathlib.Path]] = []
+
+    def boundary(kind: str, path) -> None:
+        if len(ran) == kill_at:
+            raise _Killed
+        ran.append((kind, pathlib.Path(path)))
+
+    real_open = pathlib.Path.open
+    real_replace = pathlib.Path.replace
+    real_rmtree = shutil.rmtree
+
+    def open_(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            boundary("write", self)
+        return real_open(self, mode, *args, **kwargs)
+
+    def replace(self, target):
+        boundary("rename", target)
+        return real_replace(self, target)
+
+    def rmtree(path, *args, **kwargs):
+        boundary("rmtree", path)
+        return real_rmtree(path, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pathlib.Path, "open", open_)
+        patch.setattr(pathlib.Path, "replace", replace)
+        patch.setattr(checkpoint.shutil, "rmtree", rmtree)
+        with contextlib.suppress(_Killed):
+            save_checkpoint(crawler, stats, directory)
+    return ran
+
+
+@pytest.fixture(scope="module")
+def two_saves(tmp_path_factory):
+    """A crawl checkpointed twice: the directory after save 1, the
+    images both saves captured, and the live crawler at save 2."""
+    live, rig = Rig(), Rig()
+    crawler, database = live.crawler()
+    crawler.seed(
+        live.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
+    )
+    after_first = tmp_path_factory.mktemp("after-first-save")
+    stats = crawler.crawl(settings(25))
+    save_checkpoint(crawler, stats, after_first)
+    first = image(crawler, stats, database)
+    stats = crawler.crawl(settings(50), resume=stats)
+    crawler.ctx.loader.flush_all()
+    second = image(crawler, stats, database)
+    assert first != second
+    return rig, after_first, first, second, crawler, stats
+
+
+def restored_image(rig: Rig, directory) -> tuple[str, dict]:
+    crawler, database = rig.crawler()
+    stats = restore_context(crawler.ctx, directory)
+    return image(crawler, stats, database)
+
+
+class TestKilledSave:
+    def test_every_write_boundary_leaves_a_whole_checkpoint(
+        self, two_saves, tmp_path, monkeypatch
+    ) -> None:
+        rig, after_first, first, second, crawler, stats = two_saves
+        complete = killed_save(
+            monkeypatch, crawler, stats,
+            shutil.copytree(after_first, tmp_path / "complete"), -1,
+        )
+        kinds = [kind for kind, _ in complete]
+        # 24 relation files + manifest + the blob's temp file, one
+        # publishing rename, one superseded database removed
+        assert kinds == ["write"] * 26 + ["rename", "rmtree"]
+        assert restored_image(rig, tmp_path / "complete") == second
+
+        for kill_at in range(len(complete)):
+            directory = shutil.copytree(
+                after_first, tmp_path / f"killed-{kill_at}"
+            )
+            ran = killed_save(monkeypatch, crawler, stats, directory, kill_at)
+            assert ran == [
+                (kind, directory / path.relative_to(tmp_path / "complete"))
+                for kind, path in complete[:kill_at]
+            ]
+            published = ("rename", directory / "crawl.json") in ran
+            expected = second if published else first
+            assert restored_image(rig, directory) == expected, kill_at
+            if ran and ran[-1][0] == "write":
+                # the same kill a moment earlier, inside that write
+                torn = ran[-1][1]
+                torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+                assert restored_image(rig, directory) == first, kill_at
+
+    def test_next_save_clears_the_debris_of_a_killed_one(
+        self, two_saves, tmp_path, monkeypatch
+    ) -> None:
+        rig, after_first, _, second, crawler, stats = two_saves
+        directory = shutil.copytree(after_first, tmp_path / "checkpoint")
+        killed_save(monkeypatch, crawler, stats, directory, 10)
+        assert (directory / "database-2").exists()
+        save_checkpoint(crawler, stats, directory)
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "crawl.json", "database-3",
+        ]
+        assert restored_image(rig, directory) == second
+
+
+class TestDamagedCheckpoint:
+    @pytest.fixture()
+    def published(self, two_saves, tmp_path):
+        _, after_first, _, _, crawler, stats = two_saves
+        directory = shutil.copytree(after_first, tmp_path / "checkpoint")
+        save_checkpoint(crawler, stats, directory)
+        return directory
+
+    def test_truncated_or_missing_file_never_resumes_wrong(
+        self, two_saves, published
+    ) -> None:
+        rig, _, _, second, _, _ = two_saves
+        files = sorted(p for p in published.rglob("*") if p.is_file())
+        assert len(files) == 26
+        refused = 0
+        for path in files:
+            content = path.read_bytes()
+            for damaged in (content[: len(content) // 2], None):
+                if damaged is None:
+                    path.unlink()
+                else:
+                    path.write_bytes(damaged)
+                crawler, database = rig.crawler()
+                try:
+                    stats = restore_context(crawler.ctx, published)
+                except StorageError:
+                    refused += 1
+                    # refused before anything was taken
+                    assert database.total_rows == 0
+                    assert crawler.ctx.documents == []
+                    assert crawler.ctx.clock.now == 0.0
+                else:
+                    # only a relation without rows can go unnoticed
+                    assert content == b""
+                    assert image(crawler, stats, database) == second
+                path.write_bytes(content)
+        assert refused >= 2 * 6  # blob, manifest, and the crawl's relations
+
+    def test_blob_and_database_of_different_saves_refused(
+        self, two_saves, published, tmp_path
+    ) -> None:
+        rig, after_first, _, _, _, _ = two_saves
+        shutil.rmtree(published / "database-2")
+        shutil.copytree(
+            after_first / "database-1", published / "database-2"
+        )
+        crawler, _ = rig.crawler()
+        with pytest.raises(StorageError, match="stamped 1, expected 2"):
+            restore_context(crawler.ctx, published)
+
+    def test_checkpoint_without_ordinal_refused(
+        self, two_saves, published
+    ) -> None:
+        rig = two_saves[0]
+        blob = json.loads((published / "crawl.json").read_text())
+        del blob["state"]["save_ordinal"]
+        (published / "crawl.json").write_text(json.dumps(blob))
+        crawler, _ = rig.crawler()
+        with pytest.raises(StorageError, match="no save ordinal"):
+            restore_context(crawler.ctx, published)
+
+
+class _ImagingCheckpointer(Checkpointer):
+    """Keeps the image of what the latest save captured."""
+
+    latest: tuple[str, dict] | None = None
+
+    def save(self, crawler, stats) -> None:
+        super().save(crawler, stats)
+        self.latest = image(crawler, stats, crawler.ctx.loader.database)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_restore_equals_the_saved_database_row_for_row(
+    workers: int, tmp_path
+) -> None:
+    live, rig = Rig(workers), Rig(workers)
+    crawler, _ = live.crawler()
+    crawler.seed(
+        live.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
+    )
+    checkpointer = _ImagingCheckpointer(tmp_path, every=20)
+    crawler.crawl(settings(70), checkpointer=checkpointer)
+    assert checkpointer.saves == 3
+    assert (tmp_path / "database-3").exists()
+    assert not (tmp_path / "database-2").exists()
+    saved_state, saved_rows = checkpointer.latest
+    assert sum(map(len, saved_rows.values())) > 1000
+    assert restored_image(rig, tmp_path) == (saved_state, saved_rows)

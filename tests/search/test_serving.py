@@ -203,6 +203,22 @@ class TestQueryLoad:
             <= summary["latency_p99"]
         )
 
+    def test_consecutive_loads_on_one_server_both_execute(self, corpus) -> None:
+        # request ids continue the server's own count: a second load
+        # must not come back as idempotent replays of the first
+        config = LoadConfig(requests=200, clients=4, seed=11)
+        pool = build_query_pool(corpus, seed=11)
+        fresh = run_query_load(self.make_server(corpus), pool, config)
+        server = self.make_server(corpus)
+        first = run_query_load(server, pool, config)
+        second = run_query_load(server, pool, config)
+        assert first.summary() == fresh.summary()
+        for report in (first, second):
+            assert report.replayed <= 0.15 * report.requests
+            assert report.ok + report.rejected >= 0.85 * report.requests
+        assert server.requests == 400
+        assert server.replayed == first.replayed + second.replayed
+
     def test_percentile_edges(self) -> None:
         assert percentile([], 0.5) == 0.0
         assert percentile([3.0], 0.99) == 3.0

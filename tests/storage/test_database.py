@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.storage.database import Database, Relation
 from repro.storage.schema import Column, RelationSchema
 
@@ -47,6 +47,31 @@ class TestRelation:
         assert len(rel.lookup(("topic",), "db")) == 2
         assert rel.lookup(("url",), "http://c/")[0]["doc_id"] == 3
         assert rel.lookup(("topic",), "none-such") == []
+
+    def test_lookup_returns_rows_in_insertion_order(self) -> None:
+        # string keys: a set of them iterates in PYTHONHASHSEED order
+        rel = make_relation()
+        for i in range(40):
+            rel.insert({"doc_id": i, "url": f"http://{i}/", "topic": "db"})
+        born_late = [row["doc_id"] for row in rel.lookup(("topic",), "db")]
+        assert born_late == list(range(40))
+        # ... and the same once the index is maintained, not rebuilt
+        rel.bulk_insert(
+            {"doc_id": i, "url": f"http://{i}/", "topic": "db"}
+            for i in range(40, 80)
+        )
+        rel.delete(url="http://3/")
+        rel.upsert({"doc_id": 5, "url": "http://5b/", "topic": "db"})
+        ids = [row["doc_id"] for row in rel.lookup(("topic",), "db")]
+        assert ids == [row["doc_id"] for row in rel.scan()]
+        assert ids == [i for i in range(80) if i not in (3, 5)] + [5]
+
+    def test_first_lookup_builds_only_the_index_asked_for(self) -> None:
+        rel = make_relation()
+        rel.insert({"doc_id": 1, "url": "http://a/", "topic": "db"})
+        assert rel._indexes == {}
+        rel.lookup(("topic",), "db")
+        assert list(rel._indexes) == [("topic",)]
 
     def test_lookup_on_undeclared_index_raises(self) -> None:
         rel = make_relation()
@@ -102,6 +127,32 @@ class TestRelation:
         assert rel.bulk_insert(rows) == 50
         assert rel.statements == 1
         assert len(rel) == 50
+
+    def test_bulk_insert_duplicate_raises_like_single_inserts(self) -> None:
+        rows = [
+            {"doc_id": i, "url": f"http://{i}/", "topic": None}
+            for i in (1, 2, 3, 2, 4)
+        ]
+        rel = make_relation()
+        with pytest.raises(StorageError, match=r"duplicate primary key \(2,\)"):
+            rel.bulk_insert(rows)
+        assert [row["doc_id"] for row in rel.scan()] == [1, 2, 3]
+        # ... and against a key that is already stored
+        with pytest.raises(StorageError, match=r"duplicate primary key \(3,\)"):
+            rel.bulk_insert([
+                {"doc_id": 7, "url": "http://7/", "topic": None},
+                {"doc_id": 3, "url": "http://3b/", "topic": None},
+            ])
+        assert [row["doc_id"] for row in rel.scan()] == [1, 2, 3, 7]
+
+    def test_bulk_insert_schema_error_rejects_the_batch(self) -> None:
+        rel = make_relation()
+        with pytest.raises(SchemaError):
+            rel.bulk_insert([
+                {"doc_id": 1, "url": "http://1/", "topic": None},
+                {"doc_id": 2, "url": 2, "topic": None},
+            ])
+        assert len(rel) == 0
 
     def test_contains(self) -> None:
         rel = make_relation()

@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.storage.database import Database
 from repro.storage.persistence import dump_database, load_database
+from repro.storage.schema import BINGO_SCHEMA
 
 
 def populated_database() -> Database:
@@ -23,7 +24,75 @@ def populated_database() -> Database:
     return database
 
 
+_SAMPLES = {
+    int: [0, -7, 2**40],
+    str: ["", "caf\u00e9 \u65e5\u672c\u8a9e \"quoted\"\n", "plain"],
+    float: [0.1, -2.5e-9, 3],  # an int is a legal float value
+    bool: [True, False, True],
+}
+
+
+def every_relation_populated() -> Database:
+    """Three rows in each of the 24 relations: every column type, None
+    in every nullable column, non-ASCII text, bools beside ints."""
+    database = Database()
+    for name, schema in BINGO_SCHEMA.items():
+        # the samples differ per row, so the leading key column does too
+        database[name].bulk_insert(
+            {
+                column.name: None if column.nullable and i == 1
+                else _SAMPLES[column.type][i]
+                for column in schema.columns
+            }
+            for i in range(3)
+        )
+    return database
+
+
 class TestRoundTrip:
+    def test_all_24_relations_round_trip_exactly(self, tmp_path) -> None:
+        database = every_relation_populated()
+        assert dump_database(database, tmp_path) == 72
+        restored = load_database(tmp_path)
+        for name, relation in database.relations.items():
+            before, after = relation.scan(), restored[name].scan()
+            assert after == before, name
+            # == lets True pass for 1 and 3 for 3.0: pin the types too
+            assert [[type(v) for v in row.values()] for row in after] == [
+                [type(v) for v in row.values()] for row in before
+            ], name
+            assert [list(row) for row in after] == [
+                list(row) for row in before
+            ], name
+
+    def test_rows_are_written_in_chunks_not_one_per_line(self, tmp_path) -> None:
+        database = Database()
+        database["terms"].bulk_insert(
+            {"doc_id": i, "term": f"t{i}", "tf": 1} for i in range(10_000)
+        )
+        dump_database(database, tmp_path)
+        lines = (tmp_path / "terms.jsonl").read_text().splitlines()
+        assert 1 < len(lines) <= 4
+        assert json.loads(lines[0])[0] == [0, "t0", 1]
+        assert len(load_database(tmp_path)["terms"]) == 10_000
+
+    def test_load_into_an_existing_database(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        target = Database()
+        target["topics"].insert({"topic": "ir", "parent": None, "depth": 0})
+        assert load_database(tmp_path, into=target) is target
+        assert target.total_rows == 4
+        # a second load collides with the rows of the first
+        with pytest.raises(StorageError, match="duplicate primary key"):
+            load_database(tmp_path, into=target)
+
+    def test_stamp_round_trips_and_is_compared(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path, stamp=4)
+        assert load_database(tmp_path, stamp=4).total_rows == 3
+        assert load_database(tmp_path).total_rows == 3
+        with pytest.raises(StorageError, match="stamped 4"):
+            load_database(tmp_path, stamp=5)
+
     def test_dump_and_load(self, tmp_path) -> None:
         database = populated_database()
         rows = dump_database(database, tmp_path)
@@ -71,3 +140,87 @@ class TestFailureModes:
         (tmp_path / "terms.jsonl").write_text("")  # truncate
         with pytest.raises(StorageError):
             load_database(tmp_path)
+
+    def test_version_1_dump_refused(self, tmp_path) -> None:
+        # what the previous format looked like: one object per row
+        (tmp_path / "topics.jsonl").write_text(
+            json.dumps({"depth": 0, "parent": None, "topic": "db"}) + "\n"
+        )
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "format_version": 1,
+            "relations": {"topics": {
+                "rows": 1, "columns": ["topic", "parent", "depth"],
+            }},
+        }))
+        with pytest.raises(StorageError, match="unsupported dump format 1"):
+            load_database(tmp_path)
+
+    def test_object_rows_under_a_v2_manifest_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        (tmp_path / "topics.jsonl").write_text(
+            json.dumps({"dep": 0, "par": None, "top": "db"}) + "\n"
+        )
+        with pytest.raises(StorageError, match="corrupt dump file"):
+            load_database(tmp_path)
+
+    @pytest.mark.parametrize("record", [
+        [1, "databas"],            # short
+        [1, "databas", 3, "x"],    # long
+    ])
+    def test_wrong_row_width_refused(self, tmp_path, record) -> None:
+        dump_database(populated_database(), tmp_path)
+        (tmp_path / "terms.jsonl").write_text(json.dumps([record]) + "\n")
+        with pytest.raises(StorageError, match="corrupt dump file"):
+            load_database(tmp_path)
+
+    def test_torn_line_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        path = tmp_path / "documents.jsonl"
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(StorageError, match="corrupt dump file"):
+            load_database(tmp_path)
+
+    def test_extra_row_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        with (tmp_path / "terms.jsonl").open("a") as handle:
+            handle.write(json.dumps([[2, "index", 1]]) + "\n")
+        with pytest.raises(StorageError, match="expected 1 rows, found 2"):
+            load_database(tmp_path)
+
+    def test_unknown_column_in_manifest_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["relations"]["terms"]["columns"].append("weight")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="do not match"):
+            load_database(tmp_path)
+
+    def test_unknown_relation_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["relations"]["nope"] = {"rows": 0, "columns": []}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="unknown relation"):
+            load_database(tmp_path)
+
+    def test_missing_relation_file_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        (tmp_path / "terms.jsonl").unlink()
+        with pytest.raises(StorageError, match="missing dump file"):
+            load_database(tmp_path)
+
+    def test_wrong_value_type_refused_by_the_target(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        (tmp_path / "terms.jsonl").write_text(
+            json.dumps([[1, "databas", "three"]]) + "\n"
+        )
+        with pytest.raises(SchemaError):
+            load_database(tmp_path)
+
+    def test_nothing_is_inserted_when_a_later_file_is_bad(self, tmp_path) -> None:
+        dump_database(every_relation_populated(), tmp_path)
+        (tmp_path / "feedback.jsonl").write_text("[[1, 2")  # the last one
+        target = Database()
+        with pytest.raises(StorageError):
+            load_database(tmp_path, into=target)
+        assert target.total_rows == 0
