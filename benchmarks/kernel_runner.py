@@ -2,9 +2,10 @@
 
 Produces the machine-readable payload written to
 ``benchmarks/results/BENCH_kernels.json``: classification docs/sec
-(reference dict path vs compiled batch kernel), HITS iterations/sec
-(dict formulation vs CSR matvecs) and end-to-end crawl pages/sec
-(kernels off vs on).  Used by the ``bench_kernels.py`` pytest module and
+(reference dict path vs compiled batch kernel) and HITS iterations/sec
+(dict formulation vs CSR matvecs); what the kernels are worth to a
+whole crawl is ``ops_per_s`` on ``crawl-n1`` of ``benchmarks/e2e``.
+Used by the ``bench_kernels.py`` pytest module and
 the ``run_kernels.py`` CLI (which the CI smoke job runs against the
 committed baseline).
 
@@ -22,7 +23,6 @@ import numpy as np
 
 from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits_reference
-from repro.core import BingoEngine
 from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
@@ -34,7 +34,6 @@ __all__ = [
     "build_random_graph",
     "bench_classification",
     "bench_hits",
-    "bench_crawl",
     "run_all",
 ]
 
@@ -176,7 +175,7 @@ def bench_hits(
     }
 
 
-# -- end-to-end crawl -------------------------------------------------------
+# -- crawl fixtures shared with the pipeline and scale runners ---------------
 
 
 def _crawl_web(seed: int = 7) -> SyntheticWeb:
@@ -206,45 +205,13 @@ def _crawl_config(**overrides) -> BingoConfig:
     return BingoConfig(**defaults)
 
 
-def bench_crawl(harvesting_fetch_budget: int = 300, seed: int = 7) -> dict:
-    """Full portal run (learning + harvesting), kernels off vs on.
-
-    Classification is only part of the crawl loop (fetching, parsing
-    and storage are unchanged), so the end-to-end ratio is necessarily
-    smaller than the kernel-level ones.
-    """
-    web = _crawl_web(seed=seed)
-
-    def one_run(**overrides) -> tuple[int, float]:
-        engine = BingoEngine.for_portal(web, config=_crawl_config(**overrides))
-        start = time.perf_counter()
-        report = engine.run(harvesting_fetch_budget=harvesting_fetch_budget)
-        elapsed = time.perf_counter() - start
-        pages = sum(phase.stats.visited_urls for phase in report.phases)
-        return pages, elapsed
-
-    ref_pages, ref_s = one_run(use_compiled_kernels=False, vector_cache_size=0)
-    kernel_pages, kernel_s = one_run()
-
-    return {
-        "pages": kernel_pages,
-        "reference_pages": ref_pages,
-        "reference_pages_per_s": round(ref_pages / ref_s, 1),
-        "kernel_pages_per_s": round(kernel_pages / kernel_s, 1),
-        "speedup": round((ref_s / ref_pages) / (kernel_s / kernel_pages), 2),
-    }
-
-
 # -- aggregate --------------------------------------------------------------
 
 
-def run_all(include_crawl: bool = True) -> dict:
+def run_all() -> dict:
     """The full BENCH_kernels.json payload."""
-    payload = {
+    return {
         "schema": 1,
         "classification": bench_classification(),
         "hits": bench_hits(),
     }
-    if include_crawl:
-        payload["crawl"] = bench_crawl()
-    return payload

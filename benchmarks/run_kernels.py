@@ -66,10 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-regression", type=float, default=0.30,
         help="allowed fractional drop of each speedup ratio (default 0.30)",
     )
-    parser.add_argument(
-        "--skip-crawl", action="store_true",
-        help="skip the end-to-end crawl benchmark (CI smoke mode)",
-    )
     args = parser.parse_args(argv)
 
     baseline = None
@@ -79,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         baseline = json.loads(args.check.read_text())
 
-    results = run_all(include_crawl=not args.skip_crawl)
+    results = run_all()
     print(json.dumps(results, indent=2))
 
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ import random
 import time
 from collections import Counter
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.search.engine import LocalSearchEngine
 from repro.search.serving import (
     LoadConfig,

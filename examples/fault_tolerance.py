@@ -31,9 +31,9 @@ import sys
 import tempfile
 
 from repro.core import BingoConfig, FocusedCrawler, HierarchicalClassifier
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.core.ontology import TopicTree
-from repro.robust import Checkpointer, FaultWindow, restore_crawler
+from repro.robust import Checkpointer, FaultWindow, restore_context
 from repro.text.features import AnalyzedDocument, TermSpace
 from repro.text.tokenizer import tokenize_html
 from repro.web import PageRole, SyntheticWeb, WebGraphConfig
@@ -114,28 +114,28 @@ def burst_failure_demo() -> FocusedCrawler:
         PhaseSettings(name="burst", focus=SOFT, fetch_budget=80)
     )
 
-    state = crawler._host_state(victim.name)
+    state = crawler.ctx.host_state(victim.name)
     print(
-        f"  injected={dict(crawler.faults.injected)} "
+        f"  injected={dict(crawler.ctx.faults.injected)} "
         f"retries={stats.retries} deferred={stats.quarantine_deferred} "
         f"trips={state.trips} probes={state.probes}"
     )
-    check(crawler.faults.injected["timeout"] > 0, "faults were injected")
+    check(crawler.ctx.faults.injected["timeout"] > 0, "faults were injected")
     check(state.trips >= 1, "burst host was quarantined")
     check(state.probes >= 1, "quarantined host was re-probed after probation")
     check(not state.bad, "host recovered once the window passed")
     check(
-        any(d.host == victim.name for d in crawler.documents),
+        any(d.host == victim.name for d in crawler.ctx.documents),
         "pages of the burst host were stored after recovery",
     )
     check(
         all(
             record["not_before"] > record["scheduled_at"]
-            for record in crawler.retry_log
+            for record in crawler.ctx.retry_log
         ),
         "every retry carried a backoff deadline",
     )
-    transitions = crawler.obs.registry.value(
+    transitions = crawler.ctx.obs.registry.value(
         "robust_breaker_transitions_total", change="closed->open"
     )
     check(transitions >= 1, "breaker transitions were counted in the registry")
@@ -163,7 +163,7 @@ def checkpoint_resume_demo() -> FocusedCrawler:
         del interrupted
 
         resumed = build_crawler(config)
-        resume_stats = restore_crawler(resumed, checkpoint_dir)
+        resume_stats = restore_context(resumed.ctx, checkpoint_dir)
         print(f"  restored at visit {resume_stats.visited_urls}")
         final_stats = resumed.crawl(phase, resume=resume_stats)
 
@@ -174,8 +174,8 @@ def checkpoint_resume_demo() -> FocusedCrawler:
         "resumed crawl reached identical Table-1 counters",
     )
     check(
-        [d.final_url for d in resumed.documents]
-        == [d.final_url for d in baseline.documents],
+        [d.final_url for d in resumed.ctx.documents]
+        == [d.final_url for d in baseline.ctx.documents],
         "resumed crawl stored identical documents",
     )
     return resumed
@@ -198,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
             {
-                "burst": burst_crawler.obs.registry.snapshot(),
-                "resume": resumed_crawler.obs.registry.snapshot(),
+                "burst": burst_crawler.ctx.obs.registry.snapshot(),
+                "resume": resumed_crawler.ctx.obs.registry.snapshot(),
             },
             sort_keys=True,
             indent=2,

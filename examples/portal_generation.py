@@ -40,7 +40,7 @@ def main() -> None:
     documents = engine.ranked_results("ROOT/databases")
 
     print("\n--- local search engine: query 'concurrency recovery' ---")
-    search = LocalSearchEngine(engine.crawler.documents)
+    search = LocalSearchEngine(engine.ctx.documents)
     hits = search.search(
         "concurrency recovery",
         topic="ROOT/databases",

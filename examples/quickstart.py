@@ -60,7 +60,7 @@ def main() -> None:
 
     registry = web.registry("databases")
     found = registry.found_authors(
-        doc.final_url for doc in engine.crawler.documents
+        doc.final_url for doc in engine.ctx.documents
     )
     print(
         f"\nregistry recall: {len(found)}/{len(registry)} database "

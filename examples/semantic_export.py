@@ -35,7 +35,7 @@ def main() -> None:
     )
     engine.run(harvesting_fetch_budget=400)
 
-    exporter = XmlExporter(engine.crawler.documents)
+    exporter = XmlExporter(engine.ctx.documents)
     collection = exporter.to_element(topics=["ROOT/databases"])
     print(
         f"exported {collection.get('documents')} database documents "

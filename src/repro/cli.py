@@ -224,7 +224,7 @@ def _cmd_crawl(args) -> int:
         from repro.search.portal_export import PortalExporter
 
         paths = PortalExporter(
-            engine.tree, engine.crawler.documents
+            engine.tree, engine.ctx.documents
         ).export(args.export_portal)
         print(f"\nportal written: {len(paths)} pages in {args.export_portal}")
     if args.dump_db:
@@ -253,7 +253,7 @@ def _cmd_queryload(args) -> int:
     )
     engine.run(harvesting_fetch_budget=args.budget)
     search = LocalSearchEngine(
-        engine.crawler.documents, obs=engine.obs, indexed=True
+        engine.ctx.documents, obs=engine.obs, indexed=True
     )
     server = QueryServer(
         search,
@@ -262,7 +262,7 @@ def _cmd_queryload(args) -> int:
         rate=args.rate,
         burst=args.burst,
     )
-    pool = build_query_pool(engine.crawler.documents, seed=args.seed)
+    pool = build_query_pool(engine.ctx.documents, seed=args.seed)
     report = run_query_load(
         server,
         pool,

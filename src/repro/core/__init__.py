@@ -15,14 +15,7 @@ from repro.core.classifier import (
     TopicDecisionModel,
 )
 from repro.core.config import BingoConfig, MimePolicy
-from repro.core.crawler import (
-    SHARP,
-    SOFT,
-    CrawledDocument,
-    CrawlStats,
-    FocusedCrawler,
-    PhaseSettings,
-)
+from repro.core.crawler import FocusedCrawler
 from repro.core.dedup import DedupStats, DuplicateDetector
 from repro.core.engine import (
     ArchetypeReview,
@@ -38,6 +31,13 @@ from repro.core.feature_selection import (
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.core.ontology import OTHERS_SUFFIX, ROOT, TopicNode, TopicTree
 from repro.core.rbtree import RedBlackTree
+from repro.core.records import (
+    SHARP,
+    SOFT,
+    CrawledDocument,
+    CrawlStats,
+    PhaseSettings,
+)
 
 __all__ = [
     "ArchetypeDecision",

@@ -500,10 +500,10 @@ class HierarchicalClassifier:
     def _kernel(self) -> CompiledClassifier | None:
         """The compiled decision kernel, recompiled after retraining.
 
-        Returns None when compiled kernels are disabled in the config;
-        callers then take the reference path.
+        Returns None only while untrained; callers then take the
+        reference path.
         """
-        if not self.config.use_compiled_kernels or not self.trained:
+        if not self.trained:
             return None
         if (
             self._compiled is None

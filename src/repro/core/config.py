@@ -170,9 +170,6 @@ class BingoConfig:
     place of xi-alpha."""
 
     # -- kernel layer (repro.perf) ------------------------------------------
-    use_compiled_kernels: bool = True
-    """Classify through the compiled per-level numpy kernels; off falls
-    back to the reference dict-based decision phase everywhere."""
     vector_cache_size: int = 1024
     """Documents whose tf*idf vectors are LRU-cached per idf snapshot
     (archetype re-scoring and retraining evaluation hit this); 0

@@ -20,9 +20,9 @@ harvesting phase with a soft focus, confidence priorities and tunnelling
 * optional checkpoint/resume (:mod:`repro.robust.checkpoint`) and
   deterministic fault injection (:mod:`repro.robust.faults`).
 
-Since the staged-pipeline refactor the class is a thin facade: the
-runtime state lives on a :class:`~repro.pipeline.context.CrawlContext`
-and the crawl loop is :class:`~repro.pipeline.driver.CrawlPipeline`,
+The runtime state lives on a :class:`~repro.pipeline.context.
+CrawlContext` (``crawler.ctx``) and the crawl loop is
+:class:`~repro.pipeline.driver.CrawlPipeline` (``crawler.pipeline``),
 which drains micro-batches of ``config.pipeline_batch_size`` entries
 through the named stages admit / fetch / convert / analyze / classify /
 persist / expand.  At batch size 1 (the default) the staged loop is
@@ -35,144 +35,29 @@ so budgets like "90 minutes" replay deterministically in milliseconds.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable
 
-from repro.core.classifier import ClassificationResult, HierarchicalClassifier
+from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
 from repro.core.frontier import QueueEntry
-from repro.pipeline.context import CrawlContext, DomainState
+from repro.core.records import CrawlStats, PhaseSettings
+from repro.pipeline.context import CrawlContext
 from repro.pipeline.driver import CrawlPipeline
 from repro.storage.bulkloader import BulkLoader
 from repro.text.features import FeatureSpace
 from repro.web.clock import SimulatedClock
 from repro.web.urls import normalize_url
 
-__all__ = [
-    "PhaseSettings",
-    "CrawlStats",
-    "CrawledDocument",
-    "FocusedCrawler",
-    "SHARP",
-    "SOFT",
-]
-
-SHARP = "sharp"
-SOFT = "soft"
-
-#: legacy alias; checkpoint code historically imported the domain
-#: politeness record from this module
-_DomainState = DomainState
-
-
-@dataclass
-class PhaseSettings:
-    """Focusing policy of one crawl phase (learning vs harvesting)."""
-
-    name: str = "harvesting"
-    focus: str = SOFT
-    """SHARP accepts only links staying in the source's class (3.3)."""
-    decision_mode: str = "single"
-    """Classifier combination mode for this phase (3.5)."""
-    tunnelling: bool = True
-    depth_first: bool = False
-    """True -> deeper links get higher priority (learning phase)."""
-    max_depth: int | None = None
-    allowed_domains: frozenset[str] | None = None
-    """Restrict the crawl to these registrable domains (learning phase)."""
-    fetch_budget: int | None = None
-    time_budget: float | None = None
-    """Simulated seconds for this phase."""
-
-
-@dataclass
-class CrawlStats:
-    """The counters of Table 1 plus diagnostic detail."""
-
-    visited_urls: int = 0
-    stored_pages: int = 0
-    extracted_links: int = 0
-    positively_classified: int = 0
-    hosts_visited: set[str] = field(default_factory=set)
-    max_depth: int = 0
-    # diagnostics
-    fetch_errors: int = 0
-    """Timeouts and 5xx responses (the retryable failures)."""
-    not_found: int = 0
-    """404-style responses (dead links; not retried, not a host fault)."""
-    redirect_loops: int = 0
-    """Fetches abandoned after too many redirect hops."""
-    dns_failures: int = 0
-    duplicates_skipped: int = 0
-    mime_rejected: int = 0
-    size_rejected: int = 0
-    url_rejected: int = 0
-    locked_skipped: int = 0
-    bad_host_skipped: int = 0
-    """URLs dropped because their host's quarantine outlasted the
-    deferral budget."""
-    quarantine_deferred: int = 0
-    """URLs pushed back into the frontier by an open circuit breaker."""
-    slow_deferred: int = 0
-    """URLs pushed back by a slow host's politeness cool-down."""
-    politeness_defers: int = 0
-    retries: int = 0
-    simulated_seconds: float = 0.0
-
-    @property
-    def visited_hosts(self) -> int:
-        return len(self.hosts_visited)
-
-    def table1_row(self) -> dict[str, int]:
-        """The six summary properties the paper's Table 1 reports."""
-        return {
-            "visited_urls": self.visited_urls,
-            "stored_pages": self.stored_pages,
-            "extracted_links": self.extracted_links,
-            "positively_classified": self.positively_classified,
-            "visited_hosts": self.visited_hosts,
-            "max_crawling_depth": self.max_depth,
-        }
-
-    def stats(self) -> dict[str, float]:
-        """Every numeric counter (:class:`repro.obs.api.Instrumented`)."""
-        out = {
-            name: float(getattr(self, name))
-            for name in sorted(self.__dataclass_fields__)
-            if name != "hosts_visited"
-        }
-        out["visited_hosts"] = float(self.visited_hosts)
-        return out
-
-
-@dataclass
-class CrawledDocument:
-    """In-memory record of one stored page (mirrors the documents rows)."""
-
-    doc_id: int
-    url: str
-    final_url: str
-    page_id: int | None
-    host: str
-    ip: str
-    mime: str
-    size: int
-    title: str
-    depth: int
-    topic: str
-    confidence: float
-    counts: dict[str, Counter]
-    out_urls: list[str]
-    fetched_at: float
+__all__ = ["FocusedCrawler"]
 
 
 class FocusedCrawler:
     """Fetches, classifies and stores pages under a phase policy.
 
-    A facade over :class:`~repro.pipeline.context.CrawlContext` (the
-    runtime state) and :class:`~repro.pipeline.driver.CrawlPipeline`
-    (the staged crawl loop); the delegating members below keep the
-    historical attribute surface intact for callers and tests.
+    Builds the :class:`~repro.pipeline.context.CrawlContext` (``ctx``:
+    frontier, documents, hosts, clock, ...) and the
+    :class:`~repro.pipeline.driver.CrawlPipeline` (``pipeline``) and
+    drives phases; everything else is read from those two directly.
     """
 
     def __init__(
@@ -183,8 +68,8 @@ class FocusedCrawler:
         clock: SimulatedClock | None = None,
         spaces: dict[str, FeatureSpace] | None = None,
         loader: BulkLoader | None = None,
-        on_document: "callable | None" = None,
-        on_retrain: "callable | None" = None,
+        on_document: Callable | None = None,
+        on_retrain: Callable | None = None,
     ) -> None:
         self.ctx = CrawlContext(
             web,
@@ -196,161 +81,7 @@ class FocusedCrawler:
             on_document=on_document,
             on_retrain=on_retrain,
         )
-        self.ctx.owner = self
         self.pipeline = CrawlPipeline(self.ctx)
-
-    # ------------------------------------------------------------------
-    # delegated runtime state (the historical attribute surface)
-    # ------------------------------------------------------------------
-
-    @property
-    def web(self):
-        return self.ctx.web
-
-    @property
-    def classifier(self):
-        return self.ctx.classifier
-
-    @property
-    def config(self):
-        return self.ctx.config
-
-    @property
-    def clock(self):
-        return self.ctx.clock
-
-    @property
-    def pool(self):
-        return self.ctx.pool
-
-    @property
-    def spaces(self):
-        return self.ctx.spaces
-
-    @property
-    def loader(self):
-        return self.ctx.loader
-
-    @loader.setter
-    def loader(self, value) -> None:
-        self.ctx.attach_loader(value)
-
-    @property
-    def obs(self):
-        """The crawl's observability bundle (:class:`repro.obs.Obs`)."""
-        return self.ctx.obs
-
-    @property
-    def on_document(self):
-        return self.ctx.on_document
-
-    @on_document.setter
-    def on_document(self, value) -> None:
-        self.ctx.on_document = value
-
-    @property
-    def on_retrain(self):
-        return self.ctx.on_retrain
-
-    @on_retrain.setter
-    def on_retrain(self, value) -> None:
-        self.ctx.on_retrain = value
-
-    @property
-    def handlers(self):
-        return self.ctx.handlers
-
-    @property
-    def converted_formats(self) -> Counter:
-        return self.ctx.converted_formats
-
-    @converted_formats.setter
-    def converted_formats(self, value) -> None:
-        self.ctx.converted_formats = value
-
-    @property
-    def resolver(self):
-        return self.ctx.resolver
-
-    @property
-    def frontier(self):
-        return self.ctx.frontier
-
-    @property
-    def dedup(self):
-        return self.ctx.dedup
-
-    @property
-    def retry_policy(self):
-        return self.ctx.retry_policy
-
-    @property
-    def retry_log(self) -> list[dict]:
-        return self.ctx.retry_log
-
-    @retry_log.setter
-    def retry_log(self, value) -> None:
-        self.ctx.retry_log = value
-
-    @property
-    def documents(self) -> list[CrawledDocument]:
-        return self.ctx.documents
-
-    @documents.setter
-    def documents(self, value) -> None:
-        self.ctx.documents = value
-
-    @property
-    def faults(self):
-        return self.ctx.faults
-
-    @faults.setter
-    def faults(self, value) -> None:
-        self.ctx.faults = value
-
-    @property
-    def _url_to_doc(self) -> dict[str, int]:
-        return self.ctx.url_to_doc
-
-    @_url_to_doc.setter
-    def _url_to_doc(self, value) -> None:
-        self.ctx.url_to_doc = value
-
-    @property
-    def _hosts(self):
-        return self.ctx.hosts
-
-    @property
-    def _domains(self):
-        return self.ctx.domains
-
-    @_domains.setter
-    def _domains(self, value) -> None:
-        self.ctx.domains = value
-
-    @property
-    def _docs_since_retrain(self) -> int:
-        return self.ctx.docs_since_retrain
-
-    @_docs_since_retrain.setter
-    def _docs_since_retrain(self, value: int) -> None:
-        self.ctx.docs_since_retrain = value
-
-    @property
-    def _log_sequence(self) -> int:
-        return self.ctx.log_sequence
-
-    @_log_sequence.setter
-    def _log_sequence(self, value: int) -> None:
-        self.ctx.log_sequence = value
-
-    # ------------------------------------------------------------------
-    # frontier helpers
-    # ------------------------------------------------------------------
-
-    def _prefetch_dns(self, url: str) -> bool:
-        """Frontier refill hook: warm the DNS cache; False drops the URL."""
-        return self.ctx.prefetch_dns(url)
 
     def seed(self, urls: list[str], topic: str, depth: int = 0,
              priority: float = 1.0) -> None:
@@ -366,39 +97,6 @@ class FocusedCrawler:
                 )
             )
 
-    # ------------------------------------------------------------------
-    # host management
-    # ------------------------------------------------------------------
-
-    def _host_state(self, host: str):
-        """The host's circuit breaker (carries the politeness slots)."""
-        return self.ctx.host_state(host)
-
-    def _host_has_capacity(self, host: str) -> bool:
-        return self.ctx.host_has_capacity(host)
-
-    def _domain_state(self, domain: str) -> DomainState:
-        return self.ctx.domain_state(domain)
-
-    def _domain_has_capacity(self, domain: str) -> bool:
-        return self.ctx.domain_has_capacity(domain)
-
-    # ------------------------------------------------------------------
-    # retry / deferral scheduling (repro.robust)
-    # ------------------------------------------------------------------
-
-    def _schedule_retry(self, entry: QueueEntry, actual_url: str,
-                        stats: CrawlStats) -> None:
-        self.ctx.schedule_retry(entry, actual_url, stats)
-
-    def _defer_entry(self, entry: QueueEntry, breaker, verdict: str,
-                     ready_at: float, stats: CrawlStats) -> None:
-        self.ctx.defer_entry(entry, breaker, verdict, ready_at, stats)
-
-    # ------------------------------------------------------------------
-    # the crawl loop
-    # ------------------------------------------------------------------
-
     def crawl(
         self,
         phase: PhaseSettings,
@@ -408,9 +106,9 @@ class FocusedCrawler:
         """Run one phase until its budget or the frontier is exhausted.
 
         ``resume`` continues counting into stats restored by
-        :func:`repro.robust.checkpoint.restore_crawler` (fetch budgets
+        :func:`repro.robust.checkpoint.restore_context` (fetch budgets
         are cumulative across the interruption).  ``checkpointer`` is an
-        object with ``on_visit(crawler, stats)`` -- typically a
+        object with ``on_visit(ctx, stats)`` -- typically a
         :class:`repro.robust.checkpoint.Checkpointer` -- called after
         every visit.
 
@@ -421,35 +119,3 @@ class FocusedCrawler:
         return self.pipeline.crawl(
             phase, resume=resume, checkpointer=checkpointer
         )
-
-    def _visit(self, entry: QueueEntry, phase: PhaseSettings,
-               stats: CrawlStats) -> None:
-        """Process one frontier entry end to end (the historical
-        per-document entry point; drives the stages at batch size 1)."""
-        self.pipeline.visit_one(entry, phase, stats)
-
-    # ------------------------------------------------------------------
-    # storage / link expansion compat hooks
-    # ------------------------------------------------------------------
-
-    def _log_fetch(self, url: str, status: str, latency: float) -> None:
-        self.ctx.log_fetch(url, status, latency)
-
-    def _store_rows(self, document: CrawledDocument, html_doc) -> None:
-        self.pipeline.persist._store_rows(self.ctx, document, html_doc)
-
-    def _enqueue_links(
-        self,
-        entry: QueueEntry,
-        document: CrawledDocument,
-        classification: ClassificationResult,
-        phase: PhaseSettings,
-    ) -> None:
-        self.pipeline.expand.enqueue_links(
-            self.ctx, entry, document, classification, phase
-        )
-
-    # ------------------------------------------------------------------
-
-    def document_by_url(self, url: str) -> CrawledDocument | None:
-        return self.ctx.document_by_url(url)

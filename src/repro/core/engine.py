@@ -19,21 +19,21 @@ from repro.analysis.graph import LinkGraph
 from repro.core.archetypes import select_archetypes
 from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
-from repro.core.crawler import (
+from repro.core.crawler import FocusedCrawler
+from repro.core.frontier import QueueEntry
+from repro.core.ontology import TopicTree
+from repro.core.records import (
     SHARP,
     SOFT,
     CrawledDocument,
     CrawlStats,
-    FocusedCrawler,
     PhaseSettings,
 )
-from repro.core.frontier import QueueEntry
-from repro.core.ontology import TopicTree
 from repro.errors import CrawlError
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.text.features import AnalyzedDocument, FeatureSpace, TermSpace
-from repro.text.tokenizer import tokenize_html
+from repro.text.tokenizer import HtmlDocument, tokenize_html
 from repro.web.urls import normalize_url, parse_url
 
 __all__ = ["ArchetypeReview", "PhaseReport", "CrawlReport", "BingoEngine"]
@@ -154,7 +154,7 @@ class BingoEngine:
         self.ctx = self.crawler.ctx
         """The crawl's service container (clock, frontier, dedup, host
         breakers, document store, ...); the engine reads runtime state
-        from here, the crawler facade only drives phases."""
+        from here, the crawler only drives phases."""
         self.training: dict[str, dict[str, _TrainingRecord]] = {}
         self.retrainings = 0
         self.archetypes_added = 0
@@ -213,11 +213,20 @@ class BingoEngine:
     # bootstrap
     # ------------------------------------------------------------------
 
-    def _analyze_html(self, html: str, mime: str | None = None) -> dict[str, Counter]:
-        converted = self.crawler.handlers.convert(html, mime)
-        text = converted.html if converted is not None else html
-        doc = AnalyzedDocument(tokens=tokenize_html(text).tokens)
-        return {name: space.extract(doc) for name, space in self.spaces.items()}
+    def analyze_page(
+        self, html: str, mime: str | None = None
+    ) -> tuple[dict[str, Counter], HtmlDocument]:
+        """Convert and scan a page once: its per-space counts and the
+        scanned document (links, title) they were built from."""
+        converted = self.ctx.handlers.convert(html, mime)
+        html_doc = tokenize_html(
+            converted.html if converted is not None else html
+        )
+        doc = AnalyzedDocument(tokens=html_doc.tokens)
+        counts = {
+            name: space.extract(doc) for name, space in self.spaces.items()
+        }
+        return counts, html_doc
 
     def bootstrap(self) -> None:
         """Fetch seed documents, populate OTHERS, train the first model."""
@@ -238,7 +247,7 @@ class BingoEngine:
                 if result is None or not result.ok or result.html is None:
                     self.skipped_seeds.append(url)
                     continue
-                counts = self._analyze_html(result.html, result.mime)
+                counts, _ = self.analyze_page(result.html, result.mime)
                 self.classifier.ingest(counts)
                 bucket[url] = _TrainingRecord(counts=counts, protected=True)
             if not bucket:
@@ -258,7 +267,7 @@ class BingoEngine:
         records = {}
         for page in negatives:
             html = self.web.renderer.render(page)
-            counts = self._analyze_html(html)
+            counts, _ = self.analyze_page(html)
             self.classifier.ingest(counts)
             records[page.url] = _TrainingRecord(counts=counts, protected=True)
         for parent in self.tree.inner_nodes():

@@ -28,30 +28,19 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.core.rbtree import RedBlackTree
+from repro.errors import StorageError
 
-__all__ = ["QueueEntry", "SequenceSource", "CrawlFrontier"]
+__all__ = ["QueueEntry", "FrontierShard", "CrawlFrontier"]
 
+SNAPSHOT_FORMAT = 2
+"""Marker of the composite :meth:`CrawlFrontier.snapshot` shape; format
+1 was the unmarked pair of single-frontier / per-worker images."""
 
-class SequenceSource:
-    """A shared admission counter.
-
-    Every frontier admission draws a fresh, globally unique sequence
-    number; priority ties break on it (FIFO).  Sharded frontiers
-    (:mod:`repro.shard`) hand one source to all their shards so keys
-    stay totally ordered *across* shards -- the property that makes the
-    N-worker pop order identical to the single-frontier pop order.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int = 0) -> None:
-        self.value = value
-
-    def next(self) -> int:
-        self.value += 1
-        return self.value
+Key = tuple[float, int]
+"""``(priority, -sequence)``: priority ties break FIFO."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +61,7 @@ class QueueEntry:
     deferrals: int = 0
     """Times a circuit breaker pushed this entry back into the frontier."""
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "url": self.url,
             "topic": self.topic,
@@ -86,7 +75,7 @@ class QueueEntry:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "QueueEntry":
+    def from_dict(cls, data: dict[str, Any]) -> "QueueEntry":
         return cls(**data)
 
 
@@ -95,9 +84,95 @@ class _TopicQueues:
     incoming: RedBlackTree = field(default_factory=RedBlackTree)
     outgoing: RedBlackTree = field(default_factory=RedBlackTree)
 
+    def __len__(self) -> int:
+        return len(self.incoming) + len(self.outgoing)
+
+
+def _tree_image(tree: RedBlackTree) -> list[list[Any]]:
+    return [
+        [list(key), entry.to_dict()] for key, entry in tree.items_in_order()
+    ]
+
+
+def _tree_from(image: list[list[Any]]) -> RedBlackTree:
+    tree = RedBlackTree()
+    for key, entry in image:
+        tree.insert(tuple(key), QueueEntry.from_dict(entry))
+    return tree
+
+
+_COUNTERS = (
+    "enqueued", "duplicate_drops", "evictions", "dns_drops", "deferred_total",
+)
+
+
+class FrontierShard:
+    """The entries, seen-set and admission counters of one shard's URLs.
+
+    Pure storage: *where* an entry lives.  Every decision about it
+    (release, refill, eviction, pop) is made by the owning
+    :class:`CrawlFrontier` across all its shards.
+    """
+
+    def __init__(self) -> None:
+        self.queues: dict[str, _TopicQueues] = {}
+        self.seen_urls: set[str] = set()
+        self.deferred: list[tuple[float, int, QueueEntry]] = []
+        """Heap of ``(not_before, sequence, entry)``."""
+        self.enqueued = 0
+        self.duplicate_drops = 0
+        self.evictions = 0
+        self.dns_drops = 0
+        self.deferred_total = 0
+
+    def __len__(self) -> int:
+        return sum(map(len, self.queues.values())) + len(self.deferred)
+
+    def snapshot(self) -> dict[str, Any]:
+        state: dict[str, Any] = {
+            name: getattr(self, name) for name in _COUNTERS
+        }
+        state["seen_urls"] = sorted(self.seen_urls)
+        state["queues"] = {
+            topic: {
+                "incoming": _tree_image(queues.incoming),
+                "outgoing": _tree_image(queues.outgoing),
+            }
+            for topic, queues in self.queues.items()
+        }
+        state["deferred"] = [
+            [ready_at, sequence, entry.to_dict()]
+            for ready_at, sequence, entry in sorted(self.deferred)
+        ]
+        return state
+
+    def restore(self, state: dict[str, Any]) -> None:
+        for name in _COUNTERS:
+            setattr(self, name, state[name])
+        self.seen_urls = set(state["seen_urls"])
+        self.queues = {
+            topic: _TopicQueues(
+                _tree_from(image["incoming"]), _tree_from(image["outgoing"])
+            )
+            for topic, image in state["queues"].items()
+        }
+        self.deferred = [
+            (ready_at, sequence, QueueEntry.from_dict(entry))
+            for ready_at, sequence, entry in state["deferred"]
+        ]
+        heapq.heapify(self.deferred)
+
 
 class CrawlFrontier:
-    """Bounded, prioritised, DNS-prefetching, time-aware URL frontier."""
+    """Bounded, prioritised, DNS-prefetching, time-aware URL frontier.
+
+    The entries live in ``shards`` stores and ``route(url)`` names the
+    store of a URL (one store and a constant route by default; the
+    sharded runtime passes its worker count and host router).  Routing
+    only chooses where an entry is held: sequence numbers, deferred
+    release, refill, eviction and pop all read across every store, so
+    the pop order does not depend on the number of stores.
+    """
 
     def __init__(
         self,
@@ -106,21 +181,13 @@ class CrawlFrontier:
         refill_batch: int = 50,
         prefetch: Callable[[str], bool] | None = None,
         now: Callable[[], float] | None = None,
-        sequence: SequenceSource | None = None,
-        managed: bool = False,
+        shards: int = 1,
+        route: Callable[[str], int] | None = None,
     ) -> None:
         """``prefetch(url) -> bool`` warms the DNS cache for a promising
         candidate; returning False drops the URL (unresolvable host).
         ``now()`` supplies the simulated time that gates deferred
         entries; without it every entry is considered ready.
-
-        ``sequence`` injects a shared admission counter (sharded
-        frontiers pass one :class:`SequenceSource` to every shard).
-        ``managed`` marks this frontier as one shard of a
-        :class:`repro.shard.ShardedFrontier`: overflow eviction and
-        deferred release are then coordinated *globally* by the owner
-        (per-topic limits span all shards), so the shard itself never
-        evicts on admission.
         """
         if incoming_limit < 1 or outgoing_limit < 1 or refill_batch < 1:
             raise ValueError("queue limits and refill batch must be >= 1")
@@ -129,38 +196,28 @@ class CrawlFrontier:
         self.refill_batch = refill_batch
         self.prefetch = prefetch
         self.now = now or (lambda: float("inf"))
-        self.managed = managed
-        self._queues: dict[str, _TopicQueues] = {}
-        self._seen_urls: set[str] = set()
-        self._seq = sequence or SequenceSource()
-        self._deferred: list[tuple[float, int, QueueEntry]] = []
+        self.shards = [FrontierShard() for _ in range(shards)]
+        self._route = route or (lambda url: 0)
+        self._sequence = 0
+        """Last admission number drawn; every admission and every
+        deferred release draws a fresh one."""
+        self._topics: dict[str, list[_TopicQueues]] = {}
+        """Each topic's queues in every shard, in the order the topics
+        first received an incoming entry (``pop`` breaks cross-topic
+        key ties in favour of the earlier topic)."""
         self._deferred_counts: dict[str, int] = {}
-        # statistics
-        self.enqueued = 0
-        self.duplicate_drops = 0
-        self.evictions = 0
-        self.dns_drops = 0
-        self.deferred_total = 0
-
-    @property
-    def _sequence(self) -> int:
-        """Last sequence number drawn (kept for snapshot/test compat)."""
-        return self._seq.value
-
-    @_sequence.setter
-    def _sequence(self, value: int) -> None:
-        self._seq.value = value
 
     # -- write side ---------------------------------------------------------
 
     def push(self, entry: QueueEntry) -> bool:
         """Admit a URL; returns False for URLs already seen (or evicted)."""
-        if entry.url in self._seen_urls:
-            self.duplicate_drops += 1
+        shard = self.shards[self._route(entry.url)]
+        if entry.url in shard.seen_urls:
+            shard.duplicate_drops += 1
             return False
-        self._seen_urls.add(entry.url)
-        self._admit(entry)
-        self.enqueued += 1
+        shard.seen_urls.add(entry.url)
+        self._admit(shard, entry)
+        shard.enqueued += 1
         return True
 
     def requeue(self, entry: QueueEntry) -> None:
@@ -170,50 +227,86 @@ class CrawlFrontier:
         -- typically with a bumped ``attempt``/``deferrals`` count and a
         ``not_before`` timestamp the frontier will respect.
         """
-        self._seen_urls.add(entry.url)
-        self._admit(entry)
+        shard = self.shards[self._route(entry.url)]
+        shard.seen_urls.add(entry.url)
+        self._admit(shard, entry)
 
-    def _admit(self, entry: QueueEntry) -> None:
-        sequence = self._seq.next()
+    def _admit(self, shard: FrontierShard, entry: QueueEntry) -> None:
         if entry.not_before > self.now():
+            self._sequence += 1
             heapq.heappush(
-                self._deferred, (entry.not_before, sequence, entry)
+                shard.deferred, (entry.not_before, self._sequence, entry)
             )
-            self.deferred_total += 1
+            shard.deferred_total += 1
             self._deferred_counts[entry.topic] = (
                 self._deferred_counts.get(entry.topic, 0) + 1
             )
             return
-        self._insert_incoming(entry, sequence)
+        self._insert_incoming(shard, entry)
 
-    def _insert_incoming(self, entry: QueueEntry, sequence: int) -> None:
-        """Insert under ``(priority, -sequence)``; evict on overflow
-        unless a shard coordinator owns the (then global) limit."""
-        queues = self._queues.setdefault(entry.topic, _TopicQueues())
-        queues.incoming.insert((entry.priority, -sequence), entry)
-        if not self.managed and len(queues.incoming) > self.incoming_limit:
-            queues.incoming.pop_min()  # evict the worst candidate
-            self.evictions += 1
+    def _insert_incoming(
+        self, shard: FrontierShard, entry: QueueEntry
+    ) -> None:
+        """Insert under a fresh ``(priority, -sequence)`` key; past the
+        topic's incoming limit evict its worst candidate, wherever it
+        is held."""
+        topic = entry.topic
+        per_shard = self._topics.get(topic)
+        if per_shard is None:
+            per_shard = self._topics[topic] = [
+                s.queues.setdefault(topic, _TopicQueues())
+                for s in self.shards
+            ]
+        self._sequence += 1
+        shard.queues[topic].incoming.insert(
+            (entry.priority, -self._sequence), entry
+        )
+        if sum(len(q.incoming) for q in per_shard) > self.incoming_limit:
+            holder = min(
+                (q.incoming for q in per_shard if q.incoming),
+                key=lambda tree: tree.peek_min()[0],
+            )
+            _key, victim = holder.pop_min()
+            self.shards[self._route(victim.url)].evictions += 1
 
-    # -- read side -----------------------------------------------------------
+    # -- read side ----------------------------------------------------------
+
+    def _earliest_deferred(self) -> FrontierShard | None:
+        """The shard holding the earliest ``(not_before, sequence)``."""
+        return min(
+            (shard for shard in self.shards if shard.deferred),
+            key=lambda shard: shard.deferred[0][:2],
+            default=None,
+        )
 
     def _release_ready(self) -> None:
         """Move deferred entries whose time has come into the queues."""
         now = self.now()
-        while self._deferred and self._deferred[0][0] <= now:
-            self.release_head_deferred()
+        while True:
+            shard = self._earliest_deferred()
+            if shard is None or shard.deferred[0][0] > now:
+                return
+            entry = heapq.heappop(shard.deferred)[2]
+            self._deferred_counts[entry.topic] -= 1
+            self._insert_incoming(shard, entry)
 
-    def _refill(self, queues: _TopicQueues) -> None:
-        """Move the best incoming links to outgoing, prefetching DNS."""
+    def _refill(self, per_shard: list[_TopicQueues]) -> None:
+        """Move a topic's best incoming links to outgoing, prefetching
+        DNS in that order.  Only called with the topic's outgoing
+        queues empty, so entries moved == entries outgoing."""
         moved = 0
-        while (
-            queues.incoming
-            and len(queues.outgoing) < self.outgoing_limit
-            and moved < self.refill_batch
-        ):
+        limit = min(self.refill_batch, self.outgoing_limit)
+        while moved < limit:
+            queues = max(
+                (q for q in per_shard if q.incoming),
+                key=lambda q: q.incoming.peek_max()[0],
+                default=None,
+            )
+            if queues is None:
+                return
             key, entry = queues.incoming.pop_max()
             if self.prefetch is not None and not self.prefetch(entry.url):
-                self.dns_drops += 1
+                self.shards[self._route(entry.url)].dns_drops += 1
                 continue
             queues.outgoing.insert(key, entry)
             moved += 1
@@ -226,212 +319,127 @@ class CrawlFrontier:
         the clock there and retries).
         """
         self._release_ready()
-        best_topic: str | None = None
-        best_key = None
-        for topic, queues in self._queues.items():
-            if not queues.outgoing:
-                self._refill(queues)
-            if not queues.outgoing:
-                continue
-            key, _entry = queues.outgoing.peek_max()
-            if best_key is None or key > best_key:
-                best_key = key
-                best_topic = topic
-        if best_topic is None:
+        best: RedBlackTree | None = None
+        best_key: Key | None = None
+        for per_shard in self._topics.values():
+            if not any(q.outgoing for q in per_shard):
+                self._refill(per_shard)
+            for queues in per_shard:
+                if not queues.outgoing:
+                    continue
+                key = queues.outgoing.peek_max()[0]
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = queues.outgoing
+        if best is None:
             return None
-        _key, entry = self._queues[best_topic].outgoing.pop_max()
+        entry: QueueEntry = best.pop_max()[1]
         return entry
 
     def next_ready_at(self) -> float | None:
         """Earliest ``not_before`` among deferred entries, or None."""
-        return self._deferred[0][0] if self._deferred else None
+        shard = self._earliest_deferred()
+        return shard.deferred[0][0] if shard is not None else None
 
-    # -- shard-coordination primitives (used by repro.shard) ------------------
-    #
-    # A ShardedFrontier never calls ``pop`` on its shards.  It drives
-    # them through the primitives below so that deferred release order,
-    # refill gating, overflow eviction and the final pop are decided at
-    # *global* granularity -- reproducing the single-frontier semantics
-    # exactly (same shared sequence source, same keys, same order).
-
-    def deferred_head(self) -> tuple[float, int] | None:
-        """``(not_before, sequence)`` of the earliest deferred entry.
-
-        Sequences are globally unique, so comparing heads across shards
-        reproduces the order one global deferred heap would release in.
-        """
-        if not self._deferred:
-            return None
-        ready_at, sequence, _entry = self._deferred[0]
-        return ready_at, sequence
-
-    def release_head_deferred(self) -> QueueEntry:
-        """Pop the earliest deferred entry into its incoming queue.
-
-        The released entry draws a *fresh* sequence number, exactly as
-        :meth:`_release_ready` always did -- release order is admission
-        order for the purposes of later priority ties.
-        """
-        _ready_at, _seq, entry = heapq.heappop(self._deferred)
-        self._deferred_counts[entry.topic] -= 1
-        self._insert_incoming(entry, self._seq.next())
-        return entry
-
-    def incoming_size(self, topic: str) -> int:
-        queues = self._queues.get(topic)
-        return len(queues.incoming) if queues is not None else 0
-
-    def outgoing_size(self, topic: str) -> int:
-        queues = self._queues.get(topic)
-        return len(queues.outgoing) if queues is not None else 0
-
-    def peek_best_incoming(self, topic: str) -> tuple | None:
-        """Highest incoming ``(priority, -sequence)`` key, or None."""
-        queues = self._queues.get(topic)
-        if queues is None or not queues.incoming:
-            return None
-        key, _entry = queues.incoming.peek_max()
-        return key
-
-    def peek_worst_incoming(self, topic: str) -> tuple | None:
-        """Lowest incoming key (the overflow-eviction victim), or None."""
-        queues = self._queues.get(topic)
-        if queues is None or not queues.incoming:
-            return None
-        key, _entry = queues.incoming.peek_min()
-        return key
-
-    def evict_worst_incoming(self, topic: str) -> None:
-        """Drop the worst incoming candidate (global-limit overflow)."""
-        self._queues[topic].incoming.pop_min()
-        self.evictions += 1
-
-    def move_best_incoming_to_outgoing(self, topic: str) -> bool:
-        """One refill step: pop the best incoming entry, prefetch its
-        DNS, move it to outgoing.  False means the prefetch dropped it
-        (charged to ``dns_drops``; the step does not count as a move,
-        mirroring the ``continue`` in :meth:`_refill`)."""
-        queues = self._queues[topic]
-        key, entry = queues.incoming.pop_max()
-        if self.prefetch is not None and not self.prefetch(entry.url):
-            self.dns_drops += 1
-            return False
-        queues.outgoing.insert(key, entry)
-        return True
-
-    def peek_best_outgoing(self, topic: str) -> tuple | None:
-        """Highest outgoing key, or None."""
-        queues = self._queues.get(topic)
-        if queues is None or not queues.outgoing:
-            return None
-        key, _entry = queues.outgoing.peek_max()
-        return key
-
-    def pop_best_outgoing(self, topic: str) -> QueueEntry:
-        _key, entry = self._queues[topic].outgoing.pop_max()
-        return entry
-
-    # -- introspection --------------------------------------------------------
+    # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return (
-            sum(
-                len(q.incoming) + len(q.outgoing)
-                for q in self._queues.values()
-            )
-            + len(self._deferred)
-        )
+        return sum(map(len, self.shards))
 
     def pending_for(self, topic: str) -> int:
         # deferred entries are tallied per topic on admission/release,
-        # so this stays O(1) instead of scanning the deferred heap --
-        # it runs on every pop retry, once per frontier shard
-        deferred = self._deferred_counts.get(topic, 0)
-        queues = self._queues.get(topic)
-        if queues is None:
-            return deferred
-        return len(queues.incoming) + len(queues.outgoing) + deferred
+        # so this stays O(shards) instead of scanning the deferred
+        # heaps -- it runs on every pop retry
+        return self._deferred_counts.get(topic, 0) + sum(
+            map(len, self._topics.get(topic, ()))
+        )
 
     def has_seen(self, url: str) -> bool:
-        return url in self._seen_urls
+        return url in self.shards[self._route(url)].seen_urls
+
+    @property
+    def seen_urls(self) -> set[str]:
+        """Every URL ever admitted (the union of the shards' sets)."""
+        return set().union(*(shard.seen_urls for shard in self.shards))
+
+    def _total(self, counter: str) -> int:
+        return sum(getattr(shard, counter) for shard in self.shards)
+
+    @property
+    def enqueued(self) -> int:
+        return self._total("enqueued")
+
+    @property
+    def duplicate_drops(self) -> int:
+        return self._total("duplicate_drops")
+
+    @property
+    def evictions(self) -> int:
+        return self._total("evictions")
+
+    @property
+    def dns_drops(self) -> int:
+        return self._total("dns_drops")
+
+    @property
+    def deferred_total(self) -> int:
+        return self._total("deferred_total")
 
     def stats(self) -> dict[str, float]:
-        """Admission statistics (the obs ``Instrumented`` protocol);
-        per-worker frontiers export through the MetricsRegistry here."""
-        return {
-            "size": float(len(self)),
-            "enqueued": float(self.enqueued),
-            "duplicate_drops": float(self.duplicate_drops),
-            "evictions": float(self.evictions),
-            "dns_drops": float(self.dns_drops),
-            "deferred_total": float(self.deferred_total),
-        }
+        """Admission statistics (the obs ``Instrumented`` protocol)."""
+        out = {"size": float(len(self))}
+        for name in _COUNTERS:
+            out[name] = float(self._total(name))
+        return out
 
     @property
     def topics(self) -> list[str]:
-        return sorted(self._queues)
+        return sorted(self._topics)
 
-    # -- checkpoint ------------------------------------------------------------
+    # -- checkpoint -----------------------------------------------------------
 
-    def snapshot(self) -> dict:
+    def snapshot(self) -> dict[str, Any]:
         """Serializable image of the full frontier state.
 
         Tree keys are stored verbatim so the restored frontier pops in
-        exactly the original order (priority ties break by sequence).
-        Topic order is preserved too: ``pop`` breaks cross-topic key
-        ties in favour of the first topic registered.
+        exactly the original order (priority ties break by sequence),
+        and so is the topic order ``pop`` breaks cross-topic ties by.
         """
         return {
+            "format": SNAPSHOT_FORMAT,
             "sequence": self._sequence,
-            "enqueued": self.enqueued,
-            "duplicate_drops": self.duplicate_drops,
-            "evictions": self.evictions,
-            "dns_drops": self.dns_drops,
-            "deferred_total": self.deferred_total,
-            "seen_urls": sorted(self._seen_urls),
-            "queues": {
-                topic: {
-                    "incoming": [
-                        [list(key), entry.to_dict()]
-                        for key, entry in queues.incoming.items_in_order()
-                    ],
-                    "outgoing": [
-                        [list(key), entry.to_dict()]
-                        for key, entry in queues.outgoing.items_in_order()
-                    ],
-                }
-                for topic, queues in self._queues.items()
-            },
-            "deferred": [
-                [ready_at, seq, entry.to_dict()]
-                for ready_at, seq, entry in sorted(self._deferred)
-            ],
+            "topics": list(self._topics),
+            "shards": [shard.snapshot() for shard in self.shards],
         }
 
-    def restore(self, state: dict) -> None:
-        """Rebuild the frontier from a :meth:`snapshot` image."""
-        self._seq.value = state["sequence"]
-        self.enqueued = state["enqueued"]
-        self.duplicate_drops = state["duplicate_drops"]
-        self.evictions = state["evictions"]
-        self.dns_drops = state["dns_drops"]
-        self.deferred_total = state.get("deferred_total", 0)
-        self._seen_urls = set(state["seen_urls"])
-        self._queues = {}
-        for topic, queues in state["queues"].items():
-            rebuilt = _TopicQueues()
-            for key, entry in queues["incoming"]:
-                rebuilt.incoming.insert(tuple(key), QueueEntry.from_dict(entry))
-            for key, entry in queues["outgoing"]:
-                rebuilt.outgoing.insert(tuple(key), QueueEntry.from_dict(entry))
-            self._queues[topic] = rebuilt
-        self._deferred = [
-            (ready_at, seq, QueueEntry.from_dict(entry))
-            for ready_at, seq, entry in state["deferred"]
-        ]
-        heapq.heapify(self._deferred)
-        self._deferred_counts = {}
-        for _ready_at, _seq, entry in self._deferred:
-            self._deferred_counts[entry.topic] = (
-                self._deferred_counts.get(entry.topic, 0) + 1
+    def check_image(self, state: dict[str, Any]) -> None:
+        """Raise unless ``state`` is an image :meth:`restore` accepts."""
+        if state.get("format") != SNAPSHOT_FORMAT:
+            raise StorageError(
+                f"frontier image has format {state.get('format')!r}, this "
+                f"reader takes only {SNAPSHOT_FORMAT}: the checkpoint "
+                "predates the composite frontier and must be retaken"
             )
+        if len(state["shards"]) != len(self.shards):
+            raise ValueError(
+                f"checkpoint has {len(state['shards'])} frontier shards, "
+                f"this context has {len(self.shards)} -- resume with the "
+                "same crawl_workers"
+            )
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Rebuild the frontier from a :meth:`snapshot` image."""
+        self.check_image(state)
+        for shard, shard_state in zip(self.shards, state["shards"]):
+            shard.restore(shard_state)
+        self._sequence = state["sequence"]
+        self._topics = {
+            topic: [shard.queues[topic] for shard in self.shards]
+            for topic in state["topics"]
+        }
+        self._deferred_counts = {}
+        for shard in self.shards:
+            for _ready_at, _sequence, entry in shard.deferred:
+                self._deferred_counts[entry.topic] = (
+                    self._deferred_counts.get(entry.topic, 0) + 1
+                )

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import BingoConfig
-from repro.core.crawler import SHARP, SOFT, FocusedCrawler, PhaseSettings
+from repro.core.crawler import FocusedCrawler
+from repro.core.records import SHARP, SOFT, PhaseSettings
 from repro.experiments.metrics import BinaryCounts, ranking_precision_at_k
 from repro.experiments.reporting import ExperimentTable
 from repro.ml.svm import LinearSVM
@@ -155,13 +156,13 @@ def run_focus_ablation(
         )
         stats = crawler.crawl(settings)
         accepted = [
-            doc for doc in crawler.documents if doc.topic == topic
+            doc for doc in crawler.ctx.documents if doc.topic == topic
         ]
         correct = sum(
             1 for doc in accepted if _true_topic(web, doc) == target
         )
         found_pages = {
-            doc.page_id for doc in crawler.documents
+            doc.page_id for doc in crawler.ctx.documents
             if _true_topic(web, doc) == target
         }
         hidden_reached = len(found_pages & hidden_homepages)
@@ -715,12 +716,12 @@ def run_classifier_ablation(
                 decision_mode="single", fetch_budget=budget,
             )
         )
-        accepted = [doc for doc in crawler.documents if doc.topic == topic]
+        accepted = [doc for doc in crawler.ctx.documents if doc.topic == topic]
         correct = sum(
             1 for doc in accepted if _true_topic(web, doc) == target
         )
         found = {
-            doc.page_id for doc in crawler.documents
+            doc.page_id for doc in crawler.ctx.documents
             if _true_topic(web, doc) == target
         }
         precision = correct / len(accepted) if accepted else 0.0

@@ -97,7 +97,7 @@ def run_expert_experiment(
     # crawl database.  (The paper's own top-10 includes pages that were
     # not classified into the ARIES class -- the focused-crawl advantage
     # lies in the corpus the crawl collected, not in the class filter.)
-    search = LocalSearchEngine(engine.crawler.documents)
+    search = LocalSearchEngine(engine.ctx.documents)
     hits = search.search(
         "source code release",
         topic=None,
@@ -107,7 +107,7 @@ def run_expert_experiment(
     top10 = [(hit.score, hit.url) for hit in hits]
     needles_in_top10 = sum(url in needle_urls for _score, url in top10)
     needles_crawled = sum(
-        doc.final_url in needle_urls for doc in engine.crawler.documents
+        doc.final_url in needle_urls for doc in engine.ctx.documents
     )
     return ExpertExperimentResult(
         seed_hits=seed_hits,

@@ -15,8 +15,10 @@ sanctioned methods, is a finding.
 one-release compatibility shims (``LocalSearchEngine.cache_token``,
 ``LocalSearchEngine.refresh()``, the top-level ``crawl``/``queryload``
 CLI aliases) are now removed, and this rule keeps them from creeping
-back in.  It does the same for knobs deleted since
-(``BingoConfig.validate_storage``).
+back in.  It does the same for what was deleted since: config knobs
+(``BingoConfig.validate_storage``, ``use_compiled_kernels``), the
+per-shard coordination keywords of ``CrawlFrontier`` and the delegating
+members of ``FocusedCrawler``.
 """
 
 from __future__ import annotations
@@ -157,6 +159,19 @@ class EpochMutation(Rule):
             )
 
 
+#: the FocusedCrawler delegates removed with the facade that now read
+#: ``crawler.ctx.<public name>``
+_CONTEXT_DELEGATES = (
+    "web", "classifier", "config", "clock", "pool", "spaces", "loader",
+    "obs", "on_document", "on_retrain", "handlers", "converted_formats",
+    "resolver", "frontier", "dedup", "retry_policy", "retry_log",
+    "documents", "faults", "document_by_url", "_url_to_doc", "_hosts",
+    "_domains", "_docs_since_retrain", "_log_sequence", "_prefetch_dns",
+    "_host_state", "_host_has_capacity", "_domain_state",
+    "_domain_has_capacity", "_schedule_retry", "_defer_entry",
+    "_log_fetch",
+)
+
 #: class name -> removed member -> replacement guidance.  Uses are
 #: only flagged when the receiver provably types as that class --
 #: "refresh" is far too common a name to flag on sight.
@@ -169,6 +184,24 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "validate_storage": (
             "the engine's store always validates its rows"
         ),
+        "use_compiled_kernels": (
+            "a trained classifier always decides through its kernel"
+        ),
+    },
+    "CrawlFrontier": {
+        "managed": (
+            "one frontier makes every queue decision across its shards"
+        ),
+        "sequence": "the frontier owns its admission counter",
+    },
+    "FocusedCrawler": {
+        **{
+            name: f"use crawler.ctx.{name.lstrip('_')}"
+            for name in _CONTEXT_DELEGATES
+        },
+        "_visit": "use crawler.pipeline.visit_one",
+        "_store_rows": "use crawler.pipeline.persist._store_rows",
+        "_enqueue_links": "use crawler.pipeline.expand.enqueue_links",
     },
 }
 _REMOVED_NAMES = frozenset(
@@ -184,8 +217,9 @@ class DeprecatedApi(Rule):
     scope = "project"
     description = (
         "removed shims and knobs (LocalSearchEngine.cache_token/refresh, "
-        "_deprecated_alias CLI wrappers, BingoConfig.validate_storage) "
-        "must not be reintroduced"
+        "_deprecated_alias CLI wrappers, BingoConfig.validate_storage/"
+        "use_compiled_kernels, CrawlFrontier(managed=), the "
+        "FocusedCrawler delegates) must not be reintroduced"
     )
     rationale = (
         "PR 9 shipped the shims as one-release bridges and the next "
@@ -286,8 +320,15 @@ class DeprecatedApi(Rule):
         if owner is None:
             return
         removed = _REMOVED_MEMBERS.get(owner.name, {})
+        # a removed member may share its name with a live constructor
+        # parameter (FocusedCrawler(config=...) stays legal)
+        init = index.functions.get(owner.methods.get("__init__", ""))
+        live: set[str] = set()
+        if init is not None:
+            arguments = init.node.args
+            live = {a.arg for a in arguments.args + arguments.kwonlyargs}
         for keyword in call.keywords:
-            if keyword.arg in removed:
+            if keyword.arg in removed and keyword.arg not in live:
                 yield self.finding_at(
                     function.module.display_path,
                     keyword.value.lineno,

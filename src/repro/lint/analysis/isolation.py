@@ -19,6 +19,7 @@ public routing/barrier API is the sanctioned path and stays legal.
 
 from __future__ import annotations
 
+import ast
 from typing import Iterator
 
 from repro.lint.analysis.writes import iter_attr_writes
@@ -121,17 +122,22 @@ class ShardIsolation(Rule):
                 f"barrier",
             )
         for site in function.calls:
-            if site.callee is None:
-                continue
-            callee = index.functions.get(site.callee)
+            # by the receiver's class, not the defining one: a guarded
+            # class keeps its privacy over what it inherits
+            # (ShardedFrontier is a CrawlFrontier)
+            called = site.node.func
             if (
-                callee is None
-                or callee.class_name is None
-                or not callee.name.startswith("_")
-                or callee.name.startswith("__")
+                not isinstance(called, ast.Attribute)
+                or not called.attr.startswith("_")
+                or called.attr.startswith("__")
             ):
                 continue
-            owner = index.classes.get(callee.class_name)
+            receiver = index.expr_type(
+                unit, called.value, function.local_types
+            )
+            if receiver is None or receiver.container:
+                continue
+            owner = index.classes.get(receiver.qualname)
             if owner is None or owner.name not in GUARDED_CLASSES:
                 continue
             if owner.name in enclosing_names:
@@ -141,6 +147,6 @@ class ShardIsolation(Rule):
                 site.line,
                 site.col,
                 f"worker-scope code calls private "
-                f"{owner.name}.{callee.name}(); only the public "
+                f"{owner.name}.{called.attr}(); only the public "
                 f"routing/barrier API may cross shard boundaries",
             )

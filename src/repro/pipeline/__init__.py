@@ -21,10 +21,11 @@ schedulable stages.  This package makes the decomposition explicit:
   (:mod:`repro.obs`); the historical positional 4-argument hooks are
   still accepted for one release via a deprecation adapter.
 
-:class:`repro.core.crawler.FocusedCrawler` is a thin facade over this
-package; the per-document monolith it used to be lives on only as the
-degenerate ``pipeline_batch_size=1`` configuration, which reproduces
-the historical visit-by-visit behaviour bit-identically.
+:class:`repro.core.crawler.FocusedCrawler` builds the context and the
+pipeline and drives phases; the per-document monolith it used to be
+lives on only as the degenerate ``pipeline_batch_size=1``
+configuration, which reproduces the historical visit-by-visit
+behaviour bit-identically.
 """
 
 from repro.pipeline.context import CrawlContext

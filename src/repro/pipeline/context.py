@@ -10,8 +10,7 @@ graph can be rearranged (or individual stages swapped out) without
 threading a dozen constructor arguments around.
 
 Checkpoint/resume (:mod:`repro.robust.checkpoint`) serializes and
-restores the context, not the crawler facade: everything a resumed
-crawl needs lives here.
+restores the context: everything a resumed crawl needs lives here.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.errors import DNSError
 from repro.obs import Obs
 from repro.perf.text import TermInterner
-from repro.robust.breaker import BreakerBoard
+from repro.robust.breaker import DEFER_QUARANTINE, BreakerBoard
 from repro.robust.faults import FaultInjector
 from repro.shard import WorkerSet
 from repro.text.features import TermSpace
@@ -96,8 +95,8 @@ class CrawlContext:
         )
         self.workers: WorkerSet | None = None
         """The sharded runtime (:class:`repro.shard.WorkerSet`) when
-        ``crawl_workers > 1``; None keeps the historical single-worker
-        objects -- and their checkpoint format -- bit-for-bit."""
+        ``crawl_workers > 1``; None keeps the single-worker objects
+        (one pool, one breaker board, no barriers)."""
         if self.config.crawl_workers > 1:
             self.workers = WorkerSet(
                 self.config.crawl_workers,
@@ -133,10 +132,6 @@ class CrawlContext:
         self.url_to_doc: dict[str, int] = {}
         self.docs_since_retrain = 0
         self.log_sequence = 0
-        self.owner = None
-        """Back-reference to the :class:`FocusedCrawler` facade (if
-        any); the driver hands it to checkpoint hooks for API
-        compatibility."""
         # per-crawl slots the driver rebinds at the start of each phase
         self.stats = None
         self.phase = None
@@ -292,8 +287,6 @@ class CrawlContext:
         """Push an entry back because its host is quarantined or cooling
         down; quarantine deferrals are bounded, slow-host deferrals are
         not (one entry proceeds per cool-down window, so they drain)."""
-        from repro.robust.breaker import DEFER_QUARANTINE
-
         if verdict == DEFER_QUARANTINE:
             if entry.deferrals >= breaker.policy.max_deferrals:
                 stats.bad_host_skipped += 1

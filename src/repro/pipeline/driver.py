@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core.records import CrawlStats
 from repro.obs.api import StageEvent
 from repro.pipeline.stages import (
     AdmitStage,
@@ -149,7 +150,7 @@ class CrawlPipeline:
         ``resume`` continues counting into stats restored by
         :func:`repro.robust.checkpoint.restore_context` (fetch budgets
         are cumulative across the interruption).  ``checkpointer`` is
-        an object with ``on_visit(crawler, stats)`` called once per
+        an object with ``on_visit(ctx, stats)`` called once per
         popped entry, after that entry's batch was committed -- at
         batch size 1 that is after every single visit, exactly the
         historical cadence.
@@ -158,8 +159,6 @@ class CrawlPipeline:
         quarantines), the loop advances the simulated clock to the
         earliest ready time instead of giving up.
         """
-        from repro.core.crawler import CrawlStats
-
         ctx = self.ctx
         stats = resume if resume is not None else CrawlStats()
         ctx.stats = stats
@@ -176,7 +175,6 @@ class CrawlPipeline:
             else None
         )
         batch_size = ctx.config.pipeline_batch_size
-        checkpoint_target = ctx.owner if ctx.owner is not None else ctx
         exhausted = False
         while not exhausted:
             batch: list[CrawlItem] = []
@@ -234,7 +232,7 @@ class CrawlPipeline:
             )
             if checkpointer is not None:
                 for _ in range(pops):
-                    checkpointer.on_visit(checkpoint_target, stats)
+                    checkpointer.on_visit(ctx, stats)
         ctx.drain_pools()
         stats.simulated_seconds = base_seconds + (ctx.clock.now - started_at)
         if ctx.loader is not None:
@@ -243,8 +241,8 @@ class CrawlPipeline:
         return stats
 
     def visit_one(self, entry, phase, stats) -> None:
-        """Process a single frontier entry end to end (test/debug hook;
-        the old ``FocusedCrawler._visit`` contract)."""
+        """Process a single frontier entry end to end, outside the
+        crawl loop (test/debug hook)."""
         ctx = self.ctx
         previous = (ctx.stats, ctx.phase)
         ctx.stats = stats

@@ -37,6 +37,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
+from repro.core.frontier import QueueEntry
+from repro.core.records import SHARP, CrawledDocument
 from repro.errors import DNSError
 from repro.perf.text import scan_html
 from repro.robust.breaker import DEFER_QUARANTINE, DEFER_SLOW
@@ -85,7 +87,7 @@ class CrawlItem:
     """Resolved, crawlable absolute link targets."""
     classification: object = None
     document: object = None
-    """The stored :class:`~repro.core.crawler.CrawledDocument`."""
+    """The stored :class:`~repro.core.records.CrawledDocument`."""
     fetched_at: float = 0.0
     """Simulated clock reading when the fetch completed.  Captured in
     the fetch stage so a document stored later in the micro-batch keeps
@@ -411,8 +413,6 @@ class PersistStage:
     name = "persist"
 
     def run(self, batch: list[CrawlItem], ctx) -> list[CrawlItem]:
-        from repro.core.crawler import CrawledDocument
-
         stats = ctx.stats
         for item in batch:
             ctx.classifier.ingest(item.counts)
@@ -506,9 +506,6 @@ class ExpandStage:
 
     def enqueue_links(self, ctx, entry, document, classification,
                       phase) -> None:
-        from repro.core.crawler import SHARP
-        from repro.core.frontier import QueueEntry
-
         accepted = classification.accepted
         topic = classification.topic
         if accepted:

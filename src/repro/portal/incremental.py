@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
-from repro.core.crawler import CrawledDocument
 from repro.core.ontology import TopicTree
+from repro.core.records import CrawledDocument
 
 if TYPE_CHECKING:
     from repro.core.engine import BingoEngine

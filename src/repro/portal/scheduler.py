@@ -29,16 +29,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.analysis.graph import LinkGraph
-from repro.errors import ConfigError
 from repro.analysis.hits import hits
-from repro.core.crawler import CrawledDocument
 from repro.core.engine import BingoEngine
 from repro.core.frontier import CrawlFrontier, QueueEntry
+from repro.core.records import CrawledDocument
+from repro.errors import ConfigError
 from repro.portal.digests import DigestStore, content_digest
 from repro.portal.incremental import DocumentDelta
 from repro.shard.frontier import ShardedFrontier
 from repro.shard.router import ShardRouter
-from repro.text.tokenizer import tokenize_html
 from repro.web.server import FetchResult, FetchStatus
 from repro.web.urls import is_crawlable_url, join_url, parse_url
 
@@ -238,10 +237,7 @@ class RecrawlScheduler:
         self, html: str, mime: str | None, base_url: str
     ) -> tuple[dict[str, Counter], list[str], str]:
         """Convert + tokenize + feature-extract + resolve links."""
-        converted = self.engine.crawler.handlers.convert(html, mime)
-        text = converted.html if converted is not None else html
-        html_doc = tokenize_html(text)
-        counts = self.engine._analyze_html(html, mime)
+        counts, html_doc = self.engine.analyze_page(html, mime)
         out_urls = []
         for href in html_doc.links:
             absolute = join_url(base_url, href)
@@ -447,24 +443,6 @@ class RecrawlScheduler:
 
     # -- checkpoint ----------------------------------------------------------
 
-    @staticmethod
-    def _doc_to_state(doc: CrawledDocument) -> dict:
-        state = dataclasses.asdict(doc)
-        state["counts"] = {
-            space: dict(counts) for space, counts in doc.counts.items()
-        }
-        state["out_urls"] = list(doc.out_urls)
-        return state
-
-    @staticmethod
-    def _doc_from_state(state: dict) -> CrawledDocument:
-        state = dict(state)
-        state["counts"] = {
-            space: Counter(counts)
-            for space, counts in state["counts"].items()
-        }
-        return CrawledDocument(**state)
-
     def snapshot(self) -> dict:
         """Serializable image of the scheduler's full revisit state.
 
@@ -482,19 +460,15 @@ class RecrawlScheduler:
             ),
             "retired": sorted(self.retired),
             "documents": [
-                self._doc_to_state(self.ctx.documents[doc_id])
+                self.ctx.documents[doc_id].to_dict()
                 for doc_id in sorted(self.touched)
             ],
             "pending": {
-                "added": [
-                    self._doc_to_state(doc) for doc in self.pending.added
-                ],
-                "changed": [
-                    self._doc_to_state(doc) for doc in self.pending.changed
-                ],
+                "added": [doc.to_dict() for doc in self.pending.added],
+                "changed": [doc.to_dict() for doc in self.pending.changed],
                 "removed": list(self.pending.removed),
                 "previous": [
-                    self._doc_to_state(self.pending.previous[doc_id])
+                    self.pending.previous[doc_id].to_dict()
                     for doc_id in sorted(self.pending.previous)
                 ],
             },
@@ -525,7 +499,7 @@ class RecrawlScheduler:
         self.retired = set(state["retired"])
         self.touched = set()
         for doc_state in state["documents"]:
-            doc = self._doc_from_state(doc_state)
+            doc = CrawledDocument.from_dict(doc_state)
             if doc.doc_id < len(self.ctx.documents):
                 self.ctx.documents[doc.doc_id] = doc
             elif doc.doc_id == len(self.ctx.documents):
@@ -539,15 +513,13 @@ class RecrawlScheduler:
             self.ctx.url_to_doc[doc.final_url] = doc.doc_id
             self.touched.add(doc.doc_id)
         pending = state["pending"]
+        load = CrawledDocument.from_dict
         self.pending = DocumentDelta(
-            added=[self._doc_from_state(s) for s in pending["added"]],
-            changed=[self._doc_from_state(s) for s in pending["changed"]],
+            added=[load(s) for s in pending["added"]],
+            changed=[load(s) for s in pending["changed"]],
             removed=list(pending["removed"]),
             previous={
-                doc.doc_id: doc
-                for doc in (
-                    self._doc_from_state(s) for s in pending["previous"]
-                )
+                doc.doc_id: doc for doc in map(load, pending["previous"])
             },
         )
         counters = state["counters"]

@@ -21,9 +21,9 @@ from repro.robust.breaker import BreakerBoard, BreakerPolicy, HostBreaker
 from repro.robust.checkpoint import (
     Checkpointer,
     load_checkpoint,
-    restore_crawler,
+    restore_context,
     save_checkpoint,
-    snapshot_crawler,
+    snapshot_context,
 )
 from repro.robust.faults import FaultInjector, FaultWindow
 from repro.robust.retry import RetryPolicy
@@ -36,8 +36,8 @@ __all__ = [
     "FaultWindow",
     "FaultInjector",
     "Checkpointer",
-    "snapshot_crawler",
+    "snapshot_context",
     "save_checkpoint",
     "load_checkpoint",
-    "restore_crawler",
+    "restore_context",
 ]

@@ -9,18 +9,17 @@ per-URL attempt counters, the document store and the phase counters --
 so a crawl restored into the same Web resumes to the *same Table-1
 counters* as an uninterrupted run.
 
-Since the staged-pipeline refactor the runtime state lives on a
-:class:`~repro.pipeline.context.CrawlContext`; the snapshot/restore
-primitives operate on the context, and every entry point accepts either
-a context or a :class:`~repro.core.crawler.FocusedCrawler` facade (whose
-``ctx`` attribute is then used).
+The runtime state lives on a :class:`~repro.pipeline.context.
+CrawlContext` (``crawler.ctx``); every entry point here takes that
+context, and so does the :class:`Checkpointer` hook the crawl loop
+calls.
 
 What the checkpoint deliberately does **not** capture is the trained
 classifier: models are reconstructed deterministically by re-running the
 same training procedure (the repo is seed-deterministic end to end), so
 serializing SVM internals would only duplicate state.  Resume therefore
 requires the caller to rebuild the crawler with an identically trained
-classifier before calling :func:`restore_crawler`.  If retraining
+classifier before calling :func:`restore_context`.  If retraining
 happened mid-phase, checkpoint at retraining points (the engine flushes
 its loader there) so the training set is reproducible from the stored
 archetypes.
@@ -43,11 +42,13 @@ is fsynced: this guards against a dying process, not a dying machine.)
 
 from __future__ import annotations
 
+import heapq
 import pathlib
 import shutil
 from collections import Counter
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from repro.core.records import CrawledDocument, CrawlStats
 from repro.errors import StorageError
 from repro.storage.persistence import (
     dump_database,
@@ -58,19 +59,15 @@ from repro.storage.persistence import (
 
 __all__ = [
     "snapshot_context",
-    "snapshot_crawler",
     "save_checkpoint",
     "load_checkpoint",
     "restore_context",
-    "restore_crawler",
     "Checkpointer",
 ]
 
-if TYPE_CHECKING:
-    from repro.core.crawler import CrawledDocument, CrawlStats
-
-Crawl = Any
-"""A :class:`FocusedCrawler` facade or its :class:`CrawlContext`."""
+Context = Any
+"""A :class:`~repro.pipeline.context.CrawlContext` (that module imports
+this package, so the class cannot be named here)."""
 State = dict[str, Any]
 Source = str | pathlib.Path | State
 """A checkpoint directory, or a state dict already loaded from one."""
@@ -91,14 +88,8 @@ def _database_dirs(
     )
 
 
-def _context_of(obj: Crawl) -> Any:
-    """The :class:`CrawlContext` of a crawler facade, or ``obj`` itself
-    when it already is a context."""
-    return getattr(obj, "ctx", obj)
-
-
 # ----------------------------------------------------------------------
-# stats / document (de)serialization
+# stats (de)serialization
 # ----------------------------------------------------------------------
 
 def _stats_to_dict(stats: CrawlStats) -> State:
@@ -112,8 +103,6 @@ def _stats_to_dict(stats: CrawlStats) -> State:
 
 
 def _stats_from_dict(data: State) -> CrawlStats:
-    from repro.core.crawler import CrawlStats
-
     data = dict(data)
     hosts = set(data.pop("hosts_visited"))
     stats = CrawlStats(**data)
@@ -121,41 +110,19 @@ def _stats_from_dict(data: State) -> CrawlStats:
     return stats
 
 
-def _document_to_dict(doc: CrawledDocument) -> State:
-    data = {
-        field: getattr(doc, field)
-        for field in doc.__dataclass_fields__
-        if field != "counts"
-    }
-    data["counts"] = {
-        space: dict(counter) for space, counter in doc.counts.items()
-    }
-    return data
-
-
-def _document_from_dict(data: State) -> CrawledDocument:
-    from repro.core.crawler import CrawledDocument
-
-    data = dict(data)
-    data["counts"] = {
-        space: Counter(counts) for space, counts in data["counts"].items()
-    }
-    return CrawledDocument(**data)
-
-
 # ----------------------------------------------------------------------
 # whole-context snapshot
 # ----------------------------------------------------------------------
 
-def snapshot_context(ctx: Crawl, stats: CrawlStats) -> State:
+def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
     """The complete serializable runtime state of one crawl context.
 
-    For sharded crawls (``crawl_workers > 1``) the frontier and host
-    snapshots are composites with one slice per worker, and a
+    The frontier image has one shape for every worker count (one
+    store per worker).  For sharded crawls (``crawl_workers > 1``) the
+    host snapshot is a composite with one board per worker, and a
     ``workers`` section captures each worker pool plus the worker-set
-    counters; an N=1 context keeps the historical format untouched.
+    counters.
     """
-    ctx = _context_of(ctx)
     server = ctx.web.server
     state = {
         "clock_now": ctx.clock.now,
@@ -173,13 +140,13 @@ def snapshot_context(ctx: Crawl, stats: CrawlStats) -> State:
             for domain, state in ctx.domains.items()
         },
         "stats": _stats_to_dict(stats),
-        "documents": [_document_to_dict(doc) for doc in ctx.documents],
+        "documents": [doc.to_dict() for doc in ctx.documents],
         "docs_since_retrain": ctx.docs_since_retrain,
         "log_sequence": ctx.log_sequence,
         "converted_formats": dict(ctx.converted_formats),
         "retry_log": list(ctx.retry_log),
     }
-    workers = getattr(ctx, "workers", None)
+    workers = ctx.workers
     if workers is not None:
         state["workers"] = {
             "count": workers.count,
@@ -194,19 +161,10 @@ def snapshot_context(ctx: Crawl, stats: CrawlStats) -> State:
     return state
 
 
-def snapshot_crawler(crawler: Crawl, stats: CrawlStats) -> State:
-    """Facade-level alias of :func:`snapshot_context`."""
-    return snapshot_context(crawler, stats)
-
-
 def save_checkpoint(
-    crawler: Crawl, stats: CrawlStats, directory: str | pathlib.Path
+    ctx: Context, stats: CrawlStats, directory: str | pathlib.Path
 ) -> pathlib.Path:
-    """Persist the crawl state (and database rows, if a loader is set).
-
-    ``crawler`` may be a :class:`FocusedCrawler` or its context.
-    """
-    ctx = _context_of(crawler)
+    """Persist the crawl state (and database rows, if a loader is set)."""
     directory = pathlib.Path(directory)
     ordinal: int | None = None
     superseded: list[tuple[int, pathlib.Path]] = []
@@ -224,9 +182,7 @@ def save_checkpoint(
     path = dump_state(state, directory, kind=_KIND)
     for _, stale in superseded:
         shutil.rmtree(stale)
-    obs = getattr(ctx, "obs", None)
-    if obs is not None:
-        obs.registry.counter("robust_checkpoint_saves_total").inc()
+    ctx.obs.registry.counter("robust_checkpoint_saves_total").inc()
     return path
 
 
@@ -236,7 +192,7 @@ def load_checkpoint(directory: str | pathlib.Path) -> State:
 
 
 def restore_context(
-    ctx: Crawl, source: Source, restore_database: bool = True
+    ctx: Context, source: Source, restore_database: bool = True
 ) -> CrawlStats:
     """Apply a checkpoint to a freshly constructed crawl context.
 
@@ -246,11 +202,6 @@ def restore_context(
     classifier.  Returns the restored :class:`CrawlStats` to pass back
     into ``crawl(phase, resume=...)``.
     """
-    import heapq
-
-    from repro.pipeline.context import DomainState
-
-    ctx = _context_of(ctx)
     directory: pathlib.Path | None = None
     if isinstance(source, (str, pathlib.Path)):
         directory = pathlib.Path(source)
@@ -261,7 +212,7 @@ def restore_context(
     # validate the sharding shape before mutating anything: a mismatch
     # would re-route hosts onto different shards and silently break the
     # determinism contract
-    workers = getattr(ctx, "workers", None)
+    workers = ctx.workers
     worker_state = state.get("workers")
     if (workers is None) != (worker_state is None):
         raise ValueError(
@@ -274,6 +225,7 @@ def restore_context(
             f"context has {workers.count} -- resume with the same "
             "crawl_workers"
         )
+    ctx.frontier.check_image(state["frontier"])
 
     # rows first: a database that is missing, torn or from another save
     # raises here, before the context has taken anything from the blob
@@ -302,11 +254,12 @@ def restore_context(
     ctx.frontier.restore(state["frontier"])
     ctx.dedup.restore(state["dedup"])
     ctx.hosts.restore(state["hosts"])
-    ctx.domains = {
-        domain: DomainState(busy_until=list(busy))
-        for domain, busy in state["domains"].items()
-    }
-    ctx.documents = [_document_from_dict(d) for d in state["documents"]]
+    ctx.domains = {}
+    for domain, busy in state["domains"].items():
+        ctx.domain_state(domain).busy_until = list(busy)
+    ctx.documents = [
+        CrawledDocument.from_dict(d) for d in state["documents"]
+    ]
     ctx.url_to_doc = {
         doc.final_url: doc.doc_id for doc in ctx.documents
     }
@@ -326,17 +279,8 @@ def restore_context(
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
-    obs = getattr(ctx, "obs", None)
-    if obs is not None:
-        obs.registry.counter("robust_checkpoint_restores_total").inc()
+    ctx.obs.registry.counter("robust_checkpoint_restores_total").inc()
     return _stats_from_dict(state["stats"])
-
-
-def restore_crawler(
-    crawler: Crawl, source: Source, restore_database: bool = True
-) -> CrawlStats:
-    """Facade-level alias of :func:`restore_context`."""
-    return restore_context(crawler, source, restore_database)
 
 
 class Checkpointer:
@@ -354,15 +298,15 @@ class Checkpointer:
         self.saves = 0
         self._since_save = 0
 
-    def on_visit(self, crawler: Crawl, stats: CrawlStats) -> bool:
+    def on_visit(self, ctx: Context, stats: CrawlStats) -> bool:
         """Called by the crawl loop after each visit; True if it saved."""
         self._since_save += 1
         if self._since_save < self.every:
             return False
-        self.save(crawler, stats)
+        self.save(ctx, stats)
         return True
 
-    def save(self, crawler: Crawl, stats: CrawlStats) -> None:
-        save_checkpoint(crawler, stats, self.directory)
+    def save(self, ctx: Context, stats: CrawlStats) -> None:
+        save_checkpoint(ctx, stats, self.directory)
         self.saves += 1
         self._since_save = 0

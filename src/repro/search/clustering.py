@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.errors import SearchError
 from repro.ml.kmeans import ClusterModel, KMeans, choose_cluster_count
 from repro.text.vectorizer import SparseVector, TfIdfVectorizer

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.errors import SearchError
 from repro.perf.topk import PostingCursor, wand_topk
 from repro.search.epoch import Epoch

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.errors import SearchError
 
 __all__ = ["FeedbackSession"]

@@ -15,7 +15,7 @@ import pathlib
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.core.ontology import TopicTree
 from repro.errors import SearchError
 from repro.search.clustering import suggest_subclasses

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.errors import SearchError
 from repro.search.engine import LocalSearchEngine, RankedHit, RankingWeights
 from repro.search.epoch import Epoch

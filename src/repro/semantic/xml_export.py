@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from xml.etree import ElementTree as ET
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 from repro.text.vectorizer import TfIdfVectorizer
 
 __all__ = ["document_to_xml", "XmlExporter"]

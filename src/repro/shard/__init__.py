@@ -8,16 +8,16 @@ merge barriers.
 
 * :class:`~repro.shard.router.ShardRouter` -- a stable host-hash ->
   worker-id mapping (BLAKE2b, independent of Python's salted ``hash``);
-* :class:`~repro.shard.frontier.ShardedFrontier` -- N per-worker
-  :class:`~repro.core.frontier.CrawlFrontier` slices behind the single
-  frontier's exact interface, coordinated at global granularity so the
-  pop order is *bit-identical* to one frontier for any N;
+* :class:`~repro.shard.frontier.ShardedFrontier` -- the one
+  :class:`~repro.core.frontier.CrawlFrontier` algorithm over N
+  per-worker stores routed by host, so the pop order is
+  *bit-identical* for any N;
 * :class:`~repro.shard.workers.WorkerSet` -- the per-worker slices
   (frontier shard, breaker board, worker pool, workspaces) plus the
   merge-barrier machinery and cross-shard link-handoff accounting.
 
-The determinism contract and its proof obligation live in DESIGN.md
-("Sharding the crawl runtime"); the headline guarantee is that N=1 and
+The determinism contract lives in DESIGN.md ("Sharding the crawl
+runtime"); the headline guarantee is that N=1 and
 N=8 crawls produce identical Table-1 counters.
 """
 

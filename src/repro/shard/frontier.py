@@ -1,51 +1,26 @@
-"""N host-partitioned frontier shards behind the single-frontier API.
+"""The crawl frontier partitioned by host over N workers.
 
-:class:`ShardedFrontier` owns one :class:`~repro.core.frontier.
-CrawlFrontier` slice per worker and routes every URL to the shard of
-its host (:class:`~repro.shard.router.ShardRouter`).  It exposes the
-exact interface of one frontier -- ``push`` / ``requeue`` / ``pop`` /
-``next_ready_at`` / ``pending_for`` / ``snapshot`` / ``restore`` and
-the admission counters -- so the pipeline, the checkpoint layer and the
-parity fingerprints do not care how many shards exist.
-
-**The determinism contract.**  ``pop`` must return entries in the same
-global order as one frontier would, for any worker count.  Four
-decisions are therefore made at *global* granularity rather than
-per shard (the shards run ``managed=True`` and never decide them
-locally):
-
-* **sequence numbers** -- all shards draw from one shared
-  :class:`~repro.core.frontier.SequenceSource`, so ``(priority,
-  -sequence)`` keys are totally ordered across shards;
-* **deferred release** -- ready entries leave the shards' deferred
-  heaps in global ``(not_before, sequence)`` order, each drawing a
-  fresh sequence number, exactly like the one global heap did;
-* **refill gating** -- a topic's incoming->outgoing refill runs only
-  when the topic's outgoing queues are empty *across all shards*, and
-  each refill step moves the globally best incoming entry (DNS
-  prefetch in that exact order, global ``outgoing_limit`` and
-  ``refill_batch`` caps);
-* **overflow eviction** -- the ``incoming_limit`` applies to a topic's
-  incoming total across shards, evicting the globally worst candidate
-  (which may live in a different shard than the insert).
-
-Together with per-shard seen-sets (equivalent to one global set,
-because a URL always routes to the same shard) this makes every
-admission, drop, eviction and pop bit-identical to the single
-frontier; the argument is spelled out in DESIGN.md.
+:class:`ShardedFrontier` is :class:`~repro.core.frontier.CrawlFrontier`
+holding ``router.workers`` stores, each URL in the store of its host's
+worker (:class:`~repro.shard.router.ShardRouter`).  The queue
+discipline is the base class's and reads across all stores, so ``pop``
+returns the same entries in the same order for any worker count; what
+sharding adds is that ``shards[i]`` is exactly worker *i*'s hosts
+(:class:`~repro.shard.workers.WorkerSlice` exports its size and
+counters).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
-from repro.core.frontier import CrawlFrontier, QueueEntry, SequenceSource
+from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.shard.router import ShardRouter
 
 __all__ = ["ShardedFrontier"]
 
 
-class ShardedFrontier:
+class ShardedFrontier(CrawlFrontier):
     """Host-partitioned frontier with single-frontier pop semantics."""
 
     def __init__(
@@ -57,235 +32,25 @@ class ShardedFrontier:
         prefetch: Callable[[str], bool] | None = None,
         now: Callable[[], float] | None = None,
     ) -> None:
+        super().__init__(
+            incoming_limit=incoming_limit,
+            outgoing_limit=outgoing_limit,
+            refill_batch=refill_batch,
+            prefetch=prefetch,
+            now=now,
+            shards=router.workers,
+            route=router.shard_of_url,
+        )
         self.router = router
-        self.incoming_limit = incoming_limit
-        self.outgoing_limit = outgoing_limit
-        self.refill_batch = refill_batch
-        self.sequence = SequenceSource()
-        self.now: Callable[[], float] = now or (lambda: float("inf"))
-        self.shards: list[CrawlFrontier] = [
-            CrawlFrontier(
-                incoming_limit=incoming_limit,
-                outgoing_limit=outgoing_limit,
-                refill_batch=refill_batch,
-                prefetch=prefetch,
-                now=self.now,
-                sequence=self.sequence,
-                managed=True,
-            )
-            for _ in range(router.workers)
-        ]
-        # global topic registration order: ``pop`` iterates topics in
-        # first-incoming-insert order, exactly like the single
-        # frontier's ``_queues`` dict (dicts preserve insertion order)
-        self._topic_order: dict[str, None] = {}
 
-    # -- write side ---------------------------------------------------------
-
-    def shard_for(self, url: str) -> CrawlFrontier:
-        return self.shards[self.router.shard_of_url(url)]
+    # the sharded runtime's own entry points: a run attributes its
+    # frontier time to the sharded or the single frontier by which
+    # class's ``push``/``pop`` was entered
 
     def push(self, entry: QueueEntry) -> bool:
         """Admit a URL to its host's shard; False for already-seen."""
-        shard = self.shard_for(entry.url)
-        if not shard.push(entry):
-            return False
-        self._note_admitted(entry)
-        return True
-
-    def requeue(self, entry: QueueEntry) -> None:
-        """Re-admit an already-seen entry (retry / breaker deferral)."""
-        self.shard_for(entry.url).requeue(entry)
-        self._note_admitted(entry)
-
-    def _note_admitted(self, entry: QueueEntry) -> None:
-        # mirror the shard's deferral predicate: only entries that went
-        # straight into an incoming queue register the topic and count
-        # against the global incoming limit
-        if entry.not_before > self.now():
-            return
-        self._topic_order.setdefault(entry.topic, None)
-        self._enforce_incoming_limit(entry.topic)
-
-    def _enforce_incoming_limit(self, topic: str) -> None:
-        """Evict the globally worst incoming candidate past the limit."""
-        while (
-            sum(shard.incoming_size(topic) for shard in self.shards)
-            > self.incoming_limit
-        ):
-            victim: CrawlFrontier | None = None
-            worst_key: tuple[float, int] | None = None
-            for shard in self.shards:
-                key = shard.peek_worst_incoming(topic)
-                if key is None:
-                    continue
-                if worst_key is None or key < worst_key:
-                    worst_key = key
-                    victim = shard
-            assert victim is not None
-            victim.evict_worst_incoming(topic)
-
-    # -- read side -----------------------------------------------------------
-
-    def _release_ready(self) -> None:
-        """Release due deferred entries in global (not_before, sequence)
-        order; each release draws a fresh shared sequence number, so the
-        interleave across shards matches the one global heap."""
-        now = self.now()
-        while True:
-            best_shard: CrawlFrontier | None = None
-            best_head: tuple[float, int] | None = None
-            for shard in self.shards:
-                head = shard.deferred_head()
-                if head is None or head[0] > now:
-                    continue
-                if best_head is None or head < best_head:
-                    best_head = head
-                    best_shard = shard
-            if best_shard is None:
-                return
-            entry = best_shard.release_head_deferred()
-            self._topic_order.setdefault(entry.topic, None)
-            self._enforce_incoming_limit(entry.topic)
-
-    def _refill(self, topic: str) -> None:
-        """Global refill: move the best incoming entries (across all
-        shards) into their shards' outgoing queues, prefetching DNS in
-        that order, under the global outgoing/refill caps."""
-        moved = 0
-        while (
-            moved < self.refill_batch
-            and sum(s.outgoing_size(topic) for s in self.shards)
-            < self.outgoing_limit
-        ):
-            best_shard: CrawlFrontier | None = None
-            best_key: tuple[float, int] | None = None
-            for shard in self.shards:
-                key = shard.peek_best_incoming(topic)
-                if key is None:
-                    continue
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_shard = shard
-            if best_shard is None:
-                return
-            if best_shard.move_best_incoming_to_outgoing(topic):
-                moved += 1
-            # a DNS-dropped candidate does not count as moved, exactly
-            # like the single frontier's refill loop
+        return super().push(entry)
 
     def pop(self) -> QueueEntry | None:
-        """The globally best *ready* URL across topics and shards.
-
-        Identical topic iteration (registration order), refill gating
-        (only when a topic's outgoing union is empty) and key
-        comparison as :meth:`CrawlFrontier.pop`.
-        """
-        self._release_ready()
-        best_topic: str | None = None
-        best_shard: CrawlFrontier | None = None
-        best_key: tuple[float, int] | None = None
-        for topic in self._topic_order:
-            if not any(s.outgoing_size(topic) for s in self.shards):
-                self._refill(topic)
-            for shard in self.shards:
-                key = shard.peek_best_outgoing(topic)
-                if key is None:
-                    continue
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_topic = topic
-                    best_shard = shard
-        if best_topic is None or best_shard is None:
-            return None
-        return best_shard.pop_best_outgoing(best_topic)
-
-    def next_ready_at(self) -> float | None:
-        """Earliest ``not_before`` across every shard's deferred heap."""
-        heads = [
-            head[0]
-            for head in (shard.deferred_head() for shard in self.shards)
-            if head is not None
-        ]
-        return min(heads) if heads else None
-
-    # -- introspection --------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def pending_for(self, topic: str) -> int:
-        return sum(shard.pending_for(topic) for shard in self.shards)
-
-    def has_seen(self, url: str) -> bool:
-        return self.shard_for(url).has_seen(url)
-
-    @property
-    def enqueued(self) -> int:
-        return sum(shard.enqueued for shard in self.shards)
-
-    @property
-    def duplicate_drops(self) -> int:
-        return sum(shard.duplicate_drops for shard in self.shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.evictions for shard in self.shards)
-
-    @property
-    def dns_drops(self) -> int:
-        return sum(shard.dns_drops for shard in self.shards)
-
-    @property
-    def deferred_total(self) -> int:
-        return sum(shard.deferred_total for shard in self.shards)
-
-    @property
-    def _seen_urls(self) -> set[str]:
-        """Union of the shards' seen-sets (parity fingerprints read it)."""
-        merged: set[str] = set()
-        for shard in self.shards:
-            merged |= shard._seen_urls
-        return merged
-
-    def stats(self) -> dict[str, float]:
-        """Aggregate admission statistics (obs ``Instrumented``); the
-        same keys as one :meth:`CrawlFrontier.stats`."""
-        return {
-            "size": float(len(self)),
-            "enqueued": float(self.enqueued),
-            "duplicate_drops": float(self.duplicate_drops),
-            "evictions": float(self.evictions),
-            "dns_drops": float(self.dns_drops),
-            "deferred_total": float(self.deferred_total),
-        }
-
-    @property
-    def topics(self) -> list[str]:
-        return sorted(self._topic_order)
-
-    # -- checkpoint -----------------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Composite image: shared sequence, global topic order and one
-        :meth:`CrawlFrontier.snapshot` per shard."""
-        return {
-            "workers": len(self.shards),
-            "sequence": self.sequence.value,
-            "topic_order": list(self._topic_order),
-            "shards": [shard.snapshot() for shard in self.shards],
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        if state.get("workers") != len(self.shards):
-            raise ValueError(
-                f"checkpoint has {state.get('workers')} frontier shards, "
-                f"this context has {len(self.shards)} -- resume with the "
-                "same crawl_workers"
-            )
-        for shard, shard_state in zip(self.shards, state["shards"]):
-            shard.restore(shard_state)
-        # each shard restore rewrites the *shared* source with its own
-        # snapshot value; the composite value is authoritative
-        self.sequence.value = state["sequence"]
-        self._topic_order = {topic: None for topic in state["topic_order"]}
+        """The globally best *ready* URL across topics and shards."""
+        return super().pop()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.core.frontier import CrawlFrontier
+from repro.core.frontier import FrontierShard
 from repro.robust.breaker import BreakerBoard, BreakerPolicy, HostBreaker
 from repro.shard.frontier import ShardedFrontier
 from repro.shard.router import ShardRouter
@@ -125,7 +125,7 @@ class WorkerSlice:
     """One worker's view of the sharded runtime (all host-local state)."""
 
     index: int
-    frontier: CrawlFrontier
+    frontier: FrontierShard
     board: BreakerBoard
     pool: WorkerPool
 

@@ -119,32 +119,6 @@ class TestKernelParity:
                 )
                 assert confidence == pytest.approx(reference, abs=1e-9)
 
-    def test_disabled_kernels_take_reference_path(self, nested_setup) -> None:
-        _classifier, eval_docs = nested_setup
-        tree = TopicTree.from_leaves(["db", "sports"])
-        plain = HierarchicalClassifier(
-            tree,
-            BingoConfig(
-                selected_features=50, tf_preselection=150,
-                use_compiled_kernels=False,
-            ),
-        )
-        training = {
-            "ROOT/db": topic_docs(_vocab("db"), 12, seed=1),
-            "ROOT/sports": topic_docs(_vocab("sp"), 12, seed=2),
-            "ROOT/OTHERS": topic_docs(_vocab("bg"), 12, seed=3),
-        }
-        for docs in training.values():
-            for doc in docs:
-                plain.ingest(doc)
-        plain.train(training)
-        assert plain._kernel() is None
-        probe = eval_docs[0]
-        assert plain.classify(probe) == plain.classify_reference(probe)
-        assert plain.classify_batch([probe]) == [
-            plain.classify_reference(probe)
-        ]
-
 
 class TestKernelLifecycle:
     def test_kernel_recompiles_after_retrain(self) -> None:
@@ -181,6 +155,17 @@ class TestKernelLifecycle:
             assert compiled.topic == reference.topic
             assert compiled.confidence == pytest.approx(
                 reference.confidence, abs=1e-9
+            )
+
+    def test_only_an_untrained_classifier_has_no_kernel(self) -> None:
+        tree = TopicTree.from_leaves(["db", "sports"])
+        classifier = HierarchicalClassifier(tree, BingoConfig())
+        assert classifier._kernel() is None
+        # the switch that used to force the reference path stays gone
+        assert "use_compiled_kernels" not in BingoConfig.__dataclass_fields__
+        with pytest.raises(TypeError):
+            BingoConfig(
+                use_compiled_kernels=False  # bingolint: disable=deprecated-api
             )
 
     def test_vector_cache_hits_and_snapshot_invalidation(self) -> None:
@@ -245,7 +230,7 @@ class TestEngineKernelLifecycle:
         assert kernel is not None
         assert kernel.model_version == classifier.model_version
         probe_docs = [
-            doc.counts for doc in engine.crawler.documents[:25]
+            doc.counts for doc in engine.ctx.documents[:25]
         ]
         for mode in MODES:
             for counts in probe_docs:

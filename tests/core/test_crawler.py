@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.core import BingoConfig, FocusedCrawler, HierarchicalClassifier
-from repro.core.crawler import SHARP, SOFT, PhaseSettings
+from repro.core.records import SHARP, SOFT, PhaseSettings
 from repro.core.ontology import TopicTree
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
@@ -64,6 +64,41 @@ def crawl_result(small_web):
     return crawler, stats, database
 
 
+class TestCrawlerSurface:
+    def test_only_constructor_seed_and_crawl(self, crawl_result) -> None:
+        """The delegating facade stays gone: state is read from
+        ``crawler.ctx``, single visits go through ``crawler.pipeline``."""
+        members = {
+            name for name in vars(FocusedCrawler)
+            if not (name.startswith("__") and name != "__init__")
+        }
+        assert members == {"__init__", "seed", "crawl"}
+        crawler, _, _ = crawl_result
+        assert set(vars(crawler)) == {"ctx", "pipeline"}
+        for removed in ("frontier", "documents", "_visit", "_hosts",
+                        "loader", "obs", "document_by_url"):
+            assert not hasattr(crawler, removed), removed
+        assert not hasattr(crawler.ctx, "owner")
+
+    def test_checkpoint_hook_receives_the_context(self, small_web) -> None:
+        config = fast_engine_config()
+        crawler = FocusedCrawler(
+            small_web, make_trained_classifier(small_web, config), config
+        )
+        crawler.seed(small_web.seed_homepages(2), topic="ROOT/databases")
+        seen = []
+
+        class Hook:
+            def on_visit(self, ctx, stats) -> None:
+                seen.append(ctx)
+
+        crawler.crawl(
+            PhaseSettings(name="t", focus=SOFT, fetch_budget=3),
+            checkpointer=Hook(),
+        )
+        assert seen and all(ctx is crawler.ctx for ctx in seen)
+
+
 class TestCrawlRun:
     def test_visits_and_stores_pages(self, crawl_result) -> None:
         crawler, stats, _ = crawl_result
@@ -77,14 +112,14 @@ class TestCrawlRun:
 
     def test_documents_have_urls_and_topics(self, crawl_result) -> None:
         crawler, _, _ = crawl_result
-        for doc in crawler.documents[:20]:
+        for doc in crawler.ctx.documents[:20]:
             assert doc.final_url.startswith("http://")
             assert doc.topic.startswith("ROOT/")
 
     def test_positively_classified_counted(self, crawl_result) -> None:
         crawler, stats, _ = crawl_result
         accepted = sum(
-            1 for d in crawler.documents if not d.topic.endswith("/OTHERS")
+            1 for d in crawler.ctx.documents if not d.topic.endswith("/OTHERS")
         )
         assert stats.positively_classified == accepted
         assert accepted > 0
@@ -97,18 +132,18 @@ class TestCrawlRun:
 
     def test_no_document_from_locked_host(self, crawl_result, small_web) -> None:
         crawler, _, _ = crawl_result
-        for doc in crawler.documents:
+        for doc in crawler.ctx.documents:
             assert not small_web.hosts[doc.host].locked
 
     def test_no_media_documents_stored(self, crawl_result) -> None:
         crawler, stats, _ = crawl_result
-        mimes = {doc.mime for doc in crawler.documents}
+        mimes = {doc.mime for doc in crawler.ctx.documents}
         assert "video/mpeg" not in mimes
 
     def test_trap_does_not_dominate(self, crawl_result) -> None:
         crawler, stats, _ = crawl_result
         trap_docs = [
-            d for d in crawler.documents if "trap" in d.host
+            d for d in crawler.ctx.documents if "trap" in d.host
         ]
         # URL length cap kills the chain quickly
         assert len(trap_docs) < 25
@@ -116,13 +151,13 @@ class TestCrawlRun:
     def test_duplicates_were_caught(self, crawl_result) -> None:
         crawler, stats, _ = crawl_result
         # aliases/copies in the web should trigger at least one stage
-        assert crawler.dedup.stats.total_hits + stats.duplicates_skipped >= 0
-        urls = [d.final_url for d in crawler.documents]
+        assert crawler.ctx.dedup.stats.total_hits + stats.duplicates_skipped >= 0
+        urls = [d.final_url for d in crawler.ctx.documents]
         assert len(urls) == len(set(urls)), "no page stored twice"
 
     def test_page_ids_unique_across_documents(self, crawl_result) -> None:
         crawler, _, _ = crawl_result
-        page_ids = [d.page_id for d in crawler.documents if d.page_id is not None]
+        page_ids = [d.page_id for d in crawler.ctx.documents if d.page_id is not None]
         assert len(page_ids) == len(set(page_ids))
 
     def test_depth_recorded(self, crawl_result) -> None:
@@ -187,7 +222,7 @@ class TestFocusRules:
             allowed_domains=allowed, fetch_budget=200,
         )
         crawler.crawl(settings)
-        for doc in crawler.documents:
+        for doc in crawler.ctx.documents:
             domain = parse_url(doc.final_url).domain
             assert domain in allowed
 
@@ -210,7 +245,7 @@ class TestHostManagement:
             crawler.seed(urls, topic="ROOT/databases", priority=10.0)
             settings = PhaseSettings(name="t", focus=SOFT, fetch_budget=60)
             stats = crawler.crawl(settings)
-            state = crawler._host_state(host.name)
+            state = crawler.ctx.host_state(host.name)
             assert state.bad
             assert stats.fetch_errors >= config.max_retries
         finally:

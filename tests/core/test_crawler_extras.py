@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BingoEngine, FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 
@@ -47,7 +47,7 @@ class TestStoredRows:
 
     def test_formats_converted_during_crawl(self, logged_crawl) -> None:
         crawler, _, _ = logged_crawl
-        formats = crawler.converted_formats
+        formats = crawler.ctx.converted_formats
         assert formats["html"] > 0
         # the synthetic web publishes papers in several formats
         assert sum(
@@ -58,7 +58,7 @@ class TestStoredRows:
         """PDF/Word/slides count for recall (paper 2.2)."""
         crawler, _, _ = logged_crawl
         non_html = [
-            d for d in crawler.documents if d.mime != "text/html"
+            d for d in crawler.ctx.documents if d.mime != "text/html"
         ]
         assert non_html
         accepted = [
@@ -82,7 +82,7 @@ class TestDomainPoliteness:
         crawler.crawl(
             PhaseSettings(name="t", focus=SOFT, fetch_budget=30)
         )
-        state = crawler._domain_state("edu.example")
+        state = crawler.ctx.domain_state("edu.example")
         # never more than one concurrent fetch was in flight per domain:
         # the busy list is pruned each check, so it stays tiny
         assert len(state.busy_until) <= 1 + 1  # current + just-finished
@@ -95,6 +95,6 @@ class TestDeterminism:
                 small_web, config=fast_engine_config()
             )
             engine.run(harvesting_fetch_budget=120)
-            return [d.final_url for d in engine.crawler.documents]
+            return [d.final_url for d in engine.ctx.documents]
 
         assert run() == run()

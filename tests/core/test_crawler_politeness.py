@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import CrawlStats, CrawledDocument, SOFT, PhaseSettings
+from repro.core.records import SOFT, CrawlStats, CrawledDocument, PhaseSettings
 from repro.core.frontier import QueueEntry
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
@@ -33,7 +33,7 @@ def visit(crawler, url: str) -> CrawlStats:
     stats = CrawlStats()
     phase = PhaseSettings(name="test", focus=SOFT, tunnelling=False,
                           fetch_budget=10)
-    crawler._visit(
+    crawler.pipeline.visit_one(
         QueueEntry(url=url, topic="ROOT/databases", priority=1.0, depth=0),
         phase, stats,
     )
@@ -47,12 +47,12 @@ class TestPolitenessWait:
         crawler = make_crawler(small_web, max_parallel_per_host=1)
         url = small_web.seed_homepages(1)[0]
         host = parse_url(url).host
-        start = crawler.clock.now
-        state = crawler._host_state(host)
+        start = crawler.ctx.clock.now
+        state = crawler.ctx.host_state(host)
         state.busy_until = [start + 5.0, start + 9.0]
         stats = visit(crawler, url)
         assert stats.visited_urls == 1
-        assert crawler.clock.now >= start + 9.0
+        assert crawler.ctx.clock.now >= start + 9.0
         assert stats.politeness_defers >= 2
 
     def test_waits_for_domain_after_host_frees(self, small_web) -> None:
@@ -62,15 +62,15 @@ class TestPolitenessWait:
         )
         url = small_web.seed_homepages(1)[0]
         parsed = parse_url(url)
-        start = crawler.clock.now
-        crawler._host_state(parsed.host).busy_until = [start + 2.0]
-        crawler._domain_state(parsed.domain).busy_until = [
+        start = crawler.ctx.clock.now
+        crawler.ctx.host_state(parsed.host).busy_until = [start + 2.0]
+        crawler.ctx.domain_state(parsed.domain).busy_until = [
             start + 4.0, start + 8.0,
         ]
         stats = visit(crawler, url)
         assert stats.visited_urls == 1
         # the domain only has a free slot after its earliest deadline
-        assert crawler.clock.now >= start + 4.0
+        assert crawler.ctx.clock.now >= start + 4.0
         assert stats.politeness_defers >= 1
 
     def test_capacity_respected_at_fetch_time(self, small_web) -> None:
@@ -79,14 +79,14 @@ class TestPolitenessWait:
         crawler = make_crawler(small_web, max_parallel_per_host=1)
         url = small_web.seed_homepages(1)[0]
         parsed = parse_url(url)
-        start = crawler.clock.now
-        crawler._host_state(parsed.host).busy_until = [
+        start = crawler.ctx.clock.now
+        crawler.ctx.host_state(parsed.host).busy_until = [
             start + 1.0, start + 1.0, start + 3.0,
         ]
         visit(crawler, url)
-        state = crawler._host_state(parsed.host)
+        state = crawler.ctx.host_state(parsed.host)
         # exactly the one slot belonging to the fetch we just issued
-        assert len([t for t in state.busy_until if t > crawler.clock.now]) <= 1
+        assert len([t for t in state.busy_until if t > crawler.ctx.clock.now]) <= 1
 
     def test_no_wait_when_slots_free(self, small_web) -> None:
         crawler = make_crawler(small_web)
@@ -123,7 +123,9 @@ class TestStoreRowsLinkPositions:
         database = Database(validate=False)
         loader = BulkLoader(database, batch_size=10)
         crawler = make_crawler(web, loader=loader)
-        crawler._store_rows(self._document(out_urls), self._FakeHtmlDoc())
+        crawler.pipeline.persist._store_rows(
+            crawler.ctx, self._document(out_urls), self._FakeHtmlDoc()
+        )
         loader.flush_all()
         return [row["dst_url"] for row in database["links"].scan()]
 

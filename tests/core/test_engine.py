@@ -73,14 +73,14 @@ class TestPortalEngine:
         engine, _ = portal_run
         registry = small_web.registry("databases")
         found = registry.found_authors(
-            doc.final_url for doc in engine.crawler.documents
+            doc.final_url for doc in engine.ctx.documents
         )
         top10 = {r.author_id for r in registry.top_authors(10)}
         assert len(found & top10) >= 5
 
     def test_dblp_domain_never_crawled(self, portal_run) -> None:
         engine, _ = portal_run
-        for doc in engine.crawler.documents:
+        for doc in engine.ctx.documents:
             assert "dblp" not in doc.host
 
     def test_table1_row_shape(self, portal_run) -> None:
@@ -109,7 +109,7 @@ class TestExpertEngine:
         seeds = web.hub_urls("aries")[-1:] + web.seed_homepages(2, topic="aries")
         engine = BingoEngine.for_expert(web, seeds, topic="aries", config=config)
         engine.run(harvesting_fetch_budget=400)
-        crawled_urls = {doc.final_url for doc in engine.crawler.documents}
+        crawled_urls = {doc.final_url for doc in engine.ctx.documents}
         assert crawled_urls & web.needle_urls(), "no needle page crawled"
 
     def test_harvest_before_bootstrap_rejected(self, small_web) -> None:

@@ -29,14 +29,14 @@ class TestEngineConsistency:
 
     def test_doc_ids_contiguous(self, consistent_run) -> None:
         engine, _ = consistent_run
-        ids = [doc.doc_id for doc in engine.crawler.documents]
+        ids = [doc.doc_id for doc in engine.ctx.documents]
         assert ids == list(range(len(ids)))
 
     def test_database_mirrors_memory(self, consistent_run) -> None:
         engine, report = consistent_run
         documents = engine.database["documents"]
-        assert len(documents) == len(engine.crawler.documents)
-        for doc in engine.crawler.documents[:30]:
+        assert len(documents) == len(engine.ctx.documents)
+        for doc in engine.ctx.documents[:30]:
             row = documents.get(doc.doc_id)
             assert row is not None
             assert row["url"] == doc.url
@@ -46,12 +46,12 @@ class TestEngineConsistency:
 
     def test_stored_pages_match_report(self, consistent_run) -> None:
         engine, report = consistent_run
-        assert report.total.stored_pages == len(engine.crawler.documents)
+        assert report.total.stored_pages == len(engine.ctx.documents)
 
     def test_term_rows_match_counts(self, consistent_run) -> None:
         engine, _ = consistent_run
         terms = engine.database["terms"]
-        doc = engine.crawler.documents[0]
+        doc = engine.ctx.documents[0]
         rows = terms.lookup(("doc_id",), doc.doc_id)
         stored = {row["term"]: row["tf"] for row in rows}
         expected = {t: int(c) for t, c in doc.counts["term"].items()}
@@ -61,7 +61,7 @@ class TestEngineConsistency:
         import math
 
         engine, _ = consistent_run
-        for doc in engine.crawler.documents:
+        for doc in engine.ctx.documents:
             assert math.isfinite(doc.confidence)
 
     def test_crawl_log_covers_all_documents(self, consistent_run) -> None:

@@ -47,7 +47,7 @@ class TestNestedPortal:
     def test_documents_descend_to_leaves(self, nested_run) -> None:
         engine, _ = nested_run
         leaf_docs = [
-            doc for doc in engine.crawler.documents
+            doc for doc in engine.ctx.documents
             if doc.topic in (
                 "ROOT/research/databases", "ROOT/research/datamining",
             )
@@ -58,7 +58,7 @@ class TestNestedPortal:
         """Research-y documents fitting neither leaf land in
         research/OTHERS; true background lands in ROOT/OTHERS."""
         engine, _ = nested_run
-        topics = {doc.topic for doc in engine.crawler.documents}
+        topics = {doc.topic for doc in engine.ctx.documents}
         assert "ROOT/OTHERS" in topics
 
     def test_classification_paths_record_descent(self, nested_run) -> None:
@@ -66,7 +66,7 @@ class TestNestedPortal:
         previous one (structural invariant of top-down descent)."""
         engine, _ = nested_run
         checked = 0
-        for doc in engine.crawler.documents[:80]:
+        for doc in engine.ctx.documents[:80]:
             result = engine.classifier.classify(doc.counts)
             previous = "ROOT"
             for node, confidence in result.path:
@@ -81,7 +81,7 @@ class TestNestedPortal:
         engine, _ = nested_run
         correct = total = 0
         for label in ("databases", "datamining"):
-            for doc in engine.crawler.documents:
+            for doc in engine.ctx.documents:
                 if doc.topic != f"ROOT/research/{label}":
                     continue
                 if doc.page_id is None:

@@ -62,7 +62,7 @@ class TestMultiTopicPortal:
         engine, _ = multi_topic_run
         confused = 0
         assigned = 0
-        for doc in engine.crawler.documents:
+        for doc in engine.ctx.documents:
             if doc.page_id is None or doc.topic.endswith("/OTHERS"):
                 continue
             true_topic = small_web.pages[doc.page_id].topic

@@ -42,7 +42,7 @@ def run_with(web, reviewer):
     engine.run(harvesting_fetch_budget=300, archetype_reviewer=reviewer)
     target = web.config.target_topic
     accepted = [
-        doc for doc in engine.crawler.documents
+        doc for doc in engine.ctx.documents
         if doc.topic == f"ROOT/{target}" and doc.page_id is not None
     ]
     if not accepted:
@@ -92,7 +92,7 @@ def test_oracle_feedback_purifies_training_set(drifty_web) -> None:
     impure = sum(
         1 for record in promoted
         if drifty_web.pages[
-            engine.crawler.documents[record.doc_id].page_id
+            engine.ctx.documents[record.doc_id].page_id
         ].topic != target
     )
     assert impure <= max(1, len(promoted) // 4)

@@ -27,7 +27,7 @@ class TestLearningPhaseStrategy:
     def test_depth_cap_respected(self, learning_report) -> None:
         engine, report = learning_report
         assert report.stats.max_depth <= engine.config.learning_max_depth
-        for doc in engine.crawler.documents:
+        for doc in engine.ctx.documents:
             assert doc.depth <= engine.config.learning_max_depth
 
     def test_learning_visits_few_hosts(self, learning_report) -> None:
@@ -45,9 +45,9 @@ class TestHarvestingPhaseStrategy:
             small_web, config=fast_engine_config(learning_fetch_budget=100)
         )
         engine.run_learning_phase()
-        before = len(engine.crawler.documents)
+        before = len(engine.ctx.documents)
         engine.run_harvesting_phase(fetch_budget=300)
-        harvest_docs = engine.crawler.documents[before:]
+        harvest_docs = engine.ctx.documents[before:]
         assert len(harvest_docs) >= 100
         half = len(harvest_docs) // 2
         first = harvest_docs[:half]
@@ -65,9 +65,9 @@ class TestHarvestingPhaseStrategy:
             small_web, config=fast_engine_config(learning_fetch_budget=60)
         )
         engine.run_learning_phase()
-        start = engine.crawler.clock.now
+        start = engine.ctx.clock.now
         report = engine.run_harvesting_phase(time_budget=30.0)
-        elapsed = engine.crawler.clock.now - start
+        elapsed = engine.ctx.clock.now - start
         # the crawl stops promptly after the simulated deadline (in-flight
         # tasks may overshoot by at most the pool drain)
         assert report.stats.simulated_seconds == pytest.approx(

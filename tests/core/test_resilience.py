@@ -44,7 +44,7 @@ class TestHostileWeb:
         engine = BingoEngine.for_portal(web, config=fast_engine_config())
         engine.run(harvesting_fetch_budget=250)
         bad = [
-            host for host, state in engine.crawler._hosts.items()
+            host for host, state in engine.ctx.hosts.items()
             if state.bad
         ]
         assert bad, "persistent failures should blacklist some hosts"
@@ -61,11 +61,11 @@ class TestHostileWeb:
         resend strategy still gets answers."""
         web = hostile_web(seed=79, slow_host_rate=0.0, error_host_rate=0.0)
         engine = BingoEngine.for_portal(web, config=fast_engine_config())
-        for server in engine.crawler.resolver.servers:
+        for server in engine.ctx.resolver.servers:
             server.timeout_rate = 0.5
         report = engine.run(harvesting_fetch_budget=150)
         assert report.total.stored_pages > 20
-        assert engine.crawler.resolver.timeouts > 0
+        assert engine.ctx.resolver.timeouts > 0
 
     def test_seed_host_completely_down_raises_cleanly(self) -> None:
         from repro.errors import CrawlError

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BingoConfig, FocusedCrawler, HierarchicalClassifier
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.core.frontier import QueueEntry
 from repro.core.ontology import TopicTree
 from repro.text.vectorizer import SparseVector
@@ -19,7 +19,7 @@ def test_tunnelled_priority_decays_exponentially(small_web) -> None:
     crawler = FocusedCrawler(small_web, classifier, config)
 
     from repro.core.classifier import ClassificationResult
-    from repro.core.crawler import CrawledDocument
+    from repro.core.records import CrawledDocument
     from collections import Counter
 
     document = CrawledDocument(
@@ -35,8 +35,9 @@ def test_tunnelled_priority_decays_exponentially(small_web) -> None:
         tunnelled=1,
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
-    crawler._enqueue_links(entry, document, rejected, settings)
-    queued = crawler.frontier.pop()
+    crawler.pipeline.expand.enqueue_links(
+        crawler.ctx, entry, document, rejected, settings)
+    queued = crawler.ctx.frontier.pop()
     assert queued is not None
     # tunnelled step 2: confidence 0.8 * 0.5^2 = 0.2
     assert queued.tunnelled == 2
@@ -50,7 +51,7 @@ def test_tunnelling_stops_at_max_distance(small_web) -> None:
     crawler = FocusedCrawler(small_web, classifier, config)
 
     from repro.core.classifier import ClassificationResult
-    from repro.core.crawler import CrawledDocument
+    from repro.core.records import CrawledDocument
     from collections import Counter
 
     document = CrawledDocument(
@@ -67,8 +68,9 @@ def test_tunnelling_stops_at_max_distance(small_web) -> None:
         tunnelled=2,
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
-    crawler._enqueue_links(entry, document, rejected, settings)
-    assert crawler.frontier.pop() is None
+    crawler.pipeline.expand.enqueue_links(
+        crawler.ctx, entry, document, rejected, settings)
+    assert crawler.ctx.frontier.pop() is None
 
 
 def test_accepted_page_resets_tunnel_counter(small_web) -> None:
@@ -78,7 +80,7 @@ def test_accepted_page_resets_tunnel_counter(small_web) -> None:
     crawler = FocusedCrawler(small_web, classifier, config)
 
     from repro.core.classifier import ClassificationResult
-    from repro.core.crawler import CrawledDocument
+    from repro.core.records import CrawledDocument
     from collections import Counter
 
     document = CrawledDocument(
@@ -96,8 +98,9 @@ def test_accepted_page_resets_tunnel_counter(small_web) -> None:
         tunnelled=2,  # the page was reached through a tunnel ...
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
-    crawler._enqueue_links(entry, document, accepted, settings)
-    queued = crawler.frontier.pop()
+    crawler.pipeline.expand.enqueue_links(
+        crawler.ctx, entry, document, accepted, settings)
+    queued = crawler.ctx.frontier.pop()
     assert queued is not None
     # ... but being accepted resets the counter for its own links
     assert queued.tunnelled == 0

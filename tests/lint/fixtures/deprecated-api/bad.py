@@ -36,3 +36,33 @@ def unchecked(config: BingoConfig) -> bool:
 
 def debugging() -> BingoConfig:
     return BingoConfig(validate_storage=True)
+
+
+def reference_only() -> BingoConfig:
+    return BingoConfig(use_compiled_kernels=False)
+
+
+class CrawlFrontier:
+    def __init__(self, incoming_limit: int = 10) -> None:
+        self.incoming_limit = incoming_limit
+
+
+def shard_of_a_coordinator() -> CrawlFrontier:
+    return CrawlFrontier(incoming_limit=5, managed=True)
+
+
+class FocusedCrawler:
+    def __init__(self, config: BingoConfig) -> None:
+        self.ctx = config
+
+    @property
+    def frontier(self) -> CrawlFrontier:
+        return CrawlFrontier()
+
+    def _visit(self, entry: str) -> None:
+        pass
+
+
+def drive(crawler: FocusedCrawler) -> int:
+    crawler._visit("http://h/")
+    return crawler.frontier.incoming_limit + len(crawler.documents)

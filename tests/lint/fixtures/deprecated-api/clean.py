@@ -28,3 +28,28 @@ class Database:
 
 def seeded(config: BingoConfig) -> BingoConfig:
     return BingoConfig(seed=config.seed + 1)
+
+
+class CrawlFrontier:
+    def __init__(self, incoming_limit: int = 10, shards: int = 1) -> None:
+        self.incoming_limit = incoming_limit
+        self.shards = shards
+
+
+class CrawlContext:
+    def __init__(self, config: BingoConfig) -> None:
+        self.config = config
+        self.frontier = CrawlFrontier(shards=3)
+        self.documents: list[str] = []
+
+
+class FocusedCrawler:
+    def __init__(self, config: BingoConfig) -> None:
+        self.ctx = CrawlContext(config)
+
+
+def drive(config: BingoConfig) -> int:
+    # ``config=`` names a removed *member* but a live constructor
+    # parameter; state is read through the context
+    crawler = FocusedCrawler(config=config)
+    return crawler.ctx.frontier.incoming_limit + len(crawler.ctx.documents)

@@ -4,24 +4,25 @@
 class CrawlFrontier:
     def __init__(self) -> None:
         self.pending: list[str] = []
+        self.shards: list[list[str]] = [[]]
 
     def push(self, url: str) -> None:
         self.pending.append(url)
 
+    def _admit(self, url: str) -> None:
+        self.push(url)
 
-class ShardedFrontier:
+
+class ShardedFrontier(CrawlFrontier):
     def __init__(self) -> None:
+        super().__init__()
         self.cross_links = 0
-        self.shards: list[CrawlFrontier] = [CrawlFrontier()]
 
     def push(self, url: str) -> None:
-        self.shards[0].push(url)
+        super().push(url)
 
     def note_link(self) -> None:
         self.cross_links += 1
-
-    def _admit(self, url: str) -> None:
-        self.push(url)
 
 
 class WorkerSlice:
@@ -32,7 +33,7 @@ class WorkerSlice:
     def drain(self) -> None:
         # worker mutates shared state instead of calling the API
         self.shared.cross_links += 1
-        # and reaches into the private half of the routing API
+        # and reaches into the private half it inherits from the base
         self.shared._admit("u")
 
 

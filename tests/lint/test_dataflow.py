@@ -16,6 +16,9 @@ class CrawlFrontier:
 
     def push(self, priority: float) -> None:
         self.pending.append(priority)
+
+    def requeue(self, priority: float) -> None:
+        self.pending.append(priority)
 """
 
 
@@ -79,6 +82,31 @@ def test_taint_through_parameter_passthrough(tmp_path: Path) -> None:
             admit(frontier, random.random())
         """,
     ) == [("rng", "random.random", "CrawlFrontier.push")]
+
+
+def test_sink_inherited_by_the_sharded_frontier(tmp_path: Path) -> None:
+    # ShardedFrontier is a CrawlFrontier that overrides only some entry
+    # points: both its own and its inherited ones stay decision sinks
+    flows = flows_in(
+        tmp_path,
+        """\
+        import time
+
+
+        class ShardedFrontier(CrawlFrontier):
+            def push(self, priority: float) -> None:
+                super().push(priority)
+
+
+        def admit(frontier: ShardedFrontier) -> None:
+            frontier.push(time.time())
+            frontier.requeue(time.monotonic())
+        """,
+    )
+    assert flows == [
+        ("clock", "time.time", "ShardedFrontier.push"),
+        ("clock", "time.monotonic", "CrawlFrontier.requeue"),
+    ]
 
 
 def test_arithmetic_preserves_taint(tmp_path: Path) -> None:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.crawler import SOFT, FocusedCrawler, PhaseSettings
+from repro.core.crawler import FocusedCrawler
+from repro.core.records import SOFT, PhaseSettings
 from repro.obs.api import StageEvent
 from repro.pipeline import STAGE_NAMES
 from repro.web import SyntheticWeb
@@ -27,7 +28,7 @@ def build_crawler(web, **overrides) -> FocusedCrawler:
 
 def run_phase(crawler, budget: int = 20):
     crawler.seed(
-        crawler.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
+        crawler.ctx.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
     )
     return crawler.crawl(
         PhaseSettings(name="t", focus=SOFT, fetch_budget=budget)
@@ -64,7 +65,7 @@ class TestTypedHookApi:
         accepted = sum(
             e.extras["accepted"] for e in events if e.stage == "classify"
         )
-        assert accepted == crawler.obs.registry.value(
+        assert accepted == crawler.ctx.obs.registry.value(
             "pipeline_docs_accepted_total"
         )
 
@@ -82,12 +83,12 @@ class TestHookExceptionIsolation:
         stats = run_phase(crawler)
 
         assert stats.table1_row() == reference.table1_row()
-        errors = crawler.obs.registry.value("pipeline_hook_errors_total")
+        errors = crawler.ctx.obs.registry.value("pipeline_hook_errors_total")
         assert errors > 0
         # one error per stage event delivered to the broken hook
         batches = sum(
             child
-            for child in crawler.obs.registry.snapshot()["counters"][
+            for child in crawler.ctx.obs.registry.snapshot()["counters"][
                 "pipeline_stage_batches_total"
             ].values()
         )
@@ -103,4 +104,4 @@ class TestHookExceptionIsolation:
         crawler.pipeline.add_hook(lambda a, b, c, d: None)
         stats = run_phase(crawler)
         assert stats.visited_urls > 0
-        assert crawler.obs.registry.value("pipeline_hook_errors_total") > 0
+        assert crawler.ctx.obs.registry.value("pipeline_hook_errors_total") > 0

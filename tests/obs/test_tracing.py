@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.crawler import SOFT, FocusedCrawler, PhaseSettings
+from repro.core.crawler import FocusedCrawler
+from repro.core.records import SOFT, PhaseSettings
 from repro.obs import Tracer
 from repro.pipeline import STAGE_NAMES
 from repro.web import SyntheticWeb
@@ -32,7 +33,7 @@ def crawl_trace(web, batch_size: int):
     crawler = FocusedCrawler(web, classifier, config)
     crawler.seed(web.seed_homepages(3), topic="ROOT/databases", priority=10.0)
     crawler.crawl(PhaseSettings(name="t", focus=SOFT, fetch_budget=25))
-    return crawler.obs.tracer
+    return crawler.ctx.obs.tracer
 
 
 class TestUnitTracer:

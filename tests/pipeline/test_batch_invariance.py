@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
@@ -58,10 +58,10 @@ def fingerprint(crawler, stats, database) -> dict:
         },
         "documents": [
             (d.doc_id, d.final_url, d.topic, d.confidence)
-            for d in crawler.documents
+            for d in crawler.ctx.documents
         ],
-        "clock": crawler.clock.now,
-        "frontier": crawler.frontier.stats(),
+        "clock": crawler.ctx.clock.now,
+        "frontier": crawler.ctx.frontier.stats(),
         # relations are unordered row sets; scan order reflects which
         # workspace buffer happened to fill first, which legitimately
         # shifts with the global add order at different batch sizes
@@ -86,7 +86,7 @@ class TestBatchInvariance:
 
     def test_batched_run_uses_batch_kernel(self, runs) -> None:
         crawler, stats, _ = runs[8]
-        kernel = crawler.classifier._kernel()
+        kernel = crawler.ctx.classifier._kernel()
         assert kernel is not None
         assert kernel.batch_calls > 0
         # the crawl classifies exclusively through classify_batch
@@ -109,7 +109,7 @@ class TestBatchedFullCrawl:
         assert 0 < stats.stored_pages <= stats.visited_urls
         assert len(database["documents"]) == stats.stored_pages
         assert len(database["crawl_log"]) == stats.visited_urls
-        assert [d.doc_id for d in crawler.documents] == list(
+        assert [d.doc_id for d in crawler.ctx.documents] == list(
             range(stats.stored_pages)
         )
 
@@ -123,7 +123,7 @@ class TestBatchedFullCrawl:
         classifier = make_trained_classifier(web, config)
         retrain_points: list[int] = []
         crawler = FocusedCrawler(web, classifier, config)
-        crawler.on_retrain = lambda: retrain_points.append(
+        crawler.ctx.on_retrain = lambda: retrain_points.append(
             crawler.ctx.docs_since_retrain
         )
         crawler.seed(

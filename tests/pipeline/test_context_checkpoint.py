@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.robust.checkpoint import (
     Checkpointer,
     restore_context,
@@ -100,12 +100,12 @@ class TestContextKillResume:
 
 
 class TestContextSnapshotSurface:
-    def test_snapshot_accepts_context_and_crawler(self) -> None:
+    def test_snapshot_takes_the_context(self) -> None:
         crawler, _ = build_crawler()
         stats = crawler.crawl(settings(20))
-        via_ctx = snapshot_context(crawler.ctx, stats)
-        via_facade = snapshot_context(crawler, stats)
-        assert via_ctx == via_facade
+        assert snapshot_context(crawler.ctx, stats)["frontier"]["format"] == 2
+        with pytest.raises(AttributeError):
+            snapshot_context(crawler, stats)
 
     def test_save_checkpoint_accepts_context(self, tmp_path) -> None:
         crawler, _ = build_crawler()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.text.reference import tokenize_html_reference
 from repro.web import SyntheticWeb
 
@@ -63,8 +63,8 @@ def test_table1_stats_bit_identical(runs) -> None:
 
 def test_documents_and_titles_identical(runs) -> None:
     (new_crawler, _), (old_crawler, _) = runs
-    new_docs = new_crawler.documents
-    old_docs = old_crawler.documents
+    new_docs = new_crawler.ctx.documents
+    old_docs = old_crawler.ctx.documents
     assert len(new_docs) == len(old_docs)
     for a, b in zip(new_docs, old_docs):
         assert (a.doc_id, a.final_url, a.title, a.topic, a.confidence) \
@@ -76,7 +76,7 @@ def test_term_bags_identical_content_and_order(runs) -> None:
     reference's token-recount per space -- including dict order, which
     downstream iteration depends on."""
     (new_crawler, _), (old_crawler, _) = runs
-    for a, b in zip(new_crawler.documents, old_crawler.documents):
+    for a, b in zip(new_crawler.ctx.documents, old_crawler.ctx.documents):
         assert set(a.counts) == set(b.counts)
         for space in a.counts:
             assert dict(a.counts[space]) == dict(b.counts[space])
@@ -87,12 +87,12 @@ def test_per_document_vectors_identical(runs) -> None:
     """tf*idf rows (batched kernel vs reference weighting, each under
     its own crawl's idf snapshot) agree to the last bit."""
     (new_crawler, _), (old_crawler, _) = runs
-    new_bundles = new_crawler.classifier.vectorize_many(
-        [d.counts for d in new_crawler.documents]
+    new_bundles = new_crawler.ctx.classifier.vectorize_many(
+        [d.counts for d in new_crawler.ctx.documents]
     )
     old_bundles = [
-        old_crawler.classifier.vectorize(d.counts)
-        for d in old_crawler.documents
+        old_crawler.ctx.classifier.vectorize(d.counts)
+        for d in old_crawler.ctx.documents
     ]
     assert len(new_bundles) == len(old_bundles)
     for new_bundle, old_bundle in zip(new_bundles, old_bundles):
@@ -104,17 +104,17 @@ def test_per_document_vectors_identical(runs) -> None:
 
 def test_clock_and_frontier_identical(runs) -> None:
     (new_crawler, _), (old_crawler, _) = runs
-    assert new_crawler.clock.now == old_crawler.clock.now
-    assert len(new_crawler.frontier) == len(old_crawler.frontier)
-    assert new_crawler.frontier.enqueued == old_crawler.frontier.enqueued
+    assert new_crawler.ctx.clock.now == old_crawler.ctx.clock.now
+    assert len(new_crawler.ctx.frontier) == len(old_crawler.ctx.frontier)
+    assert new_crawler.ctx.frontier.enqueued == old_crawler.ctx.frontier.enqueued
 
 
 def test_convert_counters_flow_through_obs(runs) -> None:
     (new_crawler, _), _ = runs
-    snapshot = new_crawler.obs.registry.snapshot()["counters"]
+    snapshot = new_crawler.ctx.obs.registry.snapshot()["counters"]
     docs = snapshot["convert_docs_total"][""]
     tokens = snapshot["convert_tokens_total"][""]
-    assert docs == len(new_crawler.documents)
+    assert docs == len(new_crawler.ctx.documents)
     assert tokens > 0
     hits = snapshot["convert_stem_table_hits_total"][""]
     misses = snapshot["convert_stem_table_misses_total"][""]
@@ -129,11 +129,11 @@ def test_convert_wall_histogram_populates(runs) -> None:
     """Wall durations live in the obs sidecar (never the deterministic
     registry) and record one observation per convert micro-batch."""
     (new_crawler, _), _ = runs
-    wall = new_crawler.obs.wall_stage_seconds
+    wall = new_crawler.ctx.obs.wall_stage_seconds
     assert "convert" in wall
     histogram = wall["convert"]
     assert histogram.count >= 1
     assert histogram.sum >= 0.0
-    snapshot = new_crawler.obs.registry.snapshot()
+    snapshot = new_crawler.ctx.obs.registry.snapshot()
     flat = str(snapshot)
     assert "wall" not in flat  # sidecar stays out of the snapshot

@@ -23,7 +23,7 @@ import hashlib
 import pytest
 
 from repro.core import BingoEngine, FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
@@ -157,17 +157,17 @@ def stats_fingerprint(stats) -> dict:
 
 def crawler_fingerprint(crawler) -> dict:
     return {
-        "documents": len(crawler.documents),
-        "doc_urls_sha": sha([d.final_url for d in crawler.documents]),
-        "doc_topics_sha": sha([d.topic for d in crawler.documents]),
-        "frontier_len": len(crawler.frontier),
-        "frontier_enqueued": crawler.frontier.enqueued,
+        "documents": len(crawler.ctx.documents),
+        "doc_urls_sha": sha([d.final_url for d in crawler.ctx.documents]),
+        "doc_topics_sha": sha([d.topic for d in crawler.ctx.documents]),
+        "frontier_len": len(crawler.ctx.frontier),
+        "frontier_enqueued": crawler.ctx.frontier.enqueued,
         "frontier_seen_sha": sha(
-            sorted(u for u in crawler.frontier._seen_urls)
+            sorted(u for u in crawler.ctx.frontier.seen_urls)
         ),
-        "clock": round(crawler.clock.now, 9),
-        "converted_formats": dict(crawler.converted_formats),
-        "retry_log": len(crawler.retry_log),
+        "clock": round(crawler.ctx.clock.now, 9),
+        "converted_formats": dict(crawler.ctx.converted_formats),
+        "retry_log": len(crawler.ctx.retry_log),
     }
 
 

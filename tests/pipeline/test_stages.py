@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BingoConfig, FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.errors import ConfigError
 from repro.pipeline import STAGE_NAMES, CrawlPipeline, Stage
 from repro.storage.bulkloader import BulkLoader
@@ -142,7 +142,7 @@ class TestProcessingCostBreakdown:
 class TestWorkspaceSharding:
     def test_workspace_for_is_modulo_threads(self, web) -> None:
         crawler = build_crawler(web)
-        threads = crawler.config.crawler_threads
+        threads = crawler.ctx.config.crawler_threads
         for key in (0, 1, threads - 1, threads, threads + 7, 12345):
             assert crawler.ctx.workspace_for(key) == key % threads
 
@@ -167,7 +167,7 @@ class TestWorkspaceSharding:
 
 class TestVisitOneCompat:
     def test_visit_one_matches_crawl_of_one(self, web) -> None:
-        from repro.core.crawler import CrawlStats
+        from repro.core.records import CrawlStats
         from repro.core.frontier import QueueEntry
 
         url = web.seed_homepages(1)[0]
@@ -175,7 +175,7 @@ class TestVisitOneCompat:
 
         via_visit = build_crawler(web)
         stats = CrawlStats()
-        via_visit._visit(
+        via_visit.pipeline.visit_one(
             QueueEntry(url=url, topic="ROOT/databases", priority=1.0,
                        depth=0),
             phase, stats,
@@ -188,6 +188,6 @@ class TestVisitOneCompat:
         )
         assert stats.visited_urls == crawl_stats.visited_urls == 1
         assert stats.stored_pages == crawl_stats.stored_pages
-        assert [d.final_url for d in via_visit.documents] == [
-            d.final_url for d in via_crawl.documents
+        assert [d.final_url for d in via_visit.ctx.documents] == [
+            d.final_url for d in via_crawl.ctx.documents
         ]

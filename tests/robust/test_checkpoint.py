@@ -22,13 +22,13 @@ import json
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.robust import (
     Checkpointer,
     load_checkpoint,
-    restore_crawler,
+    restore_context,
     save_checkpoint,
-    snapshot_crawler,
+    snapshot_context,
 )
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
@@ -75,7 +75,7 @@ def kill_resume(tmp_path_factory):
 
     # resume on a fresh crawler bound to an identical Web and classifier
     resumed, resumed_db = build_crawler()
-    resume_stats = restore_crawler(resumed, checkpoint_dir)
+    resume_stats = restore_context(resumed.ctx, checkpoint_dir)
     assert resume_stats.visited_urls < BUDGET
     final_stats = resumed.crawl(settings(BUDGET), resume=resume_stats)
 
@@ -102,16 +102,16 @@ class TestKillResume:
 
     def test_documents_identical(self, kill_resume) -> None:
         baseline, _, _, resumed, _, _ = kill_resume
-        urls_a = [d.final_url for d in baseline.documents]
-        urls_b = [d.final_url for d in resumed.documents]
+        urls_a = [d.final_url for d in baseline.ctx.documents]
+        urls_b = [d.final_url for d in resumed.ctx.documents]
         assert urls_a == urls_b
-        topics_a = [d.topic for d in baseline.documents]
-        topics_b = [d.topic for d in resumed.documents]
+        topics_a = [d.topic for d in baseline.ctx.documents]
+        topics_b = [d.topic for d in resumed.ctx.documents]
         assert topics_a == topics_b
 
     def test_host_table_identical(self, kill_resume) -> None:
         baseline, _, _, resumed, _, _ = kill_resume
-        assert baseline._hosts.to_dict() == resumed._hosts.to_dict()
+        assert baseline.ctx.hosts.to_dict() == resumed.ctx.hosts.to_dict()
 
     def test_database_rows_survive(self, kill_resume) -> None:
         _, baseline_stats, baseline_db, _, final_stats, resumed_db = kill_resume
@@ -123,21 +123,21 @@ class TestSnapshotRoundTrip:
     def test_snapshot_is_json_clean_and_stable(self, tmp_path) -> None:
         crawler, _ = build_crawler()
         stats = crawler.crawl(settings(30))
-        snap = snapshot_crawler(crawler, stats)
+        snap = snapshot_context(crawler.ctx, stats)
         blob = json.dumps(snap, sort_keys=True)  # must not raise
 
         clone, _ = build_crawler()
-        restored_stats = restore_crawler(
-            clone, json.loads(blob), restore_database=False
+        restored_stats = restore_context(
+            clone.ctx, json.loads(blob), restore_database=False
         )
         assert restored_stats.table1_row() == stats.table1_row()
-        snap_again = snapshot_crawler(clone, restored_stats)
+        snap_again = snapshot_context(clone.ctx, restored_stats)
         assert json.dumps(snap_again, sort_keys=True) == blob
 
     def test_save_and_load_checkpoint(self, tmp_path) -> None:
         crawler, _ = build_crawler()
         stats = crawler.crawl(settings(25))
-        path = save_checkpoint(crawler, stats, tmp_path)
+        path = save_checkpoint(crawler.ctx, stats, tmp_path)
         assert path.exists()
         state = load_checkpoint(tmp_path)
         assert state["stats"]["visited_urls"] == stats.visited_urls

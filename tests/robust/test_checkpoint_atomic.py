@@ -22,7 +22,7 @@ import shutil
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.errors import StorageError
 from repro.robust import checkpoint
 from repro.robust.checkpoint import (
@@ -70,11 +70,11 @@ class Rig:
         return crawler, database
 
 
-def image(crawler, stats, database: Database) -> tuple[str, dict]:
+def image(ctx, stats, database: Database) -> tuple[str, dict]:
     """Everything a restore must bring back, comparably: the runtime
     state as canonical JSON, and every relation's rows with their value
     types (``==`` alone lets ``True`` pass for ``1``)."""
-    state = json.dumps(snapshot_context(crawler, stats), sort_keys=True)
+    state = json.dumps(snapshot_context(ctx, stats), sort_keys=True)
     rows = {
         name: [
             [(column, type(value).__name__, value)
@@ -122,7 +122,7 @@ def killed_save(monkeypatch, crawler, stats, directory, kill_at: int):
         patch.setattr(pathlib.Path, "replace", replace)
         patch.setattr(checkpoint.shutil, "rmtree", rmtree)
         with contextlib.suppress(_Killed):
-            save_checkpoint(crawler, stats, directory)
+            save_checkpoint(crawler.ctx, stats, directory)
     return ran
 
 
@@ -137,11 +137,11 @@ def two_saves(tmp_path_factory):
     )
     after_first = tmp_path_factory.mktemp("after-first-save")
     stats = crawler.crawl(settings(25))
-    save_checkpoint(crawler, stats, after_first)
-    first = image(crawler, stats, database)
+    save_checkpoint(crawler.ctx, stats, after_first)
+    first = image(crawler.ctx, stats, database)
     stats = crawler.crawl(settings(50), resume=stats)
     crawler.ctx.loader.flush_all()
-    second = image(crawler, stats, database)
+    second = image(crawler.ctx, stats, database)
     assert first != second
     return rig, after_first, first, second, crawler, stats
 
@@ -149,7 +149,7 @@ def two_saves(tmp_path_factory):
 def restored_image(rig: Rig, directory) -> tuple[str, dict]:
     crawler, database = rig.crawler()
     stats = restore_context(crawler.ctx, directory)
-    return image(crawler, stats, database)
+    return image(crawler.ctx, stats, database)
 
 
 class TestKilledSave:
@@ -192,7 +192,7 @@ class TestKilledSave:
         directory = shutil.copytree(after_first, tmp_path / "checkpoint")
         killed_save(monkeypatch, crawler, stats, directory, 10)
         assert (directory / "database-2").exists()
-        save_checkpoint(crawler, stats, directory)
+        save_checkpoint(crawler.ctx, stats, directory)
         assert sorted(path.name for path in directory.iterdir()) == [
             "crawl.json", "database-3",
         ]
@@ -204,7 +204,7 @@ class TestDamagedCheckpoint:
     def published(self, two_saves, tmp_path):
         _, after_first, _, _, crawler, stats = two_saves
         directory = shutil.copytree(after_first, tmp_path / "checkpoint")
-        save_checkpoint(crawler, stats, directory)
+        save_checkpoint(crawler.ctx, stats, directory)
         return directory
 
     def test_truncated_or_missing_file_never_resumes_wrong(
@@ -233,7 +233,7 @@ class TestDamagedCheckpoint:
                 else:
                     # only a relation without rows can go unnoticed
                     assert content == b""
-                    assert image(crawler, stats, database) == second
+                    assert image(crawler.ctx, stats, database) == second
                 path.write_bytes(content)
         assert refused >= 2 * 6  # blob, manifest, and the crawl's relations
 
@@ -260,15 +260,35 @@ class TestDamagedCheckpoint:
         with pytest.raises(StorageError, match="no save ordinal"):
             restore_context(crawler.ctx, published)
 
+    def test_pre_composite_frontier_image_refused(
+        self, two_saves, published
+    ) -> None:
+        """A checkpoint taken before the one-frontier format (a flat
+        single-frontier image without a format marker) must be retaken."""
+        rig = two_saves[0]
+        blob = json.loads((published / "crawl.json").read_text())
+        composite = blob["state"]["frontier"]
+        blob["state"]["frontier"] = dict(
+            composite["shards"][0], sequence=composite["sequence"]
+        )
+        (published / "crawl.json").write_text(json.dumps(blob))
+        crawler, database = rig.crawler()
+        with pytest.raises(StorageError, match="must be retaken"):
+            restore_context(crawler.ctx, published)
+        # refused before anything was taken
+        assert database.total_rows == 0
+        assert crawler.ctx.documents == []
+        assert crawler.ctx.clock.now == 0.0
+
 
 class _ImagingCheckpointer(Checkpointer):
     """Keeps the image of what the latest save captured."""
 
     latest: tuple[str, dict] | None = None
 
-    def save(self, crawler, stats) -> None:
-        super().save(crawler, stats)
-        self.latest = image(crawler, stats, crawler.ctx.loader.database)
+    def save(self, ctx, stats) -> None:
+        super().save(ctx, stats)
+        self.latest = image(ctx, stats, ctx.loader.database)
 
 
 @pytest.mark.parametrize("workers", [1, 3])

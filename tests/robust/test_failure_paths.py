@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, CrawlStats, PhaseSettings
+from repro.core.records import SOFT, CrawlStats, PhaseSettings
 from repro.errors import DNSError
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
@@ -72,9 +72,9 @@ class TestTimeoutRetries:
 
     def test_every_retry_waited_for_backoff(self, timeout_crawl) -> None:
         crawler, database, _, _, _ = timeout_crawl
-        policy = crawler.retry_policy
-        assert crawler.retry_log, "retries were scheduled"
-        for record in crawler.retry_log:
+        policy = crawler.ctx.retry_policy
+        assert crawler.ctx.retry_log, "retries were scheduled"
+        for record in crawler.ctx.retry_log:
             delay = record["not_before"] - record["scheduled_at"]
             attempt = record["attempt"]  # 1-based
             raw = min(
@@ -90,7 +90,7 @@ class TestTimeoutRetries:
 
     def test_host_ends_quarantined(self, timeout_crawl) -> None:
         crawler, _, _, host, _ = timeout_crawl
-        state = crawler._host_state(host.name)
+        state = crawler.ctx.host_state(host.name)
         assert state.bad
         assert state.trips >= 1
 
@@ -100,7 +100,7 @@ class TestTimeoutRetries:
         crawler, database, _, _, _ = timeout_crawl
         assert all("#retry" not in row["url"]
                    for row in database["crawl_log"].scan())
-        assert all("#retry" not in url for url in crawler.frontier._seen_urls)
+        assert all("#retry" not in url for url in crawler.ctx.frontier.seen_urls)
 
     def test_quarantine_deferrals_accounted(self, timeout_crawl) -> None:
         _, _, stats, _, urls = timeout_crawl
@@ -121,7 +121,7 @@ class TestHttpErrorRetries:
             undo()
         assert stats.fetch_errors > 0
         assert stats.retries > 0
-        assert crawler._host_state(host.name).bad
+        assert crawler.ctx.host_state(host.name).bad
         # a retried URL really was fetched again (duplicate stage 2 was
         # told to forget the failed fetch)
         refetched = [u for u in urls if len(crawl_log_rows(database, u)) > 1]
@@ -153,20 +153,20 @@ class TestDnsFailurePath:
         def always_fail(hostname):
             raise DNSError(f"injected failure for {hostname}")
 
-        crawler.resolver.resolve = always_fail
+        crawler.ctx.resolver.resolve = always_fail
         stats = CrawlStats()
         from repro.core.frontier import QueueEntry
 
-        crawler._visit(
+        crawler.pipeline.visit_one(
             QueueEntry(url=url, topic="ROOT/databases", priority=1.0, depth=0),
             SETTINGS, stats,
         )
         assert stats.dns_failures == 1
         assert stats.visited_urls == 0, "no fetch happened"
-        assert crawler._host_state(host).failures == 1
-        assert len(crawler.retry_log) == 1
-        assert crawler.frontier.next_ready_at() == pytest.approx(
-            crawler.retry_log[0]["not_before"]
+        assert crawler.ctx.host_state(host).failures == 1
+        assert len(crawler.ctx.retry_log) == 1
+        assert crawler.ctx.frontier.next_ready_at() == pytest.approx(
+            crawler.ctx.retry_log[0]["not_before"]
         )
 
 
@@ -175,7 +175,7 @@ class TestNonRetryableResponses:
         from repro.core.frontier import QueueEntry
 
         stats = CrawlStats()
-        crawler._visit(
+        crawler.pipeline.visit_one(
             QueueEntry(url=url, topic="ROOT/databases", priority=1.0, depth=0),
             SETTINGS, stats,
         )
@@ -191,8 +191,8 @@ class TestNonRetryableResponses:
         assert stats.not_found == 1
         assert stats.fetch_errors == 0
         assert stats.visited_urls == 1
-        assert not crawler.retry_log
-        state = crawler._host_state(host.name)
+        assert not crawler.ctx.retry_log
+        state = crawler.ctx.host_state(host.name)
         assert state.failures == 0 and not state.slow
 
     def test_redirect_loop_counted_not_retried(self, small_web) -> None:
@@ -209,8 +209,8 @@ class TestNonRetryableResponses:
             small_web.server.max_redirects = old_max
         assert stats.redirect_loops == 1
         assert stats.fetch_errors == 0
-        assert not crawler.retry_log
-        assert not crawler._host_state(parse_url(alias).host).slow
+        assert not crawler.ctx.retry_log
+        assert not crawler.ctx.host_state(parse_url(alias).host).slow
 
     def test_locked_host_counted_as_locked(self, small_web) -> None:
         crawler, _ = make_crawler(small_web)
@@ -262,8 +262,8 @@ class TestSlowHostRegression:
 
     def test_links_into_slow_hosts_are_demoted(self, small_web) -> None:
         crawler, _ = make_crawler(small_web)
-        factor = crawler.config.slow_priority_factor
-        breaker = crawler._hosts.get("slow.example.edu")
+        factor = crawler.ctx.config.slow_priority_factor
+        breaker = crawler.ctx.hosts.get("slow.example.edu")
         breaker.record_failure(0.0)
-        assert crawler._hosts.priority_factor("slow.example.edu") == factor
-        assert crawler._hosts.priority_factor("healthy.example.edu") == 1.0
+        assert crawler.ctx.hosts.priority_factor("slow.example.edu") == factor
+        assert crawler.ctx.hosts.priority_factor("healthy.example.edu") == 1.0

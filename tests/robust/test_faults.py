@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.errors import DNSError
 from repro.robust import FaultInjector, FaultWindow
 from repro.storage.bulkloader import BulkLoader
@@ -136,22 +136,22 @@ class TestBurstFailureCrawl:
 
     def test_faults_were_injected(self, burst_crawl) -> None:
         crawler, _, _, _ = burst_crawl
-        assert crawler.faults is not None
-        assert crawler.faults.injected["timeout"] > 0
+        assert crawler.ctx.faults is not None
+        assert crawler.ctx.faults.injected["timeout"] > 0
 
     def test_host_was_quarantined_and_reprobed(self, burst_crawl) -> None:
         crawler, _, stats, host = burst_crawl
-        state = crawler._host_state(host.name)
+        state = crawler.ctx.host_state(host.name)
         assert state.trips >= 1, "burst tripped the breaker"
         assert state.probes >= 1, "quarantine ended in a probation probe"
         assert stats.quarantine_deferred > 0
 
     def test_host_recovered_after_window(self, burst_crawl) -> None:
         crawler, _, stats, host = burst_crawl
-        state = crawler._host_state(host.name)
+        state = crawler.ctx.host_state(host.name)
         assert not state.bad, "probe after the window closed the breaker"
         stored_from_host = [
-            d for d in crawler.documents if d.host == host.name
+            d for d in crawler.ctx.documents if d.host == host.name
         ]
         assert stored_from_host, "pages fetched once the burst passed"
 
@@ -162,8 +162,8 @@ class TestBurstFailureCrawl:
             rows_by_url.setdefault(row["url"], []).append(row)
         for rows in rows_by_url.values():
             rows.sort(key=lambda row: row["at"])
-        assert crawler.retry_log
-        for record in crawler.retry_log:
+        assert crawler.ctx.retry_log
+        for record in crawler.ctx.retry_log:
             rows = rows_by_url.get(record["url"], [])
             attempt = record["attempt"]
             if attempt < len(rows):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.crawler import CrawledDocument
+from repro.core.records import CrawledDocument
 
 
 def make_doc(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.robust.checkpoint import (
     Checkpointer,
     restore_context,
@@ -85,11 +85,10 @@ class TestShardedKillResume:
             d.final_url for d in b.documents
         ]
         assert a.frontier.stats() == b.frontier.stats()
-        assert a.frontier.sequence.value == b.frontier.sequence.value
+        assert a.frontier._sequence == b.frontier._sequence
         assert a.hosts.to_dict() == b.hosts.to_dict()
         for shard_a, shard_b in zip(a.frontier.shards, b.frontier.shards):
-            assert shard_a.stats() == shard_b.stats()
-            assert shard_a._seen_urls == shard_b._seen_urls
+            assert shard_a.snapshot() == shard_b.snapshot()
 
     def test_worker_set_counters_survive(self, kill_resume) -> None:
         baseline, _, resumed, _ = kill_resume

@@ -21,7 +21,7 @@ import hashlib
 import pytest
 
 from repro.core import FocusedCrawler
-from repro.core.crawler import SOFT, PhaseSettings
+from repro.core.records import SOFT, PhaseSettings
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
@@ -83,12 +83,12 @@ def decision_fingerprint(crawler, stats, database) -> dict:
         "table1": stats.table1_row(),
         "counters": counters,
         "hosts_sha": sha(sorted(stats.hosts_visited)),
-        "doc_urls_sha": sha([d.final_url for d in crawler.documents]),
-        "doc_topics_sha": sha([d.topic for d in crawler.documents]),
-        "frontier": crawler.frontier.stats(),
-        "frontier_seen_sha": sha(sorted(crawler.frontier._seen_urls)),
-        "converted_formats": dict(crawler.converted_formats),
-        "retry_log": len(crawler.retry_log),
+        "doc_urls_sha": sha([d.final_url for d in crawler.ctx.documents]),
+        "doc_topics_sha": sha([d.topic for d in crawler.ctx.documents]),
+        "frontier": crawler.ctx.frontier.stats(),
+        "frontier_seen_sha": sha(sorted(crawler.ctx.frontier.seen_urls)),
+        "converted_formats": dict(crawler.ctx.converted_formats),
+        "retry_log": len(crawler.ctx.retry_log),
         "db_rows": {name: len(database[name]) for name in TABLES},
     }
 
@@ -127,7 +127,7 @@ class TestWorkerCountParity:
         assert stats.fetch_errors == 0
         assert stats.quarantine_deferred == 0
         assert stats.slow_deferred == 0
-        assert crawler.frontier.deferred_total == 0
+        assert crawler.ctx.frontier.deferred_total == 0
         assert stats.visited_urls == FETCH_BUDGET  # budget was consumed
 
     def test_more_workers_crawl_faster(self, baseline, sharded) -> None:

@@ -77,7 +77,7 @@ def assert_counters_equal(single, sharded):
     assert sharded.evictions == single.evictions
     assert sharded.dns_drops == single.dns_drops
     assert sharded.deferred_total == single.deferred_total
-    assert sharded._seen_urls == single._seen_urls
+    assert sharded.seen_urls == single.seen_urls
 
 
 @pytest.mark.parametrize("workers", [1, 3, 8])
