@@ -8,7 +8,6 @@ and also written to ``benchmarks/results/`` for later inspection.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 _RESULTS: list[tuple[str, str]] = []
@@ -20,16 +19,6 @@ def record_table(name: str, rendered: str) -> None:
     _RESULTS.append((name, rendered))
     _RESULTS_DIR.mkdir(exist_ok=True)
     path = _RESULTS_DIR / f"{name}.txt"
-    path.write_text(rendered + "\n")
-
-
-def record_json(name: str, payload: dict) -> None:
-    """Write a machine-readable result (``results/<name>.json``) and show
-    it in the terminal summary alongside the rendered tables."""
-    rendered = json.dumps(payload, indent=2)
-    _RESULTS.append((name, rendered))
-    _RESULTS_DIR.mkdir(exist_ok=True)
-    path = _RESULTS_DIR / f"{name}.json"
     path.write_text(rendered + "\n")
 
 

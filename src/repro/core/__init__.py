@@ -15,14 +15,7 @@ from repro.core.classifier import (
     TopicDecisionModel,
 )
 from repro.core.config import BingoConfig, MimePolicy
-from repro.core.crawler import FocusedCrawler
 from repro.core.dedup import DedupStats, DuplicateDetector
-from repro.core.engine import (
-    ArchetypeReview,
-    BingoEngine,
-    CrawlReport,
-    PhaseReport,
-)
 from repro.core.feature_selection import (
     FeatureScore,
     mutual_information,
@@ -38,6 +31,31 @@ from repro.core.records import (
     CrawlStats,
     PhaseSettings,
 )
+
+#: names resolved lazily (PEP 562): the crawler and the engine import
+#: :mod:`repro.pipeline`, whose context imports ``repro.core.config``
+#: and friends.  Imported eagerly here they would close that cycle, and
+#: ``import repro.pipeline`` (or ``repro.shard``) as a process's first
+#: import would meet a half-initialised ``repro.pipeline.context``.
+_LAZY = {
+    "FocusedCrawler": "repro.core.crawler",
+    "ArchetypeReview": "repro.core.engine",
+    "BingoEngine": "repro.core.engine",
+    "CrawlReport": "repro.core.engine",
+    "PhaseReport": "repro.core.engine",
+}
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
 
 __all__ = [
     "ArchetypeDecision",

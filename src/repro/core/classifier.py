@@ -20,7 +20,7 @@ tf*idf statistics.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.config import BingoConfig
@@ -349,20 +349,8 @@ class HierarchicalClassifier:
         """
         self.refresh_idf()
         self.models = {}
-        for parent in self.tree.inner_nodes():
-            children = self.tree.children_of(parent)
-            others = self.tree.others_of(parent)
-            for child in children:
-                positives = self._docs_of_subtree(training, child)
-                negatives: list[TrainingDoc] = []
-                for sibling in children:
-                    if sibling != child:
-                        negatives.extend(
-                            self._docs_of_subtree(training, sibling)
-                        )
-                negatives.extend(training.get(others, ()))
-                if not positives or not negatives:
-                    continue
+        for child, positives, negatives in self._training_splits(training):
+            if positives and negatives:
                 self.models[child] = self._train_topic(
                     child, positives, negatives
                 )
@@ -385,14 +373,41 @@ class HierarchicalClassifier:
         model version (retiring the compiled kernel) when anything was
         retrained; returns the number of models rebuilt.
         """
-        targets = frozenset(topics)
         retrained = 0
         self.refresh_idf()
+        for child, positives, negatives in self._training_splits(
+            training, frozenset(topics)
+        ):
+            if positives and negatives:
+                self.models[child] = self._train_topic(
+                    child, positives, negatives
+                )
+            else:
+                # the topic lost its last usable training data; its
+                # stale model must not keep classifying
+                self.models.pop(child, None)
+            retrained += 1
+        if retrained:
+            self.model_version += 1
+            if self._compiled is not None:
+                self._retire_kernel_stats(self._compiled)
+            self._compiled = None
+        return retrained
+
+    def _training_splits(
+        self, training: TrainingSet, only: frozenset[str] | None = None
+    ) -> Iterator[tuple[str, list[TrainingDoc], list[TrainingDoc]]]:
+        """(child, positives, negatives) per child topic, in tree order.
+
+        Positives are the child's subtree; negatives are its siblings'
+        subtrees plus the parent's OTHERS documents.  ``only`` limits
+        the walk to the named children.
+        """
         for parent in self.tree.inner_nodes():
             children = self.tree.children_of(parent)
             others = self.tree.others_of(parent)
             for child in children:
-                if child not in targets:
+                if only is not None and child not in only:
                     continue
                 positives = self._docs_of_subtree(training, child)
                 negatives: list[TrainingDoc] = []
@@ -402,22 +417,7 @@ class HierarchicalClassifier:
                             self._docs_of_subtree(training, sibling)
                         )
                 negatives.extend(training.get(others, ()))
-                if not positives or not negatives:
-                    # the topic lost its last usable training data; its
-                    # stale model must not keep classifying
-                    self.models.pop(child, None)
-                    retrained += 1
-                    continue
-                self.models[child] = self._train_topic(
-                    child, positives, negatives
-                )
-                retrained += 1
-        if retrained:
-            self.model_version += 1
-            if self._compiled is not None:
-                self._retire_kernel_stats(self._compiled)
-            self._compiled = None
-        return retrained
+                yield child, positives, negatives
 
     def _docs_of_subtree(
         self, training: TrainingSet, topic: str
@@ -497,14 +497,10 @@ class HierarchicalClassifier:
 
     # -- decision phase -------------------------------------------------------
 
-    def _kernel(self) -> CompiledClassifier | None:
-        """The compiled decision kernel, recompiled after retraining.
-
-        Returns None only while untrained; callers then take the
-        reference path.
-        """
+    def _kernel(self) -> CompiledClassifier:
+        """The compiled decision kernel, recompiled after retraining."""
         if not self.trained:
-            return None
+            raise TrainingError("classifier has not been trained")
         if (
             self._compiled is None
             or self._compiled.model_version != self.model_version
@@ -549,12 +545,7 @@ class HierarchicalClassifier:
         matvec per descent step); :meth:`classify_reference` keeps the
         per-node dict formulation the kernel is parity-tested against.
         """
-        if not self.trained:
-            raise TrainingError("classifier has not been trained")
-        kernel = self._kernel()
-        if kernel is None:
-            return self.classify_reference(doc, mode)
-        topic, confidence, path = kernel.classify(
+        topic, confidence, path = self._kernel().classify(
             self.vectorize(doc), mode, self.config.acceptance_threshold
         )
         return ClassificationResult(
@@ -570,11 +561,7 @@ class HierarchicalClassifier:
         paid once for the whole batch -- the amortised path for
         archetype re-scoring, retraining evaluation and meta-bench.
         """
-        if not self.trained:
-            raise TrainingError("classifier has not been trained")
         kernel = self._kernel()
-        if kernel is None:
-            return [self.classify_reference(doc, mode) for doc in docs]
         threshold = self.config.acceptance_threshold
         bundles = self.vectorize_many(docs)
         return [
@@ -647,21 +634,16 @@ class HierarchicalClassifier:
         one vectorization per document (cache-assisted) instead of a
         full dict projection per (document, member) pair.
         """
-        model = self.models.get(topic)
-        if model is None:
+        if topic not in self.models:
             raise TrainingError(f"no trained model for topic {topic!r}")
-        kernel = self._kernel()
-        threshold = self.config.acceptance_threshold
-        bundles = self.vectorize_many(docs)
-        if kernel is not None:
-            return [
-                confidence
-                for _positive, confidence in kernel.decide_topic_many(
-                    topic, bundles, mode, threshold
-                )
-            ]
         return [
-            model.decide(vectors, mode, threshold)[1] for vectors in bundles
+            confidence
+            for _positive, confidence in self._kernel().decide_topic_many(
+                topic,
+                self.vectorize_many(docs),
+                mode,
+                self.config.acceptance_threshold,
+            )
         ]
 
     def estimates(self) -> dict[str, list[tuple[str, XiAlphaEstimate]]]:

@@ -17,8 +17,9 @@ one-release compatibility shims (``LocalSearchEngine.cache_token``,
 CLI aliases) are now removed, and this rule keeps them from creeping
 back in.  It does the same for what was deleted since: config knobs
 (``BingoConfig.validate_storage``, ``use_compiled_kernels``), the
-per-shard coordination keywords of ``CrawlFrontier`` and the delegating
-members of ``FocusedCrawler``.
+per-shard coordination keywords of ``CrawlFrontier``, the delegating
+members of ``FocusedCrawler`` and two capabilities nobody called
+(``CompiledClassifier.decide_topic``, ``InvertedIndex.from_database``).
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ CONTRACTS: dict[str, MutationContract] = {
         ),
         funnels=frozenset(
             {
-                "__init__", "epoch", "advance_epoch", "restore_epoch",
-                "index", "rebuild", "apply_delta",
+                "__init__", "_build_corpus", "epoch", "advance_epoch",
+                "restore_epoch", "index", "rebuild", "apply_delta",
             }
         ),
     ),
@@ -69,9 +70,7 @@ CONTRACTS: dict[str, MutationContract] = {
         attrs=frozenset(
             {"_terms", "_norms", "doc_count", "postings_total"}
         ),
-        funnels=frozenset(
-            {"__init__", "build", "from_database", "apply_update"}
-        ),
+        funnels=frozenset({"__init__", "build", "apply_update"}),
     ),
     "QueryCache": MutationContract(
         attrs=frozenset(
@@ -187,6 +186,12 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "use_compiled_kernels": (
             "a trained classifier always decides through its kernel"
         ),
+    },
+    "CompiledClassifier": {
+        "decide_topic": "use decide_topic_many (it had no caller)",
+    },
+    "InvertedIndex": {
+        "from_database": "build(vectors, epoch) is the one constructor",
     },
     "CrawlFrontier": {
         "managed": (

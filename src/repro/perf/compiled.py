@@ -471,27 +471,6 @@ class CompiledClassifier:
             "wave_docs": float(self.wave_docs),
         }
 
-    def decide_topic(
-        self,
-        topic: str,
-        vectors: Mapping[str, SparseVector],
-        mode: str,
-        threshold: float,
-    ) -> tuple[bool, float]:
-        """One topic's (is_positive, confidence) -- the fast
-        ``confidence_for`` path."""
-        if mode not in MODES:
-            raise TrainingError(f"unknown decision mode {mode!r}")
-        parent = self.parent_of.get(topic)
-        level = self.levels.get(parent) if parent is not None else None
-        if level is None or topic not in level.children:
-            raise TrainingError(f"no compiled model for topic {topic!r}")
-        decisions = level.decide(vectors, mode, threshold)
-        for child, is_positive, conf in decisions:
-            if child == topic:
-                return is_positive, conf
-        raise TrainingError(f"no compiled model for topic {topic!r}")
-
     def decide_topic_many(
         self,
         topic: str,
@@ -499,7 +478,8 @@ class CompiledClassifier:
         mode: str,
         threshold: float,
     ) -> list[tuple[bool, float]]:
-        """Batch :meth:`decide_topic`: one level evaluation per group."""
+        """One topic's (is_positive, confidence) per bundle -- the
+        ``confidence_for_batch`` path: one level evaluation per group."""
         if mode not in MODES:
             raise TrainingError(f"unknown decision mode {mode!r}")
         parent = self.parent_of.get(topic)

@@ -18,8 +18,8 @@
   (:func:`~repro.portal.incremental.fold_into_classifier`), advancing
   the engine's :class:`~repro.search.epoch.Epoch`;
 * :meth:`LivingPortal.freshness` measures how stale the *served* corpus
-  is against ground truth -- the freshness-lag-vs-budget experiment
-  (``BENCH_freshness.json``) is built on this report;
+  is against ground truth -- the freshness-lag-vs-budget gate
+  (``tests/portal/test_freshness_budget.py``) is built on this report;
 * :meth:`LivingPortal.checkpoint` / :meth:`~LivingPortal.restore`
   round-trip the whole lifecycle (clock, evolution schedule, scheduler
   state including the mid-cycle pending delta, and the search epoch),

@@ -176,6 +176,12 @@ class LocalSearchEngine:
         self.candidates_ranked = 0
         if obs is not None:
             obs.register_source("search", self)
+        self._build_corpus(documents)
+        self._epoch = Epoch.initial(self.vectorizer.snapshot_version)
+
+    def _build_corpus(self, documents: Sequence[CrawledDocument]) -> None:
+        """Fresh idf statistics and vectors over ``documents``; the
+        inverted index is dropped for lazy rebuild."""
         self.documents = list(documents)
         self.vectorizer = TfIdfVectorizer()
         for document in self.documents:
@@ -191,7 +197,6 @@ class LocalSearchEngine:
         }
         self._by_id = {d.doc_id: d for d in self.documents}
         self._index: InvertedIndex | None = None
-        self._epoch = Epoch.initial(self.vectorizer.snapshot_version)
 
     # -- epoch lifecycle ----------------------------------------------------
 
@@ -273,22 +278,9 @@ class LocalSearchEngine:
         archetypes while queries are being served; call
         :meth:`apply_delta` for incremental recrawl folds.
         """
-        if documents is not None:
-            self.documents = list(documents)
-        self.vectorizer = TfIdfVectorizer()
-        for document in self.documents:
-            self.vectorizer.ingest(
-                document.counts.get("term", Counter()).keys()
-            )
-        self.vectorizer.refresh()
-        self._vectors = {
-            document.doc_id: self.vectorizer.vectorize_counts(
-                document.counts.get("term", Counter())
-            )
-            for document in self.documents
-        }
-        self._by_id = {d.doc_id: d for d in self.documents}
-        self._index = None
+        self._build_corpus(
+            self.documents if documents is None else documents
+        )
         return self.advance_epoch(reason)
 
     # -- incremental corpus updates -----------------------------------------

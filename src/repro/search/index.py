@@ -35,8 +35,7 @@ from repro.perf.topk import decode_doc_ids, encode_doc_ids
 from repro.search.epoch import Epoch
 
 if TYPE_CHECKING:
-    from repro.storage.database import Database
-    from repro.text.vectorizer import SparseVector, TfIdfVectorizer
+    from repro.text.vectorizer import SparseVector
 
 __all__ = ["Postings", "InvertedIndex", "QueryCache"]
 
@@ -104,10 +103,8 @@ class Postings:
 class InvertedIndex:
     """Sorted, compressed postings over one idf snapshot of the corpus.
 
-    Build it from the in-memory document vectors the search engine
-    already holds (:meth:`build`) or straight from the ``terms``
-    relation of the embedded store (:meth:`from_database`); both paths
-    produce identical postings for the same corpus.
+    Built from the in-memory document vectors the search engine
+    already holds (:meth:`build`).
     """
 
     def __init__(self, epoch: Epoch) -> None:
@@ -155,41 +152,6 @@ class InvertedIndex:
             index._terms[term] = Postings(ids, weights, norms)
             index.postings_total += len(ids)
         return index
-
-    @classmethod
-    def from_database(
-        cls,
-        database: "Database",
-        vectorizer: "TfIdfVectorizer | None" = None,
-    ) -> "InvertedIndex":
-        """Index the ``terms`` relation of a crawl database.
-
-        Without an explicit ``vectorizer`` a fresh one is built the way
-        :class:`~repro.search.engine.LocalSearchEngine` does: every
-        stored document is ingested into the corpus statistics and the
-        idf snapshot refreshed once, so the resulting postings carry
-        exactly the weights the engine's brute-force ranker would use.
-        """
-        from collections import Counter
-
-        from repro.text.vectorizer import TfIdfVectorizer
-
-        counts: dict[int, Counter[str]] = {}
-        for row in database["terms"].scan():
-            doc_counts = counts.setdefault(int(row["doc_id"]), Counter())
-            doc_counts[str(row["term"])] = int(row["tf"])
-        if vectorizer is None:
-            vectorizer = TfIdfVectorizer()
-            for doc_id in sorted(counts):
-                vectorizer.ingest(counts[doc_id].keys())
-            vectorizer.refresh()
-        vectors = {
-            doc_id: vectorizer.vectorize_counts(counts[doc_id])
-            for doc_id in sorted(counts)
-        }
-        return cls.build(
-            vectors, Epoch.initial(vectorizer.snapshot_version)
-        )
 
     def apply_update(
         self,

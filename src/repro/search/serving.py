@@ -152,8 +152,8 @@ class QueryServer:
     number of simulated seconds (:meth:`service_cost`) and is scheduled
     on the server's :class:`~repro.web.clock.WorkerPool`, so histograms
     and throughput numbers are bit-identical across runs.  Wall-clock
-    speed of the underlying engine is the benchmark suite's business
-    (``benchmarks/run_search.py``), not this class's.
+    speed of the underlying engine is the benchmark's business (the
+    ``serve-cold`` workload of ``benchmarks/e2e``), not this class's.
     """
 
     #: simulated seconds charged per executed query / per ranked hit;

@@ -7,16 +7,13 @@ regexes (anchors, title, comments, script/style blocks, tags) applied
 in sequence over intermediate strings, with an unmemoized Porter stem
 per word occurrence.
 
-It exists for three reasons:
+It exists for two reasons:
 
 * **golden parity** -- ``tests/text/test_golden_parity.py`` proves the
   scanner reproduces this implementation token-for-token on the
   committed corpus fixture (and the fixture generator
   ``tests/text/make_golden_fixture.py`` regenerates expectations from
   this module, never from the scanner under test);
-* **benchmarking** -- ``benchmarks/pipeline_runner.py`` measures the
-  scanner's convert docs/s against this reference on identical pages,
-  which is the machine-independent ratio CI gates on;
 * **documented divergences** -- the scanner deliberately fixes two
   bugs this implementation has (HTML entities leaking into terms as
   ``amp``/``quot``; ``<title>`` extracted from inside comments and

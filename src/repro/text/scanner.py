@@ -1,10 +1,10 @@
 """Single-pass text substrate: HTML scanner, term interner, batch tf*idf.
 
 The document analyzer (paper section 2.2) is the crawl's hot path:
-BENCH_pipeline.json put the convert stage at three quarters of total
-pipeline time, so the five-regex, four-intermediate-string pipeline in
-:mod:`repro.text.tokenizer` bounded end-to-end throughput no matter how
-fast classification got.  This module replaces it with:
+the per-stage breakdown once put the convert stage at three quarters
+of total pipeline time, so the five-regex, four-intermediate-string
+pipeline in :mod:`repro.text.tokenizer` bounded end-to-end throughput
+no matter how fast classification got.  This module replaces it with:
 
 * :func:`scan_html` -- ONE traversal of the raw HTML that strips
   comments and script/style blocks, extracts the title, collects links

@@ -642,7 +642,7 @@ def scale_web_config(seed: int = 7) -> WebGraphConfig:
     Sized so the crawl is worker-bound rather than politeness-bound:
     every host gets its own registrable domain (``distinct_domains``)
     and the failure knobs are off, so the pages/s-vs-workers curve in
-    ``benchmarks/run_scale.py`` measures scheduling capacity, not
+    ``benchmarks/bench_scale.py`` measures scheduling capacity, not
     retry/backoff noise, and Table-1 counters stay bit-identical across
     worker counts.
     """

@@ -17,6 +17,7 @@ from repro.core import BingoEngine
 from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
+from repro.errors import TrainingError
 
 from tests.core.conftest import fast_engine_config
 
@@ -136,7 +137,6 @@ class TestKernelLifecycle:
         classifier.train(training)
         first_version = classifier.model_version
         first_kernel = classifier._kernel()
-        assert first_kernel is not None
         assert first_kernel.model_version == first_version
         assert classifier._kernel() is first_kernel  # cached while valid
 
@@ -160,7 +160,8 @@ class TestKernelLifecycle:
     def test_only_an_untrained_classifier_has_no_kernel(self) -> None:
         tree = TopicTree.from_leaves(["db", "sports"])
         classifier = HierarchicalClassifier(tree, BingoConfig())
-        assert classifier._kernel() is None
+        with pytest.raises(TrainingError):
+            classifier._kernel()
         # the switch that used to force the reference path stays gone
         assert "use_compiled_kernels" not in BingoConfig.__dataclass_fields__
         with pytest.raises(TypeError):
@@ -227,7 +228,6 @@ class TestEngineKernelLifecycle:
         # at least one retraining changed the training set and retrained
         assert classifier.model_version >= 2
         kernel = classifier._kernel()
-        assert kernel is not None
         assert kernel.model_version == classifier.model_version
         probe_docs = [
             doc.counts for doc in engine.ctx.documents[:25]

@@ -66,3 +66,18 @@ class FocusedCrawler:
 def drive(crawler: FocusedCrawler) -> int:
     crawler._visit("http://h/")
     return crawler.frontier.incoming_limit + len(crawler.documents)
+
+
+class InvertedIndex:
+    @classmethod
+    def from_database(cls, database: dict) -> "InvertedIndex":
+        return cls()
+
+
+class CompiledClassifier:
+    def decide_topic(self, topic: str) -> float:
+        return 0.0
+
+
+def one_at_a_time(kernel: CompiledClassifier) -> float:
+    return kernel.decide_topic("ROOT/db")

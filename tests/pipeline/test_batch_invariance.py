@@ -87,7 +87,6 @@ class TestBatchInvariance:
     def test_batched_run_uses_batch_kernel(self, runs) -> None:
         crawler, stats, _ = runs[8]
         kernel = crawler.ctx.classifier._kernel()
-        assert kernel is not None
         assert kernel.batch_calls > 0
         # the crawl classifies exclusively through classify_batch
         assert kernel.batch_docs >= stats.stored_pages

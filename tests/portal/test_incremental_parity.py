@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.portal import EvolutionConfig, LivingPortal
 from repro.search.engine import LocalSearchEngine, RankingWeights
 
-from tests.portal.conftest import build_portal
+from tests.portal.conftest import EVOLUTION_SEED, build_engine, build_portal
 
 QUERIES = (
     "database recovery",
@@ -153,3 +154,32 @@ class TestNonEvolvingBaseline:
         assert report.stale_documents == 0
         assert report.dead_indexed == 0
         assert report.lag_max == 0.0
+
+    def test_ticks_over_a_frozen_web_change_nothing(self) -> None:
+        """Evolution ticks apply but every rate is zero: three
+        evolve + recrawl cycles must still be a strict no-op."""
+        portal = LivingPortal(
+            build_engine(),
+            evolution_config=EvolutionConfig(
+                seed=EVOLUTION_SEED,
+                mutation_rate=0.0,
+                death_rate=0.0,
+                birth_rate=0.0,
+                link_rot_rate=0.0,
+            ),
+        ).open()
+        before = [
+            (d.doc_id, d.final_url, d.topic) for d in portal.ctx.documents
+        ]
+        epoch_before = portal.search.epoch
+        for _ in range(3):
+            portal.evolve(3600.0)
+            cycle = portal.recrawl(budget=40)
+            assert cycle.search is None
+            assert cycle.recrawl.changed == 0
+        assert portal.evolution.applied_tick > 0
+        assert portal.search.epoch == epoch_before
+        assert [
+            (d.doc_id, d.final_url, d.topic) for d in portal.ctx.documents
+        ] == before
+        assert portal.freshness().unfresh == 0

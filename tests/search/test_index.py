@@ -15,7 +15,7 @@ from repro.perf.topk import (
 )
 from repro.search.engine import LocalSearchEngine
 from repro.search.epoch import Epoch
-from repro.search.index import InvertedIndex, Postings, QueryCache
+from repro.search.index import Postings, QueryCache
 from repro.storage import Database, sync_term_statistics
 
 from tests.search.conftest import make_doc
@@ -143,26 +143,6 @@ class TestInvertedIndex:
         index = engine.index()
         assert index.matching_ids(["recoveri", "code"]) == {0, 1, 2, 4}
         assert index.matching_ids(["nope"]) == set()
-
-    def test_from_database_equivalent_to_in_memory(self) -> None:
-        corpus = _corpus()
-        database = Database()
-        rows = [
-            {"doc_id": d.doc_id, "term": term, "tf": int(tf)}
-            for d in corpus
-            for term, tf in sorted(d.counts["term"].items())
-        ]
-        database.table("terms").bulk_insert(rows)
-        from_db = InvertedIndex.from_database(database)
-        engine = LocalSearchEngine(corpus)
-        in_memory = engine.index()
-        assert from_db.terms() == in_memory.terms()
-        for term in in_memory.terms():
-            a = from_db.postings(term)
-            b = in_memory.postings(term)
-            assert a.doc_ids() == b.doc_ids()
-            assert list(a.weights()) == list(b.weights())
-            assert a.max_impact == b.max_impact
 
     def test_stats_are_snake_case_floats(self) -> None:
         engine = LocalSearchEngine(_corpus())

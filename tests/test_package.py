@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -47,3 +52,25 @@ class TestSubpackageAll:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert getattr(module, name) is not None, name
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize(
+        "subpackage",
+        [
+            "analysis", "core", "experiments", "lint", "ml", "obs", "perf",
+            "pipeline", "portal", "robust", "search", "semantic", "shard",
+            "storage", "text", "web", "cli",
+        ],
+    )
+    def test_importable_as_the_first_import_of_a_process(
+        self, subpackage: str
+    ) -> None:
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import repro.{subpackage}"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -34,7 +34,8 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+_ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]
 
 from repro.text.reference import tokenize_html_reference  # noqa: E402
 
@@ -184,10 +185,11 @@ def _rendered_pages(count: int = 12) -> list[str]:
     Skips any page whose HTML contains constructs the scanner treats
     differently on purpose (entities, titles inside comments).
     """
-    from benchmarks.kernel_runner import _crawl_web  # type: ignore
     from repro.text.handlers import default_registry
+    from repro.web import SyntheticWeb
+    from tests.conftest import small_web_config
 
-    web = _crawl_web(seed=7)
+    web = SyntheticWeb.generate(small_web_config(seed=7))
     registry = default_registry()
     picked: list[str] = []
     for page in web.pages:
