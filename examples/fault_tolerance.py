@@ -34,8 +34,7 @@ from repro.core import BingoConfig, FocusedCrawler, HierarchicalClassifier
 from repro.core.records import SOFT, PhaseSettings
 from repro.core.ontology import TopicTree
 from repro.robust import Checkpointer, FaultWindow, restore_context
-from repro.text.features import AnalyzedDocument, TermSpace
-from repro.text.tokenizer import tokenize_html
+from repro.text.features import analyze_page
 from repro.web import PageRole, SyntheticWeb, WebGraphConfig
 
 WEB_CONFIG = WebGraphConfig(
@@ -62,11 +61,9 @@ def train_classifier(web, config: BingoConfig) -> HierarchicalClassifier:
     """A single-topic classifier trained straight from web contents."""
     tree = TopicTree.from_leaves(["databases"])
     classifier = HierarchicalClassifier(tree, config)
-    space = TermSpace()
 
     def counts_for(page):
-        doc = tokenize_html(web.renderer.render(page))
-        return {"term": space.extract(AnalyzedDocument(tokens=doc.tokens))}
+        return analyze_page(web.renderer.render(page))[0]
 
     positives = [
         counts_for(p)

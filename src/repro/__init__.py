@@ -18,6 +18,7 @@ See ``examples/`` for runnable end-to-end scenarios and ``DESIGN.md`` for
 the subsystem inventory.
 """
 
+from repro._lazy import lazy_exports
 from repro.errors import (
     ConfigError,
     CrawlError,
@@ -48,19 +49,13 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """Lazily re-export the headline API to keep import cost low."""
-    from importlib import import_module
-
-    lazy = {
-        "SyntheticWeb": "repro.web",
-        "WebGraphConfig": "repro.web",
-        "BingoEngine": "repro.core",
-        "BingoConfig": "repro.core",
-        "FocusedCrawler": "repro.core",
-        "TopicTree": "repro.core",
-        "LocalSearchEngine": "repro.search",
-    }
-    if name in lazy:
-        return getattr(import_module(lazy[name]), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+#: the headline API, re-exported lazily to keep import cost low
+__getattr__ = lazy_exports(__name__, {
+    "SyntheticWeb": "repro.web",
+    "WebGraphConfig": "repro.web",
+    "BingoEngine": "repro.core",
+    "BingoConfig": "repro.core",
+    "FocusedCrawler": "repro.core",
+    "TopicTree": "repro.core",
+    "LocalSearchEngine": "repro.search",
+})

@@ -7,6 +7,7 @@ with DNS prefetch, three-stage duplicate detection, the focused crawler
 with sharp/soft focus and tunnelling, and the two-phase engine.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.archetypes import ArchetypeDecision, select_archetypes
 from repro.core.classifier import (
     ClassificationResult,
@@ -37,25 +38,13 @@ from repro.core.records import (
 #: and friends.  Imported eagerly here they would close that cycle, and
 #: ``import repro.pipeline`` (or ``repro.shard``) as a process's first
 #: import would meet a half-initialised ``repro.pipeline.context``.
-_LAZY = {
+__getattr__ = lazy_exports(__name__, {
     "FocusedCrawler": "repro.core.crawler",
     "ArchetypeReview": "repro.core.engine",
     "BingoEngine": "repro.core.engine",
     "CrawlReport": "repro.core.engine",
     "PhaseReport": "repro.core.engine",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
+})
 
 __all__ = [
     "ArchetypeDecision",

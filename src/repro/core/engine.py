@@ -32,8 +32,8 @@ from repro.core.records import (
 from repro.errors import CrawlError
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
-from repro.text.features import AnalyzedDocument, FeatureSpace, TermSpace
-from repro.text.tokenizer import HtmlDocument, tokenize_html
+from repro.text.features import TERM_SPACES, FeatureSpace, analyze_page
+from repro.text.scanner import ScannedPage
 from repro.web.urls import normalize_url, parse_url
 
 __all__ = ["ArchetypeReview", "PhaseReport", "CrawlReport", "BingoEngine"]
@@ -135,7 +135,7 @@ class BingoEngine:
         }
         self.config = config or BingoConfig()
         self.config.validate()
-        self.spaces = spaces or {"term": TermSpace()}
+        self.spaces = spaces or dict(TERM_SPACES)
         self.classifier = HierarchicalClassifier(
             tree, self.config, spaces=list(self.spaces)
         )
@@ -214,19 +214,16 @@ class BingoEngine:
     # ------------------------------------------------------------------
 
     def analyze_page(
-        self, html: str, mime: str | None = None
-    ) -> tuple[dict[str, Counter], HtmlDocument]:
-        """Convert and scan a page once: its per-space counts and the
-        scanned document (links, title) they were built from."""
-        converted = self.ctx.handlers.convert(html, mime)
-        html_doc = tokenize_html(
-            converted.html if converted is not None else html
-        )
-        doc = AnalyzedDocument(tokens=html_doc.tokens)
-        counts = {
-            name: space.extract(doc) for name, space in self.spaces.items()
-        }
-        return counts, html_doc
+        self, payload: str, mime: str | None = None
+    ) -> tuple[dict[str, Counter], ScannedPage] | None:
+        """Convert and scan a payload once: its per-space counts and the
+        scanned page (links, title) they were built from.  None when no
+        content handler claims the payload -- the convert stage's
+        ``mime_rejected`` policy."""
+        converted = self.ctx.handlers.convert(payload, mime)
+        if converted is None:
+            return None
+        return analyze_page(converted.html, self.spaces)
 
     def bootstrap(self) -> None:
         """Fetch seed documents, populate OTHERS, train the first model."""
@@ -244,10 +241,13 @@ class BingoEngine:
                     result = self.web.server.fetch(url)
                     if result.ok and result.html is not None:
                         break
-                if result is None or not result.ok or result.html is None:
+                analysis = None
+                if result is not None and result.ok and result.html is not None:
+                    analysis = self.analyze_page(result.html, result.mime)
+                if analysis is None:
                     self.skipped_seeds.append(url)
                     continue
-                counts, _ = self.analyze_page(result.html, result.mime)
+                counts, _ = analysis
                 self.classifier.ingest(counts)
                 bucket[url] = _TrainingRecord(counts=counts, protected=True)
             if not bucket:
@@ -266,8 +266,9 @@ class BingoEngine:
         )
         records = {}
         for page in negatives:
-            html = self.web.renderer.render(page)
-            counts, _ = self.analyze_page(html)
+            counts, _ = analyze_page(
+                self.web.renderer.render(page), self.spaces
+            )
             self.classifier.ingest(counts)
             records[page.url] = _TrainingRecord(counts=counts, protected=True)
         for parent in self.tree.inner_nodes():

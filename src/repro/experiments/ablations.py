@@ -30,14 +30,14 @@ from repro.experiments.reporting import ExperimentTable
 from repro.ml.svm import LinearSVM
 from repro.ml.xialpha import xi_alpha_estimate
 from repro.text.features import (
-    AnalyzedDocument,
     AnchorTextSpace,
     CombinedSpace,
     TermPairSpace,
     TermSpace,
+    analyze_page,
 )
+from repro.text.scanner import text_stems
 from repro.text.stopwords import ANCHOR_STOPWORDS
-from repro.text.tokenizer import tokenize, tokenize_html
 from repro.text.vectorizer import TfIdfVectorizer
 from repro.web import PageRole, SyntheticWeb, WebGraphConfig
 
@@ -53,6 +53,11 @@ __all__ = [
     "ClassifierAblationResult",
     "run_classifier_ablation",
 ]
+
+
+def _term_counts(web: SyntheticWeb, page) -> dict[str, Counter]:
+    """A rendered page's counts under the default term-only spaces."""
+    return analyze_page(web.renderer.render(page))[0]
 
 
 def _ablation_web(seed: int = 53) -> SyntheticWeb:
@@ -179,22 +184,14 @@ def _train_topic_classifier(web: SyntheticWeb, target: str, config: BingoConfig)
     from repro.core.classifier import HierarchicalClassifier
     from repro.core.ontology import TopicTree
 
-    space = TermSpace()
-
-    def doc_of(page):
-        html = web.renderer.render(page)
-        return {
-            "term": space.extract(
-                AnalyzedDocument(tokens=tokenize_html(html).tokens)
-            )
-        }
-
     positives = [
-        doc_of(p)
+        _term_counts(web, p)
         for p in web.pages_by_topic(target)
         if p.role == PageRole.PAPER
     ][:25]
-    negatives = [doc_of(p) for p in web.negative_example_pages(25)]
+    negatives = [
+        _term_counts(web, p) for p in web.negative_example_pages(25)
+    ]
     tree = TopicTree.from_leaves([target])
     classifier = HierarchicalClassifier(tree, config)
     training = {f"ROOT/{target}": positives, "ROOT/OTHERS": negatives}
@@ -292,8 +289,6 @@ def _archetype_one_seed(
     section 3.2.  The threshold admits only candidates more confident
     than the current training mean, which blocks the borderline poison.
     """
-    from collections import Counter as _Counter
-
     from repro.core.archetypes import select_archetypes
     from repro.core.classifier import HierarchicalClassifier
     from repro.core.ontology import TopicTree
@@ -310,15 +305,6 @@ def _archetype_one_seed(
     )
     target = web.config.target_topic
     topic = f"ROOT/{target}"
-    space = TermSpace()
-
-    def doc_of(page) -> dict[str, _Counter]:
-        html = web.renderer.render(page)
-        return {
-            "term": space.extract(
-                AnalyzedDocument(tokens=tokenize_html(html).tokens)
-            )
-        }
 
     rng_master = np.random.default_rng(seed)
     # paper-faithful candidate mix: dense papers are the good archetypes
@@ -356,10 +342,11 @@ def _archetype_one_seed(
         tree = TopicTree.from_leaves([target])
         classifier = HierarchicalClassifier(tree, config)
         training: dict[int, tuple[dict, float]] = {
-            page.page_id: (doc_of(page), 0.0) for page in seeds
+            page.page_id: (_term_counts(web, page), 0.0) for page in seeds
         }
         negatives = [
-            doc_of(p) for p in web.negative_example_pages(12, seed=seed)
+            _term_counts(web, p)
+            for p in web.negative_example_pages(12, seed=seed)
         ]
         pool_rng = np.random.default_rng(seed + 1)
 
@@ -389,7 +376,7 @@ def _archetype_one_seed(
                 + list(pool_rng.choice(background_pages, 20, replace=False))
             )
             # score the whole candidate pool in one batch descent
-            pool_docs = [doc_of(page) for page in pool]
+            pool_docs = [_term_counts(web, page) for page in pool]
             pool_results = classifier.classify_batch(pool_docs)
             candidates = [
                 (page, doc, result.confidence)
@@ -433,7 +420,7 @@ def _archetype_one_seed(
         # pages, dragging this down.
         precision = ranking_precision_at_k(
             (
-                (classifier.confidence_for(doc_of(page), topic),
+                (classifier.confidence_for(_term_counts(web, page), topic),
                  page.topic == target)
                 for page in held_out
             )
@@ -478,20 +465,13 @@ def run_negatives_ablation(
     web = web or _ablation_web(seed)
     target = web.config.target_topic
     rng = np.random.default_rng(seed)
-    space = TermSpace()
-
-    def counts_of(page) -> Counter:
-        html = web.renderer.render(page)
-        return space.extract(
-            AnalyzedDocument(tokens=tokenize_html(html).tokens)
-        )
 
     positives = [
         p for p in web.pages_by_topic(target)
         if p.role in (PageRole.HOMEPAGE, PageRole.PUBLICATIONS)
     ]
     rng.shuffle(positives)
-    pos_train = [counts_of(p) for p in positives[:20]]
+    pos_train = [_term_counts(web, p)["term"] for p in positives[:20]]
 
     # systematic: directory pages spanning all categories (the paper's
     # ~50 Yahoo top-level pages); arbitrary: 5 pages of ONE category
@@ -518,7 +498,7 @@ def run_negatives_ablation(
         ("systematic (50 directory pages)", systematic_pages),
         ("arbitrary (5 same-category pages)", arbitrary_pages),
     ):
-        neg_train = [counts_of(p) for p in negative_pages]
+        neg_train = [_term_counts(web, p)["term"] for p in negative_pages]
         vectorizer = TfIdfVectorizer()
         for c in pos_train + neg_train:
             vectorizer.ingest(c.keys())
@@ -528,7 +508,9 @@ def run_negatives_ablation(
         svm = LinearSVM(C=1.0, seed=seed).fit(vectors, labels)
         counts = BinaryCounts()
         for page in test_pages:
-            vector = vectorizer.vectorize_counts(counts_of(page))
+            vector = vectorizer.vectorize_counts(
+                _term_counts(web, page)["term"]
+            )
             counts.update(
                 svm.predict(vector), 1 if page.topic == target else -1
             )
@@ -566,10 +548,7 @@ def _incoming_anchor_terms(web: SyntheticWeb) -> dict[int, list[str]]:
     for source in web.pages:
         for target_id in source.out_links:
             text = web.renderer.anchor_text(source, web.pages[target_id])
-            stems = [
-                token.stem
-                for token in tokenize(text, stopwords=ANCHOR_STOPWORDS)
-            ]
+            stems = text_stems(text, stopwords=ANCHOR_STOPWORDS)
             if stems:
                 incoming.setdefault(target_id, []).extend(stems)
     return incoming
@@ -595,12 +574,11 @@ def run_feature_space_ablation(
         ),
     }
 
-    def analyzed(page) -> AnalyzedDocument:
-        html = web.renderer.render(page)
-        return AnalyzedDocument(
-            tokens=tokenize_html(html).tokens,
+    def analyzed(page) -> dict[str, Counter]:
+        return analyze_page(
+            web.renderer.render(page), spaces,
             incoming_anchor_terms=incoming.get(page.page_id, []),
-        )
+        )[0]
 
     positives = [
         p for p in web.pages_by_topic(target)
@@ -625,13 +603,13 @@ def run_feature_space_ablation(
         [1] * (len(pos_docs) - train_per_class)
         + [-1] * (len(neg_docs) - train_per_class)
     )
-    for name, feature_space in spaces.items():
+    for name in spaces:
         train_counts = [
-            feature_space.extract(d)
+            d[name]
             for d in pos_docs[:train_per_class] + neg_docs[:train_per_class]
         ]
         test_counts = [
-            feature_space.extract(d)
+            d[name]
             for d in pos_docs[train_per_class:] + neg_docs[train_per_class:]
         ]
         vectorizer = TfIdfVectorizer()

@@ -19,8 +19,7 @@ import numpy as np
 from repro.core.feature_selection import select_features
 from repro.experiments.reporting import ExperimentTable
 from repro.ml.svm import LinearSVM
-from repro.text.features import AnalyzedDocument, TermSpace
-from repro.text.tokenizer import tokenize_html
+from repro.text.features import analyze_page
 from repro.text.vectorizer import TfIdfVectorizer
 from repro.web import PageRole, SyntheticWeb, WebGraphConfig
 
@@ -48,9 +47,7 @@ class FeatureSelectionResult:
 
 
 def _counts(web: SyntheticWeb, page) -> Counter:
-    html = web.renderer.render(page)
-    doc = AnalyzedDocument(tokens=tokenize_html(html).tokens)
-    return TermSpace().extract(doc)
+    return analyze_page(web.renderer.render(page))[0]["term"]
 
 
 def run_feature_selection_experiment(

@@ -29,8 +29,7 @@ from repro.ml.naive_bayes import NaiveBayesClassifier
 from repro.ml.rocchio import RocchioClassifier
 from repro.ml.svm import LinearSVM
 from repro.ml.xialpha import xi_alpha_estimate
-from repro.text.features import AnalyzedDocument, TermPairSpace, TermSpace
-from repro.text.tokenizer import tokenize_html
+from repro.text.features import TermPairSpace, TermSpace, analyze_page
 from repro.text.vectorizer import TfIdfVectorizer
 from repro.web import PageRole, SyntheticWeb, WebGraphConfig
 
@@ -98,9 +97,7 @@ class MetaBenchResult:
 
 
 def _extract(web: SyntheticWeb, page) -> dict:
-    html = web.renderer.render(page)
-    doc = AnalyzedDocument(tokens=tokenize_html(html).tokens)
-    return {name: space.extract(doc) for name, space in SPACES.items()}
+    return analyze_page(web.renderer.render(page), SPACES)[0]
 
 
 def _one_run(

@@ -18,8 +18,9 @@ CLI aliases) are now removed, and this rule keeps them from creeping
 back in.  It does the same for what was deleted since: config knobs
 (``BingoConfig.validate_storage``, ``use_compiled_kernels``), the
 per-shard coordination keywords of ``CrawlFrontier``, the delegating
-members of ``FocusedCrawler`` and two capabilities nobody called
-(``CompiledClassifier.decide_topic``, ``InvertedIndex.from_database``).
+members of ``FocusedCrawler``, two capabilities nobody called
+(``CompiledClassifier.decide_topic``, ``InvertedIndex.from_database``)
+and the ``ConvertStage.analyzer`` seam of the second document analyzer.
 """
 
 from __future__ import annotations
@@ -192,6 +193,12 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     },
     "InvertedIndex": {
         "from_database": "build(vectors, epoch) is the one constructor",
+    },
+    "ConvertStage": {
+        "analyzer": (
+            "the scanner is the one analyzer (a test substitutes "
+            "repro.pipeline.stages.scan_html)"
+        ),
     },
     "CrawlFrontier": {
         "managed": (

@@ -21,6 +21,7 @@ against.
   convert/analyze stages.
 """
 
+from repro._lazy import lazy_exports
 from repro.perf.cache import VectorCache
 from repro.perf.text import (
     ScannedPage,
@@ -36,24 +37,13 @@ from repro.perf.text import (
 #: through it all of :mod:`repro.text`; deferring them keeps
 #: ``import repro.perf`` cheap for callers that only want the text
 #: substrate or the vector cache.
-_LAZY = {
+__getattr__ = lazy_exports(__name__, {
     "CompiledClassifier": "repro.perf.compiled",
     "compile_classifier": "repro.perf.compiled",
     "CsrAdjacency": "repro.perf.csr_hits",
     "hits_csr": "repro.perf.csr_hits",
     "bharat_henzinger_csr": "repro.perf.csr_hits",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+})
 
 __all__ = [
     "VectorCache",

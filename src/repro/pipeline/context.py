@@ -27,7 +27,7 @@ from repro.perf.text import TermInterner
 from repro.robust.breaker import DEFER_QUARANTINE, BreakerBoard
 from repro.robust.faults import FaultInjector
 from repro.shard import WorkerSet
-from repro.text.features import TermSpace
+from repro.text.features import TERM_SPACES
 from repro.text.handlers import default_registry
 from repro.web.clock import SimulatedClock, WorkerPool
 from repro.web.dns import CachingResolver, DnsServer
@@ -71,7 +71,7 @@ class CrawlContext:
         registry + tracer on the simulated clock.  Reads crawl state,
         never mutates it."""
         self.pool = WorkerPool(self.config.crawler_threads, self.clock)
-        self.spaces = spaces or {"term": TermSpace()}
+        self.spaces = spaces or dict(TERM_SPACES)
         self.loader = None
         if loader is not None:
             self.attach_loader(loader)
@@ -80,7 +80,7 @@ class CrawlContext:
         self.handlers = default_registry()
         self.converted_formats: Counter = Counter()
         self.interner = TermInterner()
-        """The crawl's term interner: shared stem-memo and term-id
+        """The crawl's term interner: shared word and stem memo
         tables for every document the convert stage scans.  Created
         fresh per context so its hit/miss counters (surfaced through
         obs) are deterministic for the crawl."""

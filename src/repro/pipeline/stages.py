@@ -42,9 +42,9 @@ from repro.core.records import SHARP, CrawledDocument
 from repro.errors import DNSError
 from repro.perf.text import scan_html
 from repro.robust.breaker import DEFER_QUARANTINE, DEFER_SLOW
-from repro.text.features import AnalyzedDocument, TermSpace
+from repro.text.features import needs_ordered_stems, space_counts
 from repro.web.server import FetchStatus
-from repro.web.urls import is_crawlable_url, join_url, parse_url
+from repro.web.urls import is_crawlable_url, parse_url, resolve_links
 
 __all__ = [
     "STAGE_NAMES",
@@ -79,7 +79,6 @@ class CrawlItem:
     dns: object = None
     result: object = None
     """The server's fetch result."""
-    converted: object = None
     html_doc: object = None
     counts: dict | None = None
     """Per-feature-space term multisets extracted by analyze."""
@@ -270,32 +269,24 @@ class FetchStage:
 class ConvertStage:
     """Content handlers: recognised formats become HTML, then terms.
 
-    The analyzer is the single-pass scanner of :mod:`repro.perf.text`,
-    fed through the context's shared :class:`~repro.perf.text.
-    TermInterner`.  Token objects are only materialised when a
-    configured feature space actually reads positions/surfaces (any
-    space beyond the plain :class:`~repro.text.features.TermSpace`);
-    the default term-only configuration runs on the scanner's
-    ``stem_counts`` alone.  Setting :attr:`analyzer` swaps in an
-    alternative ``html -> HtmlDocument`` analyzer (the golden-parity
-    suite installs the frozen reference pipeline here).
+    The analyzer is the single-pass scanner, called through this
+    module's ``scan_html`` name (where the benchmark tracer and the
+    parity tests wrap it) and fed the context's shared
+    :class:`~repro.perf.text.TermInterner`.  The ordered token stream
+    is only materialised when a configured feature space needs it
+    (:func:`~repro.text.features.needs_ordered_stems`); the default
+    term-only configuration runs on the scanner's ``stem_counts``
+    alone.  A payload no handler claims is not analysed: it counts as
+    ``mime_rejected`` and leaves the batch.
     """
 
     name = "convert"
 
-    def __init__(self) -> None:
-        self.analyzer = None
-
     def run(self, batch: list[CrawlItem], ctx) -> list[CrawlItem]:
         stats = ctx.stats
         interner = ctx.interner
-        analyzer = self.analyzer
-        # Token objects are needed only by position/surface-aware
-        # feature spaces; recomputed per batch so swapped-in spaces are
-        # honoured.
-        with_tokens = any(
-            type(space) is not TermSpace for space in ctx.spaces.values()
-        )
+        # recomputed per batch so swapped-in spaces are honoured
+        with_tokens = needs_ordered_stems(ctx.spaces.values())
         tokens_total = 0
         stem_hits = interner.stem_table_hits
         stem_misses = interner.stem_table_misses
@@ -310,19 +301,14 @@ class ConvertStage:
                 stats.mime_rejected += 1
                 continue
             ctx.converted_formats[converted.source_format] += 1
-            item.converted = converted
-            if analyzer is not None:
-                doc = analyzer(converted.html)
-                tokens_total += len(doc.tokens)
-            else:
-                doc = scan_html(
-                    converted.html,
-                    interner,
-                    with_tokens=with_tokens,
-                    with_text=False,
-                )
-                tokens_total += sum(doc.stem_counts.values())
-            item.html_doc = doc
+            page = scan_html(
+                converted.html,
+                interner,
+                with_tokens=with_tokens,
+                with_text=False,
+            )
+            tokens_total += sum(page.stem_counts.values())
+            item.html_doc = page
             converted_items.append(item)
         if ctx.obs.enabled:
             registry = ctx.obs.registry
@@ -346,9 +332,12 @@ class ConvertStage:
 class AnalyzeStage:
     """Feature-space extraction plus link resolution.
 
-    Link resolution happens here (not in expand) because the stored
-    document record and its link rows need the resolved targets before
-    the batch reaches persist.
+    Per-space counts come from :func:`~repro.text.features.space_counts`
+    -- the same function the engine's ``analyze_page`` uses, so a page
+    analysed in the crawl and one analysed at bootstrap or on a revisit
+    cannot diverge.  Link resolution happens here (not in expand)
+    because the stored document record and its link rows need the
+    resolved targets before the batch reaches persist.
     """
 
     name = "analyze"
@@ -356,31 +345,11 @@ class AnalyzeStage:
     def run(self, batch: list[CrawlItem], ctx) -> list[CrawlItem]:
         stats = ctx.stats
         for item in batch:
-            doc = item.html_doc
-            # Fast path: a plain TermSpace is exactly Counter(stems),
-            # which the scanner already produced in first-occurrence
-            # order as stem_counts -- no token objects required.
-            # Reference analyzers (the parity seam) and richer spaces
-            # fall back to the token-based extraction.
-            stem_counts = getattr(doc, "stem_counts", None)
-            analyzed = None
-            counts = {}
-            for name, space in ctx.spaces.items():
-                if stem_counts is not None and type(space) is TermSpace:
-                    counts[name] = Counter(stem_counts)
-                else:
-                    if analyzed is None:
-                        analyzed = AnalyzedDocument(tokens=doc.tokens)
-                    counts[name] = space.extract(analyzed)
-            item.counts = counts
-            resolved: list[str] = []
-            base = item.result.final_url or item.entry.url
-            for href in item.html_doc.links:
-                absolute = join_url(base, href)
-                if absolute is not None and is_crawlable_url(absolute):
-                    resolved.append(absolute)
-            item.out_urls = resolved
-            stats.extracted_links += len(resolved)
+            item.counts = space_counts(item.html_doc, ctx.spaces)
+            item.out_urls = resolve_links(
+                item.result.final_url or item.entry.url, item.html_doc.links
+            )
+            stats.extracted_links += len(item.out_urls)
         return batch
 
 

@@ -11,9 +11,10 @@ so high-authority pages are refreshed first but every stale page
 eventually wins on staleness alone.  Change detection runs on content
 digests (:class:`~repro.portal.digests.DigestStore`): an unchanged
 fetch costs one digest comparison, a changed fetch is re-analysed
-through the engine's own convert/tokenize/feature path, a vanished page
-becomes a removal.  The resulting :class:`~repro.portal.incremental.DocumentDelta`
-is what the portal folds into the search index and the classifier.
+through the engine's ``analyze_page`` (the crawl's own convert, scan
+and feature-space path), a vanished page becomes a removal.  The
+resulting :class:`~repro.portal.incremental.DocumentDelta` is what the
+portal folds into the search index and the classifier.
 
 Checkpoint/resume mirrors the crawl's fault-tolerance story: the
 frontier snapshot, the digest store, the revisit clock and the counters
@@ -39,7 +40,7 @@ from repro.portal.incremental import DocumentDelta
 from repro.shard.frontier import ShardedFrontier
 from repro.shard.router import ShardRouter
 from repro.web.server import FetchResult, FetchStatus
-from repro.web.urls import is_crawlable_url, join_url, parse_url
+from repro.web.urls import parse_url, resolve_links
 
 __all__ = ["RecrawlReport", "RecrawlScheduler"]
 
@@ -234,16 +235,21 @@ class RecrawlScheduler:
     # -- execution -----------------------------------------------------------
 
     def _analyze(
-        self, html: str, mime: str | None, base_url: str
-    ) -> tuple[dict[str, Counter], list[str], str]:
-        """Convert + tokenize + feature-extract + resolve links."""
-        counts, html_doc = self.engine.analyze_page(html, mime)
-        out_urls = []
-        for href in html_doc.links:
-            absolute = join_url(base_url, href)
-            if absolute is not None and is_crawlable_url(absolute):
-                out_urls.append(absolute)
-        return counts, out_urls, html_doc.title
+        self, result: FetchResult, base_url: str, report: RecrawlReport
+    ) -> tuple[dict[str, Counter], list[str], str] | None:
+        """Convert + scan + feature-extract + resolve links.
+
+        A payload no content handler claims is not analysed (the
+        crawl's ``mime_rejected`` policy): it counts as an error and
+        the caller leaves its stored document as it was.
+        """
+        analysis = self.engine.analyze_page(result.html, result.mime)
+        if analysis is None:
+            report.errors += 1
+            self.total_errors += 1
+            return None
+        counts, page = analysis
+        return counts, resolve_links(base_url, page.links), page.title
 
     def _discover(self, doc: CrawledDocument) -> int:
         """Push a refreshed document's unseen out-links (new pages born
@@ -284,9 +290,12 @@ class RecrawlScheduler:
         self, entry: QueueEntry, result: FetchResult,
         report: RecrawlReport,
     ) -> None:
-        counts, out_urls, title = self._analyze(
-            result.html, result.mime, result.final_url or entry.url
+        analysis = self._analyze(
+            result, result.final_url or entry.url, report
         )
+        if analysis is None:
+            return
+        counts, out_urls, title = analysis
         classified = self.engine.classifier.classify(
             counts, mode=self.engine.config.harvesting_decision_mode
         )
@@ -339,9 +348,10 @@ class RecrawlScheduler:
             report.unchanged += 1
             self.total_unchanged += 1
             return
-        counts, out_urls, title = self._analyze(
-            result.html, result.mime, url
-        )
+        analysis = self._analyze(result, url, report)
+        if analysis is None:
+            return
+        counts, out_urls, title = analysis
         updated = dataclasses.replace(
             doc,
             mime=result.mime or doc.mime,

@@ -40,7 +40,7 @@ from repro.errors import SearchError
 from repro.perf.topk import PostingCursor, wand_topk
 from repro.search.epoch import Epoch
 from repro.search.index import InvertedIndex
-from repro.text.tokenizer import tokenize
+from repro.text.scanner import text_stems
 from repro.text.vectorizer import (
     SparseVector,
     TfIdfVectorizer,
@@ -189,14 +189,22 @@ class LocalSearchEngine:
                 document.counts.get("term", Counter()).keys()
             )
         self.vectorizer.refresh()
-        self._vectors: dict[int, SparseVector] = {
+        self._vectors = self._vectorize_all(self.documents)
+        self._by_id = {d.doc_id: d for d in self.documents}
+        self._index: InvertedIndex | None = None
+
+    def _vectorize_all(
+        self, documents: Sequence[CrawledDocument]
+    ) -> dict[int, SparseVector]:
+        """Every document's tf*idf row under the current idf snapshot:
+        a from-scratch build, and any delta that moved the corpus size
+        (and with it every idf)."""
+        return {
             document.doc_id: self.vectorizer.vectorize_counts(
                 document.counts.get("term", Counter())
             )
-            for document in self.documents
+            for document in documents
         }
-        self._by_id = {d.doc_id: d for d in self.documents}
-        self._index: InvertedIndex | None = None
 
     # -- epoch lifecycle ----------------------------------------------------
 
@@ -370,12 +378,13 @@ class LocalSearchEngine:
         self._by_id = {d.doc_id: d for d in documents}
 
         old_vectors = self._vectors
-        scope = (
-            "global" if statistics.document_count != old_count else "local"
-        )
-        if scope == "global":
-            affected = sorted(d.doc_id for d in documents)
+        dirty: set[str] = set()
+        if statistics.document_count != old_count:
+            scope = "global"
+            vectors = self._vectorize_all(documents)
+            recomputed = len(vectors)
         else:
+            scope = "local"
             delta_ids = set(changed_by_id)
             delta_ids.update(doc.doc_id for doc in added_docs)
             for doc_id in sorted(old_vectors):
@@ -384,36 +393,27 @@ class LocalSearchEngine:
                 weights = old_vectors[doc_id].weights
                 if any(term in changed_df for term in weights):
                     delta_ids.add(doc_id)
-            affected = [
-                doc_id for doc_id in sorted(delta_ids)
-                if doc_id in self._by_id
-            ]
-        affected_set = frozenset(affected)
-        vectors: dict[int, SparseVector] = {}
-        for document in documents:
-            doc_id = document.doc_id
-            if doc_id in affected_set or doc_id not in old_vectors:
-                vectors[doc_id] = self.vectorizer.vectorize_counts(
-                    document.counts.get("term", Counter())
-                )
-            else:
-                vectors[doc_id] = old_vectors[doc_id]
-        recomputed = sum(
-            1 for doc_id in vectors
-            if doc_id in affected_set or doc_id not in old_vectors
-        )
+            vectors = {}
+            for document in documents:
+                doc_id = document.doc_id
+                if doc_id in delta_ids:
+                    vectors[doc_id] = self.vectorizer.vectorize_counts(
+                        document.counts.get("term", Counter())
+                    )
+                else:
+                    vectors[doc_id] = old_vectors[doc_id]
+            recomputed = len(delta_ids)
+            dirty.update(changed_df)
+            for doc_id in sorted(old_terms):
+                dirty.update(old_terms[doc_id])
+            for doc_id in sorted(new_terms):
+                dirty.update(new_terms[doc_id])
+            for doc_id in sorted(delta_ids):
+                old_vector = old_vectors.get(doc_id)
+                if old_vector is not None:
+                    dirty.update(old_vector.weights)
+                dirty.update(vectors[doc_id].weights)
         self._vectors = vectors
-
-        dirty: set[str] = set(changed_df)
-        for doc_id in sorted(old_terms):
-            dirty.update(old_terms[doc_id])
-        for doc_id in sorted(new_terms):
-            dirty.update(new_terms[doc_id])
-        for doc_id in affected:
-            old_vector = old_vectors.get(doc_id)
-            if old_vector is not None:
-                dirty.update(old_vector.weights)
-            dirty.update(vectors[doc_id].weights)
 
         old_index = self._index
         if old_index is not None and (
@@ -464,7 +464,7 @@ class LocalSearchEngine:
     # -- ranking ------------------------------------------------------------
 
     def _query_vector(self, query: str) -> SparseVector:
-        stems = [token.stem for token in tokenize(query)]
+        stems = text_stems(query)
         if not stems:
             raise SearchError(f"query {query!r} has no indexable terms")
         return self.vectorizer.vectorize(stems)

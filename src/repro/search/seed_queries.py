@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.text.tokenizer import tokenize, tokenize_html
+from repro.text.features import analyze_page
+from repro.text.scanner import text_stems
 from repro.text.vectorizer import TfIdfVectorizer, cosine_similarity
 from repro.web.model import PageRole, PageSpec
 
@@ -69,8 +70,7 @@ class ExternalSearchEngine:
             converted = handlers.convert(payload, page.mime)
             if converted is None:
                 continue
-            tokens = tokenize_html(converted.html).tokens
-            term_counts = Counter(token.stem for token in tokens)
+            term_counts = analyze_page(converted.html)[0]["term"]
             vectorizer.ingest(term_counts.keys())
             pages.append(page)
             counts.append(term_counts)
@@ -84,8 +84,7 @@ class ExternalSearchEngine:
         if self._vectorizer is None:
             self._build_index()
         assert self._vectorizer and self._pages is not None
-        stems = [token.stem for token in tokenize(text)]
-        query_vector = self._vectorizer.vectorize(stems)
+        query_vector = self._vectorizer.vectorize(text_stems(text))
         scored = [
             SeedHit(page=page, score=cosine_similarity(query_vector, vector))
             for page, vector in zip(self._pages, self._vectors)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from xml.etree import ElementTree as ET
 
 from repro.errors import SearchError
-from repro.text.tokenizer import tokenize
+from repro.text.scanner import text_stems
 
 __all__ = ["PathStep", "XmlQuery", "QueryMatch", "parse_query"]
 
@@ -151,14 +151,14 @@ def _element_text_weights(element: ET.Element) -> dict[str, float]:
             )
         elif child.text:
             pieces.append(child.text)
-    for token in tokenize(" ".join(pieces)):
-        weights[token.stem] = weights.get(token.stem, 0.0) + 1.0
+    for stem in text_stems(" ".join(pieces)):
+        weights[stem] = weights.get(stem, 0.0) + 1.0
     return weights
 
 
 def _similarity(query_text: str, element: ET.Element) -> float:
     """Cosine between the query's stems and the element's term view."""
-    query_stems = [token.stem for token in tokenize(query_text)]
+    query_stems = text_stems(query_text)
     if not query_stems:
         return 0.0
     weights = _element_text_weights(element)

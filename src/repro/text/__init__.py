@@ -1,14 +1,16 @@
-"""Text-processing substrate: tokenization, stemming, weighting, features.
+"""Text-processing substrate: scanning, stemming, weighting, features.
 
 This package implements the IR pipeline BINGO! applies to every fetched
 document (paper section 2.2): HTML stripping, tokenization, stopword
 elimination, Porter stemming, and tf*idf term weighting, plus the richer
 feature spaces of section 3.4 (term pairs, anchor texts, neighbour terms).
+There is one document analyzer, :mod:`repro.text.scanner`; its
+:class:`~repro.text.scanner.ScannedPage` is what
+:func:`repro.text.features.space_counts` turns into per-space counts.
 """
 
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.stopwords import ANCHOR_STOPWORDS, STOPWORDS, is_stopword
-from repro.text.tokenizer import Token, html_to_text, tokenize, tokenize_html
 from repro.text.vectorizer import (
     CorpusStatistics,
     SparseVector,
@@ -37,11 +39,7 @@ __all__ = [
     "TermPairSpace",
     "TermSpace",
     "TfIdfVectorizer",
-    "Token",
     "cosine_similarity",
-    "html_to_text",
     "is_stopword",
     "stem",
-    "tokenize",
-    "tokenize_html",
 ]

@@ -17,18 +17,27 @@ spaces and lets the classifier treat them uniformly:
 Every space maps an :class:`AnalyzedDocument` to a term multiset (a
 ``Counter``); the vectorizer then applies tf*idf.  "The classifier ...
 does not have to know how feature vectors are constructed."
+
+:func:`space_counts` is the one place a scanned page meets the
+configured spaces (:func:`analyze_page` puts the scan in front of it);
+crawl, engine, recrawl and experiments all build their counts here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
 
-from repro.text.tokenizer import Token
+from repro.text.scanner import ScannedPage, scan_html
 
 __all__ = [
     "AnalyzedDocument",
+    "TERM_SPACES",
+    "analyze_page",
+    "needs_ordered_stems",
+    "space_counts",
     "FeatureSpace",
     "TermSpace",
     "TermPairSpace",
@@ -42,19 +51,16 @@ __all__ = [
 class AnalyzedDocument:
     """Everything the feature spaces may draw on for one document.
 
+    ``stems`` are the body terms in document order.
     ``incoming_anchor_terms`` are stemmed anchor-text terms from pages that
     link *to* this document; ``neighbour_terms`` are significant terms of
     hyperlink neighbours.  Both are optional -- a freshly crawled page may
     have neither until the link database fills in.
     """
 
-    tokens: Sequence[Token]
-    incoming_anchor_terms: Sequence[str] = field(default_factory=list)
-    neighbour_terms: Sequence[str] = field(default_factory=list)
-
-    @property
-    def stems(self) -> list[str]:
-        return [token.stem for token in self.tokens]
+    stems: Sequence[str]
+    incoming_anchor_terms: Sequence[str] = ()
+    neighbour_terms: Sequence[str] = ()
 
 
 class FeatureSpace:
@@ -63,7 +69,7 @@ class FeatureSpace:
     #: short identifier used as a namespace prefix in combined spaces
     name: str = "base"
 
-    def extract(self, document: AnalyzedDocument) -> Counter:
+    def extract(self, document: AnalyzedDocument) -> Counter[str]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -75,7 +81,7 @@ class TermSpace(FeatureSpace):
 
     name = "term"
 
-    def extract(self, document: AnalyzedDocument) -> Counter:
+    def extract(self, document: AnalyzedDocument) -> Counter[str]:
         return Counter(document.stems)
 
 
@@ -94,9 +100,9 @@ class TermPairSpace(FeatureSpace):
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
 
-    def extract(self, document: AnalyzedDocument) -> Counter:
+    def extract(self, document: AnalyzedDocument) -> Counter[str]:
         stems = document.stems
-        pairs: Counter = Counter()
+        pairs: Counter[str] = Counter()
         for i, left in enumerate(stems):
             for right in stems[i + 1 : i + 1 + self.window]:
                 if left == right:
@@ -114,7 +120,7 @@ class AnchorTextSpace(FeatureSpace):
 
     name = "anchor"
 
-    def extract(self, document: AnalyzedDocument) -> Counter:
+    def extract(self, document: AnalyzedDocument) -> Counter[str]:
         return Counter(document.incoming_anchor_terms)
 
 
@@ -133,7 +139,7 @@ class NeighbourTermSpace(FeatureSpace):
             raise ValueError(f"limit must be >= 1, got {limit}")
         self.limit = limit
 
-    def extract(self, document: AnalyzedDocument) -> Counter:
+    def extract(self, document: AnalyzedDocument) -> Counter[str]:
         counts = Counter(document.neighbour_terms)
         return Counter(dict(counts.most_common(self.limit)))
 
@@ -152,8 +158,8 @@ class CombinedSpace(FeatureSpace):
         if not self.spaces:
             raise ValueError("CombinedSpace requires at least one space")
 
-    def extract(self, document: AnalyzedDocument) -> Counter:
-        combined: Counter = Counter()
+    def extract(self, document: AnalyzedDocument) -> Counter[str]:
+        combined: Counter[str] = Counter()
         for space in self.spaces:
             for feature, count in space.extract(document).items():
                 combined[f"{space.name}:{feature}"] += count
@@ -162,3 +168,51 @@ class CombinedSpace(FeatureSpace):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(repr(space) for space in self.spaces)
         return f"CombinedSpace([{inner}])"
+
+
+#: the default configuration: the plain bag of stemmed terms
+TERM_SPACES: Mapping[str, FeatureSpace] = MappingProxyType(
+    {"term": TermSpace()}
+)
+
+
+def needs_ordered_stems(spaces: Iterable[FeatureSpace]) -> bool:
+    """Whether a scan must keep its ordered token stream: a plain
+    :class:`TermSpace` is exactly the scanner's ``stem_counts`` bag."""
+    return any(type(space) is not TermSpace for space in spaces)
+
+
+def space_counts(
+    page: ScannedPage,
+    spaces: Mapping[str, FeatureSpace],
+    incoming_anchor_terms: Sequence[str] = (),
+) -> dict[str, Counter[str]]:
+    """Per-space term multisets of one scanned page (scanned with
+    ``with_tokens=needs_ordered_stems(spaces.values())``)."""
+    analyzed: AnalyzedDocument | None = None
+    counts: dict[str, Counter[str]] = {}
+    for name, space in spaces.items():
+        if type(space) is TermSpace:
+            counts[name] = Counter(page.stem_counts)
+        else:
+            if analyzed is None:
+                analyzed = AnalyzedDocument(
+                    page.stems, incoming_anchor_terms
+                )
+            counts[name] = space.extract(analyzed)
+    return counts
+
+
+def analyze_page(
+    html: str,
+    spaces: Mapping[str, FeatureSpace] = TERM_SPACES,
+    incoming_anchor_terms: Sequence[str] = (),
+) -> tuple[dict[str, Counter[str]], ScannedPage]:
+    """Scan an HTML page once: its per-space counts and the scanned
+    page (title, links, anchor terms) they were built from."""
+    page = scan_html(
+        html,
+        with_tokens=needs_ordered_stems(spaces.values()),
+        with_text=False,
+    )
+    return space_counts(page, spaces, incoming_anchor_terms), page

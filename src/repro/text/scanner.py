@@ -2,29 +2,29 @@
 
 The document analyzer (paper section 2.2) is the crawl's hot path:
 the per-stage breakdown once put the convert stage at three quarters
-of total pipeline time, so the five-regex, four-intermediate-string
-pipeline in :mod:`repro.text.tokenizer` bounded end-to-end throughput
-no matter how fast classification got.  This module replaces it with:
+of total pipeline time.  This module is the repo's one analyzer --
+every path from markup or plain text to stems goes through it:
 
 * :func:`scan_html` -- ONE traversal of the raw HTML that strips
   comments and script/style blocks, extracts the title, collects links
   and anchor-text terms, and emits stemmed body terms, without ever
   materialising an intermediate cleaned string;
+* :func:`text_stems` / :func:`tokenize_text` -- the same word filter
+  and stem memo over plain text (queries, anchor texts);
 * :class:`TermInterner` -- a memoized ``raw word -> (surface, stem)``
   and ``surface -> stem`` table in front of the Porter stemmer (the
   stemmer is pure, and word frequencies are Zipfian, so one dict hit
-  replaces the five-phase algorithm for almost every occurrence), plus
-  a ``stem -> int`` term-id registry;
+  replaces the five-phase algorithm for almost every occurrence);
 * :func:`vectorize_batch` -- tf*idf rows for a whole micro-batch in
   one wave against the idf snapshot, sharing the per-term idf gather
   and the ``1 + log(tf)`` dampening table across the batch.
 
 Parity contract: on markup without HTML entities, without titles or
 anchors inside comments/script blocks, and without unterminated
-comments/blocks, :func:`scan_html` reproduces the frozen reference
-implementation (:mod:`repro.text.reference`) byte for byte -- same
-text, title, tokens (stem/surface/position), links, and anchor terms.
-The golden corpus test pins this.  The deliberate divergences are
+comments/blocks, :func:`scan_html` reproduces the frozen five-regex
+reference (``tests/text/reference.py``) byte for byte -- same text,
+title, tokens (stem/surface/position), links, and anchor terms.  The
+golden corpus test pins this.  The deliberate divergences are
 fixes: known HTML entities are decoded instead of leaking ``amp`` /
 ``quot`` terms, titles inside comments are ignored, and unterminated
 comments/blocks swallow their content instead of leaking it.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from html import unescape
 from typing import cast
 
@@ -46,6 +46,7 @@ __all__ = [
     "TermInterner",
     "ScannedPage",
     "scan_html",
+    "text_stems",
     "tokenize_text",
     "vectorize_batch",
     "default_interner",
@@ -87,10 +88,6 @@ _HREF_RE = re.compile(
 )
 
 
-def _plain_token(stem: str, surface: str, position: int) -> object:
-    return (stem, surface, position)
-
-
 #: word-table probe sentinel (``None`` is a real value: "filtered out")
 _MISS: object = object()
 
@@ -98,19 +95,16 @@ _MISS: object = object()
 class TermInterner:
     """Shared memo tables for the scanner's per-word work.
 
-    Three layers, from coarse to fine:
+    Two layers, from coarse to fine:
 
     * the *word table* maps a raw matched word (case and quote
       decoration included) straight to its interned ``(surface, stem)``
       pair, or ``None`` if the default body filter drops it -- one dict
       hit replaces lowercase/strip/stopword-check/stem;
     * the *stem table* memoizes ``surface -> stem`` across the pure
-      Porter stemmer;
-    * the *term-id registry* assigns each distinct stem a dense int id
-      (``term_id`` / ``term``), giving downstream kernels an
-      array-friendly vocabulary.
+      Porter stemmer.
 
-    Hit/miss tallies for the first two layers are kept as plain int
+    Hit/miss tallies for both layers are kept as plain int
     attributes; :meth:`stats` snapshots them for observability.  The
     tables are append-only and derived from pure functions, so sharing
     an interner across documents (or crawls) never changes any output,
@@ -121,8 +115,6 @@ class TermInterner:
         "_stemmer",
         "_word_table",
         "_stem_table",
-        "_ids",
-        "_terms",
         "stem_table_hits",
         "stem_table_misses",
         "intern_hits",
@@ -133,8 +125,6 @@ class TermInterner:
         self._stemmer = PorterStemmer()
         self._word_table: dict[str, tuple[str, str] | None] = {}
         self._stem_table: dict[str, str] = {}
-        self._ids: dict[str, int] = {}
-        self._terms: list[str] = []
         self.stem_table_hits = 0
         self.stem_table_misses = 0
         self.intern_hits = 0
@@ -148,29 +138,9 @@ class TermInterner:
             self.stem_table_misses += 1
             stemmed = self._stemmer.stem(surface)
             table[surface] = stemmed
-            if stemmed not in self._ids:
-                self._ids[stemmed] = len(self._terms)
-                self._terms.append(stemmed)
         else:
             self.stem_table_hits += 1
         return stemmed
-
-    def term_id(self, stem: str) -> int:
-        """Dense int id for ``stem`` (assigned on first use)."""
-        ids = self._ids
-        tid = ids.get(stem)
-        if tid is None:
-            tid = len(self._terms)
-            ids[stem] = tid
-            self._terms.append(stem)
-        return tid
-
-    def term(self, term_id: int) -> str:
-        """Inverse of :meth:`term_id`."""
-        return self._terms[term_id]
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot (snake_case keys, obs-ready)."""
@@ -180,7 +150,6 @@ class TermInterner:
             "stem_table_misses": self.stem_table_misses,
             "intern_hits": self.intern_hits,
             "intern_misses": self.intern_misses,
-            "interned_terms": len(self._terms),
         }
 
 
@@ -189,9 +158,10 @@ class ScannedPage:
 
     ``stem_counts`` is the bag of body terms in first-occurrence order
     -- identical in content and iteration order to
-    ``Counter(t.stem for t in tokens)``, but produced without building
-    token objects.  ``tokens`` and ``text`` are only populated when the
-    caller asked for them (the pipeline hot path does not).
+    ``Counter(stems)``, but produced without building per-word tuples.
+    ``tokens`` (``(stem, surface, position)`` tuples) and ``text`` are
+    only populated when the caller asked for them (the default
+    term-only pipeline does not).
     """
 
     __slots__ = (
@@ -204,7 +174,7 @@ class ScannedPage:
         links: list[str],
         anchor_terms: dict[str, list[str]],
         stem_counts: dict[str, int],
-        tokens: list[object] | None,
+        tokens: list[tuple[str, str, int]] | None,
         text: str | None,
     ) -> None:
         self.title = title
@@ -214,12 +184,19 @@ class ScannedPage:
         self.tokens = tokens
         self.text = text
 
+    @property
+    def stems(self) -> list[str]:
+        """Body stems in document order (a ``with_tokens`` scan only)."""
+        if self.tokens is None:
+            raise ValueError("page was scanned without tokens")
+        return [token[0] for token in self.tokens]
+
 
 _default_interner: TermInterner | None = None
 
 
 def default_interner() -> TermInterner:
-    """Process-wide interner backing the compatibility API."""
+    """Process-wide interner for callers outside a crawl context."""
     global _default_interner
     if _default_interner is None:
         _default_interner = TermInterner()
@@ -230,16 +207,14 @@ def scan_html(
     html: str,
     interner: TermInterner | None = None,
     *,
-    min_length: int = 2,
     with_tokens: bool = True,
     with_text: bool = True,
-    token_factory: Callable[[str, str, int], object] = _plain_token,
 ) -> ScannedPage:
     """Run the full document analyzer in one traversal of ``html``.
 
     Every character is visited once: markup constructs advance the
     scan, word matches flow through the interner into ``stem_counts``
-    (and optionally into token objects), anchors accumulate links and
+    (and optionally into token tuples), anchors accumulate links and
     anchor-text terms under the extended stopword set, and the first
     completed ``<title>`` outside comments/blocks is captured as a raw
     span, entity-decoded, and stripped.
@@ -255,20 +230,14 @@ def scan_html(
 
     word_table = interner._word_table
     stem_table = interner._stem_table
-    ids = interner._ids
-    terms = interner._terms
     porter_stem = interner._stemmer.stem
     stem_hits = 0
     stem_misses = 0
     word_hits = 0
     word_misses = 0
-    # The word table bakes in the default body filter; a non-default
-    # min_length must bypass it (custom stopword sets never reach the
-    # scanner -- the body filter is always STOPWORDS).
-    use_word_table = min_length == 2
 
     stem_counts: dict[str, int] = {}
-    tokens: list[object] | None = [] if with_tokens else None
+    tokens: list[tuple[str, str, int]] | None = [] if with_tokens else None
     parts: list[str] | None = [] if with_text else None
     links: list[str] = []
     anchor_terms: dict[str, list[str]] = {}
@@ -285,32 +254,11 @@ def scan_html(
     def _emit(word: str) -> None:
         nonlocal position, stem_hits, stem_misses, word_hits, word_misses
         entry: tuple[str, str] | None
-        if use_word_table:
-            probed = word_table.get(word, _MISS)
-            if probed is _MISS:
-                word_misses += 1
-                surface = word.lower().strip("'")
-                if len(surface) < 2 or surface in STOPWORDS:
-                    entry = None
-                else:
-                    stemmed = stem_table.get(surface)
-                    if stemmed is None:
-                        stem_misses += 1
-                        stemmed = porter_stem(surface)
-                        stem_table[surface] = stemmed
-                        if stemmed not in ids:
-                            ids[stemmed] = len(terms)
-                            terms.append(stemmed)
-                    else:
-                        stem_hits += 1
-                    entry = (surface, stemmed)
-                word_table[word] = entry
-            else:
-                word_hits += 1
-                entry = cast("tuple[str, str] | None", probed)
-        else:
+        probed = word_table.get(word, _MISS)
+        if probed is _MISS:
+            word_misses += 1
             surface = word.lower().strip("'")
-            if len(surface) < min_length or surface in STOPWORDS:
+            if len(surface) < 2 or surface in STOPWORDS:
                 entry = None
             else:
                 stemmed = stem_table.get(surface)
@@ -318,18 +266,19 @@ def scan_html(
                     stem_misses += 1
                     stemmed = porter_stem(surface)
                     stem_table[surface] = stemmed
-                    if stemmed not in ids:
-                        ids[stemmed] = len(terms)
-                        terms.append(stemmed)
                 else:
                     stem_hits += 1
                 entry = (surface, stemmed)
+            word_table[word] = entry
+        else:
+            word_hits += 1
+            entry = cast("tuple[str, str] | None", probed)
         if entry is not None:
             surface, stemmed = entry
             count = stem_counts.get(stemmed)
             stem_counts[stemmed] = 1 if count is None else count + 1
             if tokens is not None:
-                tokens.append(token_factory(stemmed, surface, position))
+                tokens.append((stemmed, surface, position))
             position += 1
         if anchor_list is not None:
             # Anchor text runs under the extended stopword set at the
@@ -342,9 +291,6 @@ def scan_html(
                     stem_misses += 1
                     stemmed_a = porter_stem(surface_a)
                     stem_table[surface_a] = stemmed_a
-                    if stemmed_a not in ids:
-                        ids[stemmed_a] = len(terms)
-                        terms.append(stemmed_a)
                 else:
                     stem_hits += 1
                 anchor_list.append(stemmed_a)
@@ -469,6 +415,30 @@ def scan_html(
     )
 
 
+def _surfaces(
+    text: str, min_length: int, stopwords: frozenset[str]
+) -> Iterator[str]:
+    """Lowercased, quote-stripped words that pass the length/stopword
+    filter -- the reference tokenizer's word shape and order."""
+    for match in _WORD_RE.finditer(text):
+        surface = match.group().lower().strip("'")
+        if len(surface) >= min_length and surface not in stopwords:
+            yield surface
+
+
+def text_stems(
+    text: str,
+    interner: TermInterner | None = None,
+    *,
+    stopwords: frozenset[str] = STOPWORDS,
+) -> list[str]:
+    """Ordered stems of plain text (queries, anchor texts)."""
+    if interner is None:
+        interner = default_interner()
+    stem = interner.stem
+    return [stem(surface) for surface in _surfaces(text, 2, stopwords)]
+
+
 def tokenize_text(
     text: str,
     interner: TermInterner | None = None,
@@ -476,26 +446,20 @@ def tokenize_text(
     min_length: int = 2,
     stopwords: frozenset[str] = STOPWORDS,
     stem: bool = True,
-    token_factory: Callable[[str, str, int], object] = _plain_token,
-) -> list[object]:
-    """Plain-text tokenization through the interner's stem memo.
+) -> list[tuple[str, str, int]]:
+    """Plain text as ``(stem, surface, position)`` tuples.
 
     Semantically identical to the reference ``tokenize`` (lowercase,
     quote-strip, length/stopword filter, Porter stem), just memoized.
     """
     if interner is None:
         interner = default_interner()
-    intern_stem = interner.stem
-    tokens: list[object] = []
-    position = 0
-    for match in _WORD_RE.finditer(text):
-        surface = match.group().lower().strip("'")
-        if len(surface) < min_length or surface in stopwords:
-            continue
-        stemmed = intern_stem(surface) if stem else surface
-        tokens.append(token_factory(stemmed, surface, position))
-        position += 1
-    return tokens
+    return [
+        (interner.stem(surface) if stem else surface, surface, position)
+        for position, surface in enumerate(
+            _surfaces(text, min_length, stopwords)
+        )
+    ]
 
 
 def vectorize_batch(

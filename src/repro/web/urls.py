@@ -11,6 +11,7 @@ hash used for first-stage duplicate elimination.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "join_url",
     "url_hash",
     "is_crawlable_url",
+    "resolve_links",
 ]
 
 MAX_HOSTNAME_LENGTH = 255
@@ -131,3 +133,14 @@ def is_crawlable_url(url: str) -> bool:
     if parsed is None:
         return False
     return len(parsed.host) <= MAX_HOSTNAME_LENGTH
+
+
+def resolve_links(base: str, hrefs: Iterable[str]) -> list[str]:
+    """The crawlable absolute targets of a page's raw hrefs, in
+    document order (duplicates preserved)."""
+    resolved = []
+    for href in hrefs:
+        absolute = join_url(base, href)
+        if absolute is not None and is_crawlable_url(absolute):
+            resolved.append(absolute)
+    return resolved

@@ -11,8 +11,7 @@ from repro.core.records import SHARP, SOFT, PhaseSettings
 from repro.core.ontology import TopicTree
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
-from repro.text.features import TermSpace
-from repro.text.tokenizer import tokenize_html
+from repro.text.features import analyze_page
 from repro.web import PageRole
 
 from tests.core.conftest import fast_engine_config
@@ -22,14 +21,9 @@ def make_trained_classifier(web, config: BingoConfig) -> HierarchicalClassifier:
     """Train a single-topic classifier directly from web page contents."""
     tree = TopicTree.from_leaves(["databases"])
     classifier = HierarchicalClassifier(tree, config)
-    space = TermSpace()
 
     def counts_for(page):
-        html = web.renderer.render(page)
-        doc = tokenize_html(html)
-        from repro.text.features import AnalyzedDocument
-
-        return {"term": space.extract(AnalyzedDocument(tokens=doc.tokens))}
+        return analyze_page(web.renderer.render(page))[0]
 
     positives = [
         counts_for(p)

@@ -81,3 +81,11 @@ class CompiledClassifier:
 
 def one_at_a_time(kernel: CompiledClassifier) -> float:
     return kernel.decide_topic("ROOT/db")
+
+
+class ConvertStage:
+    analyzer = None
+
+
+def second_analyzer(stage: ConvertStage) -> None:
+    stage.analyzer = str.lower

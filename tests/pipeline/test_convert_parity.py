@@ -1,10 +1,13 @@
 """End-to-end convert parity: scanner path vs frozen reference analyzer.
 
-:class:`~repro.pipeline.stages.ConvertStage` exposes an ``analyzer``
-seam; installing :func:`repro.text.reference.tokenize_html_reference`
+:class:`~repro.pipeline.stages.ConvertStage` reaches the scanner
+through the module-level name ``repro.pipeline.stages.scan_html`` (the
+same name the benchmark tracer wraps).  Substituting an adapter from
+``tests/text/reference.py`` to :class:`~repro.text.scanner.ScannedPage`
 there runs the whole crawl on the pre-rewrite five-regex pipeline
-(tokens recounted per feature space) while everything else stays the
-same.  The synthetic web renders no HTML entities and no comments --
+(the term bag recounted from its token stream) while everything else
+stays the same -- no production seam needed.  The synthetic web
+renders no HTML entities and no comments --
 the constructs the scanner deliberately fixes -- so both paths must
 produce **identical** crawls: every Table-1 stat, every stored title,
 every per-document term bag, every tf*idf vector, and the simulated
@@ -16,16 +19,36 @@ swapping the text substrate changed nothing observable.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import FocusedCrawler
 from repro.core.records import SOFT, PhaseSettings
-from repro.text.reference import tokenize_html_reference
+from repro.pipeline import stages
+from repro.text.scanner import ScannedPage
 from repro.web import SyntheticWeb
 
 from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
+from tests.text.reference import tokenize_html_reference
+
+
+def reference_scan(
+    html, interner=None, *, with_tokens=True, with_text=True
+) -> ScannedPage:
+    """``scan_html``'s signature over the frozen reference pipeline."""
+    doc = tokenize_html_reference(html)
+    return ScannedPage(
+        title=doc.title,
+        links=doc.links,
+        anchor_terms=doc.anchor_terms,
+        stem_counts=dict(Counter(t.stem for t in doc.tokens)),
+        tokens=[(t.stem, t.surface, t.position) for t in doc.tokens]
+        if with_tokens else None,
+        text=doc.text if with_text else None,
+    )
 
 
 def run_soft_crawl(use_reference_analyzer: bool):
@@ -33,14 +56,15 @@ def run_soft_crawl(use_reference_analyzer: bool):
     config = fast_engine_config(max_retries=2)
     classifier = make_trained_classifier(web, config)
     crawler = FocusedCrawler(web, classifier, config)
-    if use_reference_analyzer:
-        crawler.pipeline.convert.analyzer = tokenize_html_reference
     crawler.seed(
         web.seed_homepages(3), topic="ROOT/databases", priority=10.0
     )
-    stats = crawler.crawl(
-        PhaseSettings(name="t", focus=SOFT, fetch_budget=100)
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if use_reference_analyzer:
+            patch.setattr(stages, "scan_html", reference_scan)
+        stats = crawler.crawl(
+            PhaseSettings(name="t", focus=SOFT, fetch_budget=100)
+        )
     return crawler, stats
 
 

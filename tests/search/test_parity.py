@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from repro.search.engine import LocalSearchEngine, RankingWeights
-from repro.text.tokenizer import tokenize
+from repro.text.scanner import text_stems
 
 from tests.search.conftest import make_doc
 
@@ -54,7 +54,7 @@ QUERIES = [
 
 
 def _stems() -> dict[str, str]:
-    return {word: tokenize(word)[0].stem for word in WORDS}
+    return {word: text_stems(word)[0] for word in WORDS}
 
 
 def random_corpus(seed: int, size: int) -> list:

@@ -6,7 +6,7 @@ Usage::
 
 Writes ``tests/text/golden_corpus.json``: a corpus of HTML pages with
 the full analyzer output (title, text, tokens, links, anchor terms) as
-produced by :mod:`repro.text.reference` -- the frozen pre-scanner
+produced by ``tests/text/reference.py`` -- the frozen pre-scanner
 implementation.  ``tests/text/test_golden_parity.py`` asserts the
 single-pass scanner reproduces every expectation byte for byte.
 
@@ -37,7 +37,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]
 
-from repro.text.reference import tokenize_html_reference  # noqa: E402
+from tests.text.reference import tokenize_html_reference  # noqa: E402
 
 FIXTURE = Path(__file__).parent / "golden_corpus.json"
 

@@ -1,9 +1,8 @@
 """The historical multi-pass tokenizer, frozen as the parity oracle.
 
-This module preserves, verbatim, the regex pipeline that
-:mod:`repro.text.tokenizer` shipped before the single-pass scanner of
-:mod:`repro.perf.text` replaced it on the hot path: five compiled
-regexes (anchors, title, comments, script/style blocks, tags) applied
+This module preserves, verbatim, the regex pipeline the repo shipped
+before the single-pass scanner of :mod:`repro.text.scanner` replaced
+it: five compiled regexes (anchors, title, comments, script/style blocks, tags) applied
 in sequence over intermediate strings, with an unmemoized Porter stem
 per word occurrence.
 
@@ -21,22 +20,47 @@ It exists for two reasons:
   what changed.
 
 Do not "fix" or modernise this module: its value is that it does not
-change.
+change.  It lives beside its only callers (the fixture generator and
+the parity tests) and carries its own output records, so no
+production module depends on it.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ANCHOR_STOPWORDS, STOPWORDS
-from repro.text.tokenizer import HtmlDocument, Token
 
 __all__ = [
+    "Token",
+    "HtmlDocument",
     "tokenize_reference",
     "html_to_text_reference",
     "tokenize_html_reference",
 ]
+
+
+@dataclass(frozen=True)
+class Token:
+    """A single stemmed term with its surface form and position."""
+
+    stem: str
+    surface: str
+    position: int
+
+
+@dataclass
+class HtmlDocument:
+    """The reference analyzer's output for one HTML page."""
+
+    text: str
+    title: str
+    tokens: list[Token]
+    links: list[str] = field(default_factory=list)
+    anchor_terms: dict[str, list[str]] = field(default_factory=dict)
+    """Map from target URL to the stemmed anchor-text terms that point at it."""
 
 _WORD_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9']*")
 _TAG_RE = re.compile(r"<[^>]*>")

@@ -14,12 +14,12 @@ from repro.text.features import (
     TermPairSpace,
     TermSpace,
 )
-from repro.text.tokenizer import tokenize
+from repro.text.scanner import text_stems
 
 
 def doc(text: str, anchors=(), neighbours=()) -> AnalyzedDocument:
     return AnalyzedDocument(
-        tokens=tokenize(text),
+        stems=text_stems(text),
         incoming_anchor_terms=list(anchors),
         neighbour_terms=list(neighbours),
     )
@@ -61,7 +61,7 @@ class TestTermPairSpace:
         window = 3
         document = doc(" ".join(words))
         counts = TermPairSpace(window=window).extract(document)
-        n = len(document.tokens)
+        n = len(document.stems)
         assert sum(counts.values()) <= n * window
 
 

@@ -14,7 +14,7 @@ from repro.text.handlers import (
     WordHandler,
     default_registry,
 )
-from repro.text.tokenizer import tokenize_html
+from repro.text.scanner import scan_html
 from repro.web.model import MimeType
 
 
@@ -39,17 +39,17 @@ class TestIndividualHandlers:
         handler = PdfHandler()
         assert handler.sniff(PDF)
         html = handler.convert(PDF)
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert doc.title == "query optimization"
-        assert "databas" in [t.stem for t in doc.tokens]
+        assert "databas" in doc.stems
         assert doc.links == ["http://x.example/p"]
 
     def test_word_conversion(self) -> None:
         handler = WordHandler()
         assert handler.sniff(WORD)
         html = handler.convert(WORD)
-        doc = tokenize_html(html)
-        stems = [t.stem for t in doc.tokens]
+        doc = scan_html(html)
+        stems = doc.stems
         assert "databas" in stems
         assert "pard" not in stems  # control words stripped
         assert doc.links == ["http://y.example/"]
@@ -58,8 +58,8 @@ class TestIndividualHandlers:
         handler = PowerPointHandler()
         assert handler.sniff(PPT)
         html = handler.convert(PPT)
-        doc = tokenize_html(html)
-        stems = [t.stem for t in doc.tokens]
+        doc = scan_html(html)
+        stems = doc.stems
         assert "index" in stems
         assert "join" in stems
         assert doc.links == ["http://z.example/"]
@@ -131,7 +131,7 @@ class TestEndToEndWithRenderer:
         assert payload is not None
         result = default_registry().convert(payload, mime)
         assert result is not None
-        doc = tokenize_html(result.html)
+        doc = scan_html(result.html)
         assert len(doc.tokens) > 20
         # out-links survive the format conversion
         targets = {web.pages[t].url for t in page.out_links}
@@ -146,7 +146,7 @@ class TestEndToEndWithRenderer:
         )
         payload = web.renderer.payload(page)
         result = default_registry().convert(payload, MimeType.PDF)
-        doc = tokenize_html(result.html)
+        doc = scan_html(result.html)
         expected = {web.pages[t].url for t in page.out_links}
         # every canonical target is reachable via some rendered href
         # (hrefs may point at alias/copy URLs of the same page)

@@ -18,12 +18,17 @@ output and the old (wrong) output so the divergence stays documented:
 
 from __future__ import annotations
 
-from repro.text.reference import tokenize_html_reference
-from repro.text.tokenizer import tokenize_html
+from repro.text.scanner import scan_html
+
+from tests.text.reference import tokenize_html_reference
 
 
 def surfaces(doc) -> list[str]:
-    return [t.surface for t in doc.tokens]
+    """Surface forms of a scanned page (plain tuples) or of a reference
+    document (``Token`` records)."""
+    return [
+        t[1] if isinstance(t, tuple) else t.surface for t in doc.tokens
+    ]
 
 
 class TestEntityDecoding:
@@ -32,7 +37,7 @@ class TestEntityDecoding:
             "<html><body>AT&amp;T says &quot;hello world&quot;"
             "</body></html>"
         )
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert surfaces(doc) == ["says", "hello", "world"]
         assert "amp" not in surfaces(doc)
         assert "quot" not in surfaces(doc)
@@ -41,14 +46,14 @@ class TestEntityDecoding:
         assert "amp" in surfaces(old) and "quot" in surfaces(old)
 
     def test_accented_entity_keeps_word_prefix(self) -> None:
-        doc = tokenize_html("<p>Caf&eacute; menu</p>")
+        doc = scan_html("<p>Caf&eacute; menu</p>")
         assert surfaces(doc) == ["caf", "menu"]
         assert "eacute" not in surfaces(doc)
 
     def test_numeric_references_merge_into_words(self) -> None:
-        doc = tokenize_html("<p>x&#65;y and A&#x42;C</p>")
+        doc = scan_html("<p>x&#65;y and A&#x42;C</p>")
         assert surfaces(doc) == ["xay", "abc"]
-        assert [t.stem for t in doc.tokens] == ["xai", "abc"]
+        assert doc.stems == ["xai", "abc"]
         # old pipeline mangled the decimal form into ``x42``
         assert surfaces(tokenize_html_reference(
             "<p>x&#65;y and A&#x42;C</p>")) == ["x42"]
@@ -58,11 +63,11 @@ class TestEntityDecoding:
         name, so parity holds (the fix only covers *known* entities)."""
         for html in ("<p>fish &amp chips</p>",
                      "<p>weird &bogusent; thing</p>"):
-            assert surfaces(tokenize_html(html)) \
+            assert surfaces(scan_html(html)) \
                 == surfaces(tokenize_html_reference(html))
 
     def test_title_is_entity_decoded(self) -> None:
-        doc = tokenize_html("<title>Tom &amp; Jerry</title>")
+        doc = scan_html("<title>Tom &amp; Jerry</title>")
         assert doc.title == "Tom & Jerry"
 
 
@@ -72,7 +77,7 @@ class TestTitlePlacement:
             "<!-- <title>ghost</title> -->"
             "<title>Real</title><p>body</p>"
         )
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert doc.title == "Real"
         # the reference grabbed the commented-out one
         assert tokenize_html_reference(html).title == "ghost"
@@ -82,11 +87,11 @@ class TestTitlePlacement:
             "<script>var t = '<title>ghost</title>';</script>"
             "<title>Real</title>"
         )
-        assert tokenize_html(html).title == "Real"
+        assert scan_html(html).title == "Real"
 
     def test_first_completed_title_wins(self) -> None:
         html = "<title>One</title><title>Two</title>"
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert doc.title == "One"
         assert doc.title == tokenize_html_reference(html).title
 
@@ -97,7 +102,7 @@ class TestCommentAndBlockSwallowing:
             '<!-- <a href="http://ghost.example/">ghost</a> -->'
             "<p>seen</p>"
         )
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert doc.links == []
         assert doc.anchor_terms == {}
         assert surfaces(doc) == ["seen"]
@@ -108,12 +113,12 @@ class TestCommentAndBlockSwallowing:
 
     def test_unterminated_comment_swallows_tail(self) -> None:
         html = "visible <!-- hidden tail words"
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert surfaces(doc) == ["visible"]
         assert "hidden" in surfaces(tokenize_html_reference(html))
 
     def test_unterminated_style_block_swallows_tail(self) -> None:
         html = "<p>shown</p><style>p{} leaked"
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         assert surfaces(doc) == ["shown"]
         assert "leaked" in surfaces(tokenize_html_reference(html))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.text.tokenizer import tokenize_html
+from repro.text.scanner import scan_html
 from repro.web import (
     FetchStatus,
     MimeType,
@@ -40,7 +40,7 @@ class TestRenderer:
     def test_rendered_links_resolve_to_out_links(self, web) -> None:
         page = next(p for p in web.pages if p.out_links)
         html = web.renderer.render(page)
-        doc = tokenize_html(html)
+        doc = scan_html(html)
         target_ids = set()
         for href in doc.links:
             entry = web.url_map.get(href)
