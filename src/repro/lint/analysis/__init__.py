@@ -4,10 +4,6 @@ These rules consume the :class:`~repro.lint.graph.ProjectIndex` the
 engine builds after parsing every file, instead of a single module
 AST.  They enforce the invariants that only exist *between* files:
 
-* :mod:`repro.lint.analysis.taint` -- ``clock-taint`` / ``rng-taint``:
-  interprocedural dataflow from wall-clock and unseeded-RNG sources
-  into frontier/scheduler/classifier decision sites, catching values
-  laundered through helpers that the per-call rules cannot see;
 * :mod:`repro.lint.analysis.contracts` -- ``epoch-mutation``: state
   behind the typed Epoch (engine vectors, inverted index, query cache,
   idf snapshot, classifier models) may only change inside its
@@ -25,6 +21,6 @@ Importing this package registers every rule, exactly like
 
 from __future__ import annotations
 
-from repro.lint.analysis import contracts, isolation, schema, taint
+from repro.lint.analysis import contracts, isolation, schema
 
-__all__ = ["contracts", "isolation", "schema", "taint"]
+__all__ = ["contracts", "isolation", "schema"]

@@ -11,16 +11,15 @@ checked property: any mutation of contract state whose receiver is
 provably one of the guarded classes, from outside that class's
 sanctioned methods, is a finding.
 
-``deprecated-api`` guards the other half of the PR 9 bargain: the
-one-release compatibility shims (``LocalSearchEngine.cache_token``,
-``LocalSearchEngine.refresh()``, the top-level ``crawl``/``queryload``
-CLI aliases) are now removed, and this rule keeps them from creeping
-back in.  It does the same for what was deleted since: config knobs
-(``BingoConfig.validate_storage``, ``use_compiled_kernels``), the
-per-shard coordination keywords of ``CrawlFrontier``, the delegating
-members of ``FocusedCrawler``, two capabilities nobody called
-(``CompiledClassifier.decide_topic``, ``InvertedIndex.from_database``)
-and the ``ConvertStage.analyzer`` seam of the second document analyzer.
+``deprecated-api`` keeps recently deleted members from creeping back
+while call sites written against them may still be in flight: two
+capabilities nobody called (``CompiledClassifier.decide_topic``,
+``InvertedIndex.from_database``), the ``ConvertStage.analyzer`` seam of
+the second document analyzer, and the in-process wall-clock timers
+(``StageEvent.elapsed``, ``Obs.wall_stage_seconds``,
+``LocalSearchEngine.query_seconds``).  An entry expires one ROADMAP
+re-anchor after the PR that recorded it; by then a stay-gone test or a
+``TypeError`` from the constructor holds the line.
 """
 
 from __future__ import annotations
@@ -159,35 +158,10 @@ class EpochMutation(Rule):
             )
 
 
-#: the FocusedCrawler delegates removed with the facade that now read
-#: ``crawler.ctx.<public name>``
-_CONTEXT_DELEGATES = (
-    "web", "classifier", "config", "clock", "pool", "spaces", "loader",
-    "obs", "on_document", "on_retrain", "handlers", "converted_formats",
-    "resolver", "frontier", "dedup", "retry_policy", "retry_log",
-    "documents", "faults", "document_by_url", "_url_to_doc", "_hosts",
-    "_domains", "_docs_since_retrain", "_log_sequence", "_prefetch_dns",
-    "_host_state", "_host_has_capacity", "_domain_state",
-    "_domain_has_capacity", "_schedule_retry", "_defer_entry",
-    "_log_fetch",
-)
-
 #: class name -> removed member -> replacement guidance.  Uses are
 #: only flagged when the receiver provably types as that class --
-#: "refresh" is far too common a name to flag on sight.
+#: "elapsed" is far too common a name to flag on sight.
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
-    "LocalSearchEngine": {
-        "cache_token": "read engine.epoch instead",
-        "refresh": "call rebuild(reason=...) instead",
-    },
-    "BingoConfig": {
-        "validate_storage": (
-            "the engine's store always validates its rows"
-        ),
-        "use_compiled_kernels": (
-            "a trained classifier always decides through its kernel"
-        ),
-    },
     "CompiledClassifier": {
         "decide_topic": "use decide_topic_many (it had no caller)",
     },
@@ -200,20 +174,16 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
             "repro.pipeline.stages.scan_html)"
         ),
     },
-    "CrawlFrontier": {
-        "managed": (
-            "one frontier makes every queue decision across its shards"
-        ),
-        "sequence": "the frontier owns its admission counter",
+    "StageEvent": {
+        "elapsed": "benchmarks/e2e measures pipeline.<stage>.busy_s",
     },
-    "FocusedCrawler": {
-        **{
-            name: f"use crawler.ctx.{name.lstrip('_')}"
-            for name in _CONTEXT_DELEGATES
-        },
-        "_visit": "use crawler.pipeline.visit_one",
-        "_store_rows": "use crawler.pipeline.persist._store_rows",
-        "_enqueue_links": "use crawler.pipeline.expand.enqueue_links",
+    "Obs": {
+        "wall_stage_seconds": (
+            "benchmarks/e2e measures pipeline.<stage>.busy_s"
+        ),
+    },
+    "LocalSearchEngine": {
+        "query_seconds": "benchmarks/e2e measures search.search.busy_s",
     },
 }
 _REMOVED_NAMES = frozenset(
@@ -223,22 +193,22 @@ _REMOVED_NAMES = frozenset(
 
 @register
 class DeprecatedApi(Rule):
-    """Flag reintroduction or use of removed compatibility shims."""
+    """Flag reintroduction or use of recently removed members."""
 
     id = "deprecated-api"
     scope = "project"
     description = (
-        "removed shims and knobs (LocalSearchEngine.cache_token/refresh, "
-        "_deprecated_alias CLI wrappers, BingoConfig.validate_storage/"
-        "use_compiled_kernels, CrawlFrontier(managed=), the "
-        "FocusedCrawler delegates) must not be reintroduced"
+        "members deleted since the last re-anchor (decide_topic, "
+        "from_database, ConvertStage.analyzer, StageEvent.elapsed, "
+        "Obs.wall_stage_seconds, LocalSearchEngine.query_seconds) must "
+        "not be reintroduced"
     )
     rationale = (
-        "PR 9 shipped the shims as one-release bridges and the next "
-        "release removed them; code that defines or calls them again "
-        "would resurrect the untyped (version, generation) cache token "
-        "and the alias maze the typed Epoch replaced.  A deleted config "
-        "knob that comes back doubles the configurations to test."
+        "A simplicity PR deletes a second path; a branch written "
+        "against the old surface that lands afterwards would quietly "
+        "bring it back.  The table names the replacement at the call "
+        "site, and entries expire after one re-anchor so it does not "
+        "grow with every deletion."
     )
 
     def check_project(
@@ -249,18 +219,7 @@ class DeprecatedApi(Rule):
             if symbol.name in _REMOVED_MEMBERS:
                 yield from self._check_definitions(index, symbol)
         for qualname in sorted(index.functions):
-            function = index.functions[qualname]
-            if function.name == "_deprecated_alias":
-                yield self.finding_at(
-                    function.module.display_path,
-                    function.line,
-                    0,
-                    "_deprecated_alias was removed with the top-level "
-                    "crawl/queryload aliases; register subcommands "
-                    "under the portal group directly",
-                )
-                continue
-            yield from self._check_uses(index, function)
+            yield from self._check_uses(index, index.functions[qualname])
 
     def _check_definitions(
         self, index: ProjectIndex, symbol: ClassSymbol

@@ -13,7 +13,6 @@ Examples::
     python -m repro.lint src --format json
     python -m repro.lint src --select no-wall-clock,no-unseeded-random
     python -m repro.lint src --write-baseline   # grandfather the rest
-    python -m repro.lint src --graph-out graph.json
     python -m repro.lint --list-rules
 """
 
@@ -72,13 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="list every registered rule and exit",
     )
-    parser.add_argument(
-        "--graph-out", metavar="PATH", default=None,
-        help=(
-            "dump the whole-program symbol table and call graph as "
-            "JSON to PATH ('-' for stdout) after linting"
-        ),
-    )
     return parser
 
 
@@ -130,18 +122,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         return _usage_error(f"no such path: {', '.join(missing)}")
 
-    engine = LintEngine(rules=rules)
-    findings, index = engine.analyze(
-        paths, want_index=args.graph_out is not None
-    )
-    if args.graph_out is not None and index is not None:
-        from repro.lint.graph import render_graph_json
-
-        rendered = render_graph_json(index)
-        if args.graph_out == "-":
-            print(rendered, end="")
-        else:
-            Path(args.graph_out).write_text(rendered, encoding="utf-8")
+    findings = LintEngine(rules=rules).run(paths)
 
     baseline_path = (
         Path(args.baseline)

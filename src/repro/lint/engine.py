@@ -26,13 +26,10 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.graph import ProjectIndex
 
 __all__ = [
     "DEFAULT_EXCLUDED_DIRS",
@@ -258,22 +255,14 @@ class LintEngine:
     # -- the run ---------------------------------------------------------
 
     def run(self, paths: Iterable[Path | str]) -> list[Finding]:
-        """Lint ``paths``; returns findings in canonical sorted order."""
-        findings, _ = self.analyze(paths)
-        return findings
-
-    def analyze(
-        self, paths: Iterable[Path | str], want_index: bool = False
-    ) -> "tuple[list[Finding], ProjectIndex | None]":
-        """Lint ``paths`` and (optionally) return the project index.
+        """Lint ``paths``; returns findings in canonical sorted order.
 
         Module-scope rules run per file as each parses; project-scope
         rules run once over the :class:`~repro.lint.graph.
-        ProjectIndex` built from every successfully parsed file.  The
-        index is only built when a project rule is active or the
-        caller asked for it (``--graph-out``).  Per-line suppressions
-        apply to project findings exactly as to module findings, via
-        the finding's display path.
+        ProjectIndex` built from every successfully parsed file (only
+        when such a rule is active).  Per-line suppressions apply to
+        project findings exactly as to module findings, via the
+        finding's display path.
         """
         files = self.iter_files(paths)
         project = self.build_project(files)
@@ -295,8 +284,7 @@ class LintEngine:
                 for finding in rule.check(loaded, project):
                     if not loaded.is_suppressed(finding):
                         findings.append(finding)
-        index: "ProjectIndex | None" = None
-        if want_index or project_rules:
+        if project_rules:
             from repro.lint.graph import ProjectIndex
 
             index = ProjectIndex.build(units)
@@ -306,7 +294,7 @@ class LintEngine:
                     unit = by_path.get(finding.path)
                     if unit is None or not unit.is_suppressed(finding):
                         findings.append(finding)
-        return sorted(findings), index
+        return sorted(findings)
 
 
 def _class_attributes(node: ast.ClassDef) -> set[str]:

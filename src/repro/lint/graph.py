@@ -1,8 +1,8 @@
 """The project indexer and call graph behind whole-program passes.
 
-Per-file rules see one AST at a time; the contract checkers introduced
-with bingolint v2 (clock/RNG taint flow, epoch-mutation,
-shard-isolation, stats-schema) need to reason about the *program*:
+Per-file rules see one AST at a time; the contract checkers
+(epoch-mutation, deprecated-api, shard-isolation, stats-schema) need
+to reason about the *program*:
 which function calls which, what class a receiver expression resolves
 to, and which methods are reachable from which entry points.  This
 module builds that picture statically, from the same
@@ -16,21 +16,19 @@ consume:
   project classes where that is provable, and to nothing otherwise;
 * **call edges**: direct calls, ``self.``-method dispatch through the
   project's base-class chains, and method calls on expressions whose
-  class is known.  Unresolvable calls keep their dotted *external*
-  target (``time.time``) so the taint engine can classify them.
+  class is known.
 
 Everything is deterministic: modules, classes, functions and edges are
-always iterated and serialised in sorted order, so the JSON dump
-(``python -m repro.lint --graph-out``) is byte-identical across runs.
+always built and iterated in sorted order, so findings derived from
+the index are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 
-from repro.lint.engine import ModuleUnit, dotted_name, resolve_call_target
+from repro.lint.engine import ModuleUnit, dotted_name
 
 __all__ = [
     "CallSite",
@@ -38,7 +36,6 @@ __all__ = [
     "FunctionSymbol",
     "ProjectIndex",
     "TypeRef",
-    "render_graph_json",
 ]
 
 #: subscriptable annotation heads treated as containers of their
@@ -73,20 +70,11 @@ class TypeRef:
 class CallSite:
     """One call expression inside a function body."""
 
-    caller: str
-    """Qualname of the enclosing function (module qualname for calls
-    in module-level code)."""
     line: int
     col: int
     node: ast.Call
     callee: str | None = None
     """Qualname of the resolved *project* function, when resolvable."""
-    target: str | None = None
-    """Import-resolved dotted target (``time.monotonic``,
-    ``np.random.default_rng`` -> ``numpy.random.default_rng``);
-    present for external and project calls alike."""
-    receiver: ast.expr | None = None
-    """The ``x`` of an ``x.m(...)`` attribute call, for taint chaining."""
 
 
 @dataclass
@@ -128,10 +116,6 @@ class ClassSymbol:
     """Method name -> function qualname (own methods only)."""
     attr_types: dict[str, TypeRef] = field(default_factory=dict)
     """``self.x`` attribute name -> provable type."""
-
-    @property
-    def line(self) -> int:
-        return self.node.lineno
 
 
 def _scope_statements(node: ast.AST) -> list[ast.stmt]:
@@ -195,15 +179,10 @@ class ProjectIndex:
     """Symbol table, type map and call graph over a set of modules."""
 
     def __init__(self) -> None:
-        self.modules: dict[str, ModuleUnit] = {}
         self.classes: dict[str, ClassSymbol] = {}
         self.functions: dict[str, FunctionSymbol] = {}
         self._classes_by_name: dict[str, list[str]] = {}
         self._callers_of: dict[str, list[CallSite]] = {}
-        self.caches: dict[str, object] = {}
-        """Scratch space for analyses that run once per index (the
-        taint dataflow memoises its result here so the clock and RNG
-        rules share a single fixpoint computation)."""
 
     # -- construction -----------------------------------------------------
 
@@ -211,9 +190,6 @@ class ProjectIndex:
     def build(cls, units: list[ModuleUnit]) -> "ProjectIndex":
         index = cls()
         ordered = sorted(units, key=lambda unit: unit.display_path)
-        for unit in ordered:
-            if unit.module_name and unit.module_name not in index.modules:
-                index.modules[unit.module_name] = unit
         for unit in ordered:
             index._collect_symbols(unit)
         for qualname in sorted(index.classes):
@@ -611,16 +587,13 @@ class ProjectIndex:
     # -- call edges -------------------------------------------------------
 
     def _collect_calls(self, function: FunctionSymbol) -> None:
-        unit = function.module
         for expression in scope_expressions(function.node):
             if not isinstance(expression, ast.Call):
                 continue
             site = CallSite(
-                caller=function.qualname,
                 line=expression.lineno,
                 col=expression.col_offset,
                 node=expression,
-                target=resolve_call_target(unit, expression.func),
             )
             callee = self._resolve_callee(function, expression)
             if callee is not None:
@@ -628,8 +601,6 @@ class ProjectIndex:
                 self._callers_of.setdefault(
                     callee.qualname, []
                 ).append(site)
-            if isinstance(expression.func, ast.Attribute):
-                site.receiver = expression.func.value
             function.calls.append(site)
 
     def _resolve_callee(
@@ -659,12 +630,6 @@ class ProjectIndex:
     def callers_of(self, qualname: str) -> list[CallSite]:
         return list(self._callers_of.get(qualname, []))
 
-    def classes_named(self, name: str) -> list[ClassSymbol]:
-        return [
-            self.classes[qualname]
-            for qualname in sorted(self._classes_by_name.get(name, []))
-        ]
-
     def reachable_from(self, roots: list[str]) -> list[str]:
         """Qualnames of every function reachable via resolved call
         edges from ``roots`` (roots included), sorted."""
@@ -679,63 +644,3 @@ class ProjectIndex:
                 if site.callee is not None and site.callee not in seen:
                     stack.append(site.callee)
         return sorted(seen)
-
-    # -- serialisation ----------------------------------------------------
-
-    def to_dict(self) -> dict[str, object]:
-        symbols: list[dict[str, object]] = []
-        for qualname in sorted(self.classes):
-            symbol = self.classes[qualname]
-            symbols.append(
-                {
-                    "qualname": qualname,
-                    "kind": "class",
-                    "path": symbol.module.display_path,
-                    "line": symbol.line,
-                }
-            )
-        for qualname in sorted(self.functions):
-            function = self.functions[qualname]
-            symbols.append(
-                {
-                    "qualname": qualname,
-                    "kind": function.kind,
-                    "path": function.module.display_path,
-                    "line": function.line,
-                }
-            )
-        symbols.sort(
-            key=lambda entry: (str(entry["qualname"]), str(entry["kind"]))
-        )
-        edges: list[dict[str, object]] = []
-        for qualname in sorted(self.functions):
-            for site in self.functions[qualname].calls:
-                if site.callee is None:
-                    continue
-                edges.append(
-                    {
-                        "caller": site.caller,
-                        "callee": site.callee,
-                        "line": site.line,
-                        "col": site.col,
-                    }
-                )
-        edges.sort(
-            key=lambda edge: (
-                str(edge["caller"]),
-                int(str(edge["line"])),
-                int(str(edge["col"])),
-                str(edge["callee"]),
-            )
-        )
-        return {
-            "version": 1,
-            "modules": sorted(self.modules),
-            "symbols": symbols,
-            "edges": edges,
-        }
-
-
-def render_graph_json(index: ProjectIndex) -> str:
-    """Canonical JSON dump of the symbol table and call edges."""
-    return json.dumps(index.to_dict(), indent=2, sort_keys=True) + "\n"

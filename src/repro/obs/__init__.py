@@ -9,8 +9,7 @@ surface:
 * :mod:`repro.obs.api` -- the stable contract: the typed
   :class:`~repro.obs.api.StageEvent` pipeline hooks receive, the
   :class:`~repro.obs.api.Instrumented` ``stats() -> dict[str, float]``
-  protocol every subsystem's counters hide behind, and the one-release
-  adapter for legacy positional hooks;
+  protocol every subsystem's counters hide behind;
 * :mod:`repro.obs.registry` -- a deterministic
   :class:`~repro.obs.registry.MetricsRegistry` (counters / gauges /
   fixed-bucket histograms, timestamps from the simulated clock, never
@@ -27,7 +26,10 @@ every :class:`~repro.pipeline.context.CrawlContext`; the pipeline
 driver, the robustness layer, the bulk loader, the perf kernels and the
 search engine all report into it.  Instrumentation never mutates crawl
 state: a run with ``BingoConfig.instrumentation`` off is bit-identical
-on every Table-1 counter to the same run with it on.
+on every Table-1 counter to the same run with it on.  Everything here
+is simulated time and counts, so a snapshot is byte-identical across
+runs with one seed; wall seconds are measured from outside, by
+``benchmarks/e2e/trace.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.obs.export import (
     to_prometheus,
     write_metrics,
 )
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 __all__ = [
@@ -58,7 +60,6 @@ __all__ = [
     "Tracer",
     "Span",
     "Obs",
-    "WALL_SECONDS_BUCKETS",
     "ProgressReporter",
     "to_prometheus",
     "parse_prometheus",
@@ -66,12 +67,6 @@ __all__ = [
     "from_json",
     "write_metrics",
 ]
-
-
-#: wall-time histogram boundaries (seconds per stage batch)
-WALL_SECONDS_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
-)
 
 
 class Obs:
@@ -91,14 +86,6 @@ class Obs:
         self.enabled = enabled
         self.registry = MetricsRegistry(clock=clock, enabled=enabled)
         self.tracer = Tracer(clock=clock, maxlen=trace_ring, enabled=enabled)
-        self.wall_stage_seconds: dict[str, Histogram] = {}
-        """Per-stage histograms of *wall-clock* batch durations.
-
-        Deliberately kept OUTSIDE the registry: ``snapshot()`` must stay
-        bit-identical across identical runs, and wall time never is.
-        This sidecar exists for perf triage (the pipeline benchmark's
-        stage breakdown reads the same events) and is exported by no
-        snapshot/Prometheus path."""
 
     def register_source(
         self,
@@ -110,19 +97,9 @@ class Obs:
     # -- pipeline --------------------------------------------------------
 
     def record_stage_event(self, event: StageEvent) -> None:
-        """Charge one stage invocation's deterministic counters.
-
-        ``event.elapsed`` (wall time) goes only into the
-        :attr:`wall_stage_seconds` sidecar, never into the registry --
-        snapshots stay bit-identical across runs.
-        """
+        """Charge one stage invocation's counters to the registry."""
         if not self.enabled:
             return
-        wall = self.wall_stage_seconds.get(event.stage)
-        if wall is None:
-            wall = Histogram(WALL_SECONDS_BUCKETS)
-            self.wall_stage_seconds[event.stage] = wall
-        wall.observe(event.elapsed)
         registry = self.registry
         registry.counter("pipeline_stage_batches_total").labels(
             stage=event.stage

@@ -15,9 +15,9 @@ registry/tracer implementation:
   in_size, out_size, elapsed)`` form and its deprecation-period adapter
   were removed after their one-release grace window.
 
-Only :attr:`StageEvent.elapsed` is wall-clock time (it feeds the
-pipeline benchmark); everything recorded into the metrics registry is
-deterministic and timestamped by the simulated clock.
+Nothing here is wall-clock time: a :class:`StageEvent` carries counts,
+and everything recorded into the metrics registry is deterministic and
+timestamped by the simulated clock.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class StageEvent:
     """Index of the micro-batch round this invocation belongs to."""
     in_size: int
     out_size: int
-    elapsed: float
-    """Real (wall-clock) seconds spent inside the stage -- the basis of
-    the pipeline benchmark, and deliberately *not* recorded into the
-    deterministic metrics registry."""
     extras: Mapping[str, float] = field(default_factory=dict)
     """Stage-specific detail (e.g. ``accepted`` on classify)."""
 

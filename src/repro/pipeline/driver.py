@@ -30,19 +30,16 @@ trade for the kernel speedup.
 
 Observability (:mod:`repro.obs`): every stage invocation produces one
 typed :class:`~repro.obs.api.StageEvent` delivered to hooks registered
-via :meth:`CrawlPipeline.add_hook` (legacy positional 4-argument hooks
-are adapted with a :class:`DeprecationWarning`), charges the context's
-metrics registry, and is traced as a span nested under its micro-batch
-round and crawl phase.  ``StageEvent.elapsed`` is real (wall-clock)
-seconds spent in the stage -- the basis of the pipeline benchmark --
-while the registry and spans record only deterministic, simulated-time
-data.  A hook that raises is isolated: the exception is counted as
+via :meth:`CrawlPipeline.add_hook`, charges the context's metrics
+registry, and is traced as a span nested under its micro-batch round
+and crawl phase.  Events, registry and spans carry only deterministic
+counts and simulated time; per-stage wall seconds are measured from
+outside, by ``benchmarks/e2e`` (``pipeline.<stage>.busy_s``).  A hook
+that raises is isolated: the exception is counted as
 ``pipeline_hook_errors_total`` and the batch continues.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.records import CrawlStats
 from repro.obs.api import StageEvent
@@ -94,9 +91,7 @@ class CrawlPipeline:
                    parent=None) -> list[CrawlItem]:
         obs = self.ctx.obs
         span = obs.tracer.start(stage.name, kind="stage", parent=parent)
-        started = time.perf_counter()
         out = stage.run(batch, self.ctx)
-        elapsed = time.perf_counter() - started
         extras: dict[str, float] = {}
         if stage.name == "classify":
             accepted = sum(
@@ -121,7 +116,6 @@ class CrawlPipeline:
             batch_index=self.batch_index,
             in_size=len(batch),
             out_size=len(out),
-            elapsed=elapsed,
             extras=extras,
         ))
         return out

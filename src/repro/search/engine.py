@@ -27,7 +27,6 @@ Two ranking paths produce bit-identical results:
 from __future__ import annotations
 
 import heapq
-import time
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
@@ -168,11 +167,7 @@ class LocalSearchEngine:
         self.queries_failed = 0
         """Queries rejected with a :class:`~repro.errors.SearchError`
         (invalid weights, no indexable terms).  Failed queries still
-        count into :attr:`queries` and accumulate latency."""
-        self.query_seconds = 0.0
-        """Wall-clock seconds spent in :meth:`search` (diagnostic only;
-        never fed back into the simulated clock or the registry
-        counters proper -- it surfaces through :meth:`stats`)."""
+        count into :attr:`queries`."""
         self.candidates_ranked = 0
         if obs is not None:
             obs.register_source("search", self)
@@ -665,13 +660,11 @@ class LocalSearchEngine:
 
         Component scores are min-max normalised over the filtered set
         before the weighted linear combination, so weights are comparable
-        across schemes.  Counter and latency accounting is consistent on
-        every path: failed queries (invalid weights, no indexable terms)
-        increment :attr:`queries` and :attr:`queries_failed` and still
-        accumulate :attr:`query_seconds`.
+        across schemes.  Counter accounting is consistent on every path:
+        failed queries (invalid weights, no indexable terms) increment
+        both :attr:`queries` and :attr:`queries_failed`.
         """
         weights = weights or RankingWeights()
-        started = time.perf_counter()
         self.queries += 1
         registry = self.obs.registry if self.obs is not None else None
         if registry is not None:
@@ -697,21 +690,14 @@ class LocalSearchEngine:
             if registry is not None:
                 registry.counter("search_queries_failed_total").inc()
             raise
-        finally:
-            self.query_seconds += time.perf_counter() - started
 
     # -- observability ------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Query counters (:class:`repro.obs.api.Instrumented`).
-
-        ``query_seconds`` is wall-clock latency -- the one diagnostic
-        source stat that is not deterministic across machines.
-        """
+        """Query counters (:class:`repro.obs.api.Instrumented`)."""
         stats = {
             "queries": float(self.queries),
             "queries_failed": float(self.queries_failed),
-            "query_seconds": float(self.query_seconds),
             "candidates_ranked": float(self.candidates_ranked),
             "documents_indexed": float(len(self.documents)),
             "generation": float(self.generation),

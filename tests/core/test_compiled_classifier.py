@@ -165,9 +165,7 @@ class TestKernelLifecycle:
         # the switch that used to force the reference path stays gone
         assert "use_compiled_kernels" not in BingoConfig.__dataclass_fields__
         with pytest.raises(TypeError):
-            BingoConfig(
-                use_compiled_kernels=False  # bingolint: disable=deprecated-api
-            )
+            BingoConfig(use_compiled_kernels=False)
 
     def test_vector_cache_hits_and_snapshot_invalidation(self) -> None:
         tree = TopicTree.from_leaves(["db"])

@@ -284,8 +284,6 @@ def test_shard_count_mismatch_is_refused() -> None:
 
 def test_per_shard_coordination_keywords_stay_gone() -> None:
     with pytest.raises(TypeError):
-        CrawlFrontier(managed=True)  # bingolint: disable=deprecated-api
+        CrawlFrontier(managed=True)
     with pytest.raises(TypeError):
-        CrawlFrontier(
-            sequence=object()  # bingolint: disable=deprecated-api
-        )
+        CrawlFrontier(sequence=object())

@@ -34,11 +34,14 @@ def lint_source(tmp_path):
     return _lint
 
 
-def normalize(findings: list[Finding]) -> list[Finding]:
-    """Replace machine-specific paths with the file's basename."""
+def normalize(findings: list[Finding], root: Path) -> list[Finding]:
+    """Replace machine-specific paths with the path below ``root``."""
     from dataclasses import replace
 
     return [
-        replace(finding, path=Path(finding.path).name)
+        replace(
+            finding,
+            path=Path(finding.path).resolve().relative_to(root).as_posix(),
+        )
         for finding in findings
     ]

@@ -1,71 +1,5 @@
-"""Fixture: removed shims and knobs being defined and used again."""
-
-
-class LocalSearchEngine:
-    def __init__(self) -> None:
-        self.generation = 0
-
-    @property
-    def cache_token(self) -> tuple[int, int]:
-        return (0, self.generation)
-
-    def refresh(self) -> None:
-        self.generation += 1
-
-
-def peek(engine: LocalSearchEngine) -> tuple[int, int]:
-    return engine.cache_token
-
-
-def bump(engine: LocalSearchEngine) -> None:
-    engine.refresh()
-
-
-def _deprecated_alias(name: str) -> str:
-    return name
-
-
-class BingoConfig:
-    seed: int = 0
-    validate_storage: bool = False
-
-
-def unchecked(config: BingoConfig) -> bool:
-    return config.validate_storage
-
-
-def debugging() -> BingoConfig:
-    return BingoConfig(validate_storage=True)
-
-
-def reference_only() -> BingoConfig:
-    return BingoConfig(use_compiled_kernels=False)
-
-
-class CrawlFrontier:
-    def __init__(self, incoming_limit: int = 10) -> None:
-        self.incoming_limit = incoming_limit
-
-
-def shard_of_a_coordinator() -> CrawlFrontier:
-    return CrawlFrontier(incoming_limit=5, managed=True)
-
-
-class FocusedCrawler:
-    def __init__(self, config: BingoConfig) -> None:
-        self.ctx = config
-
-    @property
-    def frontier(self) -> CrawlFrontier:
-        return CrawlFrontier()
-
-    def _visit(self, entry: str) -> None:
-        pass
-
-
-def drive(crawler: FocusedCrawler) -> int:
-    crawler._visit("http://h/")
-    return crawler.frontier.incoming_limit + len(crawler.documents)
+"""Fixture: recently removed members being defined and used again."""
+from dataclasses import dataclass
 
 
 class InvertedIndex:
@@ -89,3 +23,36 @@ class ConvertStage:
 
 def second_analyzer(stage: ConvertStage) -> None:
     stage.analyzer = str.lower
+
+
+@dataclass(frozen=True)
+class StageEvent:
+    stage: str
+    elapsed: float
+
+
+def wall_seconds(event: StageEvent) -> float:
+    return event.elapsed
+
+
+def fake_event() -> StageEvent:
+    return StageEvent(stage="fetch", elapsed=0.0)
+
+
+class Obs:
+    def __init__(self) -> None:
+        self.enabled = True
+
+
+def triage(obs: Obs) -> dict:
+    return obs.wall_stage_seconds
+
+
+class LocalSearchEngine:
+    def __init__(self) -> None:
+        self.queries = 0
+        self.query_seconds = 0.0
+
+
+def mean_latency(engine: LocalSearchEngine) -> float:
+    return engine.query_seconds / max(engine.queries, 1)

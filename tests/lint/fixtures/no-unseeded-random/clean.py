@@ -1,4 +1,6 @@
 """Fixture: seeded generators threaded from config."""
+import random
+
 import numpy as np
 
 
@@ -9,3 +11,18 @@ def draw(items, seed: int):
 
 def fork(seed: int):
     return np.random.default_rng(seed * 7919 + 1)
+
+
+class RecrawlScheduler:
+    def __init__(self) -> None:
+        self.order: list[str] = []
+
+    def schedule(self, budget: float) -> None:
+        self.order.append(str(budget))
+
+
+def plan(scheduler: RecrawlScheduler, seed: int) -> None:
+    # a Random seeded from config is deterministic; its draws may
+    # legitimately shape the schedule
+    rng = random.Random(seed)
+    scheduler.schedule(rng.random() * 2.0)

@@ -99,49 +99,15 @@ class TestBaselineFlags:
         assert "bad baseline" in capsys.readouterr().err
 
 
-class TestGraphOut:
-    def test_graph_out_writes_sorted_dump(self, tmp_path) -> None:
-        out = tmp_path / "graph.json"
-        assert main([CLEAN, "--graph-out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["version"] == 1
-        assert payload["modules"] and payload["symbols"]
-        qualnames = [entry["qualname"] for entry in payload["symbols"]]
-        assert qualnames == sorted(qualnames)
-
-    def test_graph_out_dash_prints_to_stdout(self, capsys) -> None:
-        assert main([CLEAN, "--graph-out", "-"]) == 0
-        out = capsys.readouterr().out
-        graph_text = out[: out.rindex("}") + 1]
-        assert json.loads(graph_text)["version"] == 1
-
-    def test_graph_out_with_findings_still_exits_one(
-        self, tmp_path
-    ) -> None:
-        out = tmp_path / "graph.json"
-        assert main([BAD, "--graph-out", str(out)]) == 1
-        assert out.is_file()
-
-
 class TestDeterminism:
-    """Byte-identical reports and graph dumps across repeated runs."""
+    """Byte-identical reports across repeated runs."""
 
     def test_json_report_is_byte_identical(self, capsys) -> None:
-        paths = [str(FIXTURES / "clock-taint" / "bad.py")]
-        main(paths + ["--format", "json", "--no-baseline"])
+        main([BAD, "--format", "json", "--no-baseline"])
         first = capsys.readouterr().out
-        main(paths + ["--format", "json", "--no-baseline"])
+        main([BAD, "--format", "json", "--no-baseline"])
         second = capsys.readouterr().out
         assert first == second
-
-    def test_graph_dump_is_byte_identical(self, tmp_path) -> None:
-        target = str(Path("src/repro/lint"))
-        dumps: list[str] = []
-        for name in ("one.json", "two.json"):
-            out = tmp_path / name
-            main([target, "--no-baseline", "--graph-out", str(out)])
-            dumps.append(out.read_text())
-        assert dumps[0] == dumps[1]
 
 
 class TestRepositoryIsClean:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.lint.engine import LintEngine, ModuleUnit
-from repro.lint.graph import ProjectIndex, render_graph_json
+from repro.lint.graph import ProjectIndex
 
 
 def build_index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
@@ -157,33 +156,3 @@ class TestCycles:
         )
         names = [symbol.name for symbol in index.mro("m.A")]
         assert names.count("A") == 1 and names.count("B") == 1
-
-
-class TestGraphDump:
-    def test_dump_is_sorted_and_stable(self, tmp_path: Path) -> None:
-        files = {
-            "pkg/__init__.py": "",
-            "pkg/alpha.py": """\
-                class Widget:
-                    def ping(self) -> None:
-                        pass
-                """,
-            "pkg/beta.py": """\
-                from pkg.alpha import Widget
-
-
-                def use(widget: Widget) -> None:
-                    widget.ping()
-                """,
-        }
-        first = render_graph_json(build_index(tmp_path, files))
-        second = render_graph_json(build_index(tmp_path, files))
-        assert first == second
-        payload = json.loads(first)
-        assert payload["version"] == 1
-        qualnames = [entry["qualname"] for entry in payload["symbols"]]
-        assert qualnames == sorted(qualnames)
-        pairs = [
-            (edge["caller"], edge["callee"]) for edge in payload["edges"]
-        ]
-        assert ("pkg.beta.use", "pkg.alpha.Widget.ping") in pairs

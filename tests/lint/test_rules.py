@@ -4,7 +4,10 @@ For every rule, ``fixtures/<rule>/bad.py`` must reproduce exactly the
 findings recorded in ``expected.json`` (true positives at stable
 locations), and ``fixtures/<rule>/clean.py`` must produce zero findings
 under the *full* rule set (no false positives, including from sibling
-rules).
+rules).  A rule whose verdict depends on the module's package carries
+a second input of the same name inside the fixture's own ``repro``
+package (``fixtures/no-wall-clock/repro/bad.py`` is module
+``repro.bad``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ from tests.lint.conftest import FIXTURES, normalize
 RULE_IDS = sorted(path.name for path in FIXTURES.iterdir() if path.is_dir())
 
 
+def inputs(rule_id: str, name: str) -> list:
+    return sorted((FIXTURES / rule_id).rglob(name))
+
+
 def test_every_shipped_rule_has_a_fixture() -> None:
     assert RULE_IDS == rule_ids()
 
@@ -29,7 +36,9 @@ def test_every_shipped_rule_has_a_fixture() -> None:
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_bad_fixture_matches_expected_findings(rule_id: str) -> None:
     engine = LintEngine(rules=[get_rule(rule_id)])
-    findings = normalize(engine.run([FIXTURES / rule_id / "bad.py"]))
+    findings = normalize(
+        engine.run(inputs(rule_id, "bad.py")), FIXTURES / rule_id
+    )
     assert findings, f"{rule_id}: bad.py produced no findings"
     assert all(finding.rule == rule_id for finding in findings)
     expected = json.loads(
@@ -41,7 +50,7 @@ def test_bad_fixture_matches_expected_findings(rule_id: str) -> None:
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_clean_fixture_has_zero_findings(rule_id: str) -> None:
     engine = LintEngine()  # full rule set: no cross-rule false positives
-    assert engine.run([FIXTURES / rule_id / "clean.py"]) == []
+    assert engine.run(inputs(rule_id, "clean.py")) == []
 
 
 def test_rules_have_descriptions_and_rationales() -> None:

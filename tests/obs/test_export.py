@@ -80,7 +80,6 @@ class TestProgressReporter:
     def expand_event(self, index: int) -> StageEvent:
         return StageEvent(
             stage="expand", batch_index=index, in_size=1, out_size=1,
-            elapsed=0.0,
         )
 
     def test_prints_every_nth_round_from_the_registry(self) -> None:
@@ -98,7 +97,7 @@ class TestProgressReporter:
             reporter(self.expand_event(index))
             reporter(StageEvent(
                 stage="classify", batch_index=index, in_size=1,
-                out_size=1, elapsed=0.0,
+                out_size=1,
             ))
         lines = stream.getvalue().splitlines()
         assert reporter.lines == 2

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -127,6 +133,32 @@ class TestPortalLifecycleCommands:
         assert "serving epoch: epoch#" in out
         assert "freshness_stale" in out
         assert metrics.exists()
+
+
+class TestMetricsAreReproducible:
+    def test_two_queryload_runs_write_identical_metrics(self, tmp_path) -> None:
+        """Same seed, same hash seed: the exported snapshot holds
+        simulated time and counts only, so it is byte-identical."""
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        outputs = []
+        for name in ("one.json", "two.json"):
+            out = tmp_path / name
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro.cli", "portal", "queryload",
+                    "--seed", "7", "--budget", "60", "--requests", "40",
+                    "--metrics-out", str(out),
+                ],
+                env={
+                    **os.environ, "PYTHONPATH": str(src),
+                    "PYTHONHASHSEED": "0",
+                },
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert b'"search"' in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestExitCodeContract:

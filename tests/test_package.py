@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -74,3 +75,18 @@ class TestImportOrder:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestNoWallClock:
+    def test_nothing_outside_the_linter_imports_time(self) -> None:
+        """``repro`` owns simulated time only; wall seconds are measured
+        from outside, by ``benchmarks/e2e/trace.py``."""
+        root = pathlib.Path(repro.__file__).resolve().parent
+        pattern = re.compile(r"^\s*(import time\b|from time )", re.M)
+        offenders = [
+            path.relative_to(root).as_posix()
+            for path in sorted(root.rglob("*.py"))
+            if "lint" not in path.relative_to(root).parts
+            and pattern.search(path.read_text())
+        ]
+        assert offenders == []
