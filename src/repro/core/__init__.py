@@ -15,7 +15,7 @@ from repro.core.classifier import (
     NodeClassifier,
     TopicDecisionModel,
 )
-from repro.core.config import BingoConfig, MimePolicy
+from repro.core.config import BingoConfig
 from repro.core.dedup import DedupStats, DuplicateDetector
 from repro.core.feature_selection import (
     FeatureScore,
@@ -61,7 +61,6 @@ __all__ = [
     "FeatureScore",
     "FocusedCrawler",
     "HierarchicalClassifier",
-    "MimePolicy",
     "NodeClassifier",
     "OTHERS_SUFFIX",
     "PhaseReport",

@@ -22,7 +22,11 @@ import heapq
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
 
-__all__ = ["ArchetypeDecision", "select_archetypes"]
+__all__ = ["MAX_ARCHETYPES_PER_TOPIC", "ArchetypeDecision", "select_archetypes"]
+
+MAX_ARCHETYPES_PER_TOPIC = 30
+"""Promotions per topic and round, and the length of the confidence
+candidate list the engine offers (paper 5.1: 30 archetypes)."""
 
 
 @dataclass
@@ -47,7 +51,7 @@ def select_archetypes(
     authority_candidates: Sequence[tuple[int, float]],
     training_confidences: Mapping[int, float],
     document_confidences: Mapping[int, float],
-    max_new: int = 30,
+    max_new: int = MAX_ARCHETYPES_PER_TOPIC,
     enforce_threshold: bool = True,
     confidence_factor: float = 1.0,
     protected: Set[int] = frozenset(),

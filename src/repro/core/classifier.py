@@ -54,6 +54,9 @@ TrainingSet = Mapping[str, Sequence[TrainingDoc]]
 #: decision-combination modes (paper 3.5)
 MODES = ("single", "unanimous", "majority", "weighted", "best")
 
+ACCEPTANCE_THRESHOLD = 0.0
+"""Minimum decision value of a member model for a positive vote."""
+
 
 def _cross_validation_estimate(
     factory, vectors, labels, folds: int = 3, seed: int = 0,
@@ -176,8 +179,7 @@ class TopicDecisionModel:
         return max(self.members, key=lambda m: m.estimate.precision)
 
     def decide(
-        self, vectors: Mapping[str, SparseVector], mode: str,
-        threshold: float = 0.0,
+        self, vectors: Mapping[str, SparseVector], mode: str
     ) -> tuple[bool, float]:
         """Return ``(is_positive, confidence)`` under the given mode.
 
@@ -194,9 +196,9 @@ class TopicDecisionModel:
                 self.members[0] if mode == "single" else self.best_member()
             )
             distance = member.distance(vectors)
-            return member.decision(vectors) > threshold, distance
+            return member.decision(vectors) > ACCEPTANCE_THRESHOLD, distance
         votes = [
-            1 if member.decision(vectors) > threshold else -1
+            1 if member.decision(vectors) > ACCEPTANCE_THRESHOLD else -1
             for member in self.members
         ]
         distances = [member.distance(vectors) for member in self.members]
@@ -257,16 +259,6 @@ class HierarchicalClassifier:
             counts = doc.get(space)
             if counts:
                 vectorizer.ingest(counts.keys())
-
-    def ingest_many(self, docs: "Sequence[TrainingDoc]") -> None:
-        """Feed a document batch into the live df statistics, in order.
-
-        Equivalent to calling :meth:`ingest` per document; ingests only
-        touch the live counters, never the idf *snapshot* that
-        :meth:`vectorize` reads, so classification results are
-        unaffected until the next :meth:`refresh_idf`."""
-        for doc in docs:
-            self.ingest(doc)
 
     def refresh_idf(self) -> None:
         """Promote live df counts to the idf snapshot (lazy, on retraining)."""
@@ -546,7 +538,7 @@ class HierarchicalClassifier:
         per-node dict formulation the kernel is parity-tested against.
         """
         topic, confidence, path = self._kernel().classify(
-            self.vectorize(doc), mode, self.config.acceptance_threshold
+            self.vectorize(doc), mode, ACCEPTANCE_THRESHOLD
         )
         return ClassificationResult(
             topic=topic, confidence=confidence, path=path
@@ -562,12 +554,11 @@ class HierarchicalClassifier:
         archetype re-scoring, retraining evaluation and meta-bench.
         """
         kernel = self._kernel()
-        threshold = self.config.acceptance_threshold
         bundles = self.vectorize_many(docs)
         return [
             ClassificationResult(topic=topic, confidence=confidence, path=path)
             for topic, confidence, path in kernel.classify_many(
-                bundles, mode, threshold
+                bundles, mode, ACCEPTANCE_THRESHOLD
             )
         ]
 
@@ -596,9 +587,7 @@ class HierarchicalClassifier:
             if not children:
                 break
             decisions = [
-                (child, *self.models[child].decide(
-                    vectors, mode, self.config.acceptance_threshold
-                ))
+                (child, *self.models[child].decide(vectors, mode))
                 for child in children
             ]
             positive = [
@@ -642,7 +631,7 @@ class HierarchicalClassifier:
                 topic,
                 self.vectorize_many(docs),
                 mode,
-                self.config.acceptance_threshold,
+                ACCEPTANCE_THRESHOLD,
             )
         ]
 

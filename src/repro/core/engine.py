@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.distillation import bharat_henzinger
 from repro.analysis.graph import LinkGraph
-from repro.core.archetypes import select_archetypes
+from repro.core.archetypes import MAX_ARCHETYPES_PER_TOPIC, select_archetypes
 from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
 from repro.core.crawler import FocusedCrawler
@@ -37,6 +37,22 @@ from repro.text.scanner import ScannedPage
 from repro.web.urls import normalize_url, parse_url
 
 __all__ = ["ArchetypeReview", "PhaseReport", "CrawlReport", "BingoEngine"]
+
+# The paper's phase strategy (sections 3.2, 3.3, 3.5 and 5.1), stated once.
+LEARNING_MAX_DEPTH = 4
+LEARNING_DECISION_MODE = "unanimous"
+"""Meta mode during learning (paper 3.5: unanimous by default)."""
+HARVESTING_DECISION_MODE = "weighted"
+"""Meta mode during harvesting (xi-alpha-weighted average); a revisit
+(:mod:`repro.portal.scheduler`) reclassifies under the same mode."""
+TOP_AUTHORITIES = 10
+TOP_HUBS = 10
+ARCHETYPE_THRESHOLD_WARMUP = 12
+"""Minimum training-set size before the archetype confidence threshold
+applies.  The paper itself skipped thresholding when starting "with
+extremely small training data" (section 5.2) and admitted all positively
+classified documents until the basis had grown."""
+MIN_ARCHETYPES_TO_HARVEST = 5
 
 
 @dataclass
@@ -140,9 +156,7 @@ class BingoEngine:
             tree, self.config, spaces=list(self.spaces)
         )
         self.database = Database()
-        self.loader = BulkLoader(
-            self.database, batch_size=self.config.bulk_batch_size
-        )
+        self.loader = BulkLoader(self.database)
         self.crawler = FocusedCrawler(
             web,
             self.classifier,
@@ -362,15 +376,15 @@ class BingoEngine:
             authority_candidates = [
                 (doc_id, score)
                 for doc_id, score in analysis.top_authorities(
-                    self.config.top_authorities * 3
+                    TOP_AUTHORITIES * 3
                 )
                 if doc_id in topic_ids
-            ][: self.config.top_authorities]
+            ][:TOP_AUTHORITIES]
             confidence_candidates = [
                 (doc.doc_id, doc.confidence)
                 for doc in sorted(
                     docs, key=lambda d: -d.confidence
-                )[: self.config.max_archetypes_per_topic]
+                )[:MAX_ARCHETYPES_PER_TOPIC]
             ]
             records = self.training.setdefault(topic, {})
             training_confidences = {
@@ -386,18 +400,13 @@ class BingoEngine:
             document_confidences = {
                 doc.doc_id: doc.confidence for doc in self.ctx.documents
             }
-            enforce = (
-                self.config.enforce_archetype_threshold
-                and len(records) >= self.config.archetype_threshold_warmup
-            )
+            enforce = len(records) >= ARCHETYPE_THRESHOLD_WARMUP
             decision = select_archetypes(
                 confidence_candidates,
                 authority_candidates,
                 training_confidences,
                 document_confidences,
-                max_new=self.config.max_archetypes_per_topic,
                 enforce_threshold=enforce,
-                confidence_factor=self.config.archetype_confidence_factor,
                 protected=protected,
                 cap_by_min=enforce,
             )
@@ -433,7 +442,7 @@ class BingoEngine:
 
     def _enqueue_hub_links(self, topic: str, analysis) -> None:
         allowed = self._active_allowed_domains
-        for doc_id, score in analysis.top_hubs(self.config.top_hubs):
+        for doc_id, score in analysis.top_hubs(TOP_HUBS):
             doc = self.ctx.documents[doc_id]
             for url in doc.out_urls:
                 if allowed is not None:
@@ -466,9 +475,7 @@ class BingoEngine:
                     domains.add(parsed.domain)
         return frozenset(domains)
 
-    def run_learning_phase(
-        self, fetch_budget: int | None = None
-    ) -> PhaseReport:
+    def run_learning_phase(self) -> PhaseReport:
         """Sharp-focus, depth-first crawl near the seeds (section 3.3)."""
         self.bootstrap()
         for topic, urls in self.seeds.items():
@@ -476,16 +483,12 @@ class BingoEngine:
         settings = PhaseSettings(
             name="learning",
             focus=SHARP,
-            decision_mode=self.config.learning_decision_mode,
+            decision_mode=LEARNING_DECISION_MODE,
             tunnelling=True,
             depth_first=True,
-            max_depth=self.config.learning_max_depth,
-            allowed_domains=(
-                self._seed_domains()
-                if self.config.restrict_learning_to_seed_domains
-                else None
-            ),
-            fetch_budget=fetch_budget or self.config.learning_fetch_budget,
+            max_depth=LEARNING_MAX_DEPTH,
+            allowed_domains=self._seed_domains(),
+            fetch_budget=self.config.learning_fetch_budget,
         )
         self._active_allowed_domains = settings.allowed_domains
         before_added = self.archetypes_added
@@ -523,7 +526,7 @@ class BingoEngine:
         settings = PhaseSettings(
             name="harvesting",
             focus=SOFT,
-            decision_mode=self.config.harvesting_decision_mode,
+            decision_mode=HARVESTING_DECISION_MODE,
             tunnelling=True,
             depth_first=False,
             max_depth=None,
@@ -569,7 +572,7 @@ class BingoEngine:
         """True when the learning phase found too few archetypes and a
         user feedback step is advisable before the expensive harvest
         (paper 2.6)."""
-        return self.archetypes_added < self.config.min_archetypes_to_harvest
+        return self.archetypes_added < MIN_ARCHETYPES_TO_HARVEST
 
     def apply_archetype_review(
         self, reviewer: "callable", retrain: bool = True
@@ -619,8 +622,6 @@ class BingoEngine:
 
     def run(
         self,
-        learning_fetch_budget: int | None = None,
-        harvesting_time_budget: float | None = None,
         harvesting_fetch_budget: int | None = None,
         archetype_reviewer: "callable | None" = None,
     ) -> CrawlReport:
@@ -631,16 +632,11 @@ class BingoEngine:
         paper section 2.6, invoked between the phases.
         """
         report = CrawlReport()
-        report.phases.append(
-            self.run_learning_phase(fetch_budget=learning_fetch_budget)
-        )
+        report.phases.append(self.run_learning_phase())
         if archetype_reviewer is not None:
             self.apply_archetype_review(archetype_reviewer)
         report.phases.append(
-            self.run_harvesting_phase(
-                time_budget=harvesting_time_budget,
-                fetch_budget=harvesting_fetch_budget,
-            )
+            self.run_harvesting_phase(fetch_budget=harvesting_fetch_budget)
         )
         return report
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import BingoConfig
+from repro.core.config import NODE_CLASSIFIERS
 from repro.core.crawler import FocusedCrawler
 from repro.core.records import SHARP, SOFT, PhaseSettings
 from repro.experiments.metrics import BinaryCounts, ranking_precision_at_k
@@ -60,13 +61,14 @@ def _term_counts(web: SyntheticWeb, page) -> dict[str, Counter]:
     return analyze_page(web.renderer.render(page))[0]
 
 
-def _ablation_web(seed: int = 53) -> SyntheticWeb:
+def _ablation_web(seed: int, **overrides) -> SyntheticWeb:
     return SyntheticWeb.generate(
         WebGraphConfig(
             seed=seed, target_researchers=120, other_researchers=40,
             universities=30, hubs_per_topic=5,
             background_hosts_per_category=10, pages_per_background_host=5,
             directory_pages_per_category=8,
+            **overrides,
         )
     )
 
@@ -116,19 +118,10 @@ class FocusAblationResult:
 def run_focus_ablation(
     seed: int = 53,
     budget: int = 500,
-    web: SyntheticWeb | None = None,
 ) -> FocusAblationResult:
     """Crawl the same Web under the four focus/tunnelling combinations."""
-    web = web or SyntheticWeb.generate(
-        WebGraphConfig(
-            seed=seed, target_researchers=120, other_researchers=40,
-            universities=30, hubs_per_topic=5,
-            background_hosts_per_category=10, pages_per_background_host=5,
-            directory_pages_per_category=8,
-            welcome_only_rate=0.5,  # half the homepages hide behind
-                                    # topic-unspecific welcome pages
-        )
-    )
+    # half the homepages hide behind topic-unspecific welcome pages
+    web = _ablation_web(seed, welcome_only_rate=0.5)
     target = web.config.target_topic
     topic = f"ROOT/{target}"
     hidden_homepages = {
@@ -248,16 +241,12 @@ class ArchetypeAblationResult:
 def run_archetype_ablation(
     seeds: tuple[int, ...] = (59, 61, 67, 71),
     rounds: int = 5,
-    promotions_per_round: int = 20,
-    web: SyntheticWeb | None = None,
 ) -> ArchetypeAblationResult:
     """Averaged drift comparison over several seeds (drift is a runaway
     phenomenon: single runs may or may not tip over)."""
     accumulated: dict[str, list[tuple[float, float, float]]] = {}
     for seed in seeds:
-        for name, triple in _archetype_one_seed(
-            seed, rounds, promotions_per_round, web
-        ).items():
+        for name, triple in _archetype_one_seed(seed, rounds).items():
             accumulated.setdefault(name, []).append(triple)
     rows = [
         (
@@ -271,11 +260,11 @@ def run_archetype_ablation(
     return ArchetypeAblationResult(rows=rows, seeds=tuple(seeds))
 
 
+PROMOTIONS_PER_ROUND = 20
+
+
 def _archetype_one_seed(
-    seed: int,
-    rounds: int,
-    promotions_per_round: int,
-    web: SyntheticWeb | None = None,
+    seed: int, rounds: int
 ) -> dict[str, tuple[float, float, float]]:
     """Iterated archetype promotion with and without the admission rule.
 
@@ -293,7 +282,7 @@ def _archetype_one_seed(
     from repro.core.classifier import HierarchicalClassifier
     from repro.core.ontology import TopicTree
 
-    web = web or SyntheticWeb.generate(
+    web = SyntheticWeb.generate(
         WebGraphConfig(
             seed=seed, target_researchers=120, other_researchers=60,
             universities=30, hubs_per_topic=5,
@@ -397,7 +386,7 @@ def _archetype_one_seed(
                 confidence_candidates,  # authorities stand-in: same pool
                 training_confidences,
                 {page.page_id: conf for page, _d, conf in candidates},
-                max_new=promotions_per_round,
+                max_new=PROMOTIONS_PER_ROUND,
                 enforce_threshold=enforce_now,
                 confidence_factor=0.9,
                 protected={page.page_id for page in seeds},
@@ -458,11 +447,10 @@ class NegativesAblationResult:
 
 def run_negatives_ablation(
     seed: int = 61,
-    web: SyntheticWeb | None = None,
     test_per_class: int = 150,
 ) -> NegativesAblationResult:
     """Train the same topic classifier under two OTHERS regimes."""
-    web = web or _ablation_web(seed)
+    web = _ablation_web(seed)
     target = web.config.target_topic
     rng = np.random.default_rng(seed)
 
@@ -558,10 +546,9 @@ def run_feature_space_ablation(
     seed: int = 67,
     train_per_class: int = 25,
     test_per_class: int = 100,
-    web: SyntheticWeb | None = None,
 ) -> FeatureSpaceAblationResult:
     """Single terms vs pairs vs anchors vs a combined space."""
-    web = web or _ablation_web(seed)
+    web = _ablation_web(seed)
     target = web.config.target_topic
     rng = np.random.default_rng(seed)
     incoming = _incoming_anchor_terms(web)
@@ -666,8 +653,6 @@ class ClassifierAblationResult:
 def run_classifier_ablation(
     seed: int = 89,
     budget: int = 400,
-    learners: tuple[str, ...] = ("svm", "maxent", "naive-bayes", "rocchio"),
-    web: SyntheticWeb | None = None,
 ) -> ClassifierAblationResult:
     """Crawl the same Web once per node-learner choice.
 
@@ -675,12 +660,12 @@ def run_classifier_ablation(
     classifier menu and picks linear SVMs; this ablation shows how the
     crawl fares under each choice.  Soft focus + tunnelling throughout.
     """
-    web = web or _ablation_web(seed)
+    web = _ablation_web(seed)
     target = web.config.target_topic
     topic = f"ROOT/{target}"
     seeds = web.seed_homepages(3, topic=target)
     rows = []
-    for learner in learners:
+    for learner in NODE_CLASSIFIERS:
         config = BingoConfig(
             seed=seed, selected_features=800, tf_preselection=3000,
             node_classifier=learner,

@@ -67,10 +67,9 @@ def run_expert_experiment(
     seed: int = 7,
     crawl_fetch_budget: int = 700,
     learning_fetch_budget: int = 120,
-    web: SyntheticWeb | None = None,
 ) -> ExpertExperimentResult:
     """Run the full expert-search workflow on the ARIES synthetic Web."""
-    web = web or SyntheticWeb.generate_expert(seed=seed)
+    web = SyntheticWeb.generate_expert(seed=seed)
     external = ExternalSearchEngine(web)
 
     # Figure 4: seed selection from the unfocused engine's top 10.

@@ -55,10 +55,9 @@ def run_feature_selection_experiment(
     budgets: tuple[int, ...] = (10, 40, 200),
     train_per_class: int = 30,
     test_per_class: int = 80,
-    web: SyntheticWeb | None = None,
 ) -> FeatureSelectionResult:
     """MI vs tf vs random feature ranking at several budgets."""
-    web = web or SyntheticWeb.generate(
+    web = SyntheticWeb.generate(
         WebGraphConfig(
             seed=seed, target_researchers=130, other_researchers=65,
             universities=25, hubs_per_topic=4,
@@ -182,7 +181,6 @@ def run_budget_selection_experiment(
     budgets: tuple[int, ...] = (25, 100, 400, 1200),
     train_per_class: int = 30,
     test_per_class: int = 80,
-    web: SyntheticWeb | None = None,
 ) -> BudgetSelectionResult:
     """Does xi-alpha pick a good feature count without test data?
 
@@ -196,7 +194,7 @@ def run_budget_selection_experiment(
     from repro.core.config import BingoConfig
     from repro.core.ontology import TopicTree
 
-    web = web or SyntheticWeb.generate(
+    web = SyntheticWeb.generate(
         WebGraphConfig(
             seed=seed, target_researchers=130, other_researchers=65,
             universities=25, hubs_per_topic=4,

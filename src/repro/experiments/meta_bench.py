@@ -36,6 +36,8 @@ from repro.web import PageRole, SyntheticWeb, WebGraphConfig
 __all__ = ["MetaBenchResult", "run_meta_experiment"]
 
 SPACES = {"term": TermSpace(), "pair": TermPairSpace(window=4)}
+TRAINING_LABEL_NOISE = 0.1
+"""Share of training labels flipped, so members err partly independently."""
 
 
 class _SpaceMember(BinaryClassifier):
@@ -82,12 +84,6 @@ class MetaBenchResult:
                 return precision
         raise KeyError(name)
 
-    def best_single_precision(self) -> float:
-        return max(
-            precision for name, precision, _r, _a in self.rows
-            if not name.startswith("meta")
-        )
-
     def mean_single_precision(self) -> float:
         singles = [
             precision for name, precision, _r, _a in self.rows
@@ -104,11 +100,9 @@ def _one_run(
     seed: int,
     train_per_class: int,
     test_per_class: int,
-    training_label_noise: float,
-    web: SyntheticWeb | None,
     svm_cost: float = 0.05,
 ) -> dict[str, tuple[float, float, float]]:
-    web = web or SyntheticWeb.generate(
+    web = SyntheticWeb.generate(
         WebGraphConfig(
             seed=seed, target_researchers=120, other_researchers=60,
             universities=25, hubs_per_topic=4,
@@ -153,7 +147,7 @@ def _one_run(
     train_bundles = [bundle(c) for c in train_counts]
     labels = [1] * len(pos_train) + [-1] * len(neg_train)
     for i in range(len(labels)):
-        if rng.random() < training_label_noise:
+        if rng.random() < TRAINING_LABEL_NOISE:
             labels[i] = -labels[i]
 
     test_bundles = [bundle(_extract(web, p)) for p in pos_test + neg_test]
@@ -231,8 +225,6 @@ def run_meta_experiment(
     seeds: Sequence[int] = (23, 29, 31, 37),
     train_per_class: int = 24,
     test_per_class: int = 120,
-    training_label_noise: float = 0.1,
-    web: SyntheticWeb | None = None,
     svm_cost: float = 1.0,
 ) -> MetaBenchResult:
     """Average the member-vs-meta comparison over several seeds.
@@ -245,8 +237,7 @@ def run_meta_experiment(
     accumulated: dict[str, list[tuple[float, float, float]]] = {}
     for seed in seeds:
         run = _one_run(
-            seed, train_per_class, test_per_class, training_label_noise,
-            web, svm_cost=svm_cost,
+            seed, train_per_class, test_per_class, svm_cost=svm_cost
         )
         for name, triple in run.items():
             accumulated.setdefault(name, []).append(triple)

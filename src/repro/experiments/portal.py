@@ -133,7 +133,6 @@ def run_portal_experiment(
     long_budget: int = 7000,
     top_k: int = 100,
     cutoffs: tuple[int, ...] = (100, 500, 0),
-    web: SyntheticWeb | None = None,
 ) -> PortalExperimentResult:
     """Run the two-checkpoint portal crawl and score both checkpoints.
 
@@ -143,7 +142,7 @@ def run_portal_experiment(
     """
     if short_budget >= long_budget:
         raise ValueError("short_budget must be smaller than long_budget")
-    web = web or SyntheticWeb.generate(bench_web_config(seed))
+    web = SyntheticWeb.generate(bench_web_config(seed))
     config = bench_engine_config(seed)
     engine = BingoEngine.for_portal(web, config=config)
     registry = web.registry(web.config.target_topic)

@@ -17,7 +17,9 @@ capabilities nobody called (``CompiledClassifier.decide_topic``,
 ``InvertedIndex.from_database``), the ``ConvertStage.analyzer`` seam of
 the second document analyzer, and the in-process wall-clock timers
 (``StageEvent.elapsed``, ``Obs.wall_stage_seconds``,
-``LocalSearchEngine.query_seconds``).  An entry expires one ROADMAP
+``LocalSearchEngine.query_seconds``), and the ``BingoConfig`` fields no
+caller ever set (each now one named constant or constructor default;
+the table says where).  An entry expires one ROADMAP
 re-anchor after the PR that recorded it; by then a stay-gone test or a
 ``TypeError`` from the constructor holds the line.
 """
@@ -185,6 +187,61 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     "LocalSearchEngine": {
         "query_seconds": "benchmarks/e2e measures search.search.busy_s",
     },
+    "WorkerSet": {
+        "add_barrier_hook": (
+            "no hook was ever registered; a barrier is the loader flush "
+            "in CrawlContext.shard_barrier"
+        ),
+    },
+    # fields no file ever set: where each value lives now
+    "BingoConfig": {
+        "retry_multiplier": "RetryPolicy.multiplier default",
+        "retry_max_delay": "RetryPolicy.max_delay default",
+        "host_quarantine_multiplier": (
+            "BreakerPolicy.quarantine_multiplier default"
+        ),
+        "host_max_quarantine": "BreakerPolicy.max_quarantine default",
+        "incoming_queue_limit": "CrawlFrontier(incoming_limit=) default",
+        "outgoing_queue_limit": "CrawlFrontier(outgoing_limit=) default",
+        "outgoing_refill_batch": "CrawlFrontier(refill_batch=) default",
+        "bulk_batch_size": "BulkLoader(batch_size=) default",
+        "learning_max_depth": "repro.core.engine.LEARNING_MAX_DEPTH",
+        "restrict_learning_to_seed_domains": (
+            "the learning phase always stays on the seed domains"
+        ),
+        "learning_decision_mode": (
+            "repro.core.engine.LEARNING_DECISION_MODE"
+        ),
+        "harvesting_decision_mode": (
+            "repro.core.engine.HARVESTING_DECISION_MODE"
+        ),
+        "acceptance_threshold": (
+            "repro.core.classifier.ACCEPTANCE_THRESHOLD"
+        ),
+        "max_archetypes_per_topic": (
+            "repro.core.archetypes.MAX_ARCHETYPES_PER_TOPIC"
+        ),
+        "archetype_confidence_factor": (
+            "select_archetypes(confidence_factor=) default"
+        ),
+        "enforce_archetype_threshold": (
+            "always enforced once the training set reaches "
+            "repro.core.engine.ARCHETYPE_THRESHOLD_WARMUP"
+        ),
+        "archetype_threshold_warmup": (
+            "repro.core.engine.ARCHETYPE_THRESHOLD_WARMUP"
+        ),
+        "top_authorities": "repro.core.engine.TOP_AUTHORITIES",
+        "top_hubs": "repro.core.engine.TOP_HUBS",
+        "min_archetypes_to_harvest": (
+            "repro.core.engine.MIN_ARCHETYPES_TO_HARVEST"
+        ),
+        "mime_policies": "repro.pipeline.stages.MIME_SIZE_CAPS",
+        "convert_cost": "repro.pipeline.stages.PROCESSING_COST",
+        "analyze_cost": "repro.pipeline.stages.PROCESSING_COST",
+        "classify_cost": "repro.pipeline.stages.PROCESSING_COST",
+        "processing_cost": "repro.pipeline.stages.PROCESSING_COST",
+    },
 }
 _REMOVED_NAMES = frozenset(
     name for members in _REMOVED_MEMBERS.values() for name in members
@@ -200,8 +257,9 @@ class DeprecatedApi(Rule):
     description = (
         "members deleted since the last re-anchor (decide_topic, "
         "from_database, ConvertStage.analyzer, StageEvent.elapsed, "
-        "Obs.wall_stage_seconds, LocalSearchEngine.query_seconds) must "
-        "not be reintroduced"
+        "Obs.wall_stage_seconds, LocalSearchEngine.query_seconds, "
+        "WorkerSet.add_barrier_hook, the never-set BingoConfig fields) "
+        "must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

@@ -68,14 +68,6 @@ class FeatureIndexer:
             shape=(len(vectors), max(len(self._index), 1)),
         )
 
-    def to_dense_row(self, vector: SparseVector, width: int) -> np.ndarray:
-        row = np.zeros(width)
-        for feature, weight in vector:
-            column = self._index.get(feature)
-            if column is not None and column < width:
-                row[column] = weight
-        return row
-
 
 class BinaryClassifier:
     """Protocol base class for the topic-specific binary classifiers."""

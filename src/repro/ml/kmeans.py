@@ -31,6 +31,8 @@ from repro.text.vectorizer import SparseVector
 
 __all__ = ["ClusterModel", "KMeans", "cluster_impurity", "choose_cluster_count"]
 
+RESTARTS = 4
+
 
 @dataclass
 class ClusterModel:
@@ -118,27 +120,23 @@ class KMeans:
         max_iterations: int = 50,
         seed: int = 0,
         max_features: int = 500,
-        restarts: int = 4,
     ) -> None:
         if k < 1:
             raise TrainingError(f"k must be >= 1, got {k}")
-        if restarts < 1:
-            raise TrainingError(f"restarts must be >= 1, got {restarts}")
         self.k = k
         self.max_iterations = max_iterations
         self.seed = seed
         self.max_features = max_features
-        self.restarts = restarts
 
     def fit(self, vectors: Sequence[SparseVector]) -> ClusterModel:
-        """Run ``restarts`` seeded attempts and keep the best-cohesion one."""
+        """Run ``RESTARTS`` seeded attempts and keep the best-cohesion one."""
         if len(vectors) < self.k:
             raise TrainingError(
                 f"cannot build {self.k} clusters from {len(vectors)} documents"
             )
         matrix, features = _densify(vectors, self.max_features)
         best: tuple[float, np.ndarray, np.ndarray] | None = None
-        for restart in range(self.restarts):
+        for restart in range(RESTARTS):
             rng = np.random.default_rng(self.seed + restart * 7919)
             assignments, centroids = self._fit_once(matrix, rng)
             cohesion = float(

@@ -37,7 +37,6 @@ class MaxEntClassifier(BinaryClassifier):
         regularization: float = 1.0,
         max_iterations: int = 300,
         tol: float = 1e-6,
-        normalize: bool = True,
     ) -> None:
         if regularization < 0:
             raise TrainingError(
@@ -46,7 +45,6 @@ class MaxEntClassifier(BinaryClassifier):
         self.regularization = regularization
         self.max_iterations = max_iterations
         self.tol = tol
-        self.normalize = normalize
         self.indexer = FeatureIndexer()
         self._weights: np.ndarray | None = None
         self._bias = 0.0
@@ -58,8 +56,7 @@ class MaxEntClassifier(BinaryClassifier):
         self, vectors: Sequence[SparseVector], labels: Sequence[int]
     ) -> "MaxEntClassifier":
         y = validate_training_input(vectors, labels)
-        if self.normalize:
-            vectors = [v.normalized() for v in vectors]
+        vectors = [v.normalized() for v in vectors]
         self.indexer = FeatureIndexer()
         X = self.indexer.to_csr(vectors)
         self.indexer.freeze()
@@ -102,8 +99,7 @@ class MaxEntClassifier(BinaryClassifier):
         """The log-odds ``w.x + b``."""
         if self._weights is None:
             raise TrainingError("classifier is not trained")
-        if self.normalize:
-            vector = vector.normalized()
+        vector = vector.normalized()
         total = self._bias
         index = self.indexer._index
         for feature, weight in vector:

@@ -57,19 +57,17 @@ class LinearSVM(BinaryClassifier):
         max_epochs: int = 200,
         tol: float = 1e-4,
         seed: int = 0,
-        normalize: bool = True,
     ) -> None:
-        """``normalize`` projects documents onto the unit sphere before
-        training and prediction -- standard for text SVMs, and required
-        for the xi-alpha estimator's R^2 bound to be tight (with unit
-        vectors R^2 == 1 plus the bias feature)."""
+        """Documents are projected onto the unit sphere before training
+        and prediction -- standard for text SVMs, and required for the
+        xi-alpha estimator's R^2 bound to be tight (with unit vectors
+        R^2 == 1 plus the bias feature)."""
         if C <= 0:
             raise TrainingError(f"C must be positive, got {C}")
         self.C = C
         self.max_epochs = max_epochs
         self.tol = tol
         self.seed = seed
-        self.normalize = normalize
         self.indexer = FeatureIndexer()
         self._weights: np.ndarray | None = None
         self._weight_norm: float = 0.0
@@ -83,8 +81,7 @@ class LinearSVM(BinaryClassifier):
 
     def fit(self, vectors: Sequence[SparseVector], labels: Sequence[int]) -> "LinearSVM":
         y = validate_training_input(vectors, labels)
-        if self.normalize:
-            vectors = [v.normalized() for v in vectors]
+        vectors = [v.normalized() for v in vectors]
         augmented = [
             SparseVector({**dict(v), _BIAS_FEATURE: 1.0}) for v in vectors
         ]
@@ -155,8 +152,7 @@ class LinearSVM(BinaryClassifier):
         """``w.x + b`` -- the raw SVM output (sign decides membership)."""
         if self._weights is None:
             raise TrainingError("classifier is not trained")
-        if self.normalize:
-            vector = vector.normalized()
+        vector = vector.normalized()
         total = 0.0
         index = self.indexer._index
         w = self._weights
@@ -179,8 +175,7 @@ class LinearSVM(BinaryClassifier):
             raise TrainingError("classifier is not trained")
         if not vectors:
             return np.zeros(0)
-        if self.normalize:
-            vectors = [v.normalized() for v in vectors]
+        vectors = [v.normalized() for v in vectors]
         X = self.indexer.to_csr(list(vectors))
         w = self._weights[: X.shape[1]]
         totals = np.asarray(X @ w).ravel()
@@ -189,8 +184,8 @@ class LinearSVM(BinaryClassifier):
             totals += self._weights[bias_column]
         return totals
 
-    def export_linear(self) -> tuple[dict[str, float], float, float, bool]:
-        """The trained model as ``(feature -> weight, bias, ||w||, normalize)``.
+    def export_linear(self) -> tuple[dict[str, float], float, float]:
+        """The trained model as ``(feature -> weight, bias, ||w||)``.
 
         This is the contract the compiled-kernel layer
         (:mod:`repro.perf.compiled`) builds its stacked weight rows from:
@@ -206,7 +201,7 @@ class LinearSVM(BinaryClassifier):
         }
         bias_column = self.indexer._index.get(_BIAS_FEATURE)
         bias = float(self._weights[bias_column]) if bias_column is not None else 0.0
-        return weights, bias, self._weight_norm, self.normalize
+        return weights, bias, self._weight_norm
 
     def distance(self, vector: SparseVector) -> float:
         """Signed geometric distance from the separating hyperplane.

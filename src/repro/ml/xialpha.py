@@ -43,24 +43,17 @@ class XiAlphaEstimate:
     """Negative training examples flagged as potential LOO errors."""
 
 
-def xi_alpha_estimate(svm: LinearSVM, labels=None) -> XiAlphaEstimate:
+def xi_alpha_estimate(svm: LinearSVM, labels) -> XiAlphaEstimate:
     """Compute the xi-alpha estimates for a trained :class:`LinearSVM`.
 
-    ``labels`` defaults to the sign implied by the stored class counts:
-    the first ``n_positive_`` training examples are *not* assumed to come
-    first, so when the caller can supply the original label array it
-    should -- otherwise we reconstruct per-example labels from slack
-    bookkeeping, which the SVM retains in training order.
+    ``labels`` are the training labels passed to ``fit()``, in the same
+    order (the SVM keeps its dual state in training order).
     """
     if svm.alphas_ is None or svm.slacks_ is None:
         raise TrainingError("xi-alpha needs a trained SVM with dual state")
     alphas = svm.alphas_
     slacks = svm.slacks_
     n = len(alphas)
-    if labels is None:
-        raise TrainingError(
-            "pass the training labels used in fit() (in the same order)"
-        )
     y = np.asarray(labels, dtype=float)
     if len(y) != n:
         raise TrainingError(f"expected {n} labels, got {len(y)}")

@@ -39,17 +39,6 @@ class Span:
     def duration(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "kind": self.kind,
-            "parent_id": self.parent_id,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-        }
-
 
 #: span handed out by a disabled tracer; never retained
 _NULL_SPAN = Span(span_id=0, name="", kind="null", parent_id=None, start=0.0)
@@ -137,9 +126,6 @@ class Tracer:
             if s.parent_id == span.span_id
             and (kind is None or s.kind == kind)
         ]
-
-    def to_dicts(self) -> list[dict]:
-        return [span.to_dict() for span in self._finished]
 
     def stats(self) -> dict[str, float]:
         return {

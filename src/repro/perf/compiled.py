@@ -57,8 +57,6 @@ class _SpaceBlock:
     bias: np.ndarray
     inv_weight_norm: np.ndarray
     """1/||w|| per row (0 where ||w|| == 0, matching ``distance``)."""
-    normalized_rows: np.ndarray
-    """Bool per row: whether the member's SVM unit-normalises documents."""
     rows: list[tuple[int, int]]
     """(child index, member position) destination of each stacked row."""
 
@@ -87,7 +85,7 @@ class _SpaceBlock:
         else:
             dots = np.zeros(n_rows)
             norms = np.zeros(n_rows)
-        divisor = np.where(self.normalized_rows & (norms > 0.0), norms, 1.0)
+        divisor = np.where(norms > 0.0, norms, 1.0)
         decisions = dots / divisor + self.bias
         distances = decisions * self.inv_weight_norm
         return decisions, distances
@@ -126,9 +124,7 @@ class _SpaceBlock:
             sparse.csr_matrix((data * data, indices, indptr), shape=shape)
             @ self.membership.T
         )
-        divisor = np.where(
-            self.normalized_rows[None, :] & (norms > 0.0), norms, 1.0
-        )
+        divisor = np.where(norms > 0.0, norms, 1.0)
         decisions = dots / divisor + self.bias[None, :]
         distances = decisions * self.inv_weight_norm[None, :]
         decisions[~present] = 0.0
@@ -377,13 +373,12 @@ class CompiledClassifier:
         vectors: Mapping[str, SparseVector],
         mode: str,
         threshold: float,
-        root: str = "ROOT",
     ) -> tuple[str, float, tuple[tuple[str, float], ...]]:
         """Top-down descent, mirroring the reference ``classify`` exactly."""
         if mode not in MODES:
             raise TrainingError(f"unknown decision mode {mode!r}")
         self.single_calls += 1
-        current = root
+        current = "ROOT"
         path: list[tuple[str, float]] = []
         confidence = 0.0
         while True:
@@ -407,7 +402,6 @@ class CompiledClassifier:
         bundles: Sequence[Mapping[str, SparseVector]],
         mode: str,
         threshold: float,
-        root: str = "ROOT",
     ) -> list[tuple[str, float, tuple[tuple[str, float], ...]]]:
         """Wave-based batch descent: documents sitting at the same tree
         node are scored together (:meth:`_LevelKernel.decide_many`), so
@@ -423,7 +417,7 @@ class CompiledClassifier:
         results: list = [None] * n
         paths: list[list[tuple[str, float]]] = [[] for _ in range(n)]
         confidences = [0.0] * n
-        pending = [(root, list(range(n)))] if n else []
+        pending = [("ROOT", list(range(n)))] if n else []
         while pending:
             node, doc_ids = pending.pop()
             self.waves += 1
@@ -533,8 +527,7 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
     vocabulary: dict[str, int] = {}
     exported = []
     for _child, _position, member in entries:
-        weights, bias, weight_norm, normalize = member.svm.export_linear()
-        exported.append((weights, bias, weight_norm, normalize))
+        exported.append(member.svm.export_linear())
         for feature in member.features:
             vocabulary.setdefault(feature, len(vocabulary))
     n_rows = len(entries)
@@ -543,11 +536,10 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
     membership = np.zeros((n_rows, width))
     bias_column = np.zeros(n_rows)
     inv_weight_norm = np.zeros(n_rows)
-    normalized_rows = np.zeros(n_rows, dtype=bool)
     rows: list[tuple[int, int]] = []
-    for row, ((child, position, member), (weights, bias, weight_norm,
-                                          normalize)) in enumerate(
-            zip(entries, exported)):
+    for row, ((child, position, member), (weights, bias, weight_norm)) in (
+        enumerate(zip(entries, exported))
+    ):
         for feature in member.features:
             membership[row, vocabulary[feature]] = 1.0
         for feature, weight in weights.items():
@@ -559,7 +551,6 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
                 stacked[row, column] = weight
         bias_column[row] = bias
         inv_weight_norm[row] = 1.0 / weight_norm if weight_norm > 0 else 0.0
-        normalized_rows[row] = normalize
         rows.append((child, position))
     return _SpaceBlock(
         space=space,
@@ -568,7 +559,6 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
         membership=membership,
         bias=bias_column,
         inv_weight_norm=inv_weight_norm,
-        normalized_rows=normalized_rows,
         rows=rows,
     )
 

@@ -102,9 +102,6 @@ class CrawlContext:
                 self.config.crawl_workers,
                 clock=self.clock,
                 threads_per_worker=self.config.crawler_threads,
-                incoming_limit=self.config.incoming_queue_limit,
-                outgoing_limit=self.config.outgoing_queue_limit,
-                refill_batch=self.config.outgoing_refill_batch,
                 breaker_policy=self.config.breaker_policy(),
                 prefetch=self.prefetch_dns,
                 obs=self.obs,
@@ -113,9 +110,6 @@ class CrawlContext:
             self.hosts = self.workers.hosts
         else:
             self.frontier = CrawlFrontier(
-                incoming_limit=self.config.incoming_queue_limit,
-                outgoing_limit=self.config.outgoing_queue_limit,
-                refill_batch=self.config.outgoing_refill_batch,
                 prefetch=self.prefetch_dns,
                 now=lambda: self.clock.now,
             )
@@ -229,9 +223,9 @@ class CrawlContext:
         return self.pool.drain()
 
     def shard_barrier(self) -> None:
-        """Merge barrier: every worker's committed state is flushed and
-        the global-phase hooks (link analysis, archetype promotion
-        waves) run against the merged view."""
+        """Merge barrier: every worker's committed state is flushed, so
+        global phases (link analysis, archetype promotion) read the
+        merged view."""
         if self.workers is None:
             return
         if self.loader is not None:

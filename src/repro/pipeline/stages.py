@@ -23,12 +23,10 @@ and **expand** replay their batch in document order so bulk-loader row
 order, frontier pushes and retrain triggers match the per-document
 formulation.
 
-Simulated time: the full per-document cost (DNS + network + the
-convert/analyze/classify breakdown from
-:attr:`~repro.core.config.BingoConfig.processing_cost`) is charged on
-the fetching worker, as the paper's crawler threads fetch and process
-inline; the split into per-stage cost fields makes the charge tunable
-per experiment without changing worker-pool scheduling.
+Simulated time: the full per-document cost (DNS + network +
+:data:`PROCESSING_COST`) is charged on the fetching worker, as the
+paper's crawler threads fetch and process inline -- accounting, not
+scheduling.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from repro.errors import DNSError
 from repro.perf.text import scan_html
 from repro.robust.breaker import DEFER_QUARANTINE, DEFER_SLOW
 from repro.text.features import needs_ordered_stems, space_counts
+from repro.web.model import MimeType
 from repro.web.server import FetchStatus
 from repro.web.urls import is_crawlable_url, parse_url, resolve_links
 
@@ -58,6 +57,22 @@ __all__ = [
     "PersistStage",
     "ExpandStage",
 ]
+
+PROCESSING_COST = 0.05
+"""Simulated seconds of convert + analyze + classify work per document."""
+
+_MEGA = 1 << 20
+MIME_SIZE_CAPS: dict[str, int] = {
+    MimeType.HTML: 2 * _MEGA,
+    MimeType.PDF: 10 * _MEGA,
+    MimeType.WORD: 6 * _MEGA,
+    MimeType.POWERPOINT: 10 * _MEGA,
+    MimeType.ZIP: 20 * _MEGA,
+    MimeType.GZIP: 20 * _MEGA,
+}
+"""Handled document types and their size caps ("based on large-scale
+Google evaluations", paper 4.2); any other type -- video, audio, images
+-- is rejected unread."""
 
 #: canonical stage order
 STAGE_NAMES = (
@@ -196,11 +211,8 @@ class FetchStage:
 
             result = ctx.web.server.fetch(actual_url)
             # the whole per-document cost rides on the fetching worker
-            # (the paper's threads fetch and process inline); see the
-            # module docstring for why the stage split keeps it here
-            duration = (
-                dns.latency + result.latency + ctx.config.processing_cost
-            )
+            # (the paper's threads fetch and process inline)
+            duration = dns.latency + result.latency + PROCESSING_COST
             start, end = ctx.run_fetch(parsed.host, duration)
             host_state.busy_until.append(end)
             host_state.note_fetch_end(end)
@@ -250,11 +262,11 @@ class FetchStage:
                 continue
 
             # document-type management
-            policy = ctx.config.mime_policies.get(result.mime or "")
-            if policy is None or not policy.handled or result.html is None:
+            size_cap = MIME_SIZE_CAPS.get(result.mime or "")
+            if size_cap is None or result.html is None:
                 stats.mime_rejected += 1
                 continue
-            if result.size > policy.max_size:
+            if result.size > size_cap:
                 stats.size_rejected += 1
                 continue
 

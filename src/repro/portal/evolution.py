@@ -131,13 +131,6 @@ class WebEvolution:
     def alive(self, page_id: int) -> bool:
         return page_id not in self._dead
 
-    def alive_page_ids(self) -> list[int]:
-        return [
-            page.page_id
-            for page in self.web.pages
-            if page.page_id not in self._dead
-        ]
-
     # -- the schedule --------------------------------------------------------
 
     def _rng(self, tick: int) -> np.random.Generator:

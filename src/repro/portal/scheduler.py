@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits
-from repro.core.engine import BingoEngine
+from repro.core.engine import HARVESTING_DECISION_MODE, BingoEngine
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.core.records import CrawledDocument
 from repro.errors import ConfigError
@@ -46,6 +46,14 @@ __all__ = ["RecrawlReport", "RecrawlScheduler"]
 
 #: transient statuses worth a retry with backoff
 _TRANSIENT = (FetchStatus.TIMEOUT, FetchStatus.HTTP_ERROR)
+
+AUTHORITY_EPSILON = 0.05
+"""Added to a page's normalised authority so staleness alone eventually
+wins a revisit."""
+MAX_RETRIES = 2
+RETRY_BACKOFF = 30.0
+"""Simulated seconds before a transient failure's first retry; grows
+linearly with the attempt."""
 
 
 @dataclass
@@ -82,24 +90,13 @@ class RecrawlReport:
 class RecrawlScheduler:
     """Schedules and executes revisit crawls over an engine's corpus."""
 
-    def __init__(
-        self,
-        engine: BingoEngine,
-        workers: int = 1,
-        digests: DigestStore | None = None,
-        authority_epsilon: float = 0.05,
-        max_retries: int = 2,
-        retry_backoff: float = 30.0,
-    ) -> None:
+    def __init__(self, engine: BingoEngine, workers: int = 1) -> None:
         self.engine = engine
         self.ctx = engine.ctx
         self.clock = self.ctx.clock
         self.web = engine.web
         self.workers = workers
-        self.digests = digests or DigestStore()
-        self.authority_epsilon = authority_epsilon
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
+        self.digests = DigestStore()
         if workers > 1:
             self.frontier = ShardedFrontier(
                 ShardRouter(workers), now=lambda: self.clock.now
@@ -214,7 +211,7 @@ class RecrawlScheduler:
                 now - self.last_crawled.get(url, doc.fetched_at), 0.0
             )
             priority = staleness * (
-                authorities.get(doc.doc_id, 0.0) + self.authority_epsilon
+                authorities.get(doc.doc_id, 0.0) + AUTHORITY_EPSILON
             )
             scored.append((priority, doc.doc_id, url, doc.topic, doc.depth))
         scored.sort(key=lambda item: (-item[0], item[1]))
@@ -297,7 +294,7 @@ class RecrawlScheduler:
             return
         counts, out_urls, title = analysis
         classified = self.engine.classifier.classify(
-            counts, mode=self.engine.config.harvesting_decision_mode
+            counts, mode=HARVESTING_DECISION_MODE
         )
         parsed = parse_url(result.final_url or entry.url)
         doc_id = len(self.ctx.documents)
@@ -398,8 +395,8 @@ class RecrawlScheduler:
             report.fetched += 1
             self.total_fetched += 1
             if result.status in _TRANSIENT:
-                if entry.attempt < self.max_retries:
-                    backoff = self.retry_backoff * (entry.attempt + 1)
+                if entry.attempt < MAX_RETRIES:
+                    backoff = RETRY_BACKOFF * (entry.attempt + 1)
                     self.frontier.requeue(
                         dataclasses.replace(
                             entry,

@@ -22,6 +22,8 @@ from repro.search.clustering import suggest_subclasses
 
 __all__ = ["PortalPage", "PortalExporter"]
 
+MAX_DOCUMENTS_PER_TOPIC = 100
+
 
 @dataclass(frozen=True)
 class PortalPage:
@@ -48,13 +50,11 @@ class PortalExporter:
         tree: TopicTree,
         documents: Sequence[CrawledDocument],
         title: str = "BINGO! information portal",
-        max_documents_per_topic: int = 100,
         cluster_subsections: bool = False,
     ) -> None:
         self.tree = tree
         self.documents = list(documents)
         self.title = title
-        self.max_documents_per_topic = max_documents_per_topic
         self.cluster_subsections = cluster_subsections
 
     # ------------------------------------------------------------------
@@ -62,7 +62,7 @@ class PortalExporter:
     def _topic_documents(self, topic: str) -> list[CrawledDocument]:
         docs = [d for d in self.documents if d.topic == topic]
         docs.sort(key=lambda d: (-d.confidence, d.doc_id))
-        return docs[: self.max_documents_per_topic]
+        return docs[:MAX_DOCUMENTS_PER_TOPIC]
 
     def _document_list(self, docs: Sequence[CrawledDocument]) -> str:
         items = []

@@ -12,7 +12,7 @@ counters).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any
 
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.shard.router import ShardRouter
@@ -23,23 +23,11 @@ __all__ = ["ShardedFrontier"]
 class ShardedFrontier(CrawlFrontier):
     """Host-partitioned frontier with single-frontier pop semantics."""
 
-    def __init__(
-        self,
-        router: ShardRouter,
-        incoming_limit: int = 25_000,
-        outgoing_limit: int = 1_000,
-        refill_batch: int = 50,
-        prefetch: Callable[[str], bool] | None = None,
-        now: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, router: ShardRouter, **options: Any) -> None:
+        """``options`` are :class:`CrawlFrontier`'s (limits, refill
+        batch, ``prefetch``, ``now``) with its defaults."""
         super().__init__(
-            incoming_limit=incoming_limit,
-            outgoing_limit=outgoing_limit,
-            refill_batch=refill_batch,
-            prefetch=prefetch,
-            now=now,
-            shards=router.workers,
-            route=router.shard_of_url,
+            shards=router.workers, route=router.shard_of_url, **options
         )
         self.router = router
 

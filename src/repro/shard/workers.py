@@ -157,9 +157,6 @@ class WorkerSet:
         count: int,
         clock: SimulatedClock,
         threads_per_worker: int,
-        incoming_limit: int = 25_000,
-        outgoing_limit: int = 1_000,
-        refill_batch: int = 50,
         breaker_policy: BreakerPolicy | None = None,
         prefetch: Callable[[str], bool] | None = None,
         obs: object | None = None,
@@ -172,9 +169,6 @@ class WorkerSet:
         self.router = ShardRouter(count)
         self.frontier = ShardedFrontier(
             self.router,
-            incoming_limit=incoming_limit,
-            outgoing_limit=outgoing_limit,
-            refill_batch=refill_batch,
             prefetch=prefetch,
             now=lambda: clock.now,
         )
@@ -197,14 +191,8 @@ class WorkerSet:
         self.local_links = 0
         self.commits = 0
         self.barriers = 0
-        self.barrier_hooks: list[Callable[[], None]] = []
-        """Global-phase callbacks run at each merge barrier (flushes,
-        link-analysis waves, archetype promotion sweeps)."""
 
     # -- placement --------------------------------------------------------
-
-    def slice_for(self, host: str) -> WorkerSlice:
-        return self.slices[self.router.shard_of(host)]
 
     def pool_for(self, host: str) -> WorkerPool:
         return self.pools[self.router.shard_of(host)]
@@ -238,9 +226,6 @@ class WorkerSet:
 
     # -- merge barriers ---------------------------------------------------
 
-    def add_barrier_hook(self, hook: Callable[[], None]) -> None:
-        self.barrier_hooks.append(hook)
-
     def note_commit(self, interval: int) -> bool:
         """Count one committed micro-batch; True when a barrier is due
         (every ``interval`` commits; 0 disables periodic barriers)."""
@@ -248,10 +233,8 @@ class WorkerSet:
         return interval > 0 and self.commits % interval == 0
 
     def run_barrier(self) -> None:
-        """Run every global-phase hook at a merged, quiescent point."""
+        """Count one merge barrier (the context has flushed the loader)."""
         self.barriers += 1
-        for hook in self.barrier_hooks:
-            hook()
 
     # -- observability ----------------------------------------------------
 

@@ -33,6 +33,8 @@ BOILERPLATE_ANCHORS = (
     "download here",
     "full text",
 )
+BOILERPLATE_ANCHOR_RATE = 0.35
+"""Share of links to topical pages that still carry a boilerplate anchor."""
 
 #: role-specific share of body tokens drawn from the topic vocabulary,
 #: applied when the PageSpec does not override it.
@@ -62,13 +64,11 @@ class PageRenderer:
         universe: TopicUniverse,
         pages: list[PageSpec],
         seed: int,
-        boilerplate_anchor_rate: float = 0.35,
         stale_link_rate: float = 0.15,
     ) -> None:
         self.universe = universe
         self.pages = pages
         self.seed = seed
-        self.boilerplate_anchor_rate = boilerplate_anchor_rate
         self.stale_link_rate = stale_link_rate
 
     def _rng(self, page_id: int, revision: int = 0) -> np.random.Generator:
@@ -108,7 +108,7 @@ class PageRenderer:
     def anchor_text(self, source: PageSpec, target: PageSpec) -> str:
         """Anchor text the source page uses for a link to the target."""
         rng = self._rng(source.page_id * 31 + target.page_id)
-        if rng.random() < self.boilerplate_anchor_rate or target.topic is None:
+        if rng.random() < BOILERPLATE_ANCHOR_RATE or target.topic is None:
             return BOILERPLATE_ANCHORS[int(rng.integers(len(BOILERPLATE_ANCHORS)))]
         words = self.universe.sample_terms(
             rng, int(rng.integers(1, 4)), target.topic, 0.8

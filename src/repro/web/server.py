@@ -23,6 +23,8 @@ from repro.web.model import Host, PageSpec
 
 __all__ = ["FetchStatus", "FetchResult", "SimulatedServer"]
 
+BANDWIDTH_BYTES_PER_SECOND = 40_000.0
+
 
 class FetchStatus:
     """Terminal states of one fetch."""
@@ -79,16 +81,13 @@ class SimulatedServer:
         url_map: dict[str, tuple[int, str]],
         renderer,
         seed: int = 0,
-        max_redirects: int = 25,
-        bandwidth_bytes_per_second: float = 40_000.0,
     ) -> None:
         self.pages = pages
         self.hosts = hosts
         self.url_map = url_map
         self.renderer = renderer
         self.seed = seed
-        self.max_redirects = max_redirects
-        self.bandwidth = bandwidth_bytes_per_second
+        self.max_redirects = 25
         self.fetch_counts: Counter = Counter()
         self._attempts: Counter = Counter()
         self.faults = None
@@ -114,7 +113,7 @@ class SimulatedServer:
         return np.random.default_rng(int.from_bytes(digest, "big"))
 
     def _latency(self, host: Host, size: int, rng: np.random.Generator) -> float:
-        transfer = size / self.bandwidth
+        transfer = size / BANDWIDTH_BYTES_PER_SECOND
         return float(host.mean_latency * rng.exponential(1.0) + transfer)
 
     # ------------------------------------------------------------------

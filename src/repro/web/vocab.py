@@ -31,6 +31,11 @@ __all__ = ["WordFactory", "Vocabulary", "TopicSpec", "TopicUniverse"]
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
 
+# words per vocabulary layer
+BACKGROUND_SIZE = 1200
+CATEGORY_SIZE = 300
+TOPIC_SIZE = 160
+
 
 class WordFactory:
     """Generates distinct pronounceable pseudo-words, deterministically."""
@@ -134,9 +139,6 @@ class TopicUniverse:
         self,
         topics: dict[str, str],
         seed: int = 0,
-        background_size: int = 1200,
-        category_size: int = 300,
-        topic_size: int = 160,
         zipf_exponent: float = 1.1,
         sibling_overlap: float = 0.25,
     ) -> None:
@@ -154,19 +156,19 @@ class TopicUniverse:
         rng = np.random.default_rng(seed)
         factory = WordFactory(rng)
         self.background = Vocabulary(
-            factory.words(background_size, syllables=2), zipf_exponent
+            factory.words(BACKGROUND_SIZE, syllables=2), zipf_exponent
         )
         self.categories: dict[str, Vocabulary] = {}
         jargon_pools: dict[str, list[str]] = {}
         for category in sorted(set(topics.values())):
             self.categories[category] = Vocabulary(
-                factory.words(category_size), zipf_exponent
+                factory.words(CATEGORY_SIZE), zipf_exponent
             )
-            jargon_pools[category] = factory.words(topic_size)
+            jargon_pools[category] = factory.words(TOPIC_SIZE)
         self.topics: dict[str, TopicSpec] = {}
         for name, category in topics.items():
             signature = list(self.SIGNATURES.get(name, []))
-            n_filler = max(topic_size - len(signature), 0)
+            n_filler = max(TOPIC_SIZE - len(signature), 0)
             n_shared = int(round(n_filler * sibling_overlap))
             filler = factory.words(n_filler - n_shared)
             pool = jargon_pools[category]

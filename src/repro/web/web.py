@@ -80,12 +80,6 @@ class SyntheticWeb:
 
     # -- lookups ----------------------------------------------------------
 
-    def page_by_url(self, url: str) -> PageSpec | None:
-        entry = self.url_map.get(url)
-        if entry is None:
-            return None
-        return self.pages[entry[0]]
-
     def pages_by_role(self, role: PageRole) -> list[PageSpec]:
         return [page for page in self.pages if page.role == role]
 

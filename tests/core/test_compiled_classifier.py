@@ -115,8 +115,7 @@ class TestKernelParity:
             model = classifier.models[topic]
             for doc, confidence in zip(eval_docs, confidences):
                 _pos, reference = model.decide(
-                    classifier.vectorize(doc), mode,
-                    classifier.config.acceptance_threshold,
+                    classifier.vectorize(doc), mode
                 )
                 assert confidence == pytest.approx(reference, abs=1e-9)
 

@@ -1,0 +1,56 @@
+"""``BingoConfig.validate`` rejects values that would break a crawl."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import BingoConfig
+from repro.errors import ConfigError
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"max_parallel_per_host": 0},
+        {"max_parallel_per_domain": 0},
+        {"dns_servers": 0},
+        {"retrain_interval": 0},
+        {"retrain_interval": -5},
+        {"learning_fetch_budget": 0},
+        {"negative_examples": -1},
+    ],
+    ids=lambda overrides: ",".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_validate_rejects(overrides: dict) -> None:
+    with pytest.raises(ConfigError):
+        BingoConfig(**overrides).validate()
+
+
+def test_defaults_and_boundaries_validate() -> None:
+    BingoConfig().validate()
+    BingoConfig(
+        max_parallel_per_host=1, max_parallel_per_domain=1, dns_servers=1,
+        retrain_interval=1, learning_fetch_budget=1, negative_examples=0,
+    ).validate()
+
+
+def test_never_set_fields_stay_gone() -> None:
+    """The 24 fields no file ever set are constants beside their readers
+    now (``deprecated-api`` says where), not constructor keywords."""
+    config = BingoConfig()
+    for name in (
+        "retry_multiplier", "retry_max_delay", "host_quarantine_multiplier",
+        "host_max_quarantine", "incoming_queue_limit", "outgoing_queue_limit",
+        "outgoing_refill_batch", "bulk_batch_size", "learning_max_depth",
+        "restrict_learning_to_seed_domains", "learning_decision_mode",
+        "harvesting_decision_mode", "acceptance_threshold",
+        "max_archetypes_per_topic", "archetype_confidence_factor",
+        "enforce_archetype_threshold", "archetype_threshold_warmup",
+        "top_authorities", "top_hubs", "min_archetypes_to_harvest",
+        "mime_policies", "convert_cost", "analyze_cost", "classify_cost",
+        "processing_cost",
+    ):
+        assert not hasattr(config, name), name
+        if name != "processing_cost":
+            with pytest.raises(TypeError):
+                BingoConfig(**{name: 1})

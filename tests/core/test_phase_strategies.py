@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BingoEngine
+from repro.core.engine import LEARNING_MAX_DEPTH
 
 from tests.core.conftest import fast_engine_config
 
@@ -26,9 +27,9 @@ class TestLearningPhaseStrategy:
 
     def test_depth_cap_respected(self, learning_report) -> None:
         engine, report = learning_report
-        assert report.stats.max_depth <= engine.config.learning_max_depth
+        assert report.stats.max_depth <= LEARNING_MAX_DEPTH
         for doc in engine.ctx.documents:
-            assert doc.depth <= engine.config.learning_max_depth
+            assert doc.depth <= LEARNING_MAX_DEPTH
 
     def test_learning_visits_few_hosts(self, learning_report) -> None:
         """Seed-domain restriction keeps the learning phase local."""

@@ -56,3 +56,30 @@ class LocalSearchEngine:
 
 def mean_latency(engine: LocalSearchEngine) -> float:
     return engine.query_seconds / max(engine.queries, 1)
+
+
+@dataclass
+class BingoConfig:
+    seed: int = 0
+    incoming_queue_limit: int = 25_000
+
+    @property
+    def processing_cost(self) -> float:
+        return 0.05
+
+
+def stale_knobs() -> BingoConfig:
+    return BingoConfig(retry_multiplier=3.0, top_hubs=5)
+
+
+def fetch_charge(config: BingoConfig) -> float:
+    return config.processing_cost + config.convert_cost
+
+
+class WorkerSet:
+    def add_barrier_hook(self, hook) -> None:
+        pass
+
+
+def wire(workers: WorkerSet) -> None:
+    workers.add_barrier_hook(print)

@@ -37,3 +37,17 @@ class LocalSearchEngine:
 
 def served(engine: LocalSearchEngine) -> float:
     return engine.stats()["queries"]
+
+
+@dataclass
+class BingoConfig:
+    seed: int = 0
+    retry_base_delay: float = 4.0
+
+
+def fresh_knobs() -> BingoConfig:
+    return BingoConfig(seed=7, retry_base_delay=2.0)
+
+
+def first_backoff(config: BingoConfig) -> float:
+    return config.retry_base_delay

@@ -57,7 +57,7 @@ class TestXiAlpha:
 
     def test_requires_labels(self) -> None:
         svm, _, labels = fit(overlap=0.2)
-        with pytest.raises(TrainingError):
+        with pytest.raises(TypeError):
             xi_alpha_estimate(svm)
 
     def test_label_length_mismatch(self) -> None:

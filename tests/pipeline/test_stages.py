@@ -106,40 +106,9 @@ class TestStageHooks:
 
 
 class TestProcessingCostBreakdown:
-    def test_defaults_sum_to_historical_constant(self) -> None:
-        config = BingoConfig()
-        # exact float equality: 0.0125 + 0.0125 + 0.025 == 0.05 in IEEE
-        # doubles, so simulated timing is bit-identical to the old
-        # module-level PROCESSING_COST
-        assert config.processing_cost == 0.05
-
-    def test_breakdown_is_tunable(self) -> None:
-        config = BingoConfig(
-            convert_cost=0.1, analyze_cost=0.2, classify_cost=0.3
-        )
-        assert config.processing_cost == pytest.approx(0.6)
-
-    def test_negative_cost_rejected(self) -> None:
-        with pytest.raises(ConfigError):
-            BingoConfig(analyze_cost=-0.1).validate()
-
     def test_zero_batch_size_rejected(self) -> None:
         with pytest.raises(ConfigError):
             BingoConfig(pipeline_batch_size=0).validate()
-
-    def test_costs_charge_simulated_time(self, web) -> None:
-        cheap = build_crawler(web)
-        dear = build_crawler(
-            web, convert_cost=1.0, analyze_cost=1.0, classify_cost=1.0
-        )
-        for crawler in (cheap, dear):
-            crawler.seed(
-                web.seed_homepages(2), topic="ROOT/databases", priority=10.0
-            )
-        phase = PhaseSettings(name="t", focus=SOFT, fetch_budget=10)
-        cheap_stats = cheap.crawl(phase)
-        dear_stats = dear.crawl(phase)
-        assert dear_stats.simulated_seconds > cheap_stats.simulated_seconds
 
 
 class TestWorkspaceSharding:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
 import re
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import repro
+from repro.core import BingoConfig
 
 
 class TestLazyExports:
@@ -90,3 +92,27 @@ class TestNoWallClock:
             and pattern.search(path.read_text())
         ]
         assert offenders == []
+
+
+class TestEveryConfigFieldHasASetter:
+    def test_some_file_sets_each_field(self) -> None:
+        """A ``BingoConfig`` field nobody sets is a constant, not a knob:
+        each field name appears as a keyword argument or an attribute
+        assignment in some file other than ``core/config.py``."""
+        repo = pathlib.Path(__file__).resolve().parent.parent
+        config_py = repo / "src" / "repro" / "core" / "config.py"
+        sources = [
+            path.read_text()
+            for top in ("src", "tests", "benchmarks", "examples")
+            for path in sorted((repo / top).rglob("*.py"))
+            if path != config_py and "fixtures" not in path.parts
+        ]
+        never_set = [
+            field.name
+            for field in dataclasses.fields(BingoConfig)
+            if not any(
+                re.search(rf"\b{field.name}\s*=(?!=)", text)
+                for text in sources
+            )
+        ]
+        assert never_set == []
