@@ -58,13 +58,16 @@ CONTRACTS: dict[str, MutationContract] = {
         attrs=frozenset(
             {
                 "_epoch", "_vectors", "_index", "_by_id",
-                "documents", "vectorizer",
+                "documents", "vectorizer", "_views", "_url_to_doc",
             }
         ),
         funnels=frozenset(
             {
                 "__init__", "_build_corpus", "epoch", "advance_epoch",
                 "restore_epoch", "index", "rebuild", "apply_delta",
+                # per-epoch views: filled on first use, dropped only
+                # where the epoch is assigned
+                "_move_epoch", "_view", "_authority_scores",
             }
         ),
     ),

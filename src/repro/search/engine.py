@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
@@ -151,6 +151,23 @@ def _combine(
     )
 
 
+@dataclass
+class _FilterView:
+    """What one ``(topic, exact)`` filter derives from the documents
+    alone -- never from a query -- and so holds for a whole epoch."""
+
+    candidates: list[CrawledDocument]
+    by_id: dict[int, CrawledDocument]
+    members: frozenset[int] | None
+    """``None`` when the filter keeps every document (WAND then skips
+    its membership test)."""
+    confidences: dict[int, float] = field(default_factory=dict)
+    authorities: dict[int, float] = field(default_factory=dict)
+    """The normalised maps of :meth:`LocalSearchEngine._components`,
+    filled the first time a query weights the scheme.  A view is never
+    empty, so neither is a computed map: ``{}`` means "not yet"."""
+
+
 class LocalSearchEngine:
     """Filter + rank over the crawler's stored documents."""
 
@@ -166,13 +183,15 @@ class LocalSearchEngine:
         self.queries = 0
         self.queries_failed = 0
         """Queries rejected with a :class:`~repro.errors.SearchError`
-        (invalid weights, no indexable terms).  Failed queries still
-        count into :attr:`queries`."""
+        (invalid weights, negative ``top_k``, no indexable terms).
+        Failed queries still count into :attr:`queries`."""
         self.candidates_ranked = 0
+        self.authority_runs = 0
+        """HITS computations since construction."""
         if obs is not None:
             obs.register_source("search", self)
         self._build_corpus(documents)
-        self._epoch = Epoch.initial(self.vectorizer.snapshot_version)
+        self._move_epoch(Epoch.initial(self.vectorizer.snapshot_version))
 
     def _build_corpus(self, documents: Sequence[CrawledDocument]) -> None:
         """Fresh idf statistics and vectors over ``documents``; the
@@ -203,6 +222,14 @@ class LocalSearchEngine:
 
     # -- epoch lifecycle ----------------------------------------------------
 
+    def _move_epoch(self, epoch: Epoch) -> Epoch:
+        """The one assignment of the epoch; everything derived per
+        epoch (filter views, the url map) is dropped with it."""
+        self._epoch = epoch
+        self._views: dict[tuple[str | None, bool], _FilterView] = {}
+        self._url_to_doc: dict[str, int] | None = None
+        return epoch
+
     @property
     def epoch(self) -> Epoch:
         """The engine's current :class:`~repro.search.epoch.Epoch`.
@@ -217,7 +244,9 @@ class LocalSearchEngine:
         how the legacy tuple read the snapshot version live.
         """
         if self._epoch.snapshot_version != self.vectorizer.snapshot_version:
-            self._epoch = self._epoch.synced(self.vectorizer.snapshot_version)
+            self._move_epoch(
+                self._epoch.synced(self.vectorizer.snapshot_version)
+            )
         return self._epoch
 
     @property
@@ -228,15 +257,16 @@ class LocalSearchEngine:
     def advance_epoch(self, reason: str) -> Epoch:
         """Explicitly move the engine to a new epoch.
 
-        Every epoch-keyed cache entry becomes unreachable; the inverted
-        index survives only if the idf snapshot is unchanged.  This is
-        the one mutation point of the engine's lifecycle state --
-        :meth:`rebuild` and :meth:`apply_delta` both funnel through it.
+        Every epoch-keyed cache entry becomes unreachable and the filter
+        views are dropped; the inverted index survives only if the idf
+        snapshot is unchanged.  :meth:`rebuild` and :meth:`apply_delta`
+        both funnel through here.
         """
-        self._epoch = self.epoch.advance(
-            reason, snapshot_version=self.vectorizer.snapshot_version
+        return self._move_epoch(
+            self.epoch.advance(
+                reason, snapshot_version=self.vectorizer.snapshot_version
+            )
         )
-        return self._epoch
 
     def restore_epoch(self, epoch: Epoch) -> Epoch:
         """Adopt a checkpointed epoch (the portal restore path).
@@ -247,13 +277,9 @@ class LocalSearchEngine:
         a restored engine rebuilt its idf statistics from scratch and
         the stored snapshot version belongs to a dead lineage.
         """
-        self._epoch = Epoch(
-            ordinal=epoch.ordinal,
-            snapshot_version=self.vectorizer.snapshot_version,
-            generation=epoch.generation,
-            reason=epoch.reason,
+        return self._move_epoch(
+            replace(epoch, snapshot_version=self.vectorizer.snapshot_version)
         )
-        return self._epoch
 
     def index(self) -> InvertedIndex:
         """The inverted index over the current corpus (built lazily)."""
@@ -445,16 +471,63 @@ class LocalSearchEngine:
     def filter(
         self, topic: str | None = None, exact: bool = True
     ) -> list[CrawledDocument]:
-        """Exact filter: the class itself; vague: the class's subtree."""
-        if topic is None:
-            return list(self.documents)
-        if exact:
-            return [d for d in self.documents if d.topic == topic]
-        prefix = topic + "/"
-        return [
-            d for d in self.documents
-            if d.topic == topic or d.topic.startswith(prefix)
-        ]
+        """Exact filter: the class itself; vague: the class's subtree.
+
+        A fresh list on every call: the caller may do what it likes
+        with it."""
+        view = self._view(topic, exact)
+        return [] if view is None else list(view.candidates)
+
+    def _view(self, topic: str | None, exact: bool) -> _FilterView | None:
+        """This epoch's view of one filter, derived on first use.
+
+        ``None`` when no document matches: topic strings arrive with
+        requests, and one that selects nothing must not grow the
+        engine."""
+        key = (topic, exact or topic is None)
+        view = self._views.get(key)
+        if view is None:
+            if topic is None:
+                candidates = list(self.documents)
+            elif exact:
+                candidates = [d for d in self.documents if d.topic == topic]
+            else:
+                prefix = topic + "/"
+                candidates = [
+                    d for d in self.documents
+                    if d.topic == topic or d.topic.startswith(prefix)
+                ]
+            if not candidates:
+                return None
+            whole = len(candidates) == len(self.documents)
+            by_id = (
+                self._by_id if whole else {d.doc_id: d for d in candidates}
+            )
+            view = self._views[key] = _FilterView(
+                candidates, by_id, None if whole else frozenset(by_id)
+            )
+        return view
+
+    def _view_components(
+        self, view: _FilterView, weights: RankingWeights
+    ) -> tuple[dict[int, float], dict[int, float]]:
+        """:meth:`_components` over the view, each scheme computed the
+        first time a query weights it and kept for the epoch."""
+        missing = RankingWeights(
+            cosine=0.0,
+            confidence=0.0 if view.confidences else weights.confidence,
+            authority=0.0 if view.authorities else weights.authority,
+        )
+        if missing.confidence > 0 or missing.authority > 0:
+            confidences, authorities = self._components(
+                view.candidates, missing
+            )
+            view.confidences = view.confidences or confidences
+            view.authorities = view.authorities or authorities
+        return (
+            view.confidences if weights.confidence > 0 else {},
+            view.authorities if weights.authority > 0 else {},
+        )
 
     # -- ranking ------------------------------------------------------------
 
@@ -472,11 +545,13 @@ class LocalSearchEngine:
         # both so edges through redirects reach their target (the
         # final-URL mapping wins on collision, matching dedup's
         # canonical-document choice)
-        url_to_doc: dict[str, int] = {}
-        for d in self.documents:
-            url_to_doc[d.url] = d.doc_id
-        for d in self.documents:
-            url_to_doc[d.final_url] = d.doc_id
+        url_to_doc = self._url_to_doc
+        if url_to_doc is None:
+            url_to_doc = self._url_to_doc = {
+                d.url: d.doc_id for d in self.documents
+            }
+            for d in self.documents:
+                url_to_doc[d.final_url] = d.doc_id
         member_ids = {d.doc_id for d in documents}
         graph = LinkGraph()
         for document in documents:
@@ -485,6 +560,7 @@ class LocalSearchEngine:
                 target = url_to_doc.get(url)
                 if target is not None and target in member_ids:
                     graph.add_edge(document.doc_id, target)
+        self.authority_runs += 1
         return hits(graph).authority
 
     def _components(
@@ -545,7 +621,7 @@ class LocalSearchEngine:
 
     def _rank_indexed(
         self,
-        candidates: Sequence[CrawledDocument],
+        view: _FilterView,
         query_vector: SparseVector,
         weights: RankingWeights,
         top_k: int,
@@ -559,12 +635,8 @@ class LocalSearchEngine:
         merged in from the static confidence/authority component.
         """
         index = self.index()
-        confidences, authorities = self._components(candidates, weights)
-        by_id = (
-            self._by_id
-            if len(candidates) == len(self.documents)
-            else {d.doc_id: d for d in candidates}
-        )
+        confidences, authorities = self._view_components(view, weights)
+        by_id = view.by_id
         query_norm = query_vector.norm
         cursors = []
         for term in sorted(query_vector.weights):
@@ -603,11 +675,8 @@ class LocalSearchEngine:
                 authorities.get(doc_id, 0.0),
             )
 
-        members = (
-            None if len(by_id) == len(self.documents) else frozenset(by_id)
-        )
         matched_top = wand_topk(
-            cursors, top_k, exact_score, members=members,
+            cursors, top_k, exact_score, members=view.members,
             static_bound=static_bound,
         )
         scored = [
@@ -661,8 +730,9 @@ class LocalSearchEngine:
         Component scores are min-max normalised over the filtered set
         before the weighted linear combination, so weights are comparable
         across schemes.  Counter accounting is consistent on every path:
-        failed queries (invalid weights, no indexable terms) increment
-        both :attr:`queries` and :attr:`queries_failed`.
+        failed queries (invalid weights, negative ``top_k``, no
+        indexable terms) increment both :attr:`queries` and
+        :attr:`queries_failed`.
         """
         weights = weights or RankingWeights()
         self.queries += 1
@@ -671,20 +741,25 @@ class LocalSearchEngine:
             registry.counter("search_queries_total").inc()
         try:
             weights.validate()
-            candidates = self.filter(topic, exact=exact)
-            self.candidates_ranked += len(candidates)
+            if top_k < 0:
+                raise SearchError(f"top_k must not be negative: {top_k}")
+            view = self._view(topic, exact)
+            ranked = 0 if view is None else len(view.candidates)
+            self.candidates_ranked += ranked
             if registry is not None:
                 registry.counter("search_candidates_ranked_total").inc(
-                    len(candidates)
+                    ranked
                 )
-            if not candidates:
+            if view is None:
                 return []
             query_vector = self._query_vector(query)
-            if self.indexed and top_k > 0:
-                return self._rank_indexed(
-                    candidates, query_vector, weights, top_k
-                )
-            return self.rank_all(candidates, query_vector, weights)[:top_k]
+            if top_k == 0:
+                return []
+            if self.indexed:
+                return self._rank_indexed(view, query_vector, weights, top_k)
+            return self.rank_all(
+                view.candidates, query_vector, weights
+            )[:top_k]
         except SearchError:
             self.queries_failed += 1
             if registry is not None:
@@ -701,6 +776,8 @@ class LocalSearchEngine:
             "candidates_ranked": float(self.candidates_ranked),
             "documents_indexed": float(len(self.documents)),
             "generation": float(self.generation),
+            "filter_views": float(len(self._views)),
+            "authority_runs": float(self.authority_runs),
         }
         if self._index is not None:
             stats.update(self._index.stats())

@@ -18,9 +18,16 @@ class QueryCache:
 class LocalSearchEngine:
     def __init__(self) -> None:
         self.documents: list[str] = []
+        self._views: dict[str, list[str]] = {}
 
     def rebuild(self, documents: list[str]) -> None:
         self.documents = list(documents)
+
+    def filter(self, topic: str) -> list[str]:
+        # fills the per-epoch view store, but is not its funnel
+        candidates = [d for d in self.documents if d.startswith(topic)]
+        self._views[topic] = candidates
+        return candidates
 
     def sneak(self, document: str) -> None:
         # a method of the class, but not a lifecycle funnel
@@ -34,3 +41,8 @@ def poke(cache: QueryCache) -> None:
 
 def graft(engine: LocalSearchEngine, document: str) -> None:
     engine.documents.append(document)
+
+
+def prewarm(engine: LocalSearchEngine, topic: str) -> None:
+    # a view planted from outside outlives no epoch the engine knows of
+    engine._views[topic] = []

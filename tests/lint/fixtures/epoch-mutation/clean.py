@@ -21,12 +21,30 @@ class QueryCache:
 class LocalSearchEngine:
     def __init__(self) -> None:
         self.documents: list[str] = []
+        self._views: dict[str, list[str]] = {}
+
+    def advance_epoch(self) -> None:
+        self._views = {}
 
     def rebuild(self, documents: list[str]) -> None:
         self.documents = list(documents)
+        self.advance_epoch()
 
     def apply_delta(self, added: list[str]) -> None:
         self.documents = self.documents + list(added)
+        self.advance_epoch()
+
+    def _view(self, topic: str) -> list[str]:
+        view = self._views.get(topic)
+        if view is None:
+            view = self._views[topic] = [
+                d for d in self.documents if d.startswith(topic)
+            ]
+        return view
+
+    def filter(self, topic: str) -> list[str]:
+        # readers get a copy; only _view fills the store
+        return list(self._view(topic))
 
 
 def refresh_corpus(

@@ -38,6 +38,14 @@ WEIGHTS = (
 )
 
 
+#: ranked after *every* delta: the default, and one that weights HITS
+#: authority -- what a view carried over an epoch would get wrong
+PER_DELTA_WEIGHTS = (
+    RankingWeights(),
+    RankingWeights(cosine=0.6, confidence=0.2, authority=0.2),
+)
+
+
 def hit_tuples(hits):
     return [
         (h.document.doc_id, h.score, h.cosine, h.confidence, h.authority)
@@ -132,6 +140,42 @@ class TestIncrementalEqualsRebuild:
         assert epoch.reason == "recrawl"
         assert epoch.generation >= 1
         assert epoch.ordinal >= epoch.generation
+
+
+class TestEveryDeltaEqualsRebuild:
+    def test_ranked_results_match_after_every_fold(self) -> None:
+        """The module fixture only looks once three folds are done; here
+        the engine is queried between folds, so each delta lands on an
+        engine whose per-epoch state is warm."""
+        portal = build_portal()
+        folds = 0
+        for cycle_number in range(4):
+            if cycle_number:
+                portal.evolve(3600.0)
+                cycle = portal.recrawl(budget=60)
+                assert cycle.folded
+                if cycle.search is None:
+                    continue
+                folds += 1
+            incremental = portal.search
+            rebuilt = LocalSearchEngine(incremental.documents)
+            for query in QUERIES:
+                for topic, exact in FILTERS:
+                    for weights in PER_DELTA_WEIGHTS:
+                        arguments = dict(
+                            topic=topic, exact=exact, weights=weights,
+                            top_k=10,
+                        )
+                        assert hit_tuples(
+                            incremental.search(query, **arguments)
+                        ) == hit_tuples(
+                            rebuilt.search(query, **arguments)
+                        ), (
+                            f"cycle={cycle_number} query={query!r} "
+                            f"topic={topic!r} exact={exact} "
+                            f"weights={weights}"
+                        )
+        assert folds > 1, "evolution produced no sequence of deltas"
 
 
 class TestNonEvolvingBaseline:
