@@ -23,9 +23,9 @@ from collections import defaultdict
 from collections.abc import Hashable, Mapping
 
 from repro.analysis.graph import LinkGraph
-from repro.analysis.hits import HitsResult, _normalize
+from repro.analysis.hits import HitsResult
 
-__all__ = ["bharat_henzinger", "bharat_henzinger_reference"]
+__all__ = ["bharat_henzinger"]
 
 Node = Hashable
 
@@ -65,8 +65,8 @@ def bharat_henzinger(
 
     Runs on the CSR matvec kernel (:mod:`repro.perf.csr_hits`), which
     sits inside the crawler's retraining loop;
-    :func:`bharat_henzinger_reference` keeps the dict formulation the
-    kernel is parity-tested against.
+    ``tests/analysis/reference.py`` keeps the per-node dict formulation
+    the kernel is parity-tested against.
     """
     nodes = graph.nodes
     if not nodes:
@@ -82,56 +82,4 @@ def bharat_henzinger(
     return bharat_henzinger_csr(
         graph, authority_weight, hub_weight, rel,
         max_iterations=max_iterations, tolerance=tolerance,
-    )
-
-
-def bharat_henzinger_reference(
-    graph: LinkGraph,
-    relevance: Mapping[Node, float] | None = None,
-    max_iterations: int = 50,
-    tolerance: float = 1e-8,
-) -> HitsResult:
-    """The per-node dict formulation -- reference semantics for the kernel."""
-    nodes = graph.nodes
-    if not nodes:
-        return HitsResult(converged=True)
-    if relevance is None:
-        relevance = {}
-    rel = {node: float(relevance.get(node, 1.0)) for node in nodes}
-    authority_weight, hub_weight = _edge_weights(graph)
-
-    authority = {node: 1.0 for node in nodes}
-    hub = {node: 1.0 for node in nodes}
-    _normalize(authority)
-    _normalize(hub)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        new_authority = {
-            node: sum(
-                hub[p] * authority_weight[(p, node)] * rel[p]
-                for p in graph.predecessors.get(node, ())
-            )
-            for node in nodes
-        }
-        _normalize(new_authority)
-        new_hub = {
-            node: sum(
-                new_authority[q] * hub_weight[(node, q)] * rel[q]
-                for q in graph.successors.get(node, ())
-            )
-            for node in nodes
-        }
-        _normalize(new_hub)
-        delta = max(
-            max(abs(new_authority[n] - authority[n]) for n in nodes),
-            max(abs(new_hub[n] - hub[n]) for n in nodes),
-        )
-        authority, hub = new_authority, new_hub
-        if delta < tolerance:
-            converged = True
-            break
-    return HitsResult(
-        authority=authority, hub=hub,
-        iterations=iterations, converged=converged,
     )

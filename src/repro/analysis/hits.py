@@ -14,13 +14,12 @@ result lists (section 3.6).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections.abc import Hashable
 
 from repro.analysis.graph import LinkGraph
 
-__all__ = ["HitsResult", "hits", "hits_reference"]
+__all__ = ["HitsResult", "hits"]
 
 Node = Hashable
 
@@ -45,13 +44,6 @@ class HitsResult:
         )[:k]
 
 
-def _normalize(scores: dict[Node, float]) -> None:
-    norm = math.sqrt(sum(v * v for v in scores.values()))
-    if norm > 0:
-        for node in scores:
-            scores[node] /= norm
-
-
 def hits(
     graph: LinkGraph,
     max_iterations: int = 50,
@@ -60,51 +52,11 @@ def hits(
     """Run HITS to convergence (or ``max_iterations``) on ``graph``.
 
     Delegates to the CSR matvec kernel (:mod:`repro.perf.csr_hits`);
-    :func:`hits_reference` keeps the dict-walking formulation the kernel
-    is parity-tested against.
+    ``tests/analysis/reference.py`` keeps the per-node dict formulation
+    of the recurrence above, which the kernel is parity-tested against.
     """
     # imported lazily: repro.perf.csr_hits imports HitsResult from here
     from repro.perf.csr_hits import hits_csr
 
     return hits_csr(graph, max_iterations=max_iterations,
                     tolerance=tolerance)
-
-
-def hits_reference(
-    graph: LinkGraph,
-    max_iterations: int = 50,
-    tolerance: float = 1e-8,
-) -> HitsResult:
-    """The per-node dict formulation -- reference semantics for the kernel."""
-    nodes = graph.nodes
-    if not nodes:
-        return HitsResult(converged=True)
-    authority = {node: 1.0 for node in nodes}
-    hub = {node: 1.0 for node in nodes}
-    _normalize(authority)
-    _normalize(hub)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        new_authority = {
-            node: sum(hub[p] for p in graph.predecessors.get(node, ()))
-            for node in nodes
-        }
-        _normalize(new_authority)
-        new_hub = {
-            node: sum(new_authority[q] for q in graph.successors.get(node, ()))
-            for node in nodes
-        }
-        _normalize(new_hub)
-        delta = max(
-            max(abs(new_authority[n] - authority[n]) for n in nodes),
-            max(abs(new_hub[n] - hub[n]) for n in nodes),
-        )
-        authority, hub = new_authority, new_hub
-        if delta < tolerance:
-            converged = True
-            break
-    return HitsResult(
-        authority=authority, hub=hub,
-        iterations=iterations, converged=converged,
-    )

@@ -33,10 +33,17 @@ from repro.ml.rocchio import RocchioClassifier
 from repro.ml.svm import LinearSVM
 from repro.ml.xialpha import XiAlphaEstimate, xi_alpha_estimate
 from repro.perf.cache import VectorCache
-from repro.perf.compiled import CompiledClassifier, compile_classifier
+from repro.perf.compiled import (
+    ACCEPTANCE_THRESHOLD,
+    MODES,
+    CompiledClassifier,
+    compile_classifier,
+)
 from repro.text.vectorizer import SparseVector, TfIdfVectorizer
 
 __all__ = [
+    "ACCEPTANCE_THRESHOLD",
+    "MODES",
     "TrainingDoc",
     "TrainingSet",
     "ClassificationResult",
@@ -50,12 +57,6 @@ TrainingDoc = Mapping[str, Counter]
 
 #: topic name -> training documents
 TrainingSet = Mapping[str, Sequence[TrainingDoc]]
-
-#: decision-combination modes (paper 3.5)
-MODES = ("single", "unanimous", "majority", "weighted", "best")
-
-ACCEPTANCE_THRESHOLD = 0.0
-"""Minimum decision value of a member model for a positive vote."""
 
 
 def _cross_validation_estimate(
@@ -169,58 +170,11 @@ class NodeClassifier:
 
 @dataclass
 class TopicDecisionModel:
-    """All per-space models of one topic plus the combination logic."""
+    """All per-space models of one topic.  Their votes are combined by
+    the compiled kernel (:mod:`repro.perf.compiled`, paper 3.5)."""
 
     topic: str
     members: list[NodeClassifier] = field(default_factory=list)
-
-    def best_member(self) -> NodeClassifier:
-        """The member with the highest xi-alpha precision estimate."""
-        return max(self.members, key=lambda m: m.estimate.precision)
-
-    def decide(
-        self, vectors: Mapping[str, SparseVector], mode: str
-    ) -> tuple[bool, float]:
-        """Return ``(is_positive, confidence)`` under the given mode.
-
-        Confidence is a hyperplane-distance style score: the
-        (precision-weighted) mean distance of the members that were
-        consulted.
-        """
-        if not self.members:
-            raise TrainingError(f"topic {self.topic!r} has no trained model")
-        if mode not in MODES:
-            raise TrainingError(f"unknown decision mode {mode!r}")
-        if mode in ("single", "best"):
-            member = (
-                self.members[0] if mode == "single" else self.best_member()
-            )
-            distance = member.distance(vectors)
-            return member.decision(vectors) > ACCEPTANCE_THRESHOLD, distance
-        votes = [
-            1 if member.decision(vectors) > ACCEPTANCE_THRESHOLD else -1
-            for member in self.members
-        ]
-        distances = [member.distance(vectors) for member in self.members]
-        if mode == "unanimous":
-            positive = all(vote > 0 for vote in votes)
-        elif mode == "majority":
-            positive = sum(votes) > 0
-        else:  # weighted by xi-alpha precision
-            weights = [member.estimate.precision for member in self.members]
-            if sum(weights) <= 0:
-                weights = [1.0] * len(votes)
-            positive = sum(w * v for w, v in zip(weights, votes)) > 0
-        confidence = self._weighted_distance(distances, mode)
-        return positive, confidence
-
-    def _weighted_distance(self, distances: list[float], mode: str) -> float:
-        if mode == "weighted":
-            weights = [member.estimate.precision for member in self.members]
-            total = sum(weights)
-            if total > 0:
-                return sum(w * d for w, d in zip(weights, distances)) / total
-        return sum(distances) / len(distances)
 
 
 class HierarchicalClassifier:
@@ -243,8 +197,8 @@ class HierarchicalClassifier:
         self.models: dict[str, TopicDecisionModel] = {}
         self.trained = False
         self.model_version = 0
-        """Bumped at every (re)training point; the compiled kernel
-        carries the version it was built from and recompiles on skew."""
+        """Bumped at every (re)training point, which also drops the
+        compiled kernel."""
         self._compiled: CompiledClassifier | None = None
         self._vector_cache = VectorCache(self.config.vector_cache_size)
         self._kernel_stats_retired: dict[str, float] = {}
@@ -266,40 +220,27 @@ class HierarchicalClassifier:
             vectorizer.refresh()
 
     def vectorize(self, doc: TrainingDoc) -> dict[str, SparseVector]:
-        """Per-space tf*idf vectors of a document.
-
-        Repeat vectorizations of the same document object under the
-        same idf snapshot (archetype re-scoring, training-confidence
-        refreshes) come from the LRU cache; ``refresh_idf`` changes the
-        snapshot key and thereby invalidates every cached vector.
-        """
-        return self._vector_cache.get_or_compute(
-            doc, self._snapshot_key(), self._vectorize_uncached
-        )
+        """Per-space tf*idf vectors of one document."""
+        return self.vectorize_many([doc])[0]
 
     def _snapshot_key(self) -> tuple[int, ...]:
         return tuple(
             self.vectorizers[space].snapshot_version for space in self.spaces
         )
 
-    def _vectorize_uncached(self, doc: TrainingDoc) -> dict[str, SparseVector]:
-        return {
-            space: self.vectorizers[space].vectorize_counts(
-                doc.get(space, Counter())
-            )
-            for space in self.spaces
-        }
-
     def vectorize_many(
         self, docs: Sequence[TrainingDoc]
     ) -> list[dict[str, SparseVector]]:
         """Per-space tf*idf vectors for a whole batch, in one wave.
 
-        Cache hits are served per document; the misses are vectorized
-        together through :func:`repro.perf.text.vectorize_batch`, which
-        shares the idf gather and log-tf table across the batch.  Rows
-        are bit-identical to :meth:`vectorize` (batch-invariance is
-        pinned by tests), so mixing the two paths is safe.
+        Repeat vectorizations of the same document object under the
+        same idf snapshot (archetype re-scoring, training-confidence
+        refreshes) come from the LRU cache; ``refresh_idf`` changes the
+        snapshot key and thereby invalidates every cached vector.  The
+        misses are vectorized together through
+        :func:`repro.perf.text.vectorize_batch`, which shares the idf
+        gather and log-tf table across the batch; a row does not depend
+        on which other documents share it (pinned by tests).
         """
         from repro.perf.text import vectorize_batch
 
@@ -493,12 +434,7 @@ class HierarchicalClassifier:
         """The compiled decision kernel, recompiled after retraining."""
         if not self.trained:
             raise TrainingError("classifier has not been trained")
-        if (
-            self._compiled is None
-            or self._compiled.model_version != self.model_version
-        ):
-            if self._compiled is not None:
-                self._retire_kernel_stats(self._compiled)
+        if self._compiled is None:
             self._compiled = compile_classifier(self)
         return self._compiled
 
@@ -531,82 +467,29 @@ class HierarchicalClassifier:
     def classify(
         self, doc: TrainingDoc, mode: str = "single"
     ) -> ClassificationResult:
-        """Top-down classification of a new document.
-
-        Runs on the compiled per-level kernel (one sparse gather +
-        matvec per descent step); :meth:`classify_reference` keeps the
-        per-node dict formulation the kernel is parity-tested against.
-        """
-        topic, confidence, path = self._kernel().classify(
-            self.vectorize(doc), mode, ACCEPTANCE_THRESHOLD
-        )
-        return ClassificationResult(
-            topic=topic, confidence=confidence, path=path
-        )
+        """Top-down classification of one document: a batch of one, so
+        a page scores the same whichever entry point classified it."""
+        return self.classify_batch([doc], mode)[0]
 
     def classify_batch(
         self, docs: Sequence[TrainingDoc], mode: str = "single"
     ) -> list[ClassificationResult]:
-        """Classify many documents against one compiled snapshot.
+        """The decision phase (paper sections 2.4 and 3.5).
 
-        Compilation (and any pending recompilation after retraining) is
-        paid once for the whole batch -- the amortised path for
-        archetype re-scoring, retraining evaluation and meta-bench.
+        Starting at ROOT, all children with trained models vote; each
+        document descends into its highest-confidence positive child,
+        or lands in the level's OTHERS node when no child accepts.  The
+        returned confidence is that of the deepest accepted level (or
+        the best rejection distance when nothing accepted).  Runs on
+        the compiled kernel; compilation after a retraining point is
+        paid once, by the first batch that follows it.
         """
         kernel = self._kernel()
         bundles = self.vectorize_many(docs)
         return [
             ClassificationResult(topic=topic, confidence=confidence, path=path)
-            for topic, confidence, path in kernel.classify_many(
-                bundles, mode, ACCEPTANCE_THRESHOLD
-            )
+            for topic, confidence, path in kernel.classify_many(bundles, mode)
         ]
-
-    def classify_reference(
-        self, doc: TrainingDoc, mode: str = "single"
-    ) -> ClassificationResult:
-        """Reference decision phase (paper sections 2.4 and 3.5).
-
-        Starting at ROOT, all children with trained models vote; the
-        document descends into the highest-confidence positive child.
-        When no child accepts, the document lands in the level's OTHERS
-        node.  The returned confidence is that of the deepest accepted
-        level (or the best rejection distance when nothing accepted).
-        """
-        if not self.trained:
-            raise TrainingError("classifier has not been trained")
-        vectors = self.vectorize(doc)
-        current = "ROOT"
-        path: list[tuple[str, float]] = []
-        confidence = 0.0
-        while True:
-            children = [
-                child for child in self.tree.children_of(current)
-                if child in self.models
-            ]
-            if not children:
-                break
-            decisions = [
-                (child, *self.models[child].decide(vectors, mode))
-                for child in children
-            ]
-            positive = [
-                (child, conf) for child, is_pos, conf in decisions if is_pos
-            ]
-            if not positive:
-                others = self.tree.others_of(current)
-                best_rejection = max(conf for _, _, conf in decisions)
-                return ClassificationResult(
-                    topic=others,
-                    confidence=best_rejection,
-                    path=tuple(path),
-                )
-            child, confidence = max(positive, key=lambda pair: pair[1])
-            path.append((child, confidence))
-            current = child
-        return ClassificationResult(
-            topic=current, confidence=confidence, path=tuple(path)
-        )
 
     def confidence_for(
         self, doc: TrainingDoc, topic: str, mode: str = "single"
@@ -617,21 +500,15 @@ class HierarchicalClassifier:
     def confidence_for_batch(
         self, docs: Sequence[TrainingDoc], topic: str, mode: str = "single"
     ) -> list[float]:
-        """Confidences of many documents under one topic's model.
-
-        The batch form of :meth:`confidence_for`: one kernel lookup and
-        one vectorization per document (cache-assisted) instead of a
-        full dict projection per (document, member) pair.
-        """
+        """Confidences of many documents under one topic's model: one
+        (cache-assisted) vectorization per document and one evaluation
+        of the topic's tree level for the whole group."""
         if topic not in self.models:
             raise TrainingError(f"no trained model for topic {topic!r}")
         return [
             confidence
             for _positive, confidence in self._kernel().decide_topic_many(
-                topic,
-                self.vectorize_many(docs),
-                mode,
-                ACCEPTANCE_THRESHOLD,
+                topic, self.vectorize_many(docs), mode
             )
         ]
 

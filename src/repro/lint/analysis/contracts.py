@@ -15,11 +15,15 @@ sanctioned methods, is a finding.
 while call sites written against them may still be in flight: two
 capabilities nobody called (``CompiledClassifier.decide_topic``,
 ``InvertedIndex.from_database``), the ``ConvertStage.analyzer`` seam of
-the second document analyzer, and the in-process wall-clock timers
+the second document analyzer, the in-process wall-clock timers
 (``StageEvent.elapsed``, ``Obs.wall_stage_seconds``,
-``LocalSearchEngine.query_seconds``), and the ``BingoConfig`` fields no
+``LocalSearchEngine.query_seconds``), the ``BingoConfig`` fields no
 caller ever set (each now one named constant or constructor default;
-the table says where).  An entry expires one ROADMAP
+the table says where), and the second and third decision phases
+(``HierarchicalClassifier.classify_reference``,
+``TopicDecisionModel.decide``, ``CompiledClassifier.classify`` with
+the ``model_version`` tag and ``VectorCache.get_or_compute`` only they
+used).  An entry expires one ROADMAP
 re-anchor after the PR that recorded it; by then a stay-gone test or a
 ``TypeError`` from the constructor holds the line.
 """
@@ -169,6 +173,28 @@ class EpochMutation(Rule):
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     "CompiledClassifier": {
         "decide_topic": "use decide_topic_many (it had no caller)",
+        "classify": (
+            "classify_many is the one descent; a single document is a "
+            "batch of one"
+        ),
+        "model_version": (
+            "every retraining point drops the kernel; "
+            "HierarchicalClassifier.model_version counts them"
+        ),
+    },
+    "HierarchicalClassifier": {
+        "classify_reference": (
+            "the oracle is tests/core/reference.py::classify_reference"
+        ),
+    },
+    "TopicDecisionModel": {
+        "decide": (
+            "votes are combined in repro.perf.compiled; the oracle is "
+            "tests/core/reference.py::decide_reference"
+        ),
+    },
+    "VectorCache": {
+        "get_or_compute": "get / put, as vectorize_many uses them",
     },
     "InvertedIndex": {
         "from_database": "build(vectors, epoch) is the one constructor",
@@ -219,7 +245,7 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
             "repro.core.engine.HARVESTING_DECISION_MODE"
         ),
         "acceptance_threshold": (
-            "repro.core.classifier.ACCEPTANCE_THRESHOLD"
+            "repro.perf.compiled.ACCEPTANCE_THRESHOLD"
         ),
         "max_archetypes_per_topic": (
             "repro.core.archetypes.MAX_ARCHETYPES_PER_TOPIC"
@@ -261,7 +287,8 @@ class DeprecatedApi(Rule):
         "members deleted since the last re-anchor (decide_topic, "
         "from_database, ConvertStage.analyzer, StageEvent.elapsed, "
         "Obs.wall_stage_seconds, LocalSearchEngine.query_seconds, "
-        "WorkerSet.add_barrier_hook, the never-set BingoConfig fields) "
+        "WorkerSet.add_barrier_hook, the never-set BingoConfig fields, "
+        "the per-document and dict-walking decision phases) "
         "must not be reintroduced"
     )
     rationale = (

@@ -2,15 +2,14 @@
 
 The paper puts classification (2.4) and link analysis (2.5) *inside*
 the crawl loop, so their per-document cost directly bounds crawl
-throughput.  This package holds the compiled, numpy-backed fast paths;
-the pure-Python implementations in :mod:`repro.core.classifier`,
-:mod:`repro.analysis.hits` and :mod:`repro.analysis.distillation`
-remain the reference semantics that every kernel is parity-tested
-against.
+throughput.  This package holds the compiled, numpy-backed kernels
+those layers run on; the dict-walking formulations every kernel is
+parity-tested against live with the tests (``tests/core/reference.py``,
+``tests/analysis/reference.py``).
 
 * :mod:`repro.perf.compiled` -- the hierarchical classifier compiled
-  into per-level CSR-style weight blocks (one sparse gather + matvec
-  per descent step instead of per-node dict dot products);
+  into per-level CSR-style weight blocks (one sparse gather + matmat
+  per descent wave instead of per-node dict dot products);
 * :mod:`repro.perf.cache` -- an idf-snapshot-keyed LRU cache so a
   document is tf*idf-vectorized at most once per snapshot;
 * :mod:`repro.perf.csr_hits` -- HITS / Bharat-Henzinger distillation as

@@ -17,7 +17,7 @@ false hit.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 __all__ = ["VectorCache"]
 
@@ -76,22 +76,3 @@ class VectorCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-
-    def get_or_compute(
-        self,
-        doc: Any,
-        version: Hashable,
-        compute: Callable[[Any], Any],
-    ) -> Any:
-        """The cached vectors of ``doc`` under snapshot ``version``.
-
-        A stored entry is reused only when both the document object and
-        the snapshot version match; otherwise ``compute(doc)`` runs and
-        replaces it.
-        """
-        cached = self.get(doc, version)
-        if cached is not None:
-            return cached
-        vectors = compute(doc)
-        self.put(doc, version, vectors)
-        return vectors

@@ -1,8 +1,9 @@
 """HITS and Bharat/Henzinger distillation as CSR matvec iterations.
 
-The reference implementations walk Python dicts once per node per
-iteration; on the 10k-node base sets the crawler builds at retraining
-points that dominates the retraining step.  Here the
+A dict formulation (kept as the oracle in ``tests/analysis/
+reference.py``) walks Python dicts once per node per iteration; on the
+10k-node base sets the crawler builds at retraining points that
+dominates the retraining step.  Here the
 :class:`~repro.analysis.graph.LinkGraph` is converted once to an
 int-indexed CSR adjacency matrix and each HITS iteration becomes two
 sparse matvecs with L2 normalisation:
@@ -12,7 +13,7 @@ sparse matvecs with L2 normalisation:
 (for distillation, A carries the host-based edge weights times the
 source/target relevance).  Scores are returned in the same dict-keyed
 :class:`~repro.analysis.hits.HitsResult`, and the iteration count,
-convergence flag and per-iteration normalisation mirror the reference
+convergence flag and per-iteration normalisation mirror the oracle's
 loop exactly, so scores agree within float-associativity noise (parity
 tests bound it at 1e-9).
 """

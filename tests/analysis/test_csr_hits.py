@@ -1,9 +1,10 @@
 """Parity tests: CSR matvec link-analysis kernels vs dict reference.
 
-The CSR kernels (:mod:`repro.perf.csr_hits`) replace the dict-walking
+The CSR kernels (:mod:`repro.perf.csr_hits`) replaced the dict-walking
 HITS/Bharat-Henzinger loops inside the retraining path; they must agree
-with the reference formulations within 1e-9 per node on random graphs,
-including iteration counts and convergence flags.
+with those formulations (``tests/analysis/reference.py``) within 1e-9
+per node on random graphs, including iteration counts and convergence
+flags.
 """
 
 from __future__ import annotations
@@ -11,13 +12,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.distillation import (
-    bharat_henzinger,
-    bharat_henzinger_reference,
-)
+import repro.analysis
+import repro.analysis.distillation
+import repro.analysis.hits
+from repro.analysis.distillation import bharat_henzinger
 from repro.analysis.graph import LinkGraph
-from repro.analysis.hits import hits, hits_reference
+from repro.analysis.hits import hits
 from repro.perf.csr_hits import CsrAdjacency
+
+from tests.analysis.reference import (
+    bharat_henzinger_reference,
+    hits_reference,
+)
 
 
 def random_graph(
@@ -130,3 +136,19 @@ class TestCsrAdjacency:
         index = adjacency.index
         assert adjacency.matrix[index["a"], index["b"]] == 2.0
         assert adjacency.matrix[index["a"], index["c"]] == 0.5
+
+
+class TestOraclesStayOutOfProduction:
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            (repro.analysis.hits, "hits_reference"),
+            (repro.analysis.hits, "_normalize"),
+            (repro.analysis.distillation, "bharat_henzinger_reference"),
+            (repro.analysis, "hits_reference"),
+            (repro.analysis, "bharat_henzinger_reference"),
+        ],
+    )
+    def test_dict_loops_are_gone_from_src(self, module, name) -> None:
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())

@@ -1,9 +1,11 @@
 """Parity and lifecycle tests for the compiled classification kernel.
 
-The compiled per-level kernel (:mod:`repro.perf.compiled`) must be an
-exact drop-in for the reference dict-walking decision phase: identical
-topic assignments, paths, and confidences within 1e-9 across all five
-decision-combination modes, including the batch entry points.
+The compiled per-level kernel (:mod:`repro.perf.compiled`) is the only
+decision phase in ``src/``; it must agree with the dict-walking oracle
+of ``tests/core/reference.py``: identical topic assignments and paths,
+confidences within 1e-9 across all five decision-combination modes.
+Between its own entry points (one document, a batch of one, a batch of
+N) it must agree exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +16,24 @@ import numpy as np
 import pytest
 
 from repro.core import BingoEngine
-from repro.core.classifier import HierarchicalClassifier
+from repro.core.classifier import (
+    MODES,
+    HierarchicalClassifier,
+    TopicDecisionModel,
+)
 from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
 from repro.errors import TrainingError
+from repro.perf.cache import VectorCache
+from repro.perf.compiled import CompiledClassifier
 
 from tests.core.conftest import fast_engine_config
+from tests.core.reference import (
+    classify_reference,
+    decide_reference,
+    vectorize_reference,
+)
 
-MODES = ("single", "unanimous", "majority", "weighted", "best")
 SPACES = ("term", "pair")
 
 
@@ -83,7 +95,7 @@ class TestKernelParity:
     def test_classify_matches_reference(self, nested_setup, mode) -> None:
         classifier, eval_docs = nested_setup
         for doc in eval_docs:
-            reference = classifier.classify_reference(doc, mode)
+            reference = classify_reference(classifier, doc, mode)
             compiled = classifier.classify(doc, mode)
             assert compiled.topic == reference.topic
             assert compiled.confidence == pytest.approx(
@@ -99,7 +111,7 @@ class TestKernelParity:
         classifier, eval_docs = nested_setup
         batch = classifier.classify_batch(eval_docs, mode)
         for doc, result in zip(eval_docs, batch):
-            reference = classifier.classify_reference(doc, mode)
+            reference = classify_reference(classifier, doc, mode)
             assert result.topic == reference.topic
             assert result.confidence == pytest.approx(
                 reference.confidence, abs=1e-9
@@ -114,8 +126,8 @@ class TestKernelParity:
             )
             model = classifier.models[topic]
             for doc, confidence in zip(eval_docs, confidences):
-                _pos, reference = model.decide(
-                    classifier.vectorize(doc), mode
+                _pos, reference = decide_reference(
+                    model, vectorize_reference(classifier, doc), mode
                 )
                 assert confidence == pytest.approx(reference, abs=1e-9)
 
@@ -136,7 +148,6 @@ class TestKernelLifecycle:
         classifier.train(training)
         first_version = classifier.model_version
         first_kernel = classifier._kernel()
-        assert first_kernel.model_version == first_version
         assert classifier._kernel() is first_kernel  # cached while valid
 
         training["ROOT/db"] = training["ROOT/db"] + topic_docs(
@@ -146,10 +157,9 @@ class TestKernelLifecycle:
         assert classifier.model_version == first_version + 1
         second_kernel = classifier._kernel()
         assert second_kernel is not first_kernel
-        assert second_kernel.model_version == classifier.model_version
         probe = topic_docs(_vocab("db"), 3, seed=11)
         for doc in probe:
-            reference = classifier.classify_reference(doc, "weighted")
+            reference = classify_reference(classifier, doc, "weighted")
             compiled = classifier.classify(doc, "weighted")
             assert compiled.topic == reference.topic
             assert compiled.confidence == pytest.approx(
@@ -212,28 +222,72 @@ class TestKernelLifecycle:
         assert classifier._vector_cache.hits == 0
 
 
+@pytest.fixture(scope="module")
+def crawled_engine(small_web):
+    """An engine whose classifier went through several retraining
+    points during a real crawl."""
+    config = fast_engine_config(retrain_interval=25)
+    engine = BingoEngine.for_portal(small_web, config=config)
+    engine.run(harvesting_fetch_budget=200)
+    return engine
+
+
 class TestEngineKernelLifecycle:
-    def test_kernel_survives_multiple_retraining_points(self, small_web):
+    def test_kernel_survives_multiple_retraining_points(self, crawled_engine):
         """The engine retrains repeatedly; each retraining point must
         invalidate the compiled snapshot and the recompiled kernel must
         still match the reference path."""
-        config = fast_engine_config(retrain_interval=25)
-        engine = BingoEngine.for_portal(small_web, config=config)
-        engine.run(harvesting_fetch_budget=200)
+        engine = crawled_engine
         assert engine.retrainings >= 2
         classifier = engine.classifier
         # at least one retraining changed the training set and retrained
         assert classifier.model_version >= 2
-        kernel = classifier._kernel()
-        assert kernel.model_version == classifier.model_version
         probe_docs = [
             doc.counts for doc in engine.ctx.documents[:25]
         ]
         for mode in MODES:
             for counts in probe_docs:
-                reference = classifier.classify_reference(counts, mode)
+                reference = classify_reference(classifier, counts, mode)
                 compiled = classifier.classify(counts, mode)
                 assert compiled.topic == reference.topic
                 assert compiled.confidence == pytest.approx(
                     reference.confidence, abs=1e-9
                 )
+
+
+class TestOneDecisionPhase:
+    """One document, a batch of one and a batch of N are the same
+    descent, so they agree to the last bit -- a page the recrawl
+    discovers is stored with the confidence the crawl would have
+    given it."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_single_equals_batch_exactly(self, crawled_engine, mode) -> None:
+        classifier = crawled_engine.classifier
+        docs = [doc.counts for doc in crawled_engine.ctx.documents]
+        assert len(docs) > 100
+        batch = classifier.classify_batch(docs, mode)
+        for doc, in_batch in zip(docs, batch):
+            single = classifier.classify(doc, mode)
+            batch_of_one = classifier.classify_batch([doc], mode)[0]
+            assert single == batch_of_one == in_batch
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_confidence_for_equals_batch_exactly(
+        self, crawled_engine, mode
+    ) -> None:
+        classifier = crawled_engine.classifier
+        docs = [doc.counts for doc in crawled_engine.ctx.documents]
+        for topic in classifier.models:
+            batch = classifier.confidence_for_batch(docs, topic, mode)
+            assert batch == [
+                classifier.confidence_for(doc, topic, mode) for doc in docs
+            ]
+
+    def test_removed_paths_stay_gone(self) -> None:
+        assert not hasattr(HierarchicalClassifier, "classify_reference")
+        assert not hasattr(HierarchicalClassifier, "_vectorize_uncached")
+        assert not hasattr(TopicDecisionModel, "decide")
+        assert not hasattr(TopicDecisionModel, "best_member")
+        assert not hasattr(CompiledClassifier, "classify")
+        assert not hasattr(VectorCache, "get_or_compute")

@@ -83,3 +83,33 @@ class WorkerSet:
 
 def wire(workers: WorkerSet) -> None:
     workers.add_barrier_hook(print)
+
+
+class VectorCache:
+    def get_or_compute(self, doc: dict, version: int, compute) -> dict:
+        return compute(doc)
+
+
+class TopicDecisionModel:
+    def decide(self, vectors: dict, mode: str) -> tuple[bool, float]:
+        return True, 0.0
+
+
+class HierarchicalClassifier:
+    def __init__(self) -> None:
+        self.cache = VectorCache()
+
+    def classify_reference(self, doc: dict) -> dict:
+        return self.cache.get_or_compute(doc, 0, dict)
+
+
+def second_decision_phase(
+    classifier: HierarchicalClassifier, model: TopicDecisionModel
+) -> dict:
+    model.decide({}, "single")
+    return classifier.classify_reference({})
+
+
+def third_decision_phase(kernel: CompiledClassifier) -> int:
+    kernel.classify({}, "single")
+    return kernel.model_version

@@ -10,8 +10,11 @@ scratch over the same served documents.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.engine import HARVESTING_DECISION_MODE
 from repro.portal import EvolutionConfig, LivingPortal
 from repro.search.engine import LocalSearchEngine, RankingWeights
 
@@ -227,3 +230,32 @@ class TestNonEvolvingBaseline:
             (d.doc_id, d.final_url, d.topic) for d in portal.ctx.documents
         ] == before
         assert portal.freshness().unfresh == 0
+
+
+class TestDiscoveredPagesScoreLikeCrawledOnes:
+    def test_store_new_confidence_is_the_batch_confidence(self) -> None:
+        """The recrawl classifies a discovered page on its own; the
+        crawl would have classified it inside a batch.  Both are the
+        same descent, so the stored confidence is exactly the one
+        ``classify_batch`` gives the page's counts."""
+        portal = build_portal()
+        portal.evolve(3 * 3600.0)
+        # the scheduler alone: nothing is folded, so the classifier
+        # still is the one _store_new asked
+        portal.scheduler.run(budget=120)
+        added = portal.scheduler.pending.added
+        assert added, "evolution gave the recrawl nothing to discover"
+        # fresh Counter objects: the vector cache keys on identity
+        copies = [
+            {space: Counter(counts) for space, counts in doc.counts.items()}
+            for doc in added
+        ]
+        classifier = portal.engine.classifier
+        batch = classifier.classify_batch(copies, HARVESTING_DECISION_MODE)
+        for doc, counts, in_batch in zip(added, copies, batch):
+            alone = classifier.classify_batch(
+                [counts], HARVESTING_DECISION_MODE
+            )[0]
+            assert (doc.topic, doc.confidence) == (
+                alone.topic, alone.confidence
+            ) == (in_batch.topic, in_batch.confidence)

@@ -94,6 +94,23 @@ class TestNoWallClock:
         assert offenders == []
 
 
+class TestOraclesLiveInTests:
+    def test_src_defines_no_reference_implementation(self) -> None:
+        """A ``*_reference`` function is an oracle some kernel is
+        parity-tested against; it belongs beside those tests
+        (``tests/{text,core,analysis}/reference.py``), where no
+        production caller can reach it."""
+        root = pathlib.Path(repro.__file__).resolve().parent
+        pattern = re.compile(r"^\s*def \w*_reference\b", re.M)
+        offenders = [
+            path.relative_to(root).as_posix()
+            for path in sorted(root.rglob("*.py"))
+            if "lint" not in path.relative_to(root).parts
+            and pattern.search(path.read_text())
+        ]
+        assert offenders == []
+
+
 class TestEveryConfigFieldHasASetter:
     def test_some_file_sets_each_field(self) -> None:
         """A ``BingoConfig`` field nobody sets is a constant, not a knob:
