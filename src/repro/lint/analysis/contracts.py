@@ -12,18 +12,15 @@ provably one of the guarded classes, from outside that class's
 sanctioned methods, is a finding.
 
 ``deprecated-api`` keeps recently deleted members from creeping back
-while call sites written against them may still be in flight: two
-capabilities nobody called (``CompiledClassifier.decide_topic``,
-``InvertedIndex.from_database``), the ``ConvertStage.analyzer`` seam of
-the second document analyzer, the in-process wall-clock timers
-(``StageEvent.elapsed``, ``Obs.wall_stage_seconds``,
-``LocalSearchEngine.query_seconds``), the ``BingoConfig`` fields no
-caller ever set (each now one named constant or constructor default;
-the table says where), and the second and third decision phases
-(``HierarchicalClassifier.classify_reference``,
+while call sites written against them may still be in flight: the
+``BingoConfig`` fields no caller ever set (each now one named constant
+or constructor default; the table says where), the second and third
+decision phases (``HierarchicalClassifier.classify_reference``,
 ``TopicDecisionModel.decide``, ``CompiledClassifier.classify`` with
 the ``model_version`` tag and ``VectorCache.get_or_compute`` only they
-used).  An entry expires one ROADMAP
+used), and the max-score metadata of the cursor-walk top-k
+(``Postings.max_impact`` / ``max_weight``,
+``InvertedIndex.matching_ids``).  An entry expires one ROADMAP
 re-anchor after the PR that recorded it; by then a stay-gone test or a
 ``TypeError`` from the constructor holds the line.
 """
@@ -169,10 +166,9 @@ class EpochMutation(Rule):
 
 #: class name -> removed member -> replacement guidance.  Uses are
 #: only flagged when the receiver provably types as that class --
-#: "elapsed" is far too common a name to flag on sight.
+#: "classify" is far too common a name to flag on sight.
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     "CompiledClassifier": {
-        "decide_topic": "use decide_topic_many (it had no caller)",
         "classify": (
             "classify_many is the one descent; a single document is a "
             "batch of one"
@@ -197,24 +193,17 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "get_or_compute": "get / put, as vectorize_many uses them",
     },
     "InvertedIndex": {
-        "from_database": "build(vectors, epoch) is the one constructor",
-    },
-    "ConvertStage": {
-        "analyzer": (
-            "the scanner is the one analyzer (a test substitutes "
-            "repro.pipeline.stages.scan_html)"
+        "matching_ids": (
+            "repro.perf.topk.verified_topk fills the slots nothing "
+            "matched itself; impacts(term) gives one run's rows"
         ),
     },
-    "StageEvent": {
-        "elapsed": "benchmarks/e2e measures pipeline.<stage>.busy_s",
-    },
-    "Obs": {
-        "wall_stage_seconds": (
-            "benchmarks/e2e measures pipeline.<stage>.busy_s"
+    "Postings": {
+        "max_impact": (
+            "no bound is kept per run; InvertedIndex.impacts(term) "
+            "decodes every weight / |doc|"
         ),
-    },
-    "LocalSearchEngine": {
-        "query_seconds": "benchmarks/e2e measures search.search.busy_s",
+        "max_weight": "it had no reader; weights() is the whole run",
     },
     "WorkerSet": {
         "add_barrier_hook": (
@@ -284,12 +273,10 @@ class DeprecatedApi(Rule):
     id = "deprecated-api"
     scope = "project"
     description = (
-        "members deleted since the last re-anchor (decide_topic, "
-        "from_database, ConvertStage.analyzer, StageEvent.elapsed, "
-        "Obs.wall_stage_seconds, LocalSearchEngine.query_seconds, "
-        "WorkerSet.add_barrier_hook, the never-set BingoConfig fields, "
-        "the per-document and dict-walking decision phases) "
-        "must not be reintroduced"
+        "members deleted since the last re-anchor "
+        "(WorkerSet.add_barrier_hook, the never-set BingoConfig fields, "
+        "the per-document and dict-walking decision phases, the "
+        "cursor walk's max-score metadata) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

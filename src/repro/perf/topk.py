@@ -1,49 +1,48 @@
-"""Top-k query kernels: compressed postings and WAND early exit.
+"""Top-k query kernels: compressed postings and bound-then-verify.
 
 The query-serving tier (paper section 3.6; the "millions of users" half
-of an information portal) cannot afford to score every stored document
-per query.  This module holds the two hot primitives the inverted index
-in :mod:`repro.search.index` builds on:
+of an information portal) must not run the exact scorer over every
+stored document per query.  This module holds the two primitives the
+inverted index in :mod:`repro.search.index` builds on:
 
 * **delta/varint posting compression** -- sorted doc-id runs are stored
   as LEB128-encoded gaps (:func:`encode_doc_ids` /
   :func:`decode_doc_ids`), the classic inverted-file layout;
-* **WAND-style top-k** (:func:`wand_topk`) -- document-at-a-time
-  traversal with per-term max-score bounds.  A document is *exactly*
-  scored (via a caller-supplied callback) only when the sum of the
-  upper bounds of the terms it can still contain may reach the current
-  top-k threshold; everything else is skipped without scoring.
+* **bound-then-verify top-k** (:func:`verified_topk`) -- every query
+  term's normalised impacts are added into one dense per-corpus array
+  (a handful of numpy operations, O(documents) by design), the k-th
+  largest of those approximate scores is read with ``np.partition``,
+  and only the documents that reach it are handed to the caller's
+  *exact* scorer.
 
-Rank-exactness contract: the pruning test inflates every accumulated
-bound by :data:`BOUND_INFLATION` (a relative epsilon far above the
-rounding error of summing a handful of non-negative floats) and admits
-ties, so a document is only skipped when its exact score is *provably*
-below the current k-th best.  The surviving set therefore contains the
-true top k under the ``(-score, doc_id)`` order, with scores computed
-by the same callback the brute-force ranker uses -- bit-identical
-results, not merely approximately equal ones.
+Rank-exactness contract: the approximate score is the exact one with
+its additions and divisions in another order -- a sum of a handful of
+non-negative products, so the two differ by a few ulp (~1e-15
+relative).  Every document within a relative :data:`VERIFY_SLACK`
+(1e-9) of the k-th approximate score is verified, ties included, so
+the verified set contains the true top k under the ``(-score, row)``
+order and the returned scores come from the same callback the
+brute-force ranker uses -- bit-identical results, not merely close
+ones.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
-from collections.abc import Callable, Container, Sequence
+from collections.abc import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
-    "BOUND_INFLATION",
+    "VERIFY_SLACK",
     "encode_doc_ids",
     "decode_doc_ids",
-    "PostingCursor",
-    "wand_topk",
+    "verified_topk",
 ]
 
-#: relative slack applied to upper bounds before threshold comparison;
-#: keeps float-rounded bound sums conservative (see module docstring)
-BOUND_INFLATION = 1.0 + 1e-9
-
-#: cursor doc id after exhaustion; sorts after every real doc id
-_END = 1 << 62
+#: relative width of the band below the k-th approximate score whose
+#: documents are verified too; six orders of magnitude above the
+#: rounding error it has to cover (see module docstring)
+VERIFY_SLACK = 1e-9
 
 
 def encode_doc_ids(doc_ids: Sequence[int]) -> bytes:
@@ -90,90 +89,48 @@ def decode_doc_ids(data: bytes) -> list[int]:
     return doc_ids
 
 
-class PostingCursor:
-    """One query term's posting traversal state for :func:`wand_topk`.
-
-    ``bound`` is the term's maximal possible contribution to a final
-    score, already expressed in combined-score units (the caller folds
-    in its query weight and ranking weight).
-    """
-
-    __slots__ = ("doc_ids", "bound", "pos", "cur")
-
-    def __init__(self, doc_ids: Sequence[int], bound: float) -> None:
-        self.doc_ids = doc_ids
-        self.bound = bound
-        self.pos = 0
-        self.cur = doc_ids[0] if doc_ids else _END
-
-    def advance(self) -> None:
-        """Step to the next posting (exhausts past the end)."""
-        self.pos += 1
-        ids = self.doc_ids
-        self.cur = ids[self.pos] if self.pos < len(ids) else _END
-
-    def seek(self, target: int) -> None:
-        """Skip forward to the first posting with ``doc_id >= target``."""
-        if self.cur >= target:
-            return
-        self.pos = bisect_left(self.doc_ids, target, self.pos + 1)
-        ids = self.doc_ids
-        self.cur = ids[self.pos] if self.pos < len(ids) else _END
-
-
-def wand_topk(
-    cursors: Sequence[PostingCursor],
+def verified_topk(
+    runs: Sequence[tuple[np.ndarray, np.ndarray, float]],
+    size: int,
+    members: np.ndarray,
+    static: np.ndarray | None,
     k: int,
     score: Callable[[int], float],
-    members: Container[int] | None = None,
-    static_bound: float = 0.0,
 ) -> list[tuple[float, int]]:
-    """The top ``k`` matching documents under ``(-score, doc_id)``.
+    """The top ``k`` of ``members`` under ``(-score, position)``.
 
-    ``score`` is invoked at most once per surviving document and must
-    return the document's *exact* final score; ``members`` (when given)
-    restricts scoring to a candidate subset, e.g. a topic filter.
-    ``static_bound`` is an upper bound on the query-independent score
-    component (confidence/authority weights) shared by all documents;
-    it widens every pruning test so mixed-weight queries stay exact.
+    ``runs`` holds one ``(rows, impacts, factor)`` triple per query
+    term: the corpus rows containing the term, their normalised impacts
+    ``weight / |doc|`` and the term's share ``w_cosine * q_t / |q|``.
+    ``members`` is the ascending rows the filter keeps (``size`` rows
+    in the corpus) and ``static`` the query-independent score component
+    parallel to it (``None`` for all zeros).  ``score`` maps a position
+    in ``members`` to the document's *exact* final score and is invoked
+    once per verified document: ``k`` of them, plus whatever ties the
+    k-th within :data:`VERIFY_SLACK`.
 
-    Returns ``(score, doc_id)`` pairs in no particular order; documents
-    sharing no term with the query never appear (their cosine is zero
-    by construction) and are the caller's business.
+    Returns ``(score, position)`` pairs, best first.  When fewer than
+    ``k`` members score above zero, the remaining slots fill with
+    zero-score members in position (hence doc-id) order, which is the
+    order the tie-break gives them.
     """
-    if k <= 0:
+    keep = min(k, len(members))
+    if keep <= 0:
         return []
-    # min-heap of (score, -doc_id): the root is the *worst* kept hit
-    # under the (-score, doc_id) ranking order
-    heap: list[tuple[float, int]] = []
-    active = [cursor for cursor in cursors if cursor.cur != _END]
-    while active:
-        active.sort(key=lambda cursor: cursor.cur)
-        threshold = heap[0][0] if len(heap) >= k else None
-        accumulated = static_bound
-        pivot = -1
-        for index, cursor in enumerate(active):
-            accumulated += cursor.bound
-            if (
-                threshold is None
-                or accumulated * BOUND_INFLATION >= threshold
-            ):
-                pivot = index
-                break
-        if pivot < 0:
-            break  # not even the densest remaining doc can reach top k
-        pivot_doc = active[pivot].cur
-        if active[0].cur == pivot_doc:
-            if members is None or pivot_doc in members:
-                item = (score(pivot_doc), -pivot_doc)
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-            for cursor in active:
-                if cursor.cur == pivot_doc:
-                    cursor.advance()
-        else:
-            active[0].seek(pivot_doc)
-        active = [cursor for cursor in active if cursor.cur != _END]
-    return [(value, -neg_doc_id) for value, neg_doc_id in heap]
+    bound = np.zeros(size)
+    for rows, impacts, factor in runs:
+        bound[rows] += factor * impacts
+    bound = bound[members]
+    if static is not None:
+        bound += static
+    cut = len(bound) - keep
+    kth = np.partition(bound, cut)[cut]
+    if kth > 0.0:
+        verify = np.flatnonzero(bound >= kth * (1.0 - VERIFY_SLACK))
+    else:
+        positive = np.flatnonzero(bound > 0.0)
+        zeros = np.flatnonzero(bound <= 0.0)[: keep - len(positive)]
+        verify = np.concatenate((positive, zeros))
+    scored = [(score(position), position) for position in verify.tolist()]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return scored[:keep]

@@ -14,29 +14,32 @@ Two ranking paths produce bit-identical results:
 
 * the **brute-force** reference (:meth:`LocalSearchEngine.rank_all`)
   scores every filtered document and fully sorts;
-* the **indexed** top-k path walks the
-  :class:`~repro.search.index.InvertedIndex` with WAND-style early
-  exit (:func:`repro.perf.topk.wand_topk`) and only ever computes
-  exact scores -- through the *same* cosine / combination code as the
-  brute path -- for documents that can still reach the top k.  The
-  parity suite (``tests/search/test_parity.py``) pins equality of
-  documents, scores and order across filters, weights and ``top_k``
-  edge cases.
+* the **indexed** top-k path adds the query terms' impact arrays from
+  the :class:`~repro.search.index.InvertedIndex` and the filter view's
+  static component into one approximate score per document, and
+  computes exact scores -- through the *same* cosine / combination
+  code as the brute path -- only for the documents that reach the k-th
+  largest of them (:func:`repro.perf.topk.verified_topk`): ten
+  documents scored to return ten.  The parity suite
+  (``tests/search/test_parity.py``) pins equality of documents, scores
+  and order across filters, weights and ``top_k`` edge cases.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits
 from repro.core.records import CrawledDocument
 from repro.errors import SearchError
-from repro.perf.topk import PostingCursor, wand_topk
+# benchmarks/e2e traces the kernel under this module-level name
+from repro.perf.topk import verified_topk as wand_topk
 from repro.search.epoch import Epoch
 from repro.search.index import InvertedIndex
 from repro.text.scanner import text_stems
@@ -157,15 +160,21 @@ class _FilterView:
     alone -- never from a query -- and so holds for a whole epoch."""
 
     candidates: list[CrawledDocument]
-    by_id: dict[int, CrawledDocument]
-    members: frozenset[int] | None
-    """``None`` when the filter keeps every document (WAND then skips
-    its membership test)."""
+    doc_ids: list[int]
+    """The candidates' ids, ascending: position ``p`` of every array
+    below is document ``doc_ids[p]``."""
+    rows: np.ndarray | None = None
+    """The candidates' rows in the inverted index, set by the first
+    indexed query (the brute-force path builds no index)."""
     confidences: dict[int, float] = field(default_factory=dict)
     authorities: dict[int, float] = field(default_factory=dict)
     """The normalised maps of :meth:`LocalSearchEngine._components`,
     filled the first time a query weights the scheme.  A view is never
     empty, so neither is a computed map: ``{}`` means "not yet"."""
+    confidence_array: np.ndarray | None = None
+    authority_array: np.ndarray | None = None
+    """The same two maps as arrays parallel to ``doc_ids``.  Nothing
+    here depends on request-supplied weights: a request scales them."""
 
 
 class LocalSearchEngine:
@@ -186,6 +195,12 @@ class LocalSearchEngine:
         (invalid weights, negative ``top_k``, no indexable terms).
         Failed queries still count into :attr:`queries`."""
         self.candidates_ranked = 0
+        """Sum over queries of the filtered set's size: what a ranking
+        has to choose from, identical on the indexed and the
+        brute-force path -- not the work done, see below."""
+        self.documents_scored = 0
+        """Exact cosine evaluations: every candidate on the brute-force
+        path, the verified few on the indexed one."""
         self.authority_runs = 0
         """HITS computations since construction."""
         if obs is not None:
@@ -499,12 +514,8 @@ class LocalSearchEngine:
                 ]
             if not candidates:
                 return None
-            whole = len(candidates) == len(self.documents)
-            by_id = (
-                self._by_id if whole else {d.doc_id: d for d in candidates}
-            )
             view = self._views[key] = _FilterView(
-                candidates, by_id, None if whole else frozenset(by_id)
+                candidates, sorted(d.doc_id for d in candidates)
             )
         return view
 
@@ -522,8 +533,16 @@ class LocalSearchEngine:
             confidences, authorities = self._components(
                 view.candidates, missing
             )
-            view.confidences = view.confidences or confidences
-            view.authorities = view.authorities or authorities
+            if confidences:
+                view.confidences = confidences
+                view.confidence_array = np.array(
+                    [confidences.get(d, 0.0) for d in view.doc_ids]
+                )
+            if authorities:
+                view.authorities = authorities
+                view.authority_array = np.array(
+                    [authorities.get(d, 0.0) for d in view.doc_ids]
+                )
         return (
             view.confidences if weights.confidence > 0 else {},
             view.authorities if weights.authority > 0 else {},
@@ -628,44 +647,37 @@ class LocalSearchEngine:
     ) -> list[RankedHit]:
         """Index-backed top-k, rank-identical to :meth:`rank_all`.
 
-        The WAND kernel prunes with per-term max-score bounds but every
-        surviving document is scored through the exact same
+        The kernel ranks approximate scores -- impact arrays times the
+        query's term shares, plus the view's static component -- and
+        calls back for the few documents at or within rounding of the
+        k-th; each of those is scored through the exact same
         ``cosine_similarity`` + :func:`_combine` calls as the brute
-        path; documents sharing no query term (cosine exactly 0.0) are
-        merged in from the static confidence/authority component.
+        path, so every returned hit carries the brute path's floats.
         """
         index = self.index()
         confidences, authorities = self._view_components(view, weights)
-        by_id = view.by_id
-        query_norm = query_vector.norm
-        cursors = []
+        if view.rows is None:
+            view.rows = index.rows(view.doc_ids)
+        static = None
+        if weights.confidence > 0:
+            static = weights.confidence * view.confidence_array
+        if weights.authority > 0:
+            authority = weights.authority * view.authority_array
+            static = authority if static is None else static + authority
+        runs = []
         for term in sorted(query_vector.weights):
-            postings = index.postings(term)
-            if postings is not None:
-                bound = (
-                    weights.cosine
-                    * (query_vector.weights[term] / query_norm)
-                    * postings.max_impact
+            decoded = index.impacts(term)
+            if decoded is not None:
+                share = weights.cosine * (
+                    query_vector.weights[term] / query_vector.norm
                 )
-                cursors.append(PostingCursor(postings.doc_ids(), bound))
-        has_static = weights.confidence > 0 or weights.authority > 0
-        statics: dict[int, float] | None = None
-        static_bound = 0.0
-        if has_static:
-            statics = {
-                doc_id: _combine(
-                    weights,
-                    0.0,
-                    confidences.get(doc_id, 0.0),
-                    authorities.get(doc_id, 0.0),
-                )
-                for doc_id in by_id
-            }
-            static_bound = max(statics.values())
+                runs.append((*decoded, share))
 
+        doc_ids = view.doc_ids
         cosines: dict[int, float] = {}
 
-        def exact_score(doc_id: int) -> float:
+        def exact_score(position: int) -> float:
+            doc_id = doc_ids[position]
             cosine = cosine_similarity(query_vector, self._vectors[doc_id])
             cosines[doc_id] = cosine
             return _combine(
@@ -675,47 +687,30 @@ class LocalSearchEngine:
                 authorities.get(doc_id, 0.0),
             )
 
-        matched_top = wand_topk(
-            cursors, top_k, exact_score, members=view.members,
-            static_bound=static_bound,
+        top = wand_topk(
+            runs, index.doc_count, view.rows, static, top_k, exact_score
         )
-        scored = [
-            (score, doc_id, cosines[doc_id]) for score, doc_id in matched_top
-        ]
-        # documents sharing no query term still rank on the static
-        # component (brute force scores them with cosine == 0.0)
-        if statics is not None or len(scored) < top_k:
-            matched_any = index.matching_ids(query_vector.weights)
-            if statics is not None:
-                zero_pool = [
-                    (statics[doc_id], doc_id)
-                    for doc_id in by_id
-                    if doc_id not in matched_any
-                ]
-                top_static = heapq.nsmallest(
-                    top_k, zero_pool, key=lambda pair: (-pair[0], pair[1])
+        self._count_scored(len(cosines))
+        hits_list = []
+        for score, position in top:
+            doc_id = doc_ids[position]
+            hits_list.append(
+                RankedHit(
+                    document=self._by_id[doc_id],
+                    score=score,
+                    cosine=cosines[doc_id],
+                    confidence=confidences.get(doc_id, 0.0),
+                    authority=authorities.get(doc_id, 0.0),
                 )
-            else:
-                fill = top_k - len(scored)
-                top_static = [
-                    (0.0, doc_id)
-                    for doc_id in sorted(by_id)
-                    if doc_id not in matched_any
-                ][:fill]
-            scored.extend(
-                (score, doc_id, 0.0) for score, doc_id in top_static
             )
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [
-            RankedHit(
-                document=by_id[doc_id],
-                score=score,
-                cosine=cosine,
-                confidence=confidences.get(doc_id, 0.0),
-                authority=authorities.get(doc_id, 0.0),
-            )
-            for score, doc_id, cosine in scored[:top_k]
-        ]
+        return hits_list
+
+    def _count_scored(self, documents: int) -> None:
+        self.documents_scored += documents
+        if self.obs is not None:
+            self.obs.registry.counter(
+                "search_documents_scored_total"
+            ).inc(documents)
 
     def search(
         self,
@@ -757,6 +752,7 @@ class LocalSearchEngine:
                 return []
             if self.indexed:
                 return self._rank_indexed(view, query_vector, weights, top_k)
+            self._count_scored(ranked)
             return self.rank_all(
                 view.candidates, query_vector, weights
             )[:top_k]
@@ -774,6 +770,7 @@ class LocalSearchEngine:
             "queries": float(self.queries),
             "queries_failed": float(self.queries_failed),
             "candidates_ranked": float(self.candidates_ranked),
+            "documents_scored": float(self.documents_scored),
             "documents_indexed": float(len(self.documents)),
             "generation": float(self.generation),
             "filter_views": float(len(self._views)),

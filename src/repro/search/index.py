@@ -7,11 +7,17 @@ equivalent of the term index: one :class:`Postings` run per term over
 the corpus, with
 
 * **delta/varint-compressed doc-id runs** (the classic inverted-file
-  layout; encoded via :func:`repro.perf.topk.encode_doc_ids`), decoded
-  lazily and memoized on first query touch;
-* **max-score metadata** -- each run carries its maximal *normalized
-  impact* ``max(weight / |doc|)``, the per-term upper bound WAND-style
-  early exit prunes with;
+  layout; encoded via :func:`repro.perf.topk.encode_doc_ids`) beside
+  the packed tf*idf weights -- all a run stores, so building one is two
+  encodes;
+* **lazily decoded impact arrays** -- the first query that touches a
+  term turns its run into two numpy arrays, corpus rows and normalised
+  impacts ``weight / |doc|`` (:meth:`InvertedIndex.impacts`), which
+  :func:`repro.perf.topk.verified_topk` accumulates.  Rows number the
+  documents of *one* index in doc-id order, so the arrays are kept on
+  the index, never on the run: a run carried into the next index by
+  :meth:`InvertedIndex.apply_update` is decoded again under the new
+  numbering;
 * an explicit **idf-snapshot version**: the index is valid only for the
   tf*idf snapshot it was built under, mirroring the
   :class:`~repro.perf.cache.VectorCache` invalidation contract.
@@ -27,8 +33,10 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import SearchError
 from repro.perf.topk import decode_doc_ids, encode_doc_ids
@@ -41,63 +49,41 @@ __all__ = ["Postings", "InvertedIndex", "QueryCache"]
 
 
 class Postings:
-    """One term's compressed posting run with max-score metadata.
+    """One term's compressed posting run.
 
-    Doc ids are stored delta/varint-compressed; the parallel tf*idf
-    weights are packed into a double array.  Both decode lazily on
-    first access and stay decoded (the serving tier touches a small,
-    hot subset of the vocabulary).
+    Doc ids are stored delta/varint-compressed, the parallel tf*idf
+    weights packed as doubles.  The ids decode on first access and stay
+    decoded (the serving tier touches a small, hot subset of the
+    vocabulary); the weights are read in place.
     """
 
-    __slots__ = (
-        "encoded_ids",
-        "encoded_weights",
-        "count",
-        "max_weight",
-        "max_impact",
-        "_doc_ids",
-        "_weights",
-    )
+    __slots__ = ("encoded_ids", "encoded_weights", "count", "_doc_ids")
 
-    def __init__(
-        self,
-        doc_ids: list[int],
-        weights: list[float],
-        norms: Mapping[int, float],
-    ) -> None:
+    def __init__(self, doc_ids: list[int], weights: list[float]) -> None:
         if len(doc_ids) != len(weights) or not doc_ids:
             raise SearchError("postings need parallel, non-empty runs")
         self.encoded_ids = encode_doc_ids(doc_ids)
         self.encoded_weights = array("d", weights).tobytes()
         self.count = len(doc_ids)
-        self.max_weight = max(weights)
-        self.max_impact = max(
-            (weight / norms[doc_id]) if norms[doc_id] > 0.0 else 0.0
-            for doc_id, weight in zip(doc_ids, weights)
-        )
-        self._doc_ids: list[int] | None = None
-        self._weights: array[float] | None = None
+        self._doc_ids: np.ndarray | None = None
 
     @property
     def compressed_bytes(self) -> int:
         return len(self.encoded_ids) + len(self.encoded_weights)
 
-    def doc_ids(self) -> list[int]:
+    def doc_ids(self) -> np.ndarray:
         """The sorted doc-id run (decoded once, then memoized)."""
         decoded = self._doc_ids
         if decoded is None:
-            decoded = decode_doc_ids(self.encoded_ids)
+            decoded = np.array(
+                decode_doc_ids(self.encoded_ids), dtype=np.int64
+            )
             self._doc_ids = decoded
         return decoded
 
-    def weights(self) -> "array[float]":
+    def weights(self) -> np.ndarray:
         """The tf*idf weights parallel to :meth:`doc_ids`."""
-        decoded = self._weights
-        if decoded is None:
-            decoded = array("d")
-            decoded.frombytes(self.encoded_weights)
-            self._weights = decoded
-        return decoded
+        return np.frombuffer(self.encoded_weights, dtype=np.float64)
 
 
 class InvertedIndex:
@@ -107,19 +93,26 @@ class InvertedIndex:
     already holds (:meth:`build`).
     """
 
-    def __init__(self, epoch: Epoch) -> None:
+    def __init__(
+        self, epoch: Epoch, vectors: Mapping[int, "SparseVector"]
+    ) -> None:
         self.epoch = epoch
         """The :class:`~repro.search.epoch.Epoch` this index serves.
         The index is valid only while the engine's epoch carries the
         same idf ``snapshot_version``."""
-        self.doc_count = 0
+        ordered = sorted(vectors)
+        self.doc_count = len(ordered)
         self.postings_total = 0
-        self.decoded_terms = 0
         self.reused_postings = 0
         """Posting runs carried over unchanged by the last
         :meth:`apply_update` (0 for a from-scratch build)."""
         self._terms: dict[str, Postings] = {}
-        self._norms: dict[int, float] = {}
+        self._doc_ids = np.array(ordered, dtype=np.int64)
+        """Row -> doc id, ascending: this index's row numbering."""
+        self._norms = np.array(
+            [vectors[doc_id].norm for doc_id in ordered], dtype=np.float64
+        )
+        self._impacts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def snapshot_version(self) -> int:
@@ -135,12 +128,7 @@ class InvertedIndex:
         epoch: Epoch,
     ) -> "InvertedIndex":
         """Index ``doc_id -> tf*idf vector`` under one epoch."""
-        index = cls(epoch)
-        norms = {
-            doc_id: vectors[doc_id].norm for doc_id in sorted(vectors)
-        }
-        index._norms = norms
-        index.doc_count = len(norms)
+        index = cls(epoch, vectors)
         runs: dict[str, tuple[list[int], list[float]]] = {}
         for doc_id in sorted(vectors):
             for term, weight in sorted(vectors[doc_id].weights.items()):
@@ -149,7 +137,7 @@ class InvertedIndex:
                 weights.append(weight)
         for term in sorted(runs):
             ids, weights = runs[term]
-            index._terms[term] = Postings(ids, weights, norms)
+            index._terms[term] = Postings(ids, weights)
             index.postings_total += len(ids)
         return index
 
@@ -166,18 +154,16 @@ class InvertedIndex:
         occurring in an added, changed, or removed document (under its
         old or new vector), plus any term whose idf changed.  Posting
         runs for clean terms are carried over by reference (their doc
-        ids, weights and max-impact metadata are bitwise what a
-        from-scratch :meth:`build` would recompute); dirty runs are
-        rebuilt from ``vectors`` through the same code path as
-        :meth:`build`, so the result is bit-identical to a full rebuild
-        -- the parity pinned by ``tests/portal/test_incremental_parity``.
+        ids and weights are bitwise what a from-scratch :meth:`build`
+        would recompute); dirty runs are rebuilt from ``vectors``
+        through the same code path as :meth:`build`, so the result is
+        bit-identical to a full rebuild -- the parity pinned by
+        ``tests/portal/test_incremental_parity``.  Only the *runs* are
+        carried: a delta that adds one document and removes another
+        shifts every row after the removed id, so the new index decodes
+        its own impact arrays.
         """
-        index = InvertedIndex(epoch)
-        norms = {
-            doc_id: vectors[doc_id].norm for doc_id in sorted(vectors)
-        }
-        index._norms = norms
-        index.doc_count = len(norms)
+        index = InvertedIndex(epoch, vectors)
         dirty = frozenset(dirty_terms)
         runs: dict[str, tuple[list[int], list[float]]] = {}
         for doc_id in sorted(vectors):
@@ -196,7 +182,7 @@ class InvertedIndex:
         for term in sorted([*carried, *rebuilt]):
             if term in runs:
                 ids, run_weights = runs[term]
-                index._terms[term] = Postings(ids, run_weights, norms)
+                index._terms[term] = Postings(ids, run_weights)
             else:
                 index._terms[term] = self._terms[term]
                 index.reused_postings += 1
@@ -216,22 +202,31 @@ class InvertedIndex:
 
     def postings(self, term: str) -> Postings | None:
         """The term's posting run, or None for unindexed vocabulary."""
-        run = self._terms.get(term)
-        if run is not None and run._doc_ids is None:
-            self.decoded_terms += 1
-        return run
+        return self._terms.get(term)
 
-    def norm(self, doc_id: int) -> float:
-        return self._norms.get(doc_id, 0.0)
+    def rows(self, doc_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The rows of ``doc_ids`` (ascending, all indexed)."""
+        return np.searchsorted(self._doc_ids, doc_ids)
 
-    def matching_ids(self, terms: Iterable[str]) -> set[int]:
-        """All doc ids containing at least one of ``terms``."""
-        matched: set[int] = set()
-        for term in terms:
+    def impacts(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The term's ``(rows, weight / |doc|)`` arrays under this
+        index's numbering, or None for unindexed vocabulary -- the one
+        decode site, memoized per index."""
+        decoded = self._impacts.get(term)
+        if decoded is None:
             run = self._terms.get(term)
-            if run is not None:
-                matched.update(run.doc_ids())
-        return matched
+            if run is None:
+                return None
+            rows = self.rows(run.doc_ids())
+            norms = self._norms[rows]
+            decoded = self._impacts[term] = (
+                rows,
+                np.divide(
+                    run.weights(), norms,
+                    out=np.zeros(run.count), where=norms > 0.0,
+                ),
+            )
+        return decoded
 
     # -- observability ----------------------------------------------------
 
@@ -247,7 +242,7 @@ class InvertedIndex:
                     for term in sorted(self._terms)
                 )
             ),
-            "index_decoded_terms": float(self.decoded_terms),
+            "index_decoded_terms": float(len(self._impacts)),
             "index_reused_postings": float(self.reused_postings),
             "index_snapshot_version": float(self.snapshot_version),
             "index_epoch_ordinal": float(self.epoch.ordinal),

@@ -2,60 +2,29 @@
 from dataclasses import dataclass
 
 
+class Postings:
+    def __init__(self, doc_ids: list, weights: list, norms: dict) -> None:
+        self.count = len(doc_ids)
+        self.max_weight = max(weights)
+        self.max_impact = max(w / norms[d] for d, w in zip(doc_ids, weights))
+
+
 class InvertedIndex:
-    @classmethod
-    def from_database(cls, database: dict) -> "InvertedIndex":
-        return cls()
+    def __init__(self) -> None:
+        self.runs: dict[str, Postings] = {}
+
+    def matching_ids(self, terms: list) -> set:
+        return set()
+
+
+def cursor_bound(index: InvertedIndex, run: Postings, share: float) -> float:
+    index.matching_ids(["recoveri"])
+    return share * run.max_impact
 
 
 class CompiledClassifier:
-    def decide_topic(self, topic: str) -> float:
-        return 0.0
-
-
-def one_at_a_time(kernel: CompiledClassifier) -> float:
-    return kernel.decide_topic("ROOT/db")
-
-
-class ConvertStage:
-    analyzer = None
-
-
-def second_analyzer(stage: ConvertStage) -> None:
-    stage.analyzer = str.lower
-
-
-@dataclass(frozen=True)
-class StageEvent:
-    stage: str
-    elapsed: float
-
-
-def wall_seconds(event: StageEvent) -> float:
-    return event.elapsed
-
-
-def fake_event() -> StageEvent:
-    return StageEvent(stage="fetch", elapsed=0.0)
-
-
-class Obs:
-    def __init__(self) -> None:
-        self.enabled = True
-
-
-def triage(obs: Obs) -> dict:
-    return obs.wall_stage_seconds
-
-
-class LocalSearchEngine:
-    def __init__(self) -> None:
-        self.queries = 0
-        self.query_seconds = 0.0
-
-
-def mean_latency(engine: LocalSearchEngine) -> float:
-    return engine.query_seconds / max(engine.queries, 1)
+    def classify_many(self, docs: list, mode: str) -> list:
+        return []
 
 
 @dataclass

@@ -2,41 +2,31 @@
 from dataclasses import dataclass
 
 
+class Postings:
+    def __init__(self, doc_ids: list, weights: list) -> None:
+        self.count = len(doc_ids)
+
+
 class InvertedIndex:
     @classmethod
     def build(cls, vectors: dict, epoch: int) -> "InvertedIndex":
         return cls()
 
-
-@dataclass(frozen=True)
-class StageEvent:
-    stage: str
-    in_size: int
+    def impacts(self, term: str) -> tuple | None:
+        return None
 
 
-class Timer:
-    elapsed: float = 0.0  # not a stage event: fine
+class Histogram:
+    max_weight: float = 0.0  # not a posting run: fine
 
 
-def batch_sizes(events: list[StageEvent]) -> list[int]:
-    return [event.in_size for event in events]
+def heaviest(histograms: list[Histogram]) -> float:
+    # "max_weight" on another receiver is a perfectly fine name
+    return max(histogram.max_weight for histogram in histograms)
 
 
-def total(timers: list[Timer]) -> float:
-    # "elapsed" on another receiver is a perfectly fine name
-    return sum(timer.elapsed for timer in timers)
-
-
-class LocalSearchEngine:
-    def __init__(self) -> None:
-        self.queries = 0
-
-    def stats(self) -> dict[str, float]:
-        return {"queries": float(self.queries)}
-
-
-def served(engine: LocalSearchEngine) -> float:
-    return engine.stats()["queries"]
+def touched(index: InvertedIndex, run: Postings) -> int:
+    return run.count if index.impacts("recoveri") else 0
 
 
 @dataclass

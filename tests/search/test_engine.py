@@ -170,6 +170,27 @@ class TestFailedQueryAccounting:
         assert obs.registry.value("search_queries_failed_total") == 1.0
 
 
+class TestWorkAccounting:
+    def test_documents_scored_is_the_counter_that_falls(self, corpus) -> None:
+        """``candidates_ranked`` is the filtered set's size on either
+        path; ``documents_scored`` is the exact evaluations made."""
+        from repro.obs import Obs
+
+        obs = Obs()
+        indexed = LocalSearchEngine(corpus, obs=obs)
+        brute = LocalSearchEngine(corpus, indexed=False)
+        for engine in (indexed, brute):
+            assert len(engine.search("recovery", top_k=2)) == 2
+            engine.search("recovery", topic="ROOT/nonexistent")
+            engine.search("recovery", top_k=0)
+        assert indexed.stats()["candidates_ranked"] == 10.0
+        assert brute.stats()["candidates_ranked"] == 10.0
+        assert indexed.stats()["documents_scored"] == 2.0
+        assert brute.stats()["documents_scored"] == 5.0
+        assert obs.registry.value("search_candidates_ranked_total") == 10.0
+        assert obs.registry.value("search_documents_scored_total") == 2.0
+
+
 class TestMinMaxNormalize:
     def test_degenerate_range_maps_to_zero(self) -> None:
         from repro.search.engine import _min_max_normalize

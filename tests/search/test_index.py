@@ -4,21 +4,20 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SearchError
-from repro.perf.topk import (
-    PostingCursor,
-    decode_doc_ids,
-    encode_doc_ids,
-    wand_topk,
-)
+from repro.perf import topk
+from repro.perf.topk import decode_doc_ids, encode_doc_ids, verified_topk
 from repro.search.engine import LocalSearchEngine
 from repro.search.epoch import Epoch
 from repro.search.index import Postings, QueryCache
+from repro.search.serving import build_query_pool
 from repro.storage import Database, sync_term_statistics
 
 from tests.search.conftest import make_doc
+from tests.search.test_parity import TOPICS, WEIGHTS, random_corpus
 
 
 class TestVarintCompression:
@@ -51,64 +50,84 @@ class TestVarintCompression:
 
 class TestPostings:
     def test_lazy_decode_and_metadata(self) -> None:
-        norms = {1: 2.0, 5: 1.0, 9: 4.0}
-        postings = Postings([1, 5, 9], [1.0, 3.0, 2.0], norms)
+        postings = Postings([1, 5, 9], [1.0, 3.0, 2.0])
         assert postings.count == 3
-        assert postings.max_weight == 3.0
-        # impacts: 1/2, 3/1, 2/4 -> max 3.0
-        assert postings.max_impact == 3.0
+        assert postings.compressed_bytes == 3 + 3 * 8
         assert postings._doc_ids is None
-        assert postings.doc_ids() == [1, 5, 9]
-        assert list(postings.weights()) == [1.0, 3.0, 2.0]
+        assert postings.doc_ids().tolist() == [1, 5, 9]
+        assert postings.weights().tolist() == [1.0, 3.0, 2.0]
         assert postings._doc_ids is not None
 
     def test_rejects_mismatched_runs(self) -> None:
         with pytest.raises(SearchError):
-            Postings([1, 2], [1.0], {1: 1.0, 2: 1.0})
+            Postings([1, 2], [1.0])
         with pytest.raises(SearchError):
-            Postings([], [], {})
+            Postings([], [])
 
 
 class TestWandKernel:
+    """The bound-then-verify kernel (the class keeps the name of the
+    cursor walk it replaced)."""
+
     def test_exhaustive_equivalence(self) -> None:
-        """WAND against a brute-force evaluation of the same runs."""
+        """The kernel against a brute-force evaluation of the same
+        runs, the scorer handing back the same sums in another order."""
         rng = random.Random(13)
         for trial in range(25):
             doc_count = rng.randint(1, 60)
-            term_count = rng.randint(1, 5)
             runs = []
             scores = dict.fromkeys(range(doc_count), 0.0)
-            for _ in range(term_count):
+            for _ in range(rng.randint(1, 5)):
                 ids = sorted(
                     rng.sample(range(doc_count), rng.randint(1, doc_count))
                 )
-                weight = rng.uniform(0.1, 2.0)
-                for doc_id in ids:
-                    scores[doc_id] += weight
-                runs.append((ids, weight))
-            matched = set()
-            for ids, _weight in runs:
-                matched.update(ids)
+                impacts = [rng.uniform(0.1, 2.0) for _ in ids]
+                share = rng.uniform(0.1, 2.0)
+                for doc_id, impact in zip(ids, impacts):
+                    scores[doc_id] = share * impact + scores[doc_id]
+                runs.append((np.array(ids), np.array(impacts), share))
+            members = sorted(
+                rng.sample(range(doc_count), rng.randint(1, doc_count))
+            )
             k = rng.randint(1, doc_count + 2)
-            cursors = [PostingCursor(ids, weight) for ids, weight in runs]
-            result = wand_topk(
-                cursors, k, lambda doc_id: scores[doc_id]
+            scored: list[int] = []
+
+            def score(position: int) -> float:
+                scored.append(position)
+                return scores[members[position]]
+
+            result = verified_topk(
+                runs, doc_count, np.array(members), None, k, score
             )
             expected = sorted(
-                ((scores[d], d) for d in sorted(matched)),
+                (
+                    (scores[doc_id], position)
+                    for position, doc_id in enumerate(members)
+                ),
                 key=lambda pair: (-pair[0], pair[1]),
             )[:k]
-            assert (
-                sorted(result, key=lambda pair: (-pair[0], pair[1]))
-                == expected
-            ), f"trial {trial}"
+            assert result == expected, f"trial {trial}"
+            assert len(scored) == len(set(scored)) == len(expected), (
+                f"trial {trial}: uniform floats do not tie"
+            )
 
     def test_members_filter_and_k_zero(self) -> None:
-        cursors = [PostingCursor([0, 1, 2], 1.0)]
-        assert wand_topk(cursors, 0, lambda d: 1.0) == []
-        cursors = [PostingCursor([0, 1, 2], 1.0)]
-        result = wand_topk(cursors, 5, lambda d: float(d), members={1})
-        assert result == [(1.0, 1)]
+        runs = [(np.array([0, 1, 2]), np.array([1.0, 1.0, 1.0]), 1.0)]
+        everyone = np.arange(3)
+        assert verified_topk(runs, 3, everyone, None, 0, float) == []
+        assert verified_topk(runs, 3, np.array([1]), None, 5, float) == [
+            (0.0, 0)
+        ]
+        # the static component alone decides between equal impacts ...
+        static = np.array([0.0, 0.5, 0.25])
+        top = verified_topk(
+            runs, 3, everyone, static, 2, lambda p: 1.0 + static[p]
+        )
+        assert top == [(1.5, 1), (1.25, 2)]
+        # ... and members nothing matched fill up in position order
+        assert verified_topk([], 3, everyone, None, 2, lambda p: 0.0) == [
+            (0.0, 0), (0.0, 1)
+        ]
 
 
 def _corpus():
@@ -128,21 +147,52 @@ class TestInvertedIndex:
         assert len(index) > 0
         postings = index.postings("recoveri")
         assert postings is not None
-        assert postings.doc_ids() == [0, 2, 4]
-        for doc_id, weight in zip(postings.doc_ids(), postings.weights()):
+        assert postings.doc_ids().tolist() == [0, 2, 4]
+        for doc_id, weight in zip(
+            postings.doc_ids().tolist(), postings.weights().tolist()
+        ):
             assert weight == engine._vectors[doc_id].get("recoveri")
-        impacts = [
+        rows, impacts = index.impacts("recoveri")
+        assert rows.tolist() == [0, 2, 4]
+        assert impacts.tolist() == [
             engine._vectors[d].get("recoveri") / engine._vectors[d].norm
             for d in (0, 2, 4)
         ]
-        assert postings.max_impact == max(impacts)
         assert index.postings("unknown-term") is None
+        assert index.impacts("unknown-term") is None
 
-    def test_matching_ids(self) -> None:
-        engine = LocalSearchEngine(_corpus())
+    def test_decoded_terms_counts_decodes_not_lookups(self) -> None:
+        """A serve-cold-shaped load -- uncached requests from a query
+        pool under a topic / vague / weighted mix -- decodes each
+        distinct indexed query term once; looking a run up decodes
+        nothing."""
+        documents = random_corpus(17, 40)
+        engine = LocalSearchEngine(documents)
         index = engine.index()
-        assert index.matching_ids(["recoveri", "code"]) == {0, 1, 2, 4}
-        assert index.matching_ids(["nope"]) == set()
+        for term in index.terms():
+            assert index.postings(term) is not None
+        assert index.stats()["index_decoded_terms"] == 0.0
+
+        pool = build_query_pool(documents, size=8, seed=17)
+        pool.append(f"{pool[0]} zyzzyx")  # an unindexed term decodes nothing
+        rng = random.Random(17)
+        issued = [rng.choice(pool) for _ in range(60)]
+        for query in issued:
+            engine.search(
+                query,
+                topic=rng.choice([None, *TOPICS]),
+                exact=rng.random() < 0.5,
+                weights=rng.choice(WEIGHTS),
+            )
+        touched = {
+            term
+            for query in issued
+            for term in engine._query_vector(query).weights
+            if term in index
+        }
+        assert 1 < len(touched) < len(index)
+        assert engine.index() is index
+        assert index.stats()["index_decoded_terms"] == float(len(touched))
 
     def test_stats_are_snake_case_floats(self) -> None:
         engine = LocalSearchEngine(_corpus())
@@ -217,6 +267,11 @@ class TestEpochLifecycle:
         assert engine.epoch.token == (
             engine.epoch.snapshot_version, engine.epoch.generation
         )
+        # the cursor walk and the max-score metadata only it read
+        for name in ("PostingCursor", "BOUND_INFLATION", "wand_topk"):
+            assert not hasattr(topk, name)
+        assert not hasattr(engine.index(), "matching_ids")
+        assert not {"max_impact", "max_weight"} & set(Postings.__slots__)
 
 
 class TestTermStatisticsSync:
