@@ -1,0 +1,127 @@
+"""Alternating parent/change pairs of one ``benchmarks/e2e`` workload.
+
+Machine load drifts over minutes, so only runs taken in alternation in
+one session compare (ROADMAP, "Measurement").  This exports ``--parent``
+with ``git archive`` into a temporary directory (nothing is left in
+``.git``), then runs::
+
+    python3 benchmarks/e2e/run.py --workload W --seed S --seconds T --trace 0
+
+in that tree and in this one, ``--pairs`` times, swapping which side
+goes first each pair, and prints per end-to-end metric of
+``BENCHMARK.json`` both medians and ranges, how often the change won
+(ties count for neither), and ``correct`` / ``ops_failed`` of every run
+made::
+
+    python3 benchmarks/paired.py --parent HEAD --workload living-portal
+
+The change is the working tree as it stands, committed or not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from statistics import median
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def export(revision: str, target: Path) -> None:
+    """``git archive revision`` unpacked into ``target``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target, filter="data")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in ``tree``; its last stdout line is the report."""
+    result = subprocess.run(
+        [
+            sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        ],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = result.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(
+            f"{tree}: run.py exited {result.returncode} without a report\n"
+            f"{result.stdout}{result.stderr}"
+        )
+    return json.loads(lines[-1])
+
+
+def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+    higher = metric["better"] == "higher"
+    wins = sum(
+        1 for p, c in zip(parent, change) if (c > p if higher else c < p)
+    )
+    ties = sum(1 for p, c in zip(parent, change) if c == p)
+    base = median(parent)
+    return (
+        f"  {metric['name']:12s} parent {base:10.4g} "
+        f"[{min(parent):.4g} .. {max(parent):.4g}]   "
+        f"change {median(change):10.4g} "
+        f"[{min(change):.4g} .. {max(change):.4g}]   "
+        f"{(median(change) - base) / base:+7.1%} ({metric['better']} is "
+        f"better)   change won {wins} of {len(parent) - ties}"
+    )
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision to export")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--pairs", type=int, default=6)
+    args = parser.parse_args()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="paired-parent-") as scratch:
+        export(args.parent, Path(scratch))
+        trees = {"parent": Path(scratch), "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else (
+                "change", "parent"
+            )
+            for side in order:
+                report = run_once(
+                    trees[side], args.workload, args.seed, args.seconds
+                )
+                runs[side].append(report)
+                print(
+                    f"pair {pair + 1} {side:6s} correct={report['correct']} "
+                    f"ops_failed={report['failed']} " + " ".join(
+                        f"{m['name']}={report['metrics'][m['name']]['value']:.4g}"
+                        for m in metrics
+                    ),
+                    flush=True,
+                )
+    print(f"== {args.workload} seed {args.seed}, {args.seconds:g} s, "
+          f"{args.pairs} alternating pairs, parent {args.parent} ==")
+    for metric in metrics:
+        values = {
+            side: [r["metrics"][metric["name"]]["value"] for r in reports]
+            for side, reports in runs.items()
+        }
+        print(summarize(metric, values["parent"], values["change"]))
+    sound = all(
+        r["correct"] and r["failed"] == 0 for rs in runs.values() for r in rs
+    )
+    print(f"  every run correct with ops_failed 0: {sound}")
+    return 0 if sound else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

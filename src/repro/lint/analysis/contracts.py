@@ -18,10 +18,11 @@ or constructor default; the table says where), the second and third
 decision phases (``HierarchicalClassifier.classify_reference``,
 ``TopicDecisionModel.decide``, ``CompiledClassifier.classify`` with
 the ``model_version`` tag and ``VectorCache.get_or_compute`` only they
-used), and the max-score metadata of the cursor-walk top-k
-(``Postings.max_impact`` / ``max_weight``,
-``InvertedIndex.matching_ids``).  An entry expires one ROADMAP
-re-anchor after the PR that recorded it; by then a stay-gone test or a
+used), and the compressed posting runs the idf-free matrix replaced
+(``Postings`` with its varint codec, ``InvertedIndex.postings`` /
+``terms`` / ``matching_ids``, the ``DeltaReport`` fields that said
+which branch a fold took).  An entry expires one ROADMAP re-anchor
+after the PR that recorded it; by then a stay-gone test or a
 ``TypeError`` from the constructor holds the line.
 """
 
@@ -66,17 +67,22 @@ CONTRACTS: dict[str, MutationContract] = {
             {
                 "__init__", "_build_corpus", "epoch", "advance_epoch",
                 "restore_epoch", "index", "rebuild", "apply_delta",
-                # per-epoch views: filled on first use, dropped only
-                # where the epoch is assigned
-                "_move_epoch", "_view", "_authority_scores",
+                # per-epoch views and exact vectors: filled on first
+                # use (``vector`` is the one funnel that fills
+                # ``_vectors``), dropped only where the epoch is assigned
+                "_move_epoch", "_view", "_authority_scores", "vector",
             }
         ),
     ),
+    # an index is immutable: apply_update returns the next one
     "InvertedIndex": MutationContract(
         attrs=frozenset(
-            {"_terms", "_norms", "doc_count", "postings_total"}
+            {
+                "_doc_ids", "_columns", "_rows", "_cols", "_tfw",
+                "_starts", "_impacts", "doc_count", "postings_total",
+            }
         ),
-        funnels=frozenset({"__init__", "build", "apply_update"}),
+        funnels=frozenset({"__init__"}),
     ),
     "QueryCache": MutationContract(
         attrs=frozenset(
@@ -164,6 +170,16 @@ class EpochMutation(Rule):
             )
 
 
+_NO_FOLD_VECTORS = (
+    "a fold builds no vector; LocalSearchEngine.stats()['vectors_built'] "
+    "counts the on-demand builds"
+)
+_NO_POSTINGS = (
+    "InvertedIndex holds one tf-weighted posting matrix; impacts(term) "
+    "slices a term's run"
+)
+_NO_CODEC = "postings are numpy arrays, nothing is varint-coded"
+
 #: class name -> removed member -> replacement guidance.  Uses are
 #: only flagged when the receiver provably types as that class --
 #: "classify" is far too common a name to flag on sight.
@@ -197,13 +213,23 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
             "repro.perf.topk.verified_topk fills the slots nothing "
             "matched itself; impacts(term) gives one run's rows"
         ),
-    },
-    "Postings": {
-        "max_impact": (
-            "no bound is kept per run; InvertedIndex.impacts(term) "
-            "decodes every weight / |doc|"
+        "postings": (
+            "there is no per-term run object; impacts(term) slices the "
+            "posting matrix"
         ),
-        "max_weight": "it had no reader; weights() is the whole run",
+        "terms": "`term in index` and len(index) cover the live terms",
+    },
+    "DeltaReport": {
+        "scope": (
+            "there is one fold whether or not the corpus size moved; "
+            "postings_written / postings_dropped say what it did"
+        ),
+        "vectors_recomputed": _NO_FOLD_VECTORS,
+        "vectors_reused": _NO_FOLD_VECTORS,
+        "postings_reused": (
+            "runs are slices of one matrix; postings_written / "
+            "postings_dropped count the entries that moved"
+        ),
     },
     "WorkerSet": {
         "add_barrier_hook": (
@@ -265,6 +291,15 @@ _REMOVED_NAMES = frozenset(
     name for members in _REMOVED_MEMBERS.values() for name in members
 )
 
+#: removed module-level name -> replacement guidance, flagged where a
+#: ``from module import name`` asks for it
+_REMOVED_IMPORTS: dict[str, str] = {
+    "repro.search.index.Postings": _NO_POSTINGS,
+    "repro.search.Postings": _NO_POSTINGS,
+    "repro.perf.topk.encode_doc_ids": _NO_CODEC,
+    "repro.perf.topk.decode_doc_ids": _NO_CODEC,
+}
+
 
 @register
 class DeprecatedApi(Rule):
@@ -276,7 +311,8 @@ class DeprecatedApi(Rule):
         "members deleted since the last re-anchor "
         "(WorkerSet.add_barrier_hook, the never-set BingoConfig fields, "
         "the per-document and dict-walking decision phases, the "
-        "cursor walk's max-score metadata) must not be reintroduced"
+        "compressed posting runs and their codec) must not be "
+        "reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "
@@ -294,7 +330,25 @@ class DeprecatedApi(Rule):
             if symbol.name in _REMOVED_MEMBERS:
                 yield from self._check_definitions(index, symbol)
         for qualname in sorted(index.functions):
-            yield from self._check_uses(index, index.functions[qualname])
+            function = index.functions[qualname]
+            if function.kind == "module":
+                yield from self._check_imports(function)
+            yield from self._check_uses(index, function)
+
+    def _check_imports(self, module: FunctionSymbol) -> Iterator[Finding]:
+        for node in ast.walk(module.node):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            for alias in node.names:
+                guidance = _REMOVED_IMPORTS.get(f"{node.module}.{alias.name}")
+                if guidance is not None:
+                    yield self.finding_at(
+                        module.module.display_path,
+                        node.lineno,
+                        node.col_offset,
+                        f"{node.module}.{alias.name} was removed; "
+                        f"{guidance}",
+                    )
 
     def _check_definitions(
         self, index: ProjectIndex, symbol: ClassSymbol

@@ -1,29 +1,24 @@
-"""Top-k query kernels: compressed postings and bound-then-verify.
+"""Top-k query kernel: bound-then-verify.
 
 The query-serving tier (paper section 3.6; the "millions of users" half
 of an information portal) must not run the exact scorer over every
-stored document per query.  This module holds the two primitives the
-inverted index in :mod:`repro.search.index` builds on:
-
-* **delta/varint posting compression** -- sorted doc-id runs are stored
-  as LEB128-encoded gaps (:func:`encode_doc_ids` /
-  :func:`decode_doc_ids`), the classic inverted-file layout;
-* **bound-then-verify top-k** (:func:`verified_topk`) -- every query
-  term's normalised impacts are added into one dense per-corpus array
-  (a handful of numpy operations, O(documents) by design), the k-th
-  largest of those approximate scores is read with ``np.partition``,
-  and only the documents that reach it are handed to the caller's
-  *exact* scorer.
+stored document per query.  :func:`verified_topk` adds every query
+term's normalised impacts -- slices of the arrays
+:class:`repro.search.index.InvertedIndex` derives once per epoch --
+into one dense per-corpus array (a handful of numpy operations,
+O(documents) by design), reads the k-th largest of those approximate
+scores with ``np.partition``, and hands only the documents that reach
+it to the caller's *exact* scorer.
 
 Rank-exactness contract: the approximate score is the exact one with
-its additions and divisions in another order -- a sum of a handful of
-non-negative products, so the two differ by a few ulp (~1e-15
-relative).  Every document within a relative :data:`VERIFY_SLACK`
-(1e-9) of the k-th approximate score is verified, ties included, so
-the verified set contains the true top k under the ``(-score, row)``
-order and the returned scores come from the same callback the
-brute-force ranker uses -- bit-identical results, not merely close
-ones.
+its additions, divisions and the document norm's summation in another
+order -- a sum of a handful of non-negative products, so the two
+differ by a few ulp (~1e-15 relative).  Every document within a
+relative :data:`VERIFY_SLACK` (1e-9) of the k-th approximate score is
+verified, ties included, so the verified set contains the true top k
+under the ``(-score, row)`` order and the returned scores come from
+the same callback the brute-force ranker uses -- bit-identical
+results, not merely close ones.
 """
 
 from __future__ import annotations
@@ -32,61 +27,12 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "VERIFY_SLACK",
-    "encode_doc_ids",
-    "decode_doc_ids",
-    "verified_topk",
-]
+__all__ = ["VERIFY_SLACK", "verified_topk"]
 
 #: relative width of the band below the k-th approximate score whose
 #: documents are verified too; six orders of magnitude above the
 #: rounding error it has to cover (see module docstring)
 VERIFY_SLACK = 1e-9
-
-
-def encode_doc_ids(doc_ids: Sequence[int]) -> bytes:
-    """LEB128-encode a strictly increasing run of non-negative doc ids.
-
-    The first id is stored as ``id + 1`` and every later one as its gap
-    to the predecessor, so all varints are >= 1 and decoding needs no
-    special first-element case.
-    """
-    out = bytearray()
-    previous = -1
-    for doc_id in doc_ids:
-        gap = doc_id - previous
-        if gap <= 0:
-            raise ValueError(
-                f"doc ids must be strictly increasing and >= 0; "
-                f"got {doc_id} after {previous}"
-            )
-        previous = doc_id
-        while gap >= 0x80:
-            out.append((gap & 0x7F) | 0x80)
-            gap >>= 7
-        out.append(gap)
-    return bytes(out)
-
-
-def decode_doc_ids(data: bytes) -> list[int]:
-    """Decode :func:`encode_doc_ids` output back to absolute doc ids."""
-    doc_ids: list[int] = []
-    current = -1
-    gap = 0
-    shift = 0
-    for byte in data:
-        gap |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            continue
-        current += gap
-        doc_ids.append(current)
-        gap = 0
-        shift = 0
-    if shift != 0:
-        raise ValueError("truncated varint in posting data")
-    return doc_ids
 
 
 def verified_topk(

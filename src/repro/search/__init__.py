@@ -17,7 +17,7 @@ from repro.search.engine import (
 from repro.search.epoch import Epoch
 from repro.search.feedback import FeedbackSession
 from repro.search.clustering import SubclassSuggestion, suggest_subclasses
-from repro.search.index import InvertedIndex, Postings, QueryCache
+from repro.search.index import InvertedIndex, QueryCache
 from repro.search.portal_export import PortalExporter, PortalPage
 from repro.search.seed_queries import ExternalSearchEngine, SeedHit
 from repro.search.serving import (
@@ -42,7 +42,6 @@ __all__ = [
     "LocalSearchEngine",
     "PortalExporter",
     "PortalPage",
-    "Postings",
     "QueryCache",
     "QueryRequest",
     "QueryResponse",

@@ -23,13 +23,19 @@ Two ranking paths produce bit-identical results:
   documents scored to return ten.  The parity suite
   (``tests/search/test_parity.py``) pins equality of documents, scores
   and order across filters, weights and ``top_k`` edge cases.
+
+Both read a document's exact tf*idf vector through
+:meth:`LocalSearchEngine.vector`, which builds it the first time it is
+asked for and keeps it while the epoch stands: the index stores no idf
+(see :mod:`repro.search.index`), so neither a build nor a delta fold
+vectorizes anything.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,23 +63,20 @@ __all__ = ["RankingWeights", "RankedHit", "DeltaReport", "LocalSearchEngine"]
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """What one :meth:`LocalSearchEngine.apply_delta` call did.
-
-    ``scope`` is ``"local"`` when the corpus size was unchanged (only
-    vectors touching changed document frequencies were recomputed) and
-    ``"global"`` when the document count moved, which shifts every idf
-    and forces a full vector recomputation -- either way the resulting
-    index is bit-identical to a from-scratch rebuild.
-    """
+    """What one :meth:`LocalSearchEngine.apply_delta` call did: the
+    documents that moved and the posting entries that moved with them
+    -- there is one fold, whether or not the corpus size changed."""
 
     epoch: Epoch
-    scope: str
     docs_added: int
     docs_changed: int
     docs_removed: int
-    vectors_recomputed: int
-    vectors_reused: int
-    postings_reused: int
+    postings_written: int
+    """Term entries of the arriving documents (added, and changed in
+    their new version)."""
+    postings_dropped: int
+    """Term entries of the leaving documents (removed, and changed in
+    their old version)."""
 
     def stats(self) -> dict[str, float]:
         """Counters (:class:`repro.obs.api.Instrumented`-shaped)."""
@@ -81,10 +84,8 @@ class DeltaReport:
             "delta_docs_added": float(self.docs_added),
             "delta_docs_changed": float(self.docs_changed),
             "delta_docs_removed": float(self.docs_removed),
-            "delta_vectors_recomputed": float(self.vectors_recomputed),
-            "delta_vectors_reused": float(self.vectors_reused),
-            "delta_postings_reused": float(self.postings_reused),
-            "delta_scope_global": 1.0 if self.scope == "global" else 0.0,
+            "delta_postings_written": float(self.postings_written),
+            "delta_postings_dropped": float(self.postings_dropped),
         }
 
 
@@ -135,6 +136,23 @@ def _min_max_normalize(values: dict[int, float]) -> dict[int, float]:
     if hi <= lo:
         return {k: 0.0 for k in values}
     return {k: (v - lo) / (hi - lo) for k, v in values.items()}
+
+
+def _term_counts(document: CrawledDocument) -> Mapping[str, int]:
+    return document.counts.get("term", Counter())
+
+
+def _reject_duplicate_ids(
+    documents: Iterable[CrawledDocument], where: str
+) -> None:
+    """Rows, vectors and ``_by_id`` are keyed on the doc id."""
+    seen: set[int] = set()
+    for document in documents:
+        if document.doc_id in seen:
+            raise SearchError(
+                f"doc {document.doc_id} listed twice in {where}"
+            )
+        seen.add(document.doc_id)
 
 
 def _combine(
@@ -201,6 +219,8 @@ class LocalSearchEngine:
         self.documents_scored = 0
         """Exact cosine evaluations: every candidate on the brute-force
         path, the verified few on the indexed one."""
+        self.vectors_built = 0
+        """Exact document vectors built by :meth:`vector`."""
         self.authority_runs = 0
         """HITS computations since construction."""
         if obs is not None:
@@ -209,41 +229,40 @@ class LocalSearchEngine:
         self._move_epoch(Epoch.initial(self.vectorizer.snapshot_version))
 
     def _build_corpus(self, documents: Sequence[CrawledDocument]) -> None:
-        """Fresh idf statistics and vectors over ``documents``; the
-        inverted index is dropped for lazy rebuild."""
+        """Fresh idf statistics over ``documents``; the inverted index
+        is dropped for lazy rebuild."""
+        _reject_duplicate_ids(documents, "the corpus")
         self.documents = list(documents)
         self.vectorizer = TfIdfVectorizer()
         for document in self.documents:
-            self.vectorizer.ingest(
-                document.counts.get("term", Counter()).keys()
-            )
+            self.vectorizer.ingest(_term_counts(document).keys())
         self.vectorizer.refresh()
-        self._vectors = self._vectorize_all(self.documents)
         self._by_id = {d.doc_id: d for d in self.documents}
         self._index: InvertedIndex | None = None
-
-    def _vectorize_all(
-        self, documents: Sequence[CrawledDocument]
-    ) -> dict[int, SparseVector]:
-        """Every document's tf*idf row under the current idf snapshot:
-        a from-scratch build, and any delta that moved the corpus size
-        (and with it every idf)."""
-        return {
-            document.doc_id: self.vectorizer.vectorize_counts(
-                document.counts.get("term", Counter())
-            )
-            for document in documents
-        }
 
     # -- epoch lifecycle ----------------------------------------------------
 
     def _move_epoch(self, epoch: Epoch) -> Epoch:
         """The one assignment of the epoch; everything derived per
-        epoch (filter views, the url map) is dropped with it."""
+        epoch (filter views, the url map, exact vectors -- the idf
+        snapshot only moves with the epoch) is dropped with it."""
         self._epoch = epoch
         self._views: dict[tuple[str | None, bool], _FilterView] = {}
         self._url_to_doc: dict[str, int] | None = None
+        self._vectors: dict[int, SparseVector] = {}
         return epoch
+
+    def vector(self, doc_id: int) -> SparseVector:
+        """The document's exact tf*idf vector under the current idf
+        snapshot, built on first request -- the one place that fills
+        the per-epoch memo."""
+        vector = self._vectors.get(doc_id)
+        if vector is None:
+            vector = self._vectors[doc_id] = self.vectorizer.vectorize_counts(
+                _term_counts(self._by_id[doc_id])
+            )
+            self.vectors_built += 1
+        return vector
 
     @property
     def epoch(self) -> Epoch:
@@ -302,8 +321,11 @@ class LocalSearchEngine:
         if index is None or (
             index.snapshot_version != self.vectorizer.snapshot_version
         ):
-            index = InvertedIndex.build(self._vectors, self.epoch)
-            self._index = index
+            index = self._index = InvertedIndex.build(
+                {d.doc_id: _term_counts(d) for d in self.documents},
+                self.vectorizer.statistics,
+                self.epoch,
+            )
         return index
 
     def rebuild(
@@ -311,11 +333,11 @@ class LocalSearchEngine:
         documents: Sequence[CrawledDocument] | None = None,
         reason: str = "rebuild",
     ) -> Epoch:
-        """Rebuild vectors and index after retraining or promotion.
+        """Rebuild statistics and index after retraining or promotion.
 
-        The engine's idf statistics and document vectors are recomputed
-        from scratch (optionally over a new document set), the inverted
-        index is dropped for lazy rebuild, and the epoch advances so
+        The engine's idf statistics are recomputed from scratch
+        (optionally over a new document set), the inverted index is
+        dropped for lazy rebuild, and the epoch advances so
         every epoch-keyed result cache invalidates.  This is the
         documented contract for the serving tier: call
         ``rebuild(reason=...)`` whenever the crawl retrains or promotes
@@ -329,10 +351,6 @@ class LocalSearchEngine:
 
     # -- incremental corpus updates -----------------------------------------
 
-    def _doc_terms(self, document: CrawledDocument) -> list[str]:
-        """The df-relevant term keys, exactly as ingestion sees them."""
-        return sorted(document.counts.get("term", Counter()).keys())
-
     def apply_delta(
         self,
         added: Sequence[CrawledDocument] = (),
@@ -343,65 +361,56 @@ class LocalSearchEngine:
         """Fold new/changed/deleted documents in without a full rebuild.
 
         Document frequencies are adjusted by the delta (integer
-        bookkeeping -- exact), the idf snapshot is refreshed, and only
-        vectors whose weights can actually differ are recomputed: the
-        delta documents themselves plus any document sharing a term
-        whose df moved.  If the corpus *size* changed, every idf shifts
-        and all vectors are recomputed (``scope="global"``); either way
-        the resulting index is proven bit-identical to a from-scratch
-        :meth:`rebuild` by ``tests/portal/test_incremental_parity``.
+        bookkeeping -- exact) and the idf snapshot is refreshed; the
+        index, if one was built, drops the entries of the documents
+        that left and appends those of the documents that arrived
+        (:meth:`InvertedIndex.apply_update
+        <repro.search.index.InvertedIndex.apply_update>`).  Nothing
+        stored holds an idf, so the fold costs the delta whether or not
+        the corpus size moved, and no vector is built: :meth:`vector`
+        does that for the documents later queries verify.  The result
+        is proven identical to a from-scratch engine -- ids, float
+        scores, order -- by ``tests/portal/test_incremental_parity``
+        and the delta-sequence property in ``tests/search``.
 
         ``changed`` documents keep their ``doc_id``; ``removed`` is an
-        iterable of doc ids.  The epoch advances with ``reason`` so
-        every epoch-keyed cache invalidates.
+        iterable of doc ids.  An id may appear once per argument and in
+        one argument only.  The epoch advances with ``reason`` so every
+        epoch-keyed cache invalidates.
         """
         removed_ids = sorted(set(removed))
+        _reject_duplicate_ids(added, "added")
+        _reject_duplicate_ids(changed, "changed")
         changed_by_id = {d.doc_id: d for d in changed}
+        changed_ids = sorted(changed_by_id)
         added_docs = sorted(added, key=lambda d: d.doc_id)
         for doc_id in removed_ids:
             if doc_id not in self._by_id:
                 raise SearchError(f"cannot remove unknown doc {doc_id}")
             if doc_id in changed_by_id:
                 raise SearchError(f"doc {doc_id} both changed and removed")
-        for doc_id in sorted(changed_by_id):
+        for doc_id in changed_ids:
             if doc_id not in self._by_id:
                 raise SearchError(f"cannot change unknown doc {doc_id}")
         for doc in added_docs:
             if doc.doc_id in self._by_id:
                 raise SearchError(f"doc {doc.doc_id} already indexed")
 
-        statistics = self.vectorizer.statistics
-        old_count = statistics.document_count
-        old_snapshot = self.vectorizer.snapshot_version
-        old_terms: dict[int, list[str]] = {}
-        new_terms: dict[int, list[str]] = {}
-        for doc_id in removed_ids:
-            old_terms[doc_id] = self._doc_terms(self._by_id[doc_id])
-        for doc_id in sorted(changed_by_id):
-            old_terms[doc_id] = self._doc_terms(self._by_id[doc_id])
-            new_terms[doc_id] = self._doc_terms(changed_by_id[doc_id])
-        for doc in added_docs:
-            new_terms[doc.doc_id] = self._doc_terms(doc)
-        candidates = sorted(
-            {term for terms in old_terms.values() for term in terms}
-            | {term for terms in new_terms.values() for term in terms}
-        )
-        df_before = {
-            term: statistics.document_frequency.get(term, 0)
-            for term in candidates
+        left = [*removed_ids, *changed_ids]
+        arrived = {
+            doc_id: _term_counts(changed_by_id[doc_id])
+            for doc_id in changed_ids
         }
-        for doc_id in removed_ids:
-            self.vectorizer.retract(old_terms[doc_id])
-        for doc_id in sorted(changed_by_id):
-            self.vectorizer.retract(old_terms[doc_id])
-            self.vectorizer.ingest(new_terms[doc_id])
-        for doc in added_docs:
-            self.vectorizer.ingest(new_terms[doc.doc_id])
+        arrived.update((doc.doc_id, _term_counts(doc)) for doc in added_docs)
+        dropped = written = 0
+        for doc_id in left:
+            terms = _term_counts(self._by_id[doc_id]).keys()
+            self.vectorizer.retract(terms)
+            dropped += len(terms)
+        for counts in arrived.values():
+            self.vectorizer.ingest(counts.keys())
+            written += len(counts)
         self.vectorizer.refresh()
-        changed_df = frozenset(
-            term for term in candidates
-            if statistics.document_frequency.get(term, 0) != df_before[term]
-        )
 
         removed_set = frozenset(removed_ids)
         documents = [
@@ -413,72 +422,18 @@ class LocalSearchEngine:
         self.documents = documents
         self._by_id = {d.doc_id: d for d in documents}
 
-        old_vectors = self._vectors
-        dirty: set[str] = set()
-        if statistics.document_count != old_count:
-            scope = "global"
-            vectors = self._vectorize_all(documents)
-            recomputed = len(vectors)
-        else:
-            scope = "local"
-            delta_ids = set(changed_by_id)
-            delta_ids.update(doc.doc_id for doc in added_docs)
-            for doc_id in sorted(old_vectors):
-                if doc_id in delta_ids or doc_id in removed_set:
-                    continue
-                weights = old_vectors[doc_id].weights
-                if any(term in changed_df for term in weights):
-                    delta_ids.add(doc_id)
-            vectors = {}
-            for document in documents:
-                doc_id = document.doc_id
-                if doc_id in delta_ids:
-                    vectors[doc_id] = self.vectorizer.vectorize_counts(
-                        document.counts.get("term", Counter())
-                    )
-                else:
-                    vectors[doc_id] = old_vectors[doc_id]
-            recomputed = len(delta_ids)
-            dirty.update(changed_df)
-            for doc_id in sorted(old_terms):
-                dirty.update(old_terms[doc_id])
-            for doc_id in sorted(new_terms):
-                dirty.update(new_terms[doc_id])
-            for doc_id in sorted(delta_ids):
-                old_vector = old_vectors.get(doc_id)
-                if old_vector is not None:
-                    dirty.update(old_vector.weights)
-                dirty.update(vectors[doc_id].weights)
-        self._vectors = vectors
-
-        old_index = self._index
-        if old_index is not None and (
-            old_index.snapshot_version != old_snapshot
-        ):
-            # the cached index predates the pre-delta snapshot; its
-            # postings don't mirror ``old_vectors``, so carrying them
-            # over would be wrong -- rebuild lazily instead
-            old_index = None
         epoch = self.advance_epoch(reason)
-        postings_reused = 0
-        if old_index is None:
-            self._index = None
-        elif scope == "global":
-            self._index = InvertedIndex.build(vectors, epoch)
-        else:
-            self._index = old_index.apply_update(
-                vectors, sorted(dirty), epoch
+        if self._index is not None:
+            self._index = self._index.apply_update(
+                arrived, left, self.vectorizer.statistics, epoch
             )
-            postings_reused = self._index.reused_postings
         return DeltaReport(
             epoch=epoch,
-            scope=scope,
             docs_added=len(added_docs),
-            docs_changed=len(changed_by_id),
+            docs_changed=len(changed_ids),
             docs_removed=len(removed_ids),
-            vectors_recomputed=recomputed,
-            vectors_reused=len(vectors) - recomputed,
-            postings_reused=postings_reused,
+            postings_written=written,
+            postings_dropped=dropped,
         )
 
     # -- filtering ----------------------------------------------------------
@@ -617,7 +572,7 @@ class LocalSearchEngine:
         """Brute-force reference: score and sort *every* candidate."""
         confidences, authorities = self._components(candidates, weights)
         cosines = {
-            d.doc_id: cosine_similarity(query_vector, self._vectors[d.doc_id])
+            d.doc_id: cosine_similarity(query_vector, self.vector(d.doc_id))
             for d in candidates
         }
         hits_list = [
@@ -678,7 +633,7 @@ class LocalSearchEngine:
 
         def exact_score(position: int) -> float:
             doc_id = doc_ids[position]
-            cosine = cosine_similarity(query_vector, self._vectors[doc_id])
+            cosine = cosine_similarity(query_vector, self.vector(doc_id))
             cosines[doc_id] = cosine
             return _combine(
                 weights,
@@ -771,6 +726,7 @@ class LocalSearchEngine:
             "queries_failed": float(self.queries_failed),
             "candidates_ranked": float(self.candidates_ranked),
             "documents_scored": float(self.documents_scored),
+            "vectors_built": float(self.vectors_built),
             "documents_indexed": float(len(self.documents)),
             "generation": float(self.generation),
             "filter_views": float(len(self._views)),

@@ -3,24 +3,33 @@
 BINGO!'s portal serves "expert Web search" over the crawled corpus; the
 paper stores documents and terms in flat relations (section 4.1) and
 queries them through secondary indexes.  This module is the in-process
-equivalent of the term index: one :class:`Postings` run per term over
-the corpus, with
+equivalent of the term index, laid out so that folding a recrawl delta
+costs what changed (the paper's vectorizer recomputes idf *lazily*,
+section 2.2):
 
-* **delta/varint-compressed doc-id runs** (the classic inverted-file
-  layout; encoded via :func:`repro.perf.topk.encode_doc_ids`) beside
-  the packed tf*idf weights -- all a run stores, so building one is two
-  encodes;
-* **lazily decoded impact arrays** -- the first query that touches a
-  term turns its run into two numpy arrays, corpus rows and normalised
-  impacts ``weight / |doc|`` (:meth:`InvertedIndex.impacts`), which
-  :func:`repro.perf.topk.verified_topk` accumulates.  Rows number the
-  documents of *one* index in doc-id order, so the arrays are kept on
-  the index, never on the run: a run carried into the next index by
-  :meth:`InvertedIndex.apply_update` is decoded again under the new
-  numbering;
-* an explicit **idf-snapshot version**: the index is valid only for the
-  tf*idf snapshot it was built under, mirroring the
-  :class:`~repro.perf.cache.VectorCache` invalidation contract.
+* **what is stored is idf-free** -- one term-major posting matrix of
+  tf-side weights ``1 + log tf`` in three parallel numpy arrays
+  (document row, term column, weight), sorted by ``(column, row)`` so
+  a term's run is a slice.  Nothing in it depends on the corpus
+  size, so a delta that moves ``document_count`` touches exactly the
+  entries of the documents that left or arrived
+  (:meth:`InvertedIndex.apply_update`: mask, append, re-sort);
+* **what depends on the corpus is derived per epoch** in a handful of
+  O(postings) numpy operations when an index is made: the idf of every
+  column, read from the vectorizer's snapshot (the one source the exact
+  path reads too), ``|doc|`` per row by ``np.bincount`` over the
+  squared ``tfw * idf``, and the normalised impacts ``tfw * idf /
+  |doc|`` that :func:`repro.perf.topk.verified_topk` accumulates.  The
+  norms come out of numpy in another summation order than
+  :attr:`SparseVector.norm <repro.text.vectorizer.SparseVector.norm>`,
+  a few ulp apart: they feed the *bound* only, whose 1e-9 verify band
+  absorbs that; every returned float is computed from a real
+  ``SparseVector`` by the engine;
+* **rows** number the documents of *one* index in doc-id order.  A
+  document without terms still owns a row (the filter views index by
+  row), and a term whose last document left reads as unindexed
+  (:meth:`InvertedIndex.impacts` gives ``None``) although its column
+  lingers until the next from-scratch :meth:`InvertedIndex.build`.
 
 :class:`QueryCache` is the serving tier's result cache: entries are
 keyed on the engine's :class:`~repro.search.epoch.Epoch`, so a
@@ -33,86 +42,67 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Collection, Hashable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import SearchError
-from repro.perf.topk import decode_doc_ids, encode_doc_ids
 from repro.search.epoch import Epoch
 
 if TYPE_CHECKING:
-    from repro.text.vectorizer import SparseVector
+    from repro.text.vectorizer import CorpusStatistics
 
-__all__ = ["Postings", "InvertedIndex", "QueryCache"]
-
-
-class Postings:
-    """One term's compressed posting run.
-
-    Doc ids are stored delta/varint-compressed, the parallel tf*idf
-    weights packed as doubles.  The ids decode on first access and stay
-    decoded (the serving tier touches a small, hot subset of the
-    vocabulary); the weights are read in place.
-    """
-
-    __slots__ = ("encoded_ids", "encoded_weights", "count", "_doc_ids")
-
-    def __init__(self, doc_ids: list[int], weights: list[float]) -> None:
-        if len(doc_ids) != len(weights) or not doc_ids:
-            raise SearchError("postings need parallel, non-empty runs")
-        self.encoded_ids = encode_doc_ids(doc_ids)
-        self.encoded_weights = array("d", weights).tobytes()
-        self.count = len(doc_ids)
-        self._doc_ids: np.ndarray | None = None
-
-    @property
-    def compressed_bytes(self) -> int:
-        return len(self.encoded_ids) + len(self.encoded_weights)
-
-    def doc_ids(self) -> np.ndarray:
-        """The sorted doc-id run (decoded once, then memoized)."""
-        decoded = self._doc_ids
-        if decoded is None:
-            decoded = np.array(
-                decode_doc_ids(self.encoded_ids), dtype=np.int64
-            )
-            self._doc_ids = decoded
-        return decoded
-
-    def weights(self) -> np.ndarray:
-        """The tf*idf weights parallel to :meth:`doc_ids`."""
-        return np.frombuffer(self.encoded_weights, dtype=np.float64)
+__all__ = ["InvertedIndex", "QueryCache"]
 
 
 class InvertedIndex:
-    """Sorted, compressed postings over one idf snapshot of the corpus.
+    """The posting matrix plus what one epoch derives from it.
 
-    Built from the in-memory document vectors the search engine
-    already holds (:meth:`build`).
+    An index is immutable: :meth:`apply_update` returns the next one
+    and leaves this one as it was.
     """
 
     def __init__(
-        self, epoch: Epoch, vectors: Mapping[int, "SparseVector"]
+        self,
+        epoch: Epoch,
+        statistics: "CorpusStatistics",
+        doc_ids: np.ndarray,
+        columns: dict[str, int],
+        entries: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
+        """An index over ``entries`` -- ``(rows, cols, tfw)`` sorted by
+        ``(col, row)`` -- under ``statistics``' idf snapshot.  Callers
+        want :meth:`build` or :meth:`apply_update`."""
         self.epoch = epoch
         """The :class:`~repro.search.epoch.Epoch` this index serves.
         The index is valid only while the engine's epoch carries the
         same idf ``snapshot_version``."""
-        ordered = sorted(vectors)
-        self.doc_count = len(ordered)
-        self.postings_total = 0
-        self.reused_postings = 0
-        """Posting runs carried over unchanged by the last
-        :meth:`apply_update` (0 for a from-scratch build)."""
-        self._terms: dict[str, Postings] = {}
-        self._doc_ids = np.array(ordered, dtype=np.int64)
-        """Row -> doc id, ascending: this index's row numbering."""
-        self._norms = np.array(
-            [vectors[doc_id].norm for doc_id in ordered], dtype=np.float64
+        self._doc_ids = doc_ids
+        """Row -> doc id, ascending: this index's row numbering.  A
+        document without terms owns a row like any other."""
+        self._columns = columns
+        """Term -> column, in column order."""
+        self._rows, self._cols, self._tfw = entries
+        self.doc_count = len(doc_ids)
+        self.postings_total = len(self._tfw)
+
+        # -- derived per epoch: O(postings) numpy, O(vocabulary) Python
+        self._starts = np.searchsorted(
+            self._cols, np.arange(len(columns) + 1)
         )
-        self._impacts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        """Column ``c``'s run is ``starts[c]:starts[c + 1]``."""
+        idf = np.array([statistics.idf(term) for term in columns])
+        impacts = idf[self._cols]
+        impacts *= self._tfw
+        norms = np.sqrt(
+            np.bincount(
+                self._rows, impacts * impacts, minlength=self.doc_count
+            )
+        )
+        # tfw >= 1 and idf >= log 2, so a row with an entry has a
+        # positive norm and a row without one is never divided by
+        impacts /= norms[self._rows]
+        self._impacts = impacts
 
     @property
     def snapshot_version(self) -> int:
@@ -124,126 +114,126 @@ class InvertedIndex:
     @classmethod
     def build(
         cls,
-        vectors: Mapping[int, "SparseVector"],
+        documents: Mapping[int, Mapping[str, int]],
+        statistics: "CorpusStatistics",
         epoch: Epoch,
     ) -> "InvertedIndex":
-        """Index ``doc_id -> tf*idf vector`` under one epoch."""
-        index = cls(epoch, vectors)
-        runs: dict[str, tuple[list[int], list[float]]] = {}
-        for doc_id in sorted(vectors):
-            for term, weight in sorted(vectors[doc_id].weights.items()):
-                ids, weights = runs.setdefault(term, ([], []))
-                ids.append(doc_id)
-                weights.append(weight)
-        for term in sorted(runs):
-            ids, weights = runs[term]
-            index._terms[term] = Postings(ids, weights)
-            index.postings_total += len(ids)
-        return index
+        """Index ``doc_id -> term counts`` under one epoch: every
+        document folded into an empty index, so a maintained index
+        equals a rebuilt one by construction."""
+        no_ids = np.empty(0, dtype=np.int32)
+        empty = cls(
+            epoch, statistics, np.empty(0, dtype=np.int64), {},
+            (no_ids, no_ids, np.empty(0)),
+        )
+        return empty.apply_update(documents, (), statistics, epoch)
 
     def apply_update(
         self,
-        vectors: Mapping[int, "SparseVector"],
-        dirty_terms: Iterable[str],
+        arrived: Mapping[int, Mapping[str, int]],
+        left: Collection[int],
+        statistics: "CorpusStatistics",
         epoch: Epoch,
     ) -> "InvertedIndex":
-        """A new index folding a document delta into this one.
+        """The next index: this one without the documents in ``left``
+        (all indexed here) and with ``arrived`` (``doc_id -> term
+        counts``, none indexed once ``left`` is gone; a changed
+        document is in both).
 
-        ``vectors`` is the *post-delta* corpus; ``dirty_terms`` is every
-        term whose posting run may differ from this index -- any term
-        occurring in an added, changed, or removed document (under its
-        old or new vector), plus any term whose idf changed.  Posting
-        runs for clean terms are carried over by reference (their doc
-        ids and weights are bitwise what a from-scratch :meth:`build`
-        would recompute); dirty runs are rebuilt from ``vectors``
-        through the same code path as :meth:`build`, so the result is
-        bit-identical to a full rebuild -- the parity pinned by
-        ``tests/portal/test_incremental_parity``.  Only the *runs* are
-        carried: a delta that adds one document and removes another
-        shifts every row after the removed id, so the new index decodes
-        its own impact arrays.
+        The entries of ``left`` are masked out, those of ``arrived``
+        appended -- the only per-posting Python work -- and the matrix
+        re-sorted under the new row numbering; everything that depends
+        on the corpus size is derived afresh from ``statistics``'
+        snapshot, so it makes no difference whether the delta moved
+        ``document_count``.
         """
-        index = InvertedIndex(epoch, vectors)
-        dirty = frozenset(dirty_terms)
-        runs: dict[str, tuple[list[int], list[float]]] = {}
-        for doc_id in sorted(vectors):
-            weights = vectors[doc_id].weights
-            for term in sorted(weights):
-                if term not in dirty:
-                    continue
-                ids, run_weights = runs.setdefault(term, ([], []))
-                ids.append(doc_id)
-                run_weights.append(weights[term])
-        carried = sorted(
-            term for term in self._terms
-            if term not in dirty and term not in runs
+        columns = dict(self._columns)
+        lengths: list[int] = []
+        new_cols = array("i")
+        new_tfs = array("i")
+        for counts in arrived.values():
+            before = len(new_cols)
+            for term, tf in counts.items():
+                if tf > 0:
+                    new_cols.append(columns.setdefault(term, len(columns)))
+                    new_tfs.append(tf)
+            lengths.append(len(new_cols) - before)
+        gone = np.zeros(self.doc_count, dtype=bool)
+        gone[self.rows(np.array(list(left), dtype=np.int64))] = True
+        arrived_ids = np.array(list(arrived), dtype=np.int64)
+        doc_ids = np.union1d(self._doc_ids[~gone], arrived_ids)
+        # old row -> new row (whatever it says for a gone row is masked)
+        renumber = np.searchsorted(doc_ids, self._doc_ids).astype(np.int32)
+        arrived_rows = np.searchsorted(doc_ids, arrived_ids).astype(np.int32)
+
+        keep = ~gone[self._rows]
+        rows = np.concatenate(
+            (renumber[self._rows[keep]], np.repeat(arrived_rows, lengths))
         )
-        rebuilt = sorted(runs)
-        for term in sorted([*carried, *rebuilt]):
-            if term in runs:
-                ids, run_weights = runs[term]
-                index._terms[term] = Postings(ids, run_weights)
-            else:
-                index._terms[term] = self._terms[term]
-                index.reused_postings += 1
-            index.postings_total += index._terms[term].count
-        return index
+        cols = np.concatenate(
+            (self._cols[keep], np.frombuffer(new_cols, dtype=np.intc))
+        )
+        tfw = np.concatenate(
+            (self._tfw[keep], np.frombuffer(new_tfs, dtype=np.intc))
+        )
+        fresh = tfw[len(tfw) - len(new_tfs):]
+        np.log(fresh, out=fresh)
+        fresh += 1.0
+        del keep, new_cols, new_tfs
+        # (col, row) pairs are unique; a stable sort is fast on the
+        # already-sorted kept part.  Peak memory of a build is this
+        # method's transients, hence the in-place arithmetic
+        key = cols.astype(np.int64)
+        key <<= 32
+        key |= rows
+        order = np.argsort(key, kind="stable")
+        del key
+        entries = (rows[order], cols[order], tfw[order])
+        del rows, cols, tfw, fresh, order
+        return InvertedIndex(epoch, statistics, doc_ids, columns, entries)
 
     # -- access -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """Live terms: columns whose run is not empty."""
+        return int(np.count_nonzero(np.diff(self._starts)))
 
     def __contains__(self, term: str) -> bool:
-        return term in self._terms
-
-    def terms(self) -> list[str]:
-        return sorted(self._terms)
-
-    def postings(self, term: str) -> Postings | None:
-        """The term's posting run, or None for unindexed vocabulary."""
-        return self._terms.get(term)
+        return self.impacts(term) is not None
 
     def rows(self, doc_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """The rows of ``doc_ids`` (ascending, all indexed)."""
         return np.searchsorted(self._doc_ids, doc_ids)
 
     def impacts(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """The term's ``(rows, weight / |doc|)`` arrays under this
-        index's numbering, or None for unindexed vocabulary -- the one
-        decode site, memoized per index."""
-        decoded = self._impacts.get(term)
-        if decoded is None:
-            run = self._terms.get(term)
-            if run is None:
-                return None
-            rows = self.rows(run.doc_ids())
-            norms = self._norms[rows]
-            decoded = self._impacts[term] = (
-                rows,
-                np.divide(
-                    run.weights(), norms,
-                    out=np.zeros(run.count), where=norms > 0.0,
-                ),
-            )
-        return decoded
+        """The term's ``(rows, weight / |doc|)`` run under this index's
+        numbering -- two slices -- or None for vocabulary no indexed
+        document holds."""
+        column = self._columns.get(term)
+        if column is None:
+            return None
+        start, stop = self._starts[column], self._starts[column + 1]
+        if start == stop:
+            return None
+        return self._rows[start:stop], self._impacts[start:stop]
 
     # -- observability ----------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Index counters (:class:`repro.obs.api.Instrumented`)."""
+        """Index counters (:class:`repro.obs.api.Instrumented`).
+
+        ``index_compressed_bytes`` keeps the key the benchmark reads; it
+        reports the bytes the per-posting arrays hold, stored and
+        derived (nothing is compressed any more).
+        """
         return {
-            "index_terms": float(len(self._terms)),
+            "index_terms": float(len(self)),
             "index_documents": float(self.doc_count),
             "index_postings": float(self.postings_total),
             "index_compressed_bytes": float(
-                sum(
-                    self._terms[term].compressed_bytes
-                    for term in sorted(self._terms)
-                )
+                self._rows.nbytes + self._cols.nbytes + self._tfw.nbytes
+                + self._impacts.nbytes
             ),
-            "index_decoded_terms": float(len(self._impacts)),
-            "index_reused_postings": float(self.reused_postings),
             "index_snapshot_version": float(self.snapshot_version),
             "index_epoch_ordinal": float(self.epoch.ordinal),
         }

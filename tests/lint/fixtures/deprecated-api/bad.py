@@ -2,11 +2,8 @@
 from dataclasses import dataclass
 
 
-class Postings:
-    def __init__(self, doc_ids: list, weights: list, norms: dict) -> None:
-        self.count = len(doc_ids)
-        self.max_weight = max(weights)
-        self.max_impact = max(w / norms[d] for d, w in zip(doc_ids, weights))
+from repro.perf.topk import decode_doc_ids, encode_doc_ids
+from repro.search.index import Postings
 
 
 class InvertedIndex:
@@ -16,10 +13,33 @@ class InvertedIndex:
     def matching_ids(self, terms: list) -> set:
         return set()
 
+    def postings(self, term: str) -> Postings | None:
+        return self.runs.get(term)
 
-def cursor_bound(index: InvertedIndex, run: Postings, share: float) -> float:
+    def terms(self) -> list:
+        return sorted(self.runs)
+
+
+def run_lengths(index: InvertedIndex) -> list[int]:
     index.matching_ids(["recoveri"])
-    return share * run.max_impact
+    return [
+        len(decode_doc_ids(encode_doc_ids([1, 2])))
+        for term in index.terms()
+        if index.postings(term)
+    ]
+
+
+@dataclass
+class DeltaReport:
+    docs_added: int
+    scope: str = "local"
+    vectors_recomputed: int = 0
+    vectors_reused: int = 0
+    postings_reused: int = 0
+
+
+def took_the_slow_branch(report: DeltaReport) -> bool:
+    return report.scope == "global" or report.postings_reused == 0
 
 
 class CompiledClassifier:

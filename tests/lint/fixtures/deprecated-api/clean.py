@@ -2,14 +2,9 @@
 from dataclasses import dataclass
 
 
-class Postings:
-    def __init__(self, doc_ids: list, weights: list) -> None:
-        self.count = len(doc_ids)
-
-
 class InvertedIndex:
     @classmethod
-    def build(cls, vectors: dict, epoch: int) -> "InvertedIndex":
+    def build(cls, documents: dict, statistics: object) -> "InvertedIndex":
         return cls()
 
     def impacts(self, term: str) -> tuple | None:
@@ -17,16 +12,33 @@ class InvertedIndex:
 
 
 class Histogram:
-    max_weight: float = 0.0  # not a posting run: fine
+    scope: str = "local"  # not a delta report: fine
+
+    def terms(self) -> list:
+        return []
 
 
-def heaviest(histograms: list[Histogram]) -> float:
-    # "max_weight" on another receiver is a perfectly fine name
-    return max(histogram.max_weight for histogram in histograms)
+def widest(histograms: list[Histogram]) -> int:
+    # "terms" / "scope" on another receiver are perfectly fine names
+    return max(
+        len(histogram.terms()) for histogram in histograms
+        if histogram.scope == "local"
+    )
 
 
-def touched(index: InvertedIndex, run: Postings) -> int:
-    return run.count if index.impacts("recoveri") else 0
+def touched(index: InvertedIndex) -> bool:
+    return index.impacts("recoveri") is not None
+
+
+@dataclass
+class DeltaReport:
+    docs_added: int
+    postings_written: int = 0
+    postings_dropped: int = 0
+
+
+def moved(report: DeltaReport) -> int:
+    return report.postings_written + report.postings_dropped
 
 
 @dataclass

@@ -19,6 +19,7 @@ class LocalSearchEngine:
     def __init__(self) -> None:
         self.documents: list[str] = []
         self._views: dict[str, list[str]] = {}
+        self._vectors: dict[str, dict] = {}
 
     def rebuild(self, documents: list[str]) -> None:
         self.documents = list(documents)
@@ -46,3 +47,8 @@ def graft(engine: LocalSearchEngine, document: str) -> None:
 def prewarm(engine: LocalSearchEngine, topic: str) -> None:
     # a view planted from outside outlives no epoch the engine knows of
     engine._views[topic] = []
+
+
+def precompute(engine: LocalSearchEngine, document: str) -> None:
+    # a vector filed from outside is not dropped with its idf snapshot
+    engine._vectors[document] = {}

@@ -22,9 +22,11 @@ class LocalSearchEngine:
     def __init__(self) -> None:
         self.documents: list[str] = []
         self._views: dict[str, list[str]] = {}
+        self._vectors: dict[str, dict] = {}
 
     def advance_epoch(self) -> None:
         self._views = {}
+        self._vectors = {}
 
     def rebuild(self, documents: list[str]) -> None:
         self.documents = list(documents)
@@ -41,6 +43,13 @@ class LocalSearchEngine:
                 d for d in self.documents if d.startswith(topic)
             ]
         return view
+
+    def vector(self, document: str) -> dict:
+        # the one funnel that fills the per-epoch vector memo
+        vector = self._vectors.get(document)
+        if vector is None:
+            vector = self._vectors[document] = {}
+        return vector
 
     def filter(self, topic: str) -> list[str]:
         # readers get a copy; only _view fills the store

@@ -1,11 +1,11 @@
 """Acceptance gate: incremental folds are bit-identical to rebuilds.
 
 After a batch of evolve + recrawl cycles, the portal's incrementally
-maintained search engine (``apply_delta`` folds, partial vector
-recomputation, posting reuse) must be indistinguishable -- document
-frequencies, idf snapshot, every vector weight, and every ranked result
-(ids, scores, order) -- from a :class:`LocalSearchEngine` rebuilt from
-scratch over the same served documents.
+maintained search engine (``apply_delta`` folds: integer df bookkeeping,
+posting entries masked out and appended) must be indistinguishable --
+document frequencies, idf snapshot, every vector weight, and every
+ranked result (ids, scores, order) -- from a :class:`LocalSearchEngine`
+rebuilt from scratch over the same served documents.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ def hit_tuples(hits):
 def evolved_portal():
     """A portal that lived through three mutation/recrawl cycles."""
     portal = build_portal()
+    # built before the folds, so the index is a maintained one
+    portal.search.index()
     folds = 0
     for _ in range(3):
         portal.evolve(3600.0)
@@ -96,13 +98,42 @@ class TestIncrementalEqualsRebuild:
     def test_every_vector_is_bit_identical(
         self, evolved_portal, rebuilt
     ) -> None:
+        """Vectors are built on demand, so ask for every one: a memo
+        that survived a fold would be caught here."""
         incremental = evolved_portal.search
-        assert incremental._vectors.keys() == rebuilt._vectors.keys()
-        for doc_id in sorted(incremental._vectors):
-            ours = incremental._vectors[doc_id]
-            reference = rebuilt._vectors[doc_id]
+        for doc_id in [d.doc_id for d in rebuilt.documents]:
+            ours = incremental.vector(doc_id)
+            reference = rebuilt.vector(doc_id)
             assert ours.weights == reference.weights, doc_id
             assert ours.norm == reference.norm, doc_id
+
+    def test_bound_impacts_are_the_exact_weights_within_rounding(
+        self, evolved_portal
+    ) -> None:
+        """The two contracts the bound leans on: the index applies the
+        snapshot's idf (its run for a term is as long as the snapshot's
+        df, and a term no document holds any more has no run), and
+        every impact is the exact path's ``weight / |doc|`` to 1e-12
+        relative -- three orders inside the 1e-9 verify band."""
+        engine = evolved_portal.search
+        index = engine.index()
+        snapshot_df = engine.vectorizer.statistics.snapshot_df
+        assert len(index) == len(snapshot_df)
+        checked = 0
+        for term in sorted(snapshot_df):
+            rows, impacts = index.impacts(term)
+            assert len(rows) == snapshot_df[term], term
+            for doc_id, impact in zip(
+                index._doc_ids[rows].tolist(), impacts.tolist()
+            ):
+                vector = engine.vector(doc_id)
+                exact = vector.get(term) / vector.norm
+                assert abs(impact - exact) <= 1e-12 * exact, (term, doc_id)
+                checked += 1
+        assert checked == index.postings_total
+        gone = [term for term in index._columns if term not in snapshot_df]
+        assert gone, "three folds retired no term: the case is untested"
+        assert all(index.impacts(term) is None for term in gone)
 
     def test_ranked_results_match_across_topk_and_filters(
         self, evolved_portal, rebuilt

@@ -8,6 +8,7 @@ from repro.errors import SearchError
 from repro.search.engine import LocalSearchEngine, RankingWeights
 
 from tests.search.conftest import make_doc
+from tests.search.test_parity import random_corpus
 
 
 class TestFiltering:
@@ -189,6 +190,46 @@ class TestWorkAccounting:
         assert brute.stats()["documents_scored"] == 5.0
         assert obs.registry.value("search_candidates_ranked_total") == 10.0
         assert obs.registry.value("search_documents_scored_total") == 2.0
+
+
+    def test_a_fold_costs_what_changed(self) -> None:
+        """A delta writes and drops the entries of its own documents,
+        builds no vector, and leaves the queries after it to build the
+        vectors of the documents they verify -- whether or not the
+        corpus size moved."""
+        documents = random_corpus(31, 40)
+        engine = LocalSearchEngine(documents)
+        engine.search("recovery log")
+        for added, changed, removed in (
+            ([make_doc(40, {"recoveri": 2, "log": 1, "newcom": 1})],
+             [make_doc(7, {"log": 3, "code": 1})], [3, 4]),
+            ([make_doc(41, {"sourc": 1})], [], [5]),  # size preserved
+        ):
+            leaving = [
+                d for d in engine.documents
+                if d.doc_id in {*removed, *(c.doc_id for c in changed)}
+            ]
+            postings = engine.stats()["index_postings"]
+            built = engine.stats()["vectors_built"]
+            report = engine.apply_delta(
+                added=added, changed=changed, removed=removed
+            )
+            assert report.postings_written == sum(
+                len(d.counts["term"]) for d in [*added, *changed]
+            )
+            assert report.postings_dropped == sum(
+                len(d.counts["term"]) for d in leaving
+            )
+            assert engine.stats()["index_postings"] == (
+                postings + report.postings_written - report.postings_dropped
+            )
+            assert engine.stats()["vectors_built"] == built
+            scored = engine.stats()["documents_scored"]
+            assert len(engine.search("recovery log", top_k=10)) == 10
+            assert 0 < engine.stats()["vectors_built"] - built <= (
+                engine.stats()["documents_scored"] - scored
+            )
+            assert engine.stats()["vectors_built"] - built < len(documents)
 
 
 class TestMinMaxNormalize:

@@ -1,4 +1,5 @@
-"""Tests for the inverted index: compression, metadata, storage build."""
+"""Tests for the inverted index: the posting matrix, the top-k kernel,
+the query cache."""
 
 from __future__ import annotations
 
@@ -7,62 +8,15 @@ import random
 import numpy as np
 import pytest
 
-from repro.errors import SearchError
+import repro.search.index as index_module
 from repro.perf import topk
-from repro.perf.topk import decode_doc_ids, encode_doc_ids, verified_topk
+from repro.perf.topk import verified_topk
 from repro.search.engine import LocalSearchEngine
 from repro.search.epoch import Epoch
-from repro.search.index import Postings, QueryCache
-from repro.search.serving import build_query_pool
+from repro.search.index import QueryCache
 from repro.storage import Database, sync_term_statistics
 
 from tests.search.conftest import make_doc
-from tests.search.test_parity import TOPICS, WEIGHTS, random_corpus
-
-
-class TestVarintCompression:
-    def test_round_trip(self) -> None:
-        rng = random.Random(7)
-        ids = sorted(rng.sample(range(1_000_000), 500))
-        assert decode_doc_ids(encode_doc_ids(ids)) == ids
-
-    def test_empty_and_single(self) -> None:
-        assert decode_doc_ids(encode_doc_ids([])) == []
-        assert decode_doc_ids(encode_doc_ids([0])) == [0]
-        assert decode_doc_ids(encode_doc_ids([12345])) == [12345]
-
-    def test_rejects_non_increasing(self) -> None:
-        with pytest.raises(ValueError):
-            encode_doc_ids([3, 3])
-        with pytest.raises(ValueError):
-            encode_doc_ids([5, 2])
-        with pytest.raises(ValueError):
-            encode_doc_ids([-1])
-
-    def test_compresses_dense_runs(self) -> None:
-        ids = list(range(50_000, 51_000))
-        assert len(encode_doc_ids(ids)) < 8 * len(ids)
-
-    def test_truncated_varint_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            decode_doc_ids(b"\x80")
-
-
-class TestPostings:
-    def test_lazy_decode_and_metadata(self) -> None:
-        postings = Postings([1, 5, 9], [1.0, 3.0, 2.0])
-        assert postings.count == 3
-        assert postings.compressed_bytes == 3 + 3 * 8
-        assert postings._doc_ids is None
-        assert postings.doc_ids().tolist() == [1, 5, 9]
-        assert postings.weights().tolist() == [1.0, 3.0, 2.0]
-        assert postings._doc_ids is not None
-
-    def test_rejects_mismatched_runs(self) -> None:
-        with pytest.raises(SearchError):
-            Postings([1, 2], [1.0])
-        with pytest.raises(SearchError):
-            Postings([], [])
 
 
 class TestWandKernel:
@@ -144,55 +98,45 @@ class TestInvertedIndex:
     def test_build_matches_engine_vectors(self) -> None:
         engine = LocalSearchEngine(_corpus())
         index = engine.index()
-        assert len(index) > 0
-        postings = index.postings("recoveri")
-        assert postings is not None
-        assert postings.doc_ids().tolist() == [0, 2, 4]
-        for doc_id, weight in zip(
-            postings.doc_ids().tolist(), postings.weights().tolist()
-        ):
-            assert weight == engine._vectors[doc_id].get("recoveri")
+        assert len(index) == 8
+        assert "recoveri" in index
         rows, impacts = index.impacts("recoveri")
         assert rows.tolist() == [0, 2, 4]
-        assert impacts.tolist() == [
-            engine._vectors[d].get("recoveri") / engine._vectors[d].norm
-            for d in (0, 2, 4)
-        ]
-        assert index.postings("unknown-term") is None
+        assert impacts.tolist() == pytest.approx(
+            [
+                engine.vector(d).get("recoveri") / engine.vector(d).norm
+                for d in (0, 2, 4)
+            ],
+            rel=1e-12,
+        )
+        assert "unknown-term" not in index
         assert index.impacts("unknown-term") is None
 
-    def test_decoded_terms_counts_decodes_not_lookups(self) -> None:
-        """A serve-cold-shaped load -- uncached requests from a query
-        pool under a topic / vague / weighted mix -- decodes each
-        distinct indexed query term once; looking a run up decodes
-        nothing."""
-        documents = random_corpus(17, 40)
+    def test_a_document_without_terms_owns_a_row(self) -> None:
+        documents = [make_doc(0, {}), *_corpus()[1:], make_doc(7, {})]
         engine = LocalSearchEngine(documents)
         index = engine.index()
-        for term in index.terms():
-            assert index.postings(term) is not None
-        assert index.stats()["index_decoded_terms"] == 0.0
+        assert index.doc_count == 6
+        assert index.rows([0, 1, 7]).tolist() == [0, 1, 5]
+        rows, _ = index.impacts("recoveri")
+        assert rows.tolist() == [2, 4]
+        assert [h.document.doc_id for h in engine.search("sport")] == [
+            3, 0, 1, 2, 4, 7
+        ]
 
-        pool = build_query_pool(documents, size=8, seed=17)
-        pool.append(f"{pool[0]} zyzzyx")  # an unindexed term decodes nothing
-        rng = random.Random(17)
-        issued = [rng.choice(pool) for _ in range(60)]
-        for query in issued:
-            engine.search(
-                query,
-                topic=rng.choice([None, *TOPICS]),
-                exact=rng.random() < 0.5,
-                weights=rng.choice(WEIGHTS),
-            )
-        touched = {
-            term
-            for query in issued
-            for term in engine._query_vector(query).weights
-            if term in index
-        }
-        assert 1 < len(touched) < len(index)
-        assert engine.index() is index
-        assert index.stats()["index_decoded_terms"] == float(len(touched))
+    def test_a_term_whose_last_document_left_reads_as_unindexed(self) -> None:
+        engine = LocalSearchEngine(_corpus())
+        engine.index()
+        engine.apply_delta(removed=[3])
+        index = engine.index()
+        assert "sport" not in index and index.impacts("sport") is None
+        assert index.stats()["index_terms"] == float(len(index)) == 6.0
+        assert index.stats()["index_postings"] == 9.0
+        # ... and is indexed again when a document brings it back
+        engine.apply_delta(added=[make_doc(9, {"sport": 1, "log": 1})])
+        rows, _ = engine.index().impacts("sport")
+        assert rows.tolist() == [4]
+        assert engine.index().stats()["index_terms"] == 7.0
 
     def test_stats_are_snake_case_floats(self) -> None:
         engine = LocalSearchEngine(_corpus())
@@ -267,11 +211,15 @@ class TestEpochLifecycle:
         assert engine.epoch.token == (
             engine.epoch.snapshot_version, engine.epoch.generation
         )
-        # the cursor walk and the max-score metadata only it read
-        for name in ("PostingCursor", "BOUND_INFLATION", "wand_topk"):
+        # the cursor walk, and the compressed runs with their codec
+        for name in (
+            "PostingCursor", "BOUND_INFLATION", "wand_topk",
+            "encode_doc_ids", "decode_doc_ids",
+        ):
             assert not hasattr(topk, name)
-        assert not hasattr(engine.index(), "matching_ids")
-        assert not {"max_impact", "max_weight"} & set(Postings.__slots__)
+        assert not hasattr(index_module, "Postings")
+        for name in ("matching_ids", "postings", "terms"):
+            assert not hasattr(engine.index(), name)
 
 
 class TestTermStatisticsSync:
