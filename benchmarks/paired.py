@@ -9,9 +9,13 @@ with ``git archive`` into a temporary directory (nothing is left in
 
 in that tree and in this one, ``--pairs`` times, swapping which side
 goes first each pair, and prints per end-to-end metric of
-``BENCHMARK.json`` both medians and ranges, how often the change won
-(ties count for neither), and ``correct`` / ``ops_failed`` of every run
-made::
+``BENCHMARK.json`` both medians, quartiles and ranges, how often the
+change won (ties count for neither), a verdict line, and ``correct`` /
+``ops_failed`` of every run made.  The verdict is the rule of the
+``choosing-metrics`` guide: ``gain`` (``loss``) when the change won
+(lost) at least nine tenths of the untied pairs *and* the medians differ
+by more than the distance between the parent's quartiles; otherwise
+``unresolved`` -- which is not "unchanged"::
 
     python3 benchmarks/paired.py --parent HEAD --workload living-portal
 
@@ -28,7 +32,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,20 +65,56 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """Lower and upper quartile (inclusive method; one run is its own)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    low, _, high = quantiles(values, n=4, method="inclusive")
+    return low, high
+
+
+def tally(
+    metric: dict, parent: list[float], change: list[float]
+) -> tuple[int, int]:
+    """Pairs the change won and pairs it lost; ties count for neither."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    gaps = [sign * (c - p) for p, c in zip(parent, change)]
+    return sum(gap > 0 for gap in gaps), sum(gap < 0 for gap in gaps)
+
+
+def verdict(metric: dict, parent: list[float], change: list[float]) -> str:
+    """``gain`` / ``loss`` / ``unresolved`` for one metric's paired runs."""
+    wins, losses = tally(metric, parent, change)
+    low, high = quartiles(parent)
+    shift = median(change) - median(parent)
+    if abs(shift) <= high - low:
+        return "unresolved"
+    improved = (shift > 0) == (metric["better"] == "higher")
+    if (wins if improved else losses) < 0.9 * (wins + losses):
+        return "unresolved"
+    return "gain" if improved else "loss"
+
+
 def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
-    higher = metric["better"] == "higher"
-    wins = sum(
-        1 for p, c in zip(parent, change) if (c > p if higher else c < p)
-    )
-    ties = sum(1 for p, c in zip(parent, change) if c == p)
+    wins, losses = tally(metric, parent, change)
     base = median(parent)
+
+    def side(name: str, values: list[float]) -> str:
+        low, high = quartiles(values)
+        return (
+            f"{name} {median(values):10.4g} q[{low:.4g} .. {high:.4g}] "
+            f"[{min(values):.4g} .. {max(values):.4g}]"
+        )
+
+    low, high = quartiles(parent)
     return (
-        f"  {metric['name']:12s} parent {base:10.4g} "
-        f"[{min(parent):.4g} .. {max(parent):.4g}]   "
-        f"change {median(change):10.4g} "
-        f"[{min(change):.4g} .. {max(change):.4g}]   "
+        f"  {metric['name']:12s} {side('parent', parent)}   "
+        f"{side('change', change)}   "
         f"{(median(change) - base) / base:+7.1%} ({metric['better']} is "
-        f"better)   change won {wins} of {len(parent) - ties}"
+        f"better)   change won {wins} of {wins + losses}\n"
+        f"  {'':12s} verdict: {verdict(metric, parent, change)} "
+        f"(median gap {abs(median(change) - base):.4g} against the parent's "
+        f"inter-quartile distance {high - low:.4g})"
     )
 
 

@@ -19,6 +19,7 @@ tf*idf statistics.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -57,6 +58,8 @@ TrainingDoc = Mapping[str, Counter]
 
 #: topic name -> training documents
 TrainingSet = Mapping[str, Sequence[TrainingDoc]]
+
+SVM_COST = 1.0  #: soft-margin cost of every node SVM
 
 
 def _cross_validation_estimate(
@@ -381,13 +384,18 @@ class HierarchicalClassifier:
                 tf_preselection=self.config.tf_preselection,
                 selected_features=max(budgets),
             )
-            vectorizer = self.vectorizers[space]
+            idf = self.vectorizers[space].statistics.idf
             best: NodeClassifier | None = None
             for budget in budgets:
                 features = [score.feature for score in ranked[:budget]]
-                feature_set = set(features)
+                idf_of = {feature: idf(feature) for feature in features}
+                # vectorize_counts(counts).project(features), kept terms only
                 vectors = [
-                    vectorizer.vectorize_counts(counts).project(feature_set)
+                    SparseVector({
+                        term: (1.0 + math.log(tf)) * idf_of[term]
+                        for term, tf in counts.items()
+                        if tf > 0 and term in idf_of
+                    })
                     for counts in [*pos_counts, *neg_counts]
                 ]
                 learner, estimate = self._fit_node_model(vectors, labels)
@@ -413,9 +421,9 @@ class HierarchicalClassifier:
         """
         kind = self.config.node_classifier
         if kind == "svm":
-            svm = LinearSVM(
-                C=self.config.svm_cost, seed=self.config.seed
-            ).fit(vectors, labels)
+            svm = LinearSVM(C=SVM_COST, seed=self.config.seed).fit(
+                vectors, labels
+            )
             return svm, xi_alpha_estimate(svm, labels)
         factories = {
             "maxent": lambda: MaxEntClassifier(),

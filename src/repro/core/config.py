@@ -17,10 +17,10 @@ CrawlFrontier`, backoff growth and quarantine cap on
 :class:`~repro.robust.breaker.BreakerPolicy`, the bulk-loader batch on
 :class:`~repro.storage.bulkloader.BulkLoader`, MIME size caps and the
 per-document processing cost in :mod:`repro.pipeline.stages`, the
-acceptance threshold in :mod:`repro.core.classifier`, the archetype cap
-in :mod:`repro.core.archetypes`, and the phase strategy constants
-(learning depth, decision modes, hub/authority counts, archetype
-warm-up) in :mod:`repro.core.engine`.
+acceptance threshold and SVM cost in :mod:`repro.core.classifier`, the
+archetype cap in :mod:`repro.core.archetypes`, and the phase strategy
+constants (learning depth, decision modes, hub/authority counts,
+archetype warm-up) in :mod:`repro.core.engine`.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ class BingoConfig:
     feature budget and the best xi-alpha estimate wins (paper 3.5: the
     estimator "can be used ... for choosing an appropriate value for the
     number of most significant terms")."""
-    svm_cost: float = 1.0
     node_classifier: str = "svm"
     """Learner per topic node: "svm" (the paper's choice), "maxent",
     "naive-bayes" or "rocchio" (section 1.2 lists the alternatives).

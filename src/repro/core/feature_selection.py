@@ -63,7 +63,8 @@ def select_features(
 
     ``topic_documents`` maps each competing topic (including ``topic``
     itself) to its documents, each document being an iterable of feature
-    occurrences (term multiset).  Returns up to ``selected_features``
+    occurrences (term multiset; a ``Mapping`` of counts is read in place,
+    not copied).  Returns up to ``selected_features``
     :class:`FeatureScore` entries, best first.
     """
     if topic not in topic_documents:
@@ -76,8 +77,9 @@ def select_features(
     n_topic = 0
     n_total = 0
     for name, documents in topic_documents.items():
-        for document in documents:
-            terms = Counter(document)
+        for terms in documents:
+            if not isinstance(terms, Mapping):
+                terms = Counter(terms)
             if not terms:
                 continue
             n_total += 1

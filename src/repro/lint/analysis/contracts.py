@@ -285,6 +285,7 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "analyze_cost": "repro.pipeline.stages.PROCESSING_COST",
         "classify_cost": "repro.pipeline.stages.PROCESSING_COST",
         "processing_cost": "repro.pipeline.stages.PROCESSING_COST",
+        "svm_cost": "repro.core.classifier.SVM_COST",
     },
 }
 _REMOVED_NAMES = frozenset(

@@ -24,6 +24,7 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import TrainingError
 from repro.ml.common import BinaryClassifier, FeatureIndexer, validate_training_input
@@ -47,6 +48,13 @@ class LinearSVM(BinaryClassifier):
         Convergence threshold on the maximal projected-gradient violation.
     seed:
         Seed for the coordinate permutation (training is deterministic).
+
+    Bit for bit the straight-line loop of ``tests/ml/reference.py``:
+    columns in first-appearance order (bias last in the first row); each
+    epoch visits the rows in ``Generator(seed).shuffle`` order; a visit is
+    ``ddot(w[cols], vals)`` then ``w[cols] + (delta * y) * vals`` written
+    back, which equals ``+=`` because a dict-built row has unique columns
+    (asserted).  ``epochs_`` / ``converged_`` report a cut-short descent.
     """
 
     name = "svm"
@@ -72,6 +80,7 @@ class LinearSVM(BinaryClassifier):
         self._weights: np.ndarray | None = None
         self._weight_norm: float = 0.0
         self.alphas_: np.ndarray | None = None
+        self.epochs_, self.converged_ = 0, False
         self.slacks_: np.ndarray | None = None
         self.radius_sq_: float = 0.0
         self.n_positive_: int = 0
@@ -80,66 +89,75 @@ class LinearSVM(BinaryClassifier):
     # ------------------------------------------------------------------
 
     def fit(self, vectors: Sequence[SparseVector], labels: Sequence[int]) -> "LinearSVM":
-        y = validate_training_input(vectors, labels)
-        vectors = [v.normalized() for v in vectors]
-        augmented = [
-            SparseVector({**dict(v), _BIAS_FEATURE: 1.0}) for v in vectors
-        ]
+        y, C = validate_training_input(vectors, labels).tolist(), self.C
+        documents = []
+        for vector in vectors:  # unit length, then the constant feature
+            norm = vector.norm
+            row = {f: w / norm for f, w in vector} if norm else dict(vector)
+            row[_BIAS_FEATURE] = 1.0
+            documents.append(row)
+        seen = dict.fromkeys(f for row in documents for f in row)
         self.indexer = FeatureIndexer()
-        X = self.indexer.to_csr(augmented)
+        self.indexer._index = columns = {f: j for j, f in enumerate(seen)}
         self.indexer.freeze()
-        n, m = X.shape
-
-        data, indices, indptr = X.data, X.indices, X.indptr
-        row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
-        self.radius_sq_ = float(row_sq.max()) if n else 0.0
-
-        alphas = np.zeros(n)
-        w = np.zeros(m)
+        values = np.array([x for row in documents for x in row.values()])
+        indices = [columns[f] for row in documents for f in row]
+        indptr = np.cumsum([0, *map(len, documents)]).tolist()
+        # Q_ii through scipy: over an unsorted row its summation order is
+        # scipy's own, and the last bit of q_ii reaches every alpha
+        X = sparse.csr_matrix((values, indices, indptr))
+        row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel().tolist()
+        self.radius_sq_ = max(row_sq)
+        # per row, once: its columns, its values, a buffer for the write-back
+        gather = np.array(indices, dtype=np.intp)
+        rows = [
+            (gather[lo:hi], values[lo:hi], np.empty(hi - lo))
+            for lo, hi in zip(indptr, indptr[1:])
+        ]
+        assert all(len(set(c.tolist())) == len(c) for c, _, _ in rows)
+        alphas = [0.0] * len(y)
+        w = np.zeros(len(columns))
         rng = np.random.default_rng(self.seed)
-        order = np.arange(n)
-        for _epoch in range(self.max_epochs):
+        order = np.arange(len(y))
+        epochs, converged = 0, False
+        while epochs < self.max_epochs and not converged:
+            epochs += 1
             rng.shuffle(order)
             max_violation = 0.0
-            for i in order:
-                lo, hi = indptr[i], indptr[i + 1]
-                cols = indices[lo:hi]
-                vals = data[lo:hi]
-                margin = y[i] * float(w[cols] @ vals) - 1.0
-                alpha = alphas[i]
+            for i in order.tolist():
+                cols, vals, buf = rows[i]
+                wc = w.take(cols)
                 # projected gradient
-                gradient = margin
+                gradient = y[i] * float(np.dot(wc, vals)) - 1.0
+                alpha = alphas[i]
                 if alpha <= 0.0:
                     violation = min(gradient, 0.0)
-                elif alpha >= self.C:
+                elif alpha >= C:
                     violation = max(gradient, 0.0)
                 else:
                     violation = gradient
                 max_violation = max(max_violation, abs(violation))
-                if abs(violation) < 1e-12:
+                if abs(violation) < 1e-12 or row_sq[i] <= 0.0:
                     continue
-                q_ii = row_sq[i]
-                if q_ii <= 0.0:
-                    continue
-                new_alpha = min(max(alpha - gradient / q_ii, 0.0), self.C)
+                new_alpha = min(max(alpha - gradient / row_sq[i], 0.0), C)
                 delta = new_alpha - alpha
                 if delta != 0.0:
                     alphas[i] = new_alpha
-                    w[cols] += delta * y[i] * vals
-            if max_violation < self.tol:
-                break
+                    np.multiply(vals, delta * y[i], out=buf)
+                    np.add(wc, buf, out=buf)
+                    w.put(cols, buf)
+            converged = max_violation < self.tol
+        self.epochs_, self.converged_ = epochs, converged
 
         self._weights = w
         self._weight_norm = float(np.linalg.norm(w))
-        self.alphas_ = alphas
+        self.alphas_ = np.array(alphas, dtype=float)
         margins = np.array([
-            y[i] * float(w[indices[indptr[i]:indptr[i + 1]]]
-                         @ data[indptr[i]:indptr[i + 1]])
-            for i in range(n)
+            y[i] * float(np.dot(w.take(cols), vals))
+            for i, (cols, vals, _) in enumerate(rows)
         ])
         self.slacks_ = np.maximum(0.0, 1.0 - margins)
-        self.n_positive_ = int((y > 0).sum())
-        self.n_negative_ = int((y < 0).sum())
+        self.n_positive_, self.n_negative_ = y.count(1.0), y.count(-1.0)
         return self
 
     # ------------------------------------------------------------------

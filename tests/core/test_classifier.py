@@ -209,3 +209,46 @@ class TestMultipleSpaces:
         assert [m.space for m in model.members] == ["term", "anchor"]
         result = classifier.classify(positive[0], mode="unanimous")
         assert result.topic == "ROOT/db"
+
+
+class TestTrainingVectors:
+    def test_weighted_in_place_equals_vectorize_then_project(self) -> None:
+        """``_train_topic`` weights only the selected features; the SVM
+        must be fed what ``vectorize_counts(counts).project(features)``
+        built -- item for item, order included, because the column
+        order of the fit (and so every confidence) follows it."""
+        from repro.core.feature_selection import select_features
+
+        tree = TopicTree.from_leaves(["db"])
+        config = BingoConfig(
+            tf_preselection=100, feature_budget_candidates=(6, 14)
+        )
+        classifier = HierarchicalClassifier(tree, config)
+        vocab = [f"db{i}" for i in range(15)]
+        positives = topic_docs(vocab, 12, seed=1, extra=["bg0"])
+        positives[0]["term"]["db3"] = 0  # a zero count carries no weight
+        negatives = topic_docs([f"bg{i}" for i in range(15)], 9, seed=2)
+        for d in positives + negatives:
+            classifier.ingest(d)
+        classifier.refresh_idf()
+        fed = []
+        fit = classifier._fit_node_model
+        classifier._fit_node_model = lambda vectors, labels: (
+            fed.append(vectors) or fit(vectors, labels)
+        )
+        classifier._train_topic("ROOT/db", positives, negatives)
+
+        counts = [d["term"] for d in positives + negatives]
+        ranked = select_features(
+            {"ROOT/db": counts[:12], "__rest__": counts[12:]}, "ROOT/db",
+            tf_preselection=100, selected_features=14,
+        )
+        vectorizer = classifier.vectorizers["term"]
+        assert len(fed) == 2
+        for budget, vectors in zip((6, 14), fed):
+            keep = {score.feature for score in ranked[:budget]}
+            expected = [
+                vectorizer.vectorize_counts(c).project(keep) for c in counts
+            ]
+            assert [list(v) for v in vectors] == [list(v) for v in expected]
+            assert any(len(v) < len(c) for v, c in zip(vectors, counts))

@@ -58,7 +58,7 @@ class BingoConfig:
 
 
 def stale_knobs() -> BingoConfig:
-    return BingoConfig(retry_multiplier=3.0, top_hubs=5)
+    return BingoConfig(retry_multiplier=3.0, top_hubs=5, svm_cost=2.0)
 
 
 def fetch_charge(config: BingoConfig) -> float:
