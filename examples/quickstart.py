@@ -67,8 +67,9 @@ def main() -> None:
         "researchers have a page in the crawl result"
     )
 
-    # Every subsystem reported into one metrics registry (repro.obs);
-    # the same snapshot is exportable as Prometheus text or JSON via
+    # Every subsystem keeps its own counts behind stats(); one metrics
+    # registry (repro.obs) reads them all at snapshot time, and the same
+    # snapshot is exportable as Prometheus text or JSON via
     # `python -m repro.cli portal crawl --metrics-out metrics.json`.
     snapshot = engine.obs.registry.snapshot()
     print("\nfinal metrics snapshot (per-subsystem stats sources):")
@@ -77,12 +78,11 @@ def main() -> None:
             f"{key}={value:g}" for key, value in sorted(stats.items())
         )
         print(f"  {source}: {line}")
-    metrics = engine.obs.registry
+    sources = snapshot["sources"]
     print(
-        "  pipeline: batches="
-        f"{metrics.value('pipeline_stage_batches_total', stage='classify'):g}"
-        f" accepted={metrics.value('pipeline_docs_accepted_total'):g}"
-        f" retries={metrics.value('robust_retries_scheduled_total'):g}"
+        f"  in short: batches={sources['pipeline']['classify_batches']:g}"
+        f" accepted={sources['pipeline']['docs_accepted']:g}"
+        f" retries={sources['crawl']['retries']:g}"
     )
 
 

@@ -252,16 +252,15 @@ def _cmd_queryload(args) -> int:
         web, config=BingoConfig(seed=args.seed, crawl_workers=args.workers)
     )
     engine.run(harvesting_fetch_budget=args.budget)
-    search = LocalSearchEngine(
-        engine.ctx.documents, obs=engine.obs, indexed=True
-    )
+    search = LocalSearchEngine(engine.ctx.documents, indexed=True)
     server = QueryServer(
         search,
         clock=engine.ctx.clock,
-        obs=engine.obs,
         rate=args.rate,
         burst=args.burst,
     )
+    engine.obs.register_source("search", search)
+    engine.obs.register_source("serving", server)
     pool = build_query_pool(engine.ctx.documents, seed=args.seed)
     report = run_query_load(
         server,
@@ -300,6 +299,12 @@ def _open_portal(args):
     )
     portal.open()
     engine.obs.register_source("portal", portal)
+    # read through the portal at snapshot time: restore() replaces the
+    # serving engine, and a registered object would go stale.  (The
+    # other "search" registration is queryload's, on its own registry.)
+    engine.obs.register_source(  # bingolint: disable=stats-schema
+        "search", lambda: portal.search.stats()
+    )
     return engine, portal
 
 

@@ -131,14 +131,6 @@ class BingoConfig:
     (archetype re-scoring and retraining evaluation hit this); 0
     disables the cache."""
 
-    # -- observability (repro.obs) ------------------------------------------
-    instrumentation: bool = True
-    """Metrics registry + tracer on the crawl context.  Off turns every
-    instrument call into a no-op; crawl outcomes are bit-identical
-    either way (the golden-parity guarantee)."""
-    trace_ring_size: int = 256
-    """Finished spans retained by the tracer's ring buffer."""
-
     # -- retraining / archetypes (paper 3.2) --------------------------------
     retrain_interval: int = 150
     """Retrain after this many successfully classified documents."""
@@ -192,5 +184,3 @@ class BingoConfig:
             )
         if self.vector_cache_size < 0:
             raise ConfigError("vector_cache_size must be >= 0")
-        if self.trace_ring_size < 0:
-            raise ConfigError("trace_ring_size must be >= 0")

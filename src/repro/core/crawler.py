@@ -82,6 +82,7 @@ class FocusedCrawler:
             on_retrain=on_retrain,
         )
         self.pipeline = CrawlPipeline(self.ctx)
+        self.ctx.obs.register_source("pipeline", self.pipeline)
 
     def seed(self, urls: list[str], topic: str, depth: int = 0,
              priority: float = 1.0) -> None:

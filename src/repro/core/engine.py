@@ -74,30 +74,21 @@ class CrawlReport:
 
     @property
     def total(self) -> CrawlStats:
+        """Every :class:`CrawlStats` field merged over the phases, in
+        phase order: hosts are unioned, the depth is the deepest, every
+        other field is summed -- so a new counter cannot be left out."""
         merged = CrawlStats()
         for phase in self.phases:
-            s = phase.stats
-            merged.visited_urls += s.visited_urls
-            merged.stored_pages += s.stored_pages
-            merged.extracted_links += s.extracted_links
-            merged.positively_classified += s.positively_classified
-            merged.hosts_visited |= s.hosts_visited
-            merged.max_depth = max(merged.max_depth, s.max_depth)
-            merged.fetch_errors += s.fetch_errors
-            merged.not_found += s.not_found
-            merged.redirect_loops += s.redirect_loops
-            merged.dns_failures += s.dns_failures
-            merged.duplicates_skipped += s.duplicates_skipped
-            merged.mime_rejected += s.mime_rejected
-            merged.size_rejected += s.size_rejected
-            merged.url_rejected += s.url_rejected
-            merged.locked_skipped += s.locked_skipped
-            merged.bad_host_skipped += s.bad_host_skipped
-            merged.quarantine_deferred += s.quarantine_deferred
-            merged.slow_deferred += s.slow_deferred
-            merged.politeness_defers += s.politeness_defers
-            merged.retries += s.retries
-            merged.simulated_seconds += s.simulated_seconds
+            for name in CrawlStats.__dataclass_fields__:
+                ours = getattr(merged, name)
+                theirs = getattr(phase.stats, name)
+                if name == "hosts_visited":
+                    value = ours | theirs
+                elif name == "max_depth":
+                    value = max(ours, theirs)
+                else:
+                    value = ours + theirs
+                setattr(merged, name, value)
         return merged
 
     def table1_row(self) -> dict[str, int]:
@@ -171,6 +162,8 @@ class BingoEngine:
         from here, the crawler only drives phases."""
         self.training: dict[str, dict[str, _TrainingRecord]] = {}
         self.retrainings = 0
+        self.link_analysis_runs = 0
+        self.link_analysis_iterations = 0
         self.archetypes_added = 0
         self.archetypes_removed = 0
         self.skipped_seeds: list[str] = []
@@ -367,11 +360,8 @@ class BingoEngine:
                 if doc.doc_id in graph.successors
             }
             analysis = bharat_henzinger(graph, relevance=relevance)
-            registry = self.obs.registry
-            registry.counter("perf_link_analysis_runs_total").inc()
-            registry.counter("perf_link_analysis_iterations_total").inc(
-                analysis.iterations
-            )
+            self.link_analysis_runs += 1
+            self.link_analysis_iterations += analysis.iterations
             topic_ids = {doc.doc_id for doc in docs}
             authority_candidates = [
                 (doc_id, score)
@@ -648,6 +638,8 @@ class BingoEngine:
         """Engine-level counters (:class:`repro.obs.api.Instrumented`)."""
         return {
             "retrainings": float(self.retrainings),
+            "link_analysis_runs": float(self.link_analysis_runs),
+            "link_analysis_iterations": float(self.link_analysis_iterations),
             "archetypes_added": float(self.archetypes_added),
             "archetypes_removed": float(self.archetypes_removed),
             "skipped_seeds": float(len(self.skipped_seeds)),

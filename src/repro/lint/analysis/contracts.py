@@ -3,13 +3,12 @@
 PR 9 made every piece of query-serving state hang off a typed
 :class:`~repro.search.epoch.Epoch`: the engine's vectors and inverted
 index, the query cache, the idf snapshot and the classifier's decision
-models all advance together through two funnels --
-``rebuild(reason=)`` and ``apply_delta(reason=)``.  A write that
-bypasses the funnels leaves cache keys, snapshot versions and index
-contents silently disagreeing.  ``epoch-mutation`` makes the funnel a
-checked property: any mutation of contract state whose receiver is
-provably one of the guarded classes, from outside that class's
-sanctioned methods, is a finding.
+models all advance together through one funnel --
+``apply_delta(reason=)``.  A write that bypasses the funnel leaves
+cache keys, snapshot versions and index contents silently disagreeing.
+``epoch-mutation`` makes the funnel a checked property: any mutation
+of contract state whose receiver is provably one of the guarded
+classes, from outside that class's sanctioned methods, is a finding.
 
 ``deprecated-api`` keeps recently deleted members from creeping back
 while call sites written against them may still be in flight: the
@@ -18,10 +17,14 @@ or constructor default; the table says where), the second and third
 decision phases (``HierarchicalClassifier.classify_reference``,
 ``TopicDecisionModel.decide``, ``CompiledClassifier.classify`` with
 the ``model_version`` tag and ``VectorCache.get_or_compute`` only they
-used), and the compressed posting runs the idf-free matrix replaced
+used), the compressed posting runs the idf-free matrix replaced
 (``Postings`` with its varint codec, ``InvertedIndex.postings`` /
 ``terms`` / ``matching_ids``, the ``DeltaReport`` fields that said
-which branch a fold took).  An entry expires one ROADMAP re-anchor
+which branch a fold took), and the write side of the metrics path
+(``MetricsRegistry.counter`` / ``gauge`` / ``histogram`` / ``value``,
+the ``Obs`` recorders and off switch, ``HostBreaker.on_transition``,
+the ``obs=`` constructor keyword, ``LocalSearchEngine.rebuild``).  An
+entry expires one ROADMAP re-anchor
 after the PR that recorded it; by then a stay-gone test or a
 ``TypeError`` from the constructor holds the line.
 """
@@ -65,8 +68,8 @@ CONTRACTS: dict[str, MutationContract] = {
         ),
         funnels=frozenset(
             {
-                "__init__", "_build_corpus", "epoch", "advance_epoch",
-                "restore_epoch", "index", "rebuild", "apply_delta",
+                "__init__", "epoch", "advance_epoch", "restore_epoch",
+                "index", "apply_delta",
                 # per-epoch views and exact vectors: filled on first
                 # use (``vector`` is the one funnel that fills
                 # ``_vectors``), dropped only where the epoch is assigned
@@ -119,13 +122,13 @@ class EpochMutation(Rule):
     description = (
         "engine/index/cache/idf-snapshot/classifier state may only "
         "change inside its Epoch lifecycle funnels "
-        "(rebuild/apply_delta and the class's own mutators)"
+        "(apply_delta and the class's own mutators)"
     )
     rationale = (
         "The typed Epoch guarantees that cache keys, snapshot versions "
         "and index contents advance together; one out-of-band write "
         "desynchronises them without any failing assertion, serving "
-        "stale rankings until the next full rebuild."
+        "stale rankings until the next fold."
     )
 
     def check_project(
@@ -179,6 +182,15 @@ _NO_POSTINGS = (
     "slices a term's run"
 )
 _NO_CODEC = "postings are numpy arrays, nothing is varint-coded"
+_NO_WRITE_SIDE = (
+    "the registry only reads: keep the count as an attribute of the "
+    "object that owns the state, report it from stats() and "
+    "register_source that object"
+)
+_REGISTERED_BY_BUILDER = (
+    "components never see the Obs bundle; whoever builds the object "
+    "calls obs.register_source(name, it)"
+)
 
 #: class name -> removed member -> replacement guidance.  Uses are
 #: only flagged when the receiver provably types as that class --
@@ -236,7 +248,44 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
             "no hook was ever registered; a barrier is the loader flush "
             "in CrawlContext.shard_barrier"
         ),
+        "obs": _REGISTERED_BY_BUILDER,
     },
+    # the write-side metrics path (one count, kept once)
+    "MetricsRegistry": {
+        "counter": _NO_WRITE_SIDE,
+        "gauge": _NO_WRITE_SIDE,
+        "histogram": _NO_WRITE_SIDE,
+        "value": "read snapshot()['sources'][source][key]",
+    },
+    "Obs": {
+        "record_stage_event": (
+            "CrawlPipeline._emit sums the events; CrawlPipeline.stats() "
+            "is the `pipeline` source"
+        ),
+        "count_hook_error": "CrawlPipeline.hook_errors",
+        "breaker_transition": (
+            "HostBreaker.trips / probes count the entries into open / "
+            "half-open (robust.breaker_trips / breaker_probes)"
+        ),
+        "enabled": "there is no off switch: nothing is written",
+    },
+    "HostBreaker": {
+        "on_transition": (
+            "trips / probes count the state changes; nothing is "
+            "called back"
+        ),
+    },
+    "LocalSearchEngine": {
+        "rebuild": (
+            "build a fresh engine over the new documents, or fold the "
+            "difference with apply_delta"
+        ),
+        "obs": _REGISTERED_BY_BUILDER,
+    },
+    "QueryServer": {"obs": _REGISTERED_BY_BUILDER},
+    "BulkLoader": {"obs": _REGISTERED_BY_BUILDER},
+    "BreakerBoard": {"obs": _REGISTERED_BY_BUILDER},
+    "BreakerBoardSet": {"obs": _REGISTERED_BY_BUILDER},
     # fields no file ever set: where each value lives now
     "BingoConfig": {
         "retry_multiplier": "RetryPolicy.multiplier default",
@@ -286,6 +335,10 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "classify_cost": "repro.pipeline.stages.PROCESSING_COST",
         "processing_cost": "repro.pipeline.stages.PROCESSING_COST",
         "svm_cost": "repro.core.classifier.SVM_COST",
+        "instrumentation": (
+            "there is no off switch: the metrics path has no write side"
+        ),
+        "trace_ring_size": "Tracer(maxlen=) default",
     },
 }
 _REMOVED_NAMES = frozenset(
@@ -312,8 +365,8 @@ class DeprecatedApi(Rule):
         "members deleted since the last re-anchor "
         "(WorkerSet.add_barrier_hook, the never-set BingoConfig fields, "
         "the per-document and dict-walking decision phases, the "
-        "compressed posting runs and their codec) must not be "
-        "reintroduced"
+        "compressed posting runs and their codec, the write side of "
+        "the metrics registry) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

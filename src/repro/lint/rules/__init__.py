@@ -7,7 +7,7 @@ protect:
 * :mod:`repro.lint.rules.determinism` -- no wall clock, no unseeded
   randomness, no order-unstable set iteration;
 * :mod:`repro.lint.rules.protocols` -- ``stats()`` conformance, Stage
-  conformance, metric-name hygiene, ``BingoConfig`` field existence;
+  conformance, ``BingoConfig`` field existence;
 * :mod:`repro.lint.rules.hygiene` -- bare excepts, mutable default
   arguments, silently swallowed exceptions.
 """

@@ -1,12 +1,11 @@
-"""Protocol-conformance rules: stats(), stages, metric names, config.
+"""Protocol-conformance rules: stats(), stages, config.
 
 These encode the contracts introduced by PRs 3-4 (the staged pipeline
 and the observability layer) so a drive-by change cannot silently
 break them: ``stats()`` always returns a snake_case-keyed dict,
 pipeline stages carry the ``name``/``run(self, batch, ctx)`` shape the
-driver dispatches on, metric families follow the registry's naming
-conventions, and attribute reads against ``BingoConfig`` resolve to
-declared fields instead of failing at crawl time.
+driver dispatches on, and attribute reads against ``BingoConfig``
+resolve to declared fields instead of failing at crawl time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.obs.api import METRIC_NAME_RE
 __all__ = [
     "StatsProtocol",
     "StageProtocol",
-    "MetricName",
     "ConfigField",
 ]
 
@@ -197,68 +195,6 @@ class StageProtocol(Rule):
                     run_def.col_offset,
                     f"stage {node.name}.run must take (self, batch, ctx), "
                     f"got ({', '.join(params)})",
-                )
-
-
-#: MetricsRegistry factory methods and the suffix contract per kind
-_METRIC_FACTORIES = ("counter", "gauge", "histogram")
-
-
-@register
-class MetricName(Rule):
-    """Metric families registered with conforming names."""
-
-    id = "metric-name"
-    description = (
-        "registry.counter/gauge/histogram names must be snake_case; "
-        "counters end with _total, gauges/histograms never do"
-    )
-    rationale = (
-        "The Prometheus exporter and the golden metric snapshots key on "
-        "these names; the _total suffix is how readers tell cumulative "
-        "counters from point-in-time families."
-    )
-
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _METRIC_FACTORIES
-                and node.args
-            ):
-                continue
-            first = node.args[0]
-            if not (
-                isinstance(first, ast.Constant)
-                and isinstance(first.value, str)
-            ):
-                continue
-            kind = node.func.attr
-            name = first.value
-            if not METRIC_NAME_RE.match(name):
-                yield self.finding(
-                    module,
-                    first.lineno,
-                    first.col_offset,
-                    f"metric name {name!r} is not snake_case",
-                )
-            elif kind == "counter" and not name.endswith("_total"):
-                yield self.finding(
-                    module,
-                    first.lineno,
-                    first.col_offset,
-                    f"counter {name!r} must end with _total",
-                )
-            elif kind != "counter" and name.endswith("_total"):
-                yield self.finding(
-                    module,
-                    first.lineno,
-                    first.col_offset,
-                    f"{kind} {name!r} must not end with _total "
-                    "(reserved for counters)",
                 )
 
 

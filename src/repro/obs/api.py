@@ -16,7 +16,7 @@ registry/tracer implementation:
   were removed after their one-release grace window.
 
 Nothing here is wall-clock time: a :class:`StageEvent` carries counts,
-and everything recorded into the metrics registry is deterministic and
+and everything a metrics snapshot reads is deterministic and
 timestamped by the simulated clock.
 """
 

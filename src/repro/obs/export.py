@@ -4,9 +4,9 @@ All three read the same :meth:`~repro.obs.registry.MetricsRegistry.
 snapshot`, so they agree by construction:
 
 * :func:`to_prometheus` -- the Prometheus text exposition format
-  (``# TYPE`` headers, labelled samples, cumulative histogram
-  buckets).  :func:`parse_prometheus` reads it back into the flat
-  sample dict of :func:`flatten_snapshot` for round-trip checks.
+  (one ``# TYPE`` header and one gauge sample per source key).
+  :func:`parse_prometheus` reads it back into the flat sample dict of
+  :func:`flatten_snapshot` for round-trip checks.
 * :func:`to_json` / :func:`from_json` -- the snapshot as canonical
   (sorted-key) JSON; loads back equal to the original snapshot.
 * :class:`ProgressReporter` -- a pipeline :class:`~repro.obs.api.Hook`
@@ -33,84 +33,23 @@ __all__ = [
 ]
 
 
-def _sample_name(name: str, label_key: str, suffix: str = "") -> str:
-    full = name + suffix
-    return f"{full}{{{label_key}}}" if label_key else full
-
-
 def flatten_snapshot(snapshot: dict) -> dict[str, float]:
-    """Every sample of a snapshot as ``{'name{labels}': value}``.
-
-    Histograms expand into their cumulative ``_bucket`` samples plus
-    ``_sum`` and ``_count``; sources become ``<source>_<key>`` gauges --
-    exactly the samples :func:`to_prometheus` writes.
-    """
-    samples: dict[str, float] = {}
-    for kind in ("counters", "gauges"):
-        for name, children in snapshot[kind].items():
-            for label_key, value in children.items():
-                samples[_sample_name(name, label_key)] = float(value)
-    for name, children in snapshot["histograms"].items():
-        for label_key, data in children.items():
-            for le, count in data["buckets"]:
-                bucket_labels = ",".join(
-                    part for part in (label_key, f'le="{le}"') if part
-                )
-                samples[_sample_name(name, bucket_labels, "_bucket")] = float(
-                    count
-                )
-            samples[_sample_name(name, label_key, "_sum")] = float(
-                data["sum"]
-            )
-            samples[_sample_name(name, label_key, "_count")] = float(
-                data["count"]
-            )
-    for source, stats in snapshot["sources"].items():
-        for key, value in stats.items():
-            samples[f"{source}_{key}"] = float(value)
-    return samples
+    """Every sample of a snapshot as ``{'<source>_<key>': value}`` --
+    exactly the samples :func:`to_prometheus` writes."""
+    return {
+        f"{source}_{key}": float(value)
+        for source, stats in snapshot["sources"].items()
+        for key, value in stats.items()
+    }
 
 
 def to_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in the Prometheus text exposition format."""
-    snapshot = registry.snapshot()
+    """The registry in the Prometheus text exposition format (every
+    source key is a ``<source>_<key>`` gauge)."""
     lines: list[str] = []
-    for name, children in snapshot["counters"].items():
-        lines.append(f"# TYPE {name} counter")
-        for label_key, value in children.items():
-            lines.append(
-                f"{_sample_name(name, label_key)} {format_float(value)}"
-            )
-    for name, children in snapshot["gauges"].items():
+    for name, value in flatten_snapshot(registry.snapshot()).items():
         lines.append(f"# TYPE {name} gauge")
-        for label_key, value in children.items():
-            lines.append(
-                f"{_sample_name(name, label_key)} {format_float(value)}"
-            )
-    for name, children in snapshot["histograms"].items():
-        lines.append(f"# TYPE {name} histogram")
-        for label_key, data in children.items():
-            for le, count in data["buckets"]:
-                bucket_labels = ",".join(
-                    part for part in (label_key, f'le="{le}"') if part
-                )
-                lines.append(
-                    f"{_sample_name(name, bucket_labels, '_bucket')}"
-                    f" {format_float(count)}"
-                )
-            lines.append(
-                f"{_sample_name(name, label_key, '_sum')}"
-                f" {format_float(data['sum'])}"
-            )
-            lines.append(
-                f"{_sample_name(name, label_key, '_count')}"
-                f" {format_float(data['count'])}"
-            )
-    for source, stats in snapshot["sources"].items():
-        for key, value in stats.items():
-            name = f"{source}_{key}"
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {format_float(value)}")
+        lines.append(f"{name} {format_float(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -154,43 +93,34 @@ class ProgressReporter:
 
     Fires once every ``every`` micro-batch rounds (detected on the
     ``expand`` stage, which runs exactly once per committed round) and
-    reads everything it prints from the registry, so the line reflects
-    the same counters any exporter would.
+    prints the sums of the events it was delivered.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        stream: TextIO | None = None,
-        every: int = 25,
-    ) -> None:
+    def __init__(self, stream: TextIO | None = None, every: int = 25) -> None:
         if every < 1:
             raise ValueError(f"progress interval must be >= 1, got {every}")
-        self.registry = registry
         self.stream = stream
         self.every = every
         self.lines = 0
         self._rounds = 0
+        self._fetched = 0
+        self._stored = 0
+        self._accepted = 0
 
     def __call__(self, event: StageEvent) -> None:
-        if event.stage != "expand":
-            return
-        self._rounds += 1
-        if self._rounds % self.every:
-            return
-        registry = self.registry
-        fetched = registry.value(
-            "pipeline_stage_docs_in_total", stage="convert"
-        )
-        stored = registry.value(
-            "pipeline_stage_docs_out_total", stage="persist"
-        )
-        accepted = registry.value("pipeline_docs_accepted_total")
-        print(
-            f"[obs] round={event.batch_index}"
-            f" fetched={int(fetched)} stored={int(stored)}"
-            f" accepted={int(accepted)}"
-            f" hook_errors={int(registry.value('pipeline_hook_errors_total'))}",
-            file=self.stream,
-        )
-        self.lines += 1
+        if event.stage == "convert":
+            self._fetched += event.in_size
+        elif event.stage == "classify":
+            self._accepted += int(event.extras.get("accepted", 0))
+        elif event.stage == "persist":
+            self._stored += event.out_size
+        elif event.stage == "expand":
+            self._rounds += 1
+            if self._rounds % self.every == 0:
+                print(
+                    f"[obs] round={event.batch_index}"
+                    f" fetched={self._fetched} stored={self._stored}"
+                    f" accepted={self._accepted}",
+                    file=self.stream,
+                )
+                self.lines += 1

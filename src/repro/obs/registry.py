@@ -1,123 +1,36 @@
-"""A process-wide, deterministic metrics registry.
+"""A deterministic, read-only directory of named metric sources.
 
-Counters, gauges and histograms in the Prometheus data model (labelled
-children under a named family), with two deliberate deviations:
+A count lives in exactly one place: an attribute of the object that
+owns the state, reported by that object's ``stats()``
+(:class:`~repro.obs.api.Instrumented`).  The registry keeps no numbers
+of its own -- there is nothing to increment, so nothing in the crawl
+runtime can write to it.  Whoever builds an object registers it (or a
+callable reading it) under a source name, and a snapshot calls every
+source:
 
 * **deterministic time** -- the registry never reads wall time; its
   snapshot timestamp comes from the clock callable it was constructed
   with (the crawl wires the simulated :class:`~repro.web.clock.
   SimulatedClock`), so two identical crawls produce bit-identical
   snapshots;
-* **pull-through sources** -- subsystems that already keep their own
-  counters (breaker board, bulk loader, vector cache, crawl stats)
-  register as :class:`~repro.obs.api.Instrumented` sources and are read
-  at snapshot time, instead of double-counting into the registry on
-  every operation.
-
-A disabled registry (``enabled=False``) accepts every call as a no-op
-and snapshots empty -- the off switch for the golden-parity guarantee
-that instrumentation never changes a crawl outcome.
+* **read at snapshot time** -- a source is read when the snapshot is
+  taken, never copied, so the exported figure *is* the figure the
+  benchmark and the tests read from the same ``stats()``.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Callable, Mapping
 
 from repro.obs.api import METRIC_NAME_RE, Instrumented
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricsRegistry",
-]
-
-#: default histogram boundaries: powers of two, sized for batch/doc counts
-DEFAULT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+__all__ = ["MetricsRegistry"]
 
 
 def _check_name(name: str) -> str:
     if not METRIC_NAME_RE.match(name):
         raise ValueError(f"metric name {name!r} is not snake_case")
     return name
-
-
-def _label_key(labels: Mapping[str, str]) -> str:
-    """Canonical (prometheus-style) label rendering, sorted by key."""
-    return ",".join(
-        f'{key}="{value}"' for key, value in sorted(labels.items())
-    )
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up (inc by {amount!r})")
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Histogram:
-    """Fixed-boundary histogram (per-bucket counts plus sum and count).
-
-    ``observe(v)`` charges the first bucket whose upper bound satisfies
-    ``v <= bound`` (the prometheus ``le`` convention); values above the
-    last boundary land in the implicit ``+Inf`` bucket.
-    """
-
-    __slots__ = ("boundaries", "bucket_counts", "sum", "count")
-
-    def __init__(self, boundaries: tuple[float, ...]) -> None:
-        if not boundaries:
-            raise ValueError("histogram needs at least one bucket boundary")
-        ordered = tuple(float(b) for b in boundaries)
-        if list(ordered) != sorted(set(ordered)):
-            raise ValueError(
-                f"bucket boundaries must be strictly increasing: {boundaries}"
-            )
-        self.boundaries = ordered
-        self.bucket_counts = [0] * (len(ordered) + 1)  # + the +Inf bucket
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect.bisect_left(self.boundaries, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    def cumulative(self) -> list[tuple[str, int]]:
-        """``(le, cumulative count)`` pairs, ending with ``+Inf``."""
-        total = 0
-        out: list[tuple[str, int]] = []
-        for boundary, bucket in zip(self.boundaries, self.bucket_counts):
-            total += bucket
-            out.append((format_float(boundary), total))
-        out.append(("+Inf", total + self.bucket_counts[-1]))
-        return out
 
 
 def format_float(value: float) -> str:
@@ -128,113 +41,14 @@ def format_float(value: float) -> str:
     return repr(as_float)
 
 
-class _NullChild:
-    """Accepts every metric operation and records nothing."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None: ...
-
-    def set(self, value: float) -> None: ...
-
-    def observe(self, value: float) -> None: ...
-
-
-_NULL_CHILD = _NullChild()
-
-
-class MetricFamily:
-    """One named metric and its labelled children."""
-
-    def __init__(self, name: str, kind: str, help: str, factory) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help
-        self._factory = factory
-        self.children: dict[str, object] = {}
-
-    def labels(self, **labels: str):
-        key = _label_key({k: str(v) for k, v in labels.items()})
-        child = self.children.get(key)
-        if child is None:
-            child = self._factory()
-            self.children[key] = child
-        return child
-
-    # unlabelled convenience passthroughs
-    def inc(self, amount: float = 1.0) -> None:
-        self.labels().inc(amount)
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
-
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)
-
-
-class _NullFamily:
-    """Family returned by a disabled registry."""
-
-    __slots__ = ()
-
-    def labels(self, **labels: str) -> _NullChild:
-        return _NULL_CHILD
-
-    def inc(self, amount: float = 1.0) -> None: ...
-
-    def set(self, value: float) -> None: ...
-
-    def observe(self, value: float) -> None: ...
-
-
-_NULL_FAMILY = _NullFamily()
-
-
 class MetricsRegistry:
-    """Counters, gauges, histograms and pull-through stats sources."""
+    """Named ``stats()`` sources, read together at snapshot time."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        enabled: bool = True,
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._families: dict[str, MetricFamily] = {}
-        self._sources: dict[str, object] = {}
-
-    # -- family accessors (get-or-create) -------------------------------
-
-    def _family(self, name: str, kind: str, help: str, factory):
-        if not self.enabled:
-            return _NULL_FAMILY
-        family = self._families.get(name)
-        if family is None:
-            family = MetricFamily(_check_name(name), kind, help, factory)
-            self._families[name] = family
-        elif family.kind != kind:
-            raise ValueError(
-                f"metric {name!r} already registered as {family.kind}"
-            )
-        return family
-
-    def counter(self, name: str, help: str = ""):
-        return self._family(name, "counter", help, Counter)
-
-    def gauge(self, name: str, help: str = ""):
-        return self._family(name, "gauge", help, Gauge)
-
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        help: str = "",
-    ):
-        return self._family(
-            name, "histogram", help, lambda: Histogram(buckets)
-        )
-
-    # -- stats sources ---------------------------------------------------
+        self._sources: dict[
+            str, Instrumented | Callable[[], Mapping[str, float]]
+        ] = {}
 
     def register_source(
         self,
@@ -246,8 +60,6 @@ class MetricsRegistry:
         Re-registering a name replaces the previous source, so a facade
         that swaps its bulk loader re-wires cleanly.
         """
-        if not self.enabled:
-            return
         _check_name(name)
         if not isinstance(source, Instrumented) and not callable(source):
             raise TypeError(
@@ -271,56 +83,9 @@ class MetricsRegistry:
             }
         return merged
 
-    # -- reading ---------------------------------------------------------
-
-    def value(self, name: str, default: float = 0.0, **labels: str) -> float:
-        """Current value of one counter/gauge child (0.0 if absent)."""
-        family = self._families.get(name)
-        if family is None:
-            return default
-        child = family.children.get(
-            _label_key({k: str(v) for k, v in labels.items()})
-        )
-        return child.value if child is not None else default
-
     def snapshot(self) -> dict:
-        """The full registry state as a JSON-safe, deterministic dict.
-
-        Label sets are rendered as canonical prometheus label strings
-        (empty string for unlabelled children); histogram buckets carry
-        cumulative counts keyed by their formatted ``le`` bound.
-        """
-        counters: dict[str, dict[str, float]] = {}
-        gauges: dict[str, dict[str, float]] = {}
-        histograms: dict[str, dict[str, dict]] = {}
-        for name in sorted(self._families):
-            family = self._families[name]
-            if family.kind == "counter":
-                counters[name] = {
-                    key: family.children[key].value
-                    for key in sorted(family.children)
-                }
-            elif family.kind == "gauge":
-                gauges[name] = {
-                    key: family.children[key].value
-                    for key in sorted(family.children)
-                }
-            else:
-                histograms[name] = {
-                    key: {
-                        "buckets": [
-                            [le, count]
-                            for le, count in family.children[key].cumulative()
-                        ],
-                        "sum": family.children[key].sum,
-                        "count": family.children[key].count,
-                    }
-                    for key in sorted(family.children)
-                }
+        """Every source's figures as a JSON-safe, deterministic dict."""
         return {
             "at": float(self._clock()),
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
             "sources": self.source_stats(),
         }

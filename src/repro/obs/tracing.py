@@ -40,10 +40,6 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
 
-#: span handed out by a disabled tracer; never retained
-_NULL_SPAN = Span(span_id=0, name="", kind="null", parent_id=None, start=0.0)
-
-
 class Tracer:
     """Creates spans against a deterministic clock and retains the most
     recent ``maxlen`` finished spans."""
@@ -52,9 +48,7 @@ class Tracer:
         self,
         clock: Callable[[], float] | None = None,
         maxlen: int = 256,
-        enabled: bool = True,
     ) -> None:
-        self.enabled = enabled
         self.maxlen = max(int(maxlen), 0)
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._finished: deque[Span] = deque(maxlen=self.maxlen)
@@ -72,17 +66,11 @@ class Tracer:
         parent: Span | None = None,
         attrs: dict | None = None,
     ) -> Span:
-        if not self.enabled:
-            return _NULL_SPAN
         span = Span(
             span_id=self._next_id,
             name=name,
             kind=kind,
-            parent_id=(
-                parent.span_id
-                if parent is not None and parent is not _NULL_SPAN
-                else None
-            ),
+            parent_id=parent.span_id if parent is not None else None,
             start=self._clock(),
             attrs=attrs or {},
         )
@@ -91,8 +79,6 @@ class Tracer:
         return span
 
     def finish(self, span: Span) -> Span:
-        if not self.enabled or span is _NULL_SPAN:
-            return span
         span.end = self._clock()
         if len(self._finished) == self.maxlen:
             self.dropped += 1

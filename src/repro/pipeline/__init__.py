@@ -16,10 +16,9 @@ schedulable stages.  This package makes the decomposition explicit:
 * :class:`~repro.pipeline.driver.CrawlPipeline` -- drains micro-batches
   from the frontier through the stages.  Every stage invocation emits a
   typed :class:`repro.obs.StageEvent` to hooks registered with
-  :meth:`~repro.pipeline.driver.CrawlPipeline.add_hook`, charges the
-  context's metrics registry and is traced as a nested span
-  (:mod:`repro.obs`); the historical positional 4-argument hooks are
-  still accepted for one release via a deprecation adapter.
+  :meth:`~repro.pipeline.driver.CrawlPipeline.add_hook`, is summed into
+  the driver's own ``stats()`` (the ``pipeline`` metrics source) and is
+  traced as a nested span (:mod:`repro.obs`).
 
 :class:`repro.core.crawler.FocusedCrawler` builds the context and the
 pipeline and drives phases; the per-document monolith it used to be

@@ -62,14 +62,10 @@ class CrawlContext:
         self.config = config or BingoConfig()
         self.config.validate()
         self.clock = clock or SimulatedClock()
-        self.obs = Obs(
-            clock=lambda: self.clock.now,
-            enabled=self.config.instrumentation,
-            trace_ring=self.config.trace_ring_size,
-        )
-        """The crawl's observability bundle (:mod:`repro.obs`): metrics
-        registry + tracer on the simulated clock.  Reads crawl state,
-        never mutates it."""
+        self.obs = Obs(clock=lambda: self.clock.now)
+        """The crawl's observability bundle (:mod:`repro.obs`): a
+        directory of the ``stats()`` sources registered below + a tracer
+        on the simulated clock.  Reads crawl state, never mutates it."""
         self.pool = WorkerPool(self.config.crawler_threads, self.clock)
         self.spaces = spaces or dict(TERM_SPACES)
         self.loader = None
@@ -104,7 +100,6 @@ class CrawlContext:
                 threads_per_worker=self.config.crawler_threads,
                 breaker_policy=self.config.breaker_policy(),
                 prefetch=self.prefetch_dns,
-                obs=self.obs,
             )
             self.frontier = self.workers.frontier
             self.hosts = self.workers.hosts
@@ -113,9 +108,7 @@ class CrawlContext:
                 prefetch=self.prefetch_dns,
                 now=lambda: self.clock.now,
             )
-            self.hosts = BreakerBoard(
-                self.config.breaker_policy(), obs=self.obs
-            )
+            self.hosts = BreakerBoard(self.config.breaker_policy())
         self.dedup = DuplicateDetector()
         self.domains: dict[str, DomainState] = {}
         self.retry_policy = self.config.retry_policy()
@@ -126,6 +119,10 @@ class CrawlContext:
         self.url_to_doc: dict[str, int] = {}
         self.docs_since_retrain = 0
         self.log_sequence = 0
+        self.checkpoint_saves = 0
+        self.checkpoint_restores = 0
+        """Checkpoints written from / applied to this context
+        (:mod:`repro.robust.checkpoint`)."""
         # per-crawl slots the driver rebinds at the start of each phase
         self.stats = None
         self.phase = None
@@ -155,11 +152,9 @@ class CrawlContext:
         )
 
     def attach_loader(self, loader) -> None:
-        """Bind (or swap) the bulk loader and wire it into observability."""
+        """Bind (or swap) the bulk loader and register it as a source."""
         self.loader = loader
         if loader is not None and hasattr(loader, "stats"):
-            if getattr(loader, "obs", None) is None:
-                loader.obs = self.obs
             self.obs.register_source("storage", loader)
 
     # ------------------------------------------------------------------
@@ -231,7 +226,6 @@ class CrawlContext:
         if self.loader is not None:
             self.loader.flush_all()
         self.workers.run_barrier()
-        self.obs.registry.counter("shard_barriers_total").inc()
 
     def maybe_shard_barrier(self) -> None:
         """Count one committed micro-batch; run the periodic merge
@@ -259,7 +253,6 @@ class CrawlContext:
             entry.attempt, actual_url, seed=self.config.seed
         )
         stats.retries += 1
-        self.obs.registry.counter("robust_retries_scheduled_total").inc()
         self.retry_log.append({
             "url": actual_url,
             "attempt": entry.attempt + 1,

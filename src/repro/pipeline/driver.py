@@ -30,13 +30,14 @@ trade for the kernel speedup.
 
 Observability (:mod:`repro.obs`): every stage invocation produces one
 typed :class:`~repro.obs.api.StageEvent` delivered to hooks registered
-via :meth:`CrawlPipeline.add_hook`, charges the context's metrics
-registry, and is traced as a span nested under its micro-batch round
-and crawl phase.  Events, registry and spans carry only deterministic
-counts and simulated time; per-stage wall seconds are measured from
-outside, by ``benchmarks/e2e`` (``pipeline.<stage>.busy_s``).  A hook
-that raises is isolated: the exception is counted as
-``pipeline_hook_errors_total`` and the batch continues.
+via :meth:`CrawlPipeline.add_hook`, is summed into the pipeline's own
+per-stage counters (:meth:`CrawlPipeline.stats`, the ``pipeline``
+metrics source), and is traced as a span nested under its micro-batch
+round and crawl phase.  Events, counters and spans carry only
+deterministic counts and simulated time; per-stage wall seconds are
+measured from outside, by ``benchmarks/e2e``
+(``pipeline.<stage>.busy_s``).  A hook that raises is isolated: the
+exception is counted as ``hook_errors`` and the batch continues.
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ class CrawlPipeline:
         self.batch_index = 0
         """Index of the current micro-batch round (monotonic across
         phases); stamped onto every :class:`StageEvent`."""
+        self.stage_counts: dict[str, list[int]] = {
+            stage.name: [0, 0, 0] for stage in self.stages
+        }
+        """Per stage: invocations, documents in, documents out."""
+        self.docs_accepted = 0
+        self.convert_tokens = 0
+        """Body terms (after stopping and stemming) of every page the
+        convert stage analysed."""
+        self.hook_errors = 0
 
     def add_hook(self, hook) -> None:
         """Register an observability hook.
@@ -110,6 +120,10 @@ class CrawlPipeline:
                         "confidence": item.classification.confidence,
                     },
                 )
+        elif stage.name == "convert":
+            self.convert_tokens += sum(
+                sum(item.html_doc.stem_counts.values()) for item in out
+            )
         obs.tracer.finish(span)
         self._emit(StageEvent(
             stage=stage.name,
@@ -121,18 +135,37 @@ class CrawlPipeline:
         return out
 
     def _emit(self, event: StageEvent) -> None:
-        """Deliver one event to the registry and every hook.
+        """Count one event and deliver it to every hook.
 
         Hook exceptions must never abort a micro-batch: a raising hook
-        is charged to ``pipeline_hook_errors_total`` and skipped.
+        is charged to ``hook_errors`` and skipped.
         """
-        obs = self.ctx.obs
-        obs.record_stage_event(event)
+        counts = self.stage_counts[event.stage]
+        counts[0] += 1
+        counts[1] += event.in_size
+        counts[2] += event.out_size
+        self.docs_accepted += event.extras.get("accepted", 0)
         for hook in self.hooks:
             try:
                 hook(event)
             except Exception:
-                obs.count_hook_error()
+                self.hook_errors += 1
+
+    def stats(self) -> dict[str, float]:
+        """Driver counters (:class:`repro.obs.api.Instrumented`): the
+        sums of the :class:`StageEvent` stream, per stage."""
+        stats = {
+            "docs_accepted": float(self.docs_accepted),
+            "convert_tokens": float(self.convert_tokens),
+            "hook_errors": float(self.hook_errors),
+            "checkpoint_saves": float(self.ctx.checkpoint_saves),
+            "checkpoint_restores": float(self.ctx.checkpoint_restores),
+        }
+        for stage, (batches, docs_in, docs_out) in self.stage_counts.items():
+            stats[f"{stage}_batches"] = float(batches)
+            stats[f"{stage}_docs_in"] = float(docs_in)
+            stats[f"{stage}_docs_out"] = float(docs_out)
+        return stats
 
     # ------------------------------------------------------------------
     # the crawl loop

@@ -299,11 +299,6 @@ class ConvertStage:
         interner = ctx.interner
         # recomputed per batch so swapped-in spaces are honoured
         with_tokens = needs_ordered_stems(ctx.spaces.values())
-        tokens_total = 0
-        stem_hits = interner.stem_table_hits
-        stem_misses = interner.stem_table_misses
-        intern_hits = interner.intern_hits
-        intern_misses = interner.intern_misses
         converted_items: list[CrawlItem] = []
         for item in batch:
             converted = ctx.handlers.convert(
@@ -313,31 +308,13 @@ class ConvertStage:
                 stats.mime_rejected += 1
                 continue
             ctx.converted_formats[converted.source_format] += 1
-            page = scan_html(
+            item.html_doc = scan_html(
                 converted.html,
                 interner,
                 with_tokens=with_tokens,
                 with_text=False,
             )
-            tokens_total += sum(page.stem_counts.values())
-            item.html_doc = page
             converted_items.append(item)
-        if ctx.obs.enabled:
-            registry = ctx.obs.registry
-            registry.counter("convert_docs_total").inc(len(converted_items))
-            registry.counter("convert_tokens_total").inc(tokens_total)
-            registry.counter("convert_stem_table_hits_total").inc(
-                interner.stem_table_hits - stem_hits
-            )
-            registry.counter("convert_stem_table_misses_total").inc(
-                interner.stem_table_misses - stem_misses
-            )
-            registry.counter("convert_intern_hits_total").inc(
-                interner.intern_hits - intern_hits
-            )
-            registry.counter("convert_intern_misses_total").inc(
-                interner.intern_misses - intern_misses
-            )
         return converted_items
 
 

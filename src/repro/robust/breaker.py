@@ -17,17 +17,14 @@ breaker turns this into the classic three-state machine:
   host; failure re-opens it with the quarantine interval doubled (up to
   a cap), so a flapping host backs off geometrically.
 
-All state is plain data and serializes into the crawl checkpoint.
-Every state change fires the breaker's ``on_transition(old, new)``
-callback (wired by the board to the observability layer as the
-``robust_breaker_transitions_total`` counter); the callback is runtime
-wiring, not state -- it is excluded from checkpoints.
+All state is plain data and serializes into the crawl checkpoint;
+``trips`` (every entry into open) and ``probes`` (every entry into
+half-open) count the state changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 __all__ = ["BreakerPolicy", "HostBreaker", "BreakerBoard"]
 
@@ -100,16 +97,6 @@ class HostBreaker:
     probes: int = 0
     busy_until: list[float] = field(default_factory=list)
     """Politeness slots (end times of in-flight fetches)."""
-    on_transition: Callable[[str, str], None] | None = field(
-        default=None, repr=False, compare=False
-    )
-    """Observability callback fired on every state change."""
-
-    def _set_state(self, new_state: str) -> None:
-        old_state = self.state
-        self.state = new_state
-        if old_state != new_state and self.on_transition is not None:
-            self.on_transition(old_state, new_state)
 
     # -- the two flags the rest of the engine reads ---------------------
 
@@ -137,7 +124,7 @@ class HostBreaker:
         if self.state == OPEN:
             if now < self.probe_at:
                 return DEFER_QUARANTINE, self.probe_at
-            self._set_state(HALF_OPEN)
+            self.state = HALF_OPEN
             self.probes += 1
             return PROBE, now
         if self.state == HALF_OPEN:
@@ -158,7 +145,7 @@ class HostBreaker:
         """A fetch got a response (any response: the host is alive)."""
         if self.state in (HALF_OPEN, OPEN):
             # probation passed: full reset
-            self._set_state(CLOSED)
+            self.state = CLOSED
             self.failures = 0
             self.consecutive = 0
             self.current_quarantine = 0.0
@@ -177,12 +164,12 @@ class HostBreaker:
                 self.current_quarantine * self.policy.quarantine_multiplier,
                 self.policy.max_quarantine,
             )
-            self._set_state(OPEN)
+            self.state = OPEN
             self.probe_at = now + self.current_quarantine
             self.trips += 1
             return
         if self.state == CLOSED and self.consecutive >= self.policy.open_after:
-            self._set_state(OPEN)
+            self.state = OPEN
             self.current_quarantine = self.policy.quarantine
             self.probe_at = now + self.current_quarantine
             self.trips += 1
@@ -234,21 +221,15 @@ class HostBreaker:
 class BreakerBoard:
     """The registry of per-host breakers (one crawl's host table)."""
 
-    def __init__(self, policy: BreakerPolicy | None = None,
-                 obs=None) -> None:
+    def __init__(self, policy: BreakerPolicy | None = None) -> None:
         self.policy = policy or BreakerPolicy()
         self.policy.validate()
         self._hosts: dict[str, HostBreaker] = {}
-        self._on_transition = (
-            obs.breaker_transition if obs is not None else None
-        )
 
     def get(self, host: str) -> HostBreaker:
         breaker = self._hosts.get(host)
         if breaker is None:
-            breaker = HostBreaker(
-                policy=self.policy, on_transition=self._on_transition
-            )
+            breaker = HostBreaker(policy=self.policy)
             self._hosts[host] = breaker
         return breaker
 
@@ -301,5 +282,3 @@ class BreakerBoard:
             host: HostBreaker.from_dict(state, self.policy)
             for host, state in data.items()
         }
-        for breaker in self._hosts.values():
-            breaker.on_transition = self._on_transition

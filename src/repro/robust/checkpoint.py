@@ -182,7 +182,7 @@ def save_checkpoint(
     path = dump_state(state, directory, kind=_KIND)
     for _, stale in superseded:
         shutil.rmtree(stale)
-    ctx.obs.registry.counter("robust_checkpoint_saves_total").inc()
+    ctx.checkpoint_saves += 1
     return path
 
 
@@ -279,7 +279,7 @@ def restore_context(
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
-    ctx.obs.registry.counter("robust_checkpoint_restores_total").inc()
+    ctx.checkpoint_restores += 1
     return _stats_from_dict(state["stats"])
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -54,9 +53,6 @@ from repro.text.vectorizer import (
     TfIdfVectorizer,
     cosine_similarity,
 )
-
-if TYPE_CHECKING:
-    from repro.obs import Obs
 
 __all__ = ["RankingWeights", "RankedHit", "DeltaReport", "LocalSearchEngine"]
 
@@ -199,10 +195,7 @@ class LocalSearchEngine:
     """Filter + rank over the crawler's stored documents."""
 
     def __init__(self, documents: Sequence[CrawledDocument],
-                 obs: "Obs | None" = None, indexed: bool = True) -> None:
-        self.obs = obs
-        """Optional :class:`repro.obs.Obs` bundle; queries then report
-        into the crawl's metrics registry as the ``search`` source."""
+                 indexed: bool = True) -> None:
         self.indexed = indexed
         """Serve ``search`` through the inverted index (built lazily on
         the first query).  The brute-force path remains available as
@@ -223,14 +216,6 @@ class LocalSearchEngine:
         """Exact document vectors built by :meth:`vector`."""
         self.authority_runs = 0
         """HITS computations since construction."""
-        if obs is not None:
-            obs.register_source("search", self)
-        self._build_corpus(documents)
-        self._move_epoch(Epoch.initial(self.vectorizer.snapshot_version))
-
-    def _build_corpus(self, documents: Sequence[CrawledDocument]) -> None:
-        """Fresh idf statistics over ``documents``; the inverted index
-        is dropped for lazy rebuild."""
         _reject_duplicate_ids(documents, "the corpus")
         self.documents = list(documents)
         self.vectorizer = TfIdfVectorizer()
@@ -239,6 +224,8 @@ class LocalSearchEngine:
         self.vectorizer.refresh()
         self._by_id = {d.doc_id: d for d in self.documents}
         self._index: InvertedIndex | None = None
+        """Built lazily, by the first indexed query."""
+        self._move_epoch(Epoch.initial(self.vectorizer.snapshot_version))
 
     # -- epoch lifecycle ----------------------------------------------------
 
@@ -293,8 +280,8 @@ class LocalSearchEngine:
 
         Every epoch-keyed cache entry becomes unreachable and the filter
         views are dropped; the inverted index survives only if the idf
-        snapshot is unchanged.  :meth:`rebuild` and :meth:`apply_delta`
-        both funnel through here.
+        snapshot is unchanged.  :meth:`apply_delta` funnels through
+        here.
         """
         return self._move_epoch(
             self.epoch.advance(
@@ -327,27 +314,6 @@ class LocalSearchEngine:
                 self.epoch,
             )
         return index
-
-    def rebuild(
-        self,
-        documents: Sequence[CrawledDocument] | None = None,
-        reason: str = "rebuild",
-    ) -> Epoch:
-        """Rebuild statistics and index after retraining or promotion.
-
-        The engine's idf statistics are recomputed from scratch
-        (optionally over a new document set), the inverted index is
-        dropped for lazy rebuild, and the epoch advances so
-        every epoch-keyed result cache invalidates.  This is the
-        documented contract for the serving tier: call
-        ``rebuild(reason=...)`` whenever the crawl retrains or promotes
-        archetypes while queries are being served; call
-        :meth:`apply_delta` for incremental recrawl folds.
-        """
-        self._build_corpus(
-            self.documents if documents is None else documents
-        )
-        return self.advance_epoch(reason)
 
     # -- incremental corpus updates -----------------------------------------
 
@@ -645,7 +611,7 @@ class LocalSearchEngine:
         top = wand_topk(
             runs, index.doc_count, view.rows, static, top_k, exact_score
         )
-        self._count_scored(len(cosines))
+        self.documents_scored += len(cosines)
         hits_list = []
         for score, position in top:
             doc_id = doc_ids[position]
@@ -659,13 +625,6 @@ class LocalSearchEngine:
                 )
             )
         return hits_list
-
-    def _count_scored(self, documents: int) -> None:
-        self.documents_scored += documents
-        if self.obs is not None:
-            self.obs.registry.counter(
-                "search_documents_scored_total"
-            ).inc(documents)
 
     def search(
         self,
@@ -686,9 +645,6 @@ class LocalSearchEngine:
         """
         weights = weights or RankingWeights()
         self.queries += 1
-        registry = self.obs.registry if self.obs is not None else None
-        if registry is not None:
-            registry.counter("search_queries_total").inc()
         try:
             weights.validate()
             if top_k < 0:
@@ -696,10 +652,6 @@ class LocalSearchEngine:
             view = self._view(topic, exact)
             ranked = 0 if view is None else len(view.candidates)
             self.candidates_ranked += ranked
-            if registry is not None:
-                registry.counter("search_candidates_ranked_total").inc(
-                    ranked
-                )
             if view is None:
                 return []
             query_vector = self._query_vector(query)
@@ -707,14 +659,12 @@ class LocalSearchEngine:
                 return []
             if self.indexed:
                 return self._rank_indexed(view, query_vector, weights, top_k)
-            self._count_scored(ranked)
+            self.documents_scored += ranked
             return self.rank_all(
                 view.candidates, query_vector, weights
             )[:top_k]
         except SearchError:
             self.queries_failed += 1
-            if registry is not None:
-                registry.counter("search_queries_failed_total").inc()
             raise
 
     # -- observability ------------------------------------------------------

@@ -5,7 +5,7 @@ anonymous ``(idf snapshot_version, generation)`` tuple threaded through
 :mod:`repro.search.engine`, :mod:`repro.search.index` and
 :mod:`repro.search.serving` under the name ``cache_token``.  The living
 portal (:mod:`repro.portal`) multiplies the events that move that state
--- retraining, archetype promotion, recrawl deltas, full rebuilds -- so
+-- retraining, archetype promotion, recrawl deltas -- so
 the tuple is replaced by one explicit value object:
 
 * an :class:`Epoch` is **immutable and hashable**: result caches key on
@@ -40,7 +40,7 @@ class Epoch:
     """One immutable point in the engine's corpus lifecycle.
 
     ``ordinal`` increases on *every* transition; ``generation`` only on
-    explicit lifecycle advances (rebuild, recrawl delta, promotion) --
+    explicit lifecycle advances (recrawl delta, promotion) --
     the pair ``(snapshot_version, generation)`` is exactly the legacy
     ``cache_token`` tuple, so stored rows keep their historical shape.
     """
@@ -50,10 +50,10 @@ class Epoch:
     snapshot_version: int = 0
     """The tf*idf snapshot version the corpus vectors were built under."""
     generation: int = 0
-    """Explicit lifecycle generation (rebuilds, deltas, promotions)."""
+    """Explicit lifecycle generation (deltas, promotions)."""
     reason: str = "init"
-    """Why the last transition happened (``"init"``, ``"rebuild"``,
-    ``"recrawl"``, ``"idf_refresh"``, ...)."""
+    """Why the last transition happened (``"init"``, ``"recrawl"``,
+    ``"idf_refresh"``, ...)."""
 
     @classmethod
     def initial(cls, snapshot_version: int = 0) -> "Epoch":

@@ -243,10 +243,10 @@ class QueryCache:
     """Bounded LRU of ranked results keyed on the engine's epoch.
 
     Every entry is stored under ``(epoch, key)``: an epoch advance --
-    retraining, archetype promotion, ``rebuild()``, a recrawl delta --
-    makes every previous entry unreachable; the LRU bound then ages the
-    stale entries out without an explicit flush.  ``invalidate()``
-    drops everything eagerly.
+    retraining, archetype promotion, a recrawl delta -- makes every
+    previous entry unreachable; the LRU bound then ages the stale
+    entries out without an explicit flush.  ``invalidate()`` drops
+    everything eagerly.
     """
 
     def __init__(self, maxsize: int = 256) -> None:

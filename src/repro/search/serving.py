@@ -11,10 +11,9 @@ clock so load experiments replay deterministically:
   ``(client_id, request_id)`` returns the stored response without
   re-executing the query or double-charging tokens), a
   :class:`~repro.search.index.QueryCache` keyed on the engine's typed
-  :class:`~repro.search.epoch.Epoch`, a deterministic service-cost
-  model, and :mod:`repro.obs` latency histograms over the simulated
-  service time; every response is stamped with the epoch it was
-  computed under, so replayed responses are checkable for staleness;
+  :class:`~repro.search.epoch.Epoch` and a deterministic service-cost
+  model; every response is stamped with the epoch it was computed
+  under, so replayed responses are checkable for staleness;
 * :class:`LoadConfig` / :func:`run_query_load` -- a deterministic
   Zipfian query-load generator: query popularity follows a Zipf
   distribution over a corpus-derived query pool, arrivals follow a
@@ -31,7 +30,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from repro.core.records import CrawledDocument
 from repro.errors import SearchError
@@ -39,9 +37,6 @@ from repro.search.engine import LocalSearchEngine, RankedHit, RankingWeights
 from repro.search.epoch import Epoch
 from repro.search.index import QueryCache
 from repro.web.clock import SimulatedClock, WorkerPool
-
-if TYPE_CHECKING:
-    from repro.obs import Obs
 
 __all__ = [
     "TokenBucket",
@@ -54,11 +49,6 @@ __all__ = [
     "run_query_load",
     "percentile",
 ]
-
-#: simulated latency histogram boundaries (seconds)
-LATENCY_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
 
 
 @dataclass
@@ -150,7 +140,7 @@ class QueryServer:
 
     Latency is *modelled*: each executed query costs a deterministic
     number of simulated seconds (:meth:`service_cost`) and is scheduled
-    on the server's :class:`~repro.web.clock.WorkerPool`, so histograms
+    on the server's :class:`~repro.web.clock.WorkerPool`, so latencies
     and throughput numbers are bit-identical across runs.  Wall-clock
     speed of the underlying engine is the benchmark's business (the
     ``serve-cold`` workload of ``benchmarks/e2e``), not this class's.
@@ -166,7 +156,6 @@ class QueryServer:
         self,
         engine: LocalSearchEngine,
         clock: SimulatedClock | None = None,
-        obs: "Obs | None" = None,
         workers: int = 4,
         rate: float = 10.0,
         burst: float = 20.0,
@@ -175,7 +164,6 @@ class QueryServer:
         self.engine = engine
         self.clock = clock or SimulatedClock()
         self.pool = WorkerPool(size=workers, clock=self.clock)
-        self.obs = obs
         self.rate = rate
         self.burst = burst
         self.cache = QueryCache(maxsize=cache_size)
@@ -186,8 +174,6 @@ class QueryServer:
         self.rejected = 0
         self.failed = 0
         self.served = 0
-        if obs is not None:
-            obs.register_source("serving", self)
 
     # -- the request path ---------------------------------------------------
 
@@ -195,16 +181,11 @@ class QueryServer:
         """Serve one request (idempotent, rate limited, cached)."""
         self.requests += 1
         arrival = self.clock.now
-        registry = self.obs.registry if self.obs is not None else None
-        if registry is not None:
-            registry.counter("serving_requests_total").inc()
         stored = self._responses.get((request.client_id, request.request_id))
         if stored is not None:
             # idempotent replay: same response object, no re-execution,
             # no token charge
             self.replayed += 1
-            if registry is not None:
-                registry.counter("serving_replayed_total").inc()
             return stored
         bucket = self._buckets.get(request.client_id)
         if bucket is None:
@@ -212,8 +193,6 @@ class QueryServer:
             self._buckets[request.client_id] = bucket
         if not bucket.try_acquire(arrival):
             self.rejected += 1
-            if registry is not None:
-                registry.counter("serving_rejected_total").inc()
             return QueryResponse(
                 request_id=request.request_id,
                 status="rejected",
@@ -227,10 +206,6 @@ class QueryServer:
         # only completed work is recorded for replay; a rejected request
         # retried later must be allowed to run
         self._responses[(request.client_id, request.request_id)] = response
-        if registry is not None:
-            registry.histogram(
-                "serving_latency_seconds", buckets=LATENCY_BUCKETS
-            ).observe(response.latency)
         return response
 
     def _execute(self, request: QueryRequest, arrival: float) -> QueryResponse:

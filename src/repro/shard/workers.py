@@ -45,11 +45,10 @@ class BreakerBoardSet:
         self,
         router: ShardRouter,
         policy: BreakerPolicy | None = None,
-        obs: object | None = None,
     ) -> None:
         self.router = router
         self.boards: list[BreakerBoard] = [
-            BreakerBoard(policy, obs=obs) for _ in range(router.workers)
+            BreakerBoard(policy) for _ in range(router.workers)
         ]
         self.policy: BreakerPolicy = self.boards[0].policy
 
@@ -159,7 +158,6 @@ class WorkerSet:
         threads_per_worker: int,
         breaker_policy: BreakerPolicy | None = None,
         prefetch: Callable[[str], bool] | None = None,
-        obs: object | None = None,
     ) -> None:
         if count < 1:
             raise ValueError(f"worker count must be >= 1, got {count}")
@@ -172,7 +170,7 @@ class WorkerSet:
             prefetch=prefetch,
             now=lambda: clock.now,
         )
-        self.hosts = BreakerBoardSet(self.router, breaker_policy, obs=obs)
+        self.hosts = BreakerBoardSet(self.router, breaker_policy)
         self.pools: list[WorkerPool] = [
             WorkerPool(threads_per_worker, clock) for _ in range(count)
         ]

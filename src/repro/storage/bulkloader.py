@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.storage.database import Database
 from repro.storage.schema import Row
-
-if TYPE_CHECKING:
-    from repro.obs import Obs
 
 __all__ = ["Workspace", "BulkLoader"]
 
@@ -53,8 +49,7 @@ class Workspace:
 class BulkLoader:
     """Routes buffered rows into the database in batches."""
 
-    def __init__(self, database: Database, batch_size: int = 200,
-                 obs: Obs | None = None) -> None:
+    def __init__(self, database: Database, batch_size: int = 200) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.database = database
@@ -62,9 +57,6 @@ class BulkLoader:
         self._workspaces: dict[int, Workspace] = {}
         self.rows_loaded = 0
         self.flushes = 0
-        self.obs = obs
-        """Observability bundle (:class:`repro.obs.Obs`); set by
-        :meth:`CrawlContext.attach_loader` when the loader joins a crawl."""
 
     def workspace(self, thread_id: int) -> Workspace:
         """The (auto-created) workspace of one crawler thread."""
@@ -96,14 +88,6 @@ class BulkLoader:
             return
         self.rows_loaded += self.database.table(relation).bulk_insert(rows)
         self.flushes += 1
-        if self.obs is not None:
-            registry = self.obs.registry
-            registry.counter("storage_flushes_total").labels(
-                relation=relation
-            ).inc()
-            registry.counter("storage_rows_flushed_total").labels(
-                relation=relation
-            ).inc(len(rows))
 
     def flush_all(self) -> int:
         """Drain every workspace; returns the number of rows written."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BingoEngine
+from repro.core.engine import CrawlReport, PhaseReport
+from repro.core.records import CrawlStats
 from repro.errors import CrawlError
 
 from tests.core.conftest import fast_engine_config
@@ -124,3 +126,35 @@ class TestExpertEngine:
         )
         with pytest.raises(CrawlError):
             engine.bootstrap()
+
+
+class TestReportTotals:
+    def test_total_merges_every_crawl_stats_field(self) -> None:
+        """Two phases with every counter non-zero: a field
+        ``CrawlReport.total`` does not merge reads 0 and fails here."""
+        fields = [
+            name for name in CrawlStats.__dataclass_fields__
+            if name != "hosts_visited"
+        ]
+        learning, harvest = CrawlStats(), CrawlStats()
+        for position, name in enumerate(fields, start=1):
+            kind = type(getattr(learning, name))
+            setattr(learning, name, kind(position))
+            setattr(harvest, name, kind(100 * position))
+        learning.hosts_visited = {"a.example", "b.example"}
+        harvest.hosts_visited = {"b.example", "c.example"}
+        learning.simulated_seconds, harvest.simulated_seconds = 0.1, 0.2
+
+        total = CrawlReport(phases=[
+            PhaseReport("learning", learning), PhaseReport("harvest", harvest),
+        ]).total
+
+        assert total.hosts_visited == {"a.example", "b.example", "c.example"}
+        assert total.max_depth == harvest.max_depth
+        # summed in phase order: the benchmark fingerprints this float
+        assert total.simulated_seconds == 0.0 + 0.1 + 0.2
+        for name in fields:
+            if name not in ("max_depth", "simulated_seconds"):
+                assert getattr(total, name) == (
+                    getattr(learning, name) + getattr(harvest, name)
+                ), name

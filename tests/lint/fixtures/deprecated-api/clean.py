@@ -69,3 +69,42 @@ class HierarchicalClassifier:
 def retrainings(classifier: HierarchicalClassifier) -> int:
     classifier.classify({})
     return classifier.model_version
+
+
+class MetricsRegistry:
+    def __init__(self) -> None:
+        self.sources: dict[str, object] = {}
+
+    def register_source(self, name: str, source: object) -> None:
+        self.sources[name] = source
+
+    def snapshot(self) -> dict:
+        return {"at": 0.0, "sources": {}}
+
+
+class LocalSearchEngine:
+    def __init__(self, documents: list) -> None:
+        self.documents = list(documents)
+        self.queries = 0
+
+    def stats(self) -> dict[str, float]:
+        return {"queries": float(self.queries)}
+
+
+class Tally:
+    # "counter" / "value" / "obs" on another receiver are fine names
+    obs: int = 0
+
+    def counter(self) -> int:
+        return self.obs
+
+    def value(self) -> int:
+        return self.obs
+
+
+def whoever_builds_it_registers_it(registry: MetricsRegistry) -> float:
+    engine = LocalSearchEngine([])
+    registry.register_source("search", engine)
+    tally = Tally()
+    tally.obs = tally.counter() + tally.value()
+    return registry.snapshot()["sources"]["search"]["queries"]

@@ -21,8 +21,8 @@ class LocalSearchEngine:
         self._views: dict[str, list[str]] = {}
         self._vectors: dict[str, dict] = {}
 
-    def rebuild(self, documents: list[str]) -> None:
-        self.documents = list(documents)
+    def apply_delta(self, added: list[str]) -> None:
+        self.documents = self.documents + list(added)
 
     def filter(self, topic: str) -> list[str]:
         # fills the per-epoch view store, but is not its funnel

@@ -28,10 +28,6 @@ class LocalSearchEngine:
         self._views = {}
         self._vectors = {}
 
-    def rebuild(self, documents: list[str]) -> None:
-        self.documents = list(documents)
-        self.advance_epoch()
-
     def apply_delta(self, added: list[str]) -> None:
         self.documents = self.documents + list(added)
         self.advance_epoch()
@@ -60,5 +56,5 @@ def refresh_corpus(
     engine: LocalSearchEngine, cache: QueryCache, documents: list[str]
 ) -> None:
     # callers drive the lifecycle through the API, never directly
-    engine.rebuild(documents)
+    engine.apply_delta(documents)
     cache.invalidate()

@@ -65,9 +65,8 @@ class TestTypedHookApi:
         accepted = sum(
             e.extras["accepted"] for e in events if e.stage == "classify"
         )
-        assert accepted == crawler.ctx.obs.registry.value(
-            "pipeline_docs_accepted_total"
-        )
+        assert accepted == crawler.pipeline.docs_accepted
+        assert accepted == crawler.pipeline.stats()["docs_accepted"]
 
 
 class TestHookExceptionIsolation:
@@ -83,16 +82,12 @@ class TestHookExceptionIsolation:
         stats = run_phase(crawler)
 
         assert stats.table1_row() == reference.table1_row()
-        errors = crawler.ctx.obs.registry.value("pipeline_hook_errors_total")
-        assert errors > 0
+        counts = crawler.pipeline.stats()
+        assert counts["hook_errors"] > 0
         # one error per stage event delivered to the broken hook
-        batches = sum(
-            child
-            for child in crawler.ctx.obs.registry.snapshot()["counters"][
-                "pipeline_stage_batches_total"
-            ].values()
+        assert counts["hook_errors"] == sum(
+            counts[f"{stage}_batches"] for stage in STAGE_NAMES
         )
-        assert errors == batches
 
     def test_positional_hook_now_fails_per_event_not_fatally(
         self, web
@@ -104,4 +99,4 @@ class TestHookExceptionIsolation:
         crawler.pipeline.add_hook(lambda a, b, c, d: None)
         stats = run_phase(crawler)
         assert stats.visited_urls > 0
-        assert crawler.ctx.obs.registry.value("pipeline_hook_errors_total") > 0
+        assert crawler.pipeline.hook_errors > 0

@@ -1,86 +1,45 @@
-"""Metrics registry: determinism, histogram bucket edges, disabled mode."""
+"""Metrics registry: a read-only directory of sources, deterministic."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.obs.registry import DEFAULT_BUCKETS, Histogram, format_float
+from repro.obs.registry import format_float
 
 
-class TestCountersAndGauges:
-    def test_counter_accumulates_per_label_set(self) -> None:
-        registry = MetricsRegistry()
-        family = registry.counter("pipeline_stage_batches_total")
-        family.labels(stage="fetch").inc()
-        family.labels(stage="fetch").inc(2)
-        family.labels(stage="classify").inc()
-        assert registry.value(
-            "pipeline_stage_batches_total", stage="fetch"
-        ) == 3.0
-        assert registry.value(
-            "pipeline_stage_batches_total", stage="classify"
-        ) == 1.0
-        assert registry.value(
-            "pipeline_stage_batches_total", stage="persist"
-        ) == 0.0
-
-    def test_counter_rejects_negative_increment(self) -> None:
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("c_total").inc(-1)
-
-    def test_gauge_sets_and_moves_both_ways(self) -> None:
-        registry = MetricsRegistry()
-        gauge = registry.gauge("queue_depth")
-        gauge.set(5)
-        gauge.inc(-2)
-        assert registry.value("queue_depth") == 3.0
-
-    def test_kind_conflict_is_rejected(self) -> None:
-        registry = MetricsRegistry()
-        # the kind-conflict probe must reuse one name for both kinds,
-        # which necessarily breaks the suffix convention for one of them
-        registry.counter("metric_one")  # bingolint: disable=metric-name
-        with pytest.raises(ValueError):
-            registry.gauge("metric_one")
-
+class TestSources:
     def test_names_must_be_snake_case(self) -> None:
         registry = MetricsRegistry()
         for bad in ("CamelCase", "has-dash", "9leading", "sp ace"):
             with pytest.raises(ValueError):
-                registry.counter(bad)
+                registry.register_source(bad, lambda: {})
 
+    def test_a_source_is_read_at_snapshot_time_not_copied(self) -> None:
+        class Owner:
+            hits = 0
 
-class TestHistogramBucketEdges:
-    def test_value_on_boundary_lands_in_that_bucket(self) -> None:
-        # prometheus `le` convention: v <= bound
-        histogram = Histogram((1.0, 2.0, 4.0))
-        for value in (1.0, 2.0, 4.0, 0.5, 3.0, 9.0):
-            histogram.observe(value)
-        cumulative = dict(histogram.cumulative())
-        assert cumulative["1"] == 2  # 0.5, 1.0
-        assert cumulative["2"] == 3  # + 2.0
-        assert cumulative["4"] == 5  # + 3.0, 4.0
-        assert cumulative["+Inf"] == 6  # + 9.0
-        assert histogram.count == 6
-        assert histogram.sum == pytest.approx(19.5)
+            def stats(self) -> dict[str, float]:
+                return {"hits": float(self.hits)}
 
-    def test_cumulative_counts_are_monotone(self) -> None:
-        histogram = Histogram(DEFAULT_BUCKETS)
-        for value in range(100):
-            histogram.observe(float(value))
-        counts = [count for _le, count in histogram.cumulative()]
-        assert counts == sorted(counts)
-        assert counts[-1] == 100
+        owner = Owner()
+        registry = MetricsRegistry()
+        registry.register_source("owner", owner)
+        owner.hits = 3
+        assert registry.snapshot()["sources"]["owner"] == {"hits": 3.0}
+        owner.hits = 5
+        assert registry.snapshot()["sources"]["owner"] == {"hits": 5.0}
 
-    def test_boundaries_must_increase(self) -> None:
-        with pytest.raises(ValueError):
-            Histogram((1.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            Histogram((2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(())
+    def test_a_source_must_have_stats_or_be_callable(self) -> None:
+        with pytest.raises(TypeError):
+            MetricsRegistry().register_source("nothing", object())
+
+    def test_the_registry_has_no_write_side(self) -> None:
+        """A count lives on its owner; nothing can be incremented here."""
+        registry = MetricsRegistry()
+        for name in ("counter", "gauge", "histogram", "value", "enabled"):
+            assert not hasattr(registry, name)
+        assert set(registry.snapshot()) == {"at", "sources"}
 
 
 class TestDeterminism:
@@ -88,15 +47,10 @@ class TestDeterminism:
         """The same fixed-clock workload, reproduced exactly."""
         tick = iter(range(1000))
         registry = MetricsRegistry(clock=lambda: float(next(tick)))
-        for stage in ("admit", "fetch", "classify") * 5:
-            registry.counter("stage_batches_total").labels(stage=stage).inc()
-        histogram = registry.histogram("batch_docs")
-        for size in (1, 3, 8, 8, 64, 200):
-            histogram.observe(size)
-        registry.gauge("frontier_depth").set(42)
         registry.register_source(
             "robust", lambda: {"hosts_tracked": 7.0, "breaker_trips": 2.0}
         )
+        registry.register_source("frontier", lambda: {"frontier_size": 42})
         return registry.snapshot()
 
     def test_identical_runs_snapshot_identically(self) -> None:
@@ -111,21 +65,6 @@ class TestDeterminism:
         registry.register_source("bad", lambda: {"Not-Snake": 1.0})
         with pytest.raises(ValueError):
             registry.snapshot()
-
-
-class TestDisabledRegistry:
-    def test_every_operation_is_a_noop(self) -> None:
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("c_total").labels(stage="fetch").inc()
-        registry.gauge("g").set(9)
-        registry.histogram("h").observe(3)
-        registry.register_source("src", lambda: {"k": 1.0})
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {}
-        assert snapshot["gauges"] == {}
-        assert snapshot["histograms"] == {}
-        assert snapshot["sources"] == {}
-        assert registry.value("c_total", stage="fetch") == 0.0
 
 
 class TestFormatFloat:

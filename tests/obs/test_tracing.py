@@ -25,12 +25,15 @@ def web():
 
 def crawl_trace(web, batch_size: int):
     config = fast_engine_config(
-        max_retries=2,
-        pipeline_batch_size=batch_size,
-        trace_ring_size=100_000,
+        max_retries=2, pipeline_batch_size=batch_size
     )
     classifier = make_trained_classifier(web, config)
     crawler = FocusedCrawler(web, classifier, config)
+    # the default ring keeps the most recent 256 spans; these tests
+    # read the whole crawl
+    crawler.ctx.obs.tracer = Tracer(
+        clock=lambda: crawler.ctx.clock.now, maxlen=100_000
+    )
     crawler.seed(web.seed_homepages(3), topic="ROOT/databases", priority=10.0)
     crawler.crawl(PhaseSettings(name="t", focus=SOFT, fetch_budget=25))
     return crawler.ctx.obs.tracer
@@ -63,14 +66,6 @@ class TestUnitTracer:
             "spans_retained": 4.0,
             "spans_dropped": 6.0,
         }
-
-    def test_disabled_tracer_retains_nothing(self) -> None:
-        tracer = Tracer(enabled=False)
-        span = tracer.start("x")
-        tracer.finish(span)
-        tracer.event("y")
-        assert tracer.finished() == []
-        assert tracer.stats()["spans_started"] == 0.0
 
 
 class TestCrawlSpanNesting:

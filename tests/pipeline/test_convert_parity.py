@@ -135,18 +135,15 @@ def test_clock_and_frontier_identical(runs) -> None:
 
 def test_convert_counters_flow_through_obs(runs) -> None:
     (new_crawler, _), _ = runs
-    snapshot = new_crawler.ctx.obs.registry.snapshot()["counters"]
-    docs = snapshot["convert_docs_total"][""]
-    tokens = snapshot["convert_tokens_total"][""]
-    assert docs == len(new_crawler.ctx.documents)
-    assert tokens > 0
-    hits = snapshot["convert_stem_table_hits_total"][""]
-    misses = snapshot["convert_stem_table_misses_total"][""]
-    assert hits + misses > 0
-    intern_hits = snapshot["convert_intern_hits_total"][""]
-    intern_misses = snapshot["convert_intern_misses_total"][""]
+    sources = new_crawler.ctx.obs.registry.snapshot()["sources"]
+    pipeline, text = sources["pipeline"], sources["text"]
+    assert pipeline == new_crawler.pipeline.stats()
+    assert text == new_crawler.ctx.interner.stats()
+    assert pipeline["convert_docs_out"] == len(new_crawler.ctx.documents)
+    assert pipeline["convert_tokens"] > 0
+    assert text["stem_table_hits"] + text["stem_table_misses"] > 0
     # Zipfian corpus: the memo absorbs the overwhelming majority
-    assert intern_hits > 5 * intern_misses
+    assert text["intern_hits"] > 5 * text["intern_misses"]
 
 
 def test_convert_batches_are_counted_without_wall_time(runs) -> None:
@@ -155,7 +152,6 @@ def test_convert_batches_are_counted_without_wall_time(runs) -> None:
     (new_crawler, _), _ = runs
     obs = new_crawler.ctx.obs
     snapshot = obs.registry.snapshot()
-    batches = snapshot["counters"]["pipeline_stage_batches_total"]
-    assert batches['stage="convert"'] >= 1
+    assert snapshot["sources"]["pipeline"]["convert_batches"] >= 1
     assert "wall" not in str(snapshot)
     assert not hasattr(obs, "wall_stage_seconds")

@@ -161,24 +161,23 @@ class TestFailedQueryAccounting:
         assert stats["queries_failed"] == 1.0
 
     def test_failed_query_counter_reaches_registry(self, corpus) -> None:
-        from repro.obs import Obs
+        from repro.obs import MetricsRegistry
 
-        obs = Obs()
-        engine = LocalSearchEngine(corpus, obs=obs)
+        engine = LocalSearchEngine(corpus)
+        registry = MetricsRegistry()
+        registry.register_source("search", engine)
         with pytest.raises(SearchError):
             engine.search("the and of")
-        assert obs.registry.value("search_queries_total") == 1.0
-        assert obs.registry.value("search_queries_failed_total") == 1.0
+        search = registry.snapshot()["sources"]["search"]
+        assert search["queries"] == 1.0
+        assert search["queries_failed"] == 1.0
 
 
 class TestWorkAccounting:
     def test_documents_scored_is_the_counter_that_falls(self, corpus) -> None:
         """``candidates_ranked`` is the filtered set's size on either
         path; ``documents_scored`` is the exact evaluations made."""
-        from repro.obs import Obs
-
-        obs = Obs()
-        indexed = LocalSearchEngine(corpus, obs=obs)
+        indexed = LocalSearchEngine(corpus)
         brute = LocalSearchEngine(corpus, indexed=False)
         for engine in (indexed, brute):
             assert len(engine.search("recovery", top_k=2)) == 2
@@ -188,8 +187,6 @@ class TestWorkAccounting:
         assert brute.stats()["candidates_ranked"] == 10.0
         assert indexed.stats()["documents_scored"] == 2.0
         assert brute.stats()["documents_scored"] == 5.0
-        assert obs.registry.value("search_candidates_ranked_total") == 10.0
-        assert obs.registry.value("search_documents_scored_total") == 2.0
 
 
     def test_a_fold_costs_what_changed(self) -> None:

@@ -151,7 +151,8 @@ class TestViewsDoNotOutliveTheirEpoch:
     def test_rebuild(self) -> None:
         documents = random_corpus(22, 30)
         engine = self.warmed(documents[:20])
-        engine.rebuild(documents, reason="growth")
+        # growing the corpus is a fold of the arrivals, not a rebuild
+        engine.apply_delta(added=documents[20:], reason="growth")
         assert engine.stats()["filter_views"] == 0.0
         self.assert_fresh(engine)
 

@@ -192,11 +192,12 @@ class TestEpochLifecycle:
             (h.document.doc_id, h.score) for h in engine.search("recovery")
         ]
         assert engine.epoch == epoch
-        rebuilt = engine.rebuild(reason="retrain")
+        # an empty fold re-derives the idf snapshot and advances
+        rebuilt = engine.apply_delta(reason="retrain").epoch
         assert rebuilt.ordinal > epoch.ordinal
         assert rebuilt.generation == epoch.generation + 1
         assert rebuilt.reason == "retrain"
-        # same corpus, fresh index: results are unchanged
+        # same corpus, fresh snapshot: results are unchanged
         after = [
             (h.document.doc_id, h.score) for h in engine.search("recovery")
         ]

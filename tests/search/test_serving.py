@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SearchError
-from repro.obs import Obs
+from repro.obs import MetricsRegistry
 from repro.search.engine import LocalSearchEngine
 from repro.search.serving import (
     LoadConfig,
@@ -123,7 +123,7 @@ class TestResultCache:
 
     def test_engine_rebuild_invalidates(self, server) -> None:
         server.handle(request("r1"))
-        server.engine.rebuild(reason="retrain")
+        server.engine.apply_delta(reason="retrain")
         response = server.handle(request("r2"))
         assert not response.cached
         assert server.engine.queries == 2
@@ -136,22 +136,23 @@ class TestResultCache:
 
 
 class TestObservability:
-    def test_counters_and_latency_histogram(self, corpus) -> None:
-        obs = Obs()
-        engine = LocalSearchEngine(corpus, obs=obs)
+    def test_counters_reach_a_registry_through_stats(self, corpus) -> None:
+        engine = LocalSearchEngine(corpus)
         server = QueryServer(
-            engine, clock=SimulatedClock(), obs=obs, rate=100.0, burst=100.0
+            engine, clock=SimulatedClock(), rate=100.0, burst=100.0
         )
         server.handle(request("r1"))
         server.handle(request("r1"))  # replay
         server.handle(request("r2", client_id="bob"))  # cache hit
-        registry = obs.registry
-        assert registry.value("serving_requests_total") == 3.0
-        assert registry.value("serving_replayed_total") == 1.0
-        snapshot = registry.snapshot()
-        assert "serving_latency_seconds" in snapshot["histograms"]
-        assert snapshot["sources"]["serving"]["requests"] == 3.0
-        assert snapshot["sources"]["serving"]["query_cache_hits"] == 1.0
+        stats = server.stats()
+        assert stats["requests"] == 3.0
+        assert stats["replayed"] == 1.0
+        assert stats["query_cache_hits"] == 1.0
+        # the server knows no registry; whoever built it registers it
+        assert not hasattr(server, "obs")
+        registry = MetricsRegistry()
+        registry.register_source("serving", server)
+        assert registry.snapshot()["sources"]["serving"] == stats
 
 
 class TestQueryPool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _open_portal, build_parser, main
 
 
 class TestParser:
@@ -132,7 +133,27 @@ class TestPortalLifecycleCommands:
         assert "cycle 1:" in out
         assert "serving epoch: epoch#" in out
         assert "freshness_stale" in out
-        assert metrics.exists()
+        sources = json.loads(metrics.read_text())["sources"]
+        assert sources["portal"]["portal_cycles_run"] == 1.0
+        # the serving engine is exported beside the portal
+        assert sources["search"]["documents_indexed"] > 0
+        assert sources["search"]["generation"] >= 1.0
+
+    def test_search_source_follows_a_restore(self) -> None:
+        """``restore()`` replaces the serving engine: the ``search``
+        source must read whichever engine the portal holds now."""
+        argv = ["portal", "evolve", "--budget", "60", "--seconds", "600"]
+        _, original = _open_portal(build_parser().parse_args(argv))
+        original.evolve(600.0)
+        engine, portal = _open_portal(build_parser().parse_args(argv))
+        served_before = portal.search
+        portal.restore(original.checkpoint())
+        assert portal.search is not served_before
+        portal.search.search("database research")
+        exported = engine.obs.registry.snapshot()["sources"]["search"]
+        assert exported == portal.search.stats()
+        assert exported["queries"] == 1.0
+        assert exported["documents_indexed"] == len(portal.search.documents)
 
 
 class TestMetricsAreReproducible:
