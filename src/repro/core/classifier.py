@@ -241,9 +241,9 @@ class HierarchicalClassifier:
         refreshes) come from the LRU cache; ``refresh_idf`` changes the
         snapshot key and thereby invalidates every cached vector.  The
         misses are vectorized together through
-        :func:`repro.perf.text.vectorize_batch`, which shares the idf
-        gather and log-tf table across the batch; a row does not depend
-        on which other documents share it (pinned by tests).
+        :func:`repro.perf.text.vectorize_batch` (``vectorize_counts``
+        per document), so a row does not depend on which other
+        documents share it (pinned by tests).
         """
         from repro.perf.text import vectorize_batch
 

@@ -15,9 +15,9 @@ parity-tested against live with the tests (``tests/core/reference.py``,
 * :mod:`repro.perf.csr_hits` -- HITS / Bharat-Henzinger distillation as
   alternating sparse matvecs over int-indexed CSR adjacency;
 * :mod:`repro.perf.text` -- the single-pass HTML scanner, the
-  memoizing :class:`~repro.perf.text.TermInterner`, and the batched
-  :func:`~repro.perf.text.vectorize_batch` tf*idf kernel that feed the
-  convert/analyze stages.
+  memoizing :class:`~repro.perf.text.TermInterner`, and
+  :func:`~repro.perf.text.vectorize_batch`, the classifier's tf*idf
+  rows per micro-batch.
 """
 
 from repro._lazy import lazy_exports

@@ -7,17 +7,23 @@ every path from markup or plain text to stems goes through it:
 
 * :func:`scan_html` -- ONE traversal of the raw HTML that strips
   comments and script/style blocks, extracts the title, collects links
-  and anchor-text terms, and emits stemmed body terms, without ever
-  materialising an intermediate cleaned string;
+  and anchor-text terms, and emits stemmed body terms.  Python-level
+  work is paid per markup construct and per page, not per word: the
+  regex matches markup only, the words of the text between two markup
+  matches come out of C-level string calls, and the page's body words
+  are resolved through the interner's word table in one ``map``;
 * :func:`text_stems` / :func:`tokenize_text` -- the same word filter
   and stem memo over plain text (queries, anchor texts);
 * :class:`TermInterner` -- a memoized ``raw word -> (surface, stem)``
   and ``surface -> stem`` table in front of the Porter stemmer (the
   stemmer is pure, and word frequencies are Zipfian, so one dict hit
   replaces the five-phase algorithm for almost every occurrence);
-* :func:`vectorize_batch` -- tf*idf rows for a whole micro-batch in
-  one wave against the idf snapshot, sharing the per-term idf gather
-  and the ``1 + log(tf)`` dampening table across the batch.
+* :func:`vectorize_batch` -- tf*idf rows for a whole micro-batch,
+  :meth:`~repro.text.vectorizer.TfIdfVectorizer.vectorize_counts` per
+  document.
+
+A word is ``[a-zA-Z][a-zA-Z0-9']*`` everywhere -- page bodies, anchor
+texts, queries -- so a page is found by the words it shows.
 
 Parity contract: on markup without HTML entities, without titles or
 anchors inside comments/script blocks, and without unterminated
@@ -27,16 +33,21 @@ title, tokens (stem/surface/position), links, and anchor terms.  The
 golden corpus test pins this.  The deliberate divergences are
 fixes: known HTML entities are decoded instead of leaking ``amp`` /
 ``quot`` terms, titles inside comments are ignored, and unterminated
-comments/blocks swallow their content instead of leaking it.
+comments/blocks swallow their content instead of leaking it.  On all
+markup it equals the per-match scanner kept beside that reference
+(``scan_html_reference``), field for field and interner count for
+interner count.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from collections.abc import Iterator, Mapping, Sequence
+import string
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from html import unescape
-from typing import cast
+from itertools import chain, repeat
+from operator import itemgetter
 
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ANCHOR_STOPWORDS, STOPWORDS
@@ -52,7 +63,9 @@ __all__ = [
     "default_interner",
 ]
 
-#: One alternation, one traversal.  Order matters and mirrors the
+#: Markup only.  Every alternative starts with ``<`` or ``&``, so the
+#: regex engine's prefix search skips plain text instead of trying an
+#: alternative at every character.  Order matters and mirrors the
 #: reference pipeline's precedence (comments stripped before blocks
 #: before tags): a ``<script`` that opens inside a comment is never
 #: seen, and a comment marker inside a script block is never seen.
@@ -60,14 +73,14 @@ __all__ = [
 #: ``<[^>]*>`` are byte-compatible with the reference regexes
 #: (including quirks like ``<scriptx>`` opening a script block).
 #: Unterminated comments/blocks run to end-of-input (``\Z``) instead
-#: of leaking their content -- a deliberate fix.
-_SCAN_RE = re.compile(
-    r"(?P<c><!--.*?(?:-->|\Z))"
-    r"|<(?P<b>script|style)[^>]*>.*?(?:</(?P=b)>|\Z)"
-    r"|(?P<t><[^>]*>)"
-    r"|&(?P<e>[a-zA-Z][a-zA-Z0-9]*|#[0-9]+|#[xX][0-9a-fA-F]+);"
-    r"|(?P<w>[a-zA-Z][a-zA-Z0-9']*)",
-    re.IGNORECASE | re.DOTALL,
+#: of leaking their content -- a deliberate fix.  Entity names are
+#: ASCII, like words: no ``IGNORECASE`` outside the block names.
+_MARKUP_RE = re.compile(
+    r"<(?:(?P<c>!--.*?(?:-->|\Z))"
+    r"|(?P<b>(?i:script|style))[^>]*>.*?(?:</(?i:(?P=b))>|\Z)"
+    r"|[^>]*>)"
+    r"|&(?P<e>[a-zA-Z][a-zA-Z0-9]*|#[0-9]+|#[xX][0-9a-fA-F]+);",
+    re.DOTALL,
 )
 
 #: Word shape shared with the reference tokenizer.
@@ -75,6 +88,16 @@ _WORD_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9']*")
 
 #: Chars a decoded entity may contribute to a merged word.
 _WORDCHARS_RE = re.compile(r"[a-zA-Z0-9']+\Z")
+
+#: What may precede a word's first letter inside a run of word chars.
+_LEADING = string.digits + "'"
+_LEADING_BYTES = _LEADING.encode()
+
+#: ASCII non-word chars -> space, so ``split`` yields the word runs.
+_NON_WORD = bytes(
+    c for c in range(128) if chr(c) not in string.ascii_letters + _LEADING
+)
+_SEPARATE = bytes.maketrans(_NON_WORD, b" " * len(_NON_WORD))
 
 #: Anchor-open shape shared with the reference (``<a`` + whitespace).
 _ANCHOR_OPEN_RE = re.compile(r"<a\s", re.IGNORECASE)
@@ -88,8 +111,40 @@ _HREF_RE = re.compile(
 )
 
 
-#: word-table probe sentinel (``None`` is a real value: "filtered out")
-_MISS: object = object()
+def _words(text: str) -> list[str]:
+    """``_WORD_RE.findall(text)``; ASCII text takes C-level string calls.
+
+    Non-word chars become spaces, ``split`` yields the maximal runs of
+    ``[a-zA-Z0-9']``, and a run's word starts at its first letter.
+    """
+    if not text.isascii():
+        return _WORD_RE.findall(text)
+    spaced = text.encode().translate(_SEPARATE)
+    runs = spaced.decode().split()
+    if len(spaced.translate(None, _LEADING_BYTES)) == len(spaced):
+        return runs  # no digit or quote: every run is a word
+    return list(filter(None, map(str.lstrip, runs, repeat(_LEADING))))
+
+
+class _WordTable(dict[str, "tuple[str, str] | None"]):
+    """``raw word -> (surface, stem)``, or ``None`` if the body filter
+    drops the word; looking up a new word computes and stores its
+    entry, so the table's growth is the count of new words."""
+
+    __slots__ = ("_stem",)
+
+    def __init__(self, stem: Callable[[str], str]) -> None:
+        super().__init__()
+        self._stem = stem
+
+    def __missing__(self, word: str) -> tuple[str, str] | None:
+        surface = word.lower().strip("'")
+        entry = (
+            None if len(surface) < 2 or surface in STOPWORDS
+            else (surface, self._stem(surface))
+        )
+        self[word] = entry
+        return entry
 
 
 class TermInterner:
@@ -123,7 +178,7 @@ class TermInterner:
 
     def __init__(self) -> None:
         self._stemmer = PorterStemmer()
-        self._word_table: dict[str, tuple[str, str] | None] = {}
+        self._word_table = _WordTable(self.stem)
         self._stem_table: dict[str, str] = {}
         self.stem_table_hits = 0
         self.stem_table_misses = 0
@@ -157,11 +212,10 @@ class ScannedPage:
     """Analyzer output of one :func:`scan_html` pass.
 
     ``stem_counts`` is the bag of body terms in first-occurrence order
-    -- identical in content and iteration order to
-    ``Counter(stems)``, but produced without building per-word tuples.
-    ``tokens`` (``(stem, surface, position)`` tuples) and ``text`` are
-    only populated when the caller asked for them (the default
-    term-only pipeline does not).
+    -- a ``Counter`` equal in content and iteration order to
+    ``Counter(stems)``.  ``tokens`` (``(stem, surface, position)``
+    tuples) and ``text`` are only populated when the caller asked for
+    them (the default term-only pipeline does not).
     """
 
     __slots__ = (
@@ -203,6 +257,17 @@ def default_interner() -> TermInterner:
     return _default_interner
 
 
+def _anchor_stems(
+    words: Iterable[str], stem: Callable[[str], str], into: list[str]
+) -> None:
+    """Anchor text runs under the extended stopword set at the
+    reference's fixed min_length of 2, independent of the body filter."""
+    for word in words:
+        surface = word.lower().strip("'")
+        if len(surface) >= 2 and surface not in ANCHOR_STOPWORDS:
+            into.append(stem(surface))
+
+
 def scan_html(
     html: str,
     interner: TermInterner | None = None,
@@ -212,32 +277,26 @@ def scan_html(
 ) -> ScannedPage:
     """Run the full document analyzer in one traversal of ``html``.
 
-    Every character is visited once: markup constructs advance the
-    scan, word matches flow through the interner into ``stem_counts``
-    (and optionally into token tuples), anchors accumulate links and
-    anchor-text terms under the extended stopword set, and the first
-    completed ``<title>`` outside comments/blocks is captured as a raw
-    span, entity-decoded, and stripped.
+    Markup matches advance the scan; the text gaps between them are
+    collected and split into words once per page, then resolved
+    through the interner into ``stem_counts`` (and optionally into
+    token tuples).  Anchors accumulate links and anchor-text terms
+    under the extended stopword set, and the first completed
+    ``<title>`` outside comments/blocks is captured as a raw span,
+    entity-decoded, and stripped.
 
-    Adjacent word matches joined by a decoded entity merge into one
-    word (``x&#65;y`` -> ``xAy``); a decoded non-word character acts
-    as a separator; an *unknown* entity contributes its bare name as a
+    Adjacent words joined by a decoded entity merge into one word
+    (``x&#65;y`` -> ``xAy``), so a gap that touches an entity is split
+    word by word with offsets; a decoded non-word character acts as a
+    separator; an *unknown* entity contributes its bare name as a
     word, matching the reference tokenizer's behaviour on the raw
     ``&name;`` text.
     """
     if interner is None:
         interner = default_interner()
+    stem = interner.stem
 
-    word_table = interner._word_table
-    stem_table = interner._stem_table
-    porter_stem = interner._stemmer.stem
-    stem_hits = 0
-    stem_misses = 0
-    word_hits = 0
-    word_misses = 0
-
-    stem_counts: dict[str, int] = {}
-    tokens: list[tuple[str, str, int]] | None = [] if with_tokens else None
+    body: list[str] = []            # text gaps and entity-joined words
     parts: list[str] | None = [] if with_text else None
     links: list[str] = []
     anchor_terms: dict[str, list[str]] = {}
@@ -248,117 +307,70 @@ def scan_html(
     anchor_list: list[str] | None = None
     pending = ""                    # word run joined by decoded entities
     pending_end = -2                # end offset of the pending run
-    position = 0
     last = 0
 
-    def _emit(word: str) -> None:
-        nonlocal position, stem_hits, stem_misses, word_hits, word_misses
-        entry: tuple[str, str] | None
-        probed = word_table.get(word, _MISS)
-        if probed is _MISS:
-            word_misses += 1
-            surface = word.lower().strip("'")
-            if len(surface) < 2 or surface in STOPWORDS:
-                entry = None
-            else:
-                stemmed = stem_table.get(surface)
-                if stemmed is None:
-                    stem_misses += 1
-                    stemmed = porter_stem(surface)
-                    stem_table[surface] = stemmed
-                else:
-                    stem_hits += 1
-                entry = (surface, stemmed)
-            word_table[word] = entry
-        else:
-            word_hits += 1
-            entry = cast("tuple[str, str] | None", probed)
-        if entry is not None:
-            surface, stemmed = entry
-            count = stem_counts.get(stemmed)
-            stem_counts[stemmed] = 1 if count is None else count + 1
-            if tokens is not None:
-                tokens.append((stemmed, surface, position))
-            position += 1
+    def emit(word: str) -> None:
+        body.append(word)
         if anchor_list is not None:
-            # Anchor text runs under the extended stopword set at the
-            # reference's fixed min_length of 2, independent of the
-            # body filter.
-            surface_a = word.lower().strip("'")
-            if len(surface_a) >= 2 and surface_a not in ANCHOR_STOPWORDS:
-                stemmed_a = stem_table.get(surface_a)
-                if stemmed_a is None:
-                    stem_misses += 1
-                    stemmed_a = porter_stem(surface_a)
-                    stem_table[surface_a] = stemmed_a
-                else:
-                    stem_hits += 1
-                anchor_list.append(stemmed_a)
+            _anchor_stems((word,), stem, anchor_list)
 
-    for match in _SCAN_RE.finditer(html):
-        kind = match.lastgroup
-        if parts is not None:
-            parts.append(html[last:match.start()])
-        last = match.end()
-        if kind == "w":
-            start = match.start()
-            word = match.group()
-            if start == pending_end:
-                pending += word
-            else:
-                if pending:
-                    _emit(pending)
-                pending = word
-            pending_end = last
+    # A trailing ``None`` closes the text after the last markup match.
+    for match in chain(_MARKUP_RE.finditer(html), (None,)):
+        if match is None:
+            start, kind = len(html), None
+        else:
+            start, kind = match.start(), match.lastgroup
+        if start > last:
+            gap = html[last:start]
             if parts is not None:
-                parts.append(word)
-            continue
-        if kind == "e":
-            decoded = unescape(match.group())
-            if decoded == match.group():
-                # Unknown entity: the reference tokenizes the bare
-                # name out of the raw "&name;" text.
-                if pending:
-                    _emit(pending)
-                    pending = ""
-                pending_end = -2
-                name = match.group("e")
-                if name[0] != "#":
-                    _emit(name)
-                if parts is not None:
-                    parts.append(match.group())
-            else:
-                if parts is not None:
-                    parts.append(decoded)
-                if _WORDCHARS_RE.match(decoded):
-                    if match.start() == pending_end:
-                        pending += decoded
-                        pending_end = last
+                parts.append(gap)
+            if kind == "e" or pending_end == last:
+                # The gap touches an entity: its words keep their
+                # offsets so a decoded entity can join them.
+                for word_match in _WORD_RE.finditer(html, last, start):
+                    word = word_match.group()
+                    if word_match.start() == pending_end:
+                        pending += word
                     else:
                         if pending:
-                            _emit(pending)
-                            pending = ""
-                        if decoded[0].isalpha():
-                            pending = decoded
-                            pending_end = last
-                        else:
-                            pending_end = -2
-                else:
-                    if pending:
-                        _emit(pending)
-                        pending = ""
-                    pending_end = -2
+                            emit(pending)
+                        pending = word
+                    pending_end = word_match.end()
+            else:
+                body.append(gap)
+                if anchor_list is not None:
+                    _anchor_stems(_words(gap), stem, anchor_list)
+        if match is None:
+            break
+        last = match.end()
+        if kind == "e":
+            entity = match.group()
+            decoded = unescape(entity)
+            if parts is not None:
+                parts.append(decoded)
+            joins = _WORDCHARS_RE.match(decoded) is not None
+            if joins and start == pending_end:
+                pending += decoded
+            else:
+                if pending:
+                    emit(pending)
+                pending = decoded if joins and decoded[0].isalpha() else ""
+                if decoded == entity:
+                    # Unknown entity: the reference tokenizes the bare
+                    # name out of the raw "&name;" text.
+                    emit(match.group("e"))
+            pending_end = last if pending else -2
             continue
-        # Any markup construct separates words.
+        # Any other markup construct separates words.
         if pending:
-            _emit(pending)
+            emit(pending)
             pending = ""
         pending_end = -2
         if parts is not None:
             parts.append(" ")
-        if kind != "t":
+        if kind is not None:
             continue  # comments and script/style blocks vanish whole
-        tag = match.group("t")
+        tag = match.group()
         tag_lower = tag.lower()
         if tag_lower == "</a>":
             if anchor_href is not None:
@@ -384,34 +396,45 @@ def scan_html(
             # exactly as the reference's non-overlapping finditer did.
         elif tag_lower == "</title>":
             if title_start >= 0 and title is None:
-                title = html[title_start:match.start()]
+                title = html[title_start:start]
             title_start = -1
         elif tag_lower.startswith("<title") and title is None:
             if title_start < 0:
-                title_start = match.end()
+                title_start = last
 
     if pending:
-        _emit(pending)
+        emit(pending)
     # An anchor still open at end-of-input never produced a match in
     # the reference either: its words stay body-only, its href is
     # dropped.
 
-    interner.stem_table_hits += stem_hits
-    interner.stem_table_misses += stem_misses
-    interner.intern_hits += word_hits
-    interner.intern_misses += word_misses
+    # Resolve every body word in one pass: the word table's growth is
+    # the new words, every other lookup a hit.
+    words = _words(" ".join(body))
+    word_table = interner._word_table
+    size = len(word_table)
+    entries = filter(None, map(word_table.__getitem__, words))
+    tokens: list[tuple[str, str, int]] | None = None
+    if with_tokens:
+        kept = list(entries)
+        stem_counts = Counter(map(itemgetter(1), kept))
+        tokens = [
+            (stemmed, surface, position)
+            for position, (surface, stemmed) in enumerate(kept)
+        ]
+    else:
+        stem_counts = Counter(map(itemgetter(1), entries))
+    new_words = len(word_table) - size
+    interner.intern_misses += new_words
+    interner.intern_hits += len(words) - new_words
 
-    text: str | None = None
-    if parts is not None:
-        parts.append(html[last:])
-        text = "".join(parts)
     return ScannedPage(
         title=unescape(title).strip() if title is not None else "",
         links=links,
         anchor_terms=anchor_terms,
         stem_counts=stem_counts,
         tokens=tokens,
-        text=text,
+        text="".join(parts) if parts is not None else None,
     )
 
 
@@ -466,33 +489,9 @@ def vectorize_batch(
     vectorizer: TfIdfVectorizer,
     counts_batch: Sequence[Mapping[str, int]],
 ) -> list[SparseVector]:
-    """tf*idf rows for a whole micro-batch in one wave.
-
-    Bit-identical to calling ``vectorizer.vectorize_counts`` per
-    document: the weight expression ``(1.0 + math.log(tf)) * idf`` is
-    evaluated with the same operations in the same order, the batch
-    merely shares the idf gather per distinct term and the log-tf
-    dampening per distinct count.  Rows therefore do not depend on
-    batch composition (batch-invariance is pinned by tests).
-    """
-    idf = vectorizer.statistics.idf
-    idf_gather: dict[str, float] = {}
-    tf_table: dict[int, float] = {}
-    log = math.log
-    rows: list[SparseVector] = []
-    for counts in counts_batch:
-        weights: dict[str, float] = {}
-        for term, tf in counts.items():
-            if tf <= 0:
-                continue
-            dampened = tf_table.get(tf)
-            if dampened is None:
-                dampened = 1.0 + log(tf)
-                tf_table[tf] = dampened
-            term_idf = idf_gather.get(term)
-            if term_idf is None:
-                term_idf = idf(term)
-                idf_gather[term] = term_idf
-            weights[term] = dampened * term_idf
-        rows.append(SparseVector(weights))
-    return rows
+    """tf*idf rows for a whole micro-batch: :meth:`~repro.text.
+    vectorizer.TfIdfVectorizer.vectorize_counts` per document, so a row
+    does not depend on the batch it rode in.  The classifier reaches it
+    as ``repro.perf.text.vectorize_batch``, the name the benchmark
+    tracer wraps."""
+    return [vectorizer.vectorize_counts(counts) for counts in counts_batch]

@@ -179,6 +179,18 @@ class CorpusStatistics:
         return value
 
 
+class _Dampening(dict[int, float]):
+    """``tf -> 1 + log(tf)``, computed on first use."""
+
+    def __missing__(self, tf: int) -> float:
+        value = self[tf] = 1.0 + math.log(tf)
+        return value
+
+
+#: the ``1 + log tf`` table every vectorizer shares
+_DAMPENED = _Dampening()
+
+
 class TfIdfVectorizer:
     """Build tf*idf :class:`SparseVector` documents against a corpus.
 
@@ -207,18 +219,22 @@ class TfIdfVectorizer:
 
     def vectorize(self, terms: Iterable[str]) -> SparseVector:
         """Turn a term multiset into a tf*idf vector under the snapshot."""
-        counts = Counter(terms)
-        weights = {
-            term: (1.0 + math.log(tf)) * self.statistics.idf(term)
-            for term, tf in counts.items()
-        }
-        return SparseVector(weights)
+        return self.vectorize_counts(Counter(terms))
 
     def vectorize_counts(self, counts: Mapping[str, int]) -> SparseVector:
-        """Like :meth:`vectorize` but from precomputed term counts."""
-        weights = {
-            term: (1.0 + math.log(tf)) * self.statistics.idf(term)
+        """The one tf*idf weight: ``(1 + log tf) * idf`` per positive
+        count, in ``counts`` order.
+
+        idf comes from the snapshot's memo in one probe per term;
+        :meth:`CorpusStatistics.idf` (which fills the memo) runs only on
+        a miss.  An idf is never 0.0, so ``or`` tells a miss.
+        """
+        statistics = self.statistics
+        memo = statistics._idf_cache.get
+        idf = statistics.idf
+        dampened = _DAMPENED
+        return SparseVector({
+            term: dampened[tf] * (memo(term) or idf(term))
             for term, tf in counts.items()
             if tf > 0
-        }
-        return SparseVector(weights)
+        })

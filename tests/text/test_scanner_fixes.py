@@ -13,14 +13,19 @@ output and the old (wrong) output so the divergence stays documented:
 * ``<title>`` inside comments or script/style blocks is not extracted;
 * anchors inside comments yield no links;
 * unterminated comments and script/style blocks swallow their tail
-  instead of leaking it into the body text.
+  instead of leaking it into the body text;
+* body words are ASCII-shaped like query words: U+212A KELVIN SIGN and
+  U+017F LONG S are not letters (the per-match scanner's
+  ``IGNORECASE`` alternation took them for ``k`` and ``s``).
 """
 
 from __future__ import annotations
 
-from repro.text.scanner import scan_html
+from collections import Counter
 
-from tests.text.reference import tokenize_html_reference
+from repro.text.scanner import TermInterner, scan_html, text_stems
+
+from tests.text.reference import scan_html_reference, tokenize_html_reference
 
 
 def surfaces(doc) -> list[str]:
@@ -122,3 +127,16 @@ class TestCommentAndBlockSwallowing:
         doc = scan_html(html)
         assert surfaces(doc) == ["shown"]
         assert "leaked" in surfaces(tokenize_html_reference(html))
+
+
+class TestWordShape:
+    def test_body_words_are_shaped_like_query_words(self) -> None:
+        text = "\u212aelvin \u017ftop <b>Kelvin</b>"
+        doc = scan_html(text)
+        assert doc.stem_counts == Counter(text_stems(text))
+        assert surfaces(doc) == ["elvin", "top", "kelvin"]
+        oracle = scan_html_reference(text, TermInterner())
+        assert doc.tokens == oracle.tokens
+        assert list(doc.stem_counts.items()) \
+            == list(oracle.stem_counts.items())
+        assert surfaces(doc) == surfaces(tokenize_html_reference(text))

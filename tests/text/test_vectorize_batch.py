@@ -1,15 +1,17 @@
-"""The batched tf*idf kernel vs the per-document reference weighting.
+"""The one tf*idf weight expression and the batch name over it.
 
-:func:`repro.perf.text.vectorize_batch` shares the per-term idf gather
-and the ``1 + log(tf)`` dampening table across a micro-batch; every
-row it produces must still be **bit-identical** (``==`` on floats, not
-approx) to :meth:`~repro.text.vectorizer.TfIdfVectorizer.
-vectorize_counts` on the same counts, and the rows must not depend on
-how the batch was sliced.
+:meth:`~repro.text.vectorizer.TfIdfVectorizer.vectorize_counts` reads
+idf from the snapshot's memo and ``1 + log(tf)`` from a shared table;
+its weights must stay **bit-identical** (``==`` on floats, not approx)
+and in the same key order as the straight-line expression
+``(1.0 + math.log(tf)) * idf(term)``.  ``vectorize`` and
+:func:`repro.perf.text.vectorize_batch` go through it, so their rows
+must equal it and must not depend on how a batch was sliced.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -48,6 +50,37 @@ def sample_counts(seed: int = 29, n: int = 24) -> list[Counter]:
     batch.append(Counter())          # empty document
     batch.append(Counter(ghost=0))   # zero count must be skipped
     return batch
+
+
+def straight_line(
+    vectorizer: TfIdfVectorizer, counts: Counter
+) -> dict[str, float]:
+    """The weight expression as spelled before the memo and table."""
+    return {
+        term: (1.0 + math.log(tf)) * vectorizer.statistics.idf(term)
+        for term, tf in counts.items()
+        if tf > 0
+    }
+
+
+@pytest.mark.parametrize("refreshed", [False, True])
+def test_every_spelling_equals_the_straight_line_expression(
+    refreshed: bool,
+) -> None:
+    """Weights bit for bit and keys in order, before the first idf
+    snapshot (idf 1.0) and after one, on a cold and a warm memo."""
+    vectorizer = corpus_vectorizer() if refreshed else TfIdfVectorizer()
+    batch = sample_counts()
+    for _ in range(2):
+        rows = vectorize_batch(vectorizer, batch)
+        for counts, row in zip(batch, rows):
+            expected = straight_line(vectorizer, counts)
+            for vector in (
+                row,
+                vectorizer.vectorize_counts(counts),
+                vectorizer.vectorize(counts.elements()),
+            ):
+                assert list(vector.weights.items()) == list(expected.items())
 
 
 def test_rows_bit_identical_to_vectorize_counts() -> None:
