@@ -409,10 +409,9 @@ class BingoEngine:
                     # a re-crawled seed stays protected
                     protected=existing.protected if existing else False,
                 )
-                self.database["archetypes"].upsert({
-                    "topic": topic, "doc_id": doc_id, "source": source,
-                    "score": confidence, "iteration": self.retrainings,
-                })
+                self.database["archetypes"].upsert(
+                    (topic, doc_id, source, confidence, self.retrainings)
+                )
                 changed = True
             if decision.removed:
                 removed_ids = set(decision.removed)

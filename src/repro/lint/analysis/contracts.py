@@ -12,21 +12,15 @@ classes, from outside that class's sanctioned methods, is a finding.
 
 ``deprecated-api`` keeps recently deleted members from creeping back
 while call sites written against them may still be in flight: the
-``BingoConfig`` fields no caller ever set (each now one named constant
-or constructor default; the table says where), the second and third
-decision phases (``HierarchicalClassifier.classify_reference``,
-``TopicDecisionModel.decide``, ``CompiledClassifier.classify`` with
-the ``model_version`` tag and ``VectorCache.get_or_compute`` only they
-used), the compressed posting runs the idf-free matrix replaced
-(``Postings`` with its varint codec, ``InvertedIndex.postings`` /
-``terms`` / ``matching_ids``, the ``DeltaReport`` fields that said
-which branch a fold took), and the write side of the metrics path
-(``MetricsRegistry.counter`` / ``gauge`` / ``histogram`` / ``value``,
-the ``Obs`` recorders and off switch, ``HostBreaker.on_transition``,
-the ``obs=`` constructor keyword, ``LocalSearchEngine.rebuild``).  An
-entry expires one ROADMAP re-anchor
-after the PR that recorded it; by then a stay-gone test or a
-``TypeError`` from the constructor holds the line.
+``BingoConfig`` fields that became constants (the table says where),
+the write side of the metrics path (``MetricsRegistry.counter`` /
+``gauge`` / ``histogram`` / ``value``, the ``Obs`` recorders and off
+switch, ``HostBreaker.on_transition``, the ``obs=`` constructor
+keyword, ``LocalSearchEngine.rebuild``) and ``sync_term_statistics``
+with the ``term_statistics`` relation only it wrote.  An entry expires
+one ROADMAP re-anchor after the PR that recorded it; by then a
+stay-gone test or a ``TypeError`` from the constructor holds the
+line.
 """
 
 from __future__ import annotations
@@ -173,15 +167,10 @@ class EpochMutation(Rule):
             )
 
 
-_NO_FOLD_VECTORS = (
-    "a fold builds no vector; LocalSearchEngine.stats()['vectors_built'] "
-    "counts the on-demand builds"
+_NO_TERM_STATISTICS = (
+    "the store keeps the relations the crawl writes; df and idf live on "
+    "TfIdfVectorizer.statistics"
 )
-_NO_POSTINGS = (
-    "InvertedIndex holds one tf-weighted posting matrix; impacts(term) "
-    "slices a term's run"
-)
-_NO_CODEC = "postings are numpy arrays, nothing is varint-coded"
 _NO_WRITE_SIDE = (
     "the registry only reads: keep the count as an attribute of the "
     "object that owns the state, report it from stats() and "
@@ -194,62 +183,9 @@ _REGISTERED_BY_BUILDER = (
 
 #: class name -> removed member -> replacement guidance.  Uses are
 #: only flagged when the receiver provably types as that class --
-#: "classify" is far too common a name to flag on sight.
+#: "value" is far too common a name to flag on sight.
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
-    "CompiledClassifier": {
-        "classify": (
-            "classify_many is the one descent; a single document is a "
-            "batch of one"
-        ),
-        "model_version": (
-            "every retraining point drops the kernel; "
-            "HierarchicalClassifier.model_version counts them"
-        ),
-    },
-    "HierarchicalClassifier": {
-        "classify_reference": (
-            "the oracle is tests/core/reference.py::classify_reference"
-        ),
-    },
-    "TopicDecisionModel": {
-        "decide": (
-            "votes are combined in repro.perf.compiled; the oracle is "
-            "tests/core/reference.py::decide_reference"
-        ),
-    },
-    "VectorCache": {
-        "get_or_compute": "get / put, as vectorize_many uses them",
-    },
-    "InvertedIndex": {
-        "matching_ids": (
-            "repro.perf.topk.verified_topk fills the slots nothing "
-            "matched itself; impacts(term) gives one run's rows"
-        ),
-        "postings": (
-            "there is no per-term run object; impacts(term) slices the "
-            "posting matrix"
-        ),
-        "terms": "`term in index` and len(index) cover the live terms",
-    },
-    "DeltaReport": {
-        "scope": (
-            "there is one fold whether or not the corpus size moved; "
-            "postings_written / postings_dropped say what it did"
-        ),
-        "vectors_recomputed": _NO_FOLD_VECTORS,
-        "vectors_reused": _NO_FOLD_VECTORS,
-        "postings_reused": (
-            "runs are slices of one matrix; postings_written / "
-            "postings_dropped count the entries that moved"
-        ),
-    },
-    "WorkerSet": {
-        "add_barrier_hook": (
-            "no hook was ever registered; a barrier is the loader flush "
-            "in CrawlContext.shard_barrier"
-        ),
-        "obs": _REGISTERED_BY_BUILDER,
-    },
+    "WorkerSet": {"obs": _REGISTERED_BY_BUILDER},
     # the write-side metrics path (one count, kept once)
     "MetricsRegistry": {
         "counter": _NO_WRITE_SIDE,
@@ -286,54 +222,8 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     "BulkLoader": {"obs": _REGISTERED_BY_BUILDER},
     "BreakerBoard": {"obs": _REGISTERED_BY_BUILDER},
     "BreakerBoardSet": {"obs": _REGISTERED_BY_BUILDER},
-    # fields no file ever set: where each value lives now
+    # removed fields: where each value lives now
     "BingoConfig": {
-        "retry_multiplier": "RetryPolicy.multiplier default",
-        "retry_max_delay": "RetryPolicy.max_delay default",
-        "host_quarantine_multiplier": (
-            "BreakerPolicy.quarantine_multiplier default"
-        ),
-        "host_max_quarantine": "BreakerPolicy.max_quarantine default",
-        "incoming_queue_limit": "CrawlFrontier(incoming_limit=) default",
-        "outgoing_queue_limit": "CrawlFrontier(outgoing_limit=) default",
-        "outgoing_refill_batch": "CrawlFrontier(refill_batch=) default",
-        "bulk_batch_size": "BulkLoader(batch_size=) default",
-        "learning_max_depth": "repro.core.engine.LEARNING_MAX_DEPTH",
-        "restrict_learning_to_seed_domains": (
-            "the learning phase always stays on the seed domains"
-        ),
-        "learning_decision_mode": (
-            "repro.core.engine.LEARNING_DECISION_MODE"
-        ),
-        "harvesting_decision_mode": (
-            "repro.core.engine.HARVESTING_DECISION_MODE"
-        ),
-        "acceptance_threshold": (
-            "repro.perf.compiled.ACCEPTANCE_THRESHOLD"
-        ),
-        "max_archetypes_per_topic": (
-            "repro.core.archetypes.MAX_ARCHETYPES_PER_TOPIC"
-        ),
-        "archetype_confidence_factor": (
-            "select_archetypes(confidence_factor=) default"
-        ),
-        "enforce_archetype_threshold": (
-            "always enforced once the training set reaches "
-            "repro.core.engine.ARCHETYPE_THRESHOLD_WARMUP"
-        ),
-        "archetype_threshold_warmup": (
-            "repro.core.engine.ARCHETYPE_THRESHOLD_WARMUP"
-        ),
-        "top_authorities": "repro.core.engine.TOP_AUTHORITIES",
-        "top_hubs": "repro.core.engine.TOP_HUBS",
-        "min_archetypes_to_harvest": (
-            "repro.core.engine.MIN_ARCHETYPES_TO_HARVEST"
-        ),
-        "mime_policies": "repro.pipeline.stages.MIME_SIZE_CAPS",
-        "convert_cost": "repro.pipeline.stages.PROCESSING_COST",
-        "analyze_cost": "repro.pipeline.stages.PROCESSING_COST",
-        "classify_cost": "repro.pipeline.stages.PROCESSING_COST",
-        "processing_cost": "repro.pipeline.stages.PROCESSING_COST",
         "svm_cost": "repro.core.classifier.SVM_COST",
         "instrumentation": (
             "there is no off switch: the metrics path has no write side"
@@ -348,10 +238,8 @@ _REMOVED_NAMES = frozenset(
 #: removed module-level name -> replacement guidance, flagged where a
 #: ``from module import name`` asks for it
 _REMOVED_IMPORTS: dict[str, str] = {
-    "repro.search.index.Postings": _NO_POSTINGS,
-    "repro.search.Postings": _NO_POSTINGS,
-    "repro.perf.topk.encode_doc_ids": _NO_CODEC,
-    "repro.perf.topk.decode_doc_ids": _NO_CODEC,
+    "repro.storage.sync_term_statistics": _NO_TERM_STATISTICS,
+    "repro.storage.persistence.sync_term_statistics": _NO_TERM_STATISTICS,
 }
 
 
@@ -362,11 +250,9 @@ class DeprecatedApi(Rule):
     id = "deprecated-api"
     scope = "project"
     description = (
-        "members deleted since the last re-anchor "
-        "(WorkerSet.add_barrier_hook, the never-set BingoConfig fields, "
-        "the per-document and dict-walking decision phases, the "
-        "compressed posting runs and their codec, the write side of "
-        "the metrics registry) must not be reintroduced"
+        "members deleted since the last re-anchor (the BingoConfig "
+        "fields that became constants, the write side of the metrics "
+        "registry, sync_term_statistics) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

@@ -317,13 +317,7 @@ class CrawlContext:
         self.loader.add(
             self.workspace_for(self.log_sequence, host),
             "crawl_log",
-            {
-                "seq": self.log_sequence,
-                "url": url,
-                "status": status,
-                "latency": float(latency),
-                "at": self.clock.now,
-            },
+            (self.log_sequence, url, status, float(latency), self.clock.now),
         )
 
     # ------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Protocol, runtime_checkable
 
 from repro.core.frontier import QueueEntry
@@ -404,46 +405,36 @@ class PersistStage:
         return batch
 
     def _store_rows(self, ctx, document, html_doc) -> None:
-        if ctx.loader is None:
+        loader = ctx.loader
+        if loader is None:
             return
-        workspace = ctx.workspace_for(document.doc_id, document.host)
-        ctx.loader.add(workspace, "documents", {
-            "doc_id": document.doc_id,
-            "url": document.url,
-            "host": document.host,
-            "mime": document.mime,
-            "size": document.size,
-            "title": document.title,
-            "topic": document.topic,
-            "confidence": document.confidence,
-            "crawl_depth": document.depth,
-            "fetched_at": document.fetched_at,
-            "page_id": document.page_id,
-        })
+        doc_id = document.doc_id
+        workspace = ctx.workspace_for(doc_id, document.host)
+        # rows are tuples in each relation's column order
+        loader.add(workspace, "documents", (
+            doc_id, document.url, document.host, document.mime,
+            document.size, document.title, document.topic,
+            document.confidence, document.depth, document.fetched_at,
+            document.page_id,
+        ))
         term_counts = document.counts.get("term", Counter())
-        ctx.loader.add_many(workspace, "terms", [
-            {"doc_id": document.doc_id, "term": term, "tf": int(tf)}
-            for term, tf in term_counts.items()
-        ])
+        loader.add_many(workspace, "terms", zip(
+            repeat(doc_id), term_counts, map(int, term_counts.values())
+        ))
         seen_targets: set[str] = set()
         link_rows = []
         for position, dst in enumerate(document.out_urls):
             # repeated targets get a position-disambiguated URL; the
             # seen-set keeps this linear on link-dense hub pages
-            link_rows.append({
-                "src_doc_id": document.doc_id,
-                "dst_url": f"{dst}#{position}" if dst in seen_targets else dst,
-                "dst_doc_id": None,
-            })
+            link_rows.append((
+                doc_id,
+                f"{dst}#{position}" if dst in seen_targets else dst,
+                None,
+            ))
             seen_targets.add(dst)
-        ctx.loader.add_many(workspace, "links", link_rows)
-        ctx.loader.add_many(workspace, "anchor_texts", [
-            {
-                "src_doc_id": document.doc_id,
-                "dst_url": href,
-                "term": term,
-                "tf": int(tf),
-            }
+        loader.add_many(workspace, "links", link_rows)
+        loader.add_many(workspace, "anchor_texts", [
+            (doc_id, href, term, int(tf))
             for href, terms in html_doc.anchor_terms.items()
             for term, tf in Counter(terms).items()
         ])

@@ -6,15 +6,15 @@ is unchanged and the expensive re-analysis (convert, tokenize, feature
 extraction, classification, index fold) is skipped entirely.
 
 Digests live in their own relation through the :mod:`repro.storage`
-relational layer.  The paper's store is fixed at 24 flat relations
-(``BINGO_SCHEMA`` asserts that), so the digest relation is declared in
-a private :class:`~repro.storage.database.Database` rather than grafted
-onto the core schema.
+relational layer.  ``BINGO_SCHEMA`` holds the relations the crawl
+writes, so the digest relation is declared in a private
+:class:`~repro.storage.database.Database` rather than grafted onto it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from operator import itemgetter
 
 from repro.storage.database import Database
 from repro.storage.schema import Column, RelationSchema
@@ -28,7 +28,7 @@ def content_digest(payload: str | None) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-#: the digest relation, kept outside the 24-relation core schema
+#: the digest relation, kept outside the crawl's schema
 DIGEST_SCHEMA = RelationSchema(
     name="content_digests",
     columns=(
@@ -71,10 +71,7 @@ class DigestStore:
         self.recorded += 1
         row = self.relation.get(url)
         if row is None:
-            self.relation.insert({
-                "url": url, "digest": digest, "page_id": page_id,
-                "fetched_at": at, "check_count": 1, "change_count": 0,
-            })
+            self.relation.insert((url, digest, page_id, at, 1, 0))
             return self.NEW
         if row["digest"] == digest:
             self.unchanged_hits += 1
@@ -128,11 +125,8 @@ class DigestStore:
 
     def snapshot(self) -> dict:
         """Serializable image: every row plus the counters."""
-        rows = sorted(
-            self.relation.scan(), key=lambda row: row["url"]
-        )
         return {
-            "rows": [dict(row) for row in rows],
+            "rows": sorted(self.relation.scan(), key=itemgetter("url")),
             "recorded": self.recorded,
             "changes_detected": self.changes_detected,
             "unchanged_hits": self.unchanged_hits,
@@ -144,7 +138,9 @@ class DigestStore:
             schemas={DIGEST_SCHEMA.name: DIGEST_SCHEMA}
         )
         self.relation = self.database[DIGEST_SCHEMA.name]
-        self.relation.bulk_insert(dict(row) for row in state["rows"])
+        self.relation.bulk_insert(
+            map(itemgetter(*DIGEST_SCHEMA.column_names), state["rows"])
+        )
         self.recorded = state["recorded"]
         self.changes_detected = state["changes_detected"]
         self.unchanged_hits = state["unchanged_hits"]

@@ -7,7 +7,8 @@ lessons which this substrate bakes in:
 1. **flat relations beat nested tables** -- the schema is a set of flat
    relations with secondary indexes (no nested collections; an index is
    built when a lookup first asks for it), mirroring the paper's redesign
-   to "a schema with 24 flat relations";
+   to "a schema with 24 flat relations"; here it holds the six the crawl
+   writes, each row one tuple in column order;
 2. **bulk loading beats per-row inserts** -- crawler threads collect rows
    in private workspaces and flush them in batches through the
    :class:`~repro.storage.bulkloader.BulkLoader`, which is how the paper's
@@ -16,11 +17,7 @@ lessons which this substrate bakes in:
 
 from repro.storage.bulkloader import BulkLoader, Workspace
 from repro.storage.database import Database, Relation
-from repro.storage.persistence import (
-    dump_database,
-    load_database,
-    sync_term_statistics,
-)
+from repro.storage.persistence import dump_database, load_database
 from repro.storage.schema import BINGO_SCHEMA, Column, RelationSchema
 
 __all__ = [
@@ -33,5 +30,4 @@ __all__ = [
     "Workspace",
     "dump_database",
     "load_database",
-    "sync_term_statistics",
 ]

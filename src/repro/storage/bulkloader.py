@@ -12,7 +12,9 @@ end).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.storage.database import Database
 from repro.storage.schema import Row
@@ -73,13 +75,19 @@ class BulkLoader:
             self._flush_buffer(workspace, relation)
 
     def add_many(self, thread_id: int, relation: str,
-                 rows: list[Row]) -> None:
+                 rows: Iterable[Row]) -> None:
         """Buffer a row sequence with the same flush cadence as repeated
         :meth:`add` calls (every ``batch_size``-th row flushes), so the
-        pipeline's batched persist stage writes identical batches."""
-        workspace = self.workspace(thread_id)
-        for row in rows:
-            if workspace.add(relation, row) >= self.batch_size:
+        pipeline's batched persist stage writes identical batches.  The
+        buffer is extended a slice at a time, each slice filling it up
+        to the next batch boundary."""
+        rows = iter(rows)
+        for row in rows:  # as with add, only a row makes a workspace
+            workspace = self.workspace(thread_id)
+            buffer = workspace.buffers[relation]
+            buffer.append(row)
+            buffer.extend(islice(rows, self.batch_size - len(buffer)))
+            if len(buffer) >= self.batch_size:
                 self._flush_buffer(workspace, relation)
 
     def _flush_buffer(self, workspace: Workspace, relation: str) -> None:

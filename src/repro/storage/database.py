@@ -1,10 +1,14 @@
 """The embedded relational store.
 
 A :class:`Database` hosts :class:`Relation` instances built from
-:class:`~repro.storage.schema.RelationSchema` declarations.  Rows are
-plain dicts validated against the schema; each relation keeps a
+:class:`~repro.storage.schema.RelationSchema` declarations.  A relation
+stores the rows it is given: tuples in column order, checked a batch at
+a time by :meth:`RelationSchema.validate_rows`.  Each relation keeps a
 primary-key hash map (uniqueness enforced) and supports point lookups,
-index scans, predicate scans, updates and deletes.
+index scans, predicate scans, updates and deletes; those readers are
+rare and read by column name, so :meth:`Relation.get`,
+:meth:`Relation.lookup` and :meth:`Relation.scan` build a dict per row
+they return.
 
 A declared secondary index costs nothing until it is read: the first
 :meth:`Relation.lookup` on it builds it from the rows, and every
@@ -25,13 +29,8 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import StorageError
-from repro.storage.schema import (
-    BINGO_SCHEMA,
-    RelationSchema,
-    Row,
-    row_getter,
-)
+from repro.errors import SchemaError, StorageError
+from repro.storage.schema import BINGO_SCHEMA, RelationSchema, Row
 
 __all__ = ["Relation", "Database"]
 
@@ -47,9 +46,9 @@ class Relation:
         self.schema = schema
         self.validate = validate
         self._rows: dict[Key, Row] = {}
-        self._pk = row_getter(schema.primary_key)
+        self._pk = schema.row_getter(schema.primary_key)
         self._index_keys = {
-            index: row_getter(index) for index in schema.indexes
+            index: schema.row_getter(index) for index in schema.indexes
         }
         self._indexes: dict[tuple[str, ...], _Buckets] = {}
         """The indexes some ``lookup`` has asked for so far."""
@@ -61,11 +60,11 @@ class Relation:
     def insert(self, row: Row) -> None:
         """Insert one row; raises on duplicate primary key."""
         self.statements += 1
+        if self.validate:
+            self.schema.validate_rows((row,))
         self._insert_unchecked(row)
 
     def _insert_unchecked(self, row: Row) -> None:
-        if self.validate:
-            self.schema.validate_row(row)
         key = self._pk(row)
         if key in self._rows:
             raise StorageError(
@@ -100,19 +99,33 @@ class Relation:
         """Insert, or replace the existing row with the same primary key."""
         self.statements += 1
         if self.validate:
-            self.schema.validate_row(row)
+            self.schema.validate_rows((row,))
         key = self._pk(row)
         if key in self._rows:
             self._remove_key(key)
         self._rows[key] = row
         self._index((key,), (row,))
 
-    def delete(self, **key_columns: Any) -> int:
-        """Delete rows matching the equality conditions; returns the count."""
+    def delete(self, **conditions: Any) -> int:
+        """Delete rows matching the equality conditions; returns the count.
+
+        Conditions on exactly the primary-key columns pop that one key;
+        any other set of columns scans the relation.
+        """
         self.statements += 1
+        if conditions.keys() == set(self.schema.primary_key):
+            key = tuple(conditions[c] for c in self.schema.primary_key)
+            if key not in self._rows:
+                return 0
+            self._remove_key(key)
+            return 1
+        tests = [
+            (self._position(column), value)
+            for column, value in conditions.items()
+        ]
         victims = [
             key for key, row in self._rows.items()
-            if all(row.get(c) == v for c, v in key_columns.items())
+            if all(row[p] == value for p, value in tests)
         ]
         for key in victims:
             self._remove_key(key)
@@ -125,14 +138,16 @@ class Relation:
         row = self._rows.get(key)
         if row is None:
             raise StorageError(f"{self.schema.name}: no row with key {key!r}")
-        for column in changes:
+        values = list(row)
+        for column, value in changes.items():
             if column in self.schema.primary_key:
                 raise StorageError(
                     f"{self.schema.name}: cannot update key column {column!r}"
                 )
-        updated = {**row, **changes}
+            values[self._position(column)] = value
+        updated = tuple(values)
         if self.validate:
-            self.schema.validate_row(updated)
+            self.schema.validate_rows((updated,))
         # the row keeps its place in scan order, which is not the end of
         # the bucket it moves to: forget such an index, the next lookup
         # rebuilds it in scan order
@@ -141,6 +156,14 @@ class Relation:
             if index_key(row) != index_key(updated):
                 del self._indexes[index]
         self._rows[key] = updated
+
+    def _position(self, column: str) -> int:
+        try:
+            return self.schema.column_names.index(column)
+        except ValueError:
+            raise SchemaError(
+                f"relation {self.schema.name!r} has no column {column!r}"
+            ) from None
 
     def _index(self, keys: Sequence[Key], rows: Sequence[Row]) -> None:
         """Enter newly stored rows into the indexes that exist."""
@@ -160,11 +183,19 @@ class Relation:
 
     # -- access -------------------------------------------------------------
 
-    def get(self, *key: Any) -> Row | None:
-        """Primary-key point lookup."""
-        return self._rows.get(tuple(key))
+    def rows(self) -> list[Row]:
+        """Every stored row, as stored, in insertion order."""
+        return list(self._rows.values())
 
-    def lookup(self, index: Sequence[str], *values: Any) -> list[Row]:
+    def _named(self, row: Row) -> dict[str, Any]:
+        return dict(zip(self.schema.column_names, row))
+
+    def get(self, *key: Any) -> dict[str, Any] | None:
+        """Primary-key point lookup."""
+        row = self._rows.get(key)
+        return None if row is None else self._named(row)
+
+    def lookup(self, index: Sequence[str], *values: Any) -> list[dict[str, Any]]:
         """Equality scan over a declared secondary index.
 
         Rows come back in :meth:`scan` order.  The first lookup on an
@@ -183,15 +214,18 @@ class Relation:
             for key, row in self._rows.items():
                 buckets.setdefault(index_key(row), {})[key] = None
             self._indexes[index] = buckets
-        return [self._rows[k] for k in buckets.get(tuple(values), ())]
+        return [
+            self._named(self._rows[k]) for k in buckets.get(values, ())
+        ]
 
     def scan(
-        self, predicate: Callable[[Row], bool] | None = None
-    ) -> list[Row]:
+        self, predicate: Callable[[dict[str, Any]], bool] | None = None
+    ) -> list[dict[str, Any]]:
         """Full scan, optionally filtered; rows in insertion order."""
+        named = list(map(self._named, self._rows.values()))
         if predicate is None:
-            return list(self._rows.values())
-        return [row for row in self._rows.values() if predicate(row)]
+            return named
+        return [row for row in named if predicate(row)]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -202,7 +236,7 @@ class Relation:
 
 @dataclass
 class Database:
-    """A named collection of relations (defaults to the 24-relation schema)."""
+    """A named collection of relations (defaults to :data:`BINGO_SCHEMA`)."""
 
     schemas: dict[str, RelationSchema] = field(
         default_factory=lambda: dict(BINGO_SCHEMA)

@@ -5,8 +5,8 @@ crawler process; the embedded store gains the same property through an
 explicit dump format (version 2) -- a manifest plus one file per
 relation.  The manifest pins each relation's column order and row
 count; a relation file holds its rows as JSON arrays of values in that
-order, a few thousand rows to a line, so neither side pays for column
-names or per-row encoder calls.  Restores check every line against the
+order -- the stored tuples themselves, a few thousand to a line -- so
+neither side pays for column names or per-row encoder calls.  Restores check every line against the
 manifest and the current schema, so a torn, foreign or older-format dump
 fails loudly instead of silently corrupting a crawl.
 """
@@ -19,14 +19,13 @@ from typing import Any
 
 from repro.errors import StorageError
 from repro.storage.database import Database, Relation
-from repro.storage.schema import Row, row_getter
+from repro.storage.schema import Row
 
 __all__ = [
     "dump_database",
     "load_database",
     "dump_state",
     "load_state",
-    "sync_term_statistics",
 ]
 
 _MANIFEST = "manifest.json"
@@ -51,7 +50,7 @@ def dump_database(
     total = 0
     for name, relation in database.relations.items():
         columns = relation.schema.column_names
-        records = list(map(row_getter(columns), relation.scan()))
+        records = relation.rows()
         with (directory / f"{name}.jsonl").open("w", encoding="utf-8") as out:
             for start in range(0, len(records), _CHUNK_ROWS):
                 out.write(json.dumps(
@@ -79,7 +78,7 @@ def load_database(
 ) -> Database:
     """Restore a database dumped by :func:`dump_database`.
 
-    Rows go into ``into`` (default: a fresh 24-relation database)
+    Rows go into ``into`` (default: a fresh :class:`Database`) as tuples
     through ``bulk_insert``, so its validation and key uniqueness apply.
     Every file is read and checked against the manifest before the
     first row is inserted.  With a ``stamp``, a dump that carries a
@@ -124,15 +123,15 @@ def load_database(
             with path.open("r", encoding="utf-8") as handle:
                 for line in handle:
                     chunk = json.loads(line)
-                    # zip() would quietly drop or misplace the values of
-                    # a record that is not one JSON array entry per column
+                    # checked here too: a target that does not validate
+                    # would store a short or long record as it came
                     if (
                         type(chunk) is not list
                         or set(map(type, chunk)) - {list}
                         or set(map(len, chunk)) - {len(columns)}
                     ):
                         raise ValueError("not rows of the manifest's width")
-                    rows.extend(dict(zip(columns, record)) for record in chunk)
+                    rows.extend(map(tuple, chunk))
         except ValueError as error:
             raise StorageError(
                 f"relation {name!r}: corrupt dump file {path.name} ({error})"
@@ -146,32 +145,6 @@ def load_database(
     for relation, rows in loaded:
         relation.bulk_insert(rows)
     return database
-
-
-def sync_term_statistics(database: Database, vectorizer: Any) -> int:
-    """Materialise the idf snapshot into the ``term_statistics`` relation.
-
-    The paper keeps document-frequency statistics in the store so the
-    search side can weight query terms without re-scanning ``terms``;
-    this writes one ``(term, df, idf)`` row per snapshot term from a
-    :class:`~repro.text.vectorizer.TfIdfVectorizer`.  Re-syncing after
-    a retraining replaces the previous snapshot.  Returns the row
-    count.
-    """
-    statistics = vectorizer.statistics
-    relation = database.table("term_statistics")
-    for row in relation.scan():
-        relation.delete(term=row["term"])
-    count = 0
-    snapshot_df = statistics.snapshot_df
-    for term in sorted(snapshot_df):
-        relation.insert({
-            "term": term,
-            "df": int(snapshot_df[term]),
-            "idf": float(statistics.idf(term)),
-        })
-        count += 1
-    return count
 
 
 def dump_state(

@@ -1,44 +1,12 @@
 """Fixture: the surviving surface, with no removed member in sight."""
 from dataclasses import dataclass
 
-
-class InvertedIndex:
-    @classmethod
-    def build(cls, documents: dict, statistics: object) -> "InvertedIndex":
-        return cls()
-
-    def impacts(self, term: str) -> tuple | None:
-        return None
+from repro.storage import dump_database, load_database
 
 
-class Histogram:
-    scope: str = "local"  # not a delta report: fine
-
-    def terms(self) -> list:
-        return []
-
-
-def widest(histograms: list[Histogram]) -> int:
-    # "terms" / "scope" on another receiver are perfectly fine names
-    return max(
-        len(histogram.terms()) for histogram in histograms
-        if histogram.scope == "local"
-    )
-
-
-def touched(index: InvertedIndex) -> bool:
-    return index.impacts("recoveri") is not None
-
-
-@dataclass
-class DeltaReport:
-    docs_added: int
-    postings_written: int = 0
-    postings_dropped: int = 0
-
-
-def moved(report: DeltaReport) -> int:
-    return report.postings_written + report.postings_dropped
+def round_trip(database: object, directory: str) -> object:
+    dump_database(database, directory)
+    return load_database(directory)
 
 
 @dataclass
@@ -53,22 +21,6 @@ def fresh_knobs() -> BingoConfig:
 
 def first_backoff(config: BingoConfig) -> float:
     return config.retry_base_delay
-
-
-class HierarchicalClassifier:
-    def __init__(self) -> None:
-        self.model_version = 0  # the classifier keeps its own counter
-
-    def classify(self, doc: dict) -> str:
-        return self.classify_batch([doc])[0]
-
-    def classify_batch(self, docs: list) -> list[str]:
-        return ["ROOT/OTHERS" for _ in docs]
-
-
-def retrainings(classifier: HierarchicalClassifier) -> int:
-    classifier.classify({})
-    return classifier.model_version
 
 
 class MetricsRegistry:

@@ -15,6 +15,7 @@ fail these tests rather than match them.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import pathlib
 import shutil
@@ -162,9 +163,9 @@ class TestKilledSave:
             shutil.copytree(after_first, tmp_path / "complete"), -1,
         )
         kinds = [kind for kind, _ in complete]
-        # 24 relation files + manifest + the blob's temp file, one
+        # 6 relation files + manifest + the blob's temp file, one
         # publishing rename, one superseded database removed
-        assert kinds == ["write"] * 26 + ["rename", "rmtree"]
+        assert kinds == ["write"] * 8 + ["rename", "rmtree"]
         assert restored_image(rig, tmp_path / "complete") == second
 
         for kill_at in range(len(complete)):
@@ -212,7 +213,7 @@ class TestDamagedCheckpoint:
     ) -> None:
         rig, _, _, second, _, _ = two_saves
         files = sorted(p for p in published.rglob("*") if p.is_file())
-        assert len(files) == 26
+        assert len(files) == 8
         refused = 0
         for path in files:
             content = path.read_bytes()
@@ -308,3 +309,42 @@ def test_restore_equals_the_saved_database_row_for_row(
     saved_state, saved_rows = checkpointer.latest
     assert sum(map(len, saved_rows.values())) > 1000
     assert restored_image(rig, tmp_path) == (saved_state, saved_rows)
+
+
+#: sha256 of each relation file of the three-worker checkpoint below, as
+#: the store wrote them when it kept one dict per row: the tuple rows
+#: must reach the disk byte for byte the same
+_RELATION_FILES = {
+    "anchor_texts": (
+        "5c6b6b34edb9ceb4143196f5bdcd652e265704a4ea896b6cbe76af37cb064599"
+    ),
+    "archetypes": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "crawl_log": (
+        "01d94bbc6b90d952f116155b66192b3165e3a885e019c3d1edf4c143d72fa3c3"
+    ),
+    "documents": (
+        "2527b5006c2ec568dbc56447c551b03a3b0e9b903142bf8170a2e32146141b35"
+    ),
+    "links": (
+        "b76a6a81ce88b9218b0bc7ca3760e9747eda73de0fffd444ddd79e30eee653f3"
+    ),
+    "terms": (
+        "e3c2bd6f7ed41eabbd72dd257651283df7de88073dc1830c01d0bb13b9d2d6e2"
+    ),
+}
+
+
+def test_relation_files_keep_their_bytes(tmp_path) -> None:
+    rig = Rig(3)
+    crawler, _ = rig.crawler()
+    crawler.seed(
+        rig.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
+    )
+    crawler.crawl(settings(70), checkpointer=Checkpointer(tmp_path, every=20))
+    written = {
+        path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "database-3").glob("*.jsonl"))
+    }
+    assert written == _RELATION_FILES

@@ -14,7 +14,6 @@ from repro.perf.topk import verified_topk
 from repro.search.engine import LocalSearchEngine
 from repro.search.epoch import Epoch
 from repro.search.index import QueryCache
-from repro.storage import Database, sync_term_statistics
 
 from tests.search.conftest import make_doc
 
@@ -222,17 +221,3 @@ class TestEpochLifecycle:
         for name in ("matching_ids", "postings", "terms"):
             assert not hasattr(engine.index(), name)
 
-
-class TestTermStatisticsSync:
-    def test_sync_writes_snapshot_rows(self) -> None:
-        engine = LocalSearchEngine(_corpus())
-        database = Database()
-        count = sync_term_statistics(database, engine.vectorizer)
-        relation = database.table("term_statistics")
-        assert count == len(relation) > 0
-        row = relation.get("recoveri")
-        assert row["df"] == 3
-        assert row["idf"] == engine.vectorizer.statistics.idf("recoveri")
-        # re-sync replaces, not duplicates
-        assert sync_term_statistics(database, engine.vectorizer) == count
-        assert len(relation) == count

@@ -5,7 +5,8 @@ so an index can be born at any point of a relation's life: empty, after
 bulk loads, between an upsert and a delete.  The machine interleaves
 every mutation with lookups at random points and holds the relation to
 the one definition of a lookup that needs no index at all: a filter
-over ``scan()``, in scan order.
+over ``scan()``, in scan order.  The relation stores tuples and reads
+back dicts; the model keeps the dicts.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ def _key(row: dict) -> tuple:
     return (row["doc_id"], row["part"])
 
 
+def _stored(row: dict) -> tuple:
+    return tuple(row[column] for column in SCHEMA.column_names)
+
+
 class RelationMachine(RuleBasedStateMachine):
     """``model`` maps primary key -> row in the order ``scan`` promises."""
 
@@ -75,9 +80,9 @@ class RelationMachine(RuleBasedStateMachine):
             self._model_insert(row)
         except StorageError:
             with pytest.raises(StorageError, match="duplicate primary key"):
-                self.relation.insert(row)
+                self.relation.insert(_stored(row))
         else:
-            self.relation.insert(row)
+            self.relation.insert(_stored(row))
 
     @rule(rows=st.lists(_ROWS, max_size=8))
     def bulk_insert(self, rows: list[dict]) -> None:
@@ -89,16 +94,16 @@ class RelationMachine(RuleBasedStateMachine):
         except StorageError:
             taken = _key(row)
             with pytest.raises(StorageError) as raised:
-                self.relation.bulk_insert(rows)
+                self.relation.bulk_insert(list(map(_stored, rows)))
             assert repr(taken) in str(raised.value)
         else:
-            assert self.relation.bulk_insert(iter(rows)) == len(rows)
+            assert self.relation.bulk_insert(map(_stored, rows)) == len(rows)
 
     @rule(row=_ROWS)
     def upsert(self, row: dict) -> None:
         self.model.pop(_key(row), None)  # a replaced row moves to the end
         self.model[_key(row)] = row
-        self.relation.upsert(row)
+        self.relation.upsert(_stored(row))
 
     @rule(key=_KEYS, url=_URLS, topic=_TOPICS, both=st.booleans())
     def update(self, key: tuple, url: str, topic: str | None,
@@ -118,6 +123,13 @@ class RelationMachine(RuleBasedStateMachine):
             del self.model[key]
         assert self.relation.delete(url=url) == len(victims)
 
+    @rule(key=_KEYS)
+    def delete_by_key(self, key: tuple) -> None:
+        # the primary-key columns pop one key instead of scanning
+        removed = self.model.pop(key, None) is not None
+        doc_id, part = key
+        assert self.relation.delete(part=part, doc_id=doc_id) == removed
+
     @rule(lookup=_LOOKUPS)
     def lookup(self, lookup: tuple) -> None:
         index, values = lookup
@@ -134,6 +146,7 @@ class RelationMachine(RuleBasedStateMachine):
     @invariant()
     def rows_match_the_model(self) -> None:
         assert self.relation.scan() == list(self.model.values())
+        assert self.relation.rows() == list(map(_stored, self.model.values()))
         assert len(self.relation) == len(self.model)
         for key, row in self.model.items():
             assert self.relation.get(*key) == row
