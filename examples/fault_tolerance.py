@@ -132,7 +132,7 @@ def burst_failure_demo() -> FocusedCrawler:
         ),
         "every retry carried a backoff deadline",
     )
-    robust = crawler.ctx.obs.registry.snapshot()["sources"]["robust"]
+    robust = crawler.ctx.obs.snapshot()["sources"]["robust"]
     check(
         robust["breaker_trips"] >= 1 and robust["breaker_probes"] >= 1,
         "the registry exports the breaker's own trip and probe counts",
@@ -196,8 +196,8 @@ def main(argv: list[str] | None = None) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(
             {
-                "burst": burst_crawler.ctx.obs.registry.snapshot(),
-                "resume": resumed_crawler.ctx.obs.registry.snapshot(),
+                "burst": burst_crawler.ctx.obs.snapshot(),
+                "resume": resumed_crawler.ctx.obs.snapshot(),
             },
             sort_keys=True,
             indent=2,

@@ -71,7 +71,7 @@ def main() -> None:
     # registry (repro.obs) reads them all at snapshot time, and the same
     # snapshot is exportable as Prometheus text or JSON via
     # `python -m repro.cli portal crawl --metrics-out metrics.json`.
-    snapshot = engine.obs.registry.snapshot()
+    snapshot = engine.obs.snapshot()
     print("\nfinal metrics snapshot (per-subsystem stats sources):")
     for source, stats in snapshot["sources"].items():
         line = " ".join(

@@ -232,7 +232,7 @@ def _cmd_crawl(args) -> int:
 
         rows = dump_database(engine.database, args.dump_db)
         print(f"database dumped: {rows} rows in {args.dump_db}")
-    _write_metrics(engine.obs.registry, args.metrics_out)
+    _write_metrics(engine.obs, args.metrics_out)
     return 0
 
 
@@ -277,7 +277,7 @@ def _cmd_queryload(args) -> int:
           f"({len(search.index())} terms):")
     for key, value in sorted(report.summary().items()):
         print(f"  {key:>16}: {value:.6g}")
-    _write_metrics(engine.obs.registry, args.metrics_out)
+    _write_metrics(engine.obs, args.metrics_out)
     return 0
 
 
@@ -321,7 +321,7 @@ def _cmd_portal_evolve(args) -> int:
     _print_stats("evolution", portal.evolution.stats())
     print()
     _print_stats("freshness", portal.freshness().stats())
-    _write_metrics(engine.obs.registry, args.metrics_out)
+    _write_metrics(engine.obs, args.metrics_out)
     return 0
 
 
@@ -335,7 +335,7 @@ def _cmd_portal_recrawl(args) -> int:
     print()
     _print_stats("freshness", portal.freshness().stats())
     print(f"\nserving epoch: {portal.search.epoch}")
-    _write_metrics(engine.obs.registry, args.metrics_out)
+    _write_metrics(engine.obs, args.metrics_out)
     return 0
 
 

@@ -170,7 +170,8 @@ class BingoEngine:
         self._bootstrapped = False
         self._active_allowed_domains: frozenset[str] | None = None
         self.obs = self.ctx.obs
-        """The crawl's observability bundle (:class:`repro.obs.Obs`)."""
+        """The crawl's metrics registry
+        (:class:`repro.obs.MetricsRegistry`)."""
         self.obs.register_source("engine", self)
 
     # ------------------------------------------------------------------

@@ -38,6 +38,10 @@ __all__ = ["MetaBenchResult", "run_meta_experiment"]
 SPACES = {"term": TermSpace(), "pair": TermPairSpace(window=4)}
 TRAINING_LABEL_NOISE = 0.1
 """Share of training labels flipped, so members err partly independently."""
+TRAIN_PER_CLASS = 24
+"""Training pages per class: the deliberately tiny training set."""
+SVM_COST = 1.0
+"""The SVM members' soft-margin cost ``C``."""
 
 
 class _SpaceMember(BinaryClassifier):
@@ -97,10 +101,7 @@ def _extract(web: SyntheticWeb, page) -> dict:
 
 
 def _one_run(
-    seed: int,
-    train_per_class: int,
-    test_per_class: int,
-    svm_cost: float = 0.05,
+    seed: int, test_per_class: int
 ) -> dict[str, tuple[float, float, float]]:
     web = SyntheticWeb.generate(
         WebGraphConfig(
@@ -125,10 +126,10 @@ def _one_run(
     rng = np.random.default_rng(seed)
     rng.shuffle(positives)
     rng.shuffle(negatives)
-    pos_train = positives[:train_per_class]
-    pos_test = positives[train_per_class:train_per_class + test_per_class]
-    neg_train = negatives[:train_per_class]
-    neg_test = negatives[train_per_class:train_per_class + test_per_class]
+    pos_train = positives[:TRAIN_PER_CLASS]
+    pos_test = positives[TRAIN_PER_CLASS:TRAIN_PER_CLASS + test_per_class]
+    neg_train = negatives[:TRAIN_PER_CLASS]
+    neg_test = negatives[TRAIN_PER_CLASS:TRAIN_PER_CLASS + test_per_class]
 
     vectorizers = {name: TfIdfVectorizer() for name in SPACES}
     train_counts = [_extract(web, p) for p in pos_train + neg_train]
@@ -173,7 +174,7 @@ def _one_run(
     for space in SPACES:
         vectors = [b[space] for b in train_bundles]
         sub_v, sub_l = subsample(vectors, member_index)
-        svm = LinearSVM(C=svm_cost, seed=seed).fit(sub_v, sub_l)
+        svm = LinearSVM(C=SVM_COST, seed=seed).fit(sub_v, sub_l)
         members.append(_SpaceMember(svm, space))
         weights.append(xi_alpha_estimate(svm, sub_l).precision)
         member_index += 1
@@ -223,9 +224,7 @@ def _one_run(
 
 def run_meta_experiment(
     seeds: Sequence[int] = (23, 29, 31, 37),
-    train_per_class: int = 24,
     test_per_class: int = 120,
-    svm_cost: float = 1.0,
 ) -> MetaBenchResult:
     """Average the member-vs-meta comparison over several seeds.
 
@@ -236,9 +235,7 @@ def run_meta_experiment(
     """
     accumulated: dict[str, list[tuple[float, float, float]]] = {}
     for seed in seeds:
-        run = _one_run(
-            seed, train_per_class, test_per_class, svm_cost=svm_cost
-        )
+        run = _one_run(seed, test_per_class)
         for name, triple in run.items():
             accumulated.setdefault(name, []).append(triple)
     rows = [

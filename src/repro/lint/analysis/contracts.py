@@ -12,15 +12,12 @@ classes, from outside that class's sanctioned methods, is a finding.
 
 ``deprecated-api`` keeps recently deleted members from creeping back
 while call sites written against them may still be in flight: the
-``BingoConfig`` fields that became constants (the table says where),
-the write side of the metrics path (``MetricsRegistry.counter`` /
-``gauge`` / ``histogram`` / ``value``, the ``Obs`` recorders and off
-switch, ``HostBreaker.on_transition``, the ``obs=`` constructor
-keyword, ``LocalSearchEngine.rebuild``) and ``sync_term_statistics``
-with the ``term_statistics`` relation only it wrote.  An entry expires
-one ROADMAP re-anchor after the PR that recorded it; by then a
-stay-gone test or a ``TypeError`` from the constructor holds the
-line.
+fields and keywords that became constants (the table says where), the
+write side of the metrics path, the span tracer and the ``Obs`` bundle
+(``ctx.obs`` is the registry), ``LocalSearchEngine.rebuild`` and
+``sync_term_statistics``.  An entry expires one ROADMAP re-anchor after
+the PR that recorded it; by then a stay-gone test or a ``TypeError``
+from the constructor holds the line.
 """
 
 from __future__ import annotations
@@ -177,13 +174,17 @@ _NO_WRITE_SIDE = (
     "register_source that object"
 )
 _REGISTERED_BY_BUILDER = (
-    "components never see the Obs bundle; whoever builds the object "
+    "components never see the registry; whoever builds the object "
     "calls obs.register_source(name, it)"
 )
+_NO_TRACER = (
+    "a stage run is recorded once, as the StageEvent "
+    "CrawlPipeline.add_hook delivers; a decision is its CrawledDocument"
+)
 
-#: class name -> removed member -> replacement guidance.  Uses are
-#: only flagged when the receiver provably types as that class --
-#: "value" is far too common a name to flag on sight.
+#: class (or function) name -> removed member or keyword -> replacement
+#: guidance.  Uses are only flagged when the receiver provably types as
+#: that class -- "value" is far too common a name to flag on sight.
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     "WorkerSet": {"obs": _REGISTERED_BY_BUILDER},
     # the write-side metrics path (one count, kept once)
@@ -192,6 +193,9 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "gauge": _NO_WRITE_SIDE,
         "histogram": _NO_WRITE_SIDE,
         "value": "read snapshot()['sources'][source][key]",
+        # ctx.obs was the registry + tracer bundle; it is the registry
+        "registry": "ctx.obs is the registry: ctx.obs.snapshot()",
+        "tracer": _NO_TRACER,
     },
     "Obs": {
         "record_stage_event": (
@@ -219,6 +223,12 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "obs": _REGISTERED_BY_BUILDER,
     },
     "QueryServer": {"obs": _REGISTERED_BY_BUILDER},
+    "LivingPortal": {
+        "indexed": (
+            "the portal serves LocalSearchEngine(documents); pass "
+            "search= for any other engine"
+        ),
+    },
     "BulkLoader": {"obs": _REGISTERED_BY_BUILDER},
     "BreakerBoard": {"obs": _REGISTERED_BY_BUILDER},
     "BreakerBoardSet": {"obs": _REGISTERED_BY_BUILDER},
@@ -228,18 +238,43 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "instrumentation": (
             "there is no off switch: the metrics path has no write side"
         ),
-        "trace_ring_size": "Tracer(maxlen=) default",
+        "trace_ring_size": _NO_TRACER,
+    },
+    # keywords no caller passed: module constants now
+    "KMeans": {
+        "max_iterations": "repro.ml.kmeans.MAX_ITERATIONS",
+        "max_features": "repro.ml.kmeans.MAX_FEATURES",
+    },
+    "choose_cluster_count": {
+        "max_features": "repro.ml.kmeans.MAX_FEATURES",
+    },
+    "MaxEntClassifier": {
+        "max_iterations": "repro.ml.maxent.MAX_ITERATIONS",
+        "tol": "repro.ml.maxent.TOL",
+    },
+    "TopicUniverse": {"zipf_exponent": "repro.web.vocab.ZIPF_EXPONENT"},
+    "run_meta_experiment": {
+        "train_per_class": "repro.experiments.meta_bench.TRAIN_PER_CLASS",
+        "svm_cost": "repro.experiments.meta_bench.SVM_COST",
     },
 }
 _REMOVED_NAMES = frozenset(
     name for members in _REMOVED_MEMBERS.values() for name in members
 )
 
-#: removed module-level name -> replacement guidance, flagged where a
-#: ``from module import name`` asks for it
+#: removed module or module-level name -> replacement guidance, flagged
+#: where an ``import`` or ``from module import name`` asks for it
 _REMOVED_IMPORTS: dict[str, str] = {
     "repro.storage.sync_term_statistics": _NO_TERM_STATISTICS,
     "repro.storage.persistence.sync_term_statistics": _NO_TERM_STATISTICS,
+    "repro.obs.tracing": _NO_TRACER,
+    "repro.obs.Tracer": _NO_TRACER,
+    "repro.obs.Span": _NO_TRACER,
+    "repro.obs.Obs": "CrawlContext.obs is the MetricsRegistry itself",
+    "repro.obs.ProgressReporter": (
+        "register a hook of your own with CrawlPipeline.add_hook"
+    ),
+    "repro.obs.from_json": "json.loads(to_json(registry))",
 }
 
 
@@ -250,9 +285,10 @@ class DeprecatedApi(Rule):
     id = "deprecated-api"
     scope = "project"
     description = (
-        "members deleted since the last re-anchor (the BingoConfig "
-        "fields that became constants, the write side of the metrics "
-        "registry, sync_term_statistics) must not be reintroduced"
+        "members deleted since the last re-anchor (fields and keywords "
+        "that became constants, the write side of the metrics registry, "
+        "the span tracer and Obs bundle, sync_term_statistics) must not "
+        "be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "
@@ -277,17 +313,23 @@ class DeprecatedApi(Rule):
 
     def _check_imports(self, module: FunctionSymbol) -> Iterator[Finding]:
         for node in ast.walk(module.node):
-            if not isinstance(node, ast.ImportFrom) or node.level:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                package = node.module or ""
+                names = [package] + [
+                    f"{package}.{alias.name}" for alias in node.names
+                ]
+            else:
                 continue
-            for alias in node.names:
-                guidance = _REMOVED_IMPORTS.get(f"{node.module}.{alias.name}")
+            for name in names:
+                guidance = _REMOVED_IMPORTS.get(name)
                 if guidance is not None:
                     yield self.finding_at(
                         module.module.display_path,
                         node.lineno,
                         node.col_offset,
-                        f"{node.module}.{alias.name} was removed; "
-                        f"{guidance}",
+                        f"{name} was removed; {guidance}",
                     )
 
     def _check_definitions(
@@ -352,20 +394,26 @@ class DeprecatedApi(Rule):
     def _check_keywords(
         self, index: ProjectIndex, function: FunctionSymbol, call: ast.Call
     ) -> Iterator[Finding]:
-        """``Class(removed_field=...)``: a removed constructor keyword."""
+        """``Class(removed=...)`` or ``function(removed=...)``: a removed
+        constructor or function keyword."""
         dotted = dotted_name(call.func)
         if dotted is None:
             return
         owner = index.resolve_class(function.module, dotted)
-        if owner is None:
-            return
-        removed = _REMOVED_MEMBERS.get(owner.name, {})
+        if owner is not None:
+            name = owner.name
+            callee = index.functions.get(owner.methods.get("__init__", ""))
+        else:
+            callee = index.resolve_function(function.module, dotted)
+            if callee is None:
+                return
+            name = callee.name
+        removed = _REMOVED_MEMBERS.get(name, {})
         # a removed member may share its name with a live constructor
         # parameter (FocusedCrawler(config=...) stays legal)
-        init = index.functions.get(owner.methods.get("__init__", ""))
         live: set[str] = set()
-        if init is not None:
-            arguments = init.node.args
+        if callee is not None:
+            arguments = callee.node.args
             live = {a.arg for a in arguments.args + arguments.kwonlyargs}
         for keyword in call.keywords:
             if keyword.arg in removed and keyword.arg not in live:
@@ -373,6 +421,6 @@ class DeprecatedApi(Rule):
                     function.module.display_path,
                     keyword.value.lineno,
                     keyword.value.col_offset,
-                    f"{owner.name}.{keyword.arg} was removed; "
+                    f"{name}.{keyword.arg} was removed; "
                     f"{removed[keyword.arg]}",
                 )

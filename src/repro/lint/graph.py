@@ -361,7 +361,7 @@ class ProjectIndex:
             found = self.resolve_class(unit, dotted)
             if found is not None:
                 return TypeRef(found.qualname)
-            function = self._resolve_function(unit, dotted)
+            function = self.resolve_function(unit, dotted)
             if function is not None:
                 return function.return_type
         if isinstance(call.func, ast.Attribute):
@@ -376,9 +376,10 @@ class ProjectIndex:
                     return method.return_type
         return None
 
-    def _resolve_function(
+    def resolve_function(
         self, unit: ModuleUnit, dotted: str
     ) -> FunctionSymbol | None:
+        """The project function a dotted name refers to in ``unit``."""
         head, _, rest = dotted.partition(".")
         origin = unit.imports.get(head, head)
         target = f"{origin}.{rest}" if rest else origin
@@ -609,7 +610,7 @@ class ProjectIndex:
         unit = function.module
         dotted = dotted_name(call.func)
         if dotted is not None:
-            resolved = self._resolve_function(unit, dotted)
+            resolved = self.resolve_function(unit, dotted)
             if resolved is not None:
                 return resolved
             constructed = self.resolve_class(unit, dotted)

@@ -32,6 +32,10 @@ from repro.text.vectorizer import SparseVector
 __all__ = ["ClusterModel", "KMeans", "cluster_impurity", "choose_cluster_count"]
 
 RESTARTS = 4
+#: Lloyd iterations per restart (stops early once assignments settle)
+MAX_ITERATIONS = 50
+#: the most frequent features a clustering is projected onto
+MAX_FEATURES = 500
 
 
 @dataclass
@@ -114,19 +118,11 @@ def cluster_impurity(matrix: np.ndarray, assignments: np.ndarray, k: int) -> flo
 class KMeans:
     """Spherical K-means over sparse documents."""
 
-    def __init__(
-        self,
-        k: int,
-        max_iterations: int = 50,
-        seed: int = 0,
-        max_features: int = 500,
-    ) -> None:
+    def __init__(self, k: int, seed: int = 0) -> None:
         if k < 1:
             raise TrainingError(f"k must be >= 1, got {k}")
         self.k = k
-        self.max_iterations = max_iterations
         self.seed = seed
-        self.max_features = max_features
 
     def fit(self, vectors: Sequence[SparseVector]) -> ClusterModel:
         """Run ``RESTARTS`` seeded attempts and keep the best-cohesion one."""
@@ -134,7 +130,7 @@ class KMeans:
             raise TrainingError(
                 f"cannot build {self.k} clusters from {len(vectors)} documents"
             )
-        matrix, features = _densify(vectors, self.max_features)
+        matrix, features = _densify(vectors, MAX_FEATURES)
         best: tuple[float, np.ndarray, np.ndarray] | None = None
         for restart in range(RESTARTS):
             rng = np.random.default_rng(self.seed + restart * 7919)
@@ -171,7 +167,7 @@ class KMeans:
             centroids[c] = matrix[int(rng.choice(n, p=probabilities))]
 
         assignments = np.zeros(n, dtype=int)
-        for _iteration in range(self.max_iterations):
+        for _iteration in range(MAX_ITERATIONS):
             similarity = matrix @ centroids.T
             new_assignments = np.argmax(similarity, axis=1)
             if np.array_equal(new_assignments, assignments) and _iteration > 0:
@@ -192,7 +188,6 @@ def choose_cluster_count(
     vectors: Sequence[SparseVector],
     k_range: Sequence[int] = (2, 3, 4, 5, 6),
     seed: int = 0,
-    max_features: int = 500,
 ) -> ClusterModel:
     """Fit K-means for each k and return the impurity-minimising model."""
     candidates = [k for k in k_range if 1 <= k <= len(vectors)]
@@ -200,9 +195,7 @@ def choose_cluster_count(
         raise TrainingError("no feasible k in the requested range")
     best: ClusterModel | None = None
     for k in candidates:
-        model = KMeans(
-            k, seed=seed, max_features=max_features
-        ).fit(vectors)
+        model = KMeans(k, seed=seed).fit(vectors)
         if best is None or model.impurity < best.impurity:
             best = model
     assert best is not None

@@ -26,25 +26,22 @@ from repro.text.vectorizer import SparseVector
 
 __all__ = ["MaxEntClassifier"]
 
+#: gradient steps per fit, and the loss improvement that ends one early
+MAX_ITERATIONS = 300
+TOL = 1e-6
+
 
 class MaxEntClassifier(BinaryClassifier):
     """L2-regularised binary logistic regression on sparse documents."""
 
     name = "maxent"
 
-    def __init__(
-        self,
-        regularization: float = 1.0,
-        max_iterations: int = 300,
-        tol: float = 1e-6,
-    ) -> None:
+    def __init__(self, regularization: float = 1.0) -> None:
         if regularization < 0:
             raise TrainingError(
                 f"regularization must be >= 0, got {regularization}"
             )
         self.regularization = regularization
-        self.max_iterations = max_iterations
-        self.tol = tol
         self.indexer = FeatureIndexer()
         self._weights: np.ndarray | None = None
         self._bias = 0.0
@@ -65,7 +62,7 @@ class MaxEntClassifier(BinaryClassifier):
         b = 0.0
         step = 1.0
         previous_loss = math.inf
-        for _iteration in range(self.max_iterations):
+        for _iteration in range(MAX_ITERATIONS):
             margins = y * (X @ w + b)
             # numerically stable logistic loss: log(1 + e^-t)
             loss = float(
@@ -86,7 +83,7 @@ class MaxEntClassifier(BinaryClassifier):
             previous_loss = loss
             w = w - step / n * np.asarray(gradient_w).ravel()
             b = b - step / n * gradient_b
-            if 0 <= improvement < self.tol:
+            if 0 <= improvement < TOL:
                 self.converged_ = True
                 break
         self._weights = w

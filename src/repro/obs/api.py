@@ -1,7 +1,7 @@
 """The stable instrumentation contract of the observability layer.
 
 Two small protocols decouple every subsystem from the concrete
-registry/tracer implementation:
+registry implementation:
 
 * :class:`Instrumented` -- anything exposing ``stats() -> dict[str,
   float]`` with snake_case keys.  The breaker board, the bulk loader,

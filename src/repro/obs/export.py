@@ -1,25 +1,21 @@
-"""Metric exporters: Prometheus text format, JSON snapshots, progress lines.
+"""Metric exporters: Prometheus text format and JSON snapshots.
 
-All three read the same :meth:`~repro.obs.registry.MetricsRegistry.
+Both read the same :meth:`~repro.obs.registry.MetricsRegistry.
 snapshot`, so they agree by construction:
 
 * :func:`to_prometheus` -- the Prometheus text exposition format
   (one ``# TYPE`` header and one gauge sample per source key).
   :func:`parse_prometheus` reads it back into the flat sample dict of
   :func:`flatten_snapshot` for round-trip checks.
-* :func:`to_json` / :func:`from_json` -- the snapshot as canonical
-  (sorted-key) JSON; loads back equal to the original snapshot.
-* :class:`ProgressReporter` -- a pipeline :class:`~repro.obs.api.Hook`
-  printing a one-line crawl summary every N micro-batch rounds.
+* :func:`to_json` -- the snapshot as canonical (sorted-key) JSON;
+  ``json.loads`` gives back the original snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import TextIO
 
-from repro.obs.api import StageEvent
 from repro.obs.registry import MetricsRegistry, format_float
 
 __all__ = [
@@ -27,9 +23,7 @@ __all__ = [
     "to_prometheus",
     "parse_prometheus",
     "to_json",
-    "from_json",
     "write_metrics",
-    "ProgressReporter",
 ]
 
 
@@ -70,11 +64,6 @@ def to_json(registry: MetricsRegistry, indent: int | None = None) -> str:
     return json.dumps(registry.snapshot(), sort_keys=True, indent=indent)
 
 
-def from_json(text: str) -> dict:
-    """Load a JSON snapshot back into its dict form."""
-    return json.loads(text)
-
-
 def write_metrics(registry: MetricsRegistry, path) -> pathlib.Path:
     """Write a snapshot to ``path``: Prometheus text for ``.prom`` /
     ``.txt``, JSON otherwise."""
@@ -87,40 +76,3 @@ def write_metrics(registry: MetricsRegistry, path) -> pathlib.Path:
         path.write_text(to_json(registry, indent=2) + "\n")
     return path
 
-
-class ProgressReporter:
-    """A typed pipeline hook printing periodic one-line progress reports.
-
-    Fires once every ``every`` micro-batch rounds (detected on the
-    ``expand`` stage, which runs exactly once per committed round) and
-    prints the sums of the events it was delivered.
-    """
-
-    def __init__(self, stream: TextIO | None = None, every: int = 25) -> None:
-        if every < 1:
-            raise ValueError(f"progress interval must be >= 1, got {every}")
-        self.stream = stream
-        self.every = every
-        self.lines = 0
-        self._rounds = 0
-        self._fetched = 0
-        self._stored = 0
-        self._accepted = 0
-
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage == "convert":
-            self._fetched += event.in_size
-        elif event.stage == "classify":
-            self._accepted += int(event.extras.get("accepted", 0))
-        elif event.stage == "persist":
-            self._stored += event.out_size
-        elif event.stage == "expand":
-            self._rounds += 1
-            if self._rounds % self.every == 0:
-                print(
-                    f"[obs] round={event.batch_index}"
-                    f" fetched={self._fetched} stored={self._stored}"
-                    f" accepted={self._accepted}",
-                    file=self.stream,
-                )
-                self.lines += 1

@@ -14,11 +14,11 @@ schedulable stages.  This package makes the decomposition explicit:
   batch`` protocol, with the seven named stages **admit**, **fetch**,
   **convert**, **analyze**, **classify**, **persist**, **expand**;
 * :class:`~repro.pipeline.driver.CrawlPipeline` -- drains micro-batches
-  from the frontier through the stages.  Every stage invocation emits a
-  typed :class:`repro.obs.StageEvent` to hooks registered with
-  :meth:`~repro.pipeline.driver.CrawlPipeline.add_hook`, is summed into
-  the driver's own ``stats()`` (the ``pipeline`` metrics source) and is
-  traced as a nested span (:mod:`repro.obs`).
+  from the frontier through the stages.  Every stage invocation is
+  recorded once, as a typed :class:`repro.obs.StageEvent` delivered to
+  hooks registered with
+  :meth:`~repro.pipeline.driver.CrawlPipeline.add_hook` and summed into
+  the driver's own ``stats()`` (the ``pipeline`` metrics source).
 
 :class:`repro.core.crawler.FocusedCrawler` builds the context and the
 pipeline and drives phases; the per-document monolith it used to be

@@ -22,7 +22,7 @@ from repro.core.config import BingoConfig
 from repro.core.dedup import DuplicateDetector
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.errors import DNSError
-from repro.obs import Obs
+from repro.obs import MetricsRegistry
 from repro.perf.text import TermInterner
 from repro.robust.breaker import DEFER_QUARANTINE, BreakerBoard
 from repro.robust.faults import FaultInjector
@@ -62,10 +62,10 @@ class CrawlContext:
         self.config = config or BingoConfig()
         self.config.validate()
         self.clock = clock or SimulatedClock()
-        self.obs = Obs(clock=lambda: self.clock.now)
-        """The crawl's observability bundle (:mod:`repro.obs`): a
-        directory of the ``stats()`` sources registered below + a tracer
-        on the simulated clock.  Reads crawl state, never mutates it."""
+        self.obs = MetricsRegistry(clock=lambda: self.clock.now)
+        """The crawl's metrics registry (:mod:`repro.obs`): a directory
+        of the ``stats()`` sources registered below, stamped by the
+        simulated clock.  Reads crawl state, never mutates it."""
         self.pool = WorkerPool(self.config.crawler_threads, self.clock)
         self.spaces = spaces or dict(TERM_SPACES)
         self.loader = None

@@ -28,13 +28,13 @@ visit-by-visit interleaving of commit and pop is relaxed (documents
 fetched together are committed together), which is the documented
 trade for the kernel speedup.
 
-Observability (:mod:`repro.obs`): every stage invocation produces one
-typed :class:`~repro.obs.api.StageEvent` delivered to hooks registered
-via :meth:`CrawlPipeline.add_hook`, is summed into the pipeline's own
-per-stage counters (:meth:`CrawlPipeline.stats`, the ``pipeline``
-metrics source), and is traced as a span nested under its micro-batch
-round and crawl phase.  Events, counters and spans carry only
-deterministic counts and simulated time; per-stage wall seconds are
+Observability (:mod:`repro.obs`): a stage run is recorded once, as
+one typed :class:`~repro.obs.api.StageEvent`.  The driver sums it into
+its per-stage counters (:meth:`CrawlPipeline.stats`, the ``pipeline``
+metrics source) and delivers it to hooks registered via
+:meth:`CrawlPipeline.add_hook`; a classify decision is the stored
+:class:`~repro.core.records.CrawledDocument` itself.  Events and
+counters carry only deterministic counts; per-stage wall seconds are
 measured from outside, by ``benchmarks/e2e``
 (``pipeline.<stage>.busy_s``).  A hook that raises is isolated: the
 exception is counted as ``hook_errors`` and the batch continues.
@@ -97,34 +97,19 @@ class CrawlPipeline:
         """
         self.hooks.append(hook)
 
-    def _run_stage(self, stage, batch: list[CrawlItem],
-                   parent=None) -> list[CrawlItem]:
-        obs = self.ctx.obs
-        span = obs.tracer.start(stage.name, kind="stage", parent=parent)
+    def _run_stage(self, stage, batch: list[CrawlItem]) -> list[CrawlItem]:
         out = stage.run(batch, self.ctx)
         extras: dict[str, float] = {}
         if stage.name == "classify":
-            accepted = sum(
+            extras["accepted"] = sum(
                 1 for item in out
                 if item.classification is not None
                 and item.classification.accepted
             )
-            extras["accepted"] = accepted
-            for item in out:
-                obs.tracer.event(
-                    "decision", kind="decision", parent=span,
-                    attrs={
-                        "url": item.actual_url,
-                        "topic": item.classification.topic,
-                        "accepted": item.classification.accepted,
-                        "confidence": item.classification.confidence,
-                    },
-                )
         elif stage.name == "convert":
             self.convert_tokens += sum(
                 sum(item.html_doc.stem_counts.values()) for item in out
             )
-        obs.tracer.finish(span)
         self._emit(StageEvent(
             stage=stage.name,
             batch_index=self.batch_index,
@@ -190,10 +175,6 @@ class CrawlPipeline:
         stats = resume if resume is not None else CrawlStats()
         ctx.stats = stats
         ctx.phase = phase
-        tracer = ctx.obs.tracer
-        crawl_span = tracer.start(
-            phase.name, kind="crawl", attrs={"resumed": resume is not None}
-        )
         base_seconds = stats.simulated_seconds
         started_at = ctx.clock.now
         deadline = (
@@ -206,7 +187,6 @@ class CrawlPipeline:
         while not exhausted:
             batch: list[CrawlItem] = []
             pops = 0
-            round_span = None
             while pops < batch_size:
                 if phase.fetch_budget is not None and (
                     stats.visited_urls >= phase.fetch_budget
@@ -232,27 +212,18 @@ class CrawlPipeline:
                     ctx.clock.advance_to(ready_at)
                     continue
                 pops += 1
-                if round_span is None:
-                    round_span = tracer.start(
-                        f"batch:{self.batch_index}", kind="micro_batch",
-                        parent=crawl_span,
-                    )
                 admitted = self._run_stage(
-                    self.admit, [CrawlItem(entry=entry)], parent=round_span
+                    self.admit, [CrawlItem(entry=entry)]
                 )
                 if admitted:
-                    batch.extend(
-                        self._run_stage(self.fetch, admitted,
-                                        parent=round_span)
-                    )
+                    batch.extend(self._run_stage(self.fetch, admitted))
             if batch:
-                self._commit(batch, parent=round_span)
+                self._commit(batch)
                 # sharded crawls count committed micro-batches and run
                 # the periodic merge barrier here, at a point where no
                 # worker holds an in-flight batch
                 ctx.maybe_shard_barrier()
-            if round_span is not None:
-                tracer.finish(round_span)
+            if pops:
                 self.batch_index += 1
             stats.simulated_seconds = base_seconds + (
                 ctx.clock.now - started_at
@@ -264,7 +235,6 @@ class CrawlPipeline:
         stats.simulated_seconds = base_seconds + (ctx.clock.now - started_at)
         if ctx.loader is not None:
             ctx.loader.flush_all()
-        tracer.finish(crawl_span)
         return stats
 
     def visit_one(self, entry, phase, stats) -> None:
@@ -274,19 +244,13 @@ class CrawlPipeline:
         previous = (ctx.stats, ctx.phase)
         ctx.stats = stats
         ctx.phase = phase
-        round_span = ctx.obs.tracer.start(
-            f"batch:{self.batch_index}", kind="micro_batch"
-        )
         try:
-            batch = self._run_stage(
-                self.admit, [CrawlItem(entry=entry)], parent=round_span
-            )
+            batch = self._run_stage(self.admit, [CrawlItem(entry=entry)])
             if batch:
-                batch = self._run_stage(self.fetch, batch, parent=round_span)
+                batch = self._run_stage(self.fetch, batch)
             if batch:
-                self._commit(batch, parent=round_span)
+                self._commit(batch)
         finally:
-            ctx.obs.tracer.finish(round_span)
             self.batch_index += 1
             ctx.stats, ctx.phase = previous
 
@@ -294,16 +258,16 @@ class CrawlPipeline:
     # batch commit
     # ------------------------------------------------------------------
 
-    def _commit(self, batch: list[CrawlItem], parent=None) -> None:
+    def _commit(self, batch: list[CrawlItem]) -> None:
         """Run the back half over a fetched batch, honouring retrains."""
         ctx = self.ctx
-        batch = self._run_stage(self.convert, batch, parent=parent)
-        pending = self._run_stage(self.analyze, batch, parent=parent)
+        batch = self._run_stage(self.convert, batch)
+        pending = self._run_stage(self.analyze, batch)
         while pending:
-            pending = self._run_stage(self.classify, pending, parent=parent)
+            pending = self._run_stage(self.classify, pending)
             span, pending = self._split_at_retrain(pending)
-            self._run_stage(self.persist, span, parent=parent)
-            self._run_stage(self.expand, span, parent=parent)
+            self._run_stage(self.persist, span)
+            self._run_stage(self.expand, span)
             for item in span:
                 if ctx.on_document is not None:
                     ctx.on_document(item.document, item.classification)

@@ -114,7 +114,6 @@ class LivingPortal:
         evolution: WebEvolution | None = None,
         evolution_config: EvolutionConfig | None = None,
         workers: int = 1,
-        indexed: bool = True,
     ) -> None:
         self.engine = engine
         self.ctx = engine.ctx
@@ -125,7 +124,6 @@ class LivingPortal:
         )
         self.scheduler = RecrawlScheduler(engine, workers=workers)
         self.search = search
-        self.indexed = indexed
         self.cycles_run = 0
         self._opened = False
 
@@ -142,9 +140,7 @@ class LivingPortal:
             return self
         self.scheduler.prime()
         if self.search is None:
-            self.search = LocalSearchEngine(
-                self.ctx.documents, indexed=self.indexed
-            )
+            self.search = LocalSearchEngine(self.ctx.documents)
         self._opened = True
         return self
 
@@ -288,9 +284,7 @@ class LivingPortal:
         self.clock.advance_to(state["clock"])
         self.scheduler.restore(state["scheduler"])
         self.web.server.restore(state["server"])
-        self.search = LocalSearchEngine(
-            self._served_documents(), indexed=self.indexed
-        )
+        self.search = LocalSearchEngine(self._served_documents())
         self.search.restore_epoch(Epoch.from_dict(state["epoch"]))
         self.cycles_run = state["cycles_run"]
         self._opened = True

@@ -35,6 +35,8 @@ _VOWELS = "aeiou"
 BACKGROUND_SIZE = 1200
 CATEGORY_SIZE = 300
 TOPIC_SIZE = 160
+#: the Zipf exponent of every vocabulary a universe builds
+ZIPF_EXPONENT = 1.1
 
 
 class WordFactory:
@@ -67,7 +69,7 @@ class Vocabulary:
     """A ranked word list sampled under a Zipf(s) law."""
 
     words: list[str]
-    zipf_exponent: float = 1.1
+    zipf_exponent: float = ZIPF_EXPONENT
     _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -139,7 +141,6 @@ class TopicUniverse:
         self,
         topics: dict[str, str],
         seed: int = 0,
-        zipf_exponent: float = 1.1,
         sibling_overlap: float = 0.25,
     ) -> None:
         """Create vocabularies for ``topics`` (mapping topic -> category).
@@ -156,13 +157,13 @@ class TopicUniverse:
         rng = np.random.default_rng(seed)
         factory = WordFactory(rng)
         self.background = Vocabulary(
-            factory.words(BACKGROUND_SIZE, syllables=2), zipf_exponent
+            factory.words(BACKGROUND_SIZE, syllables=2), ZIPF_EXPONENT
         )
         self.categories: dict[str, Vocabulary] = {}
         jargon_pools: dict[str, list[str]] = {}
         for category in sorted(set(topics.values())):
             self.categories[category] = Vocabulary(
-                factory.words(CATEGORY_SIZE), zipf_exponent
+                factory.words(CATEGORY_SIZE), ZIPF_EXPONENT
             )
             jargon_pools[category] = factory.words(TOPIC_SIZE)
         self.topics: dict[str, TopicSpec] = {}
@@ -185,7 +186,7 @@ class TopicUniverse:
             self.topics[name] = TopicSpec(
                 name=name,
                 category=category,
-                vocabulary=Vocabulary(words, zipf_exponent),
+                vocabulary=Vocabulary(words, ZIPF_EXPONENT),
                 signature=signature,
             )
 

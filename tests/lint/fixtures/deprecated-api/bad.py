@@ -111,3 +111,55 @@ def components_that_know_obs(obs: Obs, breaker: HostBreaker) -> QueryServer:
 
 def the_off_switch() -> BingoConfig:
     return BingoConfig(instrumentation=False, trace_ring_size=0)
+
+
+from repro.obs import Obs as Bundle, ProgressReporter, Span, Tracer, from_json
+from repro.obs.tracing import Tracer as SpanTracer
+import repro.obs.tracing
+
+
+class CrawlContext:
+    def __init__(self) -> None:
+        self.obs = MetricsRegistry()
+
+
+def the_bundle_reads(ctx: CrawlContext) -> object:
+    ctx.obs.tracer.finished()
+    return ctx.obs.registry.snapshot()
+
+
+class LivingPortal:
+    def __init__(self, engine: object) -> None:
+        self.engine = engine
+
+
+class KMeans:
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+
+class MaxEntClassifier:
+    def __init__(self, regularization: float = 1.0) -> None:
+        self.regularization = regularization
+
+
+class TopicUniverse:
+    def __init__(self, topics: dict) -> None:
+        self.topics = topics
+
+
+def choose_cluster_count(vectors: list, **options: int) -> KMeans:
+    return KMeans(2)
+
+
+def run_meta_experiment(**options: float) -> None:
+    return None
+
+
+def constants_passed_as_keywords() -> None:
+    LivingPortal(object(), indexed=True)
+    KMeans(3, max_iterations=10, max_features=50)
+    choose_cluster_count([], max_features=50)
+    MaxEntClassifier(max_iterations=10, tol=1e-3)
+    TopicUniverse({}, zipf_exponent=1.3)
+    run_meta_experiment(train_per_class=12, svm_cost=0.5)

@@ -60,3 +60,19 @@ def whoever_builds_it_registers_it(registry: MetricsRegistry) -> float:
     tally = Tally()
     tally.obs = tally.counter() + tally.value()
     return registry.snapshot()["sources"]["search"]["queries"]
+
+
+class CrawlContext:
+    def __init__(self) -> None:
+        self.obs = MetricsRegistry()
+
+
+class LinearSVM:
+    # "tol" / "max_iterations" stay live keywords of other callees
+    def __init__(self, tol: float = 1e-4) -> None:
+        self.tol = tol
+
+
+def the_context_holds_the_registry(ctx: CrawlContext) -> dict:
+    LinearSVM(tol=1e-6)
+    return ctx.obs.snapshot()

@@ -1,18 +1,15 @@
-"""Exporters: golden Prometheus text, JSON round-trip, progress lines."""
+"""Exporters: golden Prometheus text and the JSON round trip."""
 
 from __future__ import annotations
 
-import io
+import json
 
 from repro.obs import (
     MetricsRegistry,
-    ProgressReporter,
-    from_json,
     parse_prometheus,
     to_json,
     to_prometheus,
 )
-from repro.obs.api import StageEvent
 from repro.obs.export import flatten_snapshot
 
 
@@ -54,31 +51,10 @@ class TestPrometheusText:
 class TestJson:
     def test_json_round_trips_to_the_same_snapshot(self) -> None:
         registry = build_registry()
-        assert from_json(to_json(registry)) == registry.snapshot()
+        assert json.loads(to_json(registry)) == registry.snapshot()
 
     def test_json_is_canonical(self) -> None:
         registry = build_registry()
         assert to_json(registry) == to_json(registry)
         assert '"at": 12.0' in to_json(registry)
 
-
-class TestProgressReporter:
-    def test_prints_every_nth_round_from_the_events(self) -> None:
-        stream = io.StringIO()
-        reporter = ProgressReporter(stream=stream, every=2)
-        for index in range(4):
-            for stage, in_size, out_size, extras in (
-                ("convert", 10, 9, {}),
-                ("classify", 9, 9, {"accepted": 6}),
-                ("persist", 9, 7, {}),
-                ("expand", 7, 7, {}),
-            ):
-                reporter(StageEvent(
-                    stage=stage, batch_index=index, in_size=in_size,
-                    out_size=out_size, extras=extras,
-                ))
-        assert reporter.lines == 2
-        assert stream.getvalue().splitlines() == [
-            "[obs] round=1 fetched=20 stored=14 accepted=12",
-            "[obs] round=3 fetched=40 stored=28 accepted=24",
-        ]

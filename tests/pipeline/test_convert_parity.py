@@ -135,7 +135,7 @@ def test_clock_and_frontier_identical(runs) -> None:
 
 def test_convert_counters_flow_through_obs(runs) -> None:
     (new_crawler, _), _ = runs
-    sources = new_crawler.ctx.obs.registry.snapshot()["sources"]
+    sources = new_crawler.ctx.obs.snapshot()["sources"]
     pipeline, text = sources["pipeline"], sources["text"]
     assert pipeline == new_crawler.pipeline.stats()
     assert text == new_crawler.ctx.interner.stats()
@@ -151,7 +151,7 @@ def test_convert_batches_are_counted_without_wall_time(runs) -> None:
     (``benchmarks/e2e`` measures ``pipeline.convert.busy_s``)."""
     (new_crawler, _), _ = runs
     obs = new_crawler.ctx.obs
-    snapshot = obs.registry.snapshot()
+    snapshot = obs.snapshot()
     assert snapshot["sources"]["pipeline"]["convert_batches"] >= 1
     assert "wall" not in str(snapshot)
     assert not hasattr(obs, "wall_stage_seconds")

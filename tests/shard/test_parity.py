@@ -154,7 +154,7 @@ class TestWorkerCountParity:
 
     def test_worker_metrics_exported(self, sharded, workers) -> None:
         crawler, _, _ = sharded
-        exported = crawler.ctx.obs.registry.source_stats()
+        exported = crawler.ctx.obs.source_stats()
         assert exported["shard"]["workers"] == float(workers)
         per_worker = [
             exported[f"shard_w{i}"]["enqueued"] for i in range(workers)

@@ -150,7 +150,7 @@ class TestPortalLifecycleCommands:
         portal.restore(original.checkpoint())
         assert portal.search is not served_before
         portal.search.search("database research")
-        exported = engine.obs.registry.snapshot()["sources"]["search"]
+        exported = engine.obs.snapshot()["sources"]["search"]
         assert exported == portal.search.stats()
         assert exported["queries"] == 1.0
         assert exported["documents_indexed"] == len(portal.search.documents)
