@@ -24,13 +24,13 @@ from repro.experiments.ablations import (
 
 
 def main() -> None:
-    print(run_focus_ablation(budget=450).table().render())
+    print(run_focus_ablation(budget=450).render())
     print()
-    print(run_archetype_ablation(seeds=(59, 61)).table().render())
+    print(run_archetype_ablation(seeds=(59, 61)).render())
     print()
-    print(run_negatives_ablation().table().render())
+    print(run_negatives_ablation().render())
     print()
-    print(run_feature_space_ablation().table().render())
+    print(run_feature_space_ablation().render())
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from repro.experiments.expert import run_expert_experiment
 def main() -> None:
     result = run_expert_experiment(crawl_fetch_budget=700)
 
-    print(result.figure4().render())
+    print(result.figure4.render())
     print()
     row = result.crawl_table1
     print(
@@ -34,15 +34,16 @@ def main() -> None:
         f"depth={row['max_crawling_depth']}"
     )
     print()
-    print(result.figure5().render())
+    print(result.figure5.render())
     print()
+    needles_in_top10 = result.figure5.column("Needle?").count("yes")
     print(
         f"needle pages crawled: {result.needles_crawled}; "
-        f"in the focused top 10: {result.needles_in_top10}; "
+        f"in the focused top 10: {needles_in_top10}; "
         f"in the unfocused baseline top 10: "
         f"{result.unfocused_needles_in_top10}"
     )
-    if result.needles_in_top10 > result.unfocused_needles_in_top10:
+    if needles_in_top10 > result.unfocused_needles_in_top10:
         print(
             "=> the focused crawl surfaced implementations a plain "
             "keyword search could not (the paper's headline result)."

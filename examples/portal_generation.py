@@ -20,11 +20,11 @@ from repro.search.engine import LocalSearchEngine, RankingWeights
 
 def main() -> None:
     result = run_portal_experiment(short_budget=500, long_budget=3000)
-    print(result.table1().render())
+    print(result.table1.render())
     print()
-    print(result.table2().render())
+    print(result.table2.render())
     print()
-    print(result.table3().render())
+    print(result.table3.render())
     print()
     for note in result.notes:
         print(f"note: {note}")

@@ -175,7 +175,7 @@ def _cmd_portal_tables(args) -> int:
     result = run_portal_experiment(
         seed=args.seed, short_budget=args.short, long_budget=args.long
     )
-    for table in (result.table1(), result.table2(), result.table3()):
+    for table in (result.table1, result.table2, result.table3):
         print(table.render())
         print()
     for note in result.notes:
@@ -189,9 +189,9 @@ def _cmd_expert(args) -> int:
     result = run_expert_experiment(
         seed=args.seed, crawl_fetch_budget=args.budget
     )
-    print(result.figure4().render())
+    print(result.figure4.render())
     print()
-    print(result.figure5().render())
+    print(result.figure5.render())
     return 0
 
 
@@ -349,7 +349,7 @@ def _cmd_ablate(args) -> int:
         "features": ablations.run_feature_space_ablation,
     }
     for name in args.which:
-        print(runners[name]().table().render())
+        print(runners[name]().render())
         print()
     return 0
 

@@ -1,4 +1,4 @@
-"""Design-choice ablations (experiments A1-A4 in DESIGN.md).
+"""Design-choice ablations (experiments A1-A4 and A6 in DESIGN.md).
 
 Each ablation isolates one of the improvements sections 3.1-3.4 of the
 paper introduced after "fairly mixed success" with the first prototype:
@@ -7,25 +7,31 @@ paper introduced after "fairly mixed success" with the first prototype:
 * **A2** archetype mean-confidence threshold on/off -- the topic-drift
   guard (section 3.2);
 * **A3** systematic vs arbitrary negative examples for OTHERS (3.1);
-* **A4** feature spaces: terms vs term pairs vs anchors vs combined (3.4).
+* **A4** feature spaces: terms vs term pairs vs anchors vs combined (3.4);
+* **A6** the node learner: SVM vs MaxEnt vs Naive Bayes vs Rocchio (1.2).
 
 Because the synthetic Web knows every page's true topic, ablations can
 measure *true* precision (accepted documents whose underlying page truly
 belongs to the target topic) and true recall against the page inventory
--- something the paper could only estimate by hand.
+-- something the paper could only estimate by hand.  Each runner returns
+the :class:`ExperimentTable` it renders, holding the raw values.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core import BingoConfig
+from repro.core.archetypes import select_archetypes
 from repro.core.config import NODE_CLASSIFIERS
 from repro.core.crawler import FocusedCrawler
 from repro.core.records import SHARP, SOFT, PhaseSettings
+from repro.experiments.common import (
+    experiment_web,
+    mean_over_seeds,
+    page_counts,
+    train_topic,
+)
 from repro.experiments.metrics import BinaryCounts, ranking_precision_at_k
 from repro.experiments.reporting import ExperimentTable
 from repro.ml.svm import LinearSVM
@@ -35,42 +41,27 @@ from repro.text.features import (
     CombinedSpace,
     TermPairSpace,
     TermSpace,
-    analyze_page,
 )
 from repro.text.scanner import text_stems
 from repro.text.stopwords import ANCHOR_STOPWORDS
 from repro.text.vectorizer import TfIdfVectorizer
-from repro.web import PageRole, SyntheticWeb, WebGraphConfig
+from repro.web import PageRole, SyntheticWeb
 
 __all__ = [
-    "FocusAblationResult",
     "run_focus_ablation",
-    "ArchetypeAblationResult",
     "run_archetype_ablation",
-    "NegativesAblationResult",
     "run_negatives_ablation",
-    "FeatureSpaceAblationResult",
     "run_feature_space_ablation",
-    "ClassifierAblationResult",
     "run_classifier_ablation",
 ]
 
-
-def _term_counts(web: SyntheticWeb, page) -> dict[str, Counter]:
-    """A rendered page's counts under the default term-only spaces."""
-    return analyze_page(web.renderer.render(page))[0]
-
-
-def _ablation_web(seed: int, **overrides) -> SyntheticWeb:
-    return SyntheticWeb.generate(
-        WebGraphConfig(
-            seed=seed, target_researchers=120, other_researchers=40,
-            universities=30, hubs_per_topic=5,
-            background_hosts_per_category=10, pages_per_background_host=5,
-            directory_pages_per_category=8,
-            **overrides,
-        )
-    )
+FOCUS_SEED = 53
+NEGATIVES_SEED = 61
+FEATURE_SPACE_SEED = 67
+CLASSIFIER_SEED = 89
+CLASSIFIER_BUDGET = 400
+"""A6's fetch budget per learner."""
+PROMOTIONS_PER_ROUND = 20
 
 
 def _true_topic(web: SyntheticWeb, doc) -> str | None:
@@ -79,120 +70,92 @@ def _true_topic(web: SyntheticWeb, doc) -> str | None:
     return web.pages[doc.page_id].topic
 
 
+def _paper_vs_directory(
+    web: SyntheticWeb, target: str
+) -> tuple[list[dict], list[dict]]:
+    """A1/A6 training sets: 25 paper pages vs 25 directory pages."""
+    positives = [
+        page_counts(web, p)
+        for p in web.pages_by_topic(target)
+        if p.role == PageRole.PAPER
+    ][:25]
+    negatives = [page_counts(web, p) for p in web.negative_example_pages(25)]
+    return positives, negatives
+
+
+def _crawl_and_score(
+    web: SyntheticWeb, classifier, config: BingoConfig, seeds: list[str],
+    settings: PhaseSettings,
+) -> tuple[int, int, float, set[int]]:
+    """Crawl under ``settings`` with a fixed classifier: visited, accepted,
+    true precision of the accepted and the target pages found."""
+    target = web.config.target_topic
+    topic = f"ROOT/{target}"
+    crawler = FocusedCrawler(web, classifier, config)
+    crawler.seed(seeds, topic=topic, priority=10.0)
+    stats = crawler.crawl(settings)
+    accepted = [doc for doc in crawler.ctx.documents if doc.topic == topic]
+    correct = sum(1 for doc in accepted if _true_topic(web, doc) == target)
+    found = {
+        doc.page_id for doc in crawler.ctx.documents
+        if _true_topic(web, doc) == target
+    }
+    precision = correct / len(accepted) if accepted else 0.0
+    return stats.visited_urls, len(accepted), precision, found
+
+
 # ---------------------------------------------------------------------------
 # A1: focus rules and tunnelling
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FocusAblationResult:
-    rows: list[tuple[str, int, int, float, int, int]]
-    """(variant, visited, accepted, true precision, target pages found,
-    hidden authors reached)"""
-
-    def table(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "A1: focus strategy x tunnelling (section 3.3)",
-            ["Variant", "Visited", "Accepted", "True precision",
-             "Target pages found", "Hidden authors reached"],
-            note=(
-                "hidden authors are linked only from topic-unspecific "
-                "welcome pages -- tunnelling territory"
-            ),
-        )
-        for row in self.rows:
-            variant, visited, accepted, precision, found, hidden = row
-            table.add_row(
-                [variant, visited, accepted, round(precision, 3), found,
-                 hidden]
-            )
-        return table
-
-    def variant(self, name: str) -> tuple[int, int, float, int, int]:
-        for variant, *rest in self.rows:
-            if variant == name:
-                return tuple(rest)
-        raise KeyError(name)
-
-
-def run_focus_ablation(
-    seed: int = 53,
-    budget: int = 500,
-) -> FocusAblationResult:
+def run_focus_ablation(budget: int = 500) -> ExperimentTable:
     """Crawl the same Web under the four focus/tunnelling combinations."""
     # half the homepages hide behind topic-unspecific welcome pages
-    web = _ablation_web(seed, welcome_only_rate=0.5)
+    web = experiment_web(FOCUS_SEED, welcome_only_rate=0.5)
     target = web.config.target_topic
-    topic = f"ROOT/{target}"
     hidden_homepages = {
         web.researchers[a].homepage_page_id
         for a in web.welcome_only
         if web.researchers[a].topic == target
     }
-    variants = [
-        ("sharp, no tunnelling", SHARP, False),
-        ("sharp + tunnelling", SHARP, True),
-        ("soft, no tunnelling", SOFT, False),
-        ("soft + tunnelling", SOFT, True),
-    ]
     # One fixed classifier for all variants, so the comparison isolates
     # the crawl policy (the engine's learning phase always tunnels and
     # would blur the contrast).
     config = BingoConfig(
-        seed=seed, selected_features=800, tf_preselection=3000,
+        seed=FOCUS_SEED, selected_features=800, tf_preselection=3000,
     )
-    classifier = _train_topic_classifier(web, target, config)
+    classifier = train_topic(
+        target, config, *_paper_vs_directory(web, target)
+    )
     seeds = web.seed_homepages(3, topic=target)
-    rows = []
-    for name, focus, tunnelling in variants:
-        crawler = FocusedCrawler(web, classifier, config)
-        crawler.seed(seeds, topic=topic, priority=10.0)
-        settings = PhaseSettings(
-            name=name, focus=focus, tunnelling=tunnelling,
-            decision_mode="single",
-            fetch_budget=budget,
+    table = ExperimentTable(
+        "A1: focus strategy x tunnelling (section 3.3)",
+        ["Variant", "Visited", "Accepted", "True precision",
+         "Target pages found", "Hidden authors reached"],
+        note=(
+            "hidden authors are linked only from topic-unspecific "
+            "welcome pages -- tunnelling territory"
+        ),
+    )
+    for name, focus, tunnelling in (
+        ("sharp, no tunnelling", SHARP, False),
+        ("sharp + tunnelling", SHARP, True),
+        ("soft, no tunnelling", SOFT, False),
+        ("soft + tunnelling", SOFT, True),
+    ):
+        visited, accepted, precision, found = _crawl_and_score(
+            web, classifier, config, seeds,
+            PhaseSettings(
+                name=name, focus=focus, tunnelling=tunnelling,
+                decision_mode="single", fetch_budget=budget,
+            ),
         )
-        stats = crawler.crawl(settings)
-        accepted = [
-            doc for doc in crawler.ctx.documents if doc.topic == topic
-        ]
-        correct = sum(
-            1 for doc in accepted if _true_topic(web, doc) == target
+        table.add_row(
+            [name, visited, accepted, precision, len(found),
+             len(found & hidden_homepages)]
         )
-        found_pages = {
-            doc.page_id for doc in crawler.ctx.documents
-            if _true_topic(web, doc) == target
-        }
-        hidden_reached = len(found_pages & hidden_homepages)
-        precision = correct / len(accepted) if accepted else 0.0
-        rows.append(
-            (name, stats.visited_urls, len(accepted), precision,
-             len(found_pages), hidden_reached)
-        )
-    return FocusAblationResult(rows=rows)
-
-
-def _train_topic_classifier(web: SyntheticWeb, target: str, config: BingoConfig):
-    """A single-topic classifier trained on paper pages vs directory pages."""
-    from repro.core.classifier import HierarchicalClassifier
-    from repro.core.ontology import TopicTree
-
-    positives = [
-        _term_counts(web, p)
-        for p in web.pages_by_topic(target)
-        if p.role == PageRole.PAPER
-    ][:25]
-    negatives = [
-        _term_counts(web, p) for p in web.negative_example_pages(25)
-    ]
-    tree = TopicTree.from_leaves([target])
-    classifier = HierarchicalClassifier(tree, config)
-    training = {f"ROOT/{target}": positives, "ROOT/OTHERS": negatives}
-    for docs in training.values():
-        for doc in docs:
-            classifier.ingest(doc)
-    classifier.train(training)
-    return classifier
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -200,67 +163,27 @@ def _train_topic_classifier(web: SyntheticWeb, target: str, config: BingoConfig)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ArchetypeAblationResult:
-    rows: list[tuple[str, float, float, float]]
-    """(variant, mean archetypes added, mean training purity,
-    mean held-out true precision)"""
-    seeds: tuple[int, ...] = ()
-
-    def table(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "A2: archetype confidence threshold (section 3.2)",
-            ["Variant", "Archetypes added", "Training purity",
-             "Held-out true precision"],
-            note=(
-                "purity = promoted training docs truly of the target "
-                "topic; precision = ranking precision@k on a held-out "
-                f"target/sibling mix; means over seeds {list(self.seeds)}"
-            ),
-        )
-        for variant, added, purity, precision in self.rows:
-            table.add_row(
-                [variant, round(added, 1), round(purity, 3),
-                 round(precision, 3)]
-            )
-        return table
-
-    def purity_of(self, variant: str) -> float:
-        for name, _added, purity, _precision in self.rows:
-            if name == variant:
-                return purity
-        raise KeyError(variant)
-
-    def precision_of(self, variant: str) -> float:
-        for name, _added, _purity, precision in self.rows:
-            if name == variant:
-                return precision
-        raise KeyError(variant)
-
-
 def run_archetype_ablation(
     seeds: tuple[int, ...] = (59, 61, 67, 71),
     rounds: int = 5,
-) -> ArchetypeAblationResult:
+) -> ExperimentTable:
     """Averaged drift comparison over several seeds (drift is a runaway
     phenomenon: single runs may or may not tip over)."""
-    accumulated: dict[str, list[tuple[float, float, float]]] = {}
-    for seed in seeds:
-        for name, triple in _archetype_one_seed(seed, rounds).items():
-            accumulated.setdefault(name, []).append(triple)
-    rows = [
-        (
-            name,
-            float(np.mean([t[0] for t in triples])),
-            float(np.mean([t[1] for t in triples])),
-            float(np.mean([t[2] for t in triples])),
-        )
-        for name, triples in accumulated.items()
-    ]
-    return ArchetypeAblationResult(rows=rows, seeds=tuple(seeds))
-
-
-PROMOTIONS_PER_ROUND = 20
+    table = ExperimentTable(
+        "A2: archetype confidence threshold (section 3.2)",
+        ["Variant", "Archetypes added", "Training purity",
+         "Held-out true precision"],
+        note=(
+            "purity = promoted training docs truly of the target "
+            "topic; precision = ranking precision@k on a held-out "
+            f"target/sibling mix; means over seeds {list(seeds)}"
+        ),
+    )
+    for variant, added, purity, precision in mean_over_seeds(
+        _archetype_one_seed(seed, rounds) for seed in seeds
+    ):
+        table.add_row([variant, round(added, 1), purity, precision])
+    return table
 
 
 def _archetype_one_seed(
@@ -278,19 +201,10 @@ def _archetype_one_seed(
     section 3.2.  The threshold admits only candidates more confident
     than the current training mean, which blocks the borderline poison.
     """
-    from repro.core.archetypes import select_archetypes
-    from repro.core.classifier import HierarchicalClassifier
-    from repro.core.ontology import TopicTree
-
-    web = SyntheticWeb.generate(
-        WebGraphConfig(
-            seed=seed, target_researchers=120, other_researchers=60,
-            universities=30, hubs_per_topic=5,
-            background_hosts_per_category=10, pages_per_background_host=5,
-            directory_pages_per_category=8,
-            vocab_sibling_overlap=0.45,   # confusable siblings
-            interdisciplinary_rate=0.35,  # heterogeneous researcher pages
-        )
+    web = experiment_web(
+        seed, other_researchers=60,
+        vocab_sibling_overlap=0.45,   # confusable siblings
+        interdisciplinary_rate=0.35,  # heterogeneous researcher pages
     )
     target = web.config.target_topic
     topic = f"ROOT/{target}"
@@ -298,20 +212,15 @@ def _archetype_one_seed(
     rng_master = np.random.default_rng(seed)
     # paper-faithful candidate mix: dense papers are the good archetypes
     # hiding among borderline homepages/CVs and sibling material
-    target_pages = [
-        p for p in web.pages_by_topic(target)
-        if p.role in (
-            PageRole.HOMEPAGE, PageRole.PUBLICATIONS, PageRole.CV,
-            PageRole.PAPER,
-        )
-    ]
+    roles = (
+        PageRole.HOMEPAGE, PageRole.PUBLICATIONS, PageRole.CV,
+        PageRole.PAPER,
+    )
+    target_pages = [p for p in web.pages_by_topic(target) if p.role in roles]
     sibling_pages = [
         p for p in web.pages
         if p.topic in web.config.research_topics and p.topic != target
-        and p.role in (
-            PageRole.HOMEPAGE, PageRole.PUBLICATIONS, PageRole.CV,
-            PageRole.PAPER,
-        )
+        and p.role in roles
     ]
     background_pages = web.pages_by_role(PageRole.BACKGROUND)
     rng_master.shuffle(target_pages)
@@ -328,28 +237,18 @@ def _archetype_one_seed(
         config = BingoConfig(
             seed=seed, selected_features=250, tf_preselection=1500,
         )
-        tree = TopicTree.from_leaves([target])
-        classifier = HierarchicalClassifier(tree, config)
         training: dict[int, tuple[dict, float]] = {
-            page.page_id: (_term_counts(web, page), 0.0) for page in seeds
+            page.page_id: (page_counts(web, page), 0.0) for page in seeds
         }
         negatives = [
-            _term_counts(web, p)
+            page_counts(web, p)
             for p in web.negative_example_pages(12, seed=seed)
         ]
         pool_rng = np.random.default_rng(seed + 1)
-
-        def retrain() -> None:
-            sets = {
-                topic: [doc for doc, _conf in training.values()],
-                "ROOT/OTHERS": negatives,
-            }
-            for docs in sets.values():
-                for doc in docs:
-                    classifier.ingest(doc)
-            classifier.train(sets)
-
-        retrain()
+        classifier = train_topic(
+            target, config, [doc for doc, _conf in training.values()],
+            negatives,
+        )
         promoted_ids: list[int] = []
         for round_index in range(rounds):
             # Bootstrap warm-up: with only a handful of seeds the paper
@@ -365,7 +264,7 @@ def _archetype_one_seed(
                 + list(pool_rng.choice(background_pages, 20, replace=False))
             )
             # score the whole candidate pool in one batch descent
-            pool_docs = [_term_counts(web, page) for page in pool]
+            pool_docs = [page_counts(web, page) for page in pool]
             pool_results = classifier.classify_batch(pool_docs)
             candidates = [
                 (page, doc, result.confidence)
@@ -397,7 +296,10 @@ def _archetype_one_seed(
                 promoted_ids.append(page_id)
             for page_id in decision.removed:
                 training.pop(page_id, None)
-            retrain()
+            train_topic(
+                target, config, [doc for doc, _conf in training.values()],
+                negatives, classifier,
+            )
 
         pure = sum(
             1 for pid in promoted_ids if web.pages[pid].topic == target
@@ -409,7 +311,7 @@ def _archetype_one_seed(
         # pages, dragging this down.
         precision = ranking_precision_at_k(
             (
-                (classifier.confidence_for(_term_counts(web, page), topic),
+                (classifier.confidence_for(page_counts(web, page), topic),
                  page.topic == target)
                 for page in held_out
             )
@@ -423,34 +325,21 @@ def _archetype_one_seed(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NegativesAblationResult:
-    rows: list[tuple[str, float, float]]
-    """(variant, held-out precision, held-out recall)"""
-
-    def table(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "A3: OTHERS population (section 3.1)",
-            ["Negative examples", "Precision", "Recall"],
-            note="systematic directory coverage vs a few arbitrary pages",
-        )
-        for variant, precision, recall in self.rows:
-            table.add_row([variant, round(precision, 3), round(recall, 3)])
-        return table
-
-    def precision_of(self, variant: str) -> float:
-        for name, precision, _recall in self.rows:
-            if name == variant:
-                return precision
-        raise KeyError(variant)
+def _fit_svm(train_counts: list, labels: list[int], seed: int):
+    """A tf*idf vectorizer over ``train_counts`` and the SVM trained on
+    their vectors."""
+    vectorizer = TfIdfVectorizer()
+    for c in train_counts:
+        vectorizer.ingest(c.keys())
+    vectorizer.refresh()
+    vectors = [vectorizer.vectorize_counts(c) for c in train_counts]
+    return vectorizer, LinearSVM(C=1.0, seed=seed).fit(vectors, labels)
 
 
-def run_negatives_ablation(
-    seed: int = 61,
-    test_per_class: int = 150,
-) -> NegativesAblationResult:
+def run_negatives_ablation(test_per_class: int = 150) -> ExperimentTable:
     """Train the same topic classifier under two OTHERS regimes."""
-    web = _ablation_web(seed)
+    seed = NEGATIVES_SEED
+    web = experiment_web(seed)
     target = web.config.target_topic
     rng = np.random.default_rng(seed)
 
@@ -459,7 +348,7 @@ def run_negatives_ablation(
         if p.role in (PageRole.HOMEPAGE, PageRole.PUBLICATIONS)
     ]
     rng.shuffle(positives)
-    pos_train = [_term_counts(web, p)["term"] for p in positives[:20]]
+    pos_train = [page_counts(web, p)["term"] for p in positives[:20]]
 
     # systematic: directory pages spanning all categories (the paper's
     # ~50 Yahoo top-level pages); arbitrary: 5 pages of ONE category
@@ -481,53 +370,33 @@ def run_negatives_ablation(
     rng.shuffle(test_pool)
     test_pages = test_pool[: 2 * test_per_class]
 
-    rows = []
+    table = ExperimentTable(
+        "A3: OTHERS population (section 3.1)",
+        ["Negative examples", "Precision", "Recall"],
+        note="systematic directory coverage vs a few arbitrary pages",
+    )
     for name, negative_pages in (
         ("systematic (50 directory pages)", systematic_pages),
         ("arbitrary (5 same-category pages)", arbitrary_pages),
     ):
-        neg_train = [_term_counts(web, p)["term"] for p in negative_pages]
-        vectorizer = TfIdfVectorizer()
-        for c in pos_train + neg_train:
-            vectorizer.ingest(c.keys())
-        vectorizer.refresh()
-        vectors = [vectorizer.vectorize_counts(c) for c in pos_train + neg_train]
+        neg_train = [page_counts(web, p)["term"] for p in negative_pages]
         labels = [1] * len(pos_train) + [-1] * len(neg_train)
-        svm = LinearSVM(C=1.0, seed=seed).fit(vectors, labels)
+        vectorizer, svm = _fit_svm(pos_train + neg_train, labels, seed)
         counts = BinaryCounts()
         for page in test_pages:
             vector = vectorizer.vectorize_counts(
-                _term_counts(web, page)["term"]
+                page_counts(web, page)["term"]
             )
             counts.update(
                 svm.predict(vector), 1 if page.topic == target else -1
             )
-        rows.append((name, counts.precision, counts.recall))
-    return NegativesAblationResult(rows=rows)
+        table.add_row([name, counts.precision, counts.recall])
+    return table
 
 
 # ---------------------------------------------------------------------------
 # A4: feature spaces
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeatureSpaceAblationResult:
-    rows: list[tuple[str, float, float, float]]
-    """(space, xi-alpha precision estimate, held-out precision, recall)"""
-
-    def table(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "A4: feature spaces (section 3.4)",
-            ["Feature space", "xi-alpha estimate", "Precision", "Recall"],
-            note="the xi-alpha estimate drives BINGO!'s model selection",
-        )
-        for space, estimate, precision, recall in self.rows:
-            table.add_row(
-                [space, round(estimate, 3), round(precision, 3),
-                 round(recall, 3)]
-            )
-        return table
 
 
 def _incoming_anchor_terms(web: SyntheticWeb) -> dict[int, list[str]]:
@@ -543,12 +412,12 @@ def _incoming_anchor_terms(web: SyntheticWeb) -> dict[int, list[str]]:
 
 
 def run_feature_space_ablation(
-    seed: int = 67,
     train_per_class: int = 25,
     test_per_class: int = 100,
-) -> FeatureSpaceAblationResult:
+) -> ExperimentTable:
     """Single terms vs pairs vs anchors vs a combined space."""
-    web = _ablation_web(seed)
+    seed = FEATURE_SPACE_SEED
+    web = experiment_web(seed)
     target = web.config.target_topic
     rng = np.random.default_rng(seed)
     incoming = _incoming_anchor_terms(web)
@@ -560,13 +429,6 @@ def run_feature_space_ablation(
             [TermSpace(), TermPairSpace(window=4), AnchorTextSpace()]
         ),
     }
-
-    def analyzed(page) -> dict[str, Counter]:
-        return analyze_page(
-            web.renderer.render(page), spaces,
-            incoming_anchor_terms=incoming.get(page.page_id, []),
-        )[0]
-
     positives = [
         p for p in web.pages_by_topic(target)
         if p.role in (PageRole.HOMEPAGE, PageRole.CV)
@@ -579,12 +441,20 @@ def run_feature_space_ablation(
     ]
     rng.shuffle(positives)
     rng.shuffle(negatives)
-    pos = positives[: train_per_class + test_per_class]
-    neg = negatives[: train_per_class + test_per_class]
-    pos_docs = [analyzed(p) for p in pos]
-    neg_docs = [analyzed(p) for p in neg]
 
-    rows = []
+    def analyzed(pages) -> list[dict]:
+        return [
+            page_counts(web, p, spaces, incoming.get(p.page_id, ()))
+            for p in pages[: train_per_class + test_per_class]
+        ]
+
+    pos_docs, neg_docs = analyzed(positives), analyzed(negatives)
+
+    table = ExperimentTable(
+        "A4: feature spaces (section 3.4)",
+        ["Feature space", "xi-alpha estimate", "Precision", "Recall"],
+        note="the xi-alpha estimate drives BINGO!'s model selection",
+    )
     labels = [1] * train_per_class + [-1] * train_per_class
     test_labels = (
         [1] * (len(pos_docs) - train_per_class)
@@ -599,22 +469,17 @@ def run_feature_space_ablation(
             d[name]
             for d in pos_docs[train_per_class:] + neg_docs[train_per_class:]
         ]
-        vectorizer = TfIdfVectorizer()
-        for c in train_counts:
-            vectorizer.ingest(c.keys())
-        vectorizer.refresh()
-        train_vectors = [vectorizer.vectorize_counts(c) for c in train_counts]
-        svm = LinearSVM(C=1.0, seed=seed).fit(train_vectors, labels)
+        vectorizer, svm = _fit_svm(train_counts, labels, seed)
         estimate = xi_alpha_estimate(svm, labels)
         measured = BinaryCounts()
         for counts, label in zip(test_counts, test_labels):
             measured.update(
                 svm.predict(vectorizer.vectorize_counts(counts)), label
             )
-        rows.append(
-            (name, estimate.precision, measured.precision, measured.recall)
+        table.add_row(
+            [name, estimate.precision, measured.precision, measured.recall]
         )
-    return FeatureSpaceAblationResult(rows=rows)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -622,74 +487,37 @@ def run_feature_space_ablation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassifierAblationResult:
-    rows: list[tuple[str, int, int, float, int]]
-    """(learner, visited, accepted, true precision, target pages found)"""
-
-    def table(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "A6: node classifier choice (section 1.2)",
-            ["Learner", "Visited", "Accepted", "True precision",
-             "Target pages found"],
-            note=(
-                "same Web, seeds and budget; only the per-topic decision "
-                "model differs (the paper settles on linear SVMs)"
-            ),
-        )
-        for learner, visited, accepted, precision, found in self.rows:
-            table.add_row(
-                [learner, visited, accepted, round(precision, 3), found]
-            )
-        return table
-
-    def row_of(self, learner: str) -> tuple[int, int, float, int]:
-        for name, *rest in self.rows:
-            if name == learner:
-                return tuple(rest)
-        raise KeyError(learner)
-
-
-def run_classifier_ablation(
-    seed: int = 89,
-    budget: int = 400,
-) -> ClassifierAblationResult:
+def run_classifier_ablation() -> ExperimentTable:
     """Crawl the same Web once per node-learner choice.
 
     The paper (1.2) lists Naive Bayes, Maximum Entropy and SVMs as the
     classifier menu and picks linear SVMs; this ablation shows how the
     crawl fares under each choice.  Soft focus + tunnelling throughout.
     """
-    web = _ablation_web(seed)
+    web = experiment_web(CLASSIFIER_SEED)
     target = web.config.target_topic
-    topic = f"ROOT/{target}"
     seeds = web.seed_homepages(3, topic=target)
-    rows = []
+    training = _paper_vs_directory(web, target)
+    table = ExperimentTable(
+        "A6: node classifier choice (section 1.2)",
+        ["Learner", "Visited", "Accepted", "True precision",
+         "Target pages found"],
+        note=(
+            "same Web, seeds and budget; only the per-topic decision "
+            "model differs (the paper settles on linear SVMs)"
+        ),
+    )
     for learner in NODE_CLASSIFIERS:
         config = BingoConfig(
-            seed=seed, selected_features=800, tf_preselection=3000,
-            node_classifier=learner,
+            seed=CLASSIFIER_SEED, selected_features=800,
+            tf_preselection=3000, node_classifier=learner,
         )
-        classifier = _train_topic_classifier(web, target, config)
-        crawler = FocusedCrawler(web, classifier, config)
-        crawler.seed(seeds, topic=topic, priority=10.0)
-        stats = crawler.crawl(
+        visited, accepted, precision, found = _crawl_and_score(
+            web, train_topic(target, config, *training), config, seeds,
             PhaseSettings(
                 name=learner, focus=SOFT, tunnelling=True,
-                decision_mode="single", fetch_budget=budget,
-            )
+                decision_mode="single", fetch_budget=CLASSIFIER_BUDGET,
+            ),
         )
-        accepted = [doc for doc in crawler.ctx.documents if doc.topic == topic]
-        correct = sum(
-            1 for doc in accepted if _true_topic(web, doc) == target
-        )
-        found = {
-            doc.page_id for doc in crawler.ctx.documents
-            if _true_topic(web, doc) == target
-        }
-        precision = correct / len(accepted) if accepted else 0.0
-        rows.append(
-            (learner, stats.visited_urls, len(accepted), precision,
-             len(found))
-        )
-    return ClassifierAblationResult(rows=rows)
+        table.add_row([learner, visited, accepted, precision, len(found)])
+    return table

@@ -14,7 +14,7 @@ plain keyword engine returns nothing useful.  The workflow:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import BingoConfig, BingoEngine
 from repro.experiments.reporting import ExperimentTable
@@ -24,49 +24,27 @@ from repro.web import SyntheticWeb
 
 __all__ = ["ExpertExperimentResult", "run_expert_experiment"]
 
+LEARNING_FETCH_BUDGET = 120
+
 
 @dataclass
 class ExpertExperimentResult:
-    """Seeds, crawl stats, and the post-processed top-10."""
+    """Figures 4 and 5 plus what they do not show: the seeds, the needle
+    pages, the crawl's Table-1 row and the needle counts of the crawl and
+    of the unfocused baseline."""
 
+    figure4: ExperimentTable
+    figure5: ExperimentTable
     seed_hits: list[SeedHit]
-    unfocused_needles_in_top10: int
+    needle_urls: set[str]
     crawl_table1: dict[str, int]
-    top10: list[tuple[float, str]]
-    needles_in_top10: int
     needles_crawled: int
-    needle_urls: set[str] = field(default_factory=set)
-
-    def figure4(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "Figure 4: Initial training documents",
-            ["#", "Seed URL", "Role"],
-            note="selected from the external engine's top 10",
-        )
-        for i, hit in enumerate(self.seed_hits, 1):
-            table.add_row([i, hit.url, hit.page.role.value])
-        return table
-
-    def figure5(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "Figure 5: Top 10 results for query 'source code release'",
-            ["Score", "URL", "Needle?"],
-            note=(
-                f"{self.needles_in_top10} needle page(s) in the top 10; "
-                f"unfocused baseline had {self.unfocused_needles_in_top10}"
-            ),
-        )
-        for score, url in self.top10:
-            table.add_row(
-                [round(score, 3), url, "yes" if url in self.needle_urls else ""]
-            )
-        return table
+    unfocused_needles_in_top10: int
 
 
 def run_expert_experiment(
     seed: int = 7,
     crawl_fetch_budget: int = 700,
-    learning_fetch_budget: int = 120,
 ) -> ExpertExperimentResult:
     """Run the full expert-search workflow on the ARIES synthetic Web."""
     web = SyntheticWeb.generate_expert(seed=seed)
@@ -76,13 +54,20 @@ def run_expert_experiment(
     seed_hits = external.select_seeds(
         "aries recovery method algorithm", top_k=10, max_seeds=7
     )
+    figure4 = ExperimentTable(
+        "Figure 4: Initial training documents",
+        ["#", "Seed URL", "Role"],
+        note="selected from the external engine's top 10",
+    )
+    for i, hit in enumerate(seed_hits, 1):
+        figure4.add_row([i, hit.url, hit.page.role.value])
     unfocused = external.query("source code release aries recovery", top_k=10)
     needle_urls = web.needle_urls()
     unfocused_needles = sum(hit.url in needle_urls for hit in unfocused)
 
     config = BingoConfig(
         seed=seed,
-        learning_fetch_budget=learning_fetch_budget,
+        learning_fetch_budget=LEARNING_FETCH_BUDGET,
         retrain_interval=150,
         selected_features=1000,
         tf_preselection=4000,
@@ -103,17 +88,27 @@ def run_expert_experiment(
         weights=RankingWeights(cosine=1.0),
         top_k=10,
     )
-    top10 = [(hit.score, hit.url) for hit in hits]
-    needles_in_top10 = sum(url in needle_urls for _score, url in top10)
-    needles_crawled = sum(
-        doc.final_url in needle_urls for doc in engine.ctx.documents
+    needles_in_top10 = sum(hit.url in needle_urls for hit in hits)
+    figure5 = ExperimentTable(
+        "Figure 5: Top 10 results for query 'source code release'",
+        ["Score", "URL", "Needle?"],
+        note=(
+            f"{needles_in_top10} needle page(s) in the top 10; "
+            f"unfocused baseline had {unfocused_needles}"
+        ),
     )
+    for hit in hits:
+        figure5.add_row(
+            [hit.score, hit.url, "yes" if hit.url in needle_urls else ""]
+        )
     return ExpertExperimentResult(
+        figure4=figure4,
+        figure5=figure5,
         seed_hits=seed_hits,
-        unfocused_needles_in_top10=unfocused_needles,
-        crawl_table1=report.table1_row(),
-        top10=top10,
-        needles_in_top10=needles_in_top10,
-        needles_crawled=needles_crawled,
         needle_urls=needle_urls,
+        crawl_table1=report.table1_row(),
+        needles_crawled=sum(
+            doc.final_url in needle_urls for doc in engine.ctx.documents
+        ),
+        unfocused_needles_in_top10=unfocused_needles,
     )

@@ -16,11 +16,16 @@ averaged over several seeds because the tiny-training regime is noisy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.experiments.common import (
+    CLASSIFIER_WEB,
+    experiment_web,
+    mean_over_seeds,
+    page_counts,
+)
 from repro.experiments.metrics import BinaryCounts
 from repro.experiments.reporting import ExperimentTable
 from repro.ml.common import BinaryClassifier
@@ -29,11 +34,11 @@ from repro.ml.naive_bayes import NaiveBayesClassifier
 from repro.ml.rocchio import RocchioClassifier
 from repro.ml.svm import LinearSVM
 from repro.ml.xialpha import xi_alpha_estimate
-from repro.text.features import TermPairSpace, TermSpace, analyze_page
+from repro.text.features import TermPairSpace, TermSpace
 from repro.text.vectorizer import TfIdfVectorizer
-from repro.web import PageRole, SyntheticWeb, WebGraphConfig
+from repro.web import PageRole
 
-__all__ = ["MetaBenchResult", "run_meta_experiment"]
+__all__ = ["run_meta_experiment"]
 
 SPACES = {"term": TermSpace(), "pair": TermPairSpace(window=4)}
 TRAINING_LABEL_NOISE = 0.1
@@ -59,58 +64,10 @@ class _SpaceMember(BinaryClassifier):
         return self.inner.decision(bundle[self.space])
 
 
-@dataclass
-class MetaBenchResult:
-    """Mean precision/recall of members and meta modes over the seeds."""
-
-    rows: list[tuple[str, float, float, float]]
-    """(name, precision, recall, abstention rate)"""
-    seeds: tuple[int, ...]
-
-    def table(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "Meta classification (section 3.5)",
-            ["Decision function", "Precision", "Recall", "Abstain rate"],
-            note=(
-                "paper: unanimity/weighting lift precision ~80% -> >90%; "
-                f"means over seeds {list(self.seeds)}"
-            ),
-        )
-        for name, precision, recall, abstain in self.rows:
-            table.add_row(
-                [name, round(precision, 3), round(recall, 3), round(abstain, 3)]
-            )
-        return table
-
-    def precision_of(self, name: str) -> float:
-        for row_name, precision, _recall, _abstain in self.rows:
-            if row_name == name:
-                return precision
-        raise KeyError(name)
-
-    def mean_single_precision(self) -> float:
-        singles = [
-            precision for name, precision, _r, _a in self.rows
-            if not name.startswith("meta")
-        ]
-        return sum(singles) / len(singles)
-
-
-def _extract(web: SyntheticWeb, page) -> dict:
-    return analyze_page(web.renderer.render(page), SPACES)[0]
-
-
 def _one_run(
     seed: int, test_per_class: int
 ) -> dict[str, tuple[float, float, float]]:
-    web = SyntheticWeb.generate(
-        WebGraphConfig(
-            seed=seed, target_researchers=120, other_researchers=60,
-            universities=25, hubs_per_topic=4,
-            background_hosts_per_category=8, pages_per_background_host=6,
-            directory_pages_per_category=8,
-        )
-    )
+    web = experiment_web(seed, **CLASSIFIER_WEB)
     target = web.config.target_topic
     positive_roles = {PageRole.HOMEPAGE, PageRole.CV, PageRole.PUBLICATIONS}
     positives = [
@@ -132,7 +89,7 @@ def _one_run(
     neg_test = negatives[TRAIN_PER_CLASS:TRAIN_PER_CLASS + test_per_class]
 
     vectorizers = {name: TfIdfVectorizer() for name in SPACES}
-    train_counts = [_extract(web, p) for p in pos_train + neg_train]
+    train_counts = [page_counts(web, p, SPACES) for p in pos_train + neg_train]
     for counts in train_counts:
         for name, vectorizer in vectorizers.items():
             vectorizer.ingest(counts[name].keys())
@@ -151,7 +108,9 @@ def _one_run(
         if rng.random() < TRAINING_LABEL_NOISE:
             labels[i] = -labels[i]
 
-    test_bundles = [bundle(_extract(web, p)) for p in pos_test + neg_test]
+    test_bundles = [
+        bundle(page_counts(web, p, SPACES)) for p in pos_test + neg_test
+    ]
     test_labels = [1] * len(pos_test) + [-1] * len(neg_test)
 
     # Each member trains on its own random subsample of the training
@@ -225,7 +184,7 @@ def _one_run(
 def run_meta_experiment(
     seeds: Sequence[int] = (23, 29, 31, 37),
     test_per_class: int = 120,
-) -> MetaBenchResult:
+) -> ExperimentTable:
     """Average the member-vs-meta comparison over several seeds.
 
     At the default regime the reproduction lands almost exactly on the
@@ -233,18 +192,16 @@ def run_meta_experiment(
     meta precision ~0.95 ("from values around 80 percent to values above
     90 percent").
     """
-    accumulated: dict[str, list[tuple[float, float, float]]] = {}
-    for seed in seeds:
-        run = _one_run(seed, test_per_class)
-        for name, triple in run.items():
-            accumulated.setdefault(name, []).append(triple)
-    rows = [
-        (
-            name,
-            float(np.mean([t[0] for t in triples])),
-            float(np.mean([t[1] for t in triples])),
-            float(np.mean([t[2] for t in triples])),
-        )
-        for name, triples in accumulated.items()
-    ]
-    return MetaBenchResult(rows=rows, seeds=tuple(seeds))
+    table = ExperimentTable(
+        "Meta classification (section 3.5)",
+        ["Decision function", "Precision", "Recall", "Abstain rate"],
+        note=(
+            "paper: unanimity/weighting lift precision ~80% -> >90%; "
+            f"means over seeds {list(seeds)}"
+        ),
+    )
+    for row in mean_over_seeds(
+        _one_run(seed, test_per_class) for seed in seeds
+    ):
+        table.add_row(row)
+    return table

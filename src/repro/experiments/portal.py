@@ -17,20 +17,32 @@ several-fold, and improves top-cutoff precision markedly (paper: 27 ->
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import BingoConfig, BingoEngine
+from repro.core.engine import CrawlReport
 from repro.experiments.reporting import ExperimentTable
 from repro.web import SyntheticWeb, WebGraphConfig
-from repro.web.dblp import PortalScores
 
 __all__ = [
-    "PortalCheckpoint",
     "PortalExperimentResult",
     "bench_web_config",
     "bench_engine_config",
     "run_portal_experiment",
 ]
+
+TOP_K = 100
+"""Registry authors counted as top-ranked (the paper's top 1000, scaled)."""
+CUTOFFS = (100, 500, 0)
+"""Best-crawl-result cutoffs of Tables 2/3; 0 scores every result."""
+_TABLE1_LABELS = {
+    "visited_urls": "Visited URLs",
+    "stored_pages": "Stored pages",
+    "extracted_links": "Extracted links",
+    "positively_classified": "Positively classified",
+    "visited_hosts": "Visited hosts",
+    "max_crawling_depth": "Max crawling depth",
+}
 
 
 def bench_web_config(seed: int = 17) -> WebGraphConfig:
@@ -58,81 +70,20 @@ def bench_engine_config(seed: int = 17) -> BingoConfig:
 
 
 @dataclass
-class PortalCheckpoint:
-    """One pause point ("90 minutes" / "12 hours")."""
-
-    label: str
-    table1: dict[str, int]
-    scores: list[PortalScores]
-    simulated_seconds: float
-
-
-@dataclass
 class PortalExperimentResult:
-    """Both checkpoints plus the scaled evaluation parameters."""
+    """Tables 1-3 of both checkpoints, raw values in their rows."""
 
-    short: PortalCheckpoint
-    long: PortalCheckpoint
-    top_k: int
-    cutoffs: list[int]
+    table1: ExperimentTable
+    table2: ExperimentTable
+    table3: ExperimentTable
     registry_size: int
-    web_size: int
-    notes: list[str] = field(default_factory=list)
-
-    def table1(self) -> ExperimentTable:
-        table = ExperimentTable(
-            "Table 1: Crawl summary data",
-            ["Property", self.short.label, self.long.label],
-            note="paper: 90 minutes vs 12 hours on the live Web",
-        )
-        labels = {
-            "visited_urls": "Visited URLs",
-            "stored_pages": "Stored pages",
-            "extracted_links": "Extracted links",
-            "positively_classified": "Positively classified",
-            "visited_hosts": "Visited hosts",
-            "max_crawling_depth": "Max crawling depth",
-        }
-        for key, label in labels.items():
-            table.add_row([label, self.short.table1[key], self.long.table1[key]])
-        return table
-
-    def _score_table(
-        self, title: str, checkpoint: PortalCheckpoint
-    ) -> ExperimentTable:
-        table = ExperimentTable(
-            title,
-            [
-                "Best crawl results",
-                f"Top {self.top_k} registry",
-                "All authors",
-            ],
-            note=(
-                f"registry holds {self.registry_size} authors; paper used "
-                "DBLP with 31,582"
-            ),
-        )
-        for row in checkpoint.scores:
-            table.add_row([row.cutoff, row.found_top, row.found_all])
-        return table
-
-    def table2(self) -> ExperimentTable:
-        return self._score_table(
-            f"Table 2: BINGO! precision ({self.short.label})", self.short
-        )
-
-    def table3(self) -> ExperimentTable:
-        return self._score_table(
-            f"Table 3: BINGO! precision ({self.long.label})", self.long
-        )
+    notes: list[str]
 
 
 def run_portal_experiment(
     seed: int = 17,
     short_budget: int = 700,
     long_budget: int = 7000,
-    top_k: int = 100,
-    cutoffs: tuple[int, ...] = (100, 500, 0),
 ) -> PortalExperimentResult:
     """Run the two-checkpoint portal crawl and score both checkpoints.
 
@@ -148,54 +99,44 @@ def run_portal_experiment(
     registry = web.registry(web.config.target_topic)
     topic = f"ROOT/{web.config.target_topic}"
 
-    learning = engine.run_learning_phase()
-    first = engine.run_harvesting_phase(
-        fetch_budget=max(short_budget - learning.stats.visited_urls, 1)
-    )
-
-    def checkpoint(label: str) -> PortalCheckpoint:
-        total = {"visited_urls": 0, "stored_pages": 0, "extracted_links": 0,
-                 "positively_classified": 0}
-        # cumulative Table-1 row over everything crawled so far
-        stats_rows = [learning.stats, first.stats]
-        if len(phases) == 3:
-            stats_rows.append(phases[2].stats)
-        hosts: set[str] = set()
-        max_depth = 0
-        sim = 0.0
-        for stats in stats_rows:
-            total["visited_urls"] += stats.visited_urls
-            total["stored_pages"] += stats.stored_pages
-            total["extracted_links"] += stats.extracted_links
-            total["positively_classified"] += stats.positively_classified
-            hosts |= stats.hosts_visited
-            max_depth = max(max_depth, stats.max_depth)
-            sim += stats.simulated_seconds
-        table1 = dict(total)
-        table1["visited_hosts"] = len(hosts)
-        table1["max_crawling_depth"] = max_depth
-        ranked = engine.ranked_result_urls(topic)
-        scores = registry.score(ranked, cutoffs=list(cutoffs), top_k=top_k)
-        return PortalCheckpoint(
-            label=label, table1=table1, scores=scores,
-            simulated_seconds=sim,
+    def precision_table(title: str) -> ExperimentTable:
+        table = ExperimentTable(
+            title,
+            ["Best crawl results", f"Top {TOP_K} registry", "All authors"],
+            note=(
+                f"registry holds {len(registry)} authors; paper used "
+                "DBLP with 31,582"
+            ),
         )
+        ranked = engine.ranked_result_urls(topic)
+        for row in registry.score(ranked, cutoffs=list(CUTOFFS), top_k=TOP_K):
+            table.add_row([row.cutoff, row.found_top, row.found_all])
+        return table
 
-    phases = [learning, first]
-    short = checkpoint("short crawl")
-    second = engine.run_harvesting_phase(
-        fetch_budget=long_budget - short_budget
+    learning = engine.run_learning_phase()
+    phases = [learning, engine.run_harvesting_phase(
+        fetch_budget=max(short_budget - learning.stats.visited_urls, 1)
+    )]
+    short = CrawlReport(phases=list(phases)).table1_row()
+    table2 = precision_table("Table 2: BINGO! precision (short crawl)")
+    phases.append(
+        engine.run_harvesting_phase(fetch_budget=long_budget - short_budget)
     )
-    phases.append(second)
-    long = checkpoint("long crawl")
+    long = CrawlReport(phases=phases).table1_row()
+    table3 = precision_table("Table 3: BINGO! precision (long crawl)")
 
+    table1 = ExperimentTable(
+        "Table 1: Crawl summary data",
+        ["Property", "short crawl", "long crawl"],
+        note="paper: 90 minutes vs 12 hours on the live Web",
+    )
+    for key, label in _TABLE1_LABELS.items():
+        table1.add_row([label, short[key], long[key]])
     return PortalExperimentResult(
-        short=short,
-        long=long,
-        top_k=top_k,
-        cutoffs=[c if c else len(engine.ranked_result_urls(topic)) for c in cutoffs],
+        table1=table1,
+        table2=table2,
+        table3=table3,
         registry_size=len(registry),
-        web_size=web.size,
         notes=[
             f"retrainings: {engine.retrainings}",
             f"archetypes promoted: {engine.archetypes_added}",

@@ -12,6 +12,10 @@ __all__ = ["ExperimentTable"]
 class ExperimentTable:
     """A titled table that renders aligned plain text.
 
+    Rows hold raw values (floats render to three decimals), so the
+    assertions on a paper claim read them back with :meth:`cell` or
+    :meth:`column`.
+
     >>> t = ExperimentTable("Table 1", ["Property", "90 min"], note="demo")
     >>> t.add_row(["Visited URLs", 1234])
     >>> print(t.render())  # doctest: +ELLIPSIS
@@ -30,6 +34,22 @@ class ExperimentTable:
                 f"row has {len(row)} cells, expected {len(self.headers)}"
             )
         self.rows.append(list(row))
+
+    def column(self, header: str) -> list:
+        """Every row's raw value under ``header``, in row order."""
+        if header not in self.headers:
+            raise KeyError(header)
+        index = list(self.headers).index(header)
+        return [row[index] for row in self.rows]
+
+    def cell(self, row_key, header: str):
+        """The raw value under ``header`` in the first row whose first
+        cell is ``row_key``; ``KeyError`` when either is missing."""
+        keys = self.column(self.headers[0])
+        for key, value in zip(keys, self.column(header)):
+            if key == row_key:
+                return value
+        raise KeyError(row_key)
 
     @staticmethod
     def _cell(value) -> str:

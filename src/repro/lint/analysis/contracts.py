@@ -12,12 +12,12 @@ classes, from outside that class's sanctioned methods, is a finding.
 
 ``deprecated-api`` keeps recently deleted members from creeping back
 while call sites written against them may still be in flight: the
-fields and keywords that became constants (the table says where), the
-write side of the metrics path, the span tracer and the ``Obs`` bundle
-(``ctx.obs`` is the registry), ``LocalSearchEngine.rebuild`` and
-``sync_term_statistics``.  An entry expires one ROADMAP re-anchor after
-the PR that recorded it; by then a stay-gone test or a ``TypeError``
-from the constructor holds the line.
+keywords that became constants (the table says where), the span
+tracer and the ``Obs`` bundle (``ctx.obs`` is the registry), and the
+experiment result classes whose rows now live once, in the runner's
+``ExperimentTable``.  An entry expires one ROADMAP re-anchor after the
+PR that recorded it; by then a stay-gone test or a ``TypeError`` from
+the constructor holds the line.
 """
 
 from __future__ import annotations
@@ -164,82 +164,38 @@ class EpochMutation(Rule):
             )
 
 
-_NO_TERM_STATISTICS = (
-    "the store keeps the relations the crawl writes; df and idf live on "
-    "TfIdfVectorizer.statistics"
-)
-_NO_WRITE_SIDE = (
-    "the registry only reads: keep the count as an attribute of the "
-    "object that owns the state, report it from stats() and "
-    "register_source that object"
-)
-_REGISTERED_BY_BUILDER = (
-    "components never see the registry; whoever builds the object "
-    "calls obs.register_source(name, it)"
-)
 _NO_TRACER = (
     "a stage run is recorded once, as the StageEvent "
     "CrawlPipeline.add_hook delivers; a decision is its CrawledDocument"
 )
+_CELL = "read the runner's ExperimentTable: table.cell(row, header)"
+_RESULT_CLASSES = {
+    "ablations": (
+        "FocusAblationResult", "ArchetypeAblationResult",
+        "NegativesAblationResult", "FeatureSpaceAblationResult",
+        "ClassifierAblationResult",
+    ),
+    "meta_bench": ("MetaBenchResult",),
+    "featsel": ("FeatureSelectionResult", "BudgetSelectionResult"),
+    "portal": ("PortalCheckpoint",),
+}
 
 #: class (or function) name -> removed member or keyword -> replacement
 #: guidance.  Uses are only flagged when the receiver provably types as
 #: that class -- "value" is far too common a name to flag on sight.
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
-    "WorkerSet": {"obs": _REGISTERED_BY_BUILDER},
-    # the write-side metrics path (one count, kept once)
     "MetricsRegistry": {
-        "counter": _NO_WRITE_SIDE,
-        "gauge": _NO_WRITE_SIDE,
-        "histogram": _NO_WRITE_SIDE,
-        "value": "read snapshot()['sources'][source][key]",
         # ctx.obs was the registry + tracer bundle; it is the registry
         "registry": "ctx.obs is the registry: ctx.obs.snapshot()",
         "tracer": _NO_TRACER,
     },
-    "Obs": {
-        "record_stage_event": (
-            "CrawlPipeline._emit sums the events; CrawlPipeline.stats() "
-            "is the `pipeline` source"
-        ),
-        "count_hook_error": "CrawlPipeline.hook_errors",
-        "breaker_transition": (
-            "HostBreaker.trips / probes count the entries into open / "
-            "half-open (robust.breaker_trips / breaker_probes)"
-        ),
-        "enabled": "there is no off switch: nothing is written",
-    },
-    "HostBreaker": {
-        "on_transition": (
-            "trips / probes count the state changes; nothing is "
-            "called back"
-        ),
-    },
-    "LocalSearchEngine": {
-        "rebuild": (
-            "build a fresh engine over the new documents, or fold the "
-            "difference with apply_delta"
-        ),
-        "obs": _REGISTERED_BY_BUILDER,
-    },
-    "QueryServer": {"obs": _REGISTERED_BY_BUILDER},
     "LivingPortal": {
         "indexed": (
             "the portal serves LocalSearchEngine(documents); pass "
             "search= for any other engine"
         ),
     },
-    "BulkLoader": {"obs": _REGISTERED_BY_BUILDER},
-    "BreakerBoard": {"obs": _REGISTERED_BY_BUILDER},
-    "BreakerBoardSet": {"obs": _REGISTERED_BY_BUILDER},
-    # removed fields: where each value lives now
-    "BingoConfig": {
-        "svm_cost": "repro.core.classifier.SVM_COST",
-        "instrumentation": (
-            "there is no off switch: the metrics path has no write side"
-        ),
-        "trace_ring_size": _NO_TRACER,
-    },
+    "BingoConfig": {"trace_ring_size": _NO_TRACER},
     # keywords no caller passed: module constants now
     "KMeans": {
         "max_iterations": "repro.ml.kmeans.MAX_ITERATIONS",
@@ -257,6 +213,58 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         "train_per_class": "repro.experiments.meta_bench.TRAIN_PER_CLASS",
         "svm_cost": "repro.experiments.meta_bench.SVM_COST",
     },
+    "run_portal_experiment": {
+        "top_k": "repro.experiments.portal.TOP_K",
+        "cutoffs": "repro.experiments.portal.CUTOFFS",
+    },
+    "run_expert_experiment": {
+        "learning_fetch_budget": (
+            "repro.experiments.expert.LEARNING_FETCH_BUDGET"
+        ),
+    },
+    "run_focus_ablation": {"seed": "repro.experiments.ablations.FOCUS_SEED"},
+    "run_negatives_ablation": {
+        "seed": "repro.experiments.ablations.NEGATIVES_SEED",
+    },
+    "run_feature_space_ablation": {
+        "seed": "repro.experiments.ablations.FEATURE_SPACE_SEED",
+    },
+    "run_classifier_ablation": {
+        "seed": "repro.experiments.ablations.CLASSIFIER_SEED",
+        "budget": "repro.experiments.ablations.CLASSIFIER_BUDGET",
+    },
+    "run_feature_selection_experiment": {
+        "seed": "repro.experiments.featsel.FEATURE_SELECTION_SEED",
+    },
+    "run_budget_selection_experiment": {
+        "seed": "repro.experiments.featsel.BUDGET_SELECTION_SEED",
+        "budgets": "repro.experiments.featsel.BUDGET_SELECTION_BUDGETS",
+        "train_per_class": "repro.experiments.featsel.TRAIN_PER_CLASS",
+        "test_per_class": "repro.experiments.featsel.TEST_PER_CLASS",
+    },
+    # a runner returns its tables; a row lives once, in the table
+    "ExperimentTable": {
+        "table": "the runner returns the ExperimentTable itself",
+        "variant": _CELL,
+        "row_of": _CELL,
+        "precision_of": _CELL,
+        "purity_of": _CELL,
+        "accuracy_of": _CELL,
+        "mean_single_precision": (
+            "average the Precision column's non-meta rows"
+        ),
+    },
+    "PortalExperimentResult": {
+        "short": "result.table1 / table2 hold the short checkpoint",
+        "long": "result.table1 / table3 hold the long checkpoint",
+        "top_k": "repro.experiments.portal.TOP_K",
+        "cutoffs": "repro.experiments.portal.CUTOFFS",
+        "web_size": "SyntheticWeb.generate(bench_web_config(seed)).size",
+    },
+    "ExpertExperimentResult": {
+        "top10": "result.figure5.column('Score') / column('URL')",
+        "needles_in_top10": "result.figure5.column('Needle?').count('yes')",
+    },
 }
 _REMOVED_NAMES = frozenset(
     name for members in _REMOVED_MEMBERS.values() for name in members
@@ -265,8 +273,6 @@ _REMOVED_NAMES = frozenset(
 #: removed module or module-level name -> replacement guidance, flagged
 #: where an ``import`` or ``from module import name`` asks for it
 _REMOVED_IMPORTS: dict[str, str] = {
-    "repro.storage.sync_term_statistics": _NO_TERM_STATISTICS,
-    "repro.storage.persistence.sync_term_statistics": _NO_TERM_STATISTICS,
     "repro.obs.tracing": _NO_TRACER,
     "repro.obs.Tracer": _NO_TRACER,
     "repro.obs.Span": _NO_TRACER,
@@ -275,6 +281,14 @@ _REMOVED_IMPORTS: dict[str, str] = {
         "register a hook of your own with CrawlPipeline.add_hook"
     ),
     "repro.obs.from_json": "json.loads(to_json(registry))",
+    **{
+        f"repro.experiments.{module}.{name}": (
+            "the runner returns ExperimentTable(s); read rows with "
+            "table.cell(row, header)"
+        )
+        for module, names in _RESULT_CLASSES.items()
+        for name in names
+    },
 }
 
 
@@ -285,10 +299,9 @@ class DeprecatedApi(Rule):
     id = "deprecated-api"
     scope = "project"
     description = (
-        "members deleted since the last re-anchor (fields and keywords "
-        "that became constants, the write side of the metrics registry, "
-        "the span tracer and Obs bundle, sync_term_statistics) must not "
-        "be reintroduced"
+        "members deleted since the last re-anchor (keywords that became "
+        "constants, the span tracer and Obs bundle, the experiment result "
+        "classes and their row lookups) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

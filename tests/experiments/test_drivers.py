@@ -1,8 +1,9 @@
 """Smoke tests for the experiment drivers (small budgets).
 
-The *shape* assertions (who wins, by how much) live in ``benchmarks/``;
-these tests check that each driver runs end to end and produces
-structurally sound results at reduced scale.
+The *shape* assertions (who wins, by how much) live in
+``benchmarks/bench_paper.py``; these tests check that each runner
+completes end to end and returns structurally sound tables at reduced
+scale.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.experiments.ablations import (
 from repro.experiments.expert import run_expert_experiment
 from repro.experiments.featsel import run_feature_selection_experiment
 from repro.experiments.meta_bench import run_meta_experiment
-from repro.experiments.portal import run_portal_experiment
+from repro.experiments.portal import TOP_K, run_portal_experiment
 
 
 class TestPortalDriver:
@@ -27,25 +28,27 @@ class TestPortalDriver:
         return run_portal_experiment(short_budget=200, long_budget=700)
 
     def test_checkpoints_ordered(self, result) -> None:
+        table1 = result.table1
         assert (
-            result.long.table1["visited_urls"]
-            >= result.short.table1["visited_urls"]
+            table1.cell("Visited URLs", "long crawl")
+            >= table1.cell("Visited URLs", "short crawl")
         )
         assert (
-            result.long.table1["stored_pages"]
-            >= result.short.table1["stored_pages"]
+            table1.cell("Stored pages", "long crawl")
+            >= table1.cell("Stored pages", "short crawl")
         )
 
     def test_tables_render(self, result) -> None:
-        for table in (result.table1(), result.table2(), result.table3()):
+        for table in (result.table1, result.table2, result.table3):
             text = table.render()
             assert "Table" in text
 
     def test_scores_within_registry_bounds(self, result) -> None:
-        for checkpoint in (result.short, result.long):
-            for row in checkpoint.scores:
-                assert 0 <= row.found_top <= result.top_k
-                assert 0 <= row.found_all <= result.registry_size
+        for table in (result.table2, result.table3):
+            for found_top in table.column(f"Top {TOP_K} registry"):
+                assert 0 <= found_top <= TOP_K
+            for found_all in table.column("All authors"):
+                assert 0 <= found_all <= result.registry_size
 
     def test_invalid_budgets_rejected(self) -> None:
         with pytest.raises(ValueError):
@@ -61,62 +64,61 @@ class TestExpertDriver:
         assert 1 <= len(result.seed_hits) <= 7
 
     def test_figures_render(self, result) -> None:
-        assert "Figure 4" in result.figure4().render()
-        assert "Figure 5" in result.figure5().render()
+        assert "Figure 4" in result.figure4.render()
+        assert "Figure 5" in result.figure5.render()
 
     def test_top10_is_ranked(self, result) -> None:
-        scores = [score for score, _url in result.top10]
+        scores = result.figure5.column("Score")
         assert scores == sorted(scores, reverse=True)
-        assert len(result.top10) <= 10
+        assert len(result.figure5.rows) <= 10
 
     def test_needle_bookkeeping_consistent(self, result) -> None:
         in_top10 = sum(
-            url in result.needle_urls for _s, url in result.top10
+            url in result.needle_urls for url in result.figure5.column("URL")
         )
-        assert in_top10 == result.needles_in_top10
+        assert in_top10 == result.figure5.column("Needle?").count("yes")
 
 
 class TestSmallDrivers:
     def test_meta_experiment_rows(self) -> None:
-        result = run_meta_experiment(seeds=(23,), test_per_class=40)
-        names = [name for name, *_ in result.rows]
+        table = run_meta_experiment(seeds=(23,), test_per_class=40)
+        names = table.column("Decision function")
         assert "meta: unanimous" in names
         assert "meta: majority" in names
         assert "meta: xi-alpha weighted" in names
-        for _name, precision, recall, abstain in result.rows:
+        for _name, precision, recall, abstain in table.rows:
             assert 0.0 <= precision <= 1.0
             assert 0.0 <= recall <= 1.0
             assert 0.0 <= abstain <= 1.0
 
     def test_feature_selection_rows(self) -> None:
-        result = run_feature_selection_experiment(
+        table, _signature_hits = run_feature_selection_experiment(
             budgets=(10, 50), train_per_class=15, test_per_class=30
         )
-        assert set(result.accuracy) == {"MI", "tf", "random"}
-        for accuracies in result.accuracy.values():
+        assert set(table.column("Method")) == {"MI", "tf", "random"}
+        for _method, *accuracies in table.rows:
             assert len(accuracies) == 2
             assert all(0.0 <= a <= 1.0 for a in accuracies)
 
     def test_focus_ablation_variants(self) -> None:
-        result = run_focus_ablation(budget=120)
-        assert len(result.rows) == 4
-        table = result.table().render()
-        assert "tunnelling" in table
+        table = run_focus_ablation(budget=120)
+        assert len(table.rows) == 4
+        assert "tunnelling" in table.render()
 
     def test_negatives_ablation_rows(self) -> None:
-        result = run_negatives_ablation(test_per_class=40)
-        assert len(result.rows) == 2
+        table = run_negatives_ablation(test_per_class=40)
+        assert len(table.rows) == 2
 
     def test_feature_space_ablation_rows(self) -> None:
-        result = run_feature_space_ablation(
+        table = run_feature_space_ablation(
             train_per_class=12, test_per_class=25
         )
-        spaces = [name for name, *_ in result.rows]
+        spaces = table.column("Feature space")
         assert "terms" in spaces
         assert "term pairs" in spaces
         assert "anchors" in spaces
 
     def test_archetype_ablation_rows(self) -> None:
-        result = run_archetype_ablation(seeds=(59,), rounds=2)
-        assert len(result.rows) == 2
-        assert result.purity_of("threshold on (paper 3.2)") >= 0.0
+        table = run_archetype_ablation(seeds=(59,), rounds=2)
+        assert len(table.rows) == 2
+        assert table.cell("threshold on (paper 3.2)", "Training purity") >= 0.0

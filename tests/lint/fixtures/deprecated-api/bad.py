@@ -2,115 +2,18 @@
 from dataclasses import dataclass
 
 
-from repro.storage import sync_term_statistics
-from repro.storage.persistence import sync_term_statistics as sync_idf
-
-
-def materialise(database: object, vectorizer: object) -> int:
-    return sync_term_statistics(database, vectorizer) + sync_idf(
-        database, vectorizer
-    )
-
-
 @dataclass
 class BingoConfig:
     seed: int = 0
-    svm_cost: float = 1.0
-
-
-def stale_knobs() -> BingoConfig:
-    return BingoConfig(seed=3, svm_cost=2.0)
-
-
-class WorkerSet:
-    def __init__(self, count: int) -> None:
-        self.count = count
-
-
-class MetricsRegistry:
-    def counter(self, name: str) -> object:
-        return object()
-
-    def gauge(self, name: str) -> object:
-        return object()
-
-    def histogram(self, name: str) -> object:
-        return object()
-
-    def value(self, name: str) -> float:
-        return 0.0
-
-
-class Obs:
-    enabled: bool = True
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-
-    def record_stage_event(self, event: object) -> None:
-        self.registry.counter("pipeline_stage_batches_total")
-
-    def count_hook_error(self) -> None:
-        self.registry.gauge("pipeline_hook_errors")
-
-    def breaker_transition(self, old_state: str, new_state: str) -> None:
-        self.registry.histogram("robust_breaker_transitions")
-
-
-def second_metrics_path(obs: Obs) -> float:
-    if obs.enabled:
-        obs.record_stage_event(None)
-        obs.count_hook_error()
-    return obs.registry.value("pipeline_stage_batches_total")
-
-
-@dataclass
-class HostBreaker:
-    state: str = "closed"
-    on_transition: object = None
-
-
-class BreakerBoard:
-    def __init__(self) -> None:
-        self.hosts: dict[str, HostBreaker] = {}
-
-
-class BreakerBoardSet:
-    def __init__(self) -> None:
-        self.boards: list[BreakerBoard] = []
-
-
-class BulkLoader:
-    def __init__(self) -> None:
-        self.rows_loaded = 0
-
-
-class LocalSearchEngine:
-    def __init__(self, documents: list) -> None:
-        self.documents = list(documents)
-
-    def rebuild(self, documents: list) -> None:
-        self.documents = list(documents)
-
-
-class QueryServer:
-    def __init__(self, engine: LocalSearchEngine) -> None:
-        self.engine = engine
-
-
-def components_that_know_obs(obs: Obs, breaker: HostBreaker) -> QueryServer:
-    breaker.on_transition = obs.breaker_transition
-    BreakerBoard(obs=obs)
-    BreakerBoardSet(obs=obs)
-    WorkerSet(4, obs=obs)
-    BulkLoader(obs=obs)
-    engine = LocalSearchEngine([], obs=obs)
-    engine.rebuild([])
-    return QueryServer(engine, obs=obs)
 
 
 def the_off_switch() -> BingoConfig:
-    return BingoConfig(instrumentation=False, trace_ring_size=0)
+    return BingoConfig(trace_ring_size=0)
+
+
+class MetricsRegistry:
+    def snapshot(self) -> dict:
+        return {}
 
 
 from repro.obs import Obs as Bundle, ProgressReporter, Span, Tracer, from_json
@@ -163,3 +66,67 @@ def constants_passed_as_keywords() -> None:
     MaxEntClassifier(max_iterations=10, tol=1e-3)
     TopicUniverse({}, zipf_exponent=1.3)
     run_meta_experiment(train_per_class=12, svm_cost=0.5)
+
+
+from repro.experiments.ablations import FocusAblationResult
+from repro.experiments.featsel import BudgetSelectionResult
+from repro.experiments.meta_bench import MetaBenchResult
+from repro.experiments.portal import PortalCheckpoint
+
+
+class ExperimentTable:
+    def __init__(self, title: str) -> None:
+        self.title = title
+
+    def table(self) -> "ExperimentTable":
+        return self
+
+    def variant(self, row: str) -> tuple:
+        return ()
+
+    def mean_single_precision(self) -> float:
+        return 0.0
+
+
+def run_focus_ablation(**knobs: int) -> ExperimentTable:
+    return ExperimentTable("A1")
+
+
+def run_classifier_ablation(**knobs: int) -> ExperimentTable:
+    return ExperimentTable("A6")
+
+
+def run_budget_selection_experiment(**knobs: object) -> ExperimentTable:
+    return ExperimentTable("A5")
+
+
+def run_expert_experiment(**knobs: int) -> None:
+    return None
+
+
+def knobs_that_became_constants() -> None:
+    run_focus_ablation(budget=450, seed=11)
+    run_classifier_ablation(seed=3, budget=100)
+    run_budget_selection_experiment(seed=3, budgets=(5,), test_per_class=4)
+    run_expert_experiment(learning_fetch_budget=60)
+
+
+def rows_read_through_a_result_class(table: ExperimentTable) -> float:
+    table.table().variant("sharp + tunnelling")
+    return table.mean_single_precision()
+
+
+@dataclass
+class PortalExperimentResult:
+    short: object = None
+    top_k: int = 100
+
+
+@dataclass
+class ExpertExperimentResult:
+    top10: list
+    needles_in_top10: int = 0
+
+
+def top_of_figure5(result: ExpertExperimentResult) -> list:
+    return result.top10[: result.needles_in_top10]

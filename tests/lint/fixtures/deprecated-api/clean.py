@@ -43,23 +43,31 @@ class LocalSearchEngine:
         return {"queries": float(self.queries)}
 
 
-class Tally:
-    # "counter" / "value" / "obs" on another receiver are fine names
-    obs: int = 0
+class Booking:
+    # "table" / "seed" on another receiver are fine names
+    table: int = 0
 
-    def counter(self) -> int:
-        return self.obs
+    def seed(self) -> int:
+        return self.table
 
-    def value(self) -> int:
-        return self.obs
+
+class ExperimentTable:
+    def cell(self, row: str, header: str) -> float:
+        return 0.0
+
+
+def run_focus_ablation(budget: int = 500) -> ExperimentTable:
+    # budget stays a live keyword: tests shrink the run with it
+    return ExperimentTable()
 
 
 def whoever_builds_it_registers_it(registry: MetricsRegistry) -> float:
     engine = LocalSearchEngine([])
     registry.register_source("search", engine)
-    tally = Tally()
-    tally.obs = tally.counter() + tally.value()
-    return registry.snapshot()["sources"]["search"]["queries"]
+    booking = Booking()
+    booking.table = booking.seed()
+    precision = run_focus_ablation(budget=120).cell("svm", "Precision")
+    return precision + registry.snapshot()["sources"]["search"]["queries"]
 
 
 class CrawlContext:

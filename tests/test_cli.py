@@ -107,6 +107,12 @@ class TestCrawlCommand:
         assert "Figure 4" in out
         assert "Figure 5" in out
 
+    def test_ablate_prints_the_chosen_ablation(self, capsys) -> None:
+        assert main(["ablate", "--which", "negatives"]) == 0
+        out = capsys.readouterr().out
+        assert "A3: OTHERS population (section 3.1)" in out
+        assert "A1:" not in out
+
     def test_legacy_crawl_is_a_usage_error(self, capsys) -> None:
         assert main(["crawl", "--budget", "60", "--top", "2"]) == 2
         assert main(["queryload", "--budget", "60"]) == 2
