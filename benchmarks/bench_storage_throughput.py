@@ -138,8 +138,8 @@ def _report_storage_shape() -> None:
     rows = ExperimentTable(
         "Bulk path, microseconds per `terms` row (best round)",
         ["Step", "us / row"],
-        note=f"{N_TERMS:,} rows in batches of {TERMS_BATCH}; no index "
-             "is built until a lookup asks for one",
+        note=f"{N_TERMS:,} rows in batches of {TERMS_BATCH}; relations "
+             "have no secondary indexes",
     )
     rows.add_row(["key check + store", round(stored, 3)])
     rows.add_row(["schema validation", round(validation, 3)])

@@ -295,7 +295,6 @@ def _open_portal(args):
     portal = LivingPortal(
         engine,
         evolution_config=EvolutionConfig(seed=args.evolution_seed),
-        workers=args.workers,
     )
     portal.open()
     engine.obs.register_source("portal", portal)

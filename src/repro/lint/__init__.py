@@ -21,8 +21,6 @@ The pieces:
   swallowed exceptions);
 * :mod:`repro.lint.engine` -- parses files, collects per-line
   ``# bingolint: disable=RULE`` suppressions and runs the rules;
-* :mod:`repro.lint.baseline` -- the committed grandfather file for
-  findings that are explicitly justified rather than fixed;
 * :mod:`repro.lint.reporters` -- deterministic text and JSON output;
 * :mod:`repro.lint.cli` -- ``python -m repro.lint [paths]`` with the
   repository-wide exit-code contract (0 clean / 1 findings / 2 usage
@@ -31,15 +29,12 @@ The pieces:
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.engine import LintEngine, ModuleUnit, ProjectContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules, get_rule, rule_ids
 from repro.lint.reporters import render_json, render_text
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintEngine",
     "ModuleUnit",

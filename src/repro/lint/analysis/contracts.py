@@ -13,11 +13,13 @@ classes, from outside that class's sanctioned methods, is a finding.
 ``deprecated-api`` keeps recently deleted members from creeping back
 while call sites written against them may still be in flight: the
 keywords that became constants (the table says where), the span
-tracer and the ``Obs`` bundle (``ctx.obs`` is the registry), and the
+tracer and the ``Obs`` bundle (``ctx.obs`` is the registry), the
 experiment result classes whose rows now live once, in the runner's
-``ExperimentTable``.  An entry expires one ROADMAP re-anchor after the
-PR that recorded it; by then a stay-gone test or a ``TypeError`` from
-the constructor holds the line.
+``ExperimentTable``, the store's query side (``Relation`` only appends,
+upserts and hands its rows to the dump) and the lint baseline.  An
+entry expires one ROADMAP re-anchor after the PR that recorded it; by
+then a stay-gone test or a ``TypeError`` from the constructor holds
+the line.
 """
 
 from __future__ import annotations
@@ -169,6 +171,30 @@ _NO_TRACER = (
     "CrawlPipeline.add_hook delivers; a decision is its CrawledDocument"
 )
 _CELL = "read the runner's ExperimentTable: table.cell(row, header)"
+_NO_QUERY = (
+    "the store is written, not queried: Relation.rows() hands out the "
+    "stored tuples, which dump_database writes"
+)
+_APPEND_ONLY = (
+    "the store appends and replaces by key: Relation.upsert(row)"
+)
+_NO_INDEX = "relations have no secondary indexes; nothing looks rows up"
+_ONE_FRONTIER = (
+    "a recrawl cycle runs on one CrawlFrontier; crawl_workers shards "
+    "the crawl only"
+)
+_DIGEST_DICT = (
+    "DigestStore keeps url -> row in a dict: use get / digest_of / "
+    "snapshot"
+)
+_NO_WORKSPACE_CLASS = (
+    "a workspace is the BulkLoader's relation -> rows dict for one "
+    "thread: buffer rows with BulkLoader.add / add_many"
+)
+_NO_BASELINE = (
+    "there is no lint baseline: fix the finding or suppress it on its "
+    "line with a bingolint disable comment"
+)
 _RESULT_CLASSES = {
     "ablations": (
         "FocusAblationResult", "ArchetypeAblationResult",
@@ -194,8 +220,38 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
             "the portal serves LocalSearchEngine(documents); pass "
             "search= for any other engine"
         ),
+        "workers": _ONE_FRONTIER,
     },
     "BingoConfig": {"trace_ring_size": _NO_TRACER},
+    # the store appends and dumps; the digest map is a dict
+    "Relation": {
+        "get": _NO_QUERY,
+        "lookup": _NO_QUERY,
+        "scan": _NO_QUERY,
+        "__contains__": _NO_QUERY,
+        "update": _APPEND_ONLY,
+        "delete": _APPEND_ONLY,
+    },
+    "RelationSchema": {"indexes": _NO_INDEX},
+    "_rel": {"indexes": _NO_INDEX},
+    "Database": {
+        "schemas": (
+            "a Database holds the relations of BINGO_SCHEMA; keep a "
+            "private map in a dict"
+        ),
+        "total_rows": "sum(map(len, database.relations.values()))",
+        "total_statements": (
+            "sum(r.statements for r in database.relations.values())"
+        ),
+    },
+    "DigestStore": {"database": _DIGEST_DICT, "relation": _DIGEST_DICT},
+    "BulkLoader": {"workspace": _NO_WORKSPACE_CLASS},
+    "restore_context": {
+        "restore_database": (
+            "a checkpoint directory loads its rows, a state dict never does"
+        ),
+    },
+    "RecrawlScheduler": {"workers": _ONE_FRONTIER},
     # keywords no caller passed: module constants now
     "KMeans": {
         "max_iterations": "repro.ml.kmeans.MAX_ITERATIONS",
@@ -281,6 +337,12 @@ _REMOVED_IMPORTS: dict[str, str] = {
         "register a hook of your own with CrawlPipeline.add_hook"
     ),
     "repro.obs.from_json": "json.loads(to_json(registry))",
+    "repro.portal.digests.DIGEST_SCHEMA": _DIGEST_DICT,
+    "repro.storage.Workspace": _NO_WORKSPACE_CLASS,
+    "repro.storage.bulkloader.Workspace": _NO_WORKSPACE_CLASS,
+    "repro.lint.baseline": _NO_BASELINE,
+    "repro.lint.Baseline": _NO_BASELINE,
+    "repro.lint.BaselineEntry": _NO_BASELINE,
     **{
         f"repro.experiments.{module}.{name}": (
             "the runner returns ExperimentTable(s); read rows with "
@@ -301,7 +363,8 @@ class DeprecatedApi(Rule):
     description = (
         "members deleted since the last re-anchor (keywords that became "
         "constants, the span tracer and Obs bundle, the experiment result "
-        "classes and their row lookups) must not be reintroduced"
+        "classes and their row lookups, the store's readers and indexes, "
+        "the lint baseline) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

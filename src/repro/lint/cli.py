@@ -3,7 +3,7 @@
 Exit codes follow the repository-wide contract shared with
 :mod:`repro.cli`:
 
-* ``0`` -- clean (no non-baselined findings),
+* ``0`` -- clean (no findings),
 * ``1`` -- findings were reported,
 * ``2`` -- usage error (unknown rule, missing path, bad flags).
 
@@ -12,7 +12,6 @@ Examples::
     python -m repro.lint src tests
     python -m repro.lint src --format json
     python -m repro.lint src --select no-wall-clock,no-unseeded-random
-    python -m repro.lint src --write-baseline   # grandfather the rest
     python -m repro.lint --list-rules
 """
 
@@ -23,7 +22,6 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import LintEngine
 from repro.lint.registry import all_rules, rule_ids
 from repro.lint.reporters import render_json, render_text
@@ -46,18 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather all current findings into the baseline and exit 0",
     )
     parser.add_argument(
         "--select", metavar="RULES", default=None,
@@ -123,30 +109,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _usage_error(f"no such path: {', '.join(missing)}")
 
     findings = LintEngine(rules=rules).run(paths)
-
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline is not None
-        else Path(DEFAULT_BASELINE_NAME)
-    )
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(
-            f"baseline written: {len(findings)} finding(s) "
-            f"grandfathered in {baseline_path}"
-        )
-        return 0
-
-    grandfathered: list = []
-    if not args.no_baseline and baseline_path.is_file():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError) as exc:
-            return _usage_error(f"bad baseline {baseline_path}: {exc}")
-        findings, grandfathered = baseline.filter(findings)
-
     renderer = render_json if args.format == "json" else render_text
-    print(renderer(findings, len(grandfathered)), end="")
+    print(renderer(findings), end="")
     if args.format == "text":
         print()
     return 1 if findings else 0

@@ -16,8 +16,8 @@ placeholder so this very docstring does not register one)::
 
 ``disable=all`` silences every rule on that line.  Suppressions are a
 scalpel; systematic exceptions (the simulated clock itself) live in
-the rules' own module exemptions, and grandfathered findings belong in
-the committed baseline (:mod:`repro.lint.baseline`).
+the rules' own module exemptions.  There is no baseline of
+grandfathered findings: a finding is fixed or suppressed on its line.
 """
 
 from __future__ import annotations

@@ -15,22 +15,15 @@ from repro.lint.findings import Finding
 __all__ = ["render_text", "render_json"]
 
 
-def render_text(
-    findings: list[Finding], grandfathered_count: int = 0
-) -> str:
+def render_text(findings: list[Finding]) -> str:
     """One line per finding plus a summary line."""
     lines = [finding.render() for finding in sorted(findings)]
     files = len({finding.path for finding in findings})
-    summary = f"{len(findings)} finding(s) in {files} file(s)"
-    if grandfathered_count:
-        summary += f" ({grandfathered_count} baselined)"
-    lines.append(summary)
+    lines.append(f"{len(findings)} finding(s) in {files} file(s)")
     return "\n".join(lines)
 
 
-def render_json(
-    findings: list[Finding], grandfathered_count: int = 0
-) -> str:
+def render_json(findings: list[Finding]) -> str:
     """Canonical JSON: sorted findings, per-rule totals, no timestamps."""
     ordered = sorted(findings)
     by_rule: dict[str, int] = {}
@@ -42,7 +35,6 @@ def render_json(
         "summary": {
             "total": len(ordered),
             "files": len({finding.path for finding in ordered}),
-            "grandfathered": grandfathered_count,
             "by_rule": dict(sorted(by_rule.items())),
         },
     }

@@ -113,7 +113,6 @@ class LivingPortal:
         search: LocalSearchEngine | None = None,
         evolution: WebEvolution | None = None,
         evolution_config: EvolutionConfig | None = None,
-        workers: int = 1,
     ) -> None:
         self.engine = engine
         self.ctx = engine.ctx
@@ -122,7 +121,7 @@ class LivingPortal:
         self.evolution = evolution or WebEvolution(
             engine.web, evolution_config
         )
-        self.scheduler = RecrawlScheduler(engine, workers=workers)
+        self.scheduler = RecrawlScheduler(engine)
         self.search = search
         self.cycles_run = 0
         self._opened = False

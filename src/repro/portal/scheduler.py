@@ -1,9 +1,8 @@
 """The recrawl scheduler: revisit work prioritised by staleness x authority.
 
-Feeds the *existing* frontier machinery -- a single
-:class:`~repro.core.frontier.CrawlFrontier` or, with ``workers > 1``,
-the host-partitioned :class:`~repro.shard.frontier.ShardedFrontier` --
-with revisit entries whose priority is
+Feeds the *existing* frontier machinery -- a
+:class:`~repro.core.frontier.CrawlFrontier` -- with revisit entries
+whose priority is
 
     ``staleness * (normalised HITS authority + epsilon)``
 
@@ -37,8 +36,6 @@ from repro.core.records import CrawledDocument
 from repro.errors import ConfigError
 from repro.portal.digests import DigestStore, content_digest
 from repro.portal.incremental import DocumentDelta
-from repro.shard.frontier import ShardedFrontier
-from repro.shard.router import ShardRouter
 from repro.web.server import FetchResult, FetchStatus
 from repro.web.urls import parse_url, resolve_links
 
@@ -90,19 +87,13 @@ class RecrawlReport:
 class RecrawlScheduler:
     """Schedules and executes revisit crawls over an engine's corpus."""
 
-    def __init__(self, engine: BingoEngine, workers: int = 1) -> None:
+    def __init__(self, engine: BingoEngine) -> None:
         self.engine = engine
         self.ctx = engine.ctx
         self.clock = self.ctx.clock
         self.web = engine.web
-        self.workers = workers
         self.digests = DigestStore()
-        if workers > 1:
-            self.frontier = ShardedFrontier(
-                ShardRouter(workers), now=lambda: self.clock.now
-            )
-        else:
-            self.frontier = CrawlFrontier(now=lambda: self.clock.now)
+        self.frontier = CrawlFrontier(now=lambda: self.clock.now)
         self.last_crawled: dict[str, float] = {}
         self.retired: set[int] = set()
         """doc_ids of documents observed dead (skipped by scheduling)."""
@@ -458,7 +449,6 @@ class RecrawlScheduler:
         re-apply every refresh the interrupted cycle already executed.
         """
         return {
-            "workers": self.workers,
             "primed": self._primed,
             "frontier": self.frontier.snapshot(),
             "digests": self.digests.snapshot(),

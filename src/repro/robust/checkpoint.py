@@ -123,15 +123,11 @@ def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
     ``workers`` section captures each worker pool plus the worker-set
     counters.
     """
-    server = ctx.web.server
     state = {
         "clock_now": ctx.clock.now,
         "pool_free_at": list(ctx.pool._free_at),
         "resolver": ctx.resolver.snapshot(),
-        "server": {
-            "attempts": dict(server._attempts),
-            "fetch_counts": dict(server.fetch_counts),
-        },
+        "server": ctx.web.server.snapshot(),
         "frontier": ctx.frontier.snapshot(),
         "dedup": ctx.dedup.snapshot(),
         "hosts": ctx.hosts.to_dict(),
@@ -191,13 +187,12 @@ def load_checkpoint(directory: str | pathlib.Path) -> State:
     return load_state(directory, kind=_KIND)
 
 
-def restore_context(
-    ctx: Context, source: Source, restore_database: bool = True
-) -> CrawlStats:
+def restore_context(ctx: Context, source: Source) -> CrawlStats:
     """Apply a checkpoint to a freshly constructed crawl context.
 
     ``source`` is a checkpoint directory or a state dict from
-    :func:`load_checkpoint`.  The context must be bound to the same Web
+    :func:`load_checkpoint`; only a directory also loads the saved rows
+    into the context's loader.  The context must be bound to the same Web
     (same generator config and seed) and an identically trained
     classifier.  Returns the restored :class:`CrawlStats` to pass back
     into ``crawl(phase, resume=...)``.
@@ -236,7 +231,7 @@ def restore_context(
                 "predates the atomic layout and cannot be resumed"
             )
         ordinal = state["save_ordinal"]
-        if restore_database and ctx.loader is not None and ordinal is not None:
+        if ctx.loader is not None and ordinal is not None:
             load_database(
                 directory / f"{_DB_PREFIX}{ordinal}",
                 into=ctx.loader.database, stamp=ordinal,
@@ -247,9 +242,7 @@ def restore_context(
     heapq.heapify(ctx.pool._free_at)
     ctx.resolver.restore(state["resolver"])
 
-    server = ctx.web.server
-    server._attempts = Counter(state["server"]["attempts"])
-    server.fetch_counts = Counter(state["server"]["fetch_counts"])
+    ctx.web.server.restore(state["server"])
 
     ctx.frontier.restore(state["frontier"])
     ctx.dedup.restore(state["dedup"])

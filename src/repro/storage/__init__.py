@@ -5,17 +5,19 @@ a relational database.  Section 4.1 of the paper reports two hard-won
 lessons which this substrate bakes in:
 
 1. **flat relations beat nested tables** -- the schema is a set of flat
-   relations with secondary indexes (no nested collections; an index is
-   built when a lookup first asks for it), mirroring the paper's redesign
-   to "a schema with 24 flat relations"; here it holds the six the crawl
+   relations (no nested collections), mirroring the paper's redesign to
+   "a schema with 24 flat relations"; here it holds the six the crawl
    writes, each row one tuple in column order;
 2. **bulk loading beats per-row inserts** -- crawler threads collect rows
    in private workspaces and flush them in batches through the
    :class:`~repro.storage.bulkloader.BulkLoader`, which is how the paper's
    crawler sustained ~10k documents/minute.
+
+The store only appends and dumps: relations take batches and keyed
+upserts, and :func:`dump_database` is their one reader.
 """
 
-from repro.storage.bulkloader import BulkLoader, Workspace
+from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database, Relation
 from repro.storage.persistence import dump_database, load_database
 from repro.storage.schema import BINGO_SCHEMA, Column, RelationSchema
@@ -27,7 +29,6 @@ __all__ = [
     "Database",
     "Relation",
     "RelationSchema",
-    "Workspace",
     "dump_database",
     "load_database",
 ]

@@ -4,8 +4,7 @@ The paper's final design is "a schema with 24 flat relations" (section
 4.1).  The exact relation list is not published; this module declares
 the flat relations the crawl writes -- documents, terms, links, anchor
 texts, the fetch log and the archetype history -- each with explicit
-column types, a primary key, and the secondary indexes its readers ask
-for.
+column types and a primary key.
 
 A stored row is a tuple of values in declared column order, from the
 producer that builds it to the dump file that holds it;
@@ -54,25 +53,23 @@ class Column:
 
 @dataclass(frozen=True)
 class RelationSchema:
-    """A flat relation: columns, primary key, secondary indexes."""
+    """A flat relation: columns and a primary key."""
 
     name: str
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...]
-    indexes: tuple[tuple[str, ...], ...] = ()
     column_names: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         names = tuple(c.name for c in self.columns)
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column in relation {self.name!r}")
-        for key in (self.primary_key, *self.indexes):
-            for column in key:
-                if column not in names:
-                    raise SchemaError(
-                        f"relation {self.name!r}: key column {column!r} "
-                        "is not a declared column"
-                    )
+        for column in self.primary_key:
+            if column not in names:
+                raise SchemaError(
+                    f"relation {self.name!r}: key column {column!r} "
+                    "is not a declared column"
+                )
         object.__setattr__(self, "column_names", names)
 
     def row_getter(self, columns: Sequence[str]) -> Callable[[Row], Row]:
@@ -117,13 +114,11 @@ def _rel(
     name: str,
     columns: Sequence[tuple[Any, ...]],
     pk: Sequence[str],
-    indexes: Sequence[Sequence[str]] = (),
 ) -> RelationSchema:
     return RelationSchema(
         name=name,
         columns=tuple(Column(*c) for c in columns),
         primary_key=tuple(pk),
-        indexes=tuple(tuple(i) for i in indexes),
     )
 
 
@@ -138,26 +133,26 @@ BINGO_SCHEMA: dict[str, RelationSchema] = {
             ("topic", str, True), ("confidence", float, True),
             ("crawl_depth", int), ("fetched_at", float),
             ("page_id", int, True),
-        ], ["doc_id"], [["url"], ["topic"], ["host"]]),
+        ], ["doc_id"]),
         _rel("terms", [
             ("doc_id", int), ("term", str), ("tf", int),
-        ], ["doc_id", "term"], [["term"], ["doc_id"]]),
+        ], ["doc_id", "term"]),
         # -- link structure (PersistStage) ------------------------------------
         _rel("links", [
             ("src_doc_id", int), ("dst_url", str), ("dst_doc_id", int, True),
-        ], ["src_doc_id", "dst_url"], [["dst_url"], ["src_doc_id"]]),
+        ], ["src_doc_id", "dst_url"]),
         _rel("anchor_texts", [
             ("src_doc_id", int), ("dst_url", str), ("term", str), ("tf", int),
-        ], ["src_doc_id", "dst_url", "term"], [["dst_url"]]),
+        ], ["src_doc_id", "dst_url", "term"]),
         # -- crawl bookkeeping (CrawlContext.log_fetch) -----------------------
         _rel("crawl_log", [
             ("seq", int), ("url", str), ("status", str),
             ("latency", float), ("at", float),
-        ], ["seq"], [["status"]]),
+        ], ["seq"]),
         # -- training (BingoEngine's archetype selection) ---------------------
         _rel("archetypes", [
             ("topic", str), ("doc_id", int), ("source", str),
             ("score", float), ("iteration", int),
-        ], ["topic", "doc_id", "iteration"], [["topic"]]),
+        ], ["topic", "doc_id", "iteration"]),
     ]
 }

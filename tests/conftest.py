@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.storage import Relation
 from repro.web import SyntheticWeb, WebGraphConfig
+
+
+def named_rows(relation: Relation) -> list[dict]:
+    """A relation's ``rows()``, each as a dict keyed by column name.
+
+    The store hands out tuples in column order and never reads them
+    back; tests that check stored rows read them through this.
+    """
+    columns = relation.schema.column_names
+    return [dict(zip(columns, row)) for row in relation.rows()]
 
 
 def small_web_config(seed: int = 7, **overrides) -> WebGraphConfig:

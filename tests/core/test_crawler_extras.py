@@ -10,6 +10,7 @@ from repro.core.records import SOFT, PhaseSettings
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 
+from tests.conftest import named_rows
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -34,12 +35,12 @@ class TestStoredRows:
     def test_crawl_log_has_one_row_per_visit(self, logged_crawl) -> None:
         crawler, stats, database = logged_crawl
         assert len(database["crawl_log"]) == stats.visited_urls
-        statuses = {row["status"] for row in database["crawl_log"].scan()}
+        statuses = {row["status"] for row in named_rows(database["crawl_log"])}
         assert "ok" in statuses
 
     def test_anchor_text_rows_stored(self, logged_crawl) -> None:
         _, _, database = logged_crawl
-        rows = database["anchor_texts"].scan()
+        rows = named_rows(database["anchor_texts"])
         assert rows, "crawled pages carry anchor texts"
         for row in rows[:20]:
             assert row["tf"] >= 1

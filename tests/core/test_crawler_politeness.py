@@ -19,6 +19,7 @@ from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web.urls import parse_url
 
+from tests.conftest import named_rows
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -127,7 +128,7 @@ class TestStoreRowsLinkPositions:
             crawler.ctx, self._document(out_urls), self._FakeHtmlDoc()
         )
         loader.flush_all()
-        return [row["dst_url"] for row in database["links"].scan()]
+        return [row["dst_url"] for row in named_rows(database["links"])]
 
     def test_first_occurrence_keeps_plain_url(self, small_web) -> None:
         links = self._stored_links(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import BingoConfig, BingoEngine
 
+from tests.conftest import named_rows
 from tests.core.conftest import fast_engine_config
 
 
@@ -36,8 +37,9 @@ class TestEngineConsistency:
         engine, report = consistent_run
         documents = engine.database["documents"]
         assert len(documents) == len(engine.ctx.documents)
+        by_id = {row["doc_id"]: row for row in named_rows(documents)}
         for doc in engine.ctx.documents[:30]:
-            row = documents.get(doc.doc_id)
+            row = by_id.get(doc.doc_id)
             assert row is not None
             assert row["url"] == doc.url
             assert row["topic"] == doc.topic
@@ -52,7 +54,7 @@ class TestEngineConsistency:
         engine, _ = consistent_run
         terms = engine.database["terms"]
         doc = engine.ctx.documents[0]
-        rows = terms.lookup(("doc_id",), doc.doc_id)
+        rows = [row for row in named_rows(terms) if row["doc_id"] == doc.doc_id]
         stored = {row["term"]: row["tf"] for row in rows}
         expected = {t: int(c) for t, c in doc.counts["term"].items()}
         assert stored == expected
@@ -67,7 +69,7 @@ class TestEngineConsistency:
     def test_crawl_log_covers_all_documents(self, consistent_run) -> None:
         engine, report = consistent_run
         log = engine.database["crawl_log"]
-        ok_rows = log.lookup(("status",), "ok")
+        ok_rows = [row for row in named_rows(log) if row["status"] == "ok"]
         # every stored document followed a successful fetch; retries and
         # errors add further rows
         assert len(ok_rows) >= report.total.stored_pages

@@ -130,3 +130,75 @@ class ExpertExperimentResult:
 
 def top_of_figure5(result: ExpertExperimentResult) -> list:
     return result.top10[: result.needles_in_top10]
+
+
+class Relation:
+    def rows(self) -> list:
+        return []
+
+    def __contains__(self, key: tuple) -> bool:
+        return False
+
+
+@dataclass
+class RelationSchema:
+    name: str
+    indexes: tuple = ()
+
+
+def _rel(name: str, **declared: object) -> RelationSchema:
+    return RelationSchema(name)
+
+
+@dataclass
+class Database:
+    validate: bool = True
+
+
+class DigestStore:
+    def __init__(self) -> None:
+        self.rows: dict = {}
+
+
+class RecrawlScheduler:
+    def __init__(self, engine: object) -> None:
+        self.engine = engine
+
+
+class BulkLoader:
+    def add(self, thread_id: int, relation: str, row: tuple) -> None:
+        return None
+
+
+def restore_context(ctx: object, source: object) -> None:
+    return None
+
+
+def the_store_queried_again(
+    relation: Relation,
+    database: Database,
+    digests: DigestStore,
+    loader: BulkLoader,
+) -> object:
+    relation.get(1)
+    relation.lookup(("topic",), "db")
+    relation.scan()
+    relation.update((1,), topic="ir")
+    relation.delete(url="http://a/")
+    _rel("pages", indexes=(("url",),)).indexes
+    Database(schemas={})
+    restore_context(None, {}, restore_database=False)
+    RecrawlScheduler(object(), workers=3)
+    LivingPortal(object(), workers=3)
+    digests.database
+    digests.relation
+    loader.workspace(0)
+    database.total_statements
+    return database.total_rows
+
+
+from repro.portal.digests import DIGEST_SCHEMA
+from repro.storage import Workspace
+from repro.storage.bulkloader import Workspace as ThreadWorkspace
+from repro.lint import Baseline, BaselineEntry
+from repro.lint.baseline import DEFAULT_BASELINE_NAME

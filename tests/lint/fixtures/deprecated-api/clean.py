@@ -1,4 +1,5 @@
 """Fixture: the surviving surface, with no removed member in sight."""
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.storage import dump_database, load_database
@@ -84,3 +85,39 @@ class LinearSVM:
 def the_context_holds_the_registry(ctx: CrawlContext) -> dict:
     LinearSVM(tol=1e-6)
     return ctx.obs.snapshot()
+
+
+class Relation:
+    def rows(self) -> list:
+        return []
+
+    def upsert(self, row: tuple) -> None:
+        self.last = row
+
+
+class BulkLoader:
+    def add(self, thread_id: int, relation: str, row: tuple) -> None:
+        self.last = row
+
+
+class DnsZone:
+    def lookup(self, host: str) -> str | None:
+        return None
+
+
+class RecrawlScheduler:
+    def __init__(self, engine: object) -> None:
+        self.engine = engine
+
+
+def the_store_appends_and_dumps(
+    relation: Relation, zone: DnsZone, loader: BulkLoader
+) -> list:
+    # get / update / lookup on other receivers are fine names
+    relation.upsert(("db", 1))
+    loader.add(0, "archetypes", ("db", 1))
+    seen: dict[str, int] = {}
+    counts: Counter = Counter()
+    counts.update(["a"])
+    RecrawlScheduler(relation)
+    return [seen.get("a"), zone.lookup("a.example"), *relation.rows()]

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, formats, baseline flags, rule selection."""
+"""CLI contract: exit codes, formats, rule selection."""
 
 from __future__ import annotations
 
@@ -74,38 +74,13 @@ class TestRuleSelection:
         assert main([BAD, "--ignore", "no-wall-clock"]) == 0
 
 
-class TestBaselineFlags:
-    def test_write_baseline_then_clean_run(self, tmp_path, capsys) -> None:
-        baseline = tmp_path / "baseline.json"
-        assert main([BAD, "--baseline", str(baseline), "--write-baseline"]) == 0
-        assert baseline.is_file()
-        assert main([BAD, "--baseline", str(baseline)]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_no_baseline_overrides_file(self, tmp_path) -> None:
-        baseline = tmp_path / "baseline.json"
-        main([BAD, "--baseline", str(baseline), "--write-baseline"])
-        assert main([BAD, "--baseline", str(baseline), "--no-baseline"]) == 1
-
-    def test_new_findings_escape_the_baseline(self, tmp_path) -> None:
-        baseline = tmp_path / "baseline.json"
-        main([CLEAN, "--baseline", str(baseline), "--write-baseline"])
-        assert main([BAD, "--baseline", str(baseline)]) == 1
-
-    def test_corrupt_baseline_is_usage_error(self, tmp_path, capsys) -> None:
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 42}')
-        assert main([BAD, "--baseline", str(baseline)]) == 2
-        assert "bad baseline" in capsys.readouterr().err
-
-
 class TestDeterminism:
     """Byte-identical reports across repeated runs."""
 
     def test_json_report_is_byte_identical(self, capsys) -> None:
-        main([BAD, "--format", "json", "--no-baseline"])
+        main([BAD, "--format", "json"])
         first = capsys.readouterr().out
-        main([BAD, "--format", "json", "--no-baseline"])
+        main([BAD, "--format", "json"])
         second = capsys.readouterr().out
         assert first == second
 
@@ -114,10 +89,10 @@ class TestRepositoryIsClean:
     """The acceptance criterion, as a test: the tree lints clean."""
 
     def test_src_lints_clean(self) -> None:
-        assert main(["src", "--no-baseline"]) == 0
+        assert main(["src"]) == 0
 
     def test_tests_and_examples_lint_clean(self) -> None:
-        assert main(["tests", "examples", "benchmarks", "--no-baseline"]) == 0
+        assert main(["tests", "examples", "benchmarks"]) == 0
 
     def test_no_suppressions_in_contract_packages(self) -> None:
         from repro.lint.engine import _collect_suppressions
@@ -126,11 +101,3 @@ class TestRepositoryIsClean:
         for package in ("lint", "obs", "pipeline", "robust"):
             for path in Path("src/repro", package).rglob("*.py"):
                 assert _collect_suppressions(path.read_text()) == {}, path
-
-    def test_committed_baseline_is_empty_or_justified(self) -> None:
-        baseline = Path(".bingolint-baseline.json")
-        assert baseline.is_file(), "commit an (empty) baseline file"
-        data = json.loads(baseline.read_text())
-        for entry in data["entries"]:
-            justification = entry.get("justification", "")
-            assert justification and "TODO" not in justification, entry

@@ -148,8 +148,7 @@ class TestDeterministicOutput:
             keys |= set(finding)
         assert keys == {
             "version", "findings", "summary", "total", "files",
-            "grandfathered", "by_rule", "rule", "path", "line", "col",
-            "message",
+            "by_rule", "rule", "path", "line", "col", "message",
         }
 
     def test_sorted_even_if_rule_yields_out_of_order(self) -> None:

@@ -23,7 +23,7 @@ from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
 
-from tests.conftest import small_web_config
+from tests.conftest import named_rows, small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -62,11 +62,11 @@ def fingerprint(crawler, stats, database) -> dict:
         ],
         "clock": crawler.ctx.clock.now,
         "frontier": crawler.ctx.frontier.stats(),
-        # relations are unordered row sets; scan order reflects which
+        # relations are unordered row sets; row order reflects which
         # workspace buffer happened to fill first, which legitimately
         # shifts with the global add order at different batch sizes
         "db": {
-            name: sorted(repr(row) for row in database[name].scan())
+            name: sorted(repr(row) for row in named_rows(database[name]))
             for name in ("documents", "terms", "links", "crawl_log")
         },
     }

@@ -40,12 +40,10 @@ def build_engine(
     return engine
 
 
-def build_portal(workers: int = 1, **engine_kwargs) -> LivingPortal:
+def build_portal(**engine_kwargs) -> LivingPortal:
     engine = build_engine(**engine_kwargs)
     portal = LivingPortal(
-        engine,
-        evolution_config=EvolutionConfig(seed=EVOLUTION_SEED),
-        workers=workers,
+        engine, evolution_config=EvolutionConfig(seed=EVOLUTION_SEED)
     )
     portal.open()
     return portal

@@ -16,6 +16,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.core.frontier import CrawlFrontier
+from repro.portal import LivingPortal, RecrawlScheduler
+
 from tests.portal.conftest import build_portal
 
 QUERIES = ("database recovery", "mining patterns")
@@ -67,6 +72,8 @@ class TestKillMidRecrawl:
     def test_resume_matches_the_uninterrupted_portal(self) -> None:
         original = build_portal()
         state = interrupt_and_checkpoint(original)
+        assert type(original.scheduler.frontier) is CrawlFrontier
+        assert "workers" not in state["scheduler"]
 
         restored = build_portal()
         restored.restore(state)
@@ -84,6 +91,15 @@ class TestKillMidRecrawl:
             original.search.epoch
         )
         assert_resumed_portals_agree(original, restored)
+        # a further full cycle after resume stays in lockstep
+        original.evolve(1800.0)
+        restored.evolve(1800.0)
+        cycle_a = original.recrawl(budget=30)
+        cycle_b = restored.recrawl(budget=30)
+        assert cycle_a.stats() == cycle_b.stats()
+        assert epoch_identity(cycle_a.epoch) == epoch_identity(
+            cycle_b.epoch
+        )
 
     def test_checkpoint_restores_pending_delta_counters(self) -> None:
         original = build_portal()
@@ -105,52 +121,9 @@ class TestKillMidRecrawl:
         )
 
 
-class TestShardedEpochRoundTrip:
-    """The ``--workers N`` path: sharded frontier, same guarantees."""
-
-    def test_sharded_resume_matches_and_epoch_round_trips(self) -> None:
-        original = build_portal(workers=3)
-        state = interrupt_and_checkpoint(original)
-        assert state["scheduler"]["workers"] == 3
-
-        restored = build_portal(workers=3)
-        restored.restore(state)
-        assert epoch_identity(restored.search.epoch) == epoch_identity(
-            original.search.epoch
-        )
-        assert_resumed_portals_agree(original, restored)
-        # a further full cycle after resume stays in lockstep
-        original.evolve(1800.0)
-        restored.evolve(1800.0)
-        cycle_a = original.recrawl(budget=30)
-        cycle_b = restored.recrawl(budget=30)
-        assert cycle_a.stats() == cycle_b.stats()
-        assert epoch_identity(cycle_a.epoch) == epoch_identity(
-            cycle_b.epoch
-        )
-
-    def test_sharded_and_single_worker_portals_share_the_lifecycle(
-        self,
-    ) -> None:
-        sharded = build_portal(workers=3)
-        single = build_portal(workers=1)
-        for portal in (sharded, single):
-            portal.evolve(3600.0)
-        cycle_s = sharded.recrawl(budget=50)
-        cycle_1 = single.recrawl(budget=50)
-        assert cycle_s.folded and cycle_1.folded
-        # host partitioning reorders fetches (latencies and discovered
-        # doc ids may permute) but the order-independent outcome agrees
-        assert epoch_identity(cycle_s.epoch) == epoch_identity(
-            cycle_1.epoch
-        )
-        for field in ("changed", "unchanged", "dead", "fetched"):
-            assert getattr(cycle_s.recrawl, field) == getattr(
-                cycle_1.recrawl, field
-            ), field
-        assert sorted(
-            d.doc_id for d in sharded.search.documents
-        ) == sorted(d.doc_id for d in single.search.documents)
-        assert sorted(
-            d.final_url for d in sharded.search.documents
-        ) == sorted(d.final_url for d in single.search.documents)
+def test_the_recrawl_frontier_has_no_worker_count() -> None:
+    # crawl workers shard the crawl; a revisit cycle is one frontier
+    with pytest.raises(TypeError):
+        LivingPortal(object(), **{"workers": 3})
+    with pytest.raises(TypeError):
+        RecrawlScheduler(object(), **{"workers": 3})

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.portal import DigestStore, DocumentDelta, content_digest
 
 from tests.search.conftest import make_doc
@@ -70,6 +73,81 @@ class TestDigestStore:
             restored.record("http://a.example/p.html", "d3", at=4.0)
             == DigestStore.UNCHANGED
         )
+
+
+_URLS = st.sampled_from(
+    ["http://a.example/", "http://b.example/", "http://c.example/"]
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"), _URLS, st.sampled_from(["d1", "d2", "d3"]),
+            st.floats(0, 1e6, allow_nan=False),
+            st.one_of(st.none(), st.integers(0, 9)),
+        ),
+        st.tuples(st.just("forget"), _URLS),
+    ),
+    max_size=40,
+)
+
+
+class TestDigestStoreModel:
+    """Random ``record`` / ``forget`` sequences against a plain dict."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS)
+    def test_store_behaves_like_a_dict_of_rows(self, ops: list) -> None:
+        store = DigestStore()
+        model: dict[str, dict] = {}
+        recorded = changed = unchanged = 0
+        for op in ops:
+            if op[0] == "forget":
+                url = op[1]
+                assert store.forget(url) == (model.pop(url, None) is not None)
+                continue
+            _, url, digest, at, page_id = op
+            recorded += 1
+            row = model.get(url)
+            if row is None:
+                model[url] = {
+                    "url": url, "digest": digest, "page_id": page_id,
+                    "fetched_at": at, "check_count": 1, "change_count": 0,
+                }
+                expected = DigestStore.NEW
+            elif row["digest"] == digest:
+                row.update(fetched_at=at, check_count=row["check_count"] + 1)
+                unchanged += 1
+                expected = DigestStore.UNCHANGED
+            else:
+                row.update(
+                    digest=digest,
+                    page_id=row["page_id"] if page_id is None else page_id,
+                    fetched_at=at,
+                    check_count=row["check_count"] + 1,
+                    change_count=row["change_count"] + 1,
+                )
+                changed += 1
+                expected = DigestStore.CHANGED
+            assert store.record(url, digest, at, page_id=page_id) == expected
+        for url in ("http://a.example/", "http://b.example/",
+                    "http://c.example/"):
+            assert store.get(url) == model.get(url)
+            assert (url in store) == (url in model)
+            assert store.digest_of(url) == (
+                model[url]["digest"] if url in model else None
+            )
+        assert len(store) == len(model)
+        assert store.stats() == {
+            "digests_stored": float(len(model)),
+            "digests_recorded": float(recorded),
+            "digest_changes_detected": float(changed),
+            "digest_unchanged_hits": float(unchanged),
+        }
+        snapshot = store.snapshot()
+        assert snapshot["rows"] == [model[url] for url in sorted(model)]
+        restored = DigestStore()
+        restored.restore(json.loads(json.dumps(snapshot, sort_keys=True)))
+        assert json.dumps(restored.snapshot()) == json.dumps(snapshot)
 
 
 class TestDocumentDeltaMerge:

@@ -127,9 +127,7 @@ class TestSnapshotRoundTrip:
         blob = json.dumps(snap, sort_keys=True)  # must not raise
 
         clone, _ = build_crawler()
-        restored_stats = restore_context(
-            clone.ctx, json.loads(blob), restore_database=False
-        )
+        restored_stats = restore_context(clone.ctx, json.loads(blob))
         assert restored_stats.table1_row() == stats.table1_row()
         snap_again = snapshot_context(clone.ctx, restored_stats)
         assert json.dumps(snap_again, sort_keys=True) == blob

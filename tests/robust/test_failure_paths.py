@@ -16,6 +16,7 @@ from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web.urls import parse_url
 
+from tests.conftest import named_rows
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -43,7 +44,7 @@ def host_urls(web, host, count: int) -> list[str]:
 
 def crawl_log_rows(database, url: str) -> list[dict]:
     return sorted(
-        (row for row in database["crawl_log"].scan() if row["url"] == url),
+        (row for row in named_rows(database["crawl_log"]) if row["url"] == url),
         key=lambda row: row["at"],
     )
 
@@ -99,7 +100,7 @@ class TestTimeoutRetries:
         ``#retryN`` fragment smuggled through the URL."""
         crawler, database, _, _, _ = timeout_crawl
         assert all("#retry" not in row["url"]
-                   for row in database["crawl_log"].scan())
+                   for row in named_rows(database["crawl_log"]))
         assert all("#retry" not in url for url in crawler.ctx.frontier.seen_urls)
 
     def test_quarantine_deferrals_accounted(self, timeout_crawl) -> None:

@@ -19,6 +19,7 @@ from repro.storage.database import Database
 from repro.web.clock import SimulatedClock
 from repro.web.dns import CachingResolver, DnsServer, DnsZone
 
+from tests.conftest import named_rows
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -158,7 +159,7 @@ class TestBurstFailureCrawl:
     def test_no_retry_bypassed_backoff(self, burst_crawl) -> None:
         crawler, database, _, _ = burst_crawl
         rows_by_url: dict[str, list[dict]] = {}
-        for row in database["crawl_log"].scan():
+        for row in named_rows(database["crawl_log"]):
             rows_by_url.setdefault(row["url"], []).append(row)
         for rows in rows_by_url.values():
             rows.sort(key=lambda row: row["at"])

@@ -11,6 +11,12 @@ from repro.storage.database import Database
 from repro.storage.persistence import dump_database, load_database
 from repro.storage.schema import BINGO_SCHEMA
 
+from tests.conftest import named_rows
+
+
+def total_rows(database: Database) -> int:
+    return sum(map(len, database.relations.values()))
+
 
 def populated_database() -> Database:
     database = Database()
@@ -75,15 +81,15 @@ class TestRoundTrip:
         target = Database()
         target["archetypes"].insert(("ir", 2, "seed", 1.0, 0))
         assert load_database(tmp_path, into=target) is target
-        assert target.total_rows == 4
+        assert total_rows(target) == 4
         # a second load collides with the rows of the first
         with pytest.raises(StorageError, match="duplicate primary key"):
             load_database(tmp_path, into=target)
 
     def test_stamp_round_trips_and_is_compared(self, tmp_path) -> None:
         dump_database(populated_database(), tmp_path, stamp=4)
-        assert load_database(tmp_path, stamp=4).total_rows == 3
-        assert load_database(tmp_path).total_rows == 3
+        assert total_rows(load_database(tmp_path, stamp=4)) == 3
+        assert total_rows(load_database(tmp_path)) == 3
         with pytest.raises(StorageError, match="stamped 4"):
             load_database(tmp_path, stamp=5)
 
@@ -92,20 +98,17 @@ class TestRoundTrip:
         rows = dump_database(database, tmp_path)
         assert rows == 3
         restored = load_database(tmp_path)
-        assert restored.total_rows == 3
-        assert restored["documents"].get(1)["url"] == "http://a/"
-        assert restored["terms"].lookup(("term",), "databas")
-
-    def test_indexes_rebuilt_after_load(self, tmp_path) -> None:
-        dump_database(populated_database(), tmp_path)
-        restored = load_database(tmp_path)
-        hits = restored["documents"].lookup(("topic",), "db")
-        assert len(hits) == 1
+        assert total_rows(restored) == 3
+        [document] = named_rows(restored["documents"])
+        assert document["doc_id"] == 1 and document["url"] == "http://a/"
+        assert [row["term"] for row in named_rows(restored["terms"])] == [
+            "databas"
+        ]
 
     def test_empty_database_round_trips(self, tmp_path) -> None:
         dump_database(Database(), tmp_path)
         restored = load_database(tmp_path)
-        assert restored.total_rows == 0
+        assert total_rows(restored) == 0
 
 
 class TestFailureModes:
@@ -218,4 +221,4 @@ class TestFailureModes:
         target = Database()
         with pytest.raises(StorageError):
             load_database(tmp_path, into=target)
-        assert target.total_rows == 0
+        assert total_rows(target) == 0

@@ -19,7 +19,6 @@ def simple_schema() -> RelationSchema:
             Column("score", float, nullable=True),
         ),
         primary_key=("id",),
-        indexes=(("name",),),
     )
 
 
@@ -84,12 +83,6 @@ class TestRelationSchema:
         with pytest.raises(SchemaError):
             RelationSchema("bad", (Column("a", int),), ("zzz",))
 
-    def test_index_over_unknown_column_rejected(self) -> None:
-        with pytest.raises(SchemaError):
-            RelationSchema(
-                "bad", (Column("a", int),), ("a",), indexes=(("zzz",),)
-            )
-
 
 class TestBingoSchema:
     def test_holds_the_relations_the_crawl_writes(self) -> None:
@@ -111,8 +104,3 @@ class TestBingoSchema:
     def test_every_relation_has_primary_key(self) -> None:
         for schema in BINGO_SCHEMA.values():
             assert schema.primary_key
-
-    def test_documents_indexed_by_url_and_topic(self) -> None:
-        indexes = BINGO_SCHEMA["documents"].indexes
-        assert ("url",) in indexes
-        assert ("topic",) in indexes

@@ -215,6 +215,6 @@ class TestExitCodeContract:
         assert lint_main([str(clean)]) == 0
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nNOW = time.time()\n")
-        assert lint_main([str(bad), "--no-baseline"]) == 1
+        assert lint_main([str(bad)]) == 1
         assert lint_main(["--format", "nope"]) == 2
         capsys.readouterr()
