@@ -44,12 +44,12 @@ class BingoConfig:
 
     # -- crawler concurrency and politeness (paper 5.1) ------------------
     crawl_workers: int = 1
-    """Crawl workers (repro.shard): the frontier, breaker boards, fetch
-    pools and storage workspaces are hash-partitioned by host onto this
-    many per-worker slices.  Each worker gets its own pool of
-    ``crawler_threads`` simulated threads; crawl *decisions* are
-    bit-identical for any worker count (the N=1 vs N=8 Table-1 parity
-    guarantee), only simulated wall-clock time shrinks."""
+    """Crawl workers (repro.shard): fetch pools and storage workspaces
+    are hash-partitioned by host onto this many workers (the frontier
+    and the breaker board stay one store each).  Each worker gets its
+    own pool of ``crawler_threads`` simulated threads; crawl
+    *decisions* are bit-identical for any worker count (the N=1 vs N=8
+    Table-1 parity guarantee), only simulated wall-clock time shrinks."""
     shard_barrier_interval: int = 0
     """Committed micro-batches between merge barriers in a sharded
     crawl (a global flush of every worker's buffered rows); 0 runs

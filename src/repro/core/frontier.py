@@ -33,11 +33,11 @@ from typing import Any
 from repro.core.rbtree import RedBlackTree
 from repro.errors import StorageError
 
-__all__ = ["QueueEntry", "FrontierShard", "CrawlFrontier"]
+__all__ = ["QueueEntry", "CrawlFrontier"]
 
-SNAPSHOT_FORMAT = 2
-"""Marker of the composite :meth:`CrawlFrontier.snapshot` shape; format
-1 was the unmarked pair of single-frontier / per-worker images."""
+SNAPSHOT_FORMAT = 3
+"""Marker of the one-store :meth:`CrawlFrontier.snapshot` shape; format
+2 held one store per worker, format 1 was unmarked."""
 
 Key = tuple[float, int]
 """``(priority, -sequence)``: priority ties break FIFO."""
@@ -106,73 +106,8 @@ _COUNTERS = (
 )
 
 
-class FrontierShard:
-    """The entries, seen-set and admission counters of one shard's URLs.
-
-    Pure storage: *where* an entry lives.  Every decision about it
-    (release, refill, eviction, pop) is made by the owning
-    :class:`CrawlFrontier` across all its shards.
-    """
-
-    def __init__(self) -> None:
-        self.queues: dict[str, _TopicQueues] = {}
-        self.seen_urls: set[str] = set()
-        self.deferred: list[tuple[float, int, QueueEntry]] = []
-        """Heap of ``(not_before, sequence, entry)``."""
-        self.enqueued = 0
-        self.duplicate_drops = 0
-        self.evictions = 0
-        self.dns_drops = 0
-        self.deferred_total = 0
-
-    def __len__(self) -> int:
-        return sum(map(len, self.queues.values())) + len(self.deferred)
-
-    def snapshot(self) -> dict[str, Any]:
-        state: dict[str, Any] = {
-            name: getattr(self, name) for name in _COUNTERS
-        }
-        state["seen_urls"] = sorted(self.seen_urls)
-        state["queues"] = {
-            topic: {
-                "incoming": _tree_image(queues.incoming),
-                "outgoing": _tree_image(queues.outgoing),
-            }
-            for topic, queues in self.queues.items()
-        }
-        state["deferred"] = [
-            [ready_at, sequence, entry.to_dict()]
-            for ready_at, sequence, entry in sorted(self.deferred)
-        ]
-        return state
-
-    def restore(self, state: dict[str, Any]) -> None:
-        for name in _COUNTERS:
-            setattr(self, name, state[name])
-        self.seen_urls = set(state["seen_urls"])
-        self.queues = {
-            topic: _TopicQueues(
-                _tree_from(image["incoming"]), _tree_from(image["outgoing"])
-            )
-            for topic, image in state["queues"].items()
-        }
-        self.deferred = [
-            (ready_at, sequence, QueueEntry.from_dict(entry))
-            for ready_at, sequence, entry in state["deferred"]
-        ]
-        heapq.heapify(self.deferred)
-
-
 class CrawlFrontier:
-    """Bounded, prioritised, DNS-prefetching, time-aware URL frontier.
-
-    The entries live in ``shards`` stores and ``route(url)`` names the
-    store of a URL (one store and a constant route by default; the
-    sharded runtime passes its worker count and host router).  Routing
-    only chooses where an entry is held: sequence numbers, deferred
-    release, refill, eviction and pop all read across every store, so
-    the pop order does not depend on the number of stores.
-    """
+    """Bounded, prioritised, DNS-prefetching, time-aware URL frontier."""
 
     def __init__(
         self,
@@ -181,8 +116,6 @@ class CrawlFrontier:
         refill_batch: int = 50,
         prefetch: Callable[[str], bool] | None = None,
         now: Callable[[], float] | None = None,
-        shards: int = 1,
-        route: Callable[[str], int] | None = None,
     ) -> None:
         """``prefetch(url) -> bool`` warms the DNS cache for a promising
         candidate; returning False drops the URL (unresolvable host).
@@ -196,28 +129,34 @@ class CrawlFrontier:
         self.refill_batch = refill_batch
         self.prefetch = prefetch
         self.now = now or (lambda: float("inf"))
-        self.shards = [FrontierShard() for _ in range(shards)]
-        self._route = route or (lambda url: 0)
+        self.queues: dict[str, _TopicQueues] = {}
+        """Each topic's queues, in the order the topics first received
+        an incoming entry (``pop`` breaks cross-topic key ties in
+        favour of the earlier topic)."""
+        self.seen_urls: set[str] = set()
+        """Every URL ever admitted."""
+        self.deferred: list[tuple[float, int, QueueEntry]] = []
+        """Heap of ``(not_before, sequence, entry)``."""
+        self.enqueued = 0
+        self.duplicate_drops = 0
+        self.evictions = 0
+        self.dns_drops = 0
+        self.deferred_total = 0
         self._sequence = 0
         """Last admission number drawn; every admission and every
         deferred release draws a fresh one."""
-        self._topics: dict[str, list[_TopicQueues]] = {}
-        """Each topic's queues in every shard, in the order the topics
-        first received an incoming entry (``pop`` breaks cross-topic
-        key ties in favour of the earlier topic)."""
         self._deferred_counts: dict[str, int] = {}
 
     # -- write side ---------------------------------------------------------
 
     def push(self, entry: QueueEntry) -> bool:
         """Admit a URL; returns False for URLs already seen (or evicted)."""
-        shard = self.shards[self._route(entry.url)]
-        if entry.url in shard.seen_urls:
-            shard.duplicate_drops += 1
+        if entry.url in self.seen_urls:
+            self.duplicate_drops += 1
             return False
-        shard.seen_urls.add(entry.url)
-        self._admit(shard, entry)
-        shard.enqueued += 1
+        self.seen_urls.add(entry.url)
+        self._admit(entry)
+        self.enqueued += 1
         return True
 
     def requeue(self, entry: QueueEntry) -> None:
@@ -227,86 +166,54 @@ class CrawlFrontier:
         -- typically with a bumped ``attempt``/``deferrals`` count and a
         ``not_before`` timestamp the frontier will respect.
         """
-        shard = self.shards[self._route(entry.url)]
-        shard.seen_urls.add(entry.url)
-        self._admit(shard, entry)
+        self.seen_urls.add(entry.url)
+        self._admit(entry)
 
-    def _admit(self, shard: FrontierShard, entry: QueueEntry) -> None:
+    def _admit(self, entry: QueueEntry) -> None:
         if entry.not_before > self.now():
             self._sequence += 1
             heapq.heappush(
-                shard.deferred, (entry.not_before, self._sequence, entry)
+                self.deferred, (entry.not_before, self._sequence, entry)
             )
-            shard.deferred_total += 1
+            self.deferred_total += 1
             self._deferred_counts[entry.topic] = (
                 self._deferred_counts.get(entry.topic, 0) + 1
             )
             return
-        self._insert_incoming(shard, entry)
+        self._insert_incoming(entry)
 
-    def _insert_incoming(
-        self, shard: FrontierShard, entry: QueueEntry
-    ) -> None:
+    def _insert_incoming(self, entry: QueueEntry) -> None:
         """Insert under a fresh ``(priority, -sequence)`` key; past the
-        topic's incoming limit evict its worst candidate, wherever it
-        is held."""
-        topic = entry.topic
-        per_shard = self._topics.get(topic)
-        if per_shard is None:
-            per_shard = self._topics[topic] = [
-                s.queues.setdefault(topic, _TopicQueues())
-                for s in self.shards
-            ]
+        topic's incoming limit evict its worst candidate."""
+        queues = self.queues.get(entry.topic)
+        if queues is None:
+            queues = self.queues[entry.topic] = _TopicQueues()
         self._sequence += 1
-        shard.queues[topic].incoming.insert(
-            (entry.priority, -self._sequence), entry
-        )
-        if sum(len(q.incoming) for q in per_shard) > self.incoming_limit:
-            holder = min(
-                (q.incoming for q in per_shard if q.incoming),
-                key=lambda tree: tree.peek_min()[0],
-            )
-            _key, victim = holder.pop_min()
-            self.shards[self._route(victim.url)].evictions += 1
+        queues.incoming.insert((entry.priority, -self._sequence), entry)
+        if len(queues.incoming) > self.incoming_limit:
+            queues.incoming.pop_min()
+            self.evictions += 1
 
     # -- read side ----------------------------------------------------------
-
-    def _earliest_deferred(self) -> FrontierShard | None:
-        """The shard holding the earliest ``(not_before, sequence)``."""
-        return min(
-            (shard for shard in self.shards if shard.deferred),
-            key=lambda shard: shard.deferred[0][:2],
-            default=None,
-        )
 
     def _release_ready(self) -> None:
         """Move deferred entries whose time has come into the queues."""
         now = self.now()
-        while True:
-            shard = self._earliest_deferred()
-            if shard is None or shard.deferred[0][0] > now:
-                return
-            entry = heapq.heappop(shard.deferred)[2]
+        while self.deferred and self.deferred[0][0] <= now:
+            entry = heapq.heappop(self.deferred)[2]
             self._deferred_counts[entry.topic] -= 1
-            self._insert_incoming(shard, entry)
+            self._insert_incoming(entry)
 
-    def _refill(self, per_shard: list[_TopicQueues]) -> None:
+    def _refill(self, queues: _TopicQueues) -> None:
         """Move a topic's best incoming links to outgoing, prefetching
-        DNS in that order.  Only called with the topic's outgoing
-        queues empty, so entries moved == entries outgoing."""
+        DNS in that order.  Only called with the topic's outgoing queue
+        empty, so entries moved == entries outgoing."""
         moved = 0
         limit = min(self.refill_batch, self.outgoing_limit)
-        while moved < limit:
-            queues = max(
-                (q for q in per_shard if q.incoming),
-                key=lambda q: q.incoming.peek_max()[0],
-                default=None,
-            )
-            if queues is None:
-                return
+        while moved < limit and queues.incoming:
             key, entry = queues.incoming.pop_max()
             if self.prefetch is not None and not self.prefetch(entry.url):
-                self.shards[self._route(entry.url)].dns_drops += 1
+                self.dns_drops += 1
                 continue
             queues.outgoing.insert(key, entry)
             moved += 1
@@ -321,16 +228,15 @@ class CrawlFrontier:
         self._release_ready()
         best: RedBlackTree | None = None
         best_key: Key | None = None
-        for per_shard in self._topics.values():
-            if not any(q.outgoing for q in per_shard):
-                self._refill(per_shard)
-            for queues in per_shard:
+        for queues in self.queues.values():
+            if not queues.outgoing:
+                self._refill(queues)
                 if not queues.outgoing:
                     continue
-                key = queues.outgoing.peek_max()[0]
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = queues.outgoing
+            key = queues.outgoing.peek_max()[0]
+            if best_key is None or key > best_key:
+                best_key = key
+                best = queues.outgoing
         if best is None:
             return None
         entry: QueueEntry = best.pop_max()[1]
@@ -338,63 +244,35 @@ class CrawlFrontier:
 
     def next_ready_at(self) -> float | None:
         """Earliest ``not_before`` among deferred entries, or None."""
-        shard = self._earliest_deferred()
-        return shard.deferred[0][0] if shard is not None else None
+        return self.deferred[0][0] if self.deferred else None
 
     # -- introspection -------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(map(len, self.shards))
+        return sum(map(len, self.queues.values())) + len(self.deferred)
 
     def pending_for(self, topic: str) -> int:
         # deferred entries are tallied per topic on admission/release,
-        # so this stays O(shards) instead of scanning the deferred
-        # heaps -- it runs on every pop retry
-        return self._deferred_counts.get(topic, 0) + sum(
-            map(len, self._topics.get(topic, ()))
+        # so this stays O(1) instead of scanning the deferred heap --
+        # it runs on every pop retry
+        queues = self.queues.get(topic)
+        return self._deferred_counts.get(topic, 0) + (
+            len(queues) if queues is not None else 0
         )
 
     def has_seen(self, url: str) -> bool:
-        return url in self.shards[self._route(url)].seen_urls
-
-    @property
-    def seen_urls(self) -> set[str]:
-        """Every URL ever admitted (the union of the shards' sets)."""
-        return set().union(*(shard.seen_urls for shard in self.shards))
-
-    def _total(self, counter: str) -> int:
-        return sum(getattr(shard, counter) for shard in self.shards)
-
-    @property
-    def enqueued(self) -> int:
-        return self._total("enqueued")
-
-    @property
-    def duplicate_drops(self) -> int:
-        return self._total("duplicate_drops")
-
-    @property
-    def evictions(self) -> int:
-        return self._total("evictions")
-
-    @property
-    def dns_drops(self) -> int:
-        return self._total("dns_drops")
-
-    @property
-    def deferred_total(self) -> int:
-        return self._total("deferred_total")
+        return url in self.seen_urls
 
     def stats(self) -> dict[str, float]:
         """Admission statistics (the obs ``Instrumented`` protocol)."""
         out = {"size": float(len(self))}
         for name in _COUNTERS:
-            out[name] = float(self._total(name))
+            out[name] = float(getattr(self, name))
         return out
 
     @property
     def topics(self) -> list[str]:
-        return sorted(self._topics)
+        return sorted(self.queues)
 
     # -- checkpoint -----------------------------------------------------------
 
@@ -405,12 +283,26 @@ class CrawlFrontier:
         exactly the original order (priority ties break by sequence),
         and so is the topic order ``pop`` breaks cross-topic ties by.
         """
-        return {
+        state: dict[str, Any] = {
             "format": SNAPSHOT_FORMAT,
             "sequence": self._sequence,
-            "topics": list(self._topics),
-            "shards": [shard.snapshot() for shard in self.shards],
+            "topics": list(self.queues),
+            "seen_urls": sorted(self.seen_urls),
+            "queues": {
+                topic: {
+                    "incoming": _tree_image(queues.incoming),
+                    "outgoing": _tree_image(queues.outgoing),
+                }
+                for topic, queues in self.queues.items()
+            },
+            "deferred": [
+                [ready_at, sequence, entry.to_dict()]
+                for ready_at, sequence, entry in sorted(self.deferred)
+            ],
         }
+        for name in _COUNTERS:
+            state[name] = getattr(self, name)
+        return state
 
     def check_image(self, state: dict[str, Any]) -> None:
         """Raise unless ``state`` is an image :meth:`restore` accepts."""
@@ -418,28 +310,30 @@ class CrawlFrontier:
             raise StorageError(
                 f"frontier image has format {state.get('format')!r}, this "
                 f"reader takes only {SNAPSHOT_FORMAT}: the checkpoint "
-                "predates the composite frontier and must be retaken"
-            )
-        if len(state["shards"]) != len(self.shards):
-            raise ValueError(
-                f"checkpoint has {len(state['shards'])} frontier shards, "
-                f"this context has {len(self.shards)} -- resume with the "
-                "same crawl_workers"
+                "predates the one-store frontier and must be retaken"
             )
 
     def restore(self, state: dict[str, Any]) -> None:
         """Rebuild the frontier from a :meth:`snapshot` image."""
         self.check_image(state)
-        for shard, shard_state in zip(self.shards, state["shards"]):
-            shard.restore(shard_state)
+        for name in _COUNTERS:
+            setattr(self, name, state[name])
         self._sequence = state["sequence"]
-        self._topics = {
-            topic: [shard.queues[topic] for shard in self.shards]
+        self.seen_urls = set(state["seen_urls"])
+        self.queues = {
+            topic: _TopicQueues(
+                _tree_from(state["queues"][topic]["incoming"]),
+                _tree_from(state["queues"][topic]["outgoing"]),
+            )
             for topic in state["topics"]
         }
+        self.deferred = [
+            (ready_at, sequence, QueueEntry.from_dict(entry))
+            for ready_at, sequence, entry in state["deferred"]
+        ]
+        heapq.heapify(self.deferred)
         self._deferred_counts = {}
-        for shard in self.shards:
-            for _ready_at, _sequence, entry in shard.deferred:
-                self._deferred_counts[entry.topic] = (
-                    self._deferred_counts.get(entry.topic, 0) + 1
-                )
+        for _ready_at, _sequence, entry in self.deferred:
+            self._deferred_counts[entry.topic] = (
+                self._deferred_counts.get(entry.topic, 0) + 1
+            )

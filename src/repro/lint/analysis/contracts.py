@@ -16,7 +16,9 @@ keywords that became constants (the table says where), the span
 tracer and the ``Obs`` bundle (``ctx.obs`` is the registry), the
 experiment result classes whose rows now live once, in the runner's
 ``ExperimentTable``, the store's query side (``Relation`` only appends,
-upserts and hands its rows to the dump) and the lint baseline.  An
+upserts and hands its rows to the dump), the lint baseline and the
+per-worker frontier stores and breaker boards (a worker owns a fetch
+pool; the frontier and the board are one store each).  An
 entry expires one ROADMAP re-anchor after the PR that recorded it; by
 then a stay-gone test or a ``TypeError`` from the constructor holds
 the line.
@@ -187,6 +189,10 @@ _DIGEST_DICT = (
     "DigestStore keeps url -> row in a dict: use get / digest_of / "
     "snapshot"
 )
+_ONE_STORE = (
+    "the frontier and the breaker board are one store at every worker "
+    "count: read ctx.frontier / ctx.hosts"
+)
 _NO_WORKSPACE_CLASS = (
     "a workspace is the BulkLoader's relation -> rows dict for one "
     "thread: buffer rows with BulkLoader.add / add_many"
@@ -252,6 +258,31 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         ),
     },
     "RecrawlScheduler": {"workers": _ONE_FRONTIER},
+    # a worker owns a fetch pool and workspaces, not a store
+    # (no CrawlFrontier "shards" row: the shard-isolation fixtures model
+    # a CrawlFrontier that still has one, and the constructor refuses
+    # the keyword with a TypeError)
+    "CrawlFrontier": {"route": _ONE_STORE},
+    "ShardedFrontier": {
+        "router": (
+            "ShardedFrontier() takes CrawlFrontier's options; hosts route "
+            "through ctx.workers.router"
+        ),
+        "shards": _ONE_STORE,
+    },
+    "WorkerSet": {
+        "slices": "a worker owns ctx.workers.pools[i]; read ctx.frontier "
+        "/ ctx.hosts for the rest",
+        "frontier": _ONE_STORE,
+        "hosts": _ONE_STORE,
+        "breaker_policy": (
+            "CrawlContext builds ctx.hosts from config.breaker_policy()"
+        ),
+        "prefetch": "CrawlContext builds ctx.frontier with prefetch_dns",
+    },
+    "ShardRouter": {
+        "shard_of_url": "router.shard_of(parse_url(url).host)",
+    },
     # keywords no caller passed: module constants now
     "KMeans": {
         "max_iterations": "repro.ml.kmeans.MAX_ITERATIONS",
@@ -340,6 +371,11 @@ _REMOVED_IMPORTS: dict[str, str] = {
     "repro.portal.digests.DIGEST_SCHEMA": _DIGEST_DICT,
     "repro.storage.Workspace": _NO_WORKSPACE_CLASS,
     "repro.storage.bulkloader.Workspace": _NO_WORKSPACE_CLASS,
+    "repro.core.frontier.FrontierShard": _ONE_STORE,
+    "repro.shard.BreakerBoardSet": _ONE_STORE,
+    "repro.shard.workers.BreakerBoardSet": _ONE_STORE,
+    "repro.shard.WorkerSlice": _ONE_STORE,
+    "repro.shard.workers.WorkerSlice": _ONE_STORE,
     "repro.lint.baseline": _NO_BASELINE,
     "repro.lint.Baseline": _NO_BASELINE,
     "repro.lint.BaselineEntry": _NO_BASELINE,
@@ -364,7 +400,8 @@ class DeprecatedApi(Rule):
         "members deleted since the last re-anchor (keywords that became "
         "constants, the span tracer and Obs bundle, the experiment result "
         "classes and their row lookups, the store's readers and indexes, "
-        "the lint baseline) must not be reintroduced"
+        "the lint baseline, the per-worker frontier stores and breaker "
+        "boards) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

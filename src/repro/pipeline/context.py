@@ -26,7 +26,7 @@ from repro.obs import MetricsRegistry
 from repro.perf.text import TermInterner
 from repro.robust.breaker import DEFER_QUARANTINE, BreakerBoard
 from repro.robust.faults import FaultInjector
-from repro.shard import WorkerSet
+from repro.shard import ShardedFrontier, WorkerSet
 from repro.text.features import TERM_SPACES
 from repro.text.handlers import default_registry
 from repro.web.clock import SimulatedClock, WorkerPool
@@ -92,23 +92,20 @@ class CrawlContext:
         self.workers: WorkerSet | None = None
         """The sharded runtime (:class:`repro.shard.WorkerSet`) when
         ``crawl_workers > 1``; None keeps the single-worker objects
-        (one pool, one breaker board, no barriers)."""
+        (one pool, no barriers)."""
+        frontier_class = CrawlFrontier
         if self.config.crawl_workers > 1:
             self.workers = WorkerSet(
                 self.config.crawl_workers,
                 clock=self.clock,
                 threads_per_worker=self.config.crawler_threads,
-                breaker_policy=self.config.breaker_policy(),
-                prefetch=self.prefetch_dns,
             )
-            self.frontier = self.workers.frontier
-            self.hosts = self.workers.hosts
-        else:
-            self.frontier = CrawlFrontier(
-                prefetch=self.prefetch_dns,
-                now=lambda: self.clock.now,
-            )
-            self.hosts = BreakerBoard(self.config.breaker_policy())
+            frontier_class = ShardedFrontier
+        self.frontier = frontier_class(
+            prefetch=self.prefetch_dns,
+            now=lambda: self.clock.now,
+        )
+        self.hosts = BreakerBoard(self.config.breaker_policy())
         self.dedup = DuplicateDetector()
         self.domains: dict[str, DomainState] = {}
         self.retry_policy = self.config.retry_policy()
@@ -141,8 +138,6 @@ class CrawlContext:
         self.obs.register_source("frontier", self.frontier)
         if self.workers is not None:
             self.obs.register_source("shard", self.workers)
-            for worker in self.workers.slices:
-                self.obs.register_source(f"shard_w{worker.index}", worker)
         self.obs.register_source("text", self.interner)
         if hasattr(self.classifier, "stats"):
             self.obs.register_source("perf", self.classifier)

@@ -8,9 +8,8 @@ the missing half of that lifecycle:
 * :mod:`repro.portal.evolution` -- a deterministic web evolution model:
   pages mutate, appear and die, and links rot, on a seeded mutation
   schedule driven by the simulated clock;
-* :mod:`repro.portal.scheduler` -- a recrawl scheduler feeding the
-  existing :class:`~repro.core.frontier.CrawlFrontier` /
-  :class:`~repro.shard.frontier.ShardedFrontier` with revisit work
+* :mod:`repro.portal.scheduler` -- a recrawl scheduler feeding one
+  :class:`~repro.core.frontier.CrawlFrontier` with revisit work
   prioritised by ``staleness x HITS authority``, with change detection
   via content digests stored through :mod:`repro.storage`;
 * :mod:`repro.portal.incremental` -- folding new/changed/deleted

@@ -444,9 +444,11 @@ class RecrawlScheduler:
     def snapshot(self) -> dict:
         """Serializable image of the scheduler's full revisit state.
 
-        Includes the :attr:`pending` delta and the document records it
-        patched, so a resume against a freshly re-crawled context can
-        re-apply every refresh the interrupted cycle already executed.
+        Includes the document records the cycle patched and the
+        :attr:`pending` delta (added and changed records by doc id, since
+        they are among those records), so a resume against a freshly
+        re-crawled context can re-apply every refresh the interrupted
+        cycle already executed.
         """
         return {
             "primed": self._primed,
@@ -461,8 +463,8 @@ class RecrawlScheduler:
                 for doc_id in sorted(self.touched)
             ],
             "pending": {
-                "added": [doc.to_dict() for doc in self.pending.added],
-                "changed": [doc.to_dict() for doc in self.pending.changed],
+                "added": [doc.doc_id for doc in self.pending.added],
+                "changed": [doc.doc_id for doc in self.pending.changed],
                 "removed": list(self.pending.removed),
                 "previous": [
                     self.pending.previous[doc_id].to_dict()
@@ -511,9 +513,10 @@ class RecrawlScheduler:
             self.touched.add(doc.doc_id)
         pending = state["pending"]
         load = CrawledDocument.from_dict
+        documents = self.ctx.documents
         self.pending = DocumentDelta(
-            added=[load(s) for s in pending["added"]],
-            changed=[load(s) for s in pending["changed"]],
+            added=[documents[doc_id] for doc_id in pending["added"]],
+            changed=[documents[doc_id] for doc_id in pending["changed"]],
             removed=list(pending["removed"]),
             previous={
                 doc.doc_id: doc for doc in map(load, pending["previous"])

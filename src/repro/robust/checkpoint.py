@@ -117,9 +117,8 @@ def _stats_from_dict(data: State) -> CrawlStats:
 def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
     """The complete serializable runtime state of one crawl context.
 
-    The frontier image has one shape for every worker count (one
-    store per worker).  For sharded crawls (``crawl_workers > 1``) the
-    host snapshot is a composite with one board per worker, and a
+    The frontier image and the host board are one store each at every
+    worker count.  For sharded crawls (``crawl_workers > 1``) a
     ``workers`` section captures each worker pool plus the worker-set
     counters.
     """
@@ -205,8 +204,8 @@ def restore_context(ctx: Context, source: Source) -> CrawlStats:
         state = source
 
     # validate the sharding shape before mutating anything: a mismatch
-    # would re-route hosts onto different shards and silently break the
-    # determinism contract
+    # would re-route hosts onto different worker pools and silently
+    # break the determinism contract
     workers = ctx.workers
     worker_state = state.get("workers")
     if (workers is None) != (worker_state is None):

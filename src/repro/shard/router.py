@@ -1,9 +1,9 @@
 """Stable host-hash -> worker-id routing.
 
-Every placement decision in the sharded runtime (which frontier shard
-admits a URL, which breaker board tracks a host, which worker pool
-fetches, which workspace range stores the rows) flows through one
-:class:`ShardRouter`, so they can never disagree.
+Every placement decision in the sharded runtime (which worker pool
+fetches a host, which workspace range stores its rows, whether a link
+crosses workers) flows through one :class:`ShardRouter`, so they can
+never disagree.
 
 The hash is BLAKE2b over the host name -- *not* Python's builtin
 ``hash``, whose per-process salting the repo's determinism rules ban --
@@ -13,8 +13,6 @@ so the partition is identical across runs, machines and checkpoints.
 from __future__ import annotations
 
 import hashlib
-
-from repro.web.urls import parse_url
 
 __all__ = ["ShardRouter"]
 
@@ -38,11 +36,3 @@ class ShardRouter:
             shard = int.from_bytes(digest, "big") % self.workers
             self._cache[host] = shard
         return shard
-
-    def shard_of_url(self, url: str) -> int:
-        """The worker id owning ``url``'s host (0 for unparseable URLs,
-        which the admit stage rejects deterministically anyway)."""
-        parsed = parse_url(url)
-        if parsed is None:
-            return 0
-        return self.shard_of(parsed.host)

@@ -58,7 +58,7 @@ def test_bounded_queues_never_exceed_limits(items, incoming, outgoing) -> None:
                 priority=priority, depth=0,
             )
         )
-        for queues in frontier.shards[0].queues.values():
+        for queues in frontier.queues.values():
             assert len(queues.incoming) <= incoming
             assert len(queues.outgoing) <= outgoing
     drained = 0

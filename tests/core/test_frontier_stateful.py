@@ -1,15 +1,14 @@
-"""The frontier against a naive model, at one, three and eight shards.
+"""The frontier against a naive model.
 
 ``ModelFrontier`` is paper section 4.2 written the obvious way: plain
-lists, ``sorted``/``max``/``min``, and no notion of a shard.  A
-hypothesis state machine drives it and the real frontier through the
-same pushes, requeues, pops, clock advances and snapshot/restore
-cycles, and after every step compares every observable: the popped
-entry, ``stats()``, ``len``, ``pending_for`` of each topic and
-``next_ready_at``.  Because the model has no shards, the comparison
-fails as soon as any queue decision (deferred release, refill gate,
-refill order and caps, eviction victim, best-outgoing pop) is taken per
-shard instead of across all of them.
+lists and ``sorted``/``max``/``min``.  A hypothesis state machine drives
+it and the real frontier through the same pushes, requeues, pops, clock
+advances and snapshot/restore cycles, and after every step compares
+every observable: the popped entry, ``stats()``, ``len``,
+``pending_for`` of each topic, ``next_ready_at`` and the seen-set.  Any
+queue decision (deferred release, refill gate, refill order and caps,
+eviction victim, best-outgoing pop) that strays from the model fails
+the comparison.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from hypothesis.stateful import (
 
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.errors import StorageError
-from repro.shard import ShardedFrontier, ShardRouter
+from repro.shard import ShardedFrontier
 
 TOPICS = ("t0", "t1", "t2")
 HOSTS = tuple(f"h{i}.site{i}.example" for i in range(6))
@@ -138,11 +137,10 @@ class ModelFrontier:
         }
 
 
-def build_real(shards: int, limits: dict, clock: dict) -> CrawlFrontier:
-    options = dict(limits, prefetch=resolvable, now=lambda: clock["now"])
-    if shards == 1:
-        return CrawlFrontier(**options)
-    return ShardedFrontier(ShardRouter(shards), **options)
+def build_real(limits: dict, clock: dict) -> CrawlFrontier:
+    return CrawlFrontier(
+        **limits, prefetch=resolvable, now=lambda: clock["now"]
+    )
 
 
 entries = st.tuples(
@@ -154,8 +152,6 @@ entries = st.tuples(
 
 
 class FrontierMachine(RuleBasedStateMachine):
-    SHARDS = 1
-
     @initialize(
         incoming=st.integers(2, 6), outgoing=st.integers(1, 4),
         batch=st.integers(1, 4),
@@ -167,7 +163,7 @@ class FrontierMachine(RuleBasedStateMachine):
             refill_batch=batch,
         )
         self.model = ModelFrontier(incoming, outgoing, batch, self.clock)
-        self.real = build_real(self.SHARDS, self.limits, self.clock)
+        self.real = build_real(self.limits, self.clock)
 
     def entry(self, spec) -> QueueEntry:
         host, page, topic, priority, delay = spec
@@ -198,7 +194,7 @@ class FrontierMachine(RuleBasedStateMachine):
     @rule()
     def snapshot_restore_into_fresh(self) -> None:
         image = json.loads(json.dumps(self.real.snapshot()))
-        self.real = build_real(self.SHARDS, self.limits, self.clock)
+        self.real = build_real(self.limits, self.clock)
         self.real.restore(image)
 
     @invariant()
@@ -213,19 +209,10 @@ class FrontierMachine(RuleBasedStateMachine):
         assert self.real.seen_urls == self.model.seen
 
 
-def machine_for(shards: int) -> type:
-    machine = type(
-        f"FrontierMachine{shards}", (FrontierMachine,), {"SHARDS": shards}
-    )
-    machine.TestCase.settings = settings(
-        max_examples=60, stateful_step_count=60, deadline=None
-    )
-    return machine.TestCase
-
-
-TestOneShard = machine_for(1)
-TestThreeShards = machine_for(3)
-TestEightShards = machine_for(8)
+FrontierMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=60, deadline=None
+)
+TestFrontierMachine = FrontierMachine.TestCase
 
 
 # -- the snapshot format -----------------------------------------------------
@@ -242,17 +229,9 @@ def _loaded(frontier: CrawlFrontier) -> CrawlFrontier:
     return frontier
 
 
-def test_one_snapshot_shape_for_every_shard_count() -> None:
-    single = _loaded(CrawlFrontier()).snapshot()
-    sharded = _loaded(ShardedFrontier(ShardRouter(3))).snapshot()
-    assert single.keys() == sharded.keys()
-    assert single["format"] == sharded["format"] == 2
-    assert (len(single["shards"]), len(sharded["shards"])) == (1, 3)
-    assert single["shards"][0].keys() == sharded["shards"][0].keys()
-
-
-#: what ``snapshot()`` returned before the composite format: the flat
-#: single-frontier image, and the per-worker composite without a marker
+#: what ``snapshot()`` returned before the one-store format: the flat
+#: single-frontier image and the per-worker composite without a marker
+#: (format 1), and the marked composite of one store per worker (2)
 _OLD_SINGLE = {
     "sequence": 1, "enqueued": 1, "duplicate_drops": 0, "evictions": 0,
     "dns_drops": 0, "deferred_total": 0, "seen_urls": ["http://h/p"],
@@ -262,12 +241,14 @@ _OLD_SHARDED = {
     "workers": 1, "sequence": 1, "topic_order": ["t0"],
     "shards": [_OLD_SINGLE],
 }
+_PER_WORKER = {
+    "format": 2, "sequence": 1, "topics": ["t0"],
+    "shards": [{k: v for k, v in _OLD_SINGLE.items() if k != "sequence"}],
+}
 
 
-@pytest.mark.parametrize("image", [_OLD_SINGLE, _OLD_SHARDED])
-@pytest.mark.parametrize(
-    "fresh", [CrawlFrontier, lambda: ShardedFrontier(ShardRouter(1))]
-)
+@pytest.mark.parametrize("image", [_OLD_SINGLE, _OLD_SHARDED, _PER_WORKER])
+@pytest.mark.parametrize("fresh", [CrawlFrontier, lambda: ShardedFrontier()])
 def test_pre_composite_image_is_refused(image, fresh) -> None:
     frontier = _loaded(fresh())
     before = frontier.snapshot()
@@ -276,14 +257,13 @@ def test_pre_composite_image_is_refused(image, fresh) -> None:
     assert frontier.snapshot() == before
 
 
-def test_shard_count_mismatch_is_refused() -> None:
-    image = _loaded(ShardedFrontier(ShardRouter(3))).snapshot()
-    with pytest.raises(ValueError, match="crawl_workers"):
-        CrawlFrontier().restore(image)
-
-
 def test_per_shard_coordination_keywords_stay_gone() -> None:
     with pytest.raises(TypeError):
         CrawlFrontier(managed=True)
     with pytest.raises(TypeError):
         CrawlFrontier(sequence=object())
+    # the frontier is one store at every worker count
+    with pytest.raises(TypeError):
+        CrawlFrontier(**{"shards": 3})
+    with pytest.raises(TypeError):
+        CrawlFrontier(**{"route": lambda url: 0})

@@ -202,3 +202,46 @@ from repro.storage import Workspace
 from repro.storage.bulkloader import Workspace as ThreadWorkspace
 from repro.lint import Baseline, BaselineEntry
 from repro.lint.baseline import DEFAULT_BASELINE_NAME
+
+
+class CrawlFrontier:
+    def __init__(self, incoming_limit: int = 25_000) -> None:
+        self.incoming_limit = incoming_limit
+
+
+class ShardedFrontier(CrawlFrontier):
+    def pop(self) -> None:
+        return None
+
+
+class ShardRouter:
+    def shard_of(self, host: str) -> int:
+        return 0
+
+
+class WorkerSet:
+    def __init__(self, count: int) -> None:
+        self.count = count
+
+
+def the_frontier_split_per_worker(
+    frontier: CrawlFrontier,
+    sharded: ShardedFrontier,
+    router: ShardRouter,
+    workers: WorkerSet,
+) -> object:
+    CrawlFrontier(route=len)
+    ShardedFrontier(router=router)
+    WorkerSet(3, breaker_policy=None, prefetch=len)
+    frontier.route
+    sharded.shards
+    sharded.router
+    router.shard_of_url("http://a.example/")
+    workers.slices
+    workers.hosts
+    return workers.frontier
+
+
+from repro.core.frontier import FrontierShard
+from repro.shard import BreakerBoardSet, WorkerSlice
+from repro.shard.workers import BreakerBoardSet as Boards, WorkerSlice as Slice

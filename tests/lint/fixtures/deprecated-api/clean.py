@@ -121,3 +121,34 @@ def the_store_appends_and_dumps(
     counts.update(["a"])
     RecrawlScheduler(relation)
     return [seen.get("a"), zone.lookup("a.example"), *relation.rows()]
+
+
+class Layout:
+    def __init__(self) -> None:
+        self.shards: list[int] = [0]
+        self.slices: list[int] = [0]
+
+
+class CrawlFrontier:
+    def __init__(self, prefetch: object = None) -> None:
+        self.prefetch = prefetch
+
+
+class ShardedFrontier(CrawlFrontier):
+    def pop(self) -> None:
+        return None
+
+
+class WorkerSet:
+    def __init__(self, count: int) -> None:
+        self.pools: list[int] = [0] * count
+        self.router = Layout()
+
+
+def a_worker_owns_a_pool(layout: Layout, workers: WorkerSet) -> int:
+    # .shards / .slices on other receivers are fine names
+    frontier = ShardedFrontier(prefetch=len)
+    frontier.pop()
+    return len(layout.shards) + len(layout.slices) + len(workers.pools) + (
+        len(workers.router.shards)
+    )

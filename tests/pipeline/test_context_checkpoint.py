@@ -103,7 +103,7 @@ class TestContextSnapshotSurface:
     def test_snapshot_takes_the_context(self) -> None:
         crawler, _ = build_crawler()
         stats = crawler.crawl(settings(20))
-        assert snapshot_context(crawler.ctx, stats)["frontier"]["format"] == 2
+        assert snapshot_context(crawler.ctx, stats)["frontier"]["format"] == 3
         with pytest.raises(AttributeError):
             snapshot_context(crawler, stats)
 

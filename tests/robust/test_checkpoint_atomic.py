@@ -264,14 +264,20 @@ class TestDamagedCheckpoint:
     def test_pre_composite_frontier_image_refused(
         self, two_saves, published
     ) -> None:
-        """A checkpoint taken before the one-frontier format (a flat
-        single-frontier image without a format marker) must be retaken."""
+        """A checkpoint taken before the one-store format (format 2:
+        one store per worker under ``shards``) must be retaken."""
         rig = two_saves[0]
         blob = json.loads((published / "crawl.json").read_text())
-        composite = blob["state"]["frontier"]
-        blob["state"]["frontier"] = dict(
-            composite["shards"][0], sequence=composite["sequence"]
-        )
+        image = blob["state"]["frontier"]
+        head = ("format", "sequence", "topics")
+        blob["state"]["frontier"] = {
+            "format": 2,
+            "sequence": image["sequence"],
+            "topics": image["topics"],
+            "shards": [
+                {k: v for k, v in image.items() if k not in head}
+            ],
+        }
         (published / "crawl.json").write_text(json.dumps(blob))
         crawler, database = rig.crawler()
         with pytest.raises(StorageError, match="must be retaken"):

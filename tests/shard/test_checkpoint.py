@@ -1,11 +1,11 @@
 """Sharded checkpoint/resume: kill an N=3 crawl, resume, land exactly
 where an uninterrupted N=3 run lands.
 
-The checkpoint must capture every per-worker slice -- frontier shards
-(with the shared sequence counter), breaker boards, worker-pool free
-times -- plus the worker-set counters, and refuse to restore into a
-context with a different worker count (a host would hash onto a
-different shard and the determinism contract would silently break).
+The checkpoint must capture the one frontier (with its sequence
+counter), the one breaker board, every worker pool's free times and the
+worker-set counters, and refuse to restore into a context with a
+different worker count (a host would hash onto a different worker pool
+and the determinism contract would silently break).
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class TestShardedKillResume:
         assert a.frontier.stats() == b.frontier.stats()
         assert a.frontier._sequence == b.frontier._sequence
         assert a.hosts.to_dict() == b.hosts.to_dict()
-        for shard_a, shard_b in zip(a.frontier.shards, b.frontier.shards):
-            assert shard_a.snapshot() == shard_b.snapshot()
+        assert a.frontier.snapshot() == b.frontier.snapshot()
 
     def test_worker_set_counters_survive(self, kill_resume) -> None:
         baseline, _, resumed, _ = kill_resume
@@ -127,3 +126,18 @@ class TestWorkerCountGuards:
         single, _ = build_crawler(workers=1)
         stats = single.crawl(settings(20))
         assert "workers" not in snapshot_context(single.ctx, stats)
+
+
+def test_sharded_snapshot_holds_one_frontier_and_one_board() -> None:
+    """At N=3 the frontier image is the one-store image and the host
+    section is the plain board dict -- nothing in either is per worker."""
+    crawler, _ = build_crawler(workers=3)
+    stats = crawler.crawl(settings(20))
+    state = snapshot_context(crawler.ctx, stats)
+    assert state["frontier"]["format"] == 3
+    assert "shards" not in state["frontier"]
+    hosts = state["hosts"]
+    assert hosts == crawler.ctx.hosts.to_dict()
+    assert len(hosts) > 1
+    assert all(isinstance(breaker, dict) for breaker in hosts.values())
+    assert "workers" not in hosts

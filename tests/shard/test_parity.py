@@ -11,7 +11,8 @@ document sequence and the frontier state are bit-identical for 1, 3
 and 8 workers, while the simulated crawl time shrinks.
 
 DESIGN.md ("Sharding the crawl runtime") spells out the argument; the
-frontier-level half of the proof lives in test_sharded_frontier.py.
+frontier is one store at every N, checked against a naive model in
+tests/core/test_frontier_stateful.py.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class TestWorkerCountParity:
         ctx = crawler.ctx
         assert ctx.workers is not None
         assert ctx.workers.count == workers
-        assert len(ctx.workers.slices) == workers
+        assert len(ctx.workers.pools) == workers
         # fetches really ran on more than one worker pool
         active_pools = [
             pool
@@ -155,9 +156,11 @@ class TestWorkerCountParity:
     def test_worker_metrics_exported(self, sharded, workers) -> None:
         crawler, _, _ = sharded
         exported = crawler.ctx.obs.source_stats()
-        assert exported["shard"]["workers"] == float(workers)
-        per_worker = [
-            exported[f"shard_w{i}"]["enqueued"] for i in range(workers)
-        ]
-        assert sum(per_worker) == exported["frontier"]["enqueued"]
-        assert all(count > 0 for count in per_worker)
+        shard = exported["shard"]
+        assert shard["workers"] == float(workers)
+        assert shard["commits"] > 0
+        assert shard["cross_shard_links"] > 0
+        assert shard["local_links"] > 0
+        # the frontier and the board are one store: no per-worker source
+        assert "shard_w0" not in exported
+        assert exported["frontier"]["enqueued"] > 0

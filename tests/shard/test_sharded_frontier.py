@@ -1,12 +1,13 @@
-"""ShardedFrontier vs CrawlFrontier: the oracle-equivalence contract.
+"""ShardedFrontier vs CrawlFrontier: the sharded entry points change
+nothing.
 
-The sharded frontier's whole reason to exist is that, driven through
-the same script of pushes, requeues, clock advances and pops, it
-returns *exactly* the entries a single frontier would, in exactly the
-same order, with exactly the same admission counters and DNS-prefetch
-call sequence.  These tests run both against shared scripts that
-exercise every coordination path: deferred release (with ties),
-overflow eviction, refill gating, DNS drops and duplicate drops.
+Driven through the same script of pushes, requeues, clock advances and
+pops, the frontier a sharded context builds returns *exactly* the
+entries the single frontier does, in the same order, with the same
+admission counters and DNS-prefetch call sequence, and its snapshot
+restores into a fresh one that pops identically.  The queue discipline
+itself is checked against a naive model in
+``tests/core/test_frontier_stateful.py``.
 """
 
 import random
@@ -14,7 +15,8 @@ import random
 import pytest
 
 from repro.core.frontier import CrawlFrontier, QueueEntry
-from repro.shard import ShardedFrontier, ShardRouter
+from repro.shard import ShardedFrontier, ShardRouter, WorkerSet
+from repro.web.clock import SimulatedClock
 
 
 class Script:
@@ -51,7 +53,7 @@ def hash_free_bucket(url, modulus):
     return sum(url.encode("utf-8")) % modulus
 
 
-def make_pair(workers, clock, script, limits=None):
+def make_pair(clock, script, limits=None):
     limits = limits or {}
     single_calls, sharded_calls = [], []
     single = CrawlFrontier(
@@ -60,7 +62,6 @@ def make_pair(workers, clock, script, limits=None):
         **limits,
     )
     sharded = ShardedFrontier(
-        ShardRouter(workers),
         prefetch=script.prefetch_for(sharded_calls),
         now=lambda: clock["now"],
         **limits,
@@ -70,89 +71,14 @@ def make_pair(workers, clock, script, limits=None):
 
 def assert_counters_equal(single, sharded):
     assert sharded.stats() == single.stats()
-    assert sharded.stats() == single.stats()
     assert len(sharded) == len(single)
-    assert sharded.enqueued == single.enqueued
-    assert sharded.duplicate_drops == single.duplicate_drops
-    assert sharded.evictions == single.evictions
-    assert sharded.dns_drops == single.dns_drops
-    assert sharded.deferred_total == single.deferred_total
     assert sharded.seen_urls == single.seen_urls
-
-
-@pytest.mark.parametrize("workers", [1, 3, 8])
-def test_pop_order_identical_basic(workers):
-    clock = {"now": 0.0}
-    script = Script(seed=1)
-    single, sharded, s_calls, h_calls = make_pair(workers, clock, script)
-    for i in range(120):
-        topic = f"ROOT/t{i % 3}"
-        entry = script.entry(i, topic)
-        assert sharded.push(entry) == single.push(entry)
-    singles = [single.pop() for _ in range(130)]
-    shardeds = [sharded.pop() for _ in range(130)]
-    assert shardeds == singles
-    assert h_calls == s_calls
-    assert_counters_equal(single, sharded)
-
-
-@pytest.mark.parametrize("workers", [2, 5])
-def test_deferred_release_order_identical(workers):
-    """Deferred entries across shards release in global
-    (not_before, admission) order -- including exact ties."""
-    clock = {"now": 0.0}
-    script = Script(seed=2)
-    single, sharded, *_ = make_pair(workers, clock, script)
-    for i in range(60):
-        # many exact not_before ties across different hosts/shards
-        entry = script.entry(i, "ROOT/x", not_before=float(5 + (i % 4) * 10))
-        single.push(entry)
-        sharded.push(entry)
-    assert sharded.pop() is None and single.pop() is None
-    assert sharded.next_ready_at() == single.next_ready_at() == 5.0
-    for now in (5.0, 15.0, 25.0, 35.0):
-        clock["now"] = now
-        while True:
-            a, b = single.pop(), sharded.pop()
-            assert b == a
-            if a is None:
-                break
-    assert_counters_equal(single, sharded)
-
-
-@pytest.mark.parametrize("workers", [3])
-def test_eviction_identical_under_small_limits(workers):
-    """The incoming limit is global: the sharded frontier evicts the
-    globally worst candidate even when the insert hit another shard."""
-    clock = {"now": 0.0}
-    script = Script(seed=3)
-    limits = {"incoming_limit": 10, "outgoing_limit": 4, "refill_batch": 3}
-    single, sharded, s_calls, h_calls = make_pair(
-        workers, clock, script, limits
-    )
-    pops = []
-    for i in range(150):
-        entry = script.entry(i, f"ROOT/t{i % 2}")
-        assert sharded.push(entry) == single.push(entry)
-        if i % 5 == 4:
-            a, b = single.pop(), sharded.pop()
-            assert b == a
-            pops.append(a)
-    while True:
-        a, b = single.pop(), sharded.pop()
-        assert b == a
-        if a is None:
-            break
-    assert single.evictions > 0  # the script actually overflowed
-    assert single.dns_drops > 0  # and dropped DNS candidates
-    assert h_calls == s_calls
-    assert_counters_equal(single, sharded)
 
 
 def test_requeue_and_duplicate_paths_identical():
     clock = {"now": 0.0}
     script = Script(seed=4)
-    single, sharded, *_ = make_pair(4, clock, script)
+    single, sharded, *_ = make_pair(clock, script)
     entries = [script.entry(i, "ROOT/q") for i in range(40)]
     for entry in entries:
         single.push(entry)
@@ -190,7 +116,7 @@ def test_mixed_script_fuzz_equivalence():
     clock = {"now": 0.0}
     script = Script(seed=5, hosts=40, drop_every=9)
     limits = {"incoming_limit": 30, "outgoing_limit": 6, "refill_batch": 4}
-    single, sharded, s_calls, h_calls = make_pair(8, clock, script, limits)
+    single, sharded, s_calls, h_calls = make_pair(clock, script, limits)
     rng = random.Random(99)
     popped = []
     for i in range(600):
@@ -229,35 +155,11 @@ def test_mixed_script_fuzz_equivalence():
     assert_counters_equal(single, sharded)
 
 
-def test_aggregate_views():
-    clock = {"now": 0.0}
-    script = Script(seed=6)
-    _, sharded, *_ = make_pair(4, clock, script)
-    for i in range(30):
-        sharded.push(script.entry(i, f"ROOT/t{i % 2}"))
-    assert sharded.pending_for("ROOT/t0") + sharded.pending_for(
-        "ROOT/t1"
-    ) == len(sharded)
-    assert sharded.topics == ["ROOT/t0", "ROOT/t1"]
-    assert sharded.has_seen(script.entry(0, "ROOT/t0").url)
-    assert not sharded.has_seen("http://nowhere.example/")
-    stats = sharded.stats()
-    assert stats["enqueued"] == 30.0
-    assert set(stats) == {
-        "size",
-        "enqueued",
-        "duplicate_drops",
-        "evictions",
-        "dns_drops",
-        "deferred_total",
-    }
-
-
 def test_snapshot_restore_round_trip():
     """A restored sharded frontier pops identically to the original."""
     clock = {"now": 0.0}
     script = Script(seed=7)
-    single, sharded, *_ = make_pair(3, clock, script)
+    single, sharded, *_ = make_pair(clock, script)
     for i in range(80):
         not_before = 40.0 if i % 3 == 0 else 0.0
         entry = script.entry(i, f"ROOT/t{i % 2}", not_before=not_before)
@@ -267,8 +169,8 @@ def test_snapshot_restore_round_trip():
         assert sharded.pop() == single.pop()
 
     state = sharded.snapshot()
+    assert state == single.snapshot()
     restored = ShardedFrontier(
-        ShardRouter(3),
         prefetch=script.prefetch_for([]),
         now=lambda: clock["now"],
     )
@@ -286,11 +188,15 @@ def test_snapshot_restore_round_trip():
     assert b_pops == a_pops
 
 
-def test_restore_rejects_worker_mismatch():
-    clock = {"now": 0.0}
-    script = Script(seed=8)
-    _, sharded, *_ = make_pair(3, clock, script)
-    state = sharded.snapshot()
-    other = ShardedFrontier(ShardRouter(5), now=lambda: clock["now"])
-    with pytest.raises(ValueError, match="crawl_workers"):
-        other.restore(state)
+def test_per_worker_stores_stay_gone():
+    clock = SimulatedClock()
+    workers = WorkerSet(3, clock=clock, threads_per_worker=2)
+    assert len(workers.pools) == 3
+    for name in ("frontier", "hosts", "slices"):
+        assert not hasattr(workers, name)
+    for keyword in ("breaker_policy", "prefetch"):
+        with pytest.raises(TypeError):
+            WorkerSet(3, clock=clock, threads_per_worker=2, **{keyword: None})
+    with pytest.raises(TypeError):
+        ShardedFrontier(**{"router": ShardRouter(3)})
+    assert not hasattr(ShardRouter(3), "shard_of_url")
