@@ -1,4 +1,4 @@
-"""Alternating parent/change pairs of one ``benchmarks/e2e`` workload.
+"""Alternating parent/change pairs of ``benchmarks/e2e`` workloads.
 
 Machine load drifts over minutes, so only runs taken in alternation in
 one session compare (ROADMAP, "Measurement").  This exports ``--parent``
@@ -7,17 +7,20 @@ with ``git archive`` into a temporary directory (nothing is left in
 
     python3 benchmarks/e2e/run.py --workload W --seed S --seconds T --trace 0
 
-in that tree and in this one, ``--pairs`` times, swapping which side
-goes first each pair, and prints per end-to-end metric of
-``BENCHMARK.json`` both medians, quartiles and ranges, how often the
-change won (ties count for neither), a verdict line, and ``correct`` /
-``ops_failed`` of every run made.  The verdict is the rule of the
+in that tree and in this one, ``--pairs`` times (default 10), swapping
+which side goes first each pair.  Several workloads run in one session,
+interleaved pair by pair.  For each workload it prints, per end-to-end
+metric of ``BENCHMARK.json``, both medians, quartiles and ranges, how
+often the change won (ties count for neither) and a verdict line; then
+``correct`` / ``ops_failed`` of every run made.  The verdict is the rule of the
 ``choosing-metrics`` guide: ``gain`` (``loss``) when the change won
 (lost) at least nine tenths of the untied pairs *and* the medians differ
 by more than the distance between the parent's quartiles; otherwise
 ``unresolved`` -- which is not "unchanged"::
 
     python3 benchmarks/paired.py --parent HEAD --workload living-portal
+    python3 benchmarks/paired.py --parent HEAD --workload crawl-n1 \\
+        crawl-n4-faults serve-cold living-portal
 
 The change is the working tree as it stands, committed or not.
 """
@@ -118,46 +121,66 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
     )
 
 
-def main() -> int:
+def arguments(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to export")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, nargs="+",
+        help="one or more workloads, measured in one alternating session",
+    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=12.0)
-    parser.add_argument("--pairs", type=int, default=6)
-    args = parser.parse_args()
+    parser.add_argument("--pairs", type=int, default=10)
+    return parser.parse_args(argv)
+
+
+def schedule(workloads: list[str], pairs: int) -> list[tuple[int, str, str]]:
+    """``(pair, workload, side)`` in run order: a pair runs every
+    workload once on each side, and which side goes first alternates
+    from pair to pair."""
+    return [
+        (pair, workload, side)
+        for pair in range(pairs)
+        for workload in workloads
+        for side in (
+            ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        )
+    ]
+
+
+def main() -> int:
+    args = arguments()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    runs: dict[str, dict[str, list[dict]]] = {
+        workload: {"parent": [], "change": []} for workload in args.workload
+    }
     with tempfile.TemporaryDirectory(prefix="paired-parent-") as scratch:
         export(args.parent, Path(scratch))
         trees = {"parent": Path(scratch), "change": ROOT}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else (
-                "change", "parent"
+        for pair, workload, side in schedule(args.workload, args.pairs):
+            report = run_once(trees[side], workload, args.seed, args.seconds)
+            runs[workload][side].append(report)
+            print(
+                f"pair {pair + 1} {workload} {side:6s} "
+                f"correct={report['correct']} "
+                f"ops_failed={report['failed']} " + " ".join(
+                    f"{m['name']}={report['metrics'][m['name']]['value']:.4g}"
+                    for m in metrics
+                ),
+                flush=True,
             )
-            for side in order:
-                report = run_once(
-                    trees[side], args.workload, args.seed, args.seconds
-                )
-                runs[side].append(report)
-                print(
-                    f"pair {pair + 1} {side:6s} correct={report['correct']} "
-                    f"ops_failed={report['failed']} " + " ".join(
-                        f"{m['name']}={report['metrics'][m['name']]['value']:.4g}"
-                        for m in metrics
-                    ),
-                    flush=True,
-                )
-    print(f"== {args.workload} seed {args.seed}, {args.seconds:g} s, "
-          f"{args.pairs} alternating pairs, parent {args.parent} ==")
-    for metric in metrics:
-        values = {
-            side: [r["metrics"][metric["name"]]["value"] for r in reports]
-            for side, reports in runs.items()
-        }
-        print(summarize(metric, values["parent"], values["change"]))
+    for workload, sides in runs.items():
+        print(f"== {workload} seed {args.seed}, {args.seconds:g} s, "
+              f"{args.pairs} alternating pairs, parent {args.parent} ==")
+        for metric in metrics:
+            values = {
+                side: [r["metrics"][metric["name"]]["value"] for r in reports]
+                for side, reports in sides.items()
+            }
+            print(summarize(metric, values["parent"], values["change"]))
     sound = all(
-        r["correct"] and r["failed"] == 0 for rs in runs.values() for r in rs
+        r["correct"] and r["failed"] == 0
+        for sides in runs.values() for rs in sides.values() for r in rs
     )
     print(f"  every run correct with ops_failed 0: {sound}")
     return 0 if sound else 1

@@ -34,6 +34,7 @@ from repro.core import BingoConfig, FocusedCrawler, HierarchicalClassifier
 from repro.core.records import SOFT, PhaseSettings
 from repro.core.ontology import TopicTree
 from repro.robust import Checkpointer, FaultWindow, restore_context
+from repro.storage import BulkLoader, Database
 from repro.text.features import analyze_page
 from repro.web import PageRole, SyntheticWeb, WebGraphConfig
 
@@ -80,8 +81,13 @@ def train_classifier(web, config: BingoConfig) -> HierarchicalClassifier:
 
 
 def build_crawler(config: BingoConfig) -> FocusedCrawler:
+    """A crawler storing its rows through a bulk loader: a checkpoint
+    holds the crawl's rows, and its pages are rebuilt from them."""
     web = SyntheticWeb.generate(WEB_CONFIG)
-    crawler = FocusedCrawler(web, train_classifier(web, config), config)
+    crawler = FocusedCrawler(
+        web, train_classifier(web, config), config,
+        loader=BulkLoader(Database()),
+    )
     crawler.seed(web.seed_homepages(3), topic="ROOT/databases", priority=10.0)
     return crawler
 

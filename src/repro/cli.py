@@ -45,7 +45,7 @@ def _add_crawl_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--export-portal", metavar="DIR", default=None,
                         help="write a static HTML portal to DIR")
     parser.add_argument("--dump-db", metavar="DIR", default=None,
-                        help="dump the crawl database to DIR (dump format 2)")
+                        help="dump the crawl database to DIR (dump format 3)")
     parser.add_argument("--top", type=int, default=10,
                         help="number of top results to print")
 

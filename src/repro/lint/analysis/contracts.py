@@ -18,7 +18,8 @@ experiment result classes whose rows now live once, in the runner's
 ``ExperimentTable``, the store's query side (``Relation`` only appends,
 upserts and hands its rows to the dump), the lint baseline and the
 per-worker frontier stores and breaker boards (a worker owns a fetch
-pool; the frontier and the board are one store each).  An
+pool; the frontier and the board are one store each) and the state-dict
+checkpoint restore (a checkpoint is a directory of segments).  An
 entry expires one ROADMAP re-anchor after the PR that recorded it; by
 then a stay-gone test or a ``TypeError`` from the constructor holds
 the line.
@@ -201,6 +202,11 @@ _NO_BASELINE = (
     "there is no lint baseline: fix the finding or suppress it on its "
     "line with a bingolint disable comment"
 )
+_CHECKPOINT_DIRECTORY = (
+    "restore_context(ctx, directory) replays the checkpoint directory's "
+    "segment chain and rebuilds the pages from their rows; a state dict "
+    "holds neither"
+)
 _RESULT_CLASSES = {
     "ablations": (
         "FocusAblationResult", "ArchetypeAblationResult",
@@ -252,9 +258,15 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     },
     "DigestStore": {"database": _DIGEST_DICT, "relation": _DIGEST_DICT},
     "BulkLoader": {"workspace": _NO_WORKSPACE_CLASS},
+    # a checkpoint is a directory: its segments hold the rows and pages
     "restore_context": {
-        "restore_database": (
-            "a checkpoint directory loads its rows, a state dict never does"
+        "restore_database": _CHECKPOINT_DIRECTORY,
+        "source": _CHECKPOINT_DIRECTORY,
+    },
+    "load_database": {
+        "directory": (
+            "load_database(directories) takes one dump or a chain of "
+            "segments, oldest first"
         ),
     },
     "RecrawlScheduler": {"workers": _ONE_FRONTIER},
@@ -379,6 +391,7 @@ _REMOVED_IMPORTS: dict[str, str] = {
     "repro.lint.baseline": _NO_BASELINE,
     "repro.lint.Baseline": _NO_BASELINE,
     "repro.lint.BaselineEntry": _NO_BASELINE,
+    "repro.robust.checkpoint.Source": _CHECKPOINT_DIRECTORY,
     **{
         f"repro.experiments.{module}.{name}": (
             "the runner returns ExperimentTable(s); read rows with "
@@ -401,7 +414,8 @@ class DeprecatedApi(Rule):
         "constants, the span tracer and Obs bundle, the experiment result "
         "classes and their row lookups, the store's readers and indexes, "
         "the lint baseline, the per-worker frontier stores and breaker "
-        "boards) must not be reintroduced"
+        "boards, the state-dict checkpoint restore) must not be "
+        "reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "

@@ -120,6 +120,10 @@ class CrawlContext:
         self.checkpoint_restores = 0
         """Checkpoints written from / applied to this context
         (:mod:`repro.robust.checkpoint`)."""
+        self.checkpoint_heads: dict = {}
+        """The published checkpoint saves this context wrote or
+        restored, by the sha256 of their state blob: a save into a
+        directory that holds one of them extends its chain."""
         # per-crawl slots the driver rebinds at the start of each phase
         self.stats = None
         self.phase = None

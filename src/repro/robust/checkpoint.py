@@ -5,14 +5,14 @@ fingerprint tables and every host state.  The checkpoint captures the
 complete crawl runtime -- frontier (including deferred retries), dedup
 tables, host circuit breakers, domain politeness slots, the simulated
 clock and worker pool, the DNS cache (with its RNG), the server's
-per-URL attempt counters, the document store and the phase counters --
-so a crawl restored into the same Web resumes to the *same Table-1
-counters* as an uninterrupted run.
+per-URL attempt counters, the stored pages and their rows and the phase
+counters -- so a crawl restored into the same Web resumes to the *same
+Table-1 counters* as an uninterrupted run.
 
 The runtime state lives on a :class:`~repro.pipeline.context.
 CrawlContext` (``crawler.ctx``); every entry point here takes that
 context, and so does the :class:`Checkpointer` hook the crawl loop
-calls.
+calls.  A checkpoint always has rows: the context needs a bulk loader.
 
 What the checkpoint deliberately does **not** capture is the trained
 classifier: models are reconstructed deterministically by re-running the
@@ -24,32 +24,51 @@ happened mid-phase, checkpoint at retraining points (the engine flushes
 its loader there) so the training set is reproducible from the stored
 archetypes.
 
-On-disk layout (all via :func:`repro.storage.persistence.dump_state`
-and :func:`~repro.storage.persistence.dump_database`)::
+On-disk layout (via :func:`repro.storage.persistence.dump_state` and
+:func:`~repro.storage.persistence.dump_database`)::
 
-    <directory>/crawl.json     # versioned runtime state blob of save n
-    <directory>/database-<n>/  # relational rows of save n (with a loader)
+    <directory>/crawl.json     # runtime state of the newest save and its
+                               # chain: segment ordinals, row counts
+    <directory>/database-<n>/  # segment n, what save n added: the rows
+                               # each relation gained (a dump segment
+                               # stamped n), and pages.json with what no
+                               # row carries of each new page (final URL,
+                               # IP, non-term counts)
 
-A save is atomic against a kill at any point.  Its rows go into a fresh
-``database-<n>`` beside the previous save's, and the one rename that
-puts the new ``crawl.json`` in place publishes both: the blob names its
-database by the save ordinal ``n``, the database's manifest is stamped
-with the same ``n``, and a restore refuses a pair that disagrees.  Until
-that rename the previous blob and its untouched database are the
-checkpoint; the superseded database is deleted only after it.  (Nothing
-is fsynced: this guards against a dying process, not a dying machine.)
+A save writes one immutable segment with what changed since the save it
+extends, and a page once: restore replays the chain and rebuilds
+``ctx.documents`` from the ``documents`` / ``terms`` / ``links`` rows
+plus ``pages.json``.  A relation that saw a keyed overwrite since then
+is written whole and replaces the chain's copy on replay; append-only
+segments hold no garbage (their sum is a full dump), so nothing needs
+compacting.  A context extends only a chain whose published save it
+wrote or restored (``ctx.checkpoint_heads``, by the sha256 of
+``crawl.json``); anywhere else it starts a new chain.
+
+A save is atomic against a kill at any point.  The one rename that puts
+the new ``crawl.json`` in place publishes its fresh segment; until then
+the previous blob and its untouched chain are the checkpoint, and
+segments outside the published chain are deleted only after it.  A
+restore refuses a chain whose stamps, links or files disagree before
+the context takes anything.  (Nothing is fsynced: this guards against a
+dying process, not a dying machine.)
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 import pathlib
 import shutil
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 from typing import Any
 
 from repro.core.records import CrawledDocument, CrawlStats
 from repro.errors import StorageError
+from repro.storage.database import Database
 from repro.storage.persistence import (
     dump_database,
     dump_state,
@@ -69,23 +88,51 @@ Context = Any
 """A :class:`~repro.pipeline.context.CrawlContext` (that module imports
 this package, so the class cannot be named here)."""
 State = dict[str, Any]
-Source = str | pathlib.Path | State
-"""A checkpoint directory, or a state dict already loaded from one."""
 
 _KIND = "crawl"
 _DB_PREFIX = "database-"
+_PAGES = "pages.json"
+_TERM_SPACE = "term"
+"""The feature space whose counts are the ``terms`` rows."""
+_DOC_ID = itemgetter(0)
+_TERM_TF = itemgetter(1, 2)
 
 
 def _database_dirs(
     directory: pathlib.Path,
 ) -> list[tuple[int, pathlib.Path]]:
-    """``(save ordinal, path)`` of every database directory under a
+    """``(save ordinal, path)`` of every segment directory under a
     checkpoint directory, oldest first."""
     return sorted(
         (int(ordinal), path)
         for path in directory.glob(f"{_DB_PREFIX}*")
         if (ordinal := path.name.removeprefix(_DB_PREFIX)).isdigit()
     )
+
+
+def _blob_digest(directory: pathlib.Path) -> str | None:
+    """sha256 of the directory's published ``crawl.json`` (None: none)."""
+    try:
+        blob = (directory / f"{_KIND}.json").read_bytes()
+    except FileNotFoundError:
+        return None
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _chain(database: Database, segments: list[int]) -> State:
+    """A published save's chain: its segments oldest first, and each
+    relation's row count and keyed overwrites (``Relation.replaced``)
+    then -- what a save that extends it need not write again."""
+    relations = database.relations
+    return {
+        "segments": segments,
+        "rows": {name: len(r) for name, r in relations.items()},
+        "replaced": {name: r.replaced for name, r in relations.items()},
+    }
+
+
+_NEW_CHAIN: State = {"segments": [], "rows": {}, "replaced": {}}
+"""What a save that extends no chain has already written: nothing."""
 
 
 # ----------------------------------------------------------------------
@@ -111,11 +158,122 @@ def _stats_from_dict(data: State) -> CrawlStats:
 
 
 # ----------------------------------------------------------------------
+# pages: what the rows do not carry
+# ----------------------------------------------------------------------
+
+def _write_pages(
+    path: pathlib.Path, stamp: int, start: int,
+    documents: list[CrawledDocument],
+) -> None:
+    """``pages.json`` of segment ``stamp``: per page from doc id
+    ``start`` on, its final URL, IP and counts -- ``None`` for the space
+    the ``terms`` rows hold."""
+    pages = [
+        [
+            document.final_url,
+            document.ip,
+            {
+                space: None if space == _TERM_SPACE else counts
+                for space, counts in document.counts.items()
+            },
+        ]
+        for document in documents
+    ]
+    with path.open("w", encoding="utf-8") as out:
+        out.write(json.dumps(
+            {"stamp": stamp, "start": start, "pages": pages},
+            separators=(",", ":"),
+        ))
+
+
+def _read_pages(
+    segments: list[pathlib.Path], stamps: list[int]
+) -> list[list[Any]]:
+    """Every page entry of a chain, in doc-id order; raises unless each
+    segment's ``pages.json`` is whole, carries the segment's stamp and
+    continues the one before."""
+    pages: list[list[Any]] = []
+    for segment, stamp in zip(segments, stamps):
+        path = segment / _PAGES
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise StorageError(f"no {_PAGES} in {segment}") from None
+        except ValueError as error:
+            raise StorageError(f"corrupt {_PAGES} in {segment}") from error
+        if type(data) is not dict:
+            data = {}
+        if data.get("stamp") != stamp:
+            raise StorageError(
+                f"{_PAGES} in {segment} is stamped {data.get('stamp')!r}, "
+                f"expected {stamp!r}"
+            )
+        entries = data.get("pages")
+        if (
+            data.get("start") != len(pages)
+            or type(entries) is not list
+            or set(map(type, entries)) - {list}
+            or set(map(len, entries)) - {3}
+        ):
+            raise StorageError(
+                f"{_PAGES} in {segment} does not continue the chain's "
+                f"{len(pages)} pages"
+            )
+        pages.extend(entries)
+    return pages
+
+
+def _rebuild_documents(
+    database: Database, pages: list[list[Any]]
+) -> list[CrawledDocument]:
+    """The stored pages, from their ``documents`` / ``terms`` /
+    ``links`` rows and the chain's page entries.
+
+    ``documents`` rows come in flush order, so they are matched by doc
+    id.  A page's ``terms`` rows are its term counts in ``Counter``
+    order, and its ``links`` rows its out-links in order, a repeated
+    target carrying a ``#position`` suffix (no normalized URL holds a
+    ``#``); either may be split across flushes."""
+    rows = {row[0]: row for row in database["documents"].rows()}
+    terms: dict[int, Counter[str]] = {}
+    for doc_id, run in groupby(database["terms"].rows(), _DOC_ID):
+        dict.update(terms.setdefault(doc_id, Counter()), map(_TERM_TF, run))
+    links: dict[int, list[str]] = {}
+    for doc_id, run in groupby(database["links"].rows(), _DOC_ID):
+        links.setdefault(doc_id, []).extend(
+            target.partition("#")[0] for _, target, _ in run
+        )
+    documents: list[CrawledDocument] = []
+    for doc_id, (final_url, ip, spaces) in enumerate(pages):
+        try:
+            (_, url, host, mime, size, title, topic, confidence, depth,
+             fetched_at, page_id) = rows[doc_id]
+        except KeyError:
+            raise StorageError(f"no documents row for page {doc_id}") from None
+        documents.append(CrawledDocument(
+            doc_id=doc_id, url=url, final_url=final_url, page_id=page_id,
+            host=host, ip=ip, mime=mime, size=size, title=title,
+            depth=depth, topic=topic, confidence=confidence,
+            counts={
+                space: (
+                    terms.get(doc_id, Counter()) if counts is None
+                    else Counter(counts)
+                )
+                for space, counts in spaces.items()
+            },
+            out_urls=links.get(doc_id, []),
+            fetched_at=fetched_at,
+        ))
+    return documents
+
+
+# ----------------------------------------------------------------------
 # whole-context snapshot
 # ----------------------------------------------------------------------
 
 def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
-    """The complete serializable runtime state of one crawl context.
+    """The serializable runtime state of one crawl context -- all of it
+    but the stored pages, which a save writes as rows.
 
     The frontier image and the host board are one store each at every
     worker count.  For sharded crawls (``crawl_workers > 1``) a
@@ -135,7 +293,6 @@ def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
             for domain, state in ctx.domains.items()
         },
         "stats": _stats_to_dict(stats),
-        "documents": [doc.to_dict() for doc in ctx.documents],
         "docs_since_retrain": ctx.docs_since_retrain,
         "log_sequence": ctx.log_sequence,
         "converted_formats": dict(ctx.converted_formats),
@@ -159,24 +316,48 @@ def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
 def save_checkpoint(
     ctx: Context, stats: CrawlStats, directory: str | pathlib.Path
 ) -> pathlib.Path:
-    """Persist the crawl state (and database rows, if a loader is set)."""
+    """Persist the crawl state and what the rows gained as one segment."""
     directory = pathlib.Path(directory)
-    ordinal: int | None = None
-    superseded: list[tuple[int, pathlib.Path]] = []
-    if ctx.loader is not None:
-        ctx.loader.flush_all()
-        superseded = _database_dirs(directory)
-        ordinal = superseded[-1][0] + 1 if superseded else 1
-        dump_database(
-            ctx.loader.database, directory / f"{_DB_PREFIX}{ordinal}",
-            stamp=ordinal,
+    if ctx.loader is None:
+        raise StorageError(
+            "a checkpoint holds the crawl's rows: attach a BulkLoader "
+            "(FocusedCrawler(loader=...) or ctx.attach_loader) before "
+            "the crawl starts"
         )
+    ctx.loader.flush_all()
+    database = ctx.loader.database
+    if len(database["documents"]) != len(ctx.documents):
+        raise StorageError(
+            f"the loader holds {len(database['documents'])} documents rows "
+            f"for {len(ctx.documents)} stored pages: attach it before the "
+            "crawl stores its first page"
+        )
+    on_disk = _database_dirs(directory)
+    ordinal = on_disk[-1][0] + 1 if on_disk else 1
+    head = ctx.checkpoint_heads.get(_blob_digest(directory), _NEW_CHAIN)
+    segment = directory / f"{_DB_PREFIX}{ordinal}"
+    segment.mkdir(parents=True)
+    start = head["rows"].get("documents", 0)
+    _write_pages(segment / _PAGES, ordinal, start, ctx.documents[start:])
+    dump_database(
+        database, segment, stamp=ordinal,
+        after=head["segments"][-1] if head["segments"] else None,
+        since={
+            name: head["rows"][name]
+            for name, relation in database.relations.items()
+            if relation.replaced == head["replaced"].get(name)
+        },
+    )
     state = snapshot_context(ctx, stats)
-    state["save_ordinal"] = ordinal
+    state["database"] = chain = _chain(
+        database, head["segments"] + [ordinal]
+    )
     # this rename publishes the save; everything before it is invisible
     path = dump_state(state, directory, kind=_KIND)
-    for _, stale in superseded:
-        shutil.rmtree(stale)
+    for number, stale in on_disk:
+        if number not in chain["segments"]:
+            shutil.rmtree(stale)
+    ctx.checkpoint_heads[_blob_digest(directory)] = chain
     ctx.checkpoint_saves += 1
     return path
 
@@ -186,22 +367,38 @@ def load_checkpoint(directory: str | pathlib.Path) -> State:
     return load_state(directory, kind=_KIND)
 
 
-def restore_context(ctx: Context, source: Source) -> CrawlStats:
-    """Apply a checkpoint to a freshly constructed crawl context.
+def restore_context(
+    ctx: Context, directory: str | pathlib.Path
+) -> CrawlStats:
+    """Apply the checkpoint in ``directory`` to a freshly constructed
+    crawl context.
 
-    ``source`` is a checkpoint directory or a state dict from
-    :func:`load_checkpoint`; only a directory also loads the saved rows
-    into the context's loader.  The context must be bound to the same Web
-    (same generator config and seed) and an identically trained
-    classifier.  Returns the restored :class:`CrawlStats` to pass back
-    into ``crawl(phase, resume=...)``.
+    The context must be bound to the same Web (same generator config
+    and seed) and an identically trained classifier, and its loader's
+    database must be empty: the chain's rows go into it, and the stored
+    pages are rebuilt from them.  Every file is read and checked before
+    the context takes anything.  Returns the restored
+    :class:`CrawlStats` to pass back into ``crawl(phase, resume=...)``.
     """
-    directory: pathlib.Path | None = None
-    if isinstance(source, (str, pathlib.Path)):
-        directory = pathlib.Path(source)
-        state = load_checkpoint(directory)
-    else:
-        state = source
+    directory = pathlib.Path(directory)
+    if ctx.loader is None:
+        raise StorageError(
+            "a checkpoint restores the crawl's rows: attach a BulkLoader "
+            "before restoring"
+        )
+    database = ctx.loader.database
+    if any(map(len, database.relations.values())):
+        raise StorageError(
+            "restore_context needs a context whose database is empty"
+        )
+    digest = _blob_digest(directory)
+    state = load_checkpoint(directory)
+    chain = state.get("database")
+    if chain is None:
+        raise StorageError(
+            f"checkpoint in {directory} names no database chain: it "
+            "predates the segment layout and must be retaken"
+        )
 
     # validate the sharding shape before mutating anything: a mismatch
     # would re-route hosts onto different worker pools and silently
@@ -221,20 +418,17 @@ def restore_context(ctx: Context, source: Source) -> CrawlStats:
         )
     ctx.frontier.check_image(state["frontier"])
 
-    # rows first: a database that is missing, torn or from another save
+    # rows first: a segment that is missing, torn or from another chain
     # raises here, before the context has taken anything from the blob
-    if directory is not None:
-        if "save_ordinal" not in state:
-            raise StorageError(
-                f"checkpoint in {directory} names no save ordinal: it "
-                "predates the atomic layout and cannot be resumed"
-            )
-        ordinal = state["save_ordinal"]
-        if ctx.loader is not None and ordinal is not None:
-            load_database(
-                directory / f"{_DB_PREFIX}{ordinal}",
-                into=ctx.loader.database, stamp=ordinal,
-            )
+    segments = chain["segments"]
+    paths = [directory / f"{_DB_PREFIX}{number}" for number in segments]
+    pages = _read_pages(paths, segments)
+    if len(pages) != chain["rows"]["documents"]:
+        raise StorageError(
+            f"checkpoint in {directory} has {len(pages)} page entries for "
+            f"{chain['rows']['documents']} documents rows"
+        )
+    load_database(paths, into=database, stamp=segments[-1])
 
     ctx.clock.now = state["clock_now"]
     ctx.pool._free_at = list(state["pool_free_at"])
@@ -249,9 +443,7 @@ def restore_context(ctx: Context, source: Source) -> CrawlStats:
     ctx.domains = {}
     for domain, busy in state["domains"].items():
         ctx.domain_state(domain).busy_until = list(busy)
-    ctx.documents = [
-        CrawledDocument.from_dict(d) for d in state["documents"]
-    ]
+    ctx.documents = _rebuild_documents(database, pages)
     ctx.url_to_doc = {
         doc.final_url: doc.doc_id for doc in ctx.documents
     }
@@ -271,12 +463,14 @@ def restore_context(ctx: Context, source: Source) -> CrawlStats:
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
+    ctx.checkpoint_heads[digest] = _chain(database, segments)
     ctx.checkpoint_restores += 1
     return _stats_from_dict(state["stats"])
 
 
 class Checkpointer:
-    """Periodic checkpoint hook for :meth:`FocusedCrawler.crawl`.
+    """Periodic checkpoint hook for :meth:`CrawlPipeline.crawl`
+    (:class:`~repro.pipeline.driver.CrawlPipeline`).
 
     Saves every ``every`` visits into ``directory`` (atomically -- a
     kill during a save leaves the previous checkpoint intact).

@@ -47,6 +47,9 @@ class Relation:
         ]
         #: simulated per-statement overhead counter (for the throughput bench)
         self.statements = 0
+        #: upserts that replaced a stored row: the relation stopped being
+        #: an append-only log (a checkpoint then writes it whole)
+        self.replaced = 0
 
     def insert(self, row: Row) -> None:
         """Insert one row; raises on duplicate primary key."""
@@ -96,7 +99,8 @@ class Relation:
         if self.validate:
             self.schema.validate_rows((row,))
         key = self._pk(row)
-        self._rows.pop(key, None)
+        if self._rows.pop(key, None) is not None:
+            self.replaced += 1
         self._rows[key] = row
 
     def rows(self) -> list[Row]:

@@ -66,15 +66,19 @@ def parse_url(url: str) -> ParsedUrl | None:
     if scheme not in ("http", "https"):
         return None
     rest = lowered[scheme_sep + 3 :]
-    slash = rest.find("/")
-    if slash < 0:
-        host, path = rest, "/"
-    else:
-        host, path = rest[:slash], rest[slash:]
+    # the host ends at the path, the query or the fragment
+    end = len(rest)
+    for separator in "/?#":
+        found = rest.find(separator, 0, end)
+        if found >= 0:
+            end = found
+    host, path = rest[:end], rest[end:]
+    if not path.startswith("/"):
+        path = "/" + path
     host = host.lower().rstrip(".")
     if not host:
         return None
-    return ParsedUrl(scheme=scheme, host=host, path=path or "/")
+    return ParsedUrl(scheme=scheme, host=host, path=path)
 
 
 def normalize_url(url: str) -> str | None:

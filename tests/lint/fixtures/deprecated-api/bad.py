@@ -170,7 +170,11 @@ class BulkLoader:
         return None
 
 
-def restore_context(ctx: object, source: object) -> None:
+def restore_context(ctx: object, directory: object) -> None:
+    return None
+
+
+def load_database(directories: object, into: object = None) -> None:
     return None
 
 
@@ -188,6 +192,8 @@ def the_store_queried_again(
     _rel("pages", indexes=(("url",),)).indexes
     Database(schemas={})
     restore_context(None, {}, restore_database=False)
+    restore_context(None, source={})
+    load_database(directory="db")
     RecrawlScheduler(object(), workers=3)
     LivingPortal(object(), workers=3)
     digests.database
@@ -202,6 +208,7 @@ from repro.storage import Workspace
 from repro.storage.bulkloader import Workspace as ThreadWorkspace
 from repro.lint import Baseline, BaselineEntry
 from repro.lint.baseline import DEFAULT_BASELINE_NAME
+from repro.robust.checkpoint import Source
 
 
 class CrawlFrontier:

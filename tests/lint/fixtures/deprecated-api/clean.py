@@ -152,3 +152,15 @@ def a_worker_owns_a_pool(layout: Layout, workers: WorkerSet) -> int:
     return len(layout.shards) + len(layout.slices) + len(workers.pools) + (
         len(workers.router.shards)
     )
+
+
+def restore_context(ctx: object, directory: object) -> None:
+    return None
+
+
+def a_checkpoint_is_a_directory(database: object) -> object:
+    # a chain of segments, oldest first; "source" stays legal elsewhere
+    restore_context(None, directory="checkpoint")
+    dump_database(database, "database-2", stamp=2, after=1, since={})
+    load_database(["database-1", "database-2"], stamp=2)
+    return dict(source="checkpoint")

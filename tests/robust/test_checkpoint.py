@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import FocusedCrawler
 from repro.core.records import SOFT, PhaseSettings
+from repro.errors import StorageError
 from repro.robust import (
     Checkpointer,
     load_checkpoint,
@@ -125,12 +126,39 @@ class TestSnapshotRoundTrip:
         stats = crawler.crawl(settings(30))
         snap = snapshot_context(crawler.ctx, stats)
         blob = json.dumps(snap, sort_keys=True)  # must not raise
+        assert "documents" not in snap  # pages are rows, not blob
+        save_checkpoint(crawler.ctx, stats, tmp_path)
 
         clone, _ = build_crawler()
-        restored_stats = restore_context(clone.ctx, json.loads(blob))
+        restored_stats = restore_context(clone.ctx, tmp_path)
         assert restored_stats.table1_row() == stats.table1_row()
         snap_again = snapshot_context(clone.ctx, restored_stats)
         assert json.dumps(snap_again, sort_keys=True) == blob
+        assert [d.to_dict() for d in clone.ctx.documents] == [
+            d.to_dict() for d in crawler.ctx.documents
+        ]
+
+    def test_a_checkpoint_needs_a_loader(self, tmp_path) -> None:
+        web = SyntheticWeb.generate(small_web_config())
+        config = fast_engine_config(max_retries=2)
+        crawler = FocusedCrawler(
+            web, make_trained_classifier(web, config), config
+        )
+        crawler.seed(web.seed_homepages(3), topic="ROOT/databases")
+        stats = crawler.crawl(settings(10))
+        with pytest.raises(StorageError, match="attach a BulkLoader"):
+            save_checkpoint(crawler.ctx, stats, tmp_path)
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
+        saved, _ = build_crawler()
+        save_checkpoint(saved.ctx, saved.crawl(settings(10)), tmp_path)
+        with pytest.raises(StorageError, match="attach a BulkLoader"):
+            restore_context(crawler.ctx, tmp_path)
+
+    def test_restore_needs_an_empty_database(self, tmp_path) -> None:
+        crawler, _ = build_crawler()
+        save_checkpoint(crawler.ctx, crawler.crawl(settings(10)), tmp_path)
+        with pytest.raises(StorageError, match="database is empty"):
+            restore_context(crawler.ctx, tmp_path)
 
     def test_save_and_load_checkpoint(self, tmp_path) -> None:
         crawler, _ = build_crawler()

@@ -1,6 +1,7 @@
 """A checkpoint save is atomic: kill it anywhere and the previous
-checkpoint still restores bit-identically; damage a published one and
-the restore raises -- it never resumes on half a state.
+checkpoint still restores bit-identically; damage a published one --
+any file of any segment of its chain -- and the restore raises: it
+never resumes on half a state.
 
 The kill is injected into the real ``save_checkpoint``: every file it
 opens for writing, every rename and every ``rmtree`` is a write
@@ -10,6 +11,10 @@ in mid-write).  Nothing here knows the order of the writes -- which
 side of the publishing rename a kill fell on is read off the operations
 that ran, so a save that published before its rows were complete would
 fail these tests rather than match them.
+
+A save writes one segment, what changed since the save it extends; a
+restore replays the chain and rebuilds the stored pages from their
+rows, so every image here holds the pages too.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import hashlib
 import json
 import pathlib
 import shutil
+from collections import Counter
 
 import pytest
 
@@ -34,6 +40,7 @@ from repro.robust.checkpoint import (
 )
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
+from repro.storage.persistence import dump_database
 from repro.web import SyntheticWeb
 
 from tests.conftest import named_rows, small_web_config
@@ -71,20 +78,28 @@ class Rig:
         return crawler, database
 
 
-def image(ctx, stats, database: Database) -> tuple[str, dict]:
+def typed(value):
+    """``value`` with the type of every scalar in it and the order of
+    every mapping's keys (``==`` alone lets ``True`` pass for ``1`` and
+    ignores a ``Counter``'s order)."""
+    if isinstance(value, dict):
+        return [(key, typed(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [typed(item) for item in value]
+    return type(value).__name__, value
+
+
+def image(ctx, stats, database: Database) -> tuple[str, dict, list]:
     """Everything a restore must bring back, comparably: the runtime
-    state as canonical JSON, and every relation's rows with their value
-    types (``==`` alone lets ``True`` pass for ``1``)."""
+    state as canonical JSON, every relation's rows and every stored
+    page, with their value types."""
     state = json.dumps(snapshot_context(ctx, stats), sort_keys=True)
     rows = {
-        name: [
-            [(column, type(value).__name__, value)
-             for column, value in row.items()]
-            for row in named_rows(relation)
-        ]
+        name: [typed(row) for row in named_rows(relation)]
         for name, relation in database.relations.items()
     }
-    return state, rows
+    pages = [typed(document.to_dict()) for document in ctx.documents]
+    return state, rows, pages
 
 
 class _Killed(Exception):
@@ -147,7 +162,7 @@ def two_saves(tmp_path_factory):
     return rig, after_first, first, second, crawler, stats
 
 
-def restored_image(rig: Rig, directory) -> tuple[str, dict]:
+def restored_image(rig: Rig, directory) -> tuple[str, dict, list]:
     crawler, database = rig.crawler()
     stats = restore_context(crawler.ctx, directory)
     return image(crawler.ctx, stats, database)
@@ -163,9 +178,10 @@ class TestKilledSave:
             shutil.copytree(after_first, tmp_path / "complete"), -1,
         )
         kinds = [kind for kind, _ in complete]
-        # 6 relation files + manifest + the blob's temp file, one
-        # publishing rename, one superseded database removed
-        assert kinds == ["write"] * 8 + ["rename", "rmtree"]
+        # 10 boundaries: the segment's page file, 6 relation files and
+        # manifest, the blob's temp file, one publishing rename; the
+        # segment extends save 1, so nothing is superseded
+        assert kinds == ["write"] * 9 + ["rename"]
         assert restored_image(rig, tmp_path / "complete") == second
 
         for kill_at in range(len(complete)):
@@ -191,13 +207,45 @@ class TestKilledSave:
     ) -> None:
         rig, after_first, _, second, crawler, stats = two_saves
         directory = shutil.copytree(after_first, tmp_path / "checkpoint")
-        killed_save(monkeypatch, crawler, stats, directory, 10)
+        ran = killed_save(monkeypatch, crawler, stats, directory, 9)
+        assert ("rename", directory / "crawl.json") not in ran
         assert (directory / "database-2").exists()
         save_checkpoint(crawler.ctx, stats, directory)
         assert sorted(path.name for path in directory.iterdir()) == [
-            "crawl.json", "database-3",
+            "crawl.json", "database-1", "database-3",
         ]
         assert restored_image(rig, directory) == second
+
+    def test_a_new_chain_supersedes_the_old_one(
+        self, two_saves, tmp_path, monkeypatch
+    ) -> None:
+        """A save into a directory whose published save this context
+        neither wrote nor restored writes a whole segment, and removes
+        the chain it replaced only after publishing."""
+        rig, after_first, _, second, _, _ = two_saves
+        other, database = rig.crawler()
+        other.seed(
+            rig.web.seed_homepages(2), topic="ROOT/databases", priority=5.0
+        )
+        stats = other.crawl(settings(15))
+        directory = shutil.copytree(after_first, tmp_path / "checkpoint")
+        ran = killed_save(monkeypatch, other, stats, directory, -1)
+        assert [kind for kind, _ in ran] == (
+            ["write"] * 9 + ["rename", "rmtree"]
+        )
+        assert ran[-1] == ("rmtree", directory / "database-1")
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "crawl.json", "database-2",
+        ]
+        manifest = json.loads(
+            (directory / "database-2" / "manifest.json").read_text()
+        )
+        assert manifest["after"] is None
+        starts = {info["start"] for info in manifest["relations"].values()}
+        assert starts == {0}
+        assert restored_image(Rig(), directory) == image(
+            other.ctx, stats, database
+        )
 
 
 class TestDamagedCheckpoint:
@@ -213,7 +261,13 @@ class TestDamagedCheckpoint:
     ) -> None:
         rig, _, _, second, _, _ = two_saves
         files = sorted(p for p in published.rglob("*") if p.is_file())
-        assert len(files) == 8
+        # the blob, and per segment of the chain [1, 2] its page file,
+        # manifest and 6 relation files
+        assert len(files) == 1 + 2 * 8
+        assert {p.parent.name for p in files} == {
+            "checkpoint", "database-1", "database-2",
+        }
+        written = sum(1 for p in files if p.stat().st_size)
         refused = 0
         for path in files:
             content = path.read_bytes()
@@ -236,7 +290,8 @@ class TestDamagedCheckpoint:
                     assert content == b""
                     assert image(crawler.ctx, stats, database) == second
                 path.write_bytes(content)
-        assert refused >= 2 * 6  # blob, manifest, and the crawl's relations
+        # every file that holds anything, in either segment, both ways
+        assert refused == 2 * written
 
     def test_blob_and_database_of_different_saves_refused(
         self, two_saves, published, tmp_path
@@ -250,15 +305,30 @@ class TestDamagedCheckpoint:
         with pytest.raises(StorageError, match="stamped 1, expected 2"):
             restore_context(crawler.ctx, published)
 
-    def test_checkpoint_without_ordinal_refused(
+    def test_segments_out_of_order_refused(
         self, two_saves, published
     ) -> None:
         rig = two_saves[0]
         blob = json.loads((published / "crawl.json").read_text())
-        del blob["state"]["save_ordinal"]
+        blob["state"]["database"]["segments"] = [2, 1]
+        (published / "crawl.json").write_text(json.dumps(blob))
+        crawler, database = rig.crawler()
+        with pytest.raises(StorageError):
+            restore_context(crawler.ctx, published)
+        assert not any(map(len, database.relations.values()))
+        assert crawler.ctx.documents == []
+
+    def test_checkpoint_without_ordinal_refused(
+        self, two_saves, published
+    ) -> None:
+        """A blob that names no chain (the layout before segments kept
+        the pages in the blob) must be retaken."""
+        rig = two_saves[0]
+        blob = json.loads((published / "crawl.json").read_text())
+        del blob["state"]["database"]
         (published / "crawl.json").write_text(json.dumps(blob))
         crawler, _ = rig.crawler()
-        with pytest.raises(StorageError, match="no save ordinal"):
+        with pytest.raises(StorageError, match="no database chain"):
             restore_context(crawler.ctx, published)
 
     def test_pre_composite_frontier_image_refused(
@@ -291,7 +361,7 @@ class TestDamagedCheckpoint:
 class _ImagingCheckpointer(Checkpointer):
     """Keeps the image of what the latest save captured."""
 
-    latest: tuple[str, dict] | None = None
+    latest: tuple[str, dict, list] | None = None
 
     def save(self, ctx, stats) -> None:
         super().save(ctx, stats)
@@ -310,16 +380,30 @@ def test_restore_equals_the_saved_database_row_for_row(
     checkpointer = _ImagingCheckpointer(tmp_path, every=20)
     crawler.crawl(settings(70), checkpointer=checkpointer)
     assert checkpointer.saves == 3
-    assert (tmp_path / "database-3").exists()
-    assert not (tmp_path / "database-2").exists()
-    saved_state, saved_rows = checkpointer.latest
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "crawl.json", "database-1", "database-2", "database-3",
+    ]
+    saved_state, saved_rows, saved_pages = checkpointer.latest
     assert sum(map(len, saved_rows.values())) > 1000
-    assert restored_image(rig, tmp_path) == (saved_state, saved_rows)
+    assert restored_image(rig, tmp_path) == (
+        saved_state, saved_rows, saved_pages
+    )
+    # the segments hold no garbage: their rows sum to one full dump
+    written = Counter()
+    for segment in ("database-1", "database-2", "database-3"):
+        manifest = json.loads(
+            (tmp_path / segment / "manifest.json").read_text()
+        )
+        written.update({
+            name: info["rows"] for name, info in manifest["relations"].items()
+        })
+    assert written == {name: len(rows) for name, rows in saved_rows.items()}
 
 
-#: sha256 of each relation file of the three-worker checkpoint below, as
-#: the store wrote them when it kept one dict per row: the tuple rows
-#: must reach the disk byte for byte the same
+#: sha256 of each relation file of a full dump of the three-worker
+#: checkpoint below, as the store wrote them when it kept one dict per
+#: row and a save re-dumped every row: the tuple rows a restore replays
+#: from the chain must reach the disk byte for byte the same
 _RELATION_FILES = {
     "anchor_texts": (
         "5c6b6b34edb9ceb4143196f5bdcd652e265704a4ea896b6cbe76af37cb064599"
@@ -349,8 +433,102 @@ def test_relation_files_keep_their_bytes(tmp_path) -> None:
         rig.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
     )
     crawler.crawl(settings(70), checkpointer=Checkpointer(tmp_path, every=20))
+    restored, database = Rig(3).crawler()
+    restore_context(restored.ctx, tmp_path)
+    dump_database(database, tmp_path / "full")
     written = {
         path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted((tmp_path / "database-3").glob("*.jsonl"))
+        for path in sorted((tmp_path / "full").glob("*.jsonl"))
     }
     assert written == _RELATION_FILES
+
+
+class TestChains:
+    def test_crawls_saving_alternately_restore_as_the_last_saver(
+        self, tmp_path
+    ) -> None:
+        """Neither crawl appends to the other's chain: each save into a
+        directory whose published save is foreign starts a new one."""
+        first, second = Rig(), Rig()
+        crawls = []
+        for rig, seeds in ((first, 3), (second, 2)):
+            crawler, database = rig.crawler()
+            crawler.seed(
+                rig.web.seed_homepages(seeds), topic="ROOT/databases",
+                priority=10.0,
+            )
+            crawls.append((crawler, database))
+        stats = [None, None]
+        images = []
+        for budget in (20, 30, 40):
+            for side, (crawler, database) in enumerate(crawls):
+                stats[side] = crawler.crawl(
+                    settings(budget), resume=stats[side]
+                )
+                save_checkpoint(crawler.ctx, stats[side], tmp_path)
+                images.append(image(crawler.ctx, stats[side], database))
+                # one chain of one whole segment each time
+                [segment] = [p for p in tmp_path.iterdir() if p.is_dir()]
+                manifest = json.loads((segment / "manifest.json").read_text())
+                assert manifest["after"] is None
+        assert images[-1] != images[-2]
+        assert restored_image(Rig(), tmp_path) == images[-1]
+
+    def test_a_restored_crawl_extends_the_chain_it_restored(
+        self, tmp_path
+    ) -> None:
+        live = Rig()
+        crawler, _ = live.crawler()
+        crawler.seed(
+            live.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
+        )
+        crawler.crawl(settings(25), checkpointer=Checkpointer(tmp_path, 10))
+        resumed_rig = Rig()
+        resumed, database = resumed_rig.crawler()
+        stats = restore_context(resumed.ctx, tmp_path)
+        stats = resumed.crawl(settings(45), resume=stats)
+        save_checkpoint(resumed.ctx, stats, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "crawl.json", "database-1", "database-2", "database-3",
+        ]
+        assert json.loads(
+            (tmp_path / "database-3" / "manifest.json").read_text()
+        )["after"] == 2
+        assert restored_image(Rig(), tmp_path) == image(
+            resumed.ctx, stats, database
+        )
+
+    def test_an_overwritten_relation_is_written_whole_and_replaces_its_copy(
+        self, tmp_path
+    ) -> None:
+        rig = Rig()
+        crawler, database = rig.crawler()
+        crawler.seed(
+            rig.web.seed_homepages(3), topic="ROOT/databases", priority=10.0
+        )
+        archetypes = database["archetypes"]
+        stats = crawler.crawl(settings(10))
+        archetypes.upsert(("ROOT/databases", 0, "seed", 0.5, 0))
+        archetypes.upsert(("ROOT/databases", 1, "seed", 0.6, 0))
+        save_checkpoint(crawler.ctx, stats, tmp_path)
+        stats = crawler.crawl(settings(20), resume=stats)
+        # a keyed overwrite: the row moves to the end with a new score
+        archetypes.upsert(("ROOT/databases", 0, "seed", 0.9, 0))
+        archetypes.upsert(("ROOT/databases", 2, "seed", 0.7, 0))
+        save_checkpoint(crawler.ctx, stats, tmp_path)
+        relations = json.loads(
+            (tmp_path / "database-2" / "manifest.json").read_text()
+        )["relations"]
+        assert relations["archetypes"] == {
+            "columns": list(archetypes.schema.column_names),
+            "rows": 3, "start": 0,
+        }
+        # the append-only relations carry only what they gained
+        assert relations["documents"]["start"] == 10
+        restored, restored_database = Rig().crawler()
+        restore_context(restored.ctx, tmp_path)
+        assert restored_database["archetypes"].rows() == archetypes.rows()
+        assert [row[3] for row in archetypes.rows()] == [0.6, 0.9, 0.7]
+        assert restored_image(Rig(), tmp_path) == image(
+            crawler.ctx, stats, database
+        )

@@ -17,6 +17,7 @@ from repro.core.records import SOFT, PhaseSettings
 from repro.robust.checkpoint import (
     Checkpointer,
     restore_context,
+    save_checkpoint,
     snapshot_context,
 )
 from repro.storage.bulkloader import BulkLoader
@@ -106,18 +107,20 @@ class TestWorkerCountGuards:
     def test_restore_rejects_different_worker_count(self, tmp_path) -> None:
         crawler, _ = build_crawler(workers=3)
         stats = crawler.crawl(settings(20))
-        state = snapshot_context(crawler.ctx, stats)
-        other, _ = build_crawler(workers=5)
+        save_checkpoint(crawler.ctx, stats, tmp_path)
+        other, database = build_crawler(workers=5)
         with pytest.raises(ValueError, match="crawl_workers"):
-            restore_context(other.ctx, state)
+            restore_context(other.ctx, tmp_path)
+        assert not any(map(len, database.relations.values()))
 
     def test_restore_rejects_unsharded_context(self, tmp_path) -> None:
         crawler, _ = build_crawler(workers=3)
         stats = crawler.crawl(settings(20))
-        state = snapshot_context(crawler.ctx, stats)
-        single, _ = build_crawler(workers=1)
+        save_checkpoint(crawler.ctx, stats, tmp_path)
+        single, database = build_crawler(workers=1)
         with pytest.raises(ValueError, match="sharding"):
-            restore_context(single.ctx, state)
+            restore_context(single.ctx, tmp_path)
+        assert not any(map(len, database.relations.values()))
 
     def test_snapshot_has_worker_section_only_when_sharded(self) -> None:
         sharded, _ = build_crawler(workers=3)

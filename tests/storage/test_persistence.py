@@ -222,3 +222,89 @@ class TestFailureModes:
         with pytest.raises(StorageError):
             load_database(tmp_path, into=target)
         assert total_rows(target) == 0
+
+
+class TestChain:
+    """Segments: each holds what the relations gained since the one it
+    extends; a relation written from row 0 replaces the chain's copy."""
+
+    @staticmethod
+    def three_segments(tmp_path):
+        database = Database()
+        terms, archetypes = database["terms"], database["archetypes"]
+        segments = [tmp_path / f"s{i}" for i in range(3)]
+        terms.bulk_insert([(1, "a", 1), (1, "b", 2)])
+        archetypes.upsert(("db", 1, "seed", 0.5, 0))
+        dump_database(database, segments[0], stamp=0)
+        terms.bulk_insert([(2, "a", 3)])
+        dump_database(
+            database, segments[1], stamp=1, after=0,
+            since={"terms": 2, "archetypes": 1},
+        )
+        terms.insert((3, "c", 1))
+        archetypes.upsert(("db", 2, "seed", 0.1, 0))
+        archetypes.upsert(("db", 1, "seed", 0.9, 0))  # an overwrite
+        dump_database(
+            database, segments[2], stamp=2, after=1, since={"terms": 3},
+        )
+        return database, segments
+
+    def test_a_chain_restores_the_database_row_for_row(self, tmp_path) -> None:
+        database, segments = self.three_segments(tmp_path)
+        written = [
+            json.loads((s / "manifest.json").read_text())["relations"]
+            for s in segments
+        ]
+        assert [w["terms"]["rows"] for w in written] == [2, 1, 1]
+        assert [w["terms"]["start"] for w in written] == [0, 2, 3]
+        # rewritten whole where it saw an overwrite
+        assert [w["archetypes"]["rows"] for w in written] == [1, 0, 2]
+        assert [w["archetypes"]["start"] for w in written] == [0, 1, 0]
+        restored = load_database(segments, stamp=2)
+        for name, relation in database.relations.items():
+            assert restored[name].rows() == relation.rows(), name
+        assert database["archetypes"].replaced == 1
+        assert restored["archetypes"].replaced == 0
+
+    def test_a_segment_alone_is_no_dump(self, tmp_path) -> None:
+        _, segments = self.three_segments(tmp_path)
+        with pytest.raises(StorageError, match="extends 0"):
+            load_database(segments[1])
+        with pytest.raises(StorageError, match="chain is empty"):
+            load_database([])
+
+    def test_a_missing_or_reordered_segment_is_refused(self, tmp_path) -> None:
+        _, segments = self.three_segments(tmp_path)
+        for chain in (
+            [segments[0], segments[2]],
+            [segments[1], segments[0], segments[2]],
+            [segments[0], segments[1], segments[1], segments[2]],
+        ):
+            target = Database()
+            with pytest.raises(StorageError, match="extends"):
+                load_database(chain, into=target)
+            assert not any(map(len, target.relations.values()))
+        with pytest.raises(StorageError, match="stamped 2, expected 3"):
+            load_database(segments, stamp=3)
+
+    def test_a_segment_that_skips_rows_is_refused(self, tmp_path) -> None:
+        _, segments = self.three_segments(tmp_path)
+        manifest_path = segments[1] / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["relations"]["terms"]["start"] = 3
+        manifest_path.write_text(json.dumps(manifest))
+        target = Database()
+        with pytest.raises(StorageError, match="starts at row 3"):
+            load_database(segments, into=target)
+        assert not any(map(len, target.relations.values()))
+
+    def test_version_2_dump_refused(self, tmp_path) -> None:
+        dump_database(populated_database(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["format_version"] = 2
+        for info in manifest["relations"].values():
+            del info["start"]
+        del manifest["after"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageError, match="unsupported dump format 2"):
+            load_database(tmp_path)

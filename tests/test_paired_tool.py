@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from benchmarks.paired import quartiles, summarize, verdict
+from benchmarks.paired import (
+    arguments,
+    quartiles,
+    schedule,
+    summarize,
+    verdict,
+)
 
 HIGHER = {"name": "ops_per_s", "better": "higher"}
 LOWER = {"name": "setup_s", "better": "lower"}
@@ -40,3 +46,28 @@ def test_summarize_prints_quartiles_wins_and_the_verdict() -> None:
     assert "change won 4 of 4" in first and "-48.8%" in first
     assert "verdict: gain" in second
     assert "inter-quartile distance 0.125" in second
+
+
+def test_ten_pairs_by_default_and_several_workloads_in_one_session() -> None:
+    args = arguments(["--parent", "HEAD", "--workload", "crawl-n1"])
+    assert args.workload == ["crawl-n1"] and args.pairs == 10
+    args = arguments([
+        "--parent", "HEAD", "--workload", "crawl-n1", "serve-cold",
+        "--pairs", "3",
+    ])
+    assert args.workload == ["crawl-n1", "serve-cold"] and args.pairs == 3
+
+
+def test_schedule_interleaves_workloads_and_alternates_sides() -> None:
+    assert schedule(["a", "b"], 2) == [
+        (0, "a", "parent"), (0, "a", "change"),
+        (0, "b", "parent"), (0, "b", "change"),
+        (1, "a", "change"), (1, "a", "parent"),
+        (1, "b", "change"), (1, "b", "parent"),
+    ]
+    runs = schedule(["a", "b", "c"], 10)
+    for workload in "abc":
+        for side in ("parent", "change"):
+            assert sum(
+                (w, s) == (workload, side) for _, w, s in runs
+            ) == 10

@@ -43,6 +43,21 @@ class TestParseUrl:
         assert p.host == "www.example.com"
         assert p.path == "/Path"  # paths stay case-sensitive
 
+    def test_host_ends_at_query_or_fragment(self) -> None:
+        for url, path in (
+            ("http://a.com#x", "/#x"),
+            ("http://a.com?q=1#3", "/?q=1#3"),
+            ("http://a.com?x=/y", "/?x=/y"),
+            ("http://a.com/p?q#f", "/p?q#f"),
+        ):
+            p = parse_url(url)
+            assert p is not None
+            assert (p.host, p.path) == ("a.com", path), url
+
+    def test_fragment_or_query_alone_is_no_host(self) -> None:
+        assert parse_url("http://#x") is None
+        assert parse_url("http://?q=1") is None
+
     def test_domain(self) -> None:
         assert parse_url("http://a.b.example.com/").domain == "example.com"
         assert parse_url("http://example.com/").domain == "example.com"
@@ -60,6 +75,11 @@ class TestNormalize:
 
     def test_fragment_dropped(self) -> None:
         assert normalize_url("http://h/a.html#sec2") == "http://h/a.html"
+
+    def test_fragment_after_the_host_dropped(self) -> None:
+        assert normalize_url("http://a.com#x") == "http://a.com/"
+        assert normalize_url("http://a.com?q=1#3") == "http://a.com/?q=1"
+        assert is_crawlable_url("http://a.com#x")
 
     def test_parent_of_root_clamped(self) -> None:
         assert normalize_url("http://h/../../x") == "http://h/x"
@@ -129,3 +149,9 @@ def test_normalize_idempotent(url: str) -> None:
     once = normalize_url(url)
     assert once is not None
     assert normalize_url(once) == once
+
+
+@given(st.from_regex(r"(?i)https?://[a-z0-9.#?/=]{0,24}", fullmatch=True))
+def test_no_normalized_url_holds_a_fragment(text: str) -> None:
+    normalized = normalize_url(text)
+    assert normalized is None or "#" not in normalized
