@@ -100,10 +100,7 @@ def burst_failure_demo() -> FocusedCrawler:
     )
     config = BingoConfig(
         max_retries=2,
-        retry_base_delay=2.0,
-        retry_jitter=0.0,
         host_quarantine=30.0,
-        max_host_deferrals=10,
         selected_features=300,
         tf_preselection=1000,
         fault_windows=(

@@ -6,7 +6,7 @@ section 2.5): top authorities become archetype candidates, top hubs seed
 the high-priority end of the crawl frontier.
 """
 
-from repro.analysis.graph import LinkGraph, expand_base_set
+from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import HitsResult, hits
 from repro.analysis.distillation import bharat_henzinger
 
@@ -14,6 +14,5 @@ __all__ = [
     "HitsResult",
     "LinkGraph",
     "bharat_henzinger",
-    "expand_base_set",
     "hits",
 ]

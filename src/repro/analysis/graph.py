@@ -4,20 +4,14 @@ A :class:`LinkGraph` is a small directed graph over opaque hashable node
 ids (the crawler uses document ids), with an optional host attribute per
 node -- the Bharat/Henzinger variant weights edges by host to defeat
 "mutually reinforcing relationships between hosts".
-
-:func:`expand_base_set` implements the node-set construction of paper
-section 2.5: start from the positively classified documents of a topic
-(Kleinberg's *base set* in the paper's terminology), add all successors,
-and add a bounded number of predecessors (the paper obtains predecessors
-from a large unfocused Web database; the crawler uses its links table).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
-__all__ = ["LinkGraph", "expand_base_set"]
+__all__ = ["LinkGraph"]
 
 Node = Hashable
 
@@ -62,55 +56,5 @@ class LinkGraph:
     def __len__(self) -> int:
         return len(self.successors)
 
-    def edge_count(self) -> int:
-        return sum(len(targets) for targets in self.successors.values())
-
     def host_of(self, node: Node) -> str:
         return self.hosts.get(node, str(node))
-
-    def subgraph(self, nodes: Iterable[Node]) -> "LinkGraph":
-        """The induced subgraph over ``nodes``."""
-        keep = set(nodes)
-        sub = LinkGraph()
-        for node in sorted(keep, key=repr):
-            sub.add_node(node, self.hosts.get(node))
-        for node in sorted(keep, key=repr):
-            for target in self.successors.get(node, ()):
-                if target in keep:
-                    sub.add_edge(node, target)
-        return sub
-
-
-def expand_base_set(
-    base: Iterable[Node],
-    successors_of: Callable[[Node], Iterable[Node]],
-    predecessors_of: Callable[[Node], Iterable[Node]],
-    max_predecessors_per_node: int = 20,
-    max_total: int = 5000,
-) -> set[Node]:
-    """Kleinberg base-set expansion with bounded predecessor fan-in.
-
-    Returns base + all successors + up to ``max_predecessors_per_node``
-    predecessors of each base node, capped at ``max_total`` nodes
-    ("a node set S in the order of a few hundred or a few thousand
-    documents").
-    """
-    result: set[Node] = set(base)
-    for node in sorted(result, key=repr):
-        if len(result) >= max_total:
-            break
-        for successor in successors_of(node):
-            result.add(successor)
-            if len(result) >= max_total:
-                break
-    for node in sorted(result, key=repr):
-        if len(result) >= max_total:
-            break
-        added = 0
-        for predecessor in predecessors_of(node):
-            if predecessor not in result:
-                result.add(predecessor)
-                added += 1
-            if added >= max_predecessors_per_node or len(result) >= max_total:
-                break
-    return result

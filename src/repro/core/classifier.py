@@ -203,7 +203,7 @@ class HierarchicalClassifier:
         """Bumped at every (re)training point, which also drops the
         compiled kernel."""
         self._compiled: CompiledClassifier | None = None
-        self._vector_cache = VectorCache(self.config.vector_cache_size)
+        self._vector_cache = VectorCache()
         self._kernel_stats_retired: dict[str, float] = {}
         """Accumulated counters of kernels discarded by retraining, so
         :meth:`stats` reports lifetime totals across recompiles."""

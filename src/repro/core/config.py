@@ -1,31 +1,36 @@
 """Crawl configuration: what a caller of the engine varies.
 
-A field is here because some experiment, test, benchmark workload or
-example gives it a value other than its default (``tests/test_package.py``
-holds that: every field has a setter somewhere in the repo).  The
-defaults mirror the paper's testbed (section 5.1): 15 crawler threads,
-2 parallel accesses per host and 5 per domain, 5 DNS servers, 3 retries
-before a host is tagged bad, tunnelling distance 2 with priority decay
-0.5, MI feature selection with tf pre-selection of 5000 candidates and
-the top 2000 features per topic.
+A field is here because some code in ``src/`` or ``benchmarks/`` (an
+experiment, the CLI or a benchmark workload) gives it a value other
+than its default (``tests/test_package.py`` holds that; ``max_retries``
+is its one exception, which the tests vary).  The defaults mirror the
+paper's testbed (section 5.1): 15 crawler threads, 3 retries before a
+host is tagged bad, MI feature selection with tf pre-selection of 5000
+candidates and the top 2000 features per topic.
 
-Testbed values nobody varies are not fields.  Each is one named
+Testbed values no such caller varies are not fields.  Each is one named
 constant (or one constructor default) beside the code that reads it:
-queue limits and refill batch on :class:`~repro.core.frontier.
-CrawlFrontier`, backoff growth and quarantine cap on
+2 parallel accesses per host and 5 per domain in
+:mod:`repro.pipeline.context`, tunnelling distance 2 with priority decay
+0.5 in :mod:`repro.pipeline.stages`, queue limits and refill batch on
+:class:`~repro.core.frontier.CrawlFrontier`, backoff, jitter, retry
+budget, slow-host handling and quarantine growth on
 :class:`~repro.robust.retry.RetryPolicy` /
-:class:`~repro.robust.breaker.BreakerPolicy`, the bulk-loader batch on
+:class:`~repro.robust.breaker.BreakerPolicy`, the vector-cache size in
+:mod:`repro.perf.cache`, the bulk-loader batch on
 :class:`~repro.storage.bulkloader.BulkLoader`, MIME size caps and the
 per-document processing cost in :mod:`repro.pipeline.stages`, the
 acceptance threshold and SVM cost in :mod:`repro.core.classifier`, the
 archetype cap in :mod:`repro.core.archetypes`, and the phase strategy
 constants (learning depth, decision modes, hub/authority counts,
-archetype warm-up) in :mod:`repro.core.engine`.
+archetype warm-up) in :mod:`repro.core.engine`.  The 5 DNS servers stay
+readable as the class constant :attr:`BingoConfig.dns_servers`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ConfigError
 from repro.robust.breaker import BreakerPolicy
@@ -55,49 +60,27 @@ class BingoConfig:
     crawl (a global flush of every worker's buffered rows); 0 runs
     barriers only at phase boundaries."""
     crawler_threads: int = 15
-    max_parallel_per_host: int = 2
-    max_parallel_per_domain: int = 5
-    dns_servers: int = 5
-    max_retries: int = 3
+    dns_servers: ClassVar[int] = 5
+    """Simulated DNS servers behind the caching resolver (paper 5.1)."""
+    max_retries: int = RetryPolicy.max_retries
     """Consecutive failures per host before its circuit breaker opens
     (the paper's "bad" state) -- and the retry cap per URL."""
 
     # -- robustness (repro.robust) -----------------------------------------
-    retry_base_delay: float = 4.0
-    """Backoff before a failed URL's first retry (simulated seconds)."""
-    retry_jitter: float = 0.25
-    """Deterministic per-URL jitter applied to retry delays."""
-    retry_budget: int | None = None
-    """Total retries allowed per crawl phase; None means unbounded."""
-    host_quarantine: float = 600.0
+    host_quarantine: float = BreakerPolicy.quarantine
     """Quarantine interval after a breaker opens (simulated seconds)."""
-    slow_priority_factor: float = 0.5
-    """Priority multiplier for URLs pointing at slow hosts."""
-    slow_host_cooldown: float = 5.0
-    """Extra politeness gap between fetches on a slow host (seconds)."""
-    max_host_deferrals: int = 3
-    """Times a queue entry may be deferred by a quarantined host before
-    it is dropped."""
     fault_windows: tuple[FaultWindow, ...] = ()
     """Deterministic fault-injection windows applied to the synthetic
     Web (burst failures, flaky DNS, host flapping); empty disables the
     injector."""
 
     def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            base_delay=self.retry_base_delay,
-            jitter=self.retry_jitter,
-            budget=self.retry_budget,
-        )
+        return RetryPolicy(max_retries=self.max_retries)
 
     def breaker_policy(self) -> BreakerPolicy:
         return BreakerPolicy(
             open_after=max(self.max_retries, 1),
             quarantine=self.host_quarantine,
-            slow_priority_factor=self.slow_priority_factor,
-            slow_cooldown=self.slow_host_cooldown,
-            max_deferrals=self.max_host_deferrals,
         )
 
     # -- staged pipeline (repro.pipeline) -----------------------------------
@@ -106,10 +89,6 @@ class BingoConfig:
     1 reproduces the historical per-document crawl bit-identically;
     larger batches amortize classification over the wave-based batch
     kernel (one ``classify_batch`` call per micro-batch)."""
-
-    # -- focusing (paper 3.3, 5.1) -----------------------------------------
-    max_tunnelling_distance: int = 2
-    tunnel_priority_decay: float = 0.5
 
     # -- feature selection / classification (paper 2.3, 2.4) ----------------
     tf_preselection: int = 5_000
@@ -124,12 +103,6 @@ class BingoConfig:
     "naive-bayes" or "rocchio" (section 1.2 lists the alternatives).
     Non-SVM learners get a cross-validation generalization estimate in
     place of xi-alpha."""
-
-    # -- kernel layer (repro.perf) ------------------------------------------
-    vector_cache_size: int = 1024
-    """Documents whose tf*idf vectors are LRU-cached per idf snapshot
-    (archetype re-scoring and retraining evaluation hit this); 0
-    disables the cache."""
 
     # -- retraining / archetypes (paper 3.2) --------------------------------
     retrain_interval: int = 150
@@ -148,8 +121,7 @@ class BingoConfig:
 
     def validate(self) -> None:
         for name in (
-            "crawler_threads", "crawl_workers", "max_parallel_per_host",
-            "max_parallel_per_domain", "dns_servers", "retrain_interval",
+            "crawler_threads", "crawl_workers", "retrain_interval",
             "learning_fetch_budget", "pipeline_batch_size",
         ):
             if getattr(self, name) < 1:
@@ -158,10 +130,6 @@ class BingoConfig:
             raise ConfigError("shard_barrier_interval must be >= 0")
         if self.negative_examples < 0:
             raise ConfigError("negative_examples must be >= 0")
-        if self.max_tunnelling_distance < 0:
-            raise ConfigError("max_tunnelling_distance must be >= 0")
-        if not 0.0 < self.tunnel_priority_decay <= 1.0:
-            raise ConfigError("tunnel_priority_decay must be in (0, 1]")
         if self.selected_features < 1 or self.tf_preselection < 1:
             raise ConfigError("feature selection sizes must be positive")
         if self.tf_preselection < self.selected_features:
@@ -182,5 +150,3 @@ class BingoConfig:
             raise ConfigError(
                 f"unknown node_classifier {self.node_classifier!r}"
             )
-        if self.vector_cache_size < 0:
-            raise ConfigError("vector_cache_size must be >= 0")

@@ -145,7 +145,6 @@ class CrawlFrontier:
         self._sequence = 0
         """Last admission number drawn; every admission and every
         deferred release draws a fresh one."""
-        self._deferred_counts: dict[str, int] = {}
 
     # -- write side ---------------------------------------------------------
 
@@ -176,9 +175,6 @@ class CrawlFrontier:
                 self.deferred, (entry.not_before, self._sequence, entry)
             )
             self.deferred_total += 1
-            self._deferred_counts[entry.topic] = (
-                self._deferred_counts.get(entry.topic, 0) + 1
-            )
             return
         self._insert_incoming(entry)
 
@@ -200,9 +196,7 @@ class CrawlFrontier:
         """Move deferred entries whose time has come into the queues."""
         now = self.now()
         while self.deferred and self.deferred[0][0] <= now:
-            entry = heapq.heappop(self.deferred)[2]
-            self._deferred_counts[entry.topic] -= 1
-            self._insert_incoming(entry)
+            self._insert_incoming(heapq.heappop(self.deferred)[2])
 
     def _refill(self, queues: _TopicQueues) -> None:
         """Move a topic's best incoming links to outgoing, prefetching
@@ -250,15 +244,6 @@ class CrawlFrontier:
 
     def __len__(self) -> int:
         return sum(map(len, self.queues.values())) + len(self.deferred)
-
-    def pending_for(self, topic: str) -> int:
-        # deferred entries are tallied per topic on admission/release,
-        # so this stays O(1) instead of scanning the deferred heap --
-        # it runs on every pop retry
-        queues = self.queues.get(topic)
-        return self._deferred_counts.get(topic, 0) + (
-            len(queues) if queues is not None else 0
-        )
 
     def has_seen(self, url: str) -> bool:
         return url in self.seen_urls
@@ -332,8 +317,3 @@ class CrawlFrontier:
             for ready_at, sequence, entry in state["deferred"]
         ]
         heapq.heapify(self.deferred)
-        self._deferred_counts = {}
-        for _ready_at, _sequence, entry in self.deferred:
-            self._deferred_counts[entry.topic] = (
-                self._deferred_counts.get(entry.topic, 0) + 1
-            )

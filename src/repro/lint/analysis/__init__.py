@@ -8,9 +8,6 @@ AST.  They enforce the invariants that only exist *between* files:
   behind the typed Epoch (engine vectors, inverted index, query cache,
   idf snapshot, classifier models) may only change inside its
   lifecycle funnels; ``deprecated-api``: removed shims stay gone;
-* :mod:`repro.lint.analysis.isolation` -- ``shard-isolation``: code
-  running in per-worker scope must not mutate cross-shard state
-  except through the sharded-frontier and barrier APIs;
 * :mod:`repro.lint.analysis.schema` -- ``stats-schema``: metric
   source names collide nowhere, ``stats()`` keys stay snake_case, and
   no subsystem emits stats that nothing exports.
@@ -21,6 +18,6 @@ Importing this package registers every rule, exactly like
 
 from __future__ import annotations
 
-from repro.lint.analysis import contracts, isolation, schema
+from repro.lint.analysis import contracts, schema
 
-__all__ = ["contracts", "isolation", "schema"]
+__all__ = ["contracts", "schema"]

@@ -18,8 +18,9 @@ experiment result classes whose rows now live once, in the runner's
 ``ExperimentTable``, the store's query side (``Relation`` only appends,
 upserts and hands its rows to the dump), the lint baseline and the
 per-worker frontier stores and breaker boards (a worker owns a fetch
-pool; the frontier and the board are one store each) and the state-dict
-checkpoint restore (a checkpoint is a directory of segments).  An
+pool; the frontier and the board are one store each), the state-dict
+checkpoint restore (a checkpoint is a directory of segments) and the
+config knobs only tests turned (now constants or policy defaults).  An
 entry expires one ROADMAP re-anchor after the PR that recorded it; by
 then a stay-gone test or a ``TypeError`` from the constructor holds
 the line.
@@ -207,6 +208,16 @@ _CHECKPOINT_DIRECTORY = (
     "segment chain and rebuilds the pages from their rows; a state dict "
     "holds neither"
 )
+_BASE_SET = (
+    "BingoEngine._link_graph_for builds a topic's base set: its pages, "
+    "their crawled successors and every crawled predecessor"
+)
+_RETRY_POLICY = "vary it by replacing ctx.retry_policy"
+_BREAKER_POLICY = "vary it by replacing ctx.hosts.policy"
+_LIFETIME = (
+    "the lifetime RecrawlReport: scheduler.lifetime, or "
+    "scheduler.stats()['recrawl_total_...']"
+)
 _RESULT_CLASSES = {
     "ablations": (
         "FocusAblationResult", "ArchetypeAblationResult",
@@ -234,7 +245,48 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
         ),
         "workers": _ONE_FRONTIER,
     },
-    "BingoConfig": {"trace_ring_size": _NO_TRACER},
+    # knobs only tests and examples turned: constants beside the reader
+    "BingoConfig": {
+        "trace_ring_size": _NO_TRACER,
+        "max_parallel_per_host": (
+            "repro.pipeline.context.MAX_PARALLEL_PER_HOST"
+        ),
+        "max_parallel_per_domain": (
+            "repro.pipeline.context.MAX_PARALLEL_PER_DOMAIN"
+        ),
+        "max_tunnelling_distance": (
+            "repro.pipeline.stages.MAX_TUNNELLING_DISTANCE"
+        ),
+        "tunnel_priority_decay": "repro.pipeline.stages.TUNNEL_PRIORITY_DECAY",
+        "retry_base_delay": f"RetryPolicy.base_delay; {_RETRY_POLICY}",
+        "retry_jitter": f"RetryPolicy.jitter; {_RETRY_POLICY}",
+        "retry_budget": f"RetryPolicy.budget; {_RETRY_POLICY}",
+        "slow_priority_factor": (
+            f"BreakerPolicy.slow_priority_factor; {_BREAKER_POLICY}"
+        ),
+        "slow_host_cooldown": (
+            f"BreakerPolicy.slow_cooldown; {_BREAKER_POLICY}"
+        ),
+        "max_host_deferrals": (
+            f"BreakerPolicy.max_deferrals; {_BREAKER_POLICY}"
+        ),
+        "vector_cache_size": "repro.perf.cache.MAX_ENTRIES",
+    },
+    "VectorCache": {"maxsize": "repro.perf.cache.MAX_ENTRIES"},
+    "LinkGraph": {
+        "subgraph": "build the graph over the nodes you need",
+        "edge_count": "len(list(graph.edges()))",
+    },
+    "RecrawlScheduler": {
+        "workers": _ONE_FRONTIER,
+        **{
+            f"total_{count}": _LIFETIME
+            for count in (
+                "scheduled", "fetched", "changed", "unchanged",
+                "discovered", "dead", "errors",
+            )
+        },
+    },
     # the store appends and dumps; the digest map is a dict
     "Relation": {
         "get": _NO_QUERY,
@@ -269,12 +321,15 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
             "segments, oldest first"
         ),
     },
-    "RecrawlScheduler": {"workers": _ONE_FRONTIER},
     # a worker owns a fetch pool and workspaces, not a store
-    # (no CrawlFrontier "shards" row: the shard-isolation fixtures model
-    # a CrawlFrontier that still has one, and the constructor refuses
-    # the keyword with a TypeError)
-    "CrawlFrontier": {"route": _ONE_STORE},
+    "CrawlFrontier": {
+        "route": _ONE_STORE,
+        "shards": _ONE_STORE,
+        "pending_for": (
+            "count a topic's entries in frontier.snapshot() (its "
+            "queues plus its deferred entries)"
+        ),
+    },
     "ShardedFrontier": {
         "router": (
             "ShardedFrontier() takes CrawlFrontier's options; hosts route "
@@ -369,6 +424,16 @@ _REMOVED_NAMES = frozenset(
     name for members in _REMOVED_MEMBERS.values() for name in members
 )
 
+#: constructor keywords that went while the attribute stays readable
+_REMOVED_KEYWORDS: dict[str, dict[str, str]] = {
+    "BingoConfig": {
+        "dns_servers": (
+            "BingoConfig.dns_servers is a class constant (the testbed's "
+            "5 servers): read it, do not pass it"
+        ),
+    },
+}
+
 #: removed module or module-level name -> replacement guidance, flagged
 #: where an ``import`` or ``from module import name`` asks for it
 _REMOVED_IMPORTS: dict[str, str] = {
@@ -392,6 +457,8 @@ _REMOVED_IMPORTS: dict[str, str] = {
     "repro.lint.Baseline": _NO_BASELINE,
     "repro.lint.BaselineEntry": _NO_BASELINE,
     "repro.robust.checkpoint.Source": _CHECKPOINT_DIRECTORY,
+    "repro.analysis.expand_base_set": _BASE_SET,
+    "repro.analysis.graph.expand_base_set": _BASE_SET,
     **{
         f"repro.experiments.{module}.{name}": (
             "the runner returns ExperimentTable(s); read rows with "
@@ -535,7 +602,10 @@ class DeprecatedApi(Rule):
             if callee is None:
                 return
             name = callee.name
-        removed = _REMOVED_MEMBERS.get(name, {})
+        removed = {
+            **_REMOVED_MEMBERS.get(name, {}),
+            **_REMOVED_KEYWORDS.get(name, {}),
+        }
         # a removed member may share its name with a live constructor
         # parameter (FocusedCrawler(config=...) stays legal)
         live: set[str] = set()

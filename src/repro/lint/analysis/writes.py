@@ -1,10 +1,9 @@
 """Shared attribute-write detection for the contract checkers.
 
-Both ``epoch-mutation`` and ``shard-isolation`` reduce to the same
-question -- *where does code mutate an attribute of an instance of
-class C?* -- differing only in which classes and attributes they guard
-and which enclosing scopes are exempt.  This module extracts the write
-events; the rules resolve the receiver type and apply their policy.
+``epoch-mutation`` asks *where does code mutate an attribute of an
+instance of class C?*  This module extracts the write events; the rule
+resolves the receiver type and applies its policy (which classes and
+attributes it guards, which enclosing scopes are exempt).
 """
 
 from __future__ import annotations

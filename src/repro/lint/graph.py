@@ -1,10 +1,9 @@
 """The project indexer and call graph behind whole-program passes.
 
 Per-file rules see one AST at a time; the contract checkers
-(epoch-mutation, deprecated-api, shard-isolation, stats-schema) need
-to reason about the *program*:
-which function calls which, what class a receiver expression resolves
-to, and which methods are reachable from which entry points.  This
+(epoch-mutation, deprecated-api, stats-schema) need to reason about
+the *program*: which function calls which and what class a receiver
+expression resolves to.  This
 module builds that picture statically, from the same
 :class:`~repro.lint.engine.ModuleUnit` records the per-file rules
 consume:
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 #: subscriptable annotation heads treated as containers of their
-#: element type (``list[WorkerSlice]`` -> element ``WorkerSlice``)
+#: element type (``list[CrawledDocument]`` -> element ``CrawledDocument``)
 _CONTAINER_HEADS = frozenset(
     {
         "list", "List", "set", "Set", "frozenset", "FrozenSet",
@@ -630,18 +629,3 @@ class ProjectIndex:
 
     def callers_of(self, qualname: str) -> list[CallSite]:
         return list(self._callers_of.get(qualname, []))
-
-    def reachable_from(self, roots: list[str]) -> list[str]:
-        """Qualnames of every function reachable via resolved call
-        edges from ``roots`` (roots included), sorted."""
-        seen: set[str] = set()
-        stack = sorted(set(roots))
-        while stack:
-            current = stack.pop()
-            if current in seen or current not in self.functions:
-                continue
-            seen.add(current)
-            for site in self.functions[current].calls:
-                if site.callee is not None and site.callee not in seen:
-                    stack.append(site.callee)
-        return sorted(seen)

@@ -19,14 +19,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-__all__ = ["VectorCache"]
+__all__ = ["MAX_ENTRIES", "VectorCache"]
+
+MAX_ENTRIES = 1024
+"""Documents whose vectors one cache holds (archetype re-scoring and
+retraining evaluation hit it)."""
 
 
 class VectorCache:
     """Bounded LRU mapping ``(snapshot key, document) -> vectors``."""
 
-    def __init__(self, maxsize: int = 1024) -> None:
-        self.maxsize = max(int(maxsize), 0)
+    def __init__(self) -> None:
         self._entries: OrderedDict[int, tuple[Hashable, Any, Any]] = (
             OrderedDict()
         )
@@ -42,7 +45,7 @@ class VectorCache:
             "hits": float(self.hits),
             "misses": float(self.misses),
             "entries": float(len(self._entries)),
-            "max_entries": float(self.maxsize),
+            "max_entries": float(MAX_ENTRIES),
         }
 
     def clear(self) -> None:
@@ -55,9 +58,6 @@ class VectorCache:
         the snapshot version match.  Counts a hit or a miss; callers
         that follow a miss with :meth:`put` must not count again.
         """
-        if self.maxsize == 0:
-            self.misses += 1
-            return None
         key = id(doc)
         entry = self._entries.get(key)
         if entry is not None and entry[0] == version and entry[1] is doc:
@@ -69,10 +69,8 @@ class VectorCache:
 
     def put(self, doc: Any, version: Hashable, vectors: Any) -> None:
         """Store ``doc``'s vectors under ``version`` (LRU-evicting)."""
-        if self.maxsize == 0:
-            return
         key = id(doc)
         self._entries[key] = (version, doc, vectors)
         self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)

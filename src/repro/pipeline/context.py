@@ -35,6 +35,11 @@ from repro.web.urls import parse_url
 
 __all__ = ["DomainState", "CrawlContext"]
 
+MAX_PARALLEL_PER_HOST = 2
+"""Concurrent fetches per host (paper 5.1: 2 parallel accesses)."""
+MAX_PARALLEL_PER_DOMAIN = 5
+"""Concurrent fetches per registrable domain (paper 5.1: 5)."""
+
 
 @dataclass
 class DomainState:
@@ -183,7 +188,7 @@ class CrawlContext:
         state = self.host_state(host)
         now = self.clock.now
         state.busy_until = [t for t in state.busy_until if t > now]
-        return len(state.busy_until) < self.config.max_parallel_per_host
+        return len(state.busy_until) < MAX_PARALLEL_PER_HOST
 
     def domain_state(self, domain: str) -> DomainState:
         state = self.domains.get(domain)
@@ -193,11 +198,11 @@ class CrawlContext:
         return state
 
     def domain_has_capacity(self, domain: str) -> bool:
-        """Politeness cap per registrable domain (paper 5.1: 5 parallel)."""
+        """Politeness cap per registrable domain."""
         state = self.domain_state(domain)
         now = self.clock.now
         state.busy_until = [t for t in state.busy_until if t > now]
-        return len(state.busy_until) < self.config.max_parallel_per_domain
+        return len(state.busy_until) < MAX_PARALLEL_PER_DOMAIN
 
     # ------------------------------------------------------------------
     # fetch scheduling / merge barriers (repro.shard)

@@ -75,6 +75,12 @@ MIME_SIZE_CAPS: dict[str, int] = {
 Google evaluations", paper 4.2); any other type -- video, audio, images
 -- is rejected unread."""
 
+MAX_TUNNELLING_DISTANCE = 2
+"""Rejected pages in a row whose links are still followed (paper 3.3)."""
+TUNNEL_PRIORITY_DECAY = 0.5
+"""Priority multiplier per tunnelled step: a link ``k`` rejected pages
+deep is queued at ``confidence * TUNNEL_PRIORITY_DECAY ** k``."""
+
 #: canonical stage order
 STAGE_NAMES = (
     "admit", "fetch", "convert", "analyze", "classify", "persist", "expand",
@@ -467,7 +473,7 @@ class ExpandStage:
             tunnelled = 0
         else:
             follow = phase.tunnelling and (
-                entry.tunnelled < ctx.config.max_tunnelling_distance
+                entry.tunnelled < MAX_TUNNELLING_DISTANCE
             )
             tunnelled = entry.tunnelled + 1
             topic = entry.topic  # tunnelled links stay in the source queue
@@ -481,7 +487,7 @@ class ExpandStage:
         else:
             priority = max(classification.confidence, 0.0)
         if tunnelled:
-            priority *= ctx.config.tunnel_priority_decay ** tunnelled
+            priority *= TUNNEL_PRIORITY_DECAY ** tunnelled
         for url in document.out_urls:
             parsed = parse_url(url)
             if parsed is None:

@@ -53,6 +53,13 @@ RETRY_BACKOFF = 30.0
 linearly with the attempt."""
 
 
+#: the report counts a scheduler keeps a lifetime total of
+_LIFETIME_COUNTS = (
+    "scheduled", "fetched", "changed", "unchanged", "discovered", "dead",
+    "errors",
+)
+
+
 @dataclass
 class RecrawlReport:
     """Outcome of one :meth:`RecrawlScheduler.run` call.
@@ -70,6 +77,12 @@ class RecrawlReport:
     dead: int = 0
     errors: int = 0
     simulated_seconds: float = 0.0
+
+    def add(self, other: "RecrawlReport") -> None:
+        """Add ``other``'s counts (not its simulated seconds) to this
+        report's."""
+        for name in _LIFETIME_COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def stats(self) -> dict[str, float]:
         return {
@@ -109,13 +122,8 @@ class RecrawlScheduler:
         self._primed = False
         # lifetime counters (freshness bookkeeping across cycles)
         self.cycles = 0
-        self.total_scheduled = 0
-        self.total_fetched = 0
-        self.total_changed = 0
-        self.total_unchanged = 0
-        self.total_discovered = 0
-        self.total_dead = 0
-        self.total_errors = 0
+        self.lifetime = RecrawlReport()
+        """The counts of every :meth:`run`'s report, added up."""
 
     # -- bootstrap -----------------------------------------------------------
 
@@ -217,7 +225,6 @@ class RecrawlScheduler:
                 )
             )
             queued += 1
-        self.total_scheduled += queued
         return queued
 
     # -- execution -----------------------------------------------------------
@@ -234,7 +241,6 @@ class RecrawlScheduler:
         analysis = self.engine.analyze_page(result.html, result.mime)
         if analysis is None:
             report.errors += 1
-            self.total_errors += 1
             return None
         counts, page = analysis
         return counts, resolve_links(base_url, page.links), page.title
@@ -272,7 +278,6 @@ class RecrawlScheduler:
         self.last_crawled[url] = self.clock.now
         self.pending.record_removed(self.ctx.documents[doc_id])
         report.dead += 1
-        self.total_dead += 1
 
     def _store_new(
         self, entry: QueueEntry, result: FetchResult,
@@ -316,7 +321,6 @@ class RecrawlScheduler:
         self.touched.add(doc_id)
         self.pending.record_added(doc)
         report.discovered += 1
-        self.total_discovered += 1
 
     def _refresh(
         self, entry: QueueEntry, result: FetchResult,
@@ -334,7 +338,6 @@ class RecrawlScheduler:
         self.last_crawled[url] = self.clock.now
         if status == DigestStore.UNCHANGED:
             report.unchanged += 1
-            self.total_unchanged += 1
             return
         analysis = self._analyze(result, url, report)
         if analysis is None:
@@ -353,7 +356,6 @@ class RecrawlScheduler:
         self.touched.add(doc.doc_id)
         self.pending.record_changed(doc, updated)
         report.changed += 1
-        self.total_changed += 1
         self._discover(updated)
 
     def run(
@@ -384,7 +386,6 @@ class RecrawlScheduler:
             result = self.web.server.fetch(entry.url)
             self.clock.advance(result.latency)
             report.fetched += 1
-            self.total_fetched += 1
             if result.status in _TRANSIENT:
                 if entry.attempt < MAX_RETRIES:
                     backoff = RETRY_BACKOFF * (entry.attempt + 1)
@@ -397,7 +398,6 @@ class RecrawlScheduler:
                     )
                 else:
                     report.errors += 1
-                    self.total_errors += 1
                 continue
             if not result.ok or result.html is None:
                 # NOT_FOUND and friends: the page is gone
@@ -405,6 +405,7 @@ class RecrawlScheduler:
                 continue
             self._refresh(entry, result, report)
         report.simulated_seconds = self.clock.now - started
+        self.lifetime.add(report)
         if fetch_limit is None or len(self.frontier) == 0:
             self.cycles += 1
         return report
@@ -424,17 +425,12 @@ class RecrawlScheduler:
 
     def stats(self) -> dict[str, float]:
         """Lifetime freshness counters (:class:`repro.obs.api.Instrumented`)."""
-        merged = {
-            "recrawl_cycles": float(self.cycles),
-            "recrawl_total_scheduled": float(self.total_scheduled),
-            "recrawl_total_fetched": float(self.total_fetched),
-            "recrawl_total_changed": float(self.total_changed),
-            "recrawl_total_unchanged": float(self.total_unchanged),
-            "recrawl_total_discovered": float(self.total_discovered),
-            "recrawl_total_dead": float(self.total_dead),
-            "recrawl_total_errors": float(self.total_errors),
-            "recrawl_retired_documents": float(len(self.retired)),
-        }
+        merged = {"recrawl_cycles": float(self.cycles)}
+        for name in _LIFETIME_COUNTS:
+            merged[f"recrawl_total_{name}"] = float(
+                getattr(self.lifetime, name)
+            )
+        merged["recrawl_retired_documents"] = float(len(self.retired))
         for name, value in self.digests.stats().items():
             merged[name] = value
         return merged
@@ -473,13 +469,10 @@ class RecrawlScheduler:
             },
             "counters": {
                 "cycles": self.cycles,
-                "total_scheduled": self.total_scheduled,
-                "total_fetched": self.total_fetched,
-                "total_changed": self.total_changed,
-                "total_unchanged": self.total_unchanged,
-                "total_discovered": self.total_discovered,
-                "total_dead": self.total_dead,
-                "total_errors": self.total_errors,
+                **{
+                    f"total_{name}": getattr(self.lifetime, name)
+                    for name in _LIFETIME_COUNTS
+                },
             },
         }
 
@@ -524,10 +517,6 @@ class RecrawlScheduler:
         )
         counters = state["counters"]
         self.cycles = counters["cycles"]
-        self.total_scheduled = counters["total_scheduled"]
-        self.total_fetched = counters["total_fetched"]
-        self.total_changed = counters["total_changed"]
-        self.total_unchanged = counters["total_unchanged"]
-        self.total_discovered = counters["total_discovered"]
-        self.total_dead = counters["total_dead"]
-        self.total_errors = counters["total_errors"]
+        self.lifetime = RecrawlReport(
+            **{name: counters[f"total_{name}"] for name in _LIFETIME_COUNTS}
+        )

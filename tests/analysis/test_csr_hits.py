@@ -120,7 +120,7 @@ class TestCsrAdjacency:
         graph = random_graph(nodes=40, out_degree=3, seed=2)
         adjacency = CsrAdjacency.from_graph(graph)
         assert adjacency.matrix.shape == (len(graph), len(graph))
-        assert adjacency.matrix.nnz == graph.edge_count()
+        assert adjacency.matrix.nnz == len(list(graph.edges()))
         for source, target in graph.edges():
             row = adjacency.index[source]
             column = adjacency.index[target]

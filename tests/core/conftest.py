@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core import BingoConfig
 
 
@@ -15,3 +17,16 @@ def fast_engine_config(**overrides) -> BingoConfig:
     )
     defaults.update(overrides)
     return BingoConfig(**defaults)
+
+
+def pending_by_topic(frontier) -> Counter:
+    """Entries each topic still holds, queued or deferred, read from
+    the frontier's :meth:`~repro.core.frontier.CrawlFrontier.snapshot`
+    image (a topic with none reads 0)."""
+    image = frontier.snapshot()
+    pending: Counter = Counter()
+    for topic, queues in image["queues"].items():
+        pending[topic] += len(queues["incoming"]) + len(queues["outgoing"])
+    for _ready_at, _sequence, entry in image["deferred"]:
+        pending[entry["topic"]] += 1
+    return pending

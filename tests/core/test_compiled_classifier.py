@@ -201,26 +201,6 @@ class TestKernelLifecycle:
         classifier.classify(doc)
         assert cache.misses == misses + 1
 
-    def test_zero_cache_size_disables_caching(self) -> None:
-        tree = TopicTree.from_leaves(["db"])
-        config = BingoConfig(
-            selected_features=50, tf_preselection=150, vector_cache_size=0
-        )
-        classifier = HierarchicalClassifier(tree, config)
-        training = {
-            "ROOT/db": topic_docs(_vocab("db"), 10, seed=1),
-            "ROOT/OTHERS": topic_docs(_vocab("bg"), 10, seed=3),
-        }
-        for docs in training.values():
-            for doc in docs:
-                classifier.ingest(doc)
-        classifier.train(training)
-        doc = topic_docs(_vocab("db"), 1, seed=5)[0]
-        classifier.classify(doc)
-        classifier.classify(doc)
-        assert len(classifier._vector_cache) == 0
-        assert classifier._vector_cache.hits == 0
-
 
 @pytest.fixture(scope="module")
 def crawled_engine(small_web):

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import BingoConfig
 from repro.errors import ConfigError
+from repro.robust.breaker import BreakerPolicy
+from repro.robust.retry import RetryPolicy
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"max_parallel_per_host": 0},
-        {"max_parallel_per_domain": 0},
-        {"dns_servers": 0},
         {"retrain_interval": 0},
         {"retrain_interval": -5},
         {"learning_fetch_budget": 0},
@@ -28,15 +29,18 @@ def test_validate_rejects(overrides: dict) -> None:
 
 def test_defaults_and_boundaries_validate() -> None:
     BingoConfig().validate()
+    # a policy default is stated once, on the policy
+    assert BingoConfig().retry_policy() == RetryPolicy()
+    assert BingoConfig().breaker_policy() == BreakerPolicy()
     BingoConfig(
-        max_parallel_per_host=1, max_parallel_per_domain=1, dns_servers=1,
         retrain_interval=1, learning_fetch_budget=1, negative_examples=0,
     ).validate()
 
 
 def test_never_set_fields_stay_gone() -> None:
-    """The 24 fields no file ever set are constants beside their readers
-    now (``deprecated-api`` says where), not constructor keywords."""
+    """The fields no caller in ``src/`` or ``benchmarks/`` varies are
+    constants beside their readers now (``deprecated-api`` says where),
+    not constructor keywords."""
     config = BingoConfig()
     for name in (
         "retry_multiplier", "retry_max_delay", "host_quarantine_multiplier",
@@ -48,9 +52,23 @@ def test_never_set_fields_stay_gone() -> None:
         "enforce_archetype_threshold", "archetype_threshold_warmup",
         "top_authorities", "top_hubs", "min_archetypes_to_harvest",
         "mime_policies", "convert_cost", "analyze_cost", "classify_cost",
-        "processing_cost",
+        "processing_cost", "max_parallel_per_host", "max_parallel_per_domain",
+        "max_tunnelling_distance", "tunnel_priority_decay", "retry_base_delay",
+        "retry_jitter", "retry_budget", "slow_priority_factor",
+        "slow_host_cooldown", "max_host_deferrals", "vector_cache_size",
     ):
         assert not hasattr(config, name), name
         if name != "processing_cost":
             with pytest.raises(TypeError):
                 BingoConfig(**{name: 1})
+
+
+def test_dns_servers_is_a_constant() -> None:
+    """The testbed's 5 DNS servers stay readable on the config (the
+    benchmark reads them) but are no constructor keyword."""
+    assert BingoConfig().dns_servers == BingoConfig.dns_servers == 5
+    assert "dns_servers" not in {
+        field.name for field in dataclasses.fields(BingoConfig)
+    }
+    with pytest.raises(TypeError):
+        BingoConfig(**{"dns_servers": 1})

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import BingoEngine, FocusedCrawler
 from repro.core.records import SOFT, PhaseSettings
+from repro.pipeline import context
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 
@@ -69,10 +70,12 @@ class TestStoredRows:
 
 
 class TestDomainPoliteness:
-    def test_domain_cap_limits_parallelism(self, small_web) -> None:
-        config = fast_engine_config(
-            max_parallel_per_host=50, max_parallel_per_domain=1,
-        )
+    def test_domain_cap_limits_parallelism(
+        self, small_web, monkeypatch
+    ) -> None:
+        monkeypatch.setattr(context, "MAX_PARALLEL_PER_HOST", 50)
+        monkeypatch.setattr(context, "MAX_PARALLEL_PER_DOMAIN", 1)
+        config = fast_engine_config()
         classifier = make_trained_classifier(small_web, config)
         crawler = FocusedCrawler(small_web, classifier, config)
         # seed many URLs of one registrable domain

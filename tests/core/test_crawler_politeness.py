@@ -15,6 +15,7 @@ from collections import Counter
 from repro.core import FocusedCrawler
 from repro.core.records import SOFT, CrawlStats, CrawledDocument, PhaseSettings
 from repro.core.frontier import QueueEntry
+from repro.pipeline import context
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web.urls import parse_url
@@ -42,10 +43,13 @@ def visit(crawler, url: str) -> CrawlStats:
 
 
 class TestPolitenessWait:
-    def test_waits_past_every_busy_host_slot(self, small_web) -> None:
+    def test_waits_past_every_busy_host_slot(
+        self, small_web, monkeypatch
+    ) -> None:
         """With capacity 1 and staggered deadlines, one advance is not
         enough: after the earliest slot expires the host is still full."""
-        crawler = make_crawler(small_web, max_parallel_per_host=1)
+        monkeypatch.setattr(context, "MAX_PARALLEL_PER_HOST", 1)
+        crawler = make_crawler(small_web)
         url = small_web.seed_homepages(1)[0]
         host = parse_url(url).host
         start = crawler.ctx.clock.now
@@ -56,11 +60,12 @@ class TestPolitenessWait:
         assert crawler.ctx.clock.now >= start + 9.0
         assert stats.politeness_defers >= 2
 
-    def test_waits_for_domain_after_host_frees(self, small_web) -> None:
+    def test_waits_for_domain_after_host_frees(
+        self, small_web, monkeypatch
+    ) -> None:
         """Freeing the host slot must not bypass a saturated domain."""
-        crawler = make_crawler(
-            small_web, max_parallel_per_host=2, max_parallel_per_domain=2
-        )
+        monkeypatch.setattr(context, "MAX_PARALLEL_PER_DOMAIN", 2)
+        crawler = make_crawler(small_web)
         url = small_web.seed_homepages(1)[0]
         parsed = parse_url(url)
         start = crawler.ctx.clock.now
@@ -74,10 +79,13 @@ class TestPolitenessWait:
         assert crawler.ctx.clock.now >= start + 4.0
         assert stats.politeness_defers >= 1
 
-    def test_capacity_respected_at_fetch_time(self, small_web) -> None:
+    def test_capacity_respected_at_fetch_time(
+        self, small_web, monkeypatch
+    ) -> None:
         """After the wait loop, both capacity checks must pass (the slot
         taken by this fetch may then fill them again)."""
-        crawler = make_crawler(small_web, max_parallel_per_host=1)
+        monkeypatch.setattr(context, "MAX_PARALLEL_PER_HOST", 1)
+        crawler = make_crawler(small_web)
         url = small_web.seed_homepages(1)[0]
         parsed = parse_url(url)
         start = crawler.ctx.clock.now

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.frontier import CrawlFrontier, QueueEntry
 
+from tests.core.conftest import pending_by_topic
+
 
 def entry(url: str, topic: str = "t", priority: float = 1.0,
           depth: int = 0, tunnelled: int = 0) -> QueueEntry:
@@ -73,8 +75,8 @@ class TestBounds:
         frontier = CrawlFrontier()
         frontier.push(entry("http://a/", topic="t1"))
         frontier.push(entry("http://b/", topic="t2"))
-        assert frontier.pending_for("t1") == 1
-        assert frontier.pending_for("nope") == 0
+        assert pending_by_topic(frontier)["t1"] == 1
+        assert pending_by_topic(frontier)["nope"] == 0
         assert len(frontier) == 2
         assert frontier.topics == ["t1", "t2"]
 
@@ -161,7 +163,7 @@ class TestDeferredEntries:
                        not_before=60.0)
         )
         assert len(frontier) == 2
-        assert frontier.pending_for("t1") == 2
+        assert pending_by_topic(frontier)["t1"] == 2
 
     def test_deferred_released_in_ready_order(self) -> None:
         frontier, clock = self.make()
@@ -241,7 +243,7 @@ class TestSnapshotRestore:
         state = frontier.snapshot()
         restored = CrawlFrontier(now=lambda: clock.now)
         restored.restore(state)
-        assert restored._deferred_counts == frontier._deferred_counts
+        assert pending_by_topic(restored) == pending_by_topic(frontier)
         assert restored.next_ready_at() == frontier.next_ready_at() == 10.0
 
         order_a, order_b = [], []
@@ -310,7 +312,7 @@ class TestStatsProtocol:
 
 
 class TestDeferredCounts:
-    """pending_for's per-topic deferred tally (no heap scan)."""
+    """Per-topic pending counts, deferred entries included."""
 
     def test_counts_track_admission_release_and_restore(self) -> None:
         clock = _Clock(0.0)
@@ -325,19 +327,14 @@ class TestDeferredCounts:
                        not_before=20.0)
         )
         frontier.push(entry("http://now/", topic="t1"))
-        assert frontier.pending_for("t1") == 5
-        assert frontier.pending_for("t2") == 1
-        assert frontier.pending_for("t3") == 0
+        assert pending_by_topic(frontier) == {"t1": 5, "t2": 1}
 
         clock.now = 10.0
         for _ in range(5):  # the four released plus the ready one
             assert frontier.pop() is not None
-        assert frontier.pending_for("t1") == 0
-        assert frontier.pending_for("t2") == 1
-        assert frontier._deferred_counts["t1"] == 0
+        assert +pending_by_topic(frontier) == {"t2": 1}
 
         state = frontier.snapshot()
         restored = CrawlFrontier(now=lambda: clock.now)
         restored.restore(state)
-        assert restored.pending_for("t2") == 1
-        assert restored._deferred_counts == {"t2": 1}
+        assert +pending_by_topic(restored) == {"t2": 1}

@@ -8,12 +8,16 @@ from repro.core import BingoConfig, FocusedCrawler, HierarchicalClassifier
 from repro.core.records import SOFT, PhaseSettings
 from repro.core.frontier import QueueEntry
 from repro.core.ontology import TopicTree
+from repro.pipeline.stages import (
+    MAX_TUNNELLING_DISTANCE,
+    TUNNEL_PRIORITY_DECAY,
+)
 from repro.text.vectorizer import SparseVector
 
 
 def test_tunnelled_priority_decays_exponentially(small_web) -> None:
     """Links out of rejected pages get priority * decay^steps."""
-    config = BingoConfig(tunnel_priority_decay=0.5)
+    config = BingoConfig()
     tree = TopicTree.from_leaves(["t"])
     classifier = HierarchicalClassifier(tree, config)
     crawler = FocusedCrawler(small_web, classifier, config)
@@ -40,12 +44,13 @@ def test_tunnelled_priority_decays_exponentially(small_web) -> None:
     queued = crawler.ctx.frontier.pop()
     assert queued is not None
     # tunnelled step 2: confidence 0.8 * 0.5^2 = 0.2
+    assert TUNNEL_PRIORITY_DECAY == 0.5
     assert queued.tunnelled == 2
     assert queued.priority == pytest.approx(0.8 * 0.25)
 
 
 def test_tunnelling_stops_at_max_distance(small_web) -> None:
-    config = BingoConfig(max_tunnelling_distance=2)
+    config = BingoConfig()
     tree = TopicTree.from_leaves(["t"])
     classifier = HierarchicalClassifier(tree, config)
     crawler = FocusedCrawler(small_web, classifier, config)
@@ -65,7 +70,7 @@ def test_tunnelling_stops_at_max_distance(small_web) -> None:
     # already at the tunnelling limit -> links are dropped
     entry = QueueEntry(
         url="http://h/x", topic="ROOT/t", priority=0.8, depth=1,
-        tunnelled=2,
+        tunnelled=MAX_TUNNELLING_DISTANCE,
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
     crawler.pipeline.expand.enqueue_links(

@@ -6,7 +6,7 @@ def run(config: "BingoConfig") -> int:
 
 
 def batch(ctx) -> float:
-    return ctx.config.pipeline_batch_size * ctx.config.tunnel_priority_decay
+    return ctx.config.pipeline_batch_size * ctx.config.host_quarantine
 
 
 def policy(config: "BingoConfig"):

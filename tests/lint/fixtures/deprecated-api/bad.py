@@ -241,6 +241,8 @@ def the_frontier_split_per_worker(
     ShardedFrontier(router=router)
     WorkerSet(3, breaker_policy=None, prefetch=len)
     frontier.route
+    frontier.shards
+    frontier.pending_for("ROOT/databases")
     sharded.shards
     sharded.router
     router.shard_of_url("http://a.example/")
@@ -252,3 +254,39 @@ def the_frontier_split_per_worker(
 from repro.core.frontier import FrontierShard
 from repro.shard import BreakerBoardSet, WorkerSlice
 from repro.shard.workers import BreakerBoardSet as Boards, WorkerSlice as Slice
+
+
+def knobs_only_tests_turned(scheduler: RecrawlScheduler) -> int:
+    BingoConfig(
+        max_parallel_per_host=1,
+        max_parallel_per_domain=1,
+        max_tunnelling_distance=3,
+        tunnel_priority_decay=0.25,
+        retry_base_delay=1.0,
+        retry_jitter=0.0,
+        retry_budget=5,
+        slow_priority_factor=0.25,
+        slow_host_cooldown=50.0,
+        max_host_deferrals=10,
+        vector_cache_size=0,
+        dns_servers=1,
+    )
+    return scheduler.total_errors + scheduler.total_fetched
+
+
+class VectorCache:
+    maxsize: int = 1024
+
+
+class LinkGraph:
+    def edges(self) -> list:
+        return []
+
+
+def graph_helpers_nobody_called(graph: LinkGraph) -> object:
+    graph.edge_count()
+    return graph.subgraph([1, 2])
+
+
+from repro.analysis import expand_base_set
+from repro.analysis.graph import expand_base_set as base_set

@@ -1,6 +1,7 @@
 """Fixture: the surviving surface, with no removed member in sight."""
 from collections import Counter
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.storage import dump_database, load_database
 
@@ -13,15 +14,17 @@ def round_trip(database: object, directory: str) -> object:
 @dataclass
 class BingoConfig:
     seed: int = 0
-    retry_base_delay: float = 4.0
+    host_quarantine: float = 600.0
+    dns_servers: ClassVar[int] = 5
 
 
 def fresh_knobs() -> BingoConfig:
-    return BingoConfig(seed=7, retry_base_delay=2.0)
+    return BingoConfig(seed=7, host_quarantine=30.0)
 
 
-def first_backoff(config: BingoConfig) -> float:
-    return config.retry_base_delay
+def first_quarantine(config: BingoConfig) -> float:
+    # a class constant stays readable
+    return config.host_quarantine * config.dns_servers
 
 
 class MetricsRegistry:
@@ -133,6 +136,9 @@ class CrawlFrontier:
     def __init__(self, prefetch: object = None) -> None:
         self.prefetch = prefetch
 
+    def snapshot(self) -> dict:
+        return {"queues": {}, "deferred": []}
+
 
 class ShardedFrontier(CrawlFrontier):
     def pop(self) -> None:
@@ -149,6 +155,7 @@ def a_worker_owns_a_pool(layout: Layout, workers: WorkerSet) -> int:
     # .shards / .slices on other receivers are fine names
     frontier = ShardedFrontier(prefetch=len)
     frontier.pop()
+    frontier.snapshot()
     return len(layout.shards) + len(layout.slices) + len(workers.pools) + (
         len(workers.router.shards)
     )

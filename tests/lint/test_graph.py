@@ -136,7 +136,6 @@ class TestCycles:
         )
         assert ("m.odd", "m.even") in edges(index)
         assert ("m.even", "m.odd") in edges(index)
-        assert index.reachable_from(["m.odd"]) == ["m.even", "m.odd"]
 
     def test_cyclic_inheritance_does_not_hang(self, tmp_path: Path) -> None:
         # pathological input: the MRO walk must not loop forever

@@ -152,7 +152,7 @@ class TestUnclaimedPayload:
         report = scheduler.run(None)
         assert (report.fetched, report.errors) == (1, 1)
         assert (report.changed, report.discovered, report.dead) == (0, 0, 0)
-        assert scheduler.total_errors == 1
+        assert scheduler.stats()["recrawl_total_errors"] == 1.0
         assert engine.ctx.documents[doc.doc_id] is doc
         delta = scheduler.collect_delta()
         assert not (delta.added or delta.changed or delta.removed)

@@ -7,6 +7,8 @@ scheduling and the final host state.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import FocusedCrawler
@@ -130,7 +132,8 @@ class TestHttpErrorRetries:
 
     def test_retry_budget_caps_phase_retries(self, small_web) -> None:
         host, undo = failing_host(small_web, "error_rate")
-        crawler, _ = make_crawler(small_web, max_retries=3, retry_budget=1)
+        crawler, _ = make_crawler(small_web, max_retries=3)
+        crawler.ctx.retry_policy = replace(crawler.ctx.retry_policy, budget=1)
         try:
             crawler.seed(
                 host_urls(small_web, host, 4),
@@ -241,13 +244,10 @@ class TestSlowHostRegression:
 
     def test_slow_host_cooldown_spaces_fetches(self, small_web) -> None:
         host, undo = failing_host(small_web, "timeout_rate")
-        crawler, database = make_crawler(
-            small_web,
-            max_retries=3,
-            retry_base_delay=1.0,
-            retry_jitter=0.0,
-            slow_host_cooldown=50.0,
-        )
+        crawler, database = make_crawler(small_web, max_retries=3)
+        ctx = crawler.ctx
+        ctx.retry_policy = replace(ctx.retry_policy, base_delay=1.0, jitter=0.0)
+        ctx.hosts.policy = replace(ctx.hosts.policy, slow_cooldown=50.0)
         try:
             url = host_urls(small_web, host, 1)[0]
             crawler.seed([url], topic="ROOT/databases", priority=10.0)
@@ -263,7 +263,7 @@ class TestSlowHostRegression:
 
     def test_links_into_slow_hosts_are_demoted(self, small_web) -> None:
         crawler, _ = make_crawler(small_web)
-        factor = crawler.ctx.config.slow_priority_factor
+        factor = crawler.ctx.hosts.policy.slow_priority_factor
         breaker = crawler.ctx.hosts.get("slow.example.edu")
         breaker.record_failure(0.0)
         assert crawler.ctx.hosts.priority_factor("slow.example.edu") == factor

@@ -8,6 +8,8 @@ backoff elapsed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import FocusedCrawler
@@ -117,10 +119,7 @@ class TestBurstFailureCrawl:
         )
         config = fast_engine_config(
             max_retries=2,
-            retry_base_delay=2.0,
-            retry_jitter=0.0,
             host_quarantine=30.0,
-            max_host_deferrals=10,
             fault_windows=(
                 FaultWindow(0.0, 40.0, kind="timeout", hosts=(host.name,)),
             ),
@@ -129,6 +128,9 @@ class TestBurstFailureCrawl:
         database = Database(validate=True)
         loader = BulkLoader(database, batch_size=10)
         crawler = FocusedCrawler(small_web, classifier, config, loader=loader)
+        ctx = crawler.ctx
+        ctx.retry_policy = replace(ctx.retry_policy, base_delay=2.0, jitter=0.0)
+        ctx.hosts.policy = replace(ctx.hosts.policy, max_deferrals=10)
         urls = [p.url for p in small_web.pages if p.host == host.name][:5]
         crawler.seed(urls, topic="ROOT/databases", priority=10.0)
         settings = PhaseSettings(name="t", focus=SOFT, fetch_budget=80)
