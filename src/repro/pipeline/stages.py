@@ -19,8 +19,8 @@ micro-batch.  **convert**/**analyze**/**classify** are batch stages --
 classify issues *one* :meth:`~repro.core.classifier.
 HierarchicalClassifier.classify_batch` call per micro-batch, the
 wave-based kernel path from :mod:`repro.perf.compiled`.  **persist**
-and **expand** replay their batch in document order so bulk-loader row
-order, frontier pushes and retrain triggers match the per-document
+and **expand** replay their batch in document order so the bulk loader's
+queue order, frontier pushes and retrain triggers match the per-document
 formulation.
 
 Simulated time: the full per-document cost (DNS + network +
@@ -31,9 +31,7 @@ scheduling.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Protocol, runtime_checkable
 
 from repro.core.frontier import QueueEntry
@@ -373,12 +371,13 @@ class ClassifyStage:
 
 
 class PersistStage:
-    """Document assembly and bulk-loader rows, in document order."""
+    """Document assembly in document order; queues each page on the loader."""
 
     name = "persist"
 
     def run(self, batch: list[CrawlItem], ctx) -> list[CrawlItem]:
         stats = ctx.stats
+        loader = ctx.loader
         for item in batch:
             ctx.classifier.ingest(item.counts)
             entry = item.entry
@@ -407,43 +406,10 @@ class PersistStage:
             if classification.accepted:
                 stats.positively_classified += 1
             item.document = document
-            self._store_rows(ctx, document, item.html_doc)
+            if loader is not None:
+                workspace = ctx.workspace_for(doc_id, document.host)
+                loader.defer(workspace, document, item.html_doc.anchor_terms)
         return batch
-
-    def _store_rows(self, ctx, document, html_doc) -> None:
-        loader = ctx.loader
-        if loader is None:
-            return
-        doc_id = document.doc_id
-        workspace = ctx.workspace_for(doc_id, document.host)
-        # rows are tuples in each relation's column order
-        loader.add(workspace, "documents", (
-            doc_id, document.url, document.host, document.mime,
-            document.size, document.title, document.topic,
-            document.confidence, document.depth, document.fetched_at,
-            document.page_id,
-        ))
-        term_counts = document.counts.get("term", Counter())
-        loader.add_many(workspace, "terms", zip(
-            repeat(doc_id), term_counts, map(int, term_counts.values())
-        ))
-        seen_targets: set[str] = set()
-        link_rows = []
-        for position, dst in enumerate(document.out_urls):
-            # repeated targets get a position-disambiguated URL; the
-            # seen-set keeps this linear on link-dense hub pages
-            link_rows.append((
-                doc_id,
-                f"{dst}#{position}" if dst in seen_targets else dst,
-                None,
-            ))
-            seen_targets.add(dst)
-        loader.add_many(workspace, "links", link_rows)
-        loader.add_many(workspace, "anchor_texts", [
-            (doc_id, href, term, int(tf))
-            for href, terms in html_doc.anchor_terms.items()
-            for term, tf in Counter(terms).items()
-        ])
 
 
 class ExpandStage:

@@ -20,9 +20,9 @@ same training procedure (the repo is seed-deterministic end to end), so
 serializing SVM internals would only duplicate state.  Resume therefore
 requires the caller to rebuild the crawler with an identically trained
 classifier before calling :func:`restore_context`.  If retraining
-happened mid-phase, checkpoint at retraining points (the engine flushes
-its loader there) so the training set is reproducible from the stored
-archetypes.
+happened mid-phase, rebuild it from the ``archetypes`` rows the engine
+upserts at each retraining point.  A save flushes the loader and reads
+every relation, which builds the rows of the pages the loader queued.
 
 On-disk layout (via :func:`repro.storage.persistence.dump_state` and
 :func:`~repro.storage.persistence.dump_database`)::

@@ -11,7 +11,9 @@ lessons which this substrate bakes in:
 2. **bulk loading beats per-row inserts** -- crawler threads collect rows
    in private workspaces and flush them in batches through the
    :class:`~repro.storage.bulkloader.BulkLoader`, which is how the paper's
-   crawler sustained ~10k documents/minute.
+   crawler sustained ~10k documents/minute.  A stored page's rows are
+   built when a page relation is first read (a dump, a checkpoint), and
+   still enter the store only as the loader's batches.
 
 The store only appends and dumps: relations take batches and keyed
 upserts, and :func:`dump_database` is their one reader.

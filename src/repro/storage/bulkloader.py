@@ -5,8 +5,12 @@ commands by first collecting a certain number of documents in workspaces
 and then invoking the database system's bulk loader."  A workspace is
 one crawler thread's buffers, ``relation -> rows``; when a buffer
 reaches ``batch_size`` it is flushed through ``Relation.bulk_insert``.
-``flush_all`` drains everything (called at retraining points and at crawl
-end).
+``flush_all`` drains everything; the crawl calls it at its end, at each
+shard barrier and at each checkpoint save.  A stored page is queued
+(:meth:`BulkLoader.defer`), and so is a ``flush_all`` of its relations
+while pages wait; the first read of one replays the queue through
+``add_many`` and the buffer flushes, into the rows, in order, that
+loading each page when it was stored gives.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections.abc import Iterable
 from itertools import islice
 
 from repro.storage.database import Database
-from repro.storage.schema import Row
+from repro.storage.schema import PAGE_RELATIONS, Row, page_rows
 
 __all__ = ["BulkLoader"]
 
@@ -28,8 +32,10 @@ class BulkLoader:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.database = database
         self.batch_size = batch_size
-        #: thread id -> relation -> buffered rows; only a row makes one
+        #: thread id -> relation -> buffered rows; a row or a page makes one
         self._workspaces: dict[int, dict[str, list[Row]]] = {}
+        #: queued pages (thread id, document, anchor terms) and flushes (None)
+        self._queue: list[tuple[int, object, dict[str, list[str]]] | None] = []
         self.rows_loaded = 0
         self.flushes = 0
 
@@ -62,21 +68,49 @@ class BulkLoader:
             if len(buffer) >= self.batch_size:
                 self._flush_buffer(thread_id, relation)
 
+    def defer(self, thread_id: int, document: object,
+              anchor_terms: dict[str, list[str]]) -> None:
+        """Queue a page; its rows (:func:`page_rows`) load on a read."""
+        # the page's rows would make the workspace now: keep its place
+        self._workspaces.setdefault(thread_id, {})
+        self._queue.append((thread_id, document, anchor_terms))
+        self.database.owed = self._replay
+
+    def _replay(self) -> None:
+        """Load every queued page, honouring the queued flush markers."""
+        queue, self._queue = self._queue, []
+        for entry in queue:
+            if entry is None:
+                for thread_id, workspace in self._workspaces.items():
+                    for relation in PAGE_RELATIONS:
+                        if relation in workspace:
+                            self._flush_buffer(thread_id, relation)
+                continue
+            thread_id, document, anchor_terms = entry
+            for relation, rows in page_rows(document, anchor_terms):
+                self.add_many(thread_id, relation, rows)
+
     def _flush_buffer(self, thread_id: int, relation: str) -> None:
+        table = self.database.table(relation)  # a read: owed rows go first
         workspace = self._workspaces[thread_id]
         rows = workspace[relation]
         if not rows:
             return
         workspace[relation] = []
-        self.rows_loaded += self.database.table(relation).bulk_insert(rows)
+        self.rows_loaded += table.bulk_insert(rows)
         self.flushes += 1
 
     def flush_all(self) -> int:
-        """Drain every workspace; returns the number of rows written."""
+        """Drain every workspace; returns the number of rows written.
+        While pages are queued, their relations' flush is queued too."""
         before = self.rows_loaded
+        queued = PAGE_RELATIONS if self._queue else ()
+        if queued:
+            self._queue.append(None)
         for thread_id, workspace in self._workspaces.items():
             for relation in list(workspace):
-                self._flush_buffer(thread_id, relation)
+                if relation not in queued:
+                    self._flush_buffer(thread_id, relation)
         return self.rows_loaded - before
 
     @property

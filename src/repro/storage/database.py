@@ -8,7 +8,8 @@ enforces uniqueness.  The store is written, not queried: the crawl
 appends rows (``bulk_insert``, ``insert``), the engine replaces an
 archetype row by key (``upsert``), and the one reader is
 :func:`~repro.storage.persistence.dump_database`, which writes
-:meth:`Relation.rows` as they are.
+:meth:`Relation.rows` as they are; a read of a page relation first
+loads the pages the loader has queued (:attr:`Database.owed`).
 
 ``bulk_insert`` is the fast path used by the
 :class:`~repro.storage.bulkloader.BulkLoader`: it validates, key-checks
@@ -19,13 +20,17 @@ inserts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from operator import itemgetter
 from typing import Any
 
 from repro.errors import StorageError
-from repro.storage.schema import BINGO_SCHEMA, RelationSchema, Row
+from repro.storage.schema import (
+    BINGO_SCHEMA,
+    PAGE_RELATIONS,
+    RelationSchema,
+    Row,
+)
 
 __all__ = ["Relation", "Database"]
 
@@ -111,22 +116,33 @@ class Relation:
         return len(self._rows)
 
 
-@dataclass
 class Database:
     """The relations of :data:`BINGO_SCHEMA`, by name."""
 
-    validate: bool = True
-    relations: dict[str, Relation] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.relations = {
-            name: Relation(schema, validate=self.validate)
+    def __init__(self, validate: bool = True) -> None:
+        self.validate = validate
+        self._relations = {
+            name: Relation(schema, validate=validate)
             for name, schema in BINGO_SCHEMA.items()
         }
+        #: loads the pages a loader has queued; set while it owes any
+        self.owed: Callable[[], None] | None = None
+
+    @property
+    def relations(self) -> dict[str, Relation]:
+        """Every relation, once the queued page rows are loaded."""
+        if self.owed is not None:
+            load, self.owed = self.owed, None
+            load()
+        return self._relations
 
     def table(self, name: str) -> Relation:
+        """One relation; a page relation's queued rows load first."""
+        relations = self._relations
+        if self.owed is not None and name in PAGE_RELATIONS:
+            relations = self.relations
         try:
-            return self.relations[name]
+            return relations[name]
         except KeyError:
             raise StorageError(f"unknown relation {name!r}") from None
 

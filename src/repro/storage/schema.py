@@ -13,14 +13,17 @@ producer that builds it to the dump file that holds it;
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Any
 
 from repro.errors import SchemaError
 
-__all__ = ["Column", "RelationSchema", "BINGO_SCHEMA", "Row"]
+__all__ = ["Column", "RelationSchema", "BINGO_SCHEMA", "PAGE_RELATIONS",
+           "Row", "page_rows"]
 
 Row = tuple[Any, ...]
 """One stored row: a value (or None) per declared column, in order."""
@@ -126,7 +129,7 @@ def _rel(
 BINGO_SCHEMA: dict[str, RelationSchema] = {
     schema.name: schema
     for schema in [
-        # -- document corpus (PersistStage) ----------------------------------
+        # -- document corpus (page_rows) -------------------------------------
         _rel("documents", [
             ("doc_id", int), ("url", str), ("host", str),
             ("mime", str), ("size", int), ("title", str, True),
@@ -137,7 +140,7 @@ BINGO_SCHEMA: dict[str, RelationSchema] = {
         _rel("terms", [
             ("doc_id", int), ("term", str), ("tf", int),
         ], ["doc_id", "term"]),
-        # -- link structure (PersistStage) ------------------------------------
+        # -- link structure (page_rows) --------------------------------------
         _rel("links", [
             ("src_doc_id", int), ("dst_url", str), ("dst_doc_id", int, True),
         ], ["src_doc_id", "dst_url"]),
@@ -156,3 +159,40 @@ BINGO_SCHEMA: dict[str, RelationSchema] = {
         ], ["topic", "doc_id", "iteration"]),
     ]
 }
+
+
+PAGE_RELATIONS = ("documents", "terms", "links", "anchor_texts")
+"""The relations :func:`page_rows` writes, in its order."""
+
+
+def page_rows(
+    document: Any, anchor_terms: dict[str, list[str]],
+) -> Iterator[tuple[str, Iterable[Row]]]:
+    """A :class:`~repro.core.records.CrawledDocument`'s rows, as
+    ``(relation, rows)`` per :data:`PAGE_RELATIONS`; ``anchor_terms``
+    maps each link target to its anchor's terms."""
+    doc_id = document.doc_id
+    yield "documents", [(
+        doc_id, document.url, document.host, document.mime,
+        document.size, document.title, document.topic,
+        document.confidence, document.depth, document.fetched_at,
+        document.page_id,
+    )]
+    term_counts = document.counts.get("term", {})
+    yield "terms", zip(
+        repeat(doc_id), term_counts, map(int, term_counts.values())
+    )
+    # a repeated target's URL gets its position, as (src, dst) is the
+    # key; the seen-set keeps this linear on link-dense hub pages
+    seen: set[str] = set()
+    links = []
+    for position, dst in enumerate(document.out_urls):
+        links.append((doc_id, f"{dst}#{position}" if dst in seen else dst,
+                      None))
+        seen.add(dst)
+    yield "links", links
+    yield "anchor_texts", [
+        (doc_id, href, term, int(tf))
+        for href, terms in anchor_terms.items()
+        for term, tf in Counter(terms).items()
+    ]

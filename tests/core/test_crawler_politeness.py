@@ -3,7 +3,7 @@
 Two regressions guarded here: (1) ``_visit`` must *loop* until a host
 slot and a domain slot are simultaneously free -- a single clock advance
 can land on a moment where the host freed up but the domain is still
-saturated (or several slots share one deadline); (2) ``_store_rows``
+saturated (or several slots share one deadline); (2) ``page_rows``
 must disambiguate repeated link targets by position without the
 quadratic ``list.count``-style scan it used per out-link.
 """
@@ -16,8 +16,8 @@ from repro.core import FocusedCrawler
 from repro.core.records import SOFT, CrawlStats, CrawledDocument, PhaseSettings
 from repro.core.frontier import QueueEntry
 from repro.pipeline import context
-from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
+from repro.storage.schema import page_rows
 from repro.web.urls import parse_url
 
 from tests.conftest import named_rows
@@ -25,10 +25,10 @@ from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
 
-def make_crawler(web, loader=None, **config_overrides) -> FocusedCrawler:
+def make_crawler(web, **config_overrides) -> FocusedCrawler:
     config = fast_engine_config(**config_overrides)
     classifier = make_trained_classifier(web, config)
-    return FocusedCrawler(web, classifier, config, loader=loader)
+    return FocusedCrawler(web, classifier, config)
 
 
 def visit(crawler, url: str) -> CrawlStats:
@@ -125,22 +125,14 @@ class TestStoreRowsLinkPositions:
             fetched_at=0.0,
         )
 
-    class _FakeHtmlDoc:
-        anchor_terms: dict = {}
-
-    def _stored_links(self, web, out_urls: list[str]) -> list[str]:
-        database = Database(validate=False)
-        loader = BulkLoader(database, batch_size=10)
-        crawler = make_crawler(web, loader=loader)
-        crawler.pipeline.persist._store_rows(
-            crawler.ctx, self._document(out_urls), self._FakeHtmlDoc()
-        )
-        loader.flush_all()
+    def _stored_links(self, out_urls: list[str]) -> list[str]:
+        database = Database()  # a repeated (src, dst) key would raise
+        for relation, rows in page_rows(self._document(out_urls), {}):
+            database[relation].bulk_insert(rows)
         return [row["dst_url"] for row in named_rows(database["links"])]
 
-    def test_first_occurrence_keeps_plain_url(self, small_web) -> None:
+    def test_first_occurrence_keeps_plain_url(self) -> None:
         links = self._stored_links(
-            small_web,
             ["http://a.example/", "http://b.example/", "http://a.example/"],
         )
         assert links == [
@@ -149,18 +141,18 @@ class TestStoreRowsLinkPositions:
             "http://a.example/#2",
         ]
 
-    def test_every_repeat_gets_unique_position(self, small_web) -> None:
+    def test_every_repeat_gets_unique_position(self) -> None:
         target = "http://hub.example/page.html"
-        links = self._stored_links(small_web, [target] * 5)
+        links = self._stored_links([target] * 5)
         assert links == [target] + [f"{target}#{i}" for i in range(1, 5)]
         assert len(set(links)) == 5
 
-    def test_link_dense_page_stays_linear(self, small_web) -> None:
+    def test_link_dense_page_stays_linear(self) -> None:
         """800 out-links (many repeated) store quickly and uniquely --
         the seen-set replaced a per-link quadratic scan."""
         out_urls = [
             f"http://hub{i % 40}.example/p{i % 80}.html" for i in range(800)
         ]
-        links = self._stored_links(small_web, out_urls)
+        links = self._stored_links(out_urls)
         assert len(links) == 800
         assert len(set(links)) == 800
