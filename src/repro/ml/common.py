@@ -11,28 +11,86 @@ paper section 3.4) and expose the same protocol:
 
 :class:`FeatureIndexer` maps string features to dense column indices,
 frozen after fitting so unseen features in new documents are ignored
-(they carry no information for a trained model).
+(they carry no information for a trained model).  Every sparse product
+in the program is a :class:`CsrRows` sum, scipy's to the last bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import TrainingError
 from repro.text.vectorizer import SparseVector
 
-__all__ = ["FeatureIndexer", "BinaryClassifier", "validate_training_input"]
+__all__ = ["CsrRows", "FeatureIndexer", "BinaryClassifier",
+           "validate_training_input"]
+
+
+@dataclass(frozen=True)
+class CsrRows:
+    """A CSR matrix's arrays; ``row_ids[k]`` is entry ``k``'s row.
+
+    ``np.bincount`` adds its weights in input order from 0.0: in storage
+    order, as scipy's ``csr_matvec`` and ``csc_matvec`` add them.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @cached_property
+    def row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``X @ x``: each row's products in stored order."""
+        return _sums(self.row_ids, self.data * x[self.indices], self.shape[0])
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """``X.T @ v`` as ``X.T.tocsr() @ v`` adds it: that transpose's
+        rows list each column's entries in ascending row order."""
+        return _sums(self.indices, self.data * v[self.row_ids], self.shape[1])
+
+    def row_squares(self) -> np.ndarray:
+        """``X.multiply(X).sum(axis=1)`` over rows of unique columns.
+
+        scipy multiplies in stored order when every row's columns
+        strictly ascend, else each row in reverse (its general path
+        prepends to a linked list), and drops exact-zero products before
+        one ``add.reduceat`` over the non-empty rows sums them pairwise.
+        """
+        rows, order = self.row_ids, np.arange(len(self.data))
+        if not np.all(np.diff(self.indices)[rows[1:] == rows[:-1]] > 0):
+            ends = self.indptr[:-1] + self.indptr[1:] - 1  # first + last
+            order = np.repeat(ends, np.diff(self.indptr)) - order
+        squares = (self.data * self.data)[order]
+        kept = squares != 0.0
+        counts = np.bincount(rows[kept], minlength=self.shape[0])
+        nonempty = np.flatnonzero(counts)
+        totals = np.zeros(self.shape[0])
+        totals[nonempty] = np.add.reduceat(
+            squares[kept], (np.cumsum(counts) - counts)[nonempty]
+        )
+        return totals
+
+
+def _sums(ids: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    # bincount of nothing is int64 zeros, whatever its weights
+    return np.bincount(ids, weights, length).astype(np.float64, copy=False)
 
 
 class FeatureIndexer:
     """Assigns stable dense indices to string feature names."""
 
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self._frozen = False
+    def __init__(self, columns: dict[str, int] | None = None) -> None:
+        """Given ``columns`` (feature -> column), the indexer is frozen."""
+        self._index: dict[str, int] = {} if columns is None else columns
+        self._frozen = columns is not None
 
     def __len__(self) -> int:
         return len(self._index)
@@ -51,21 +109,24 @@ class FeatureIndexer:
         self._index[feature] = position
         return position
 
-    def to_csr(self, vectors: Sequence[SparseVector]) -> sparse.csr_matrix:
-        """Encode vectors as a CSR matrix (allocating columns if unfrozen)."""
+    def to_csr(self, vectors: Sequence[SparseVector | None]) -> CsrRows:
+        """CSR rows of ``vectors`` (None: empty), allocating unless frozen."""
+        column_of = self._index.get if self._frozen else self.index_of
         data: list[float] = []
         indices: list[int] = []
         indptr: list[int] = [0]
         for vector in vectors:
-            for feature, weight in vector:
-                column = self.index_of(feature)
+            for feature, weight in vector or ():
+                column = column_of(feature)
                 if column is not None:
                     data.append(weight)
                     indices.append(column)
             indptr.append(len(data))
-        return sparse.csr_matrix(
-            (data, indices, indptr),
-            shape=(len(vectors), max(len(self._index), 1)),
+        return CsrRows(
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.intp),
+            np.asarray(indptr, dtype=np.intp),
+            (len(vectors), max(len(self._index), 1)),
         )
 
 

@@ -63,14 +63,14 @@ class MaxEntClassifier(BinaryClassifier):
         step = 1.0
         previous_loss = math.inf
         for _iteration in range(MAX_ITERATIONS):
-            margins = y * (X @ w + b)
+            margins = y * (X.matvec(w) + b)
             # numerically stable logistic loss: log(1 + e^-t)
             loss = float(
                 np.sum(np.logaddexp(0.0, -margins))
                 + 0.5 * self.regularization * (w @ w)
             )
             sigma = 1.0 / (1.0 + np.exp(np.clip(margins, -35, 35)))
-            gradient_w = -(X.T @ (y * sigma)) + self.regularization * w
+            gradient_w = -X.rmatvec(y * sigma) + self.regularization * w
             gradient_b = float(-(y * sigma).sum())
             # backtracking on divergence
             if loss > previous_loss:
@@ -81,7 +81,7 @@ class MaxEntClassifier(BinaryClassifier):
                 step *= 1.05
             improvement = previous_loss - loss
             previous_loss = loss
-            w = w - step / n * np.asarray(gradient_w).ravel()
+            w = w - step / n * gradient_w
             b = b - step / n * gradient_b
             if 0 <= improvement < TOL:
                 self.converged_ = True

@@ -24,10 +24,14 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import TrainingError
-from repro.ml.common import BinaryClassifier, FeatureIndexer, validate_training_input
+from repro.ml.common import (
+    BinaryClassifier,
+    CsrRows,
+    FeatureIndexer,
+    validate_training_input,
+)
 from repro.text.vectorizer import SparseVector
 
 __all__ = ["LinearSVM"]
@@ -97,22 +101,22 @@ class LinearSVM(BinaryClassifier):
             row[_BIAS_FEATURE] = 1.0
             documents.append(row)
         seen = dict.fromkeys(f for row in documents for f in row)
-        self.indexer = FeatureIndexer()
-        self.indexer._index = columns = {f: j for j, f in enumerate(seen)}
-        self.indexer.freeze()
+        columns = {f: j for j, f in enumerate(seen)}
+        self.indexer = FeatureIndexer(columns)
         values = np.array([x for row in documents for x in row.values()])
-        indices = [columns[f] for row in documents for f in row]
-        indptr = np.cumsum([0, *map(len, documents)]).tolist()
-        # Q_ii through scipy: over an unsorted row its summation order is
-        # scipy's own, and the last bit of q_ii reaches every alpha
-        X = sparse.csr_matrix((values, indices, indptr))
-        row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel().tolist()
+        gather = np.array(
+            [columns[f] for row in documents for f in row], dtype=np.intp
+        )
+        indptr = np.cumsum([0, *map(len, documents)])
+        # Q_ii in scipy's summation order: its last bit reaches every alpha
+        shape = (len(documents), len(columns))
+        row_sq = CsrRows(values, gather, indptr, shape).row_squares().tolist()
         self.radius_sq_ = max(row_sq)
         # per row, once: its columns, its values, a buffer for the write-back
-        gather = np.array(indices, dtype=np.intp)
+        offsets = indptr.tolist()
         rows = [
             (gather[lo:hi], values[lo:hi], np.empty(hi - lo))
-            for lo, hi in zip(indptr, indptr[1:])
+            for lo, hi in zip(offsets, offsets[1:])
         ]
         assert all(len(set(c.tolist())) == len(c) for c, _, _ in rows)
         alphas = [0.0] * len(y)
@@ -187,16 +191,13 @@ class LinearSVM(BinaryClassifier):
         """Vectorized :meth:`decision` over many documents.
 
         Equivalent to ``[self.decision(v) for v in vectors]`` but gathers
-        every document into one CSR matrix and runs a single matvec.
+        every document into one :class:`~repro.ml.common.CsrRows` and
+        runs a single ``bincount`` matvec.
         """
         if self._weights is None:
             raise TrainingError("classifier is not trained")
-        if not vectors:
-            return np.zeros(0)
         vectors = [v.normalized() for v in vectors]
-        X = self.indexer.to_csr(list(vectors))
-        w = self._weights[: X.shape[1]]
-        totals = np.asarray(X @ w).ravel()
+        totals = self.indexer.to_csr(vectors).matvec(self._weights)
         bias_column = self.indexer._index.get(_BIAS_FEATURE)
         if bias_column is not None:
             totals += self._weights[bias_column]

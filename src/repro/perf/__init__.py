@@ -2,18 +2,20 @@
 
 The paper puts classification (2.4) and link analysis (2.5) *inside*
 the crawl loop, so their per-document cost directly bounds crawl
-throughput.  This package holds the compiled, numpy-backed kernels
-those layers run on; the dict-walking formulations every kernel is
-parity-tested against live with the tests (``tests/core/reference.py``,
-``tests/analysis/reference.py``).
+throughput.  This package holds the compiled kernels those layers run
+on, on numpy alone (sparse sums go through
+:class:`repro.ml.common.CsrRows`); the dict-walking formulations every
+kernel is parity-tested against live with the tests
+(``tests/core/reference.py``, ``tests/analysis/reference.py``).
 
 * :mod:`repro.perf.compiled` -- the hierarchical classifier compiled
-  into per-level CSR-style weight blocks (one sparse gather + matmat
-  per descent wave instead of per-node dict dot products);
+  into per-level CSR-style weight blocks (one sparse gather + one
+  ``CsrRows.matvec`` per stacked row per descent wave instead of
+  per-node dict dot products);
 * :mod:`repro.perf.cache` -- an idf-snapshot-keyed LRU cache so a
   document is tf*idf-vectorized at most once per snapshot;
 * :mod:`repro.perf.csr_hits` -- HITS / Bharat-Henzinger distillation as
-  alternating sparse matvecs over int-indexed CSR adjacency;
+  alternating ``CsrRows`` matvecs over int-indexed CSR adjacency;
 * :mod:`repro.perf.text` -- the single-pass HTML scanner, the
   memoizing :class:`~repro.perf.text.TermInterner`, and
   :func:`~repro.perf.text.vectorize_batch`, the classifier's tf*idf

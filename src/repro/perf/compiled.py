@@ -8,14 +8,16 @@ matrix with one row per child model, and a 0/1 membership matrix
 encoding each model's selected-feature set.  A descent step scores the
 whole cohort of documents sitting at one node: one CSR gather of the
 cohort against the level vocabulary followed by two sparse-dense
-matmats per feature space
+products per feature space, one ``CsrRows.matvec`` (a ``bincount``
+over the cohort's entries) per stacked row
 
     dots   = X @ W.T                      (stacked w . x)
     norms2 = X**2 @ M.T                   (per-model projected norm)
     decision = dots / sqrt(norms2) + bias (norm 0 -> divide by 1)
     distance = decision / ||w||           (||w|| 0 -> 0)
 
-which reproduces ``LinearSVM.decision``/``distance`` on the projected,
+each product added in the order scipy's ``csr_matvecs`` adds it, which
+reproduces ``LinearSVM.decision``/``distance`` on the projected,
 unit-normalised document (up to float associativity; the parity tests
 in ``tests/core/test_compiled_classifier.py`` bound the drift against
 the dict-walking oracle of ``tests/core/reference.py`` at 1e-9).
@@ -38,9 +40,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import TrainingError
+from repro.ml.common import CsrRows, FeatureIndexer
 from repro.ml.svm import LinearSVM
 from repro.text.vectorizer import SparseVector
 
@@ -63,7 +65,8 @@ class _SpaceBlock:
     """Stacked linear members of one (tree level, feature space)."""
 
     space: str
-    vocabulary: dict[str, int]
+    vocabulary: FeatureIndexer
+    """Frozen: the block's feature -> column map."""
     weights: np.ndarray
     """(rows, vocab) stacked SVM weight rows."""
     membership: np.ndarray
@@ -80,33 +83,17 @@ class _SpaceBlock:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(decisions, distances) of shape (docs, rows) for a whole group.
 
-        One CSR gather over the group, then two sparse-dense matmats.
+        One CSR gather over the group, then one matvec per stacked row
+        for the dots and one for the projected norms.
         Documents whose bundle is missing this space score 0.0 (the
         ``NodeClassifier`` contract), not ``bias``.
         """
-        g = len(vectors)
-        vocabulary = self.vocabulary
-        indptr = np.zeros(g + 1, dtype=np.intp)
-        cols: list[int] = []
-        vals: list[float] = []
-        present = np.zeros(g, dtype=bool)
-        for i, vector in enumerate(vectors):
-            if vector is not None:
-                present[i] = True
-                for feature, weight in vector.weights.items():
-                    column = vocabulary.get(feature)
-                    if column is not None:
-                        cols.append(column)
-                        vals.append(weight)
-            indptr[i + 1] = len(cols)
-        data = np.asarray(vals, dtype=np.float64)
-        indices = np.asarray(cols, dtype=np.int32)
-        shape = (g, self.weights.shape[1])
-        dots = sparse.csr_matrix((data, indices, indptr), shape=shape) \
-            @ self.weights.T
+        present = np.array([v is not None for v in vectors], dtype=bool)
+        X = self.vocabulary.to_csr(vectors)
+        X2 = CsrRows(X.data * X.data, X.indices, X.indptr, X.shape)
+        dots = np.column_stack([X.matvec(w) for w in self.weights])
         norms = np.sqrt(
-            sparse.csr_matrix((data * data, indices, indptr), shape=shape)
-            @ self.membership.T
+            np.column_stack([X2.matvec(m) for m in self.membership])
         )
         divisor = np.where(norms > 0.0, norms, 1.0)
         decisions = dots / divisor + self.bias[None, :]
@@ -211,7 +198,7 @@ class CompiledClassifier:
         self.batch_docs = 0
         self.waves = 0
         """Tree-level waves executed by :meth:`classify_many` (one wave =
-        one sparse matmat per feature space over one node's cohort)."""
+        one sparse gather per feature space over one node's cohort)."""
         self.wave_docs = 0
         """Documents summed over all waves (cohort sizes)."""
 
@@ -366,7 +353,7 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
         inv_weight_norm[row] = 1.0 / weight_norm if weight_norm > 0 else 0.0
     return _SpaceBlock(
         space=space,
-        vocabulary=vocabulary,
+        vocabulary=FeatureIndexer(vocabulary),
         weights=stacked,
         membership=membership,
         bias=bias_column,

@@ -4,14 +4,15 @@ A dict formulation (kept as the oracle in ``tests/analysis/
 reference.py``) walks Python dicts once per node per iteration; on the
 10k-node base sets the crawler builds at retraining points that
 dominates the retraining step.  Here the
-:class:`~repro.analysis.graph.LinkGraph` is converted once to an
-int-indexed CSR adjacency matrix and each HITS iteration becomes two
-sparse matvecs with L2 normalisation:
+:class:`~repro.analysis.graph.LinkGraph` is converted once to
+int-indexed :class:`~repro.ml.common.CsrRows` and each HITS iteration
+becomes two ``bincount`` matvecs with L2 normalisation:
 
-    authority = A^T @ hub        hub = A @ authority
+    authority = A^T @ hub  (rmatvec)     hub = A @ authority  (matvec)
 
 (for distillation, A carries the host-based edge weights times the
-source/target relevance).  Scores are returned in the same dict-keyed
+source/target relevance), each adding its products in scipy's order.
+Scores are returned in the same dict-keyed
 :class:`~repro.analysis.hits.HitsResult`, and the iteration count,
 convergence flag and per-iteration normalisation mirror the oracle's
 loop exactly, so scores agree within float-associativity noise (parity
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.analysis.hits import HitsResult
+from repro.ml.common import CsrRows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.graph import LinkGraph
@@ -38,13 +39,14 @@ __all__ = ["CsrAdjacency", "hits_csr", "bharat_henzinger_csr"]
 class CsrAdjacency:
     """Int-indexed CSR view of a :class:`LinkGraph`.
 
-    ``matrix[p, q] == weight`` for every edge p -> q; ``nodes[i]`` maps
-    row/column ``i`` back to the graph's node id.
+    Row ``p`` of ``matrix`` holds ``weight`` at column ``q`` for every
+    edge p -> q; ``nodes[i]`` maps row/column ``i`` back to the graph's
+    node id.
     """
 
     nodes: list
     index: dict
-    matrix: sparse.csr_matrix
+    matrix: CsrRows
 
     @classmethod
     def from_graph(
@@ -65,13 +67,11 @@ class CsrAdjacency:
                 )
             indptr.append(len(indices))
         n = len(nodes)
-        matrix = sparse.csr_matrix(
-            (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices, dtype=np.intp),
-                np.asarray(indptr, dtype=np.intp),
-            ),
-            shape=(n, n),
+        matrix = CsrRows(
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.intp),
+            np.asarray(indptr, dtype=np.intp),
+            (n, n),
         )
         return cls(nodes=nodes, index=index, matrix=matrix)
 
@@ -84,24 +84,24 @@ def _normalized(scores: np.ndarray) -> np.ndarray:
 
 
 def _iterate(
-    forward: sparse.csr_matrix,
-    backward: sparse.csr_matrix,
+    forward: CsrRows,
+    backward: CsrRows,
     n: int,
     max_iterations: int,
     tolerance: float,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """The alternating matvec loop shared by plain and weighted HITS.
 
-    ``backward`` maps hubs to authorities (A^T, possibly weighted),
-    ``forward`` maps authorities to hubs (A).
+    ``backward.rmatvec`` maps hubs to authorities (A^T, possibly
+    weighted), ``forward.matvec`` maps authorities to hubs (A).
     """
     authority = _normalized(np.ones(n))
     hub = _normalized(np.ones(n))
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
-        new_authority = _normalized(backward @ hub)
-        new_hub = _normalized(forward @ new_authority)
+        new_authority = _normalized(backward.rmatvec(hub))
+        new_hub = _normalized(forward.matvec(new_authority))
         delta = max(
             float(np.max(np.abs(new_authority - authority))),
             float(np.max(np.abs(new_hub - hub))),
@@ -135,10 +135,8 @@ def hits_csr(
     n = len(adjacency.nodes)
     if n == 0:
         return HitsResult(converged=True)
-    forward = adjacency.matrix
-    backward = forward.T.tocsr()
     authority, hub, iterations, converged = _iterate(
-        forward, backward, n, max_iterations, tolerance
+        adjacency.matrix, adjacency.matrix, n, max_iterations, tolerance
     )
     return _result(adjacency.nodes, authority, hub, iterations, converged)
 
@@ -171,9 +169,8 @@ def bharat_henzinger_csr(
         graph,
         weight_of=lambda p, q: hub_weight[(p, q)] * relevance[q],
     )
-    backward = authority_adjacency.matrix.T.tocsr()
-    forward = hub_adjacency.matrix
     authority, hub, iterations, converged = _iterate(
-        forward, backward, n, max_iterations, tolerance
+        hub_adjacency.matrix, authority_adjacency.matrix, n,
+        max_iterations, tolerance,
     )
     return _result(nodes, authority, hub, iterations, converged)

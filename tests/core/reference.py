@@ -13,12 +13,20 @@ the vector cache.  No production module calls it;
 (identical topics and paths, confidences within 1e-9).  Do not optimise
 this module: its value is that it states the rules one document and one
 member at a time.
+
+``evaluate_many_reference`` is the kernel's own block product as it
+was written against scipy (two ``csr_matrix`` x dense products);
+``tests/core/test_compiled_classifier.py`` holds ``_SpaceBlock.
+evaluate_many`` to it bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+
+import numpy as np
+from scipy import sparse
 
 from repro.core.classifier import (
     ACCEPTANCE_THRESHOLD,
@@ -31,7 +39,12 @@ from repro.core.classifier import (
 from repro.errors import TrainingError
 from repro.text.vectorizer import SparseVector
 
-__all__ = ["classify_reference", "decide_reference", "vectorize_reference"]
+__all__ = [
+    "classify_reference",
+    "decide_reference",
+    "evaluate_many_reference",
+    "vectorize_reference",
+]
 
 
 def vectorize_reference(
@@ -131,3 +144,37 @@ def classify_reference(
     return ClassificationResult(
         topic=current, confidence=confidence, path=tuple(path)
     )
+
+
+def evaluate_many_reference(
+    block, vectors: Sequence[SparseVector | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_SpaceBlock.evaluate_many`` through scipy's ``csr_matrix``."""
+    g = len(vectors)
+    cols: list[int] = []
+    vals: list[float] = []
+    indptr = [0]
+    present = np.zeros(g, dtype=bool)
+    for i, vector in enumerate(vectors):
+        if vector is not None:
+            present[i] = True
+            for feature, weight in vector.weights.items():
+                column = block.vocabulary.index_of(feature)
+                if column is not None:
+                    cols.append(column)
+                    vals.append(weight)
+        indptr.append(len(cols))
+    data = np.asarray(vals, dtype=np.float64)
+    shape = (g, block.weights.shape[1])
+    dots = sparse.csr_matrix((data, cols, indptr), shape=shape) \
+        @ block.weights.T
+    norms = np.sqrt(
+        sparse.csr_matrix((data * data, cols, indptr), shape=shape)
+        @ block.membership.T
+    )
+    divisor = np.where(norms > 0.0, norms, 1.0)
+    decisions = dots / divisor + block.bias[None, :]
+    distances = decisions * block.inv_weight_norm[None, :]
+    decisions[~present] = 0.0
+    distances[~present] = 0.0
+    return decisions, distances

@@ -14,6 +14,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BingoEngine
 from repro.core.classifier import (
@@ -24,13 +26,16 @@ from repro.core.classifier import (
 from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
 from repro.errors import TrainingError
+from repro.ml.common import FeatureIndexer
 from repro.perf.cache import VectorCache
-from repro.perf.compiled import CompiledClassifier
+from repro.perf.compiled import CompiledClassifier, _SpaceBlock
+from repro.text.vectorizer import SparseVector
 
 from tests.core.conftest import fast_engine_config
 from tests.core.reference import (
     classify_reference,
     decide_reference,
+    evaluate_many_reference,
     vectorize_reference,
 )
 
@@ -130,6 +135,52 @@ class TestKernelParity:
                     model, vectorize_reference(classifier, doc), mode
                 )
                 assert confidence == pytest.approx(reference, abs=1e-9)
+
+
+@st.composite
+def blocks_and_cohorts(draw):
+    """A stacked block of random rows and a cohort scored against it:
+    missing bundles, unknown features and exact-zero weights included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+
+    def spread(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+    block = _SpaceBlock(
+        space="term",
+        vocabulary=FeatureIndexer({f"t{j}": j for j in range(width)}),
+        weights=spread(rows, width),
+        membership=(rng.random((rows, width)) < 0.6).astype(float),
+        bias=spread(rows),
+        inv_weight_norm=rng.random(rows),
+        child_rows=np.arange(rows),
+        member_rows=np.zeros(rows, dtype=np.intp),
+    )
+    cohort: list[SparseVector | None] = []
+    for _ in range(draw(st.integers(1, 8))):
+        if rng.random() < 0.15:
+            cohort.append(None)
+            continue
+        features = rng.permutation(width + 4)[: rng.integers(0, width + 4)]
+        weights = spread(len(features))
+        weights[rng.random(len(features)) < 0.1] = 0.0
+        cohort.append(SparseVector({
+            f"t{j}": float(w) for j, w in zip(features.tolist(), weights)
+        }))
+    return block, cohort
+
+
+@given(case=blocks_and_cohorts())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_many_is_its_scipy_formulation(case) -> None:
+    block, cohort = case
+    decisions, distances = block.evaluate_many(cohort)
+    expected_decisions, expected_distances = evaluate_many_reference(
+        block, cohort
+    )
+    assert np.array_equal(decisions, expected_decisions)
+    assert np.array_equal(distances, expected_distances)
 
 
 class TestKernelLifecycle:

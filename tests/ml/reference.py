@@ -2,7 +2,9 @@
 
 This is ``LinearSVM.fit`` as it stood before the per-visit overhead was
 hoisted out of it: ``normalized()`` copies, a ``SparseVector`` per
-augmented document, ``FeatureIndexer.to_csr``, and per visit two slices,
+augmented document, ``FeatureIndexer.to_csr`` read into a scipy
+``csr_matrix`` (scipy's Q_ii, the sum production reproduces with
+``CsrRows.row_squares``), and per visit two slices,
 a fancy-index gather ``w[cols] @ vals`` and a read-modify-write
 ``w[cols] += delta * y[i] * vals`` on numpy scalars.  It states the
 algorithm one expression per step; production does the same
@@ -19,6 +21,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.ml.common import FeatureIndexer, validate_training_input
 from repro.text.vectorizer import SparseVector
@@ -54,7 +57,8 @@ def fit_reference(
         SparseVector({**dict(v), _BIAS_FEATURE: 1.0}) for v in vectors
     ]
     indexer = FeatureIndexer()
-    X = indexer.to_csr(augmented)
+    rows = indexer.to_csr(augmented)
+    X = sparse.csr_matrix((rows.data, rows.indices, rows.indptr), rows.shape)
     n, m = X.shape
 
     data, indices, indptr = X.data, X.indices, X.indptr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pathlib
 import re
@@ -77,6 +78,51 @@ class TestImportOrder:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+#: a crawl with retraining points (SVM fits, the compiled classifier,
+#: Bharat-Henzinger), an authority-weighted search (HITS) and a
+#: checkpoint save, in a process where importing scipy raises
+_NUMPY_ALONE = """
+import json, sys, tempfile
+sys.modules["scipy"] = None
+import repro.cli
+from repro.core import BingoEngine
+from repro.robust.checkpoint import save_checkpoint
+from repro.search.engine import LocalSearchEngine, RankingWeights
+from repro.web import SyntheticWeb
+from tests.conftest import small_web_config
+from tests.core.conftest import fast_engine_config
+
+engine = BingoEngine.for_portal(
+    SyntheticWeb.generate(small_web_config()), config=fast_engine_config()
+)
+engine.run(harvesting_fetch_budget=80)
+hits = LocalSearchEngine(engine.ctx.documents).search(
+    "database research", weights=RankingWeights(1.0, 0.5, 0.5)
+)
+save_checkpoint(engine.ctx, engine.ctx.stats, tempfile.mkdtemp())
+loaded = [n for n, m in sys.modules.items() if n.startswith("scipy") and m]
+print(json.dumps([len(engine.ctx.documents), len(hits), loaded]))
+"""
+
+
+class TestRunsOnNumpyAlone:
+    def test_crawl_search_and_checkpoint_import_no_scipy(
+        self, tmp_path
+    ) -> None:
+        root = pathlib.Path(repro.__file__).resolve().parent.parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ALONE],
+            env={**os.environ, "PYTHONPATH": f"{root / 'src'}:{root}"},
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        documents, hits, loaded = json.loads(proc.stdout)
+        assert documents > 0 and hits > 0
+        assert loaded == []
 
 
 class TestNoWallClock:
