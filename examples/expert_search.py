@@ -8,8 +8,7 @@ drowns in open-source portal noise.  The workflow mirrors the paper:
 2. simulated human inspection picks up to 7 reasonable seeds (Figure 4);
 3. a short focused crawl from those seeds;
 4. local keyword postprocessing whose top 10 surfaces the needle
-   project pages (Figure 5);
-5. one round of relevance feedback to sharpen the result further.
+   project pages (Figure 5).
 
 Run with::
 

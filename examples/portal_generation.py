@@ -3,8 +3,8 @@
 Runs the full portal experiment -- a single-topic "database research"
 crawl seeded with two homepages, paused and resumed like the paper's
 90-minute/12-hour checkpoints -- then post-processes the result like a
-portal administrator would: registry scoring, a keyword query through
-the local search engine, and cluster-based subclass suggestions.
+portal administrator would: registry scoring and a keyword query
+through the local search engine.
 
 Run with::
 
@@ -14,7 +14,6 @@ Run with::
 from __future__ import annotations
 
 from repro.experiments.portal import run_portal_experiment
-from repro.search.clustering import suggest_subclasses
 from repro.search.engine import LocalSearchEngine, RankingWeights
 
 
@@ -37,7 +36,6 @@ def main() -> None:
     web = SyntheticWeb.generate(bench_web_config(seed=17))
     engine = BingoEngine.for_portal(web, config=bench_engine_config(seed=17))
     engine.run(harvesting_fetch_budget=800)
-    documents = engine.ranked_results("ROOT/databases")
 
     print("\n--- local search engine: query 'concurrency recovery' ---")
     search = LocalSearchEngine(engine.ctx.documents)
@@ -51,14 +49,6 @@ def main() -> None:
         print(
             f"  {hit.score:5.3f} (cos {hit.cosine:4.2f} / conf "
             f"{hit.confidence:4.2f} / auth {hit.authority:4.2f})  {hit.url}"
-        )
-
-    print("\n--- subclass suggestions for the 'databases' class ---")
-    suggestions = suggest_subclasses(documents[:80], k_range=(2, 3, 4))
-    for suggestion in suggestions:
-        print(
-            f"  proposed subclass '{suggestion.label}' "
-            f"({len(suggestion.documents)} documents)"
         )
 
 

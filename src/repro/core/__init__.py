@@ -40,7 +40,6 @@ from repro.core.records import (
 #: import would meet a half-initialised ``repro.pipeline.context``.
 __getattr__ = lazy_exports(__name__, {
     "FocusedCrawler": "repro.core.crawler",
-    "ArchetypeReview": "repro.core.engine",
     "BingoEngine": "repro.core.engine",
     "CrawlReport": "repro.core.engine",
     "PhaseReport": "repro.core.engine",
@@ -48,7 +47,6 @@ __getattr__ = lazy_exports(__name__, {
 
 __all__ = [
     "ArchetypeDecision",
-    "ArchetypeReview",
     "BingoConfig",
     "BingoEngine",
     "ClassificationResult",

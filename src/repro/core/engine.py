@@ -36,7 +36,7 @@ from repro.text.features import TERM_SPACES, FeatureSpace, analyze_page
 from repro.text.scanner import ScannedPage
 from repro.web.urls import normalize_url, parse_url
 
-__all__ = ["ArchetypeReview", "PhaseReport", "CrawlReport", "BingoEngine"]
+__all__ = ["PhaseReport", "CrawlReport", "BingoEngine"]
 
 # The paper's phase strategy (sections 3.2, 3.3, 3.5 and 5.1), stated once.
 LEARNING_MAX_DEPTH = 4
@@ -52,7 +52,6 @@ ARCHETYPE_THRESHOLD_WARMUP = 12
 applies.  The paper itself skipped thresholding when starting "with
 extremely small training data" (section 5.2) and admitted all positively
 classified documents until the basis had grown."""
-MIN_ARCHETYPES_TO_HARVEST = 5
 
 
 @dataclass
@@ -100,26 +99,10 @@ class _TrainingRecord:
     counts: dict[str, Counter]
     confidence: float = 0.0
     protected: bool = False
+    """Seeds and negatives, and a seed the crawl stores again: archetype
+    selection never drops them."""
     doc_id: int | None = None
     """Crawler doc_id for promoted archetypes; None for seeds/negatives."""
-
-
-@dataclass
-class ArchetypeReview:
-    """A user's verdict on one topic's promoted archetypes (paper 2.6).
-
-    "The user can intellectually identify archetypes among the documents
-    found so far and may even trim individual HTML pages to remove
-    irrelevant and potentially diluting parts."
-    """
-
-    confirmed: set[int] = field(default_factory=set)
-    """doc_ids the user vouches for -- they become protected."""
-    rejected: set[int] = field(default_factory=set)
-    """doc_ids dropped from the training set."""
-    trimmed: dict[int, dict[str, Counter]] = field(default_factory=dict)
-    """doc_id -> replacement feature counts after the user cut away the
-    off-topic parts of the page."""
 
 
 class BingoEngine:
@@ -557,74 +540,10 @@ class BingoEngine:
                         )
                     )
 
-    @property
-    def needs_feedback(self) -> bool:
-        """True when the learning phase found too few archetypes and a
-        user feedback step is advisable before the expensive harvest
-        (paper 2.6)."""
-        return self.archetypes_added < MIN_ARCHETYPES_TO_HARVEST
-
-    def apply_archetype_review(
-        self, reviewer: "callable", retrain: bool = True
-    ) -> int:
-        """The user-feedback step between learning and harvesting.
-
-        ``reviewer(topic, documents)`` receives each leaf topic's
-        promoted archetypes (as :class:`CrawledDocument` objects) and
-        returns an :class:`ArchetypeReview`.  Confirmed archetypes become
-        protected training data, rejected ones are dropped, trimmed ones
-        get their replacement feature counts.  Returns the number of
-        training records changed.
-        """
-        changed = 0
-        for topic in self.tree.real_topics():
-            if self.tree.children_of(topic):
-                continue
-            records = self.training.get(topic, {})
-            promoted = [
-                self.ctx.documents[record.doc_id]
-                for record in records.values()
-                if record.doc_id is not None
-            ]
-            if not promoted:
-                continue
-            review = reviewer(topic, promoted)
-            if review is None:
-                continue
-            for key in list(records):
-                record = records[key]
-                if record.doc_id is None:
-                    continue
-                if record.doc_id in review.rejected:
-                    del records[key]
-                    changed += 1
-                    continue
-                if record.doc_id in review.trimmed:
-                    record.counts = review.trimmed[record.doc_id]
-                    changed += 1
-                if record.doc_id in review.confirmed:
-                    if not record.protected:
-                        changed += 1
-                    record.protected = True
-        if changed and retrain:
-            self._train()
-        return changed
-
-    def run(
-        self,
-        harvesting_fetch_budget: int | None = None,
-        archetype_reviewer: "callable | None" = None,
-    ) -> CrawlReport:
-        """Full pipeline: bootstrap -> learning -> [user feedback] ->
-        harvesting.
-
-        ``archetype_reviewer`` implements the optional feedback step of
-        paper section 2.6, invoked between the phases.
-        """
+    def run(self, harvesting_fetch_budget: int | None = None) -> CrawlReport:
+        """Full pipeline: bootstrap -> learning -> harvesting."""
         report = CrawlReport()
         report.phases.append(self.run_learning_phase())
-        if archetype_reviewer is not None:
-            self.apply_archetype_review(archetype_reviewer)
         report.phases.append(
             self.run_harvesting_phase(fetch_budget=harvesting_fetch_budget)
         )

@@ -174,7 +174,6 @@ _NO_TRACER = (
     "a stage run is recorded once, as the StageEvent "
     "CrawlPipeline.add_hook delivers; a decision is its CrawledDocument"
 )
-_CELL = "read the runner's ExperimentTable: table.cell(row, header)"
 _NO_QUERY = (
     "the store is written, not queried: Relation.rows() hands out the "
     "stored tuples, which dump_database writes"
@@ -212,39 +211,31 @@ _BASE_SET = (
     "BingoEngine._link_graph_for builds a topic's base set: its pages, "
     "their crawled successors and every crawled predecessor"
 )
+_UNREAD = "no reader reaches it (benchmarks/results/readers.txt)"
+_NO_XML = (
+    f"the XML export and ranked XML query (paper section 6) went: "
+    f"{_UNREAD}"
+)
+_NO_CLUSTERING = (
+    "K-means subclass suggestion (paper 3.6) went: only an example "
+    "reached it (benchmarks/results/readers.txt)"
+)
+_NO_FEEDBACK = f"relevance feedback (paper 3.6) went: {_UNREAD}"
+_NO_REVIEW = (
+    f"the archetype review between the phases (paper 2.6) went: "
+    f"{_UNREAD}; run() is learning, then harvesting"
+)
 _RETRY_POLICY = "vary it by replacing ctx.retry_policy"
 _BREAKER_POLICY = "vary it by replacing ctx.hosts.policy"
 _LIFETIME = (
     "the lifetime RecrawlReport: scheduler.lifetime, or "
     "scheduler.stats()['recrawl_total_...']"
 )
-_RESULT_CLASSES = {
-    "ablations": (
-        "FocusAblationResult", "ArchetypeAblationResult",
-        "NegativesAblationResult", "FeatureSpaceAblationResult",
-        "ClassifierAblationResult",
-    ),
-    "meta_bench": ("MetaBenchResult",),
-    "featsel": ("FeatureSelectionResult", "BudgetSelectionResult"),
-    "portal": ("PortalCheckpoint",),
-}
-
 #: class (or function) name -> removed member or keyword -> replacement
 #: guidance.  Uses are only flagged when the receiver provably types as
 #: that class -- "value" is far too common a name to flag on sight.
 _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
-    "MetricsRegistry": {
-        # ctx.obs was the registry + tracer bundle; it is the registry
-        "registry": "ctx.obs is the registry: ctx.obs.snapshot()",
-        "tracer": _NO_TRACER,
-    },
-    "LivingPortal": {
-        "indexed": (
-            "the portal serves LocalSearchEngine(documents); pass "
-            "search= for any other engine"
-        ),
-        "workers": _ONE_FRONTIER,
-    },
+    "LivingPortal": {"workers": _ONE_FRONTIER},
     # knobs only tests and examples turned: constants beside the reader
     "BingoConfig": {
         "trace_ring_size": _NO_TRACER,
@@ -350,75 +341,13 @@ _REMOVED_MEMBERS: dict[str, dict[str, str]] = {
     "ShardRouter": {
         "shard_of_url": "router.shard_of(parse_url(url).host)",
     },
-    # keywords no caller passed: module constants now
-    "KMeans": {
-        "max_iterations": "repro.ml.kmeans.MAX_ITERATIONS",
-        "max_features": "repro.ml.kmeans.MAX_FEATURES",
+    # mechanisms no reader reaches (benchmarks/results/readers.txt)
+    "BingoEngine": {
+        "apply_archetype_review": _NO_REVIEW,
+        "needs_feedback": _NO_REVIEW,
     },
-    "choose_cluster_count": {
-        "max_features": "repro.ml.kmeans.MAX_FEATURES",
-    },
-    "MaxEntClassifier": {
-        "max_iterations": "repro.ml.maxent.MAX_ITERATIONS",
-        "tol": "repro.ml.maxent.TOL",
-    },
-    "TopicUniverse": {"zipf_exponent": "repro.web.vocab.ZIPF_EXPONENT"},
-    "run_meta_experiment": {
-        "train_per_class": "repro.experiments.meta_bench.TRAIN_PER_CLASS",
-        "svm_cost": "repro.experiments.meta_bench.SVM_COST",
-    },
-    "run_portal_experiment": {
-        "top_k": "repro.experiments.portal.TOP_K",
-        "cutoffs": "repro.experiments.portal.CUTOFFS",
-    },
-    "run_expert_experiment": {
-        "learning_fetch_budget": (
-            "repro.experiments.expert.LEARNING_FETCH_BUDGET"
-        ),
-    },
-    "run_focus_ablation": {"seed": "repro.experiments.ablations.FOCUS_SEED"},
-    "run_negatives_ablation": {
-        "seed": "repro.experiments.ablations.NEGATIVES_SEED",
-    },
-    "run_feature_space_ablation": {
-        "seed": "repro.experiments.ablations.FEATURE_SPACE_SEED",
-    },
-    "run_classifier_ablation": {
-        "seed": "repro.experiments.ablations.CLASSIFIER_SEED",
-        "budget": "repro.experiments.ablations.CLASSIFIER_BUDGET",
-    },
-    "run_feature_selection_experiment": {
-        "seed": "repro.experiments.featsel.FEATURE_SELECTION_SEED",
-    },
-    "run_budget_selection_experiment": {
-        "seed": "repro.experiments.featsel.BUDGET_SELECTION_SEED",
-        "budgets": "repro.experiments.featsel.BUDGET_SELECTION_BUDGETS",
-        "train_per_class": "repro.experiments.featsel.TRAIN_PER_CLASS",
-        "test_per_class": "repro.experiments.featsel.TEST_PER_CLASS",
-    },
-    # a runner returns its tables; a row lives once, in the table
-    "ExperimentTable": {
-        "table": "the runner returns the ExperimentTable itself",
-        "variant": _CELL,
-        "row_of": _CELL,
-        "precision_of": _CELL,
-        "purity_of": _CELL,
-        "accuracy_of": _CELL,
-        "mean_single_precision": (
-            "average the Precision column's non-meta rows"
-        ),
-    },
-    "PortalExperimentResult": {
-        "short": "result.table1 / table2 hold the short checkpoint",
-        "long": "result.table1 / table3 hold the long checkpoint",
-        "top_k": "repro.experiments.portal.TOP_K",
-        "cutoffs": "repro.experiments.portal.CUTOFFS",
-        "web_size": "SyntheticWeb.generate(bench_web_config(seed)).size",
-    },
-    "ExpertExperimentResult": {
-        "top10": "result.figure5.column('Score') / column('URL')",
-        "needles_in_top10": "result.figure5.column('Needle?').count('yes')",
-    },
+    "BingoEngine.run": {"archetype_reviewer": _NO_REVIEW},
+    "PortalExporter": {"cluster_subsections": _NO_CLUSTERING},
 }
 _REMOVED_NAMES = frozenset(
     name for members in _REMOVED_MEMBERS.values() for name in members
@@ -437,14 +366,6 @@ _REMOVED_KEYWORDS: dict[str, dict[str, str]] = {
 #: removed module or module-level name -> replacement guidance, flagged
 #: where an ``import`` or ``from module import name`` asks for it
 _REMOVED_IMPORTS: dict[str, str] = {
-    "repro.obs.tracing": _NO_TRACER,
-    "repro.obs.Tracer": _NO_TRACER,
-    "repro.obs.Span": _NO_TRACER,
-    "repro.obs.Obs": "CrawlContext.obs is the MetricsRegistry itself",
-    "repro.obs.ProgressReporter": (
-        "register a hook of your own with CrawlPipeline.add_hook"
-    ),
-    "repro.obs.from_json": "json.loads(to_json(registry))",
     "repro.portal.digests.DIGEST_SCHEMA": _DIGEST_DICT,
     "repro.storage.Workspace": _NO_WORKSPACE_CLASS,
     "repro.storage.bulkloader.Workspace": _NO_WORKSPACE_CLASS,
@@ -459,14 +380,33 @@ _REMOVED_IMPORTS: dict[str, str] = {
     "repro.robust.checkpoint.Source": _CHECKPOINT_DIRECTORY,
     "repro.analysis.expand_base_set": _BASE_SET,
     "repro.analysis.graph.expand_base_set": _BASE_SET,
-    **{
-        f"repro.experiments.{module}.{name}": (
-            "the runner returns ExperimentTable(s); read rows with "
-            "table.cell(row, header)"
-        )
-        for module, names in _RESULT_CLASSES.items()
-        for name in names
-    },
+    **dict.fromkeys(
+        ("repro.semantic", "repro.semantic.xml_export",
+         "repro.semantic.xml_query"),
+        _NO_XML,
+    ),
+    **dict.fromkeys(
+        ("repro.search.clustering", "repro.search.SubclassSuggestion",
+         "repro.search.suggest_subclasses", "repro.ml.kmeans",
+         "repro.ml.KMeans", "repro.ml.ClusterModel",
+         "repro.ml.choose_cluster_count"),
+        _NO_CLUSTERING,
+    ),
+    **dict.fromkeys(
+        ("repro.search.feedback", "repro.search.FeedbackSession"),
+        _NO_FEEDBACK,
+    ),
+    **dict.fromkeys(
+        ("repro.core.ArchetypeReview", "repro.core.engine.ArchetypeReview",
+         "repro.core.engine.MIN_ARCHETYPES_TO_HARVEST"),
+        _NO_REVIEW,
+    ),
+    **dict.fromkeys(
+        ("repro.text.scanner.tokenize_text", "repro.perf.tokenize_text",
+         "repro.perf.text.tokenize_text"),
+        "text_stems(text) gives the stems in order; a stem's position is "
+        "its index",
+    ),
 }
 
 
@@ -477,12 +417,11 @@ class DeprecatedApi(Rule):
     id = "deprecated-api"
     scope = "project"
     description = (
-        "members deleted since the last re-anchor (keywords that became "
-        "constants, the span tracer and Obs bundle, the experiment result "
-        "classes and their row lookups, the store's readers and indexes, "
-        "the lint baseline, the per-worker frontier stores and breaker "
-        "boards, the state-dict checkpoint restore) must not be "
-        "reintroduced"
+        "members deleted since the last re-anchor (knobs that became "
+        "constants, the store's readers and indexes, the lint baseline, "
+        "the per-worker frontier stores and breaker boards, the "
+        "state-dict checkpoint restore, the mechanisms no reader "
+        "reaches) must not be reintroduced"
     )
     rationale = (
         "A simplicity PR deletes a second path; a branch written "
@@ -588,8 +527,9 @@ class DeprecatedApi(Rule):
     def _check_keywords(
         self, index: ProjectIndex, function: FunctionSymbol, call: ast.Call
     ) -> Iterator[Finding]:
-        """``Class(removed=...)`` or ``function(removed=...)``: a removed
-        constructor or function keyword."""
+        """``Class(removed=...)``, ``function(removed=...)`` or
+        ``instance.method(removed=...)``: a removed constructor, function
+        or method keyword (a method's row is ``Class.method``)."""
         dotted = dotted_name(call.func)
         if dotted is None:
             return
@@ -599,9 +539,19 @@ class DeprecatedApi(Rule):
             callee = index.functions.get(owner.methods.get("__init__", ""))
         else:
             callee = index.resolve_function(function.module, dotted)
+            name = callee.name if callee is not None else ""
+            if callee is None and isinstance(call.func, ast.Attribute):
+                receiver = index.expr_type(
+                    function.module, call.func.value, function.local_types
+                )
+                if receiver is not None and not receiver.container:
+                    # the row names the class that defines the method
+                    callee = index.method_on(receiver.qualname, call.func.attr)
+                if callee is not None:
+                    defining = index.classes[callee.class_name].name
+                    name = f"{defining}.{callee.name}"
             if callee is None:
                 return
-            name = callee.name
         removed = {
             **_REMOVED_MEMBERS.get(name, {}),
             **_REMOVED_KEYWORDS.get(name, {}),

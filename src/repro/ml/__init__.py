@@ -4,9 +4,8 @@ Implements from scratch everything BINGO! borrows from the ML
 literature: the linear soft-margin SVM with its distance-from-hyperplane
 confidence (section 2.4), the xi-alpha leave-one-out estimators of
 Joachims 2000 (sections 2.4 and 3.5), alternative classifiers for the
-meta-classification of section 3.5, the meta decision function itself,
-and K-means with entropy-based model selection for result postprocessing
-(section 3.6).
+meta-classification of section 3.5, and the meta decision function
+itself.
 """
 
 from repro.ml.common import BinaryClassifier, FeatureIndexer
@@ -16,13 +15,10 @@ from repro.ml.naive_bayes import NaiveBayesClassifier
 from repro.ml.maxent import MaxEntClassifier
 from repro.ml.rocchio import RocchioClassifier
 from repro.ml.meta import MetaClassifier, MetaVerdict
-from repro.ml.kmeans import ClusterModel, KMeans, choose_cluster_count
 
 __all__ = [
     "BinaryClassifier",
-    "ClusterModel",
     "FeatureIndexer",
-    "KMeans",
     "LinearSVM",
     "MaxEntClassifier",
     "MetaClassifier",
@@ -30,6 +26,5 @@ __all__ = [
     "NaiveBayesClassifier",
     "RocchioClassifier",
     "XiAlphaEstimate",
-    "choose_cluster_count",
     "xi_alpha_estimate",
 ]

@@ -29,7 +29,6 @@ from repro.perf.text import (
     TermInterner,
     default_interner,
     scan_html,
-    tokenize_text,
     vectorize_batch,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "TermInterner",
     "default_interner",
     "scan_html",
-    "tokenize_text",
     "vectorize_batch",
 ]

@@ -17,7 +17,6 @@ from repro.text.scanner import (
     TermInterner,
     default_interner,
     scan_html,
-    tokenize_text,
     vectorize_batch,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "TermInterner",
     "ScannedPage",
     "scan_html",
-    "tokenize_text",
     "vectorize_batch",
     "default_interner",
 ]

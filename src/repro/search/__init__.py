@@ -3,9 +3,9 @@
 After a crawl, "the human user needs additional assistance for filtering
 and analyzing such result sets".  This package provides the local search
 engine with its exact/vague topic filters and combinable rankings
-(cosine, classifier confidence, HITS authority), interactive relevance
-feedback with retraining, cluster-based subclass suggestion, and the
-external-search stand-in used to pick expert-query seeds (Figure 4).
+(cosine, classifier confidence, HITS authority), the static portal
+export, the query-serving tier, and the external-search stand-in used
+to pick expert-query seeds (Figure 4).
 """
 
 from repro.search.engine import (
@@ -15,8 +15,6 @@ from repro.search.engine import (
     RankingWeights,
 )
 from repro.search.epoch import Epoch
-from repro.search.feedback import FeedbackSession
-from repro.search.clustering import SubclassSuggestion, suggest_subclasses
 from repro.search.index import InvertedIndex, QueryCache
 from repro.search.portal_export import PortalExporter, PortalPage
 from repro.search.seed_queries import ExternalSearchEngine, SeedHit
@@ -35,7 +33,6 @@ __all__ = [
     "DeltaReport",
     "Epoch",
     "ExternalSearchEngine",
-    "FeedbackSession",
     "InvertedIndex",
     "LoadConfig",
     "LoadReport",
@@ -49,8 +46,6 @@ __all__ = [
     "RankedHit",
     "RankingWeights",
     "SeedHit",
-    "SubclassSuggestion",
-    "suggest_subclasses",
     "TokenBucket",
     "build_query_pool",
     "run_query_load",

@@ -3,9 +3,9 @@
 BINGO!'s first use case is "a largely automated information portal
 generator" (paper 1.2).  This module renders the crawl result as a
 Yahoo-style static portal: one index page listing the topic tree, one
-page per topic with its documents ranked by classification confidence,
-and optional cluster-based subsections.  Output is plain HTML written to
-a directory, so a downstream user can serve it as-is.
+page per topic with its documents ranked by classification confidence.
+Output is plain HTML written to a directory, so a downstream user can
+serve it as-is.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from collections.abc import Sequence
 
 from repro.core.records import CrawledDocument
 from repro.core.ontology import TopicTree
-from repro.errors import SearchError
-from repro.search.clustering import suggest_subclasses
 
 __all__ = ["PortalPage", "PortalExporter"]
 
@@ -50,12 +48,10 @@ class PortalExporter:
         tree: TopicTree,
         documents: Sequence[CrawledDocument],
         title: str = "BINGO! information portal",
-        cluster_subsections: bool = False,
     ) -> None:
         self.tree = tree
         self.documents = list(documents)
         self.title = title
-        self.cluster_subsections = cluster_subsections
 
     # ------------------------------------------------------------------
 
@@ -77,22 +73,11 @@ class PortalExporter:
     def _topic_page(self, topic: str) -> PortalPage:
         docs = self._topic_documents(topic)
         label = self.tree.leaf_label(topic)
-        sections = [f"<h1>{_escape(label)}</h1>"]
-        sections.append(f"<p>{len(docs)} documents, best first.</p>")
-        if self.cluster_subsections and len(docs) >= 6:
-            try:
-                suggestions = suggest_subclasses(docs, k_range=(2, 3))
-            except SearchError:
-                suggestions = []
-            for suggestion in suggestions:
-                sections.append(
-                    f"<h2>suggested subclass: "
-                    f"{_escape(suggestion.label)}</h2>"
-                )
-                sections.append(self._document_list(suggestion.documents[:15]))
-        else:
-            sections.append(self._document_list(docs))
-        body = "\n".join(sections)
+        body = "\n".join([
+            f"<h1>{_escape(label)}</h1>",
+            f"<p>{len(docs)} documents, best first.</p>",
+            self._document_list(docs),
+        ])
         return PortalPage(
             filename=f"topic_{_slug(topic)}.html",
             title=label,

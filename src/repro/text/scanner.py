@@ -12,8 +12,8 @@ every path from markup or plain text to stems goes through it:
   regex matches markup only, the words of the text between two markup
   matches come out of C-level string calls, and the page's body words
   are resolved through the interner's word table in one ``map``;
-* :func:`text_stems` / :func:`tokenize_text` -- the same word filter
-  and stem memo over plain text (queries, anchor texts);
+* :func:`text_stems` -- the same word filter and stem memo over plain
+  text (queries, anchor texts);
 * :class:`TermInterner` -- a memoized ``raw word -> (surface, stem)``
   and ``surface -> stem`` table in front of the Porter stemmer (the
   stemmer is pure, and word frequencies are Zipfian, so one dict hit
@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from html import unescape
 from itertools import chain, repeat
 from operator import itemgetter
@@ -58,7 +58,6 @@ __all__ = [
     "ScannedPage",
     "scan_html",
     "text_stems",
-    "tokenize_text",
     "vectorize_batch",
     "default_interner",
 ]
@@ -438,51 +437,24 @@ def scan_html(
     )
 
 
-def _surfaces(
-    text: str, min_length: int, stopwords: frozenset[str]
-) -> Iterator[str]:
-    """Lowercased, quote-stripped words that pass the length/stopword
-    filter -- the reference tokenizer's word shape and order."""
-    for match in _WORD_RE.finditer(text):
-        surface = match.group().lower().strip("'")
-        if len(surface) >= min_length and surface not in stopwords:
-            yield surface
-
-
 def text_stems(
     text: str,
     interner: TermInterner | None = None,
     *,
     stopwords: frozenset[str] = STOPWORDS,
 ) -> list[str]:
-    """Ordered stems of plain text (queries, anchor texts)."""
+    """Ordered stems of plain text (queries, anchor texts): the
+    lowercased, quote-stripped words of two or more characters that are
+    not stopwords -- the reference tokenizer's word shape and order."""
     if interner is None:
         interner = default_interner()
     stem = interner.stem
-    return [stem(surface) for surface in _surfaces(text, 2, stopwords)]
-
-
-def tokenize_text(
-    text: str,
-    interner: TermInterner | None = None,
-    *,
-    min_length: int = 2,
-    stopwords: frozenset[str] = STOPWORDS,
-    stem: bool = True,
-) -> list[tuple[str, str, int]]:
-    """Plain text as ``(stem, surface, position)`` tuples.
-
-    Semantically identical to the reference ``tokenize`` (lowercase,
-    quote-strip, length/stopword filter, Porter stem), just memoized.
-    """
-    if interner is None:
-        interner = default_interner()
-    return [
-        (interner.stem(surface) if stem else surface, surface, position)
-        for position, surface in enumerate(
-            _surfaces(text, min_length, stopwords)
-        )
-    ]
+    stems = []
+    for match in _WORD_RE.finditer(text):
+        surface = match.group().lower().strip("'")
+        if len(surface) >= 2 and surface not in stopwords:
+            stems.append(stem(surface))
+    return stems
 
 
 def vectorize_batch(

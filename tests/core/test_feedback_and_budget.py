@@ -1,107 +1,12 @@
-"""Tests for the user-feedback step (2.6) and xi-alpha budget selection."""
+"""Tests for xi-alpha feature-budget selection."""
 
 from __future__ import annotations
 
 from collections import Counter
 
-import pytest
-
-from repro.core import ArchetypeReview, BingoEngine
 from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
-
-from tests.core.conftest import fast_engine_config
-
-
-class TestArchetypeReview:
-    @pytest.fixture()
-    def engine_after_learning(self, small_web):
-        engine = BingoEngine.for_portal(
-            small_web, config=fast_engine_config()
-        )
-        engine.run_learning_phase()
-        return engine
-
-    def test_confirm_protects(self, engine_after_learning) -> None:
-        engine = engine_after_learning
-        topic = "ROOT/databases"
-        promoted = [
-            r for r in engine.training[topic].values()
-            if r.doc_id is not None and not r.protected
-        ]
-        assert promoted, "learning phase should have promoted archetypes"
-        target = promoted[0]
-
-        def reviewer(topic_name, documents):
-            return ArchetypeReview(confirmed={target.doc_id})
-
-        changed = engine.apply_archetype_review(reviewer, retrain=False)
-        assert changed >= 1
-        assert target.protected
-
-    def test_reject_removes(self, engine_after_learning) -> None:
-        engine = engine_after_learning
-        topic = "ROOT/databases"
-        promoted_ids = {
-            r.doc_id for r in engine.training[topic].values()
-            if r.doc_id is not None
-        }
-        victim = next(iter(promoted_ids))
-
-        def reviewer(topic_name, documents):
-            return ArchetypeReview(rejected={victim})
-
-        engine.apply_archetype_review(reviewer, retrain=False)
-        remaining = {
-            r.doc_id for r in engine.training[topic].values()
-            if r.doc_id is not None
-        }
-        assert victim not in remaining
-
-    def test_trim_replaces_counts(self, engine_after_learning) -> None:
-        engine = engine_after_learning
-        topic = "ROOT/databases"
-        record = next(
-            r for r in engine.training[topic].values()
-            if r.doc_id is not None
-        )
-        new_counts = {"term": Counter({"database": 5, "query": 3})}
-
-        def reviewer(topic_name, documents):
-            return ArchetypeReview(trimmed={record.doc_id: new_counts})
-
-        engine.apply_archetype_review(reviewer, retrain=False)
-        assert record.counts == new_counts
-
-    def test_none_review_is_noop(self, engine_after_learning) -> None:
-        engine = engine_after_learning
-        changed = engine.apply_archetype_review(
-            lambda topic, documents: None, retrain=False
-        )
-        assert changed == 0
-
-    def test_needs_feedback_property(self, small_web) -> None:
-        engine = BingoEngine.for_portal(
-            small_web, config=fast_engine_config()
-        )
-        # before any crawl, no archetypes -> feedback advisable
-        assert engine.needs_feedback
-
-    def test_reviewer_invoked_from_run(self, small_web) -> None:
-        calls: list[str] = []
-
-        def reviewer(topic_name, documents):
-            calls.append(topic_name)
-            return None
-
-        engine = BingoEngine.for_portal(
-            small_web, config=fast_engine_config()
-        )
-        engine.run(
-            harvesting_fetch_budget=50, archetype_reviewer=reviewer
-        )
-        assert calls == ["ROOT/databases"]
 
 
 class TestAdaptiveFeatureBudget:

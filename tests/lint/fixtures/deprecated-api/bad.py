@@ -11,125 +11,9 @@ def the_off_switch() -> BingoConfig:
     return BingoConfig(trace_ring_size=0)
 
 
-class MetricsRegistry:
-    def snapshot(self) -> dict:
-        return {}
-
-
-from repro.obs import Obs as Bundle, ProgressReporter, Span, Tracer, from_json
-from repro.obs.tracing import Tracer as SpanTracer
-import repro.obs.tracing
-
-
-class CrawlContext:
-    def __init__(self) -> None:
-        self.obs = MetricsRegistry()
-
-
-def the_bundle_reads(ctx: CrawlContext) -> object:
-    ctx.obs.tracer.finished()
-    return ctx.obs.registry.snapshot()
-
-
 class LivingPortal:
     def __init__(self, engine: object) -> None:
         self.engine = engine
-
-
-class KMeans:
-    def __init__(self, k: int) -> None:
-        self.k = k
-
-
-class MaxEntClassifier:
-    def __init__(self, regularization: float = 1.0) -> None:
-        self.regularization = regularization
-
-
-class TopicUniverse:
-    def __init__(self, topics: dict) -> None:
-        self.topics = topics
-
-
-def choose_cluster_count(vectors: list, **options: int) -> KMeans:
-    return KMeans(2)
-
-
-def run_meta_experiment(**options: float) -> None:
-    return None
-
-
-def constants_passed_as_keywords() -> None:
-    LivingPortal(object(), indexed=True)
-    KMeans(3, max_iterations=10, max_features=50)
-    choose_cluster_count([], max_features=50)
-    MaxEntClassifier(max_iterations=10, tol=1e-3)
-    TopicUniverse({}, zipf_exponent=1.3)
-    run_meta_experiment(train_per_class=12, svm_cost=0.5)
-
-
-from repro.experiments.ablations import FocusAblationResult
-from repro.experiments.featsel import BudgetSelectionResult
-from repro.experiments.meta_bench import MetaBenchResult
-from repro.experiments.portal import PortalCheckpoint
-
-
-class ExperimentTable:
-    def __init__(self, title: str) -> None:
-        self.title = title
-
-    def table(self) -> "ExperimentTable":
-        return self
-
-    def variant(self, row: str) -> tuple:
-        return ()
-
-    def mean_single_precision(self) -> float:
-        return 0.0
-
-
-def run_focus_ablation(**knobs: int) -> ExperimentTable:
-    return ExperimentTable("A1")
-
-
-def run_classifier_ablation(**knobs: int) -> ExperimentTable:
-    return ExperimentTable("A6")
-
-
-def run_budget_selection_experiment(**knobs: object) -> ExperimentTable:
-    return ExperimentTable("A5")
-
-
-def run_expert_experiment(**knobs: int) -> None:
-    return None
-
-
-def knobs_that_became_constants() -> None:
-    run_focus_ablation(budget=450, seed=11)
-    run_classifier_ablation(seed=3, budget=100)
-    run_budget_selection_experiment(seed=3, budgets=(5,), test_per_class=4)
-    run_expert_experiment(learning_fetch_budget=60)
-
-
-def rows_read_through_a_result_class(table: ExperimentTable) -> float:
-    table.table().variant("sharp + tunnelling")
-    return table.mean_single_precision()
-
-
-@dataclass
-class PortalExperimentResult:
-    short: object = None
-    top_k: int = 100
-
-
-@dataclass
-class ExpertExperimentResult:
-    top10: list
-    needles_in_top10: int = 0
-
-
-def top_of_figure5(result: ExpertExperimentResult) -> list:
-    return result.top10[: result.needles_in_top10]
 
 
 class Relation:
@@ -290,3 +174,46 @@ def graph_helpers_nobody_called(graph: LinkGraph) -> object:
 
 from repro.analysis import expand_base_set
 from repro.analysis.graph import expand_base_set as base_set
+
+
+from repro.semantic import XmlExporter
+from repro.semantic.xml_query import parse_query
+import repro.semantic.xml_export
+from repro.search import FeedbackSession, SubclassSuggestion, suggest_subclasses
+from repro.search.clustering import suggest_subclasses as suggest
+from repro.search.feedback import FeedbackSession as Session
+from repro.ml import ClusterModel, KMeans, choose_cluster_count
+from repro.ml.kmeans import KMeans as Clusterer
+from repro.core import ArchetypeReview
+from repro.core.engine import MIN_ARCHETYPES_TO_HARVEST, ArchetypeReview as Review
+from repro.text.scanner import tokenize_text
+from repro.perf import tokenize_text as tokens
+from repro.perf.text import tokenize_text as text_tokens
+
+
+class PortalExporter:
+    def __init__(self, tree: object, documents: list) -> None:
+        self.documents = documents
+
+
+class BingoEngine:
+    def run(self, harvesting_fetch_budget: int = 0) -> None:
+        return None
+
+    def needs_feedback(self) -> bool:
+        return False
+
+
+class TunedEngine(BingoEngine):
+    pass
+
+
+def the_feedback_step(
+    engine: BingoEngine, tuned: TunedEngine, exporter: PortalExporter
+) -> object:
+    PortalExporter(None, [], cluster_subsections=True)
+    engine.run(harvesting_fetch_budget=100, archetype_reviewer=print)
+    tuned.run(archetype_reviewer=print)
+    engine.apply_archetype_review(print)
+    exporter.cluster_subsections
+    return engine.needs_feedback

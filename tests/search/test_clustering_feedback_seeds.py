@@ -1,48 +1,11 @@
-"""Tests for subclass suggestion, relevance feedback, and seed queries."""
+"""Tests for the external search engine that picks expert-query seeds."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import BingoEngine
-from repro.errors import SearchError
-from repro.search.clustering import suggest_subclasses
-from repro.search.feedback import FeedbackSession
 from repro.search.seed_queries import ExternalSearchEngine
 from repro.web import PageRole, SyntheticWeb
-
-from tests.core.conftest import fast_engine_config
-from tests.search.conftest import make_doc
-
-
-class TestSubclassSuggestion:
-    def docs(self):
-        a = [make_doc(i, {"olap": 3, "cube": 2}) for i in range(8)]
-        b = [make_doc(10 + i, {"crawl": 3, "spider": 2}) for i in range(8)]
-        return a + b
-
-    def test_two_clear_subtopics_found(self) -> None:
-        suggestions = suggest_subclasses(self.docs(), k=2, seed=0)
-        assert len(suggestions) == 2
-        sizes = sorted(len(s.documents) for s in suggestions)
-        assert sizes == [8, 8]
-        labels = " ".join(s.label for s in suggestions)
-        assert "olap" in labels or "cube" in labels
-        assert "crawl" in labels or "spider" in labels
-
-    def test_auto_k_selection(self) -> None:
-        suggestions = suggest_subclasses(self.docs(), k_range=(2, 3), seed=0)
-        assert 2 <= len(suggestions) <= 3
-
-    def test_too_few_documents_rejected(self) -> None:
-        with pytest.raises(SearchError):
-            suggest_subclasses([make_doc(0, {"x": 1})])
-
-    def test_every_document_in_exactly_one_suggestion(self) -> None:
-        docs = self.docs()
-        suggestions = suggest_subclasses(docs, k=2, seed=0)
-        seen = [d.doc_id for s in suggestions for d in s.documents]
-        assert sorted(seen) == sorted(d.doc_id for d in docs)
 
 
 class TestExternalSearchEngine:
@@ -75,46 +38,3 @@ class TestExternalSearchEngine:
         needle_urls = web.needle_urls()
         assert sum(hit.url in needle_urls for hit in hits) <= 2
 
-
-class TestFeedbackSession:
-    @pytest.fixture(scope="class")
-    def engine_and_docs(self, small_web):
-        config = fast_engine_config()
-        engine = BingoEngine.for_portal(small_web, config=config)
-        engine.run(harvesting_fetch_budget=150)
-        docs = engine.ranked_results("ROOT/databases")
-        return engine, docs
-
-    def test_retrain_without_feedback_rejected(self, engine_and_docs) -> None:
-        engine, _ = engine_and_docs
-        session = FeedbackSession(engine=engine, topic="ROOT/databases")
-        with pytest.raises(SearchError):
-            session.retrain()
-
-    def test_feedback_round_trip(self, engine_and_docs) -> None:
-        engine, docs = engine_and_docs
-        assert len(docs) >= 4
-        session = FeedbackSession(engine=engine, topic="ROOT/databases")
-        session.mark_relevant(docs[0])
-        session.mark_relevant(docs[1])
-        session.mark_irrelevant(docs[-1])
-        session.retrain()
-        assert session.rounds == 1
-        # marked-relevant docs entered the topic's training set
-        training_urls = set(engine.training["ROOT/databases"])
-        assert docs[0].final_url in training_urls
-        assert docs[-1].final_url not in training_urls
-        reranked = session.rerank(docs)
-        reranked_ids = {d.doc_id for d in reranked}
-        # reranking filters to docs the retrained model still accepts
-        assert reranked_ids <= {d.doc_id for d in docs}
-        # at least one explicitly relevant doc survives the retrained model
-        assert reranked_ids & {docs[0].doc_id, docs[1].doc_id}
-
-    def test_marks_are_exclusive(self, engine_and_docs) -> None:
-        engine, docs = engine_and_docs
-        session = FeedbackSession(engine=engine, topic="ROOT/databases")
-        session.mark_relevant(docs[0])
-        session.mark_irrelevant(docs[0])
-        assert docs[0].doc_id not in session.relevant
-        assert docs[0].doc_id in session.irrelevant

@@ -8,7 +8,7 @@ from repro.search.portal_export import PortalExporter
 from tests.search.conftest import make_doc
 
 
-def exporter(cluster_subsections: bool = False) -> PortalExporter:
+def exporter() -> PortalExporter:
     tree = TopicTree.from_leaves(["databases", "ir"])
     docs = [
         make_doc(0, {"recoveri": 3}, topic="ROOT/databases", confidence=0.9),
@@ -16,9 +16,7 @@ def exporter(cluster_subsections: bool = False) -> PortalExporter:
         make_doc(2, {"rank": 2}, topic="ROOT/ir", confidence=0.6),
         make_doc(3, {"sport": 2}, topic="ROOT/OTHERS", confidence=0.1),
     ]
-    return PortalExporter(
-        tree, docs, cluster_subsections=cluster_subsections
-    )
+    return PortalExporter(tree, docs)
 
 
 class TestRender:
@@ -69,15 +67,3 @@ class TestExport:
         for path in paths:
             assert path.exists()
             assert path.read_text().startswith("<html>")
-
-    def test_cluster_subsections_render(self, tmp_path) -> None:
-        tree = TopicTree.from_leaves(["databases"])
-        docs = (
-            [make_doc(i, {"olap": 3, "cube": 2}, topic="ROOT/databases")
-             for i in range(6)]
-            + [make_doc(10 + i, {"crawl": 3, "spider": 2},
-                        topic="ROOT/databases") for i in range(6)]
-        )
-        export = PortalExporter(tree, docs, cluster_subsections=True)
-        page = export.render()[1]
-        assert "suggested subclass" in page.html

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits
 from repro.core.dedup import DuplicateDetector
-from repro.ml.kmeans import KMeans
 from repro.ml.meta import MetaClassifier
 from repro.text.vectorizer import SparseVector
 from repro.web.clock import SimulatedClock, WorkerPool
@@ -33,14 +32,6 @@ class TestHitsNonConvergence:
         result = hits(graph, max_iterations=2, tolerance=0.0)
         assert result.iterations == 2
         assert not result.converged
-
-
-class TestKMeansSingleCluster:
-    def test_k_equal_one(self) -> None:
-        docs = [SparseVector({"a": 1.0}) for _ in range(4)]
-        model = KMeans(k=1, seed=0).fit(docs)
-        assert model.sizes() == [4]
-        assert model.label(0)  # label still produced
 
 
 class TestMetaDecisionValue:

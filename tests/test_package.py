@@ -47,7 +47,7 @@ class TestSubpackageAll:
         [
             "repro.text", "repro.web", "repro.storage", "repro.ml",
             "repro.analysis", "repro.core", "repro.search",
-            "repro.semantic", "repro.experiments",
+            "repro.experiments",
         ],
     )
     def test_all_names_resolve(self, module_name: str) -> None:
@@ -63,7 +63,7 @@ class TestImportOrder:
         "subpackage",
         [
             "analysis", "core", "experiments", "lint", "ml", "obs", "perf",
-            "pipeline", "portal", "robust", "search", "semantic", "shard",
+            "pipeline", "portal", "robust", "search", "shard",
             "storage", "text", "web", "cli",
         ],
     )
