@@ -8,7 +8,7 @@ node -- the Bharat/Henzinger variant weights edges by host to defeat
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 __all__ = ["LinkGraph"]
@@ -46,12 +46,6 @@ class LinkGraph:
         """Stable node -> dense int index (insertion order); the CSR
         kernels in :mod:`repro.perf.csr_hits` index rows this way."""
         return {node: i for i, node in enumerate(self.successors)}
-
-    def edges(self) -> Iterable[tuple[Node, Node]]:
-        """All (source, target) pairs, grouped by source in node order."""
-        for source, targets in self.successors.items():
-            for target in targets:
-                yield source, target
 
     def __len__(self) -> int:
         return len(self.successors)

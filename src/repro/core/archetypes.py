@@ -41,10 +41,6 @@ class ArchetypeDecision:
     previous_mean: float = 0.0
     new_mean: float = 0.0
 
-    @property
-    def added_ids(self) -> list[int]:
-        return [doc_id for doc_id, _, _ in self.added]
-
 
 def select_archetypes(
     confidence_candidates: Sequence[tuple[int, float]],

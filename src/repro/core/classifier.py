@@ -161,15 +161,6 @@ class NodeClassifier:
             return 0.0
         return self.svm.decision(vector)
 
-    def distance(self, vectors: Mapping[str, SparseVector]) -> float:
-        """Confidence: hyperplane distance for SVMs, raw decision else."""
-        vector = self._project(vectors)
-        if vector is None:
-            return 0.0
-        if hasattr(self.svm, "distance"):
-            return self.svm.distance(vector)
-        return self.svm.decision(vector)
-
 
 @dataclass
 class TopicDecisionModel:
@@ -221,10 +212,6 @@ class HierarchicalClassifier:
         """Promote live df counts to the idf snapshot (lazy, on retraining)."""
         for vectorizer in self.vectorizers.values():
             vectorizer.refresh()
-
-    def vectorize(self, doc: TrainingDoc) -> dict[str, SparseVector]:
-        """Per-space tf*idf vectors of one document."""
-        return self.vectorize_many([doc])[0]
 
     def _snapshot_key(self) -> tuple[int, ...]:
         return tuple(
@@ -519,10 +506,3 @@ class HierarchicalClassifier:
                 topic, self.vectorize_many(docs), mode
             )
         ]
-
-    def estimates(self) -> dict[str, list[tuple[str, XiAlphaEstimate]]]:
-        """Per-topic (space, xi-alpha estimate) pairs -- for reporting."""
-        return {
-            topic: [(m.space, m.estimate) for m in model.members]
-            for topic, model in self.models.items()
-        }

@@ -31,10 +31,6 @@ class DedupStats:
     ip_path_hits: int = 0
     ip_size_hits: int = 0
 
-    @property
-    def total_hits(self) -> int:
-        return self.url_hash_hits + self.ip_path_hits + self.ip_size_hits
-
 
 class DuplicateDetector:
     """Stateful fingerprint store over one crawl."""

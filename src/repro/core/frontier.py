@@ -255,10 +255,6 @@ class CrawlFrontier:
             out[name] = float(getattr(self, name))
         return out
 
-    @property
-    def topics(self) -> list[str]:
-        return sorted(self.queues)
-
     # -- checkpoint -----------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:

@@ -63,20 +63,6 @@ class TopicTree:
             tree.add_topic(leaf, parent=ROOT)
         return tree
 
-    @classmethod
-    def from_nested(cls, nested: dict) -> "TopicTree":
-        """Build from nested dicts, e.g. ``{"math": {"algebra": {}}}``."""
-        tree = cls()
-
-        def recurse(parent: str, mapping: dict) -> None:
-            for label, sub in mapping.items():
-                name = tree.add_topic(label, parent=parent)
-                if sub:
-                    recurse(name, sub)
-
-        recurse(ROOT, nested)
-        return tree
-
     def add_topic(self, label: str, parent: str = ROOT) -> str:
         """Add a topic under ``parent``; returns the full path-name."""
         if parent not in self._nodes:
@@ -127,13 +113,6 @@ class TopicTree:
         """Real (non-OTHERS) children of ``parent``."""
         return list(self.node(parent).children)
 
-    def competing_topics(self, topic: str) -> list[str]:
-        """The siblings a document competes against (includes ``topic``)."""
-        node = self.node(topic)
-        if node.parent is None:
-            return [topic]
-        return self.children_of(node.parent)
-
     def leaves(self) -> list[str]:
         """All real leaf topics (no OTHERS nodes, never ROOT unless empty)."""
         result = [
@@ -156,15 +135,6 @@ class TopicTree:
         return sorted(
             node.name for node in self._nodes.values() if node.children
         )
-
-    def path_to_root(self, topic: str) -> list[str]:
-        """``topic`` and its ancestors, ending at ROOT."""
-        path = [topic]
-        current = self.node(topic)
-        while current.parent is not None:
-            path.append(current.parent)
-            current = self._nodes[current.parent]
-        return path
 
     def leaf_label(self, topic: str) -> str:
         """The last path component (human-readable label)."""

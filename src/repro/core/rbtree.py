@@ -144,12 +144,6 @@ class RedBlackTree:
             node = node.right
         return node
 
-    def peek_min(self) -> tuple:
-        if self._root is self._nil:
-            raise IndexError("peek into empty tree")
-        node = self._minimum(self._root)
-        return node.key, node.value
-
     def peek_max(self) -> tuple:
         if self._root is self._nil:
             raise IndexError("peek into empty tree")

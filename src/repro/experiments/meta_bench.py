@@ -49,21 +49,6 @@ SVM_COST = 1.0
 """The SVM members' soft-margin cost ``C``."""
 
 
-class _SpaceMember(BinaryClassifier):
-    """Routes a per-space vector bundle to a member's own space."""
-
-    def __init__(self, inner: BinaryClassifier, space: str) -> None:
-        self.inner = inner
-        self.space = space
-        self.name = f"{inner.name}/{space}"
-
-    def fit(self, vectors, labels):  # pragma: no cover - members pre-fitted
-        raise NotImplementedError
-
-    def decision(self, bundle) -> float:
-        return self.inner.decision(bundle[self.space])
-
-
 def _one_run(
     seed: int, test_per_class: int
 ) -> dict[str, tuple[float, float, float]]:
@@ -127,35 +112,33 @@ def _one_run(
             return vectors, labels
         return sub_vectors, sub_labels
 
-    members: list[_SpaceMember] = []
+    members: list[tuple[str, BinaryClassifier]] = []  # (space, member)
     weights: list[float] = []
     member_index = 0
     for space in SPACES:
         vectors = [b[space] for b in train_bundles]
         sub_v, sub_l = subsample(vectors, member_index)
         svm = LinearSVM(C=SVM_COST, seed=seed).fit(sub_v, sub_l)
-        members.append(_SpaceMember(svm, space))
+        members.append((space, svm))
         weights.append(xi_alpha_estimate(svm, sub_l).precision)
         member_index += 1
         sub_v, sub_l = subsample(vectors, member_index)
         nb = NaiveBayesClassifier().fit(sub_v, sub_l)
-        members.append(_SpaceMember(nb, space))
+        members.append((space, nb))
         weights.append(0.6)
         member_index += 1
     term_vectors = [b["term"] for b in train_bundles]
     sub_v, sub_l = subsample(term_vectors, member_index)
     rocchio = RocchioClassifier().fit(sub_v, sub_l)
-    members.append(_SpaceMember(rocchio, "term"))
+    members.append(("term", rocchio))
     weights.append(0.6)
 
     # Batch scoring: every member votes once over the whole test set
     # (one CSR matvec per SVM member), and each meta mode recombines the
     # same vote matrix instead of re-running the members per document.
     decision_matrix = np.vstack([
-        member.inner.decision_batch(
-            [bundle[member.space] for bundle in test_bundles]
-        )
-        for member in members
+        member.decision_batch([bundle[space] for bundle in test_bundles])
+        for space, member in members
     ])
     votes_matrix = np.where(decision_matrix > 0, 1, -1)
 
@@ -166,12 +149,13 @@ def _one_run(
         return counts.precision, counts.recall, counts.abstain_rate
 
     results: dict[str, tuple[float, float, float]] = {}
-    for row, member in zip(votes_matrix, members):
-        results[member.name] = evaluate_votes(row)
+    for row, (space, member) in zip(votes_matrix, members):
+        results[f"{member.name}/{space}"] = evaluate_votes(row)
+    voters = [member for _, member in members]
     metas = {
-        "meta: unanimous": MetaClassifier.unanimous(members),
-        "meta: majority": MetaClassifier.majority(members),
-        "meta: xi-alpha weighted": MetaClassifier.weighted(members, weights),
+        "meta: unanimous": MetaClassifier.unanimous(voters),
+        "meta: majority": MetaClassifier.majority(voters),
+        "meta: xi-alpha weighted": MetaClassifier.weighted(voters, weights),
     }
     for name, meta in metas.items():
         results[name] = evaluate_votes([

@@ -65,15 +65,6 @@ class BinaryCounts:
         return self.tp / denominator if denominator else 0.0
 
     @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
-
-    @property
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.total if self.total else 0.0
-
-    @property
     def abstain_rate(self) -> float:
         return self.abstained / self.total if self.total else 0.0
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from repro.lint.engine import LintEngine, ModuleUnit, ProjectContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules, get_rule, rule_ids
+from repro.lint.registry import Rule, all_rules
 from repro.lint.reporters import render_json, render_text
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "ProjectContext",
     "Rule",
     "all_rules",
-    "get_rule",
-    "rule_ids",
     "render_json",
     "render_text",
 ]

@@ -7,7 +7,7 @@ AST.  They enforce the invariants that only exist *between* files:
 * :mod:`repro.lint.analysis.contracts` -- ``epoch-mutation``: state
   behind the typed Epoch (engine vectors, inverted index, query cache,
   idf snapshot, classifier models) may only change inside its
-  lifecycle funnels; ``deprecated-api``: removed shims stay gone;
+  lifecycle funnels;
 * :mod:`repro.lint.analysis.schema` -- ``stats-schema``: metric
   source names collide nowhere, ``stats()`` keys stay snake_case, and
   no subsystem emits stats that nothing exports.

@@ -1,7 +1,7 @@
 """The project indexer and call graph behind whole-program passes.
 
 Per-file rules see one AST at a time; the contract checkers
-(epoch-mutation, deprecated-api, stats-schema) need to reason about
+(epoch-mutation, stats-schema) need to reason about
 the *program*: which function calls which and what class a receiver
 expression resolves to.  This
 module builds that picture statically, from the same

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.findings import Finding
     from repro.lint.graph import ProjectIndex
 
-__all__ = ["Rule", "register", "all_rules", "get_rule", "rule_ids"]
+__all__ = ["Rule", "register", "all_rules"]
 
 #: rule ids are kebab-case: stable, grep-able, suppression-comment safe
 RULE_ID_RE = re.compile(r"^[a-z][a-z0-9]*(-[a-z0-9]+)*$")
@@ -98,18 +98,6 @@ def _ensure_loaded() -> None:
     """Import the shipped rule modules so their registrations fire."""
     import repro.lint.analysis  # noqa: F401  (import for side effect)
     import repro.lint.rules  # noqa: F401  (import for side effect)
-
-
-def rule_ids() -> list[str]:
-    """Every registered rule id, sorted."""
-    _ensure_loaded()
-    return sorted(_RULES)
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Instantiate one rule by id; raises ``KeyError`` on unknown ids."""
-    _ensure_loaded()
-    return _RULES[rule_id]()
 
 
 def all_rules() -> list[Rule]:

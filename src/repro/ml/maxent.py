@@ -104,7 +104,3 @@ class MaxEntClassifier(BinaryClassifier):
             if column is not None:
                 total += self._weights[column] * weight
         return total
-
-    def probability(self, vector: SparseVector) -> float:
-        """``p(positive | vector)`` under the fitted model."""
-        return 1.0 / (1.0 + math.exp(-max(min(self.decision(vector), 35), -35)))

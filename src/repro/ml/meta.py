@@ -23,7 +23,6 @@ from collections.abc import Sequence
 
 from repro.errors import TrainingError
 from repro.ml.common import BinaryClassifier
-from repro.text.vectorizer import SparseVector
 
 __all__ = ["MetaVerdict", "MetaClassifier"]
 
@@ -35,10 +34,6 @@ class MetaVerdict:
     decision: int
     score: float
     votes: tuple[int, ...]
-
-    @property
-    def abstained(self) -> bool:
-        return self.decision == 0
 
 
 class MetaClassifier:
@@ -91,9 +86,9 @@ class MetaClassifier:
     # -- decisions --------------------------------------------------------
 
     def verdict_from_votes(self, votes: Sequence[int]) -> MetaVerdict:
-        """Combine precomputed member votes (the batch-scoring path:
-        members vote once per document via ``decision_batch`` and every
-        meta mode reuses the same vote matrix)."""
+        """Combine the members' votes, in member order (members vote
+        once per document via ``decision_batch`` and every meta mode
+        reuses the same vote matrix)."""
         votes = tuple(votes)
         score = sum(w * r for w, r in zip(self.weights, votes))
         if score > self.t1:
@@ -103,16 +98,3 @@ class MetaClassifier:
         else:
             decision = 0
         return MetaVerdict(decision=decision, score=score, votes=votes)
-
-    def classify(self, vector: SparseVector) -> MetaVerdict:
-        return self.verdict_from_votes(
-            tuple(c.predict(vector) for c in self.classifiers)
-        )
-
-    def predict(self, vector: SparseVector) -> int:
-        """The meta decision (0 when abstaining)."""
-        return self.classify(vector).decision
-
-    def decision(self, vector: SparseVector) -> float:
-        """The weighted vote sum (for ranking/thresholding)."""
-        return self.classify(vector).score

@@ -20,7 +20,6 @@ the xi-alpha estimator (``repro.ml.xialpha``).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -221,29 +220,3 @@ class LinearSVM(BinaryClassifier):
         bias_column = self.indexer._index.get(_BIAS_FEATURE)
         bias = float(self._weights[bias_column]) if bias_column is not None else 0.0
         return weights, bias, self._weight_norm
-
-    def distance(self, vector: SparseVector) -> float:
-        """Signed geometric distance from the separating hyperplane.
-
-        This is the confidence measure of paper section 2.4: "We
-        interpret the distance of a newly classified document from the
-        separating hyperplane as a measure of the classifier's
-        confidence."
-        """
-        if self._weight_norm == 0.0:
-            return 0.0
-        return self.decision(vector) / self._weight_norm
-
-    def weight_of(self, feature: str) -> float:
-        """The learned weight of one (string) feature, 0.0 if unseen."""
-        if self._weights is None:
-            raise TrainingError("classifier is not trained")
-        column = self.indexer._index.get(feature)
-        return float(self._weights[column]) if column is not None else 0.0
-
-    @property
-    def margin(self) -> float:
-        """Geometric half-margin 1/||w|| (infinite if w == 0)."""
-        if self._weight_norm == 0.0:
-            return math.inf
-        return 1.0 / self._weight_norm

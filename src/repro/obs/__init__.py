@@ -35,7 +35,6 @@ from repro.obs.api import (
     StageEvent,
 )
 from repro.obs.export import (
-    parse_prometheus,
     to_json,
     to_prometheus,
     write_metrics,
@@ -48,7 +47,6 @@ __all__ = [
     "Instrumented",
     "MetricsRegistry",
     "to_prometheus",
-    "parse_prometheus",
     "to_json",
     "write_metrics",
 ]

@@ -4,9 +4,8 @@ Both read the same :meth:`~repro.obs.registry.MetricsRegistry.
 snapshot`, so they agree by construction:
 
 * :func:`to_prometheus` -- the Prometheus text exposition format
-  (one ``# TYPE`` header and one gauge sample per source key).
-  :func:`parse_prometheus` reads it back into the flat sample dict of
-  :func:`flatten_snapshot` for round-trip checks.
+  (one ``# TYPE`` header and one gauge sample per source key, the
+  samples of :func:`flatten_snapshot`).
 * :func:`to_json` -- the snapshot as canonical (sorted-key) JSON;
   ``json.loads`` gives back the original snapshot.
 """
@@ -21,7 +20,6 @@ from repro.obs.registry import MetricsRegistry, format_float
 __all__ = [
     "flatten_snapshot",
     "to_prometheus",
-    "parse_prometheus",
     "to_json",
     "write_metrics",
 ]
@@ -45,18 +43,6 @@ def to_prometheus(registry: MetricsRegistry) -> str:
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {format_float(value)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Parse Prometheus text back into the :func:`flatten_snapshot` dict."""
-    samples: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        samples[key] = float(value)
-    return samples
 
 
 def to_json(registry: MetricsRegistry, indent: int | None = None) -> str:

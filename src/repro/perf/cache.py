@@ -48,9 +48,6 @@ class VectorCache:
             "max_entries": float(MAX_ENTRIES),
         }
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def get(self, doc: Any, version: Hashable) -> Any:
         """The cached vectors of ``doc`` under ``version``, or None.
 

@@ -17,13 +17,14 @@ over the cohort's entries) per stacked row
     distance = decision / ||w||           (||w|| 0 -> 0)
 
 each product added in the order scipy's ``csr_matvecs`` adds it, which
-reproduces ``LinearSVM.decision``/``distance`` on the projected,
-unit-normalised document (up to float associativity; the parity tests
-in ``tests/core/test_compiled_classifier.py`` bound the drift against
-the dict-walking oracle of ``tests/core/reference.py`` at 1e-9).
+reproduces ``LinearSVM.decision`` and the hyperplane distance of paper
+section 2.4 on the projected, unit-normalised document (up to float
+associativity; the parity tests in
+``tests/core/test_compiled_classifier.py`` bound the drift against the
+dict-walking oracle of ``tests/core/reference.py`` at 1e-9).
 Members whose learner has no linear form (Naive Bayes, Rocchio, MaxEnt
-nodes) fall back to the member object's own ``decision``/``distance``,
-so compilation never changes semantics.
+nodes) fall back to the member object's own ``decision``, which is also
+their confidence, so compilation never changes semantics.
 
 This is the only decision phase: a single document is a cohort of one,
 so a page scores the same whichever caller classified it and however
@@ -73,7 +74,7 @@ class _SpaceBlock:
     """(rows, vocab) 1.0 where the feature is in the row's selected set."""
     bias: np.ndarray
     inv_weight_norm: np.ndarray
-    """1/||w|| per row (0 where ||w|| == 0, matching ``distance``)."""
+    """1/||w|| per row (0 where ||w|| == 0: no hyperplane, no distance)."""
     child_rows: np.ndarray
     member_rows: np.ndarray
     """(child index, member position) destination of each stacked row."""
@@ -142,8 +143,11 @@ class _LevelKernel:
             distances[:, block.child_rows, block.member_rows] = dist
         for child, position, member in self.fallbacks:
             for i, bundle in enumerate(bundles):
-                decisions[i, child, position] = member.decision(bundle)
-                distances[i, child, position] = member.distance(bundle)
+                # a learner without a hyperplane is as confident as its
+                # raw decision
+                decision = member.decision(bundle)
+                decisions[i, child, position] = decision
+                distances[i, child, position] = decision
         return self._combine_many(decisions, distances, mode)
 
     def _combine_many(

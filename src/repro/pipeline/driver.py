@@ -237,23 +237,6 @@ class CrawlPipeline:
             ctx.loader.flush_all()
         return stats
 
-    def visit_one(self, entry, phase, stats) -> None:
-        """Process a single frontier entry end to end, outside the
-        crawl loop (test/debug hook)."""
-        ctx = self.ctx
-        previous = (ctx.stats, ctx.phase)
-        ctx.stats = stats
-        ctx.phase = phase
-        try:
-            batch = self._run_stage(self.admit, [CrawlItem(entry=entry)])
-            if batch:
-                batch = self._run_stage(self.fetch, batch)
-            if batch:
-                self._commit(batch)
-        finally:
-            self.batch_index += 1
-            ctx.stats, ctx.phase = previous
-
     # ------------------------------------------------------------------
     # batch commit
     # ------------------------------------------------------------------

@@ -68,11 +68,6 @@ class DigestStore:
         row["change_count"] += 1
         return self.CHANGED
 
-    def get(self, url: str) -> dict | None:
-        """A copy of the stored digest row for ``url``, or None."""
-        row = self._rows.get(url)
-        return None if row is None else dict(row)
-
     def digest_of(self, url: str) -> str | None:
         row = self._rows.get(url)
         return row["digest"] if row is not None else None

@@ -87,13 +87,6 @@ class DocumentDelta:
         self.removed.append(doc_id)
         return True
 
-    def stats(self) -> dict[str, float]:
-        return {
-            "delta_added": float(len(self.added)),
-            "delta_changed": float(len(self.changed)),
-            "delta_removed": float(len(self.removed)),
-        }
-
 
 def _affected_children(
     tree: TopicTree, affected_topics: set[str]

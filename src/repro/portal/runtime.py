@@ -62,11 +62,6 @@ class FreshnessReport:
     lag_mean: float
     lag_max: float
 
-    @property
-    def unfresh(self) -> int:
-        """Everything a recrawl could still fix: stale + dead-indexed."""
-        return self.stale_documents + self.dead_indexed
-
     def stats(self) -> dict[str, float]:
         return {
             "freshness_at": float(self.at),

@@ -174,19 +174,6 @@ class HostBreaker:
             self.probe_at = now + self.current_quarantine
             self.trips += 1
 
-    # -- observability ---------------------------------------------------
-
-    def stats(self) -> dict[str, float]:
-        """One host's breaker counters (:class:`repro.obs.api.Instrumented`)."""
-        return {
-            "failures": float(self.failures),
-            "consecutive_failures": float(self.consecutive),
-            "trips": float(self.trips),
-            "probes": float(self.probes),
-            "open": 0.0 if self.state == CLOSED else 1.0,
-            "slow": 1.0 if self.slow else 0.0,
-        }
-
     # -- checkpoint ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -233,9 +220,6 @@ class BreakerBoard:
             self._hosts[host] = breaker
         return breaker
 
-    def items(self):
-        return self._hosts.items()
-
     def admit(self, host: str, now: float) -> tuple[HostBreaker, str, float]:
         """One-call admission for the pipeline's admit stage: returns
         ``(breaker, verdict, ready_at)`` for ``host`` at ``now``."""
@@ -254,14 +238,6 @@ class BreakerBoard:
 
     def __contains__(self, host: str) -> bool:
         return host in self._hosts
-
-    @property
-    def quarantined(self) -> list[str]:
-        return sorted(h for h, b in self._hosts.items() if b.bad)
-
-    @property
-    def slow_hosts(self) -> list[str]:
-        return sorted(h for h, b in self._hosts.items() if b.slow)
 
     def stats(self) -> dict[str, float]:
         """Board-level counters (:class:`repro.obs.api.Instrumented`)."""

@@ -404,18 +404,9 @@ class LocalSearchEngine:
 
     # -- filtering ----------------------------------------------------------
 
-    def filter(
-        self, topic: str | None = None, exact: bool = True
-    ) -> list[CrawledDocument]:
-        """Exact filter: the class itself; vague: the class's subtree.
-
-        A fresh list on every call: the caller may do what it likes
-        with it."""
-        view = self._view(topic, exact)
-        return [] if view is None else list(view.candidates)
-
     def _view(self, topic: str | None, exact: bool) -> _FilterView | None:
-        """This epoch's view of one filter, derived on first use.
+        """This epoch's view of one filter, derived on first use: exact
+        is the class itself, vague the class's subtree.
 
         ``None`` when no document matches: topic strings arrive with
         requests, and one that selects nothing must not grow the

@@ -13,11 +13,7 @@ the tuple is replaced by one explicit value object:
   responses carry the epoch they were computed under;
 * every transition is an explicit :meth:`Epoch.advance` with a
   ``reason`` string, so metrics and logs can say *why* the corpus
-  moved, not just that it did;
-* the legacy tuple survives as :attr:`Epoch.token` for storage rows
-  and stats that still record the raw pair (the one-release
-  ``engine.cache_token`` shim itself is gone, and the
-  ``deprecated-api`` lint rule keeps it gone).
+  moved, not just that it did.
 
 The engine owns exactly one current epoch
 (:attr:`repro.search.engine.LocalSearchEngine.epoch`); everything else
@@ -59,11 +55,6 @@ class Epoch:
     def initial(cls, snapshot_version: int = 0) -> "Epoch":
         """The engine's first epoch, under a given idf snapshot."""
         return cls(snapshot_version=snapshot_version)
-
-    @property
-    def token(self) -> tuple[int, int]:
-        """The legacy ``(snapshot_version, generation)`` cache token."""
-        return (self.snapshot_version, self.generation)
 
     def advance(
         self, reason: str, snapshot_version: int | None = None

@@ -255,10 +255,6 @@ class QueryServer:
             return self.SERVICE_CACHED
         return self.SERVICE_BASE + self.SERVICE_PER_HIT * hit_count
 
-    def invalidate_cache(self) -> None:
-        """Drop cached results (retrain / archetype-promotion hook)."""
-        self.cache.invalidate()
-
     # -- observability ------------------------------------------------------
 
     def stats(self) -> dict[str, float]:

@@ -3,14 +3,14 @@
 This package implements the IR pipeline BINGO! applies to every fetched
 document (paper section 2.2): HTML stripping, tokenization, stopword
 elimination, Porter stemming, and tf*idf term weighting, plus the richer
-feature spaces of section 3.4 (term pairs, anchor texts, neighbour terms).
+feature spaces of section 3.4 (term pairs, anchor texts).
 There is one document analyzer, :mod:`repro.text.scanner`; its
 :class:`~repro.text.scanner.ScannedPage` is what
 :func:`repro.text.features.space_counts` turns into per-space counts.
 """
 
 from repro.text.stemmer import PorterStemmer, stem
-from repro.text.stopwords import ANCHOR_STOPWORDS, STOPWORDS, is_stopword
+from repro.text.stopwords import ANCHOR_STOPWORDS, STOPWORDS
 from repro.text.vectorizer import (
     CorpusStatistics,
     SparseVector,
@@ -21,7 +21,6 @@ from repro.text.features import (
     AnchorTextSpace,
     CombinedSpace,
     FeatureSpace,
-    NeighbourTermSpace,
     TermPairSpace,
     TermSpace,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "CombinedSpace",
     "CorpusStatistics",
     "FeatureSpace",
-    "NeighbourTermSpace",
     "PorterStemmer",
     "SparseVector",
     "STOPWORDS",
@@ -40,6 +38,5 @@ __all__ = [
     "TermSpace",
     "TfIdfVectorizer",
     "cosine_similarity",
-    "is_stopword",
     "stem",
 ]

@@ -8,9 +8,6 @@ spaces and lets the classifier treat them uniformly:
   window (bounded word distance keeps extraction cheap);
 * :class:`AnchorTextSpace` -- stemmed anchor texts of *incoming* links,
   under extended stopword elimination;
-* :class:`NeighbourTermSpace` -- the most significant terms of hyperlink
-  predecessors/successors (risky, so meant to be combined with MI-based
-  feature selection);
 * :class:`CombinedSpace` -- concatenation of any of the above, with a
   per-space namespace prefix so features never collide.
 
@@ -42,7 +39,6 @@ __all__ = [
     "TermSpace",
     "TermPairSpace",
     "AnchorTextSpace",
-    "NeighbourTermSpace",
     "CombinedSpace",
 ]
 
@@ -53,14 +49,12 @@ class AnalyzedDocument:
 
     ``stems`` are the body terms in document order.
     ``incoming_anchor_terms`` are stemmed anchor-text terms from pages that
-    link *to* this document; ``neighbour_terms`` are significant terms of
-    hyperlink neighbours.  Both are optional -- a freshly crawled page may
-    have neither until the link database fills in.
+    link *to* this document; they are optional -- a freshly crawled page
+    may have none until the link database fills in.
     """
 
     stems: Sequence[str]
     incoming_anchor_terms: Sequence[str] = ()
-    neighbour_terms: Sequence[str] = ()
 
 
 class FeatureSpace:
@@ -122,26 +116,6 @@ class AnchorTextSpace(FeatureSpace):
 
     def extract(self, document: AnalyzedDocument) -> Counter[str]:
         return Counter(document.incoming_anchor_terms)
-
-
-class NeighbourTermSpace(FeatureSpace):
-    """Most significant terms of hyperlink-neighbour documents.
-
-    Only the ``limit`` most frequent neighbour terms are kept, since the
-    paper warns this space "may as well dilute the feature space" and must
-    be paired with conservative MI selection.
-    """
-
-    name = "neighbour"
-
-    def __init__(self, limit: int = 50) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self.limit = limit
-
-    def extract(self, document: AnalyzedDocument) -> Counter[str]:
-        counts = Counter(document.neighbour_terms)
-        return Counter(dict(counts.most_common(self.limit)))
 
 
 class CombinedSpace(FeatureSpace):

@@ -12,7 +12,7 @@ Two lists are exported:
 
 from __future__ import annotations
 
-__all__ = ["STOPWORDS", "ANCHOR_STOPWORDS", "is_stopword", "is_anchor_stopword"]
+__all__ = ["STOPWORDS", "ANCHOR_STOPWORDS"]
 
 STOPWORDS: frozenset[str] = frozenset("""
 a about above after again against all am an and any are aren as at be because
@@ -39,13 +39,3 @@ next previous prev top bottom up download downloads more info information
 read contact about news faq help search go goto visit view full text html
 pdf ps doc online web www http https email mail welcome start continue
 """.split())
-
-
-def is_stopword(term: str) -> bool:
-    """Return True if ``term`` (lowercase) is a standard stopword."""
-    return term in STOPWORDS
-
-
-def is_anchor_stopword(term: str) -> bool:
-    """Return True if ``term`` is removed under anchor-text stopwording."""
-    return term in ANCHOR_STOPWORDS

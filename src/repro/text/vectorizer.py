@@ -49,9 +49,6 @@ class SparseVector:
     def __iter__(self):
         return iter(self.weights.items())
 
-    def get(self, feature: str, default: float = 0.0) -> float:
-        return self.weights.get(feature, default)
-
     @property
     def norm(self) -> float:
         cached = self._norm
@@ -82,10 +79,6 @@ class SparseVector:
         return SparseVector(
             {f: w for f, w in self.weights.items() if f in keep}
         )
-
-    def top(self, k: int) -> list[tuple[str, float]]:
-        """The ``k`` highest-weighted features, descending by weight."""
-        return sorted(self.weights.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
@@ -145,19 +138,10 @@ class CorpusStatistics:
         self._idf_cache = {}
 
     @property
-    def snapshot_size(self) -> int:
-        return self._snapshot_n
-
-    @property
     def snapshot_version(self) -> int:
         """Monotonic idf-snapshot counter; cached vectors are valid only
         for the version they were computed under."""
         return self._snapshot_version
-
-    @property
-    def snapshot_df(self) -> Mapping[str, int]:
-        """The document frequencies of the current idf snapshot."""
-        return self._snapshot_df
 
     def idf(self, term: str) -> float:
         """Log-dampened inverse document frequency from the snapshot.

@@ -73,11 +73,6 @@ class WorkerPool:
         heapq.heappush(self._free_at, end)
         return start, end
 
-    @property
-    def next_free(self) -> float:
-        """When the next worker becomes available."""
-        return self._free_at[0]
-
     def drain(self) -> float:
         """Advance the clock until all workers are idle; returns that time."""
         last = max(self._free_at)

@@ -50,11 +50,6 @@ class ParsedUrl:
             return self.host
         return ".".join(labels[-2:])
 
-    @property
-    def directory(self) -> str:
-        """The path up to and including the final '/'."""
-        return self.path[: self.path.rfind("/") + 1]
-
 
 def parse_url(url: str) -> ParsedUrl | None:
     """Parse an absolute http(s) URL; return None if it is not one."""
@@ -113,9 +108,8 @@ def join_url(base: str, href: str) -> str | None:
         return normalize_url(f"{parsed.scheme}:{href}")
     if href.startswith("/"):
         return normalize_url(f"{parsed.scheme}://{parsed.host}{href}")
-    return normalize_url(
-        f"{parsed.scheme}://{parsed.host}{parsed.directory}{href}"
-    )
+    directory = parsed.path[: parsed.path.rfind("/") + 1]
+    return normalize_url(f"{parsed.scheme}://{parsed.host}{directory}{href}")
 
 
 def url_hash(url: str) -> int:

@@ -121,6 +121,3 @@ class SyntheticWeb:
 
     def needle_urls(self) -> set[str]:
         return {self.pages[pid].url for pid in self.needles}
-
-    def hub_urls(self, topic: str) -> list[str]:
-        return [self.pages[pid].url for pid in self.hub_page_ids.get(topic, [])]

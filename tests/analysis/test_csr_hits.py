@@ -127,8 +127,13 @@ class TestCsrAdjacency:
         graph = random_graph(nodes=40, out_degree=3, seed=2)
         adjacency = CsrAdjacency.from_graph(graph)
         assert adjacency.matrix.shape == (len(graph), len(graph))
-        assert len(adjacency.matrix.data) == len(list(graph.edges()))
-        for source, target in graph.edges():
+        edges = [
+            (source, target)
+            for source, targets in graph.successors.items()
+            for target in targets
+        ]
+        assert len(adjacency.matrix.data) == len(edges)
+        for source, target in edges:
             row = adjacency.index[source]
             column = adjacency.index[target]
             assert entry(adjacency.matrix, row, column) == 1.0

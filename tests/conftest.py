@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.ontology import ROOT, TopicTree
 from repro.storage import Relation
 from repro.web import SyntheticWeb, WebGraphConfig
 
@@ -16,6 +17,19 @@ def named_rows(relation: Relation) -> list[dict]:
     """
     columns = relation.schema.column_names
     return [dict(zip(columns, row)) for row in relation.rows()]
+
+
+def nested_tree(nested: dict) -> TopicTree:
+    """A topic tree from nested dicts, e.g. ``{"math": {"algebra": {}}}``,
+    built the way readers build one: ``add_topic`` under each parent."""
+    tree = TopicTree()
+
+    def add(parent: str, mapping: dict) -> None:
+        for label, sub in mapping.items():
+            add(tree.add_topic(label, parent=parent), sub)
+
+    add(ROOT, nested)
+    return tree
 
 
 def small_web_config(seed: int = 7, **overrides) -> WebGraphConfig:

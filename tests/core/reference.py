@@ -3,8 +3,8 @@
 This is the per-node formulation ``HierarchicalClassifier`` ran before
 the compiled kernel of :mod:`repro.perf.compiled` replaced it: one dict
 projection, normalisation and dot product per (child, feature space)
-pair (:meth:`NodeClassifier.decision` / ``distance``, which production
-keeps as the kernel's fallback for non-linear learners), the
+pair (:meth:`NodeClassifier.decision`, which production keeps as the
+kernel's fallback for non-linear learners, and its hyperplane distance), the
 meta-classifier combination of paper 3.5 written out over plain lists,
 and the top-down descent of paper 2.4.  It reads a trained classifier's
 ``tree``, ``models`` and ``vectorizers`` and nothing of the kernel or
@@ -37,6 +37,7 @@ from repro.core.classifier import (
     TrainingDoc,
 )
 from repro.errors import TrainingError
+from repro.ml.svm import LinearSVM
 from repro.text.vectorizer import SparseVector
 
 __all__ = [
@@ -59,6 +60,18 @@ def vectorize_reference(
     }
 
 
+def distance_reference(member, vectors: Mapping[str, SparseVector]) -> float:
+    """A member's confidence: for an SVM the signed distance of the
+    document from the separating hyperplane, ``decision / ||w||``
+    (paper 2.4; 0 when ``w`` is 0), for any other learner its raw
+    decision."""
+    decision = member.decision(vectors)
+    if isinstance(member.svm, LinearSVM):
+        norm = member.svm._weight_norm
+        return decision / norm if norm else 0.0
+    return decision
+
+
 def decide_reference(
     model: TopicDecisionModel, vectors: Mapping[str, SparseVector], mode: str
 ) -> tuple[bool, float]:
@@ -77,13 +90,15 @@ def decide_reference(
         )
         return (
             member.decision(vectors) > ACCEPTANCE_THRESHOLD,
-            member.distance(vectors),
+            distance_reference(member, vectors),
         )
     votes = [
         1 if member.decision(vectors) > ACCEPTANCE_THRESHOLD else -1
         for member in model.members
     ]
-    distances = [member.distance(vectors) for member in model.members]
+    distances = [
+        distance_reference(member, vectors) for member in model.members
+    ]
     precisions = [member.estimate.precision for member in model.members]
     if mode == "unanimous":
         positive = all(vote > 0 for vote in votes)

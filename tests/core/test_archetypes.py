@@ -46,7 +46,7 @@ def test_mean_confidence_threshold_blocks_weak_candidates() -> None:
         training_confidences={10: 0.5, 11: 0.7},  # mean 0.6
         document_confidences={1: 0.2, 2: 0.9},
     )
-    assert decision.added_ids == [2]
+    assert [doc_id for doc_id, _, _ in decision.added] == [2]
     assert decision.previous_mean == 0.6
 
 
@@ -58,7 +58,7 @@ def test_threshold_can_be_disabled() -> None:
         document_confidences={1: 0.2, 2: 0.9},
         enforce_threshold=False,
     )
-    assert set(decision.added_ids) == {1, 2}
+    assert set([doc_id for doc_id, _, _ in decision.added]) == {1, 2}
     assert decision.removed == []
 
 
@@ -79,7 +79,7 @@ def test_laggards_removed_but_bounded_by_additions() -> None:
         training_confidences={10: 0.05, 11: 0.06, 12: 0.9},  # mean ~0.34
         document_confidences={1: 0.95},
     )
-    assert decision.added_ids == [1]
+    assert [doc_id for doc_id, _, _ in decision.added] == [1]
     # two laggards below the previous mean, but only one promotion
     assert len(decision.removed) == 1
     assert decision.removed[0] == 10  # the weakest first

@@ -12,6 +12,8 @@ from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
 from repro.errors import TrainingError
 
+from tests.conftest import nested_tree
+
 
 def doc(words: dict[str, int], space: str = "term") -> dict[str, Counter]:
     return {space: Counter(words)}
@@ -92,12 +94,11 @@ class TestFlatClassification:
 
     def test_estimates_available(self, flat_setup) -> None:
         classifier = flat_setup[0]
-        estimates = classifier.estimates()
-        assert set(estimates) == {"ROOT/db", "ROOT/sports"}
-        for members in estimates.values():
-            for space, estimate in members:
-                assert space == "term"
-                assert 0.0 <= estimate.precision <= 1.0
+        assert set(classifier.models) == {"ROOT/db", "ROOT/sports"}
+        for model in classifier.models.values():
+            for member in model.members:
+                assert member.space == "term"
+                assert 0.0 <= member.estimate.precision <= 1.0
 
     def test_untrained_classifier_raises(self) -> None:
         tree = TopicTree.from_leaves(["a"])
@@ -120,7 +121,7 @@ class TestFlatClassification:
 
 class TestHierarchy:
     def test_two_level_descent(self) -> None:
-        tree = TopicTree.from_nested({"math": {"algebra": {}, "stochastics": {}}})
+        tree = nested_tree({"math": {"algebra": {}, "stochastics": {}}})
         config = BingoConfig(selected_features=50, tf_preselection=100)
         classifier = HierarchicalClassifier(tree, config)
         algebra = topic_docs(
@@ -155,7 +156,7 @@ class TestHierarchy:
     def test_rejection_at_second_level(self) -> None:
         """A document that is math but neither algebra nor stochastics
         lands in math/OTHERS."""
-        tree = TopicTree.from_nested({"math": {"algebra": {}, "stochastics": {}}})
+        tree = nested_tree({"math": {"algebra": {}, "stochastics": {}}})
         config = BingoConfig(selected_features=50, tf_preselection=100)
         classifier = HierarchicalClassifier(tree, config)
         algebra = topic_docs(["group", "ring"], 15, seed=7, extra=["theorem"])

@@ -31,6 +31,7 @@ from repro.perf.cache import VectorCache
 from repro.perf.compiled import CompiledClassifier, _SpaceBlock
 from repro.text.vectorizer import SparseVector
 
+from tests.conftest import nested_tree
 from tests.core.conftest import fast_engine_config
 from tests.core.reference import (
     classify_reference,
@@ -63,7 +64,7 @@ def _vocab(prefix: str) -> list[str]:
 @pytest.fixture(scope="module")
 def nested_setup():
     """A two-level tree trained over two feature spaces, plus eval docs."""
-    tree = TopicTree.from_nested(
+    tree = nested_tree(
         {"science": {"db": {}, "ml": {}}, "sports": {}}
     )
     config = BingoConfig(selected_features=80, tf_preselection=300)

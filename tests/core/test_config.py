@@ -39,8 +39,7 @@ def test_defaults_and_boundaries_validate() -> None:
 
 def test_never_set_fields_stay_gone() -> None:
     """The fields no caller in ``src/`` or ``benchmarks/`` varies are
-    constants beside their readers now (``deprecated-api`` says where),
-    not constructor keywords."""
+    constants beside their readers now, not constructor keywords."""
     config = BingoConfig()
     for name in (
         "retry_multiplier", "retry_max_delay", "host_quarantine_multiplier",

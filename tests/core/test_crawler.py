@@ -143,9 +143,7 @@ class TestCrawlRun:
         assert len(trap_docs) < 25
 
     def test_duplicates_were_caught(self, crawl_result) -> None:
-        crawler, stats, _ = crawl_result
-        # aliases/copies in the web should trigger at least one stage
-        assert crawler.ctx.dedup.stats.total_hits + stats.duplicates_skipped >= 0
+        crawler, _, _ = crawl_result
         urls = [d.final_url for d in crawler.ctx.documents]
         assert len(urls) == len(set(urls)), "no page stored twice"
 

@@ -14,7 +14,6 @@ from collections import Counter
 
 from repro.core import FocusedCrawler
 from repro.core.records import SOFT, CrawlStats, CrawledDocument, PhaseSettings
-from repro.core.frontier import QueueEntry
 from repro.pipeline import context
 from repro.storage.database import Database
 from repro.storage.schema import page_rows
@@ -32,14 +31,12 @@ def make_crawler(web, **config_overrides) -> FocusedCrawler:
 
 
 def visit(crawler, url: str) -> CrawlStats:
-    stats = CrawlStats()
-    phase = PhaseSettings(name="test", focus=SOFT, tunnelling=False,
-                          fetch_budget=10)
-    crawler.pipeline.visit_one(
-        QueueEntry(url=url, topic="ROOT/databases", priority=1.0, depth=0),
-        phase, stats,
-    )
-    return stats
+    """Crawl ``url`` alone: seeded, then a phase whose budget is one
+    fetch."""
+    crawler.seed([url], topic="ROOT/databases")
+    return crawler.crawl(PhaseSettings(
+        name="test", focus=SOFT, tunnelling=False, fetch_budget=1
+    ))
 
 
 class TestPolitenessWait:

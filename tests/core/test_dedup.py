@@ -68,5 +68,6 @@ def test_stats_totals() -> None:
     detector.is_known_ip_path("ip", "http://a/")
     detector.is_known_ip_size("ip", 1)
     detector.is_known_ip_size("ip", 1)
-    assert detector.stats.total_hits == 3
+    stats = detector.stats
+    assert stats.url_hash_hits + stats.ip_path_hits + stats.ip_size_hits == 3
     assert detector.stats.checked == 2  # only stage 1 counts checks

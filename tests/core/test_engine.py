@@ -97,7 +97,7 @@ class TestPortalEngine:
     def test_idf_statistics_filled(self, portal_run) -> None:
         engine, _ = portal_run
         stats = engine.classifier.vectorizers["term"].statistics
-        assert stats.snapshot_size > 0
+        assert stats._snapshot_n > 0
 
 
 class TestExpertEngine:
@@ -108,7 +108,8 @@ class TestExpertEngine:
         web = small_expert_web
         # seed from the ARIES hub and a couple of researcher pages, as the
         # paper seeds from hand-picked external search results
-        seeds = web.hub_urls("aries")[-1:] + web.seed_homepages(2, topic="aries")
+        hubs = [web.pages[pid].url for pid in web.hub_page_ids["aries"]]
+        seeds = hubs[-1:] + web.seed_homepages(2, topic="aries")
         engine = BingoEngine.for_expert(web, seeds, topic="aries", config=config)
         engine.run(harvesting_fetch_budget=400)
         crawled_urls = {doc.final_url for doc in engine.ctx.documents}

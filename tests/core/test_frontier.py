@@ -78,7 +78,7 @@ class TestBounds:
         assert pending_by_topic(frontier)["t1"] == 1
         assert pending_by_topic(frontier)["nope"] == 0
         assert len(frontier) == 2
-        assert frontier.topics == ["t1", "t2"]
+        assert sorted(frontier.queues) == ["t1", "t2"]
 
 
 class TestDnsPrefetch:

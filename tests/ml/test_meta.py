@@ -31,34 +31,42 @@ class FixedClassifier(BinaryClassifier):
 V = SparseVector({"x": 1.0})
 
 
+def verdict(meta: MetaClassifier, vector: SparseVector):
+    """The meta verdict on ``vector``: each member votes, then
+    ``verdict_from_votes`` combines the votes (the batch path E6 runs)."""
+    return meta.verdict_from_votes(
+        [member.predict(vector) for member in meta.classifiers]
+    )
+
+
 class TestDecisionRules:
     def test_unanimous_positive(self) -> None:
         meta = MetaClassifier.unanimous([FixedClassifier(1)] * 3)
-        assert meta.predict(V) == 1
+        assert verdict(meta, V).decision == 1
 
     def test_unanimous_abstains_on_disagreement(self) -> None:
         meta = MetaClassifier.unanimous(
             [FixedClassifier(1), FixedClassifier(1), FixedClassifier(-1)]
         )
-        verdict = meta.classify(V)
-        assert verdict.decision == 0
-        assert verdict.abstained
+        result = verdict(meta, V)
+        assert result.decision == 0
+        assert result.votes == (1, 1, -1)
 
     def test_unanimous_negative(self) -> None:
         meta = MetaClassifier.unanimous([FixedClassifier(-1)] * 4)
-        assert meta.predict(V) == -1
+        assert verdict(meta, V).decision == -1
 
     def test_majority(self) -> None:
         meta = MetaClassifier.majority(
             [FixedClassifier(1), FixedClassifier(1), FixedClassifier(-1)]
         )
-        assert meta.predict(V) == 1
+        assert verdict(meta, V).decision == 1
 
     def test_majority_tie_abstains(self) -> None:
         meta = MetaClassifier.majority(
             [FixedClassifier(1), FixedClassifier(-1)]
         )
-        assert meta.predict(V) == 0
+        assert verdict(meta, V).decision == 0
 
     def test_weighted_overrules_count(self) -> None:
         """One high-precision classifier outweighs two weak dissenters."""
@@ -66,18 +74,17 @@ class TestDecisionRules:
             [FixedClassifier(1), FixedClassifier(-1), FixedClassifier(-1)],
             precisions=[0.95, 0.3, 0.3],
         )
-        assert meta.predict(V) == 1
+        assert verdict(meta, V).decision == 1
 
     def test_score_reported(self) -> None:
         meta = MetaClassifier.majority([FixedClassifier(1)] * 3)
-        assert meta.classify(V).score == pytest.approx(3.0)
-        assert meta.decision(V) == pytest.approx(3.0)
+        assert verdict(meta, V).score == pytest.approx(3.0)
 
     def test_votes_recorded(self) -> None:
         meta = MetaClassifier.majority(
             [FixedClassifier(1), FixedClassifier(-1)]
         )
-        assert meta.classify(V).votes == (1, -1)
+        assert verdict(meta, V).votes == (1, -1)
 
 
 class TestValidation:
@@ -121,5 +128,5 @@ class TestEndToEnd:
             return tp / (tp + fp) if tp + fp else 1.0
 
         member_precision = max(precision(m.predict) for m in members)
-        meta_precision = precision(meta.predict)
+        meta_precision = precision(lambda v: verdict(meta, v).decision)
         assert meta_precision >= member_precision - 0.05

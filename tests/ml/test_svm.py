@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,21 +55,25 @@ def test_decision_sign_matches_predict(two_class_data) -> None:
 
 
 def test_distance_is_scaled_decision(two_class_data) -> None:
+    """The kernel's confidence is ``decision / ||w||`` (paper 2.4), with
+    the ``||w||`` ``export_linear`` hands it: the bias weight included."""
     vectors, labels = two_class_data
     svm = LinearSVM().fit(vectors, labels)
-    v = vectors[0]
-    assert svm.distance(v) == pytest.approx(
-        svm.decision(v) * svm.margin, rel=1e-9
+    weights, bias, norm = svm.export_linear()
+    assert norm == pytest.approx(
+        math.sqrt(sum(w * w for w in weights.values()) + bias * bias),
+        rel=1e-9,
     )
 
 
 def test_confident_examples_are_farther(two_class_data) -> None:
-    """A strongly positive document lies farther from the hyperplane."""
+    """A strongly positive document lies farther from the hyperplane
+    (the distance is the decision over the constant ``||w||``)."""
     vectors, labels = two_class_data
     svm = LinearSVM().fit(vectors, labels)
     weak = SparseVector({"pos0": 0.5})
     strong = SparseVector({f"pos{i}": 3.0 for i in range(10)})
-    assert svm.distance(strong) > svm.distance(weak) > 0
+    assert svm.decision(strong) > svm.decision(weak) > 0
 
 
 def test_dual_feasibility(two_class_data) -> None:
@@ -123,10 +129,10 @@ def test_decision_before_fit_raises() -> None:
 
 def test_weight_of_named_feature(two_class_data) -> None:
     vectors, labels = two_class_data
-    svm = LinearSVM().fit(vectors, labels)
-    assert svm.weight_of("pos0") > 0
-    assert svm.weight_of("neg0") < 0
-    assert svm.weight_of("never-seen") == 0.0
+    weights = LinearSVM().fit(vectors, labels).export_linear()[0]
+    assert weights["pos0"] > 0
+    assert weights["neg0"] < 0
+    assert "never-seen" not in weights
 
 
 def test_hard_problem_still_converges() -> None:

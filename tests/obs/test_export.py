@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (
-    MetricsRegistry,
-    parse_prometheus,
-    to_json,
-    to_prometheus,
-)
+from repro.obs import MetricsRegistry, to_json, to_prometheus
 from repro.obs.export import flatten_snapshot
+
+
+def parse_prometheus(text: str) -> dict[str, float]:
+    """Prometheus text back into the :func:`flatten_snapshot` dict."""
+    samples: dict[str, float] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.rpartition(" ")
+        samples[key] = float(value)
+    return samples
 
 
 def build_registry() -> MetricsRegistry:

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import BingoEngine
-from repro.obs.export import flatten_snapshot, parse_prometheus, to_prometheus
+from repro.obs.export import flatten_snapshot, to_prometheus
 from repro.robust.checkpoint import save_checkpoint
 from repro.search.engine import LocalSearchEngine
 from repro.search.serving import QueryRequest, QueryServer
 from repro.web import SyntheticWeb
 
 from tests.conftest import small_web_config
+from tests.obs.test_export import parse_prometheus
 from tests.core.conftest import fast_engine_config
 
 
@@ -49,7 +50,8 @@ def run(tmp_path_factory) -> SimpleNamespace:
 
 
 def _breakers(run):
-    return [breaker for _host, breaker in run.ctx.hosts.items()]
+    """Each host breaker's counters, as a checkpoint stores them."""
+    return list(run.ctx.hosts.to_dict().values())
 
 
 #: former registry family -> (source, key, the owner's own count)
@@ -92,10 +94,10 @@ HOMES = {
         lambda r: r.ctx.checkpoint_restores),
     "robust_breaker_transitions_total_into_open": (
         "robust", "breaker_trips",
-        lambda r: sum(b.trips for b in _breakers(r))),
+        lambda r: sum(b["trips"] for b in _breakers(r))),
     "robust_breaker_transitions_total_into_half_open": (
         "robust", "breaker_probes",
-        lambda r: sum(b.probes for b in _breakers(r))),
+        lambda r: sum(b["probes"] for b in _breakers(r))),
     "search_queries_total": (
         "search", "queries", lambda r: r.search.queries),
     "search_queries_failed_total": (

@@ -102,6 +102,5 @@ class TestRemovedRecordsStayGone:
         assert not hasattr(crawler.ctx.obs, "tracer")
 
     def test_living_portal_takes_no_indexed_keyword(self) -> None:
-        # spelled as a mapping: deprecated-api flags the literal keyword
         with pytest.raises(TypeError):
-            LivingPortal(object(), **{"indexed": True})
+            LivingPortal(object(), indexed=True)

@@ -115,7 +115,7 @@ def test_per_document_vectors_identical(runs) -> None:
         [d.counts for d in new_crawler.ctx.documents]
     )
     old_bundles = [
-        old_crawler.ctx.classifier.vectorize(d.counts)
+        old_crawler.ctx.classifier.vectorize_many([d.counts])[0]
         for d in old_crawler.ctx.documents
     ]
     assert len(new_bundles) == len(old_bundles)

@@ -135,31 +135,3 @@ class TestWorkspaceSharding:
         assert all(
             0 <= ws < config.crawler_threads for ws in sorted(used)
         )
-
-
-class TestVisitOneCompat:
-    def test_visit_one_matches_crawl_of_one(self, web) -> None:
-        from repro.core.records import CrawlStats
-        from repro.core.frontier import QueueEntry
-
-        url = web.seed_homepages(1)[0]
-        phase = PhaseSettings(name="t", focus=SOFT, fetch_budget=10)
-
-        via_visit = build_crawler(web)
-        stats = CrawlStats()
-        via_visit.pipeline.visit_one(
-            QueueEntry(url=url, topic="ROOT/databases", priority=1.0,
-                       depth=0),
-            phase, stats,
-        )
-
-        via_crawl = build_crawler(web)
-        via_crawl.seed([url], topic="ROOT/databases", priority=1.0)
-        crawl_stats = via_crawl.crawl(
-            PhaseSettings(name="t", focus=SOFT, fetch_budget=1)
-        )
-        assert stats.visited_urls == crawl_stats.visited_urls == 1
-        assert stats.stored_pages == crawl_stats.stored_pages
-        assert [d.final_url for d in via_visit.ctx.documents] == [
-            d.final_url for d in via_crawl.ctx.documents
-        ]

@@ -8,11 +8,10 @@ the session-scoped ``small_web`` -- one build is ~2 seconds.
 from __future__ import annotations
 
 from repro.core import BingoEngine
-from repro.core.ontology import TopicTree
 from repro.portal import EvolutionConfig, LivingPortal
 from repro.web import SyntheticWeb
 
-from tests.conftest import small_web_config
+from tests.conftest import nested_tree, small_web_config
 from tests.core.conftest import fast_engine_config
 
 #: one evolution seed used across parity/checkpoint scenarios so every
@@ -27,7 +26,7 @@ def build_engine(
 ) -> BingoEngine:
     """A freshly crawled two-topic engine over a fresh small web."""
     web = SyntheticWeb.generate(small_web_config(seed=seed))
-    tree = TopicTree.from_nested({"databases": {}, "datamining": {}})
+    tree = nested_tree({"databases": {}, "datamining": {}})
     seeds = {
         "ROOT/databases": web.seed_homepages(3, topic="databases"),
         "ROOT/datamining": web.seed_homepages(3, topic="datamining"),

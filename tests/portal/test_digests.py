@@ -22,6 +22,13 @@ class TestContentDigest:
         assert content_digest(None) == content_digest("")
 
 
+def row_of(store: DigestStore, url: str) -> dict | None:
+    """``url``'s digest row as a checkpoint stores it, or None."""
+    return next(
+        (row for row in store.snapshot()["rows"] if row["url"] == url), None
+    )
+
+
 class TestDigestStore:
     def test_new_changed_unchanged_transitions(self) -> None:
         store = DigestStore()
@@ -29,7 +36,7 @@ class TestDigestStore:
         assert store.record(url, "d1", at=1.0, page_id=4) == DigestStore.NEW
         assert store.record(url, "d1", at=2.0) == DigestStore.UNCHANGED
         assert store.record(url, "d2", at=3.0) == DigestStore.CHANGED
-        row = store.get(url)
+        row = row_of(store, url)
         assert row["digest"] == "d2"
         assert row["page_id"] == 4
         assert row["fetched_at"] == 3.0
@@ -67,7 +74,7 @@ class TestDigestStore:
         restored.restore(state)
         assert restored.stats() == store.stats()
         for url in ("http://a.example/p.html", "http://b.example/q.html"):
-            assert restored.get(url) == store.get(url)
+            assert row_of(restored, url) == row_of(store, url)
         # restored store keeps detecting changes with full history
         assert (
             restored.record("http://a.example/p.html", "d3", at=4.0)
@@ -131,7 +138,7 @@ class TestDigestStoreModel:
             assert store.record(url, digest, at, page_id=page_id) == expected
         for url in ("http://a.example/", "http://b.example/",
                     "http://c.example/"):
-            assert store.get(url) == model.get(url)
+            assert row_of(store, url) == model.get(url)
             assert (url in store) == (url in model)
             assert store.digest_of(url) == (
                 model[url]["digest"] if url in model else None
@@ -193,8 +200,6 @@ class TestDocumentDeltaMerge:
         delta.record_changed(make_doc(2, {"b": 1}), make_doc(2, {"b": 2}))
         delta.record_removed(make_doc(3, {"c": 1}))
         assert not delta.empty
-        assert delta.stats() == {
-            "delta_added": 1.0,
-            "delta_changed": 1.0,
-            "delta_removed": 1.0,
-        }
+        assert (len(delta.added), len(delta.changed), len(delta.removed)) == (
+            1, 1, 1,
+        )

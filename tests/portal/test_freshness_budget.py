@@ -39,12 +39,14 @@ def curve() -> list[dict]:
             portal.evolution.advance_to(portal.clock.now)
             portal.recrawl(budget)
         report = portal.freshness(at=base + CYCLES * CYCLE_SECONDS)
+        # everything a recrawl could still fix
+        unfresh = report.stale_documents + report.dead_indexed
         runs.append({
             "budget": budget,
             "base": base,
             "ticks": portal.evolution.applied_tick,
-            "unfresh": report.unfresh,
-            "lag_sum": report.lag_mean * report.unfresh,
+            "unfresh": unfresh,
+            "lag_sum": report.lag_mean * unfresh,
             "epoch_unchanged": portal.search.epoch == epoch_before,
             "served_unchanged": served(portal) == served_before,
         })

@@ -92,8 +92,8 @@ class TestIncrementalEqualsRebuild:
         b = rebuilt.vectorizer.statistics
         assert a.document_count == b.document_count
         assert dict(a.document_frequency) == dict(b.document_frequency)
-        assert dict(a.snapshot_df) == dict(b.snapshot_df)
-        assert a.snapshot_size == b.snapshot_size
+        assert a._snapshot_df == b._snapshot_df
+        assert a._snapshot_n == b._snapshot_n
 
     def test_every_vector_is_bit_identical(
         self, evolved_portal, rebuilt
@@ -117,7 +117,7 @@ class TestIncrementalEqualsRebuild:
         relative -- three orders inside the 1e-9 verify band."""
         engine = evolved_portal.search
         index = engine.index()
-        snapshot_df = engine.vectorizer.statistics.snapshot_df
+        snapshot_df = engine.vectorizer.statistics._snapshot_df
         assert len(index) == len(snapshot_df)
         checked = 0
         for term in sorted(snapshot_df):
@@ -127,7 +127,7 @@ class TestIncrementalEqualsRebuild:
                 index._doc_ids[rows].tolist(), impacts.tolist()
             ):
                 vector = engine.vector(doc_id)
-                exact = vector.get(term) / vector.norm
+                exact = vector.weights.get(term, 0.0) / vector.norm
                 assert abs(impact - exact) <= 1e-12 * exact, (term, doc_id)
                 checked += 1
         assert checked == index.postings_total
@@ -164,7 +164,7 @@ class TestIncrementalEqualsRebuild:
         for query in QUERIES:
             query_vector = incremental._query_vector(query)
             brute = incremental.rank_all(
-                incremental.filter(None), query_vector, RankingWeights()
+                list(incremental.documents), query_vector, RankingWeights()
             )
             indexed = incremental.search(query, top_k=10)
             assert hit_tuples(indexed) == hit_tuples(brute[:10])
@@ -260,7 +260,8 @@ class TestNonEvolvingBaseline:
         assert [
             (d.doc_id, d.final_url, d.topic) for d in portal.ctx.documents
         ] == before
-        assert portal.freshness().unfresh == 0
+        report = portal.freshness()
+        assert report.stale_documents + report.dead_indexed == 0
 
 
 class TestDiscoveredPagesScoreLikeCrawledOnes:

@@ -154,8 +154,10 @@ class TestBreakerBoard:
         board = BreakerBoard(BreakerPolicy(open_after=1))
         board.get("ok")
         board.get("down").record_failure(0.0)
-        assert board.quarantined == ["down"]
-        assert board.slow_hosts == ["down"]
+        assert board.stats()["hosts_quarantined"] == 1.0
+        assert board.stats()["hosts_slow"] == 1.0
+        assert board.get("down").bad and board.get("down").slow
+        assert not board.get("ok").bad and not board.get("ok").slow
 
     def test_restore_round_trip(self) -> None:
         board = BreakerBoard()

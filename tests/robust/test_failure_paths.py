@@ -154,17 +154,20 @@ class TestDnsFailurePath:
         url = host_urls(small_web, university, 1)[0]
         host = parse_url(url).host
 
-        def always_fail(hostname):
-            raise DNSError(f"injected failure for {hostname}")
+        resolve = crawler.ctx.resolver.resolve
+        lookups = []
 
-        crawler.ctx.resolver.resolve = always_fail
-        stats = CrawlStats()
-        from repro.core.frontier import QueueEntry
+        def fail_after_prefetch(hostname):
+            # the frontier's prefetch resolves; the fetch's lookup fails
+            lookups.append(hostname)
+            if len(lookups) > 1:
+                raise DNSError(f"injected failure for {hostname}")
+            return resolve(hostname)
 
-        crawler.pipeline.visit_one(
-            QueueEntry(url=url, topic="ROOT/databases", priority=1.0, depth=0),
-            SETTINGS, stats,
-        )
+        crawler.ctx.resolver.resolve = fail_after_prefetch
+        crawler.seed([url], topic="ROOT/databases")
+        # the phase ends before the backoff does: one attempt
+        stats = crawler.crawl(replace(SETTINGS, time_budget=1.0))
         assert stats.dns_failures == 1
         assert stats.visited_urls == 0, "no fetch happened"
         assert crawler.ctx.host_state(host).failures == 1
@@ -176,14 +179,9 @@ class TestDnsFailurePath:
 
 class TestNonRetryableResponses:
     def visit(self, crawler, url: str) -> CrawlStats:
-        from repro.core.frontier import QueueEntry
-
-        stats = CrawlStats()
-        crawler.pipeline.visit_one(
-            QueueEntry(url=url, topic="ROOT/databases", priority=1.0, depth=0),
-            SETTINGS, stats,
-        )
-        return stats
+        """Crawl ``url`` alone, with a budget of one fetch."""
+        crawler.seed([url], topic="ROOT/databases")
+        return crawler.crawl(replace(SETTINGS, fetch_budget=1))
 
     def test_not_found_is_not_a_host_fault(self, small_web) -> None:
         crawler, _ = make_crawler(small_web)

@@ -9,6 +9,20 @@ import pytest
 from repro.core.records import CrawledDocument
 
 
+def filter_reference(
+    documents: list[CrawledDocument], topic: str | None, exact: bool = True
+) -> list[CrawledDocument]:
+    """The documents a query under ``(topic, exact)`` ranks, in corpus
+    order: every one for no topic, the class itself for an exact filter,
+    the class and its subtree for a vague one."""
+    if topic is None:
+        return list(documents)
+    return [
+        d for d in documents
+        if d.topic == topic or (not exact and d.topic.startswith(topic + "/"))
+    ]
+
+
 def make_doc(
     doc_id: int,
     terms: dict[str, int],

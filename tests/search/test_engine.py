@@ -11,20 +11,28 @@ from tests.search.conftest import make_doc
 from tests.search.test_parity import random_corpus
 
 
+def ranked_ids(corpus, topic, exact=True) -> set[int]:
+    """The documents a query under the filter ranks: the brute path
+    scores every candidate the filter admits."""
+    engine = LocalSearchEngine(corpus, indexed=False)
+    hits = engine.search(
+        "recovery", topic=topic, exact=exact, top_k=len(corpus)
+    )
+    assert engine.stats()["candidates_ranked"] == len(hits)
+    return {hit.document.doc_id for hit in hits}
+
+
 class TestFiltering:
     def test_exact_topic_filter(self, corpus) -> None:
-        engine = LocalSearchEngine(corpus)
-        docs = engine.filter("ROOT/databases", exact=True)
-        assert {d.doc_id for d in docs} == {0, 1, 2}
+        assert ranked_ids(corpus, "ROOT/databases", exact=True) == {0, 1, 2}
 
     def test_vague_filter_includes_subtree(self, corpus) -> None:
-        engine = LocalSearchEngine(corpus)
-        docs = engine.filter("ROOT/databases", exact=False)
-        assert {d.doc_id for d in docs} == {0, 1, 2, 4}
+        assert ranked_ids(corpus, "ROOT/databases", exact=False) == {
+            0, 1, 2, 4,
+        }
 
     def test_no_topic_returns_all(self, corpus) -> None:
-        engine = LocalSearchEngine(corpus)
-        assert len(engine.filter(None)) == len(corpus)
+        assert len(ranked_ids(corpus, None)) == len(corpus)
 
 
 class TestCosineRanking:

@@ -102,7 +102,7 @@ class TestWorkIsSharedPerFilter:
         engine.search("recovery", weights=AUTHORITY)
         query_vector = engine._query_vector("recovery")
         for _ in range(2):
-            engine.rank_all(engine.filter(None), query_vector, AUTHORITY)
+            engine.rank_all(list(engine.documents), query_vector, AUTHORITY)
         assert len(hits_calls) == 3
 
 
@@ -181,24 +181,23 @@ class TestRequestsCannotGrowOrCorruptTheEngine:
                     "recovery", topic=f"ROOT/made-up-{n}", exact=exact,
                     weights=AUTHORITY,
                 ) == []
-        assert engine.filter("ROOT/made-up") == []
+        assert engine.search("recovery", topic="ROOT/made-up") == []
         assert engine.stats()["filter_views"] == before
 
     def test_mutating_a_filter_result_does_not_reach_later_queries(
         self, corpus
     ) -> None:
+        """A filter's result reaches the caller as a list of hits; the
+        caller may do what it likes with it."""
         engine = LocalSearchEngine(corpus)
         expected = hit_tuples(
             engine.search("recovery", topic="ROOT/databases", top_k=10)
         )
-        first = engine.filter("ROOT/databases")
+        first = engine.search("recovery", topic="ROOT/databases", top_k=10)
         first.clear()
-        everything = engine.filter(None)
+        everything = engine.search("recovery", top_k=len(corpus))
         everything.reverse()
         everything.pop()
-        assert engine.filter("ROOT/databases") is not first
-        assert [d.doc_id for d in engine.filter("ROOT/databases")] == [0, 1, 2]
-        assert engine.filter(None) == corpus
         assert engine.documents == corpus
         assert hit_tuples(
             engine.search("recovery", topic="ROOT/databases", top_k=10)

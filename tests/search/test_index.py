@@ -103,7 +103,7 @@ class TestInvertedIndex:
         assert rows.tolist() == [0, 2, 4]
         assert impacts.tolist() == pytest.approx(
             [
-                engine.vector(d).get("recoveri") / engine.vector(d).norm
+                engine.vector(d).weights["recoveri"] / engine.vector(d).norm
                 for d in (0, 2, 4)
             ],
             rel=1e-12,
@@ -169,12 +169,13 @@ class TestQueryCache:
         assert cache.get(epoch, "a") == 1  # old epoch still addressable
 
     def test_invalidate(self) -> None:
+        """The epoch is the invalidation: nothing is dropped eagerly."""
         epoch = Epoch.initial(1)
         cache = QueryCache()
         cache.put(epoch, "a", 1)
-        cache.invalidate()
-        assert cache.get(epoch, "a") is None
-        assert cache.stats()["query_cache_invalidations"] == 1.0
+        assert cache.get(epoch.advance("retrain"), "a") is None
+        assert len(cache) == 1
+        assert cache.stats()["query_cache_invalidations"] == 0.0
 
     def test_zero_capacity(self) -> None:
         epoch = Epoch.initial(1)
@@ -208,9 +209,6 @@ class TestEpochLifecycle:
         engine = LocalSearchEngine(_corpus())
         assert not hasattr(engine, "cache_token")
         assert not hasattr(engine, "refresh")
-        assert engine.epoch.token == (
-            engine.epoch.snapshot_version, engine.epoch.generation
-        )
         # the cursor walk, and the compressed runs with their codec
         for name in (
             "PostingCursor", "BOUND_INFLATION", "wand_topk",

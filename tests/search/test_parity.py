@@ -21,7 +21,7 @@ from repro.errors import SearchError
 from repro.search.engine import LocalSearchEngine, RankingWeights
 from repro.text.scanner import text_stems
 
-from tests.search.conftest import make_doc
+from tests.search.conftest import filter_reference, make_doc
 
 WORDS = [
     "recovery", "algorithm", "source", "code", "release", "log",
@@ -121,7 +121,7 @@ def assert_parity(engine: LocalSearchEngine, corpus_size: int) -> None:
     for query in QUERIES:
         query_vector = engine._query_vector(query)
         for (topic, exact), weights in combinations + combinations[::-1]:
-            candidates = engine.filter(topic, exact=exact)
+            candidates = filter_reference(engine.documents, topic, exact)
             brute = None
             for top_k in top_ks:
                 indexed = engine.search(
@@ -260,7 +260,7 @@ def test_indexed_equals_brute_force_and_scores_only_the_top(
         (None, True), ("ROOT/solo", True),
         ("ROOT/shared", True), ("ROOT/shared", False),
     ):
-        candidates = engine.filter(topic, exact=exact)
+        candidates = filter_reference(engine.documents, topic, exact)
         if not candidates:
             continue
         brute = engine.rank_all(candidates, query_vector, weights)

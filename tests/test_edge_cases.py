@@ -21,7 +21,8 @@ class TestWorkerPoolExtras:
         pool = WorkerPool(size=2, clock=clock)
         pool.run(5.0)
         pool.run(3.0)
-        assert pool.next_free == 3.0
+        start, _end = pool.run(1.0)
+        assert start == 3.0
 
 
 class TestHitsNonConvergence:
@@ -36,14 +37,14 @@ class TestHitsNonConvergence:
 
 class TestMetaDecisionValue:
     def test_decision_returns_weighted_sum(self) -> None:
-        from tests.ml.test_meta import FixedClassifier
+        from tests.ml.test_meta import FixedClassifier, verdict
 
         meta = MetaClassifier(
             [FixedClassifier(1), FixedClassifier(-1)], weights=[2.0, 1.0]
         )
         v = SparseVector({"x": 1.0})
-        assert meta.decision(v) == pytest.approx(1.0)
-        assert meta.classify(v).decision == 1
+        assert verdict(meta, v).score == pytest.approx(1.0)
+        assert verdict(meta, v).decision == 1
 
 
 class TestDedupForget:

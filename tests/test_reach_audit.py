@@ -1,5 +1,8 @@
-"""Every example and CLI command CI runs is a reader of the reach audit
-(``benchmarks/readers.py``), so a new smoke cannot escape the table."""
+"""The reach audit (``benchmarks/readers.py``) is the repo's one guard
+against dead code.  Every example and CLI command CI runs is one of its
+readers, so a new smoke cannot escape the table, and every function no
+reader reaches is on :data:`KEPT` with the reason it stays: a new unread
+function fails here under its own name, and so does a stale entry."""
 
 from __future__ import annotations
 
@@ -7,7 +10,82 @@ import re
 import shlex
 from pathlib import Path
 
-from benchmarks.readers import readers
+from benchmarks.readers import TABLE, readers
+
+DECLARATION = (
+    "declaration: a Protocol or abstract member, or a dunder the "
+    "language calls on the reader's behalf"
+)
+INPUT_BRANCH = "input branch: reached only on inputs no reader gives"
+TEST_ORACLE = "test oracle: the tests check the structure's invariants with it"
+ROADMAP_ITEM_4 = (
+    "ROADMAP item 4: the LivingPortal state machine restores through "
+    "LivingPortal.checkpoint / .restore; "
+    "tests/portal/test_checkpoint_resume.py proves the chain until then"
+)
+
+#: ``module:qualname`` -> why the function stays though no reader reaches it
+KEPT: dict[str, str] = {
+    "repro.analysis.graph:LinkGraph.__len__": DECLARATION,
+    "repro.core.ontology:TopicTree.__len__": DECLARATION,
+    "repro.core.rbtree:RedBlackTree.check_invariants": TEST_ORACLE,
+    "repro.core.rbtree:RedBlackTree.check_invariants.<locals>.walk":
+        TEST_ORACLE,
+    "repro.core.records:CrawledDocument.from_dict": ROADMAP_ITEM_4,
+    "repro.core.records:CrawledDocument.to_dict": ROADMAP_ITEM_4,
+    "repro.experiments.reporting:ExperimentTable.__str__": DECLARATION,
+    # a lint rule's finding, and its rendering, only on code that breaks it
+    "repro.lint.analysis.schema:StatsSchema._check_exported": INPUT_BRANCH,
+    "repro.lint.findings:Finding.render": INPUT_BRANCH,
+    "repro.lint.findings:Finding.to_dict": INPUT_BRANCH,
+    "repro.lint.graph:FunctionSymbol.line": INPUT_BRANCH,
+    "repro.lint.graph:ProjectIndex.callers_of": INPUT_BRANCH,
+    "repro.lint.registry:Rule.check": DECLARATION,
+    "repro.lint.registry:Rule.check_project": DECLARATION,
+    "repro.lint.registry:Rule.finding": INPUT_BRANCH,
+    "repro.lint.reporters:render_json": INPUT_BRANCH,
+    "repro.ml.common:BinaryClassifier.decision": DECLARATION,
+    "repro.ml.common:BinaryClassifier.fit": DECLARATION,
+    "repro.ml.common:FeatureIndexer.__len__": DECLARATION,
+    "repro.obs.api:Hook.__call__": DECLARATION,
+    "repro.obs.api:Instrumented.stats": DECLARATION,
+    "repro.perf.cache:VectorCache.__len__": DECLARATION,
+    "repro.pipeline.stages:Stage.run": DECLARATION,
+    "repro.portal.digests:DigestStore.__contains__": DECLARATION,
+    "repro.portal.digests:DigestStore.__len__": DECLARATION,
+    "repro.portal.digests:DigestStore.restore": ROADMAP_ITEM_4,
+    "repro.portal.digests:DigestStore.snapshot": ROADMAP_ITEM_4,
+    "repro.portal.evolution:WebEvolution.restore": ROADMAP_ITEM_4,
+    "repro.portal.evolution:WebEvolution.snapshot": ROADMAP_ITEM_4,
+    "repro.portal.runtime:LivingPortal._served_documents": ROADMAP_ITEM_4,
+    "repro.portal.runtime:LivingPortal.checkpoint": ROADMAP_ITEM_4,
+    "repro.portal.runtime:LivingPortal.restore": ROADMAP_ITEM_4,
+    "repro.portal.scheduler:RecrawlScheduler.restore": ROADMAP_ITEM_4,
+    "repro.portal.scheduler:RecrawlScheduler.snapshot": ROADMAP_ITEM_4,
+    "repro.robust.breaker:BreakerBoard.__contains__": DECLARATION,
+    "repro.robust.breaker:BreakerBoard.__len__": DECLARATION,
+    # fault rates below 1 roll a die; every reader's fault window is certain
+    "repro.robust.faults:_unit_roll": INPUT_BRANCH,
+    "repro.search.engine:LocalSearchEngine.restore_epoch": ROADMAP_ITEM_4,
+    "repro.search.epoch:Epoch.from_dict": ROADMAP_ITEM_4,
+    "repro.search.epoch:Epoch.to_dict": ROADMAP_ITEM_4,
+    "repro.search.index:InvertedIndex.__contains__": DECLARATION,
+    "repro.search.index:QueryCache.__len__": DECLARATION,
+    # a value of another type than its column's: a bad row, or an int
+    # in a float column
+    "repro.storage.schema:Column.check": INPUT_BRANCH,
+    "repro.text.features:CombinedSpace.__repr__": DECLARATION,
+    "repro.text.features:FeatureSpace.__repr__": DECLARATION,
+    "repro.text.features:FeatureSpace.extract": DECLARATION,
+    "repro.text.features:TermPairSpace.__repr__": DECLARATION,
+    "repro.text.handlers:ContentHandler.convert": DECLARATION,
+    "repro.text.handlers:ContentHandler.sniff": DECLARATION,
+    # words joined by an HTML entity; no synthetic page holds one
+    "repro.text.scanner:scan_html.<locals>.emit": INPUT_BRANCH,
+    "repro.web.dns:DnsZone.__len__": DECLARATION,
+    "repro.web.vocab:Vocabulary.__contains__": DECLARATION,
+    "repro.web.vocab:Vocabulary.__len__": DECLARATION,
+}
 
 CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
 _CLI_BY_RUNPY = re.compile(r"""run_module\(["']repro\.cli["']""")
@@ -81,4 +159,26 @@ def test_every_ci_example_and_cli_command_is_an_audit_reader() -> None:
     assert not uncovered, (
         "add a Reader to benchmarks/readers.py that runs these with at "
         f"least their options: {uncovered}"
+    )
+
+
+def unread_functions() -> set[str]:
+    """The committed table's last section: the functions no reader
+    reaches."""
+    lines = TABLE.read_text().splitlines()
+    start = next(
+        at for at, line in enumerate(lines)
+        if line.startswith("functions reached by no reader")
+    )
+    return {line.strip() for line in lines[start + 1:] if line.strip()}
+
+
+def test_every_unread_function_is_kept_with_a_reason() -> None:
+    unread = unread_functions()
+    assert sorted(unread - KEPT.keys()) == [], (
+        "no reader reaches these: delete them, or put them on KEPT with "
+        "the reason they stay"
+    )
+    assert sorted(KEPT.keys() - unread) == [], (
+        "a reader reaches these now, or they are gone: drop them from KEPT"
     )

@@ -10,18 +10,15 @@ from repro.text.features import (
     AnalyzedDocument,
     AnchorTextSpace,
     CombinedSpace,
-    NeighbourTermSpace,
     TermPairSpace,
     TermSpace,
 )
 from repro.text.scanner import text_stems
 
 
-def doc(text: str, anchors=(), neighbours=()) -> AnalyzedDocument:
+def doc(text: str, anchors=()) -> AnalyzedDocument:
     return AnalyzedDocument(
-        stems=text_stems(text),
-        incoming_anchor_terms=list(anchors),
-        neighbour_terms=list(neighbours),
+        stems=text_stems(text), incoming_anchor_terms=list(anchors)
     )
 
 
@@ -69,15 +66,6 @@ class TestAnchorAndNeighbourSpaces:
     def test_anchor_space_uses_incoming_terms(self) -> None:
         counts = AnchorTextSpace().extract(doc("body", anchors=["mine", "mine"]))
         assert counts["mine"] == 2
-
-    def test_neighbour_space_truncates_to_limit(self) -> None:
-        neighbours = ["a"] * 5 + ["b"] * 3 + ["c"]
-        counts = NeighbourTermSpace(limit=2).extract(doc("x", neighbours=neighbours))
-        assert set(counts) == {"a", "b"}
-
-    def test_neighbour_invalid_limit(self) -> None:
-        with pytest.raises(ValueError):
-            NeighbourTermSpace(limit=0)
 
 
 class TestCombinedSpace:

@@ -44,10 +44,6 @@ class TestSparseVector:
         p = v.project(["a", "c", "zz"])
         assert dict(p) == {"a": 1.0, "c": 3.0}
 
-    def test_top(self) -> None:
-        v = SparseVector({"a": 1.0, "b": 3.0, "c": 2.0})
-        assert v.top(2) == [("b", 3.0), ("c", 2.0)]
-
     @given(vectors, vectors)
     def test_dot_symmetry(self, a: SparseVector, b: SparseVector) -> None:
         assert a.dot(b) == pytest.approx(b.dot(a))
@@ -75,7 +71,7 @@ class TestCorpusStatistics:
         # live counts updated, snapshot still empty -> idf unchanged
         assert stats.idf("data") == 1.0
         stats.refresh()
-        assert stats.snapshot_size == 2
+        assert stats._snapshot_n == 2
         assert stats.idf("data") == pytest.approx(math.log(1 + 2 / 2))
         assert stats.idf("mining") == pytest.approx(math.log(1 + 2 / 1))
 
@@ -102,13 +98,15 @@ class TestTfIdfVectorizer:
             vec.ingest(["common"])
         vec.refresh()
         v = vec.vectorize(["common", "rare"])
-        assert v.get("rare") > v.get("common")
+        assert v.weights["rare"] > v.weights["common"]
 
     def test_log_tf_dampening(self) -> None:
         vec = TfIdfVectorizer()
         v = vec.vectorize(["t"] * 8 + ["u"])
         # idf == 1 (no snapshot); weight ratio is (1+log 8) not 8.
-        assert v.get("t") / v.get("u") == pytest.approx(1 + math.log(8))
+        assert v.weights["t"] / v.weights["u"] == pytest.approx(
+            1 + math.log(8)
+        )
 
     def test_vectorize_counts_matches_vectorize(self) -> None:
         vec = TfIdfVectorizer()

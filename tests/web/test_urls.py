@@ -63,8 +63,11 @@ class TestParseUrl:
         assert parse_url("http://example.com/").domain == "example.com"
 
     def test_directory(self) -> None:
-        assert parse_url("http://h/a/b/c.html").directory == "/a/b/"
-        assert parse_url("http://h/").directory == "/"
+        # a relative link resolves against the page's directory
+        assert join_url("http://h/a/b/c.html", "d.html") == (
+            "http://h/a/b/d.html"
+        )
+        assert join_url("http://h/", "d.html") == "http://h/d.html"
 
 
 class TestNormalize:
