@@ -14,11 +14,12 @@ The pieces:
   Finding` record every rule emits;
 * :mod:`repro.lint.registry` -- the pluggable :class:`~repro.lint.
   registry.Rule` base class and the rule registry;
-* :mod:`repro.lint.rules` -- the shipped rule set: determinism
-  (wall clock, unseeded randomness, set iteration), protocol
-  conformance (``stats()``, pipeline stages, metric names, config
-  fields) and generic hygiene (bare excepts, mutable defaults,
-  swallowed exceptions);
+* :mod:`repro.lint.rules` -- the per-file rules: determinism (wall
+  clock, unseeded randomness, set iteration) and generic hygiene (bare
+  excepts, mutable defaults);
+* :mod:`repro.lint.graph` and :mod:`repro.lint.analysis` -- the
+  project index (symbol table, type map, MRO) and the two
+  whole-program rules, ``epoch-mutation`` and ``stats-schema``;
 * :mod:`repro.lint.engine` -- parses files, collects per-line
   ``# bingolint: disable=RULE`` suppressions and runs the rules;
 * :mod:`repro.lint.reporters` -- deterministic text and JSON output;
@@ -29,7 +30,7 @@ The pieces:
 
 from __future__ import annotations
 
-from repro.lint.engine import LintEngine, ModuleUnit, ProjectContext
+from repro.lint.engine import LintEngine, ModuleUnit
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules
 from repro.lint.reporters import render_json, render_text
@@ -38,7 +39,6 @@ __all__ = [
     "Finding",
     "LintEngine",
     "ModuleUnit",
-    "ProjectContext",
     "Rule",
     "all_rules",
     "render_json",

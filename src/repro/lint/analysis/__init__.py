@@ -8,9 +8,8 @@ AST.  They enforce the invariants that only exist *between* files:
   behind the typed Epoch (engine vectors, inverted index, query cache,
   idf snapshot, classifier models) may only change inside its
   lifecycle funnels;
-* :mod:`repro.lint.analysis.schema` -- ``stats-schema``: metric
-  source names collide nowhere, ``stats()`` keys stay snake_case, and
-  no subsystem emits stats that nothing exports.
+* :mod:`repro.lint.analysis.schema` -- ``stats-schema``: no two
+  production ``register_source`` calls give the same source name.
 
 Importing this package registers every rule, exactly like
 :mod:`repro.lint.rules`.

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.lint.analysis.writes import iter_attr_writes
-from repro.lint.engine import ProjectContext
 from repro.lint.findings import Finding
 from repro.lint.graph import FunctionSymbol, ProjectIndex
 from repro.lint.registry import Rule, register
@@ -107,9 +106,7 @@ class EpochMutation(Rule):
         "stale rankings until the next fold."
     )
 
-    def check_project(
-        self, index: ProjectIndex, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         for qualname in sorted(index.functions):
             function = index.functions[qualname]
             yield from self._check_function(index, function)

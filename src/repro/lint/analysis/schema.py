@@ -1,20 +1,17 @@
-"""``stats-schema``: repo-wide metric schema consistency.
+"""``stats-schema``: metric source names are unique across the program.
 
-The per-file ``stats-protocol`` rule checks literal return dicts; this
-project rule checks what only the whole program can show:
+Two ``register_source(name, ...)`` calls with the same constant name
+clobber each other in the metrics registry: re-registering a name
+replaces the source, so the loser's counters silently vanish from
+every snapshot.  The check is registry-blind -- it treats every
+production module as registering into one namespace -- because which
+registry a receiver is cannot be told from the AST.
 
-* **source-name collisions** -- two ``register_source(name, ...)``
-  calls with the same constant name clobber each other in the metrics
-  registry, and the loser's counters silently vanish from snapshots;
-* **non-snake_case keys** built by subscript store
-  (``out["badKey"] = ...``) inside ``stats()`` methods, which the
-  literal-dict rule cannot see;
-* **stats() never exported** -- a class that keeps counters and emits
-  them from ``stats()``, but is never registered with the metrics
-  registry and never has its ``stats()`` merged by any caller, is
-  instrumentation that can never appear in a snapshot.  (If any
-  ``register_source`` argument's type cannot be resolved statically,
-  this check stands down rather than guess.)
+The rest of the metric schema is held at run time: a key or name that
+is not snake_case raises in ``repro.obs.registry._check_name`` when a
+snapshot reads it, and a ``stats()`` nothing exports is a function no
+reader reaches, which the reach audit (``tests/test_reach_audit.py``)
+fails on.
 """
 
 from __future__ import annotations
@@ -22,53 +19,25 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ProjectContext
+from repro.lint.engine import ModuleUnit
 from repro.lint.findings import Finding
-from repro.lint.graph import FunctionSymbol, ProjectIndex
+from repro.lint.graph import ProjectIndex
 from repro.lint.registry import Rule, register
-from repro.obs.api import METRIC_NAME_RE
 
 __all__ = ["StatsSchema"]
 
 
-def _register_source_calls(
-    index: ProjectIndex,
-) -> list[tuple[FunctionSymbol, ast.Call]]:
-    out: list[tuple[FunctionSymbol, ast.Call]] = []
-    for qualname in sorted(index.functions):
-        function = index.functions[qualname]
-        for site in function.calls:
-            func = site.node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "register_source"
-            ):
-                out.append((function, site.node))
-    return out
-
-
-def _call_argument(
-    call: ast.Call, position: int, keyword: str
-) -> ast.expr | None:
-    if len(call.args) > position:
-        return call.args[position]
-    for entry in call.keywords:
-        if entry.arg == keyword:
-            return entry.value
-    return None
-
-
-def _is_test_module(function: FunctionSymbol) -> bool:
+def _is_test_module(unit: ModuleUnit) -> bool:
     """True for test code, which builds private registries at will;
-    the collision namespace being protected is the production one.
+    the namespace being protected is the production one.
 
     Detection is by *module name*, not file path, so lint fixtures
     (files under ``tests/`` but outside any package) still exercise
     the rule.
     """
-    module = function.module.module_name
+    module = unit.module_name
     if not module:
-        stem = function.module.display_path.rsplit("/", 1)[-1]
+        stem = unit.display_path.rsplit("/", 1)[-1]
         module = stem.removesuffix(".py")
     parts = module.split(".")
     return (
@@ -78,157 +47,69 @@ def _is_test_module(function: FunctionSymbol) -> bool:
     )
 
 
+def _source_name(call: ast.Call) -> str | None:
+    """The constant ``name`` argument of a ``register_source`` call."""
+    name: ast.expr | None
+    if call.args:
+        name = call.args[0]
+    else:
+        name = next(
+            (entry.value for entry in call.keywords if entry.arg == "name"),
+            None,
+        )
+    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+        return name.value
+    return None
+
+
 @register
 class StatsSchema(Rule):
-    """Flag metric-schema drift visible only repo-wide."""
+    """Flag a metric source name registered twice."""
 
     id = "stats-schema"
     scope = "project"
     description = (
-        "metric source names must be unique, stats() keys snake_case, "
-        "and every stats() reachable from an exporter"
+        "metric source names passed to register_source must be unique "
+        "across production modules"
     )
     rationale = (
         "The obs registry merges pull-through sources by name at "
-        "snapshot time; a name collision drops one source's counters, "
-        "a malformed key breaks the prometheus rendering contract, "
-        "and an unregistered stats() is dead instrumentation that "
-        "reviewers wrongly believe is being recorded."
+        "snapshot time and a second registration replaces the first, "
+        "so a name collision drops one source's counters from every "
+        "snapshot without an error."
     )
 
-    def check_project(
-        self, index: ProjectIndex, project: ProjectContext
-    ) -> Iterator[Finding]:
-        registrations = _register_source_calls(index)
-        yield from self._check_collisions(registrations)
-        registered, wildcard = self._registered_classes(
-            index, registrations
-        )
-        if not registrations:
-            # no export surface in scope at all (single-file runs,
-            # libraries without obs): exporting is not checkable
-            wildcard = True
-        for qualname in sorted(index.functions):
-            function = index.functions[qualname]
-            if function.name != "stats" or function.kind != "method":
-                continue
-            yield from self._check_keys(function)
-            if not wildcard and not _is_test_module(function):
-                yield from self._check_exported(
-                    index, function, registered
-                )
-
-    # -- collisions -------------------------------------------------------
-
-    def _check_collisions(
-        self,
-        registrations: list[tuple[FunctionSymbol, ast.Call]],
-    ) -> Iterator[Finding]:
+    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         first_site: dict[str, str] = {}
-        for function, call in registrations:
-            if _is_test_module(function):
-                continue
-            name_arg = _call_argument(call, 0, "name")
-            if not (
-                isinstance(name_arg, ast.Constant)
-                and isinstance(name_arg.value, str)
+        for qualname in sorted(index.functions):
+            body = index.functions[qualname]
+            if not isinstance(body.node, ast.Module) or _is_test_module(
+                body.module
             ):
                 continue
-            name = name_arg.value
-            where = (
-                f"{function.module.display_path}:{call.lineno}"
+            calls = sorted(
+                (
+                    node
+                    for node in ast.walk(body.node)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "register_source"
+                ),
+                key=lambda call: (call.lineno, call.col_offset),
             )
-            if name in first_site:
-                yield self.finding_at(
-                    function.module.display_path,
-                    call.lineno,
-                    call.col_offset,
-                    f"metric source name {name!r} is already "
-                    f"registered at {first_site[name]}; the second "
-                    f"registration clobbers the first",
-                )
-            else:
-                first_site[name] = where
-
-    # -- key hygiene ------------------------------------------------------
-
-    def _check_keys(
-        self, function: FunctionSymbol
-    ) -> Iterator[Finding]:
-        if isinstance(function.node, ast.Module):
-            return
-        for node in ast.walk(function.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if not isinstance(target, ast.Subscript):
+            for call in calls:
+                name = _source_name(call)
+                if name is None:
                     continue
-                key = target.slice
-                if not (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                ):
-                    continue
-                if not METRIC_NAME_RE.match(key.value):
+                where = f"{body.module.display_path}:{call.lineno}"
+                if name in first_site:
                     yield self.finding_at(
-                        function.module.display_path,
-                        target.lineno,
-                        target.col_offset,
-                        f"stats key {key.value!r} is not snake_case; "
-                        f"metric names must match "
-                        f"[a-z][a-z0-9_]*",
+                        body.module.display_path,
+                        call.lineno,
+                        call.col_offset,
+                        f"metric source name {name!r} is already "
+                        f"registered at {first_site[name]}; the second "
+                        f"registration clobbers the first",
                     )
-
-    # -- export reachability ----------------------------------------------
-
-    def _registered_classes(
-        self,
-        index: ProjectIndex,
-        registrations: list[tuple[FunctionSymbol, ast.Call]],
-    ) -> tuple[set[str], bool]:
-        """Class names passed to register_source; wildcard=True when
-        any source argument's type is unresolvable."""
-        registered: set[str] = set()
-        wildcard = False
-        for function, call in registrations:
-            source_arg = _call_argument(call, 1, "source")
-            if source_arg is None:
-                wildcard = True
-                continue
-            resolved = index.expr_type(
-                function.module, source_arg, function.local_types
-            )
-            if resolved is None:
-                wildcard = True
-                continue
-            owner = index.classes.get(resolved.qualname)
-            if owner is None:
-                wildcard = True
-                continue
-            for symbol in index.mro(owner.qualname):
-                registered.add(symbol.name)
-        return registered, wildcard
-
-    def _check_exported(
-        self,
-        index: ProjectIndex,
-        function: FunctionSymbol,
-        registered: set[str],
-    ) -> Iterator[Finding]:
-        if function.class_name is None:
-            return
-        owner = index.classes.get(function.class_name)
-        if owner is None:
-            return
-        if owner.name in registered:
-            return
-        if index.callers_of(function.qualname):
-            return  # merged into another source's stats()
-        yield self.finding_at(
-            function.module.display_path,
-            function.line,
-            0,
-            f"{owner.name}.stats() is never exported: the class is "
-            f"never passed to register_source and no caller merges "
-            f"its keys into another source",
-        )
+                else:
+                    first_site[name] = where

@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.graph import FunctionSymbol
+from repro.lint.graph import FunctionSymbol, _scope_statements
 
 __all__ = ["AttrWrite", "iter_attr_writes"]
 
@@ -34,11 +34,9 @@ class AttrWrite:
     attr: str
     line: int
     col: int
-    kind: str
-    """``assign`` | ``augassign`` | ``subscript`` | ``mutate-call``."""
 
 
-def _writes_for_target(target: ast.expr, kind: str) -> list[AttrWrite]:
+def _writes_for_target(target: ast.expr) -> list[AttrWrite]:
     if isinstance(target, ast.Attribute):
         return [
             AttrWrite(
@@ -46,7 +44,6 @@ def _writes_for_target(target: ast.expr, kind: str) -> list[AttrWrite]:
                 attr=target.attr,
                 line=target.lineno,
                 col=target.col_offset,
-                kind=kind,
             )
         ]
     if isinstance(target, ast.Subscript) and isinstance(
@@ -59,36 +56,14 @@ def _writes_for_target(target: ast.expr, kind: str) -> list[AttrWrite]:
                 attr=inner.attr,
                 line=target.lineno,
                 col=target.col_offset,
-                kind="subscript",
             )
         ]
     if isinstance(target, (ast.Tuple, ast.List)):
         out: list[AttrWrite] = []
         for element in target.elts:
-            out.extend(_writes_for_target(element, kind))
+            out.extend(_writes_for_target(element))
         return out
     return []
-
-
-def _scope_statements(node: ast.AST) -> list[ast.stmt]:
-    out: list[ast.stmt] = []
-    stack: list[ast.stmt] = list(reversed(getattr(node, "body", [])))
-    while stack:
-        statement = stack.pop()
-        out.append(statement)
-        if isinstance(
-            statement,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-        ):
-            continue
-        blocks: list[list[ast.stmt]] = []
-        for attr in ("body", "orelse", "finalbody"):
-            blocks.append(list(getattr(statement, attr, [])))
-        for handler in getattr(statement, "handlers", []):
-            blocks.append(list(handler.body))
-        for block in reversed(blocks):
-            stack.extend(reversed(block))
-    return out
 
 
 def iter_attr_writes(function: FunctionSymbol) -> list[AttrWrite]:
@@ -102,19 +77,15 @@ def iter_attr_writes(function: FunctionSymbol) -> list[AttrWrite]:
     for statement in _scope_statements(function.node):
         if isinstance(statement, ast.Assign):
             for target in statement.targets:
-                writes.extend(_writes_for_target(target, "assign"))
+                writes.extend(_writes_for_target(target))
         elif isinstance(statement, ast.AnnAssign):
             if statement.value is not None:
-                writes.extend(
-                    _writes_for_target(statement.target, "assign")
-                )
+                writes.extend(_writes_for_target(statement.target))
         elif isinstance(statement, ast.AugAssign):
-            writes.extend(
-                _writes_for_target(statement.target, "augassign")
-            )
+            writes.extend(_writes_for_target(statement.target))
         elif isinstance(statement, ast.Delete):
             for target in statement.targets:
-                writes.extend(_writes_for_target(target, "assign"))
+                writes.extend(_writes_for_target(target))
         if isinstance(
             statement,
             (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
@@ -139,7 +110,6 @@ def iter_attr_writes(function: FunctionSymbol) -> list[AttrWrite]:
                             attr=receiver.attr,
                             line=node.lineno,
                             col=node.col_offset,
-                            kind="mutate-call",
                         )
                     )
     return writes

@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_EXCLUDED_DIRS",
     "LintEngine",
     "ModuleUnit",
-    "ProjectContext",
     "dotted_name",
     "resolve_call_target",
 ]
@@ -70,17 +69,6 @@ class ModuleUnit:
         if not silenced:
             return False
         return "all" in silenced or finding.rule in silenced
-
-
-@dataclass
-class ProjectContext:
-    """Cross-file facts shared by every rule invocation in one run."""
-
-    config_fields: frozenset[str] | None = None
-    """Attributes declared on ``BingoConfig`` (fields, properties and
-    methods), statically parsed from ``repro/core/config.py``; ``None``
-    when the config module was not found, which disables the
-    ``config-field`` rule rather than guessing."""
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -225,33 +213,6 @@ class LintEngine:
             imports=_collect_imports(tree),
         )
 
-    # -- project context -------------------------------------------------
-
-    def build_project(self, files: Sequence[Path]) -> ProjectContext:
-        config_path = self._locate_config(files)
-        if config_path is None:
-            return ProjectContext(config_fields=None)
-        try:
-            tree = ast.parse(config_path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            return ProjectContext(config_fields=None)
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == "BingoConfig":
-                return ProjectContext(
-                    config_fields=frozenset(_class_attributes(node))
-                )
-        return ProjectContext(config_fields=None)
-
-    @staticmethod
-    def _locate_config(files: Sequence[Path]) -> Path | None:
-        suffix = Path("repro") / "core" / "config.py"
-        for candidate in files:
-            resolved = candidate.resolve()
-            if resolved.parts[-3:] == suffix.parts:
-                return resolved
-        fallback = Path("src") / suffix
-        return fallback if fallback.is_file() else None
-
     # -- the run ---------------------------------------------------------
 
     def run(self, paths: Iterable[Path | str]) -> list[Finding]:
@@ -265,7 +226,6 @@ class LintEngine:
         finding's display path.
         """
         files = self.iter_files(paths)
-        project = self.build_project(files)
         module_rules = [
             rule for rule in self.rules if rule.scope == "module"
         ]
@@ -281,7 +241,7 @@ class LintEngine:
                 continue
             units.append(loaded)
             for rule in module_rules:
-                for finding in rule.check(loaded, project):
+                for finding in rule.check(loaded):
                     if not loaded.is_suppressed(finding):
                         findings.append(finding)
         if project_rules:
@@ -290,27 +250,9 @@ class LintEngine:
             index = ProjectIndex.build(units)
             by_path = {unit.display_path: unit for unit in units}
             for rule in project_rules:
-                for finding in rule.check_project(index, project):
+                for finding in rule.check_project(index):
                     unit = by_path.get(finding.path)
                     if unit is None or not unit.is_suppressed(finding):
                         findings.append(finding)
         return sorted(findings)
 
-
-def _class_attributes(node: ast.ClassDef) -> set[str]:
-    """Names statically declared on a class body (fields + callables)."""
-    names: set[str] = set()
-    for statement in node.body:
-        if isinstance(statement, ast.AnnAssign) and isinstance(
-            statement.target, ast.Name
-        ):
-            names.add(statement.target.id)
-        elif isinstance(statement, ast.Assign):
-            for target in statement.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(
-            statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            names.add(statement.name)
-    return {name for name in sorted(names) if not name.startswith("__")}

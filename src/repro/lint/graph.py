@@ -1,23 +1,21 @@
-"""The project indexer and call graph behind whole-program passes.
+"""The project index behind the whole-program rules.
 
-Per-file rules see one AST at a time; the contract checkers
-(epoch-mutation, stats-schema) need to reason about
-the *program*: which function calls which and what class a receiver
-expression resolves to.  This
-module builds that picture statically, from the same
+Per-file rules see one AST at a time; ``epoch-mutation`` has to know
+what class a write's receiver is, and that class may be defined in
+another file, and ``stats-schema`` compares every module's
+registrations.  This module answers both statically, from the same
 :class:`~repro.lint.engine.ModuleUnit` records the per-file rules
 consume:
 
 * a **symbol table** of every module, class and function, keyed by
-  dotted qualname (``repro.search.engine.LocalSearchEngine.search``);
+  dotted qualname (``repro.search.engine.LocalSearchEngine.search``),
+  with each class's base chain (:meth:`ProjectIndex.mro`);
 * a conservative **type map**: parameter/attribute/local annotations,
   constructor calls and annotated return types resolve expressions to
-  project classes where that is provable, and to nothing otherwise;
-* **call edges**: direct calls, ``self.``-method dispatch through the
-  project's base-class chains, and method calls on expressions whose
-  class is known.
+  project classes where that is provable, and to nothing otherwise
+  (:meth:`ProjectIndex.expr_type`).
 
-Everything is deterministic: modules, classes, functions and edges are
+Everything is deterministic: modules, classes and functions are
 always built and iterated in sorted order, so findings derived from
 the index are byte-identical across runs.
 """
@@ -30,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.lint.engine import ModuleUnit, dotted_name
 
 __all__ = [
-    "CallSite",
     "ClassSymbol",
     "FunctionSymbol",
     "ProjectIndex",
@@ -66,17 +63,6 @@ class TypeRef:
 
 
 @dataclass
-class CallSite:
-    """One call expression inside a function body."""
-
-    line: int
-    col: int
-    node: ast.Call
-    callee: str | None = None
-    """Qualname of the resolved *project* function, when resolvable."""
-
-
-@dataclass
 class FunctionSymbol:
     """One function, method or module body in the project."""
 
@@ -86,19 +72,12 @@ class FunctionSymbol:
     node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
     class_name: str | None = None
     """Qualname of the owning class for methods, else None."""
-    kind: str = "function"
-    """``function`` | ``method`` | ``module``."""
     params: list[str] = field(default_factory=list)
     """Positional-or-keyword parameter names, in order (``self``
     included for methods)."""
     return_type: TypeRef | None = None
-    calls: list[CallSite] = field(default_factory=list)
     local_types: dict[str, TypeRef] = field(default_factory=dict)
     """Parameter and local-variable types provable inside the body."""
-
-    @property
-    def line(self) -> int:
-        return 1 if isinstance(self.node, ast.Module) else self.node.lineno
 
 
 @dataclass
@@ -142,46 +121,13 @@ def _scope_statements(node: ast.AST) -> list[ast.stmt]:
     return out
 
 
-def scope_expressions(node: ast.AST) -> list[ast.expr]:
-    """Every expression in ``node``'s own scope (nested defs excluded).
-
-    Each statement contributes only the expressions hanging directly
-    off it -- nested block statements are visited separately by the
-    scope walk, so nothing is reported twice.
-    """
-    out: list[ast.expr] = []
-    for statement in _scope_statements(node):
-        if isinstance(
-            statement,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-        ):
-            continue
-        heads: list[ast.expr] = [
-            child
-            for child in ast.iter_child_nodes(statement)
-            if isinstance(child, ast.expr)
-        ]
-        for item in getattr(statement, "items", []):
-            heads.append(item.context_expr)
-            if item.optional_vars is not None:
-                heads.append(item.optional_vars)
-        for head in heads:
-            for expression in ast.walk(head):
-                if isinstance(
-                    expression, ast.expr
-                ) and not isinstance(expression, ast.Lambda):
-                    out.append(expression)
-    return out
-
-
 class ProjectIndex:
-    """Symbol table, type map and call graph over a set of modules."""
+    """Symbol table and type map over a set of modules."""
 
     def __init__(self) -> None:
         self.classes: dict[str, ClassSymbol] = {}
         self.functions: dict[str, FunctionSymbol] = {}
         self._classes_by_name: dict[str, list[str]] = {}
-        self._callers_of: dict[str, list[CallSite]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -195,8 +141,6 @@ class ProjectIndex:
             index._infer_attr_types(index.classes[qualname])
         for qualname in sorted(index.functions):
             index._infer_local_types(index.functions[qualname])
-        for qualname in sorted(index.functions):
-            index._collect_calls(index.functions[qualname])
         return index
 
     def _collect_symbols(self, unit: ModuleUnit) -> None:
@@ -206,7 +150,6 @@ class ProjectIndex:
             name=prefix.rpartition(".")[2],
             module=unit,
             node=unit.tree,
-            kind="module",
         )
         self.functions[prefix] = body
         for statement in unit.tree.body:
@@ -234,7 +177,6 @@ class ProjectIndex:
                 module=unit,
                 node=statement,
                 class_name=owner.qualname if owner else None,
-                kind="method" if owner else "function",
                 params=params,
                 return_type=self._annotation_type(
                     unit, statement.returns
@@ -583,49 +525,3 @@ class ProjectIndex:
                     if iterated is not None and iterated.container:
                         types[statement.target.id] = iterated.element()
         function.local_types = types
-
-    # -- call edges -------------------------------------------------------
-
-    def _collect_calls(self, function: FunctionSymbol) -> None:
-        for expression in scope_expressions(function.node):
-            if not isinstance(expression, ast.Call):
-                continue
-            site = CallSite(
-                line=expression.lineno,
-                col=expression.col_offset,
-                node=expression,
-            )
-            callee = self._resolve_callee(function, expression)
-            if callee is not None:
-                site.callee = callee.qualname
-                self._callers_of.setdefault(
-                    callee.qualname, []
-                ).append(site)
-            function.calls.append(site)
-
-    def _resolve_callee(
-        self, function: FunctionSymbol, call: ast.Call
-    ) -> FunctionSymbol | None:
-        unit = function.module
-        dotted = dotted_name(call.func)
-        if dotted is not None:
-            resolved = self.resolve_function(unit, dotted)
-            if resolved is not None:
-                return resolved
-            constructed = self.resolve_class(unit, dotted)
-            if constructed is not None:
-                return self.method_on(constructed.qualname, "__init__")
-        if isinstance(call.func, ast.Attribute):
-            receiver = self.expr_type(
-                unit, call.func.value, function.local_types
-            )
-            if receiver is not None and not receiver.container:
-                return self.method_on(
-                    receiver.qualname, call.func.attr
-                )
-        return None
-
-    # -- queries ----------------------------------------------------------
-
-    def callers_of(self, qualname: str) -> list[CallSite]:
-        return list(self._callers_of.get(qualname, []))

@@ -2,7 +2,7 @@
 
 A rule is a class with a stable kebab-case ``id``, a one-line
 ``description`` (shown by ``--list-rules``), a ``rationale`` tying it
-to the invariant it protects, and a ``check(module, project)`` method
+to the invariant it protects, and a ``check(module)`` method
 yielding :class:`~repro.lint.findings.Finding` records.  Rules
 register themselves with the :func:`register` decorator at import
 time; :func:`all_rules` instantiates the full set in id order, so the
@@ -16,7 +16,7 @@ import re
 from typing import TYPE_CHECKING, Iterator, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.engine import ModuleUnit, ProjectContext
+    from repro.lint.engine import ModuleUnit
     from repro.lint.findings import Finding
     from repro.lint.graph import ProjectIndex
 
@@ -40,15 +40,11 @@ class Rule:
     :class:`~repro.lint.graph.ProjectIndex` via :meth:`check_project`
     after every file has been parsed."""
 
-    def check(
-        self, module: "ModuleUnit", project: "ProjectContext"
-    ) -> Iterator["Finding"]:
+    def check(self, module: "ModuleUnit") -> Iterator["Finding"]:
         """Yield findings for one parsed module."""
         raise NotImplementedError
 
-    def check_project(
-        self, index: "ProjectIndex", project: "ProjectContext"
-    ) -> Iterator["Finding"]:
+    def check_project(self, index: "ProjectIndex") -> Iterator["Finding"]:
         """Yield findings from the whole-program index
         (``scope == "project"`` rules only)."""
         raise NotImplementedError

@@ -6,14 +6,12 @@ protect:
 
 * :mod:`repro.lint.rules.determinism` -- no wall clock, no unseeded
   randomness, no order-unstable set iteration;
-* :mod:`repro.lint.rules.protocols` -- ``stats()`` conformance, Stage
-  conformance, ``BingoConfig`` field existence;
 * :mod:`repro.lint.rules.hygiene` -- bare excepts, mutable default
-  arguments, silently swallowed exceptions.
+  arguments.
 """
 
 from __future__ import annotations
 
-from repro.lint.rules import determinism, hygiene, protocols
+from repro.lint.rules import determinism, hygiene
 
-__all__ = ["determinism", "hygiene", "protocols"]
+__all__ = ["determinism", "hygiene"]

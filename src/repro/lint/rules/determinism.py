@@ -20,12 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import (
-    ModuleUnit,
-    ProjectContext,
-    dotted_name,
-    resolve_call_target,
-)
+from repro.lint.engine import ModuleUnit, dotted_name, resolve_call_target
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
@@ -95,9 +90,7 @@ class NoWallClock(Rule):
         "through helpers unnecessary."
     )
 
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnit) -> Iterator[Finding]:
         if module.module_name == CLOCK_MODULE:
             return
         in_repro = module.module_name.partition(".")[0] == "repro"
@@ -131,9 +124,7 @@ class NoUnseededRandom(Rule):
         "makes crawl outcomes depend on import order and test order."
     )
 
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnit) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -262,9 +253,7 @@ class NoSetIteration(Rule):
         "across runs.  sorted(...) restores a total order."
     )
 
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnit) -> Iterator[Finding]:
         scopes: list[ast.AST] = [module.tree] + [
             node
             for node in ast.walk(module.tree)

@@ -1,11 +1,8 @@
-"""Generic hygiene rules: bare excepts, mutable defaults, swallowing.
+"""Generic hygiene rules: bare excepts, mutable defaults.
 
 Not determinism-specific, but each one has bitten a crawl runtime
 before: a bare ``except:`` eats ``KeyboardInterrupt`` mid-checkpoint,
-a mutable default argument leaks state across crawler instances, and
-an exception handler whose body is only ``pass`` hides real failures
-(the pipeline's contract is that even isolated hook errors are
-*counted*, never silently dropped).
+and a mutable default argument leaks state across crawler instances.
 """
 
 from __future__ import annotations
@@ -13,11 +10,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ModuleUnit, ProjectContext, resolve_call_target
+from repro.lint.engine import ModuleUnit, resolve_call_target
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-__all__ = ["NoBareExcept", "NoMutableDefault", "NoSilentExcept"]
+__all__ = ["NoBareExcept", "NoMutableDefault"]
 
 
 @register
@@ -32,9 +29,7 @@ class NoBareExcept(Rule):
         "corrupted mid-write; name the exception (ReproError at widest)."
     )
 
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnit) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.finding(
@@ -73,9 +68,7 @@ class NoMutableDefault(Rule):
         "breaks run-to-run reproducibility in ways seeds cannot fix."
     )
 
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
+    def check(self, module: ModuleUnit) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -104,40 +97,3 @@ class NoMutableDefault(Rule):
             target = resolve_call_target(module, node.func)
             return target in _MUTABLE_CONSTRUCTORS
         return False
-
-
-@register
-class NoSilentExcept(Rule):
-    """Flag exception handlers whose whole body is ``pass``."""
-
-    id = "no-silent-except"
-    description = "except blocks that only pass swallow failures invisibly"
-    rationale = (
-        "The runtime's error contract is that every absorbed failure is "
-        "visible somewhere -- a counter (pipeline_hook_errors_total), a "
-        "stats field or a deferred retry; a pass-only handler hides it "
-        "from metrics and tests alike."
-    )
-
-    def check(
-        self, module: ModuleUnit, project: ProjectContext
-    ) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ExceptHandler) and all(
-                self._is_noop(statement) for statement in node.body
-            ):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    "exception swallowed without a trace; count it, "
-                    "record it, or re-raise",
-                )
-
-    @staticmethod
-    def _is_noop(statement: ast.stmt) -> bool:
-        if isinstance(statement, ast.Pass):
-            return True
-        return isinstance(statement, ast.Expr) and isinstance(
-            statement.value, ast.Constant
-        )

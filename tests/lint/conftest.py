@@ -15,7 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(autouse=True)
 def _run_from_repo_root(monkeypatch) -> None:
-    """Resolve the BingoConfig fallback and display paths consistently."""
+    """Resolve display paths and repo-relative paths consistently."""
     monkeypatch.chdir(REPO_ROOT)
 
 

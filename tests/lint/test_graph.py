@@ -1,12 +1,14 @@
-"""Unit tests for the project indexer / call-graph builder."""
+"""Unit tests for the project index: import and alias resolution,
+typed receivers, MRO dispatch and cycle termination."""
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
 from repro.lint.engine import LintEngine, ModuleUnit
-from repro.lint.graph import ProjectIndex
+from repro.lint.graph import ProjectIndex, TypeRef
 
 
 def build_index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
@@ -23,13 +25,19 @@ def build_index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
     )
 
 
-def edges(index: ProjectIndex) -> set[tuple[str, str]]:
-    return {
-        (function.qualname, site.callee)
-        for function in index.functions.values()
-        for site in function.calls
-        if site.callee is not None
-    }
+def receiver_type(index: ProjectIndex, qualname: str) -> TypeRef | None:
+    """The type of the receiver of the first method call in a
+    function's body (``widget`` in ``widget.ping()``)."""
+    function = index.functions[qualname]
+    call = next(
+        node
+        for node in ast.walk(function.node)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+    )
+    return index.expr_type(
+        function.module, call.func.value, function.local_types
+    )
 
 
 class TestImportResolution:
@@ -53,7 +61,9 @@ class TestImportResolution:
             },
         )
         assert "pkg.alpha.Widget" in index.classes
-        assert ("pkg.beta.use", "pkg.alpha.Widget.ping") in edges(index)
+        assert receiver_type(index, "pkg.beta.use") == TypeRef(
+            "pkg.alpha.Widget"
+        )
 
     def test_aliased_import_resolves(self, tmp_path: Path) -> None:
         index = build_index(
@@ -75,7 +85,9 @@ class TestImportResolution:
                     """,
             },
         )
-        assert ("pkg.beta.make", "pkg.alpha.Widget.ping") in edges(index)
+        assert receiver_type(index, "pkg.beta.make") == TypeRef(
+            "pkg.alpha.Widget"
+        )
 
 
 class TestMethodDispatch:
@@ -95,7 +107,12 @@ class TestMethodDispatch:
                     """
             },
         )
-        assert ("m.Derived.run", "m.Base.helper") in edges(index)
+        assert [symbol.name for symbol in index.mro("m.Derived")] == [
+            "Derived", "Base",
+        ]
+        assert index.method_on("m.Derived", "helper").qualname == (
+            "m.Base.helper"
+        )
 
     def test_attr_typed_receiver_resolves(self, tmp_path: Path) -> None:
         index = build_index(
@@ -116,26 +133,38 @@ class TestMethodDispatch:
                     """
             },
         )
-        assert ("m.Holder.poke", "m.Widget.ping") in edges(index)
+        assert receiver_type(index, "m.Holder.poke") == TypeRef("m.Widget")
 
 
 class TestCycles:
     def test_mutual_recursion_terminates(self, tmp_path: Path) -> None:
+        # two classes typed by each other: resolving a chain through the
+        # cycle must end, at the class the chain names
         index = build_index(
             tmp_path,
             {
                 "m.py": """\
-                    def odd(n: int) -> bool:
-                        return not even(n - 1)
+                    class Odd:
+                        def __init__(self, even: "Even") -> None:
+                            self.even = even
 
 
-                    def even(n: int) -> bool:
-                        return n == 0 or odd(n - 1)
+                    class Even:
+                        def __init__(self, odd: Odd) -> None:
+                            self.odd = odd
+
+                        def down(self) -> Odd:
+                            return self.odd
+
+
+                    def walk(start: Odd) -> None:
+                        start.even.odd.even.down().even.ping()
                     """
             },
         )
-        assert ("m.odd", "m.even") in edges(index)
-        assert ("m.even", "m.odd") in edges(index)
+        assert index.classes["m.Odd"].attr_types["even"] == TypeRef("m.Even")
+        assert index.classes["m.Even"].attr_types["odd"] == TypeRef("m.Odd")
+        assert receiver_type(index, "m.walk") == TypeRef("m.Even")
 
     def test_cyclic_inheritance_does_not_hang(self, tmp_path: Path) -> None:
         # pathological input: the MRO walk must not loop forever

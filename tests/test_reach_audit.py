@@ -35,11 +35,8 @@ KEPT: dict[str, str] = {
     "repro.core.records:CrawledDocument.to_dict": ROADMAP_ITEM_4,
     "repro.experiments.reporting:ExperimentTable.__str__": DECLARATION,
     # a lint rule's finding, and its rendering, only on code that breaks it
-    "repro.lint.analysis.schema:StatsSchema._check_exported": INPUT_BRANCH,
     "repro.lint.findings:Finding.render": INPUT_BRANCH,
     "repro.lint.findings:Finding.to_dict": INPUT_BRANCH,
-    "repro.lint.graph:FunctionSymbol.line": INPUT_BRANCH,
-    "repro.lint.graph:ProjectIndex.callers_of": INPUT_BRANCH,
     "repro.lint.registry:Rule.check": DECLARATION,
     "repro.lint.registry:Rule.check_project": DECLARATION,
     "repro.lint.registry:Rule.finding": INPUT_BRANCH,
