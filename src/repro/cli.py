@@ -229,8 +229,13 @@ def _cmd_crawl(args) -> int:
         print(f"\nportal written: {len(paths)} pages in {args.export_portal}")
     if args.dump_db:
         from repro.storage.persistence import dump_database
+        from repro.storage.schema import page_rows
 
-        rows = dump_database(engine.database, args.dump_db)
+        ctx = engine.ctx
+        rows = dump_database(
+            engine.database, args.dump_db,
+            pages=page_rows(ctx.documents, ctx.anchor_terms),
+        )
         print(f"database dumped: {rows} rows in {args.dump_db}")
     _write_metrics(engine.obs, args.metrics_out)
     return 0

@@ -137,6 +137,11 @@ class ProjectIndex:
         ordered = sorted(units, key=lambda unit: unit.display_path)
         for unit in ordered:
             index._collect_symbols(unit)
+        # once every class is known: a return type may name a later one
+        for function in index.functions.values():
+            function.return_type = index._annotation_type(
+                function.module, getattr(function.node, "returns", None)
+            )
         for qualname in sorted(index.classes):
             index._infer_attr_types(index.classes[qualname])
         for qualname in sorted(index.functions):
@@ -178,9 +183,6 @@ class ProjectIndex:
                 node=statement,
                 class_name=owner.qualname if owner else None,
                 params=params,
-                return_type=self._annotation_type(
-                    unit, statement.returns
-                ),
             )
             self.functions.setdefault(qualname, symbol)
             if owner is not None:

@@ -118,6 +118,8 @@ class CrawlContext:
         """Audit trail of scheduled retries: url, attempt, scheduled_at,
         not_before -- lets tests prove no retry bypassed the backoff."""
         self.documents: list = []
+        #: per stored page, its link targets' anchor terms
+        self.anchor_terms: list[dict[str, list[str]]] = []
         self.url_to_doc: dict[str, int] = {}
         self.docs_since_retrain = 0
         self.log_sequence = 0
@@ -303,11 +305,10 @@ class CrawlContext:
     def workspace_for(self, key: int, host: str | None = None) -> int:
         """The bulk-loader workspace a row shards into.
 
-        Every producer routes through this one helper so fetch-log rows
-        (keyed by log sequence) and document rows (keyed by doc id)
-        agree on the sharding scheme.  In a sharded crawl each worker
-        owns a contiguous range of ``crawler_threads`` workspaces and
-        ``host`` picks the range, so a host's rows stay worker-local.
+        Fetch-log rows (keyed by log sequence) and stored pages (keyed
+        by doc id) agree on it.  In a sharded crawl each worker owns a
+        contiguous range of ``crawler_threads`` workspaces and ``host``
+        picks the range, so a host's rows stay worker-local.
         """
         if self.workers is not None and host is not None:
             return self.workers.workspace_for(key, host)
@@ -328,9 +329,15 @@ class CrawlContext:
     # document store
     # ------------------------------------------------------------------
 
-    def register_document(self, document) -> None:
-        """Append a stored page and index it by final URL."""
+    def register_document(self, document, anchor_terms) -> None:
+        """Append a stored page and its anchor terms, index it by final
+        URL, and open its loader workspace (flushes go in that order)."""
         self.documents.append(document)
+        self.anchor_terms.append(anchor_terms)
+        if self.loader is not None:
+            self.loader.open(
+                self.workspace_for(document.doc_id, document.host)
+            )
         self.url_to_doc[document.final_url] = document.doc_id
 
     def document_by_url(self, url: str):

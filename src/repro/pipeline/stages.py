@@ -19,9 +19,8 @@ micro-batch.  **convert**/**analyze**/**classify** are batch stages --
 classify issues *one* :meth:`~repro.core.classifier.
 HierarchicalClassifier.classify_batch` call per micro-batch, the
 wave-based kernel path from :mod:`repro.perf.compiled`.  **persist**
-and **expand** replay their batch in document order so the bulk loader's
-queue order, frontier pushes and retrain triggers match the per-document
-formulation.
+and **expand** replay their batch in document order so doc ids, frontier
+pushes and retrain triggers match the per-document formulation.
 
 Simulated time: the full per-document cost (DNS + network +
 :data:`PROCESSING_COST`) is charged on the fetching worker, as the
@@ -371,13 +370,14 @@ class ClassifyStage:
 
 
 class PersistStage:
-    """Document assembly in document order; queues each page on the loader."""
+    """Document assembly in document order: each page, with its anchor
+    terms, joins the context's stored pages (which the page relations
+    are a view of)."""
 
     name = "persist"
 
     def run(self, batch: list[CrawlItem], ctx) -> list[CrawlItem]:
         stats = ctx.stats
-        loader = ctx.loader
         for item in batch:
             ctx.classifier.ingest(item.counts)
             entry = item.entry
@@ -401,14 +401,11 @@ class PersistStage:
                 out_urls=item.out_urls,
                 fetched_at=item.fetched_at,
             )
-            ctx.register_document(document)
+            ctx.register_document(document, item.html_doc.anchor_terms)
             stats.stored_pages += 1
             if classification.accepted:
                 stats.positively_classified += 1
             item.document = document
-            if loader is not None:
-                workspace = ctx.workspace_for(doc_id, document.host)
-                loader.defer(workspace, document, item.html_doc.anchor_terms)
         return batch
 
 

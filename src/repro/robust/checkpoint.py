@@ -5,9 +5,9 @@ fingerprint tables and every host state.  The checkpoint captures the
 complete crawl runtime -- frontier (including deferred retries), dedup
 tables, host circuit breakers, domain politeness slots, the simulated
 clock and worker pool, the DNS cache (with its RNG), the server's
-per-URL attempt counters, the stored pages and their rows and the phase
-counters -- so a crawl restored into the same Web resumes to the *same
-Table-1 counters* as an uninterrupted run.
+per-URL attempt counters, the stored pages and the phase counters --
+so a crawl restored into the same Web resumes to the *same Table-1
+counters* as an uninterrupted run.
 
 The runtime state lives on a :class:`~repro.pipeline.context.
 CrawlContext` (``crawler.ctx``); every entry point here takes that
@@ -21,8 +21,9 @@ serializing SVM internals would only duplicate state.  Resume therefore
 requires the caller to rebuild the crawler with an identically trained
 classifier before calling :func:`restore_context`.  If retraining
 happened mid-phase, rebuild it from the ``archetypes`` rows the engine
-upserts at each retraining point.  A save flushes the loader and reads
-every relation, which builds the rows of the pages the loader queued.
+upserts at each retraining point.  A save flushes the loader and
+builds the page relations' rows of the pages it adds
+(:func:`~repro.storage.schema.page_rows`), which the crawl never stores.
 
 On-disk layout (via :func:`repro.storage.persistence.dump_state` and
 :func:`~repro.storage.persistence.dump_database`)::
@@ -38,8 +39,9 @@ On-disk layout (via :func:`repro.storage.persistence.dump_state` and
 A save writes one immutable segment with what changed since the save it
 extends, and a page once: restore replays the chain and rebuilds
 ``ctx.documents`` from the ``documents`` / ``terms`` / ``links`` rows
-plus ``pages.json``.  A relation that saw a keyed overwrite since then
-is written whole and replaces the chain's copy on replay; append-only
+plus ``pages.json``, and ``ctx.anchor_terms`` from the ``anchor_texts``
+rows.  A relation that saw a keyed overwrite since then is written
+whole and replaces the chain's copy on replay; append-only
 segments hold no garbage (their sum is a full dump), so nothing needs
 compacting.  A context extends only a chain whose published save it
 wrote or restored (``ctx.checkpoint_heads``, by the sha256 of
@@ -62,7 +64,7 @@ import json
 import pathlib
 import shutil
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -75,6 +77,7 @@ from repro.storage.persistence import (
     load_database,
     load_state,
 )
+from repro.storage.schema import PAGE_RELATIONS, page_rows
 
 __all__ = [
     "snapshot_context",
@@ -119,14 +122,15 @@ def _blob_digest(directory: pathlib.Path) -> str | None:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _chain(database: Database, segments: list[int]) -> State:
+def _chain(database: Database, segments: list[int], held: State) -> State:
     """A published save's chain: its segments oldest first, and each
-    relation's row count and keyed overwrites (``Relation.replaced``)
-    then -- what a save that extends it need not write again."""
+    relation's row count (``held`` for those ``database`` lacks) and
+    keyed overwrites then -- what a save that extends it need not write
+    again."""
     relations = database.relations
     return {
         "segments": segments,
-        "rows": {name: len(r) for name, r in relations.items()},
+        "rows": {name: len(r) for name, r in relations.items()} | held,
         "replaced": {name: r.replaced for name, r in relations.items()},
     }
 
@@ -225,15 +229,14 @@ def _read_pages(
 
 def _rebuild_documents(
     database: Database, pages: list[list[Any]]
-) -> list[CrawledDocument]:
-    """The stored pages, from their ``documents`` / ``terms`` /
-    ``links`` rows and the chain's page entries.
-
-    ``documents`` rows come in flush order, so they are matched by doc
-    id.  A page's ``terms`` rows are its term counts in ``Counter``
-    order, and its ``links`` rows its out-links in order, a repeated
-    target carrying a ``#position`` suffix (no normalized URL holds a
-    ``#``); either may be split across flushes."""
+) -> tuple[list[CrawledDocument], list[dict[str, list[str]]]]:
+    """The stored pages and their anchor terms, from the page relations'
+    rows (matched by doc id) and the chain's page entries: :func:`page_rows`
+    over them gives those rows back.  A page's ``terms`` rows
+    are its term counts in ``Counter`` order, its ``links`` rows its
+    out-links in order, a repeated target carrying a ``#position``
+    suffix (no normalized URL holds a ``#``), and its ``anchor_texts``
+    rows each target's anchor terms, counted in first-seen order."""
     rows = {row[0]: row for row in database["documents"].rows()}
     terms: dict[int, Counter[str]] = {}
     for doc_id, run in groupby(database["terms"].rows(), _DOC_ID):
@@ -242,6 +245,11 @@ def _rebuild_documents(
     for doc_id, run in groupby(database["links"].rows(), _DOC_ID):
         links.setdefault(doc_id, []).extend(
             target.partition("#")[0] for _, target, _ in run
+        )
+    anchors: dict[int, dict[str, list[str]]] = {}
+    for doc_id, target, term, tf in database["anchor_texts"].rows():
+        anchors.setdefault(doc_id, {}).setdefault(target, []).extend(
+            repeat(term, tf)
         )
     documents: list[CrawledDocument] = []
     for doc_id, (final_url, ip, spaces) in enumerate(pages):
@@ -264,7 +272,9 @@ def _rebuild_documents(
             out_urls=links.get(doc_id, []),
             fetched_at=fetched_at,
         ))
-    return documents
+    return documents, [
+        anchors.get(doc_id, {}) for doc_id in range(len(pages))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -324,33 +334,36 @@ def save_checkpoint(
             "(FocusedCrawler(loader=...) or ctx.attach_loader) before "
             "the crawl starts"
         )
+    if len(ctx.anchor_terms) != len(ctx.documents):
+        raise StorageError(
+            f"the crawl holds anchor terms of {len(ctx.anchor_terms)} of "
+            f"its {len(ctx.documents)} stored pages: a page stored outside "
+            "the crawl pipeline (a recrawl) has no rows to save"
+        )
     ctx.loader.flush_all()
     database = ctx.loader.database
-    if len(database["documents"]) != len(ctx.documents):
-        raise StorageError(
-            f"the loader holds {len(database['documents'])} documents rows "
-            f"for {len(ctx.documents)} stored pages: attach it before the "
-            "crawl stores its first page"
-        )
     on_disk = _database_dirs(directory)
     ordinal = on_disk[-1][0] + 1 if on_disk else 1
     head = ctx.checkpoint_heads.get(_blob_digest(directory), _NEW_CHAIN)
     segment = directory / f"{_DB_PREFIX}{ordinal}"
     segment.mkdir(parents=True)
     start = head["rows"].get("documents", 0)
-    _write_pages(segment / _PAGES, ordinal, start, ctx.documents[start:])
+    pages = page_rows(ctx.documents[start:], ctx.anchor_terms[start:])
+    since = {
+        name: head["rows"][name]
+        for name, relation in database.relations.items()
+        if relation.replaced == head["replaced"].get(name)
+    }
     dump_database(
         database, segment, stamp=ordinal,
         after=head["segments"][-1] if head["segments"] else None,
-        since={
-            name: head["rows"][name]
-            for name, relation in database.relations.items()
-            if relation.replaced == head["replaced"].get(name)
-        },
-    )
+        since=since, pages=pages,
+    )  # checks the page rows before it writes a byte
+    _write_pages(segment / _PAGES, ordinal, start, ctx.documents[start:])
     state = snapshot_context(ctx, stats)
     state["database"] = chain = _chain(
-        database, head["segments"] + [ordinal]
+        database, head["segments"] + [ordinal],
+        {name: since.get(name, 0) + len(rows) for name, rows in pages.items()},
     )
     # this rename publishes the save; everything before it is invisible
     path = dump_state(state, directory, kind=_KIND)
@@ -375,10 +388,11 @@ def restore_context(
 
     The context must be bound to the same Web (same generator config
     and seed) and an identically trained classifier, and its loader's
-    database must be empty: the chain's rows go into it, and the stored
-    pages are rebuilt from them.  Every file is read and checked before
-    the context takes anything.  Returns the restored
-    :class:`CrawlStats` to pass back into ``crawl(phase, resume=...)``.
+    database must be empty: the stored pages are rebuilt from the
+    chain's page relations, and its other rows go into that database.
+    Every file is read and checked before the context takes anything.
+    Returns the restored :class:`CrawlStats` to pass back into
+    ``crawl(phase, resume=...)``.
     """
     directory = pathlib.Path(directory)
     if ctx.loader is None:
@@ -428,7 +442,8 @@ def restore_context(
             f"checkpoint in {directory} has {len(pages)} page entries for "
             f"{chain['rows']['documents']} documents rows"
         )
-    load_database(paths, into=database, stamp=segments[-1])
+    restored = load_database(paths, stamp=segments[-1])
+    documents, anchor_terms = _rebuild_documents(restored, pages)
 
     ctx.clock.now = state["clock_now"]
     ctx.pool._free_at = list(state["pool_free_at"])
@@ -443,7 +458,10 @@ def restore_context(
     ctx.domains = {}
     for domain, busy in state["domains"].items():
         ctx.domain_state(domain).busy_until = list(busy)
-    ctx.documents = _rebuild_documents(database, pages)
+    ctx.documents, ctx.anchor_terms = documents, anchor_terms
+    for name, relation in database.relations.items():
+        if name not in PAGE_RELATIONS:
+            relation.bulk_insert(restored[name].rows())
     ctx.url_to_doc = {
         doc.final_url: doc.doc_id for doc in ctx.documents
     }
@@ -463,7 +481,7 @@ def restore_context(
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
-    ctx.checkpoint_heads[digest] = _chain(database, segments)
+    ctx.checkpoint_heads[digest] = _chain(restored, segments, {})
     ctx.checkpoint_restores += 1
     return _stats_from_dict(state["stats"])
 

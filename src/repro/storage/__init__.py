@@ -11,12 +11,13 @@ lessons which this substrate bakes in:
 2. **bulk loading beats per-row inserts** -- crawler threads collect rows
    in private workspaces and flush them in batches through the
    :class:`~repro.storage.bulkloader.BulkLoader`, which is how the paper's
-   crawler sustained ~10k documents/minute.  A stored page's rows are
-   built when a page relation is first read (a dump, a checkpoint), and
-   still enter the store only as the loader's batches.
+   crawler sustained ~10k documents/minute; the crawl's fetch log
+   enters the store that way.
 
 The store only appends and dumps: relations take batches and keyed
-upserts, and :func:`dump_database` is their one reader.
+upserts, and :func:`dump_database` is their one reader.  The page
+relations are a view of the crawl's stored pages, built in doc-id order
+(:func:`~repro.storage.schema.page_rows`) when a dump writes them.
 """
 
 from repro.storage.bulkloader import BulkLoader

@@ -8,8 +8,9 @@ enforces uniqueness.  The store is written, not queried: the crawl
 appends rows (``bulk_insert``, ``insert``), the engine replaces an
 archetype row by key (``upsert``), and the one reader is
 :func:`~repro.storage.persistence.dump_database`, which writes
-:meth:`Relation.rows` as they are; a read of a page relation first
-loads the pages the loader has queued (:attr:`Database.owed`).
+:meth:`Relation.rows` as they are.  A crawl stores no page-relation
+row: those are a view of its pages (:func:`~repro.storage.schema.
+page_rows`) that a dump writes, and a loaded dump holds.
 
 ``bulk_insert`` is the fast path used by the
 :class:`~repro.storage.bulkloader.BulkLoader`: it validates, key-checks
@@ -20,17 +21,12 @@ inserts.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from operator import itemgetter
 from typing import Any
 
 from repro.errors import StorageError
-from repro.storage.schema import (
-    BINGO_SCHEMA,
-    PAGE_RELATIONS,
-    RelationSchema,
-    Row,
-)
+from repro.storage.schema import BINGO_SCHEMA, RelationSchema, Row
 
 __all__ = ["Relation", "Database"]
 
@@ -121,30 +117,13 @@ class Database:
 
     def __init__(self, validate: bool = True) -> None:
         self.validate = validate
-        self._relations = {
+        self.relations = {
             name: Relation(schema, validate=validate)
             for name, schema in BINGO_SCHEMA.items()
         }
-        #: loads the pages a loader has queued; set while it owes any
-        self.owed: Callable[[], None] | None = None
-
-    @property
-    def relations(self) -> dict[str, Relation]:
-        """Every relation, once the queued page rows are loaded."""
-        if self.owed is not None:
-            load, self.owed = self.owed, None
-            load()
-        return self._relations
-
-    def table(self, name: str) -> Relation:
-        """One relation; a page relation's queued rows load first."""
-        relations = self._relations
-        if self.owed is not None and name in PAGE_RELATIONS:
-            relations = self.relations
-        try:
-            return relations[name]
-        except KeyError:
-            raise StorageError(f"unknown relation {name!r}") from None
 
     def __getitem__(self, name: str) -> Relation:
-        return self.table(name)
+        try:
+            return self.relations[name]
+        except KeyError:
+            raise StorageError(f"unknown relation {name!r}") from None

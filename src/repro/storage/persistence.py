@@ -52,6 +52,7 @@ def dump_database(
     stamp: Any = None,
     after: Any = None,
     since: Mapping[str, int] | None = None,
+    pages: Mapping[str, list[Row]] | None = None,
 ) -> int:
     """Write the relations to ``directory``; returns the rows written.
 
@@ -60,9 +61,15 @@ def dump_database(
     ordinal.  A segment of a chain names the stamp of the segment it
     extends as ``after`` and writes each relation from row
     ``since[name]`` on (from row 0 -- whole -- for a relation ``since``
-    does not name).  The manifest is written last: without it there is
-    no dump.
+    does not name).  ``pages`` (:func:`~repro.storage.schema.page_rows`
+    of the pages the dump adds) replaces the stored page relations; the
+    database's validation checks it first.  The manifest is written
+    last: without it there is no dump.
     """
+    pages = pages or {}
+    if database.validate:
+        for name, rows in pages.items():
+            database[name].schema.validate_rows(rows)
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     since = since or {}
@@ -71,7 +78,7 @@ def dump_database(
     for name, relation in database.relations.items():
         columns = relation.schema.column_names
         start = since.get(name, 0)
-        records = relation.rows()[start:]
+        records = pages[name] if name in pages else relation.rows()[start:]
         with (directory / f"{name}.jsonl").open("w", encoding="utf-8") as out:
             for chunk in range(0, len(records), _CHUNK_ROWS):
                 out.write(json.dumps(
@@ -178,7 +185,7 @@ def load_database(
             )
         previous = manifest.get("stamp")
         for name, info in manifest["relations"].items():
-            relation = database.table(name)  # raises on unknown relation
+            relation = database[name]  # raises on unknown relation
             columns = relation.schema.column_names
             if info.get("columns") != list(columns):
                 raise StorageError(
@@ -208,7 +215,7 @@ def load_database(
                 held.extend(rows)
     for name, rows in chain.items():
         if rows:
-            database.table(name).bulk_insert(rows)
+            database[name].bulk_insert(rows)
     return database
 
 

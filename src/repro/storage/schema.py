@@ -9,12 +9,14 @@ column types and a primary key.
 A stored row is a tuple of values in declared column order, from the
 producer that builds it to the dump file that holds it;
 :meth:`RelationSchema.validate_rows` is the one check of that shape.
+The page relations (:data:`PAGE_RELATIONS`) have one producer,
+:func:`page_rows`, over the stored pages.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -162,37 +164,41 @@ BINGO_SCHEMA: dict[str, RelationSchema] = {
 
 
 PAGE_RELATIONS = ("documents", "terms", "links", "anchor_texts")
-"""The relations :func:`page_rows` writes, in its order."""
+"""The relations :func:`page_rows` builds: a view of the stored pages."""
 
 
 def page_rows(
-    document: Any, anchor_terms: dict[str, list[str]],
-) -> Iterator[tuple[str, Iterable[Row]]]:
-    """A :class:`~repro.core.records.CrawledDocument`'s rows, as
-    ``(relation, rows)`` per :data:`PAGE_RELATIONS`; ``anchor_terms``
-    maps each link target to its anchor's terms."""
-    doc_id = document.doc_id
-    yield "documents", [(
-        doc_id, document.url, document.host, document.mime,
-        document.size, document.title, document.topic,
-        document.confidence, document.depth, document.fetched_at,
-        document.page_id,
-    )]
-    term_counts = document.counts.get("term", {})
-    yield "terms", zip(
-        repeat(doc_id), term_counts, map(int, term_counts.values())
-    )
-    # a repeated target's URL gets its position, as (src, dst) is the
-    # key; the seen-set keeps this linear on link-dense hub pages
-    seen: set[str] = set()
-    links = []
-    for position, dst in enumerate(document.out_urls):
-        links.append((doc_id, f"{dst}#{position}" if dst in seen else dst,
-                      None))
-        seen.add(dst)
-    yield "links", links
-    yield "anchor_texts", [
-        (doc_id, href, term, int(tf))
-        for href, terms in anchor_terms.items()
-        for term, tf in Counter(terms).items()
-    ]
+    documents: Sequence[Any], anchor_terms: Sequence[dict[str, list[str]]],
+) -> dict[str, list[Row]]:
+    """The rows of :data:`PAGE_RELATIONS` for ``documents``
+    (:class:`~repro.core.records.CrawledDocument`, in doc-id order),
+    page by page; ``anchor_terms[i]`` maps each link target of
+    ``documents[i]`` to its anchor's terms."""
+    rows: dict[str, list[Row]] = {name: [] for name in PAGE_RELATIONS}
+    document_rows, term_rows, link_rows, anchor_rows = rows.values()
+    for document, anchors in zip(documents, anchor_terms, strict=True):
+        doc_id = document.doc_id
+        document_rows.append((
+            doc_id, document.url, document.host, document.mime,
+            document.size, document.title, document.topic,
+            document.confidence, document.depth, document.fetched_at,
+            document.page_id,
+        ))
+        term_counts = document.counts.get("term", {})
+        term_rows.extend(zip(
+            repeat(doc_id), term_counts, map(int, term_counts.values())
+        ))
+        # a repeated target's URL gets its position, as (src, dst) is
+        # the key; the seen-set keeps this linear on link-dense hub pages
+        seen: set[str] = set()
+        for position, dst in enumerate(document.out_urls):
+            link_rows.append((
+                doc_id, f"{dst}#{position}" if dst in seen else dst, None,
+            ))
+            seen.add(dst)
+        anchor_rows.extend(
+            (doc_id, href, term, int(tf))
+            for href, terms in anchors.items()
+            for term, tf in Counter(terms).items()
+        )
+    return rows

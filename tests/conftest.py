@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ontology import ROOT, TopicTree
-from repro.storage import Relation
+from repro.storage import Database, Relation
+from repro.storage.schema import page_rows
 from repro.web import SyntheticWeb, WebGraphConfig
 
 
@@ -17,6 +18,21 @@ def named_rows(relation: Relation) -> list[dict]:
     """
     columns = relation.schema.column_names
     return [dict(zip(columns, row)) for row in relation.rows()]
+
+
+def crawl_store(ctx) -> Database:
+    """A crawl's whole store, as a dump writes it, in a fresh validating
+    database: the loader's rows, and the page relations built from the
+    stored pages (:func:`~repro.storage.schema.page_rows`), key- and
+    type-checked on the way in."""
+    database = Database()
+    pages = page_rows(ctx.documents, ctx.anchor_terms)
+    for name, relation in database.relations.items():
+        relation.bulk_insert(
+            pages[name] if name in pages
+            else ctx.loader.database[name].rows()
+        )
+    return database
 
 
 def nested_tree(nested: dict) -> TopicTree:

@@ -14,6 +14,7 @@ from repro.storage.database import Database
 from repro.text.features import analyze_page
 from repro.web import PageRole
 
+from tests.conftest import crawl_store
 from tests.core.conftest import fast_engine_config
 
 
@@ -119,10 +120,11 @@ class TestCrawlRun:
         assert accepted > 0
 
     def test_rows_reached_database(self, crawl_result) -> None:
-        crawler, stats, database = crawl_result
-        assert len(database["documents"]) == stats.stored_pages
-        assert len(database["terms"]) > 0
-        assert len(database["links"]) > 0
+        crawler, stats, _ = crawl_result
+        store = crawl_store(crawler.ctx)
+        assert len(store["documents"]) == stats.stored_pages
+        assert len(store["terms"]) > 0
+        assert len(store["links"]) > 0
 
     def test_no_document_from_locked_host(self, crawl_result, small_web) -> None:
         crawler, _, _ = crawl_result

@@ -11,7 +11,7 @@ from repro.pipeline import context
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 
-from tests.conftest import named_rows
+from tests.conftest import crawl_store, named_rows
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -40,8 +40,8 @@ class TestStoredRows:
         assert "ok" in statuses
 
     def test_anchor_text_rows_stored(self, logged_crawl) -> None:
-        _, _, database = logged_crawl
-        rows = named_rows(database["anchor_texts"])
+        crawler, _, _ = logged_crawl
+        rows = named_rows(crawl_store(crawler.ctx)["anchor_texts"])
         assert rows, "crawled pages carry anchor texts"
         for row in rows[:20]:
             assert row["tf"] >= 1

@@ -124,7 +124,8 @@ class TestStoreRowsLinkPositions:
 
     def _stored_links(self, out_urls: list[str]) -> list[str]:
         database = Database()  # a repeated (src, dst) key would raise
-        for relation, rows in page_rows(self._document(out_urls), {}):
+        pages = page_rows([self._document(out_urls)], [{}])
+        for relation, rows in pages.items():
             database[relation].bulk_insert(rows)
         return [row["dst_url"] for row in named_rows(database["links"])]
 

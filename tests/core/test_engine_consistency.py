@@ -1,4 +1,4 @@
-"""Cross-layer consistency: in-memory documents vs database rows."""
+"""Cross-layer consistency: in-memory documents vs stored rows."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import BingoConfig, BingoEngine
 
-from tests.conftest import named_rows
+from tests.conftest import crawl_store, named_rows
 from tests.core.conftest import fast_engine_config
 
 
@@ -35,7 +35,7 @@ class TestEngineConsistency:
 
     def test_database_mirrors_memory(self, consistent_run) -> None:
         engine, report = consistent_run
-        documents = engine.database["documents"]
+        documents = crawl_store(engine.ctx)["documents"]
         assert len(documents) == len(engine.ctx.documents)
         by_id = {row["doc_id"]: row for row in named_rows(documents)}
         for doc in engine.ctx.documents[:30]:
@@ -52,7 +52,7 @@ class TestEngineConsistency:
 
     def test_term_rows_match_counts(self, consistent_run) -> None:
         engine, _ = consistent_run
-        terms = engine.database["terms"]
+        terms = crawl_store(engine.ctx)["terms"]
         doc = engine.ctx.documents[0]
         rows = [row for row in named_rows(terms) if row["doc_id"] == doc.doc_id]
         stored = {row["term"]: row["tf"] for row in rows}

@@ -166,6 +166,39 @@ class TestCycles:
         assert index.classes["m.Even"].attr_types["odd"] == TypeRef("m.Odd")
         assert receiver_type(index, "m.walk") == TypeRef("m.Even")
 
+    def test_return_type_naming_a_later_class_resolves(
+        self, tmp_path: Path
+    ) -> None:
+        # return annotations resolve once every class is collected, so
+        # one may name a class defined further down
+        index = build_index(
+            tmp_path,
+            {
+                "m.py": """\
+                    class Odd:
+                        def __init__(self, even: "Even") -> None:
+                            self.even = even
+
+                        def down(self) -> "Even":
+                            return self.even
+
+
+                    class Even:
+                        def __init__(self, odd: Odd) -> None:
+                            self.odd = odd
+
+                        def down(self) -> Odd:
+                            return self.odd
+
+
+                    def walk(start: Odd) -> None:
+                        start.even.down().down().ping()
+                    """
+            },
+        )
+        assert index.functions["m.Odd.down"].return_type == TypeRef("m.Even")
+        assert receiver_type(index, "m.walk") == TypeRef("m.Even")
+
     def test_cyclic_inheritance_does_not_hang(self, tmp_path: Path) -> None:
         # pathological input: the MRO walk must not loop forever
         index = build_index(

@@ -23,7 +23,7 @@ from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
 
-from tests.conftest import named_rows, small_web_config
+from tests.conftest import crawl_store, named_rows, small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -50,7 +50,8 @@ def run_crawl(batch_size: int, max_depth: int | None = 0,
     return crawler, stats, database
 
 
-def fingerprint(crawler, stats, database) -> dict:
+def fingerprint(crawler, stats, _database) -> dict:
+    store = crawl_store(crawler.ctx)
     return {
         "stats": {
             field: getattr(stats, field)
@@ -62,11 +63,11 @@ def fingerprint(crawler, stats, database) -> dict:
         ],
         "clock": crawler.ctx.clock.now,
         "frontier": crawler.ctx.frontier.stats(),
-        # relations are unordered row sets; row order reflects which
+        # compared as row sets: crawl_log's order reflects which
         # workspace buffer happened to fill first, which legitimately
         # shifts with the global add order at different batch sizes
         "db": {
-            name: sorted(repr(row) for row in named_rows(database[name]))
+            name: sorted(repr(row) for row in named_rows(store[name]))
             for name in ("documents", "terms", "links", "crawl_log")
         },
     }
@@ -104,7 +105,9 @@ class TestBatchedFullCrawl:
         crawler, stats, database = batched
         assert stats.visited_urls == 150
         assert 0 < stats.stored_pages <= stats.visited_urls
-        assert len(database["documents"]) == stats.stored_pages
+        assert len(crawl_store(crawler.ctx)["documents"]) == (
+            stats.stored_pages
+        )
         assert len(database["crawl_log"]) == stats.visited_urls
         assert [d.doc_id for d in crawler.ctx.documents] == list(
             range(stats.stored_pages)

@@ -28,7 +28,7 @@ from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
 
-from tests.conftest import small_web_config
+from tests.conftest import crawl_store, small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -199,8 +199,9 @@ class TestSoftCrawlParity:
         assert crawler_fingerprint(crawler) == SOFT_CRAWLER
 
     def test_database_rows_identical(self, soft_run) -> None:
-        _, _, database = soft_run
-        rows = {name: len(database[name]) for name in SOFT_DB}
+        crawler, _, _ = soft_run
+        store = crawl_store(crawler.ctx)
+        rows = {name: len(store[name]) for name in SOFT_DB}
         assert rows == SOFT_DB
 
 
@@ -235,5 +236,6 @@ class TestPortalRunParity:
 
     def test_database_rows_identical(self, portal_run) -> None:
         engine, _, _ = portal_run
-        rows = {name: len(engine.database[name]) for name in PORTAL_DB}
+        store = crawl_store(engine.ctx)
+        rows = {name: len(store[name]) for name in PORTAL_DB}
         assert rows == PORTAL_DB

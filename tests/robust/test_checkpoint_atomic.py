@@ -41,9 +41,10 @@ from repro.robust.checkpoint import (
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.storage.persistence import dump_database
+from repro.storage.schema import page_rows
 from repro.web import SyntheticWeb
 
-from tests.conftest import named_rows, small_web_config
+from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 
@@ -91,11 +92,16 @@ def typed(value):
 
 def image(ctx, stats, database: Database) -> tuple[str, dict, list]:
     """Everything a restore must bring back, comparably: the runtime
-    state as canonical JSON, every relation's rows and every stored
-    page, with their value types."""
+    state as canonical JSON, every relation's rows -- the page
+    relations as the view of the stored pages -- and every stored page,
+    with their value types."""
     state = json.dumps(snapshot_context(ctx, stats), sort_keys=True)
+    view = page_rows(ctx.documents, ctx.anchor_terms)
     rows = {
-        name: [typed(row) for row in named_rows(relation)]
+        name: [
+            typed(dict(zip(relation.schema.column_names, row)))
+            for row in view.get(name, relation.rows())
+        ]
         for name, relation in database.relations.items()
     }
     pages = [typed(document.to_dict()) for document in ctx.documents]
@@ -401,12 +407,13 @@ def test_restore_equals_the_saved_database_row_for_row(
 
 
 #: sha256 of each relation file of a full dump of the three-worker
-#: checkpoint below, as the store wrote them when it kept one dict per
-#: row and a save re-dumped every row: the tuple rows a restore replays
-#: from the chain must reach the disk byte for byte the same
+#: checkpoint below.  ``crawl_log`` and ``archetypes`` hold the bytes
+#: the store wrote when it kept one dict per row and a save re-dumped
+#: every row; the page relations hold the view of the restored pages,
+#: whose rows come in doc-id order
 _RELATION_FILES = {
     "anchor_texts": (
-        "5c6b6b34edb9ceb4143196f5bdcd652e265704a4ea896b6cbe76af37cb064599"
+        "1372bca5818f794d5d1cdd27ef29dd4b1682866722287df5fcc78350f8a76b0b"
     ),
     "archetypes": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -415,13 +422,13 @@ _RELATION_FILES = {
         "01d94bbc6b90d952f116155b66192b3165e3a885e019c3d1edf4c143d72fa3c3"
     ),
     "documents": (
-        "2527b5006c2ec568dbc56447c551b03a3b0e9b903142bf8170a2e32146141b35"
+        "eadbfa879b1e2e3ef5e0ec58ae437e356b031add60128013cd26528563fe7b8f"
     ),
     "links": (
-        "b76a6a81ce88b9218b0bc7ca3760e9747eda73de0fffd444ddd79e30eee653f3"
+        "c0cadedc99c3ec9f7582f5295e40ddbdab47295dd4a81511286a4994073f062d"
     ),
     "terms": (
-        "e3c2bd6f7ed41eabbd72dd257651283df7de88073dc1830c01d0bb13b9d2d6e2"
+        "649f0fd9d7b22f84ec205b11b6e2d5dffd850c752599e421c4c58e7425349976"
     ),
 }
 
@@ -435,7 +442,10 @@ def test_relation_files_keep_their_bytes(tmp_path) -> None:
     crawler.crawl(settings(70), checkpointer=Checkpointer(tmp_path, every=20))
     restored, database = Rig(3).crawler()
     restore_context(restored.ctx, tmp_path)
-    dump_database(database, tmp_path / "full")
+    dump_database(
+        database, tmp_path / "full",
+        pages=page_rows(restored.ctx.documents, restored.ctx.anchor_terms),
+    )
     written = {
         path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted((tmp_path / "full").glob("*.jsonl"))

@@ -137,6 +137,27 @@ class TestResultCache:
         assert len(server.cache) == 2
         assert server.cache.stats()["query_cache_invalidations"] == 0.0
 
+    def test_cache_stays_bounded_and_counts_every_cold_lookup(
+        self, corpus
+    ) -> None:
+        server = QueryServer(
+            LocalSearchEngine(corpus), clock=SimulatedClock(),
+            rate=100.0, burst=100.0, cache_size=3,
+        )
+        # six distinct cache keys, then a query that fails
+        cold = [request(f"k{k}", top_k=k) for k in range(1, 7)]
+        cold.append(request("failed", query="the and of"))
+        for item in cold:
+            assert not server.handle(item).cached
+            assert len(server.cache) <= 3
+        assert server.handle(request("newest", top_k=6)).cached
+        # the oldest key was aged out: a cold lookup again
+        assert not server.handle(request("oldest", top_k=1)).cached
+        stats = server.stats()
+        assert stats["query_cache_misses"] == len(cold) + 1
+        assert stats["query_cache_hits"] == 1.0
+        assert len(server.cache) == 3
+
 
 class TestObservability:
     def test_counters_reach_a_registry_through_stats(self, corpus) -> None:

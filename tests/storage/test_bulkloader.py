@@ -82,7 +82,7 @@ class _Recorder:
     def __init__(self) -> None:
         self.batches: list[tuple[str, list]] = []
 
-    def table(self, name: str) -> "_Recorder":
+    def __getitem__(self, name: str) -> "_Recorder":
         self.name = name
         return self
 

@@ -115,7 +115,7 @@ class TestDatabase:
 
     def test_unknown_relation_raises(self) -> None:
         with pytest.raises(StorageError):
-            Database().table("nope")
+            Database()["nope"]
 
     def test_total_rows_and_statements(self) -> None:
         database = Database()

@@ -1,191 +1,250 @@
-"""A stored page's rows are built when the store is read, and they are
-the rows the eager writer gave, in its order.
+"""A stored page's rows are deferred to the write: the page relations
+are a view of the stored pages, built in doc-id order by
+:func:`~repro.storage.schema.page_rows` when a dump or a checkpoint
+segment writes them, and they are the rows the eager writer gave.
 
-The persist stage queues each page on the bulk loader; a read of a page
-relation replays the queue through the loader's buffers and flush
-markers.  Every test here runs the same crawl twice, once with
-:class:`~tests.storage.reference.EagerLoader` (rows built at persist
-time, the oracle) and once with the production loader, and holds the
-relations equal row for row and in order wherever they are read.
+The oracle is :func:`~tests.storage.reference.store_rows_reference`,
+one page's rows written out by hand.  The crawls here are checkpointed,
+so the segments a save writes are checked along with the full dump, and
+a restored chain must give its rows back.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.core import FocusedCrawler
 from repro.core.records import SOFT, CrawlStats, PhaseSettings
-from repro.errors import StorageError
-from repro.robust.checkpoint import Checkpointer, save_checkpoint
-from repro.storage import bulkloader
+from repro.errors import SchemaError, StorageError
+from repro.pipeline.stages import PersistStage
+from repro.robust.checkpoint import (
+    Checkpointer,
+    load_checkpoint,
+    restore_context,
+    save_checkpoint,
+)
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
-from repro.storage.schema import PAGE_RELATIONS
+from repro.storage.persistence import dump_database, load_database
+from repro.storage.schema import PAGE_RELATIONS, page_rows
 from repro.web import SyntheticWeb
 
 from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
 from tests.portal.conftest import build_engine, build_portal
-from tests.storage.reference import EagerLoader
+from tests.storage.reference import store_rows_reference
 
 BUDGET = 120
 EVERY = 40
-#: every third micro-batch reads the page relations after persist
-READ_EVERY = 3
 
 
-def page_relations(database: Database) -> dict[str, list]:
-    return {name: database[name].rows() for name in PAGE_RELATIONS}
+def oracle(documents, anchor_terms) -> dict[str, list]:
+    """The page relations as the concatenation of each page's
+    reference rows, pages in the order given."""
+    rows: dict[str, list] = {name: [] for name in PAGE_RELATIONS}
+    for document, anchors in zip(documents, anchor_terms, strict=True):
+        for name, page in store_rows_reference(document, anchors).items():
+            rows[name].extend(page)
+    return rows
 
 
-def all_relations(database: Database) -> dict[str, list]:
-    return {
-        name: relation.rows()
-        for name, relation in database.relations.items()
-    }
+def full_dump(ctx, directory) -> Database:
+    """Dump the crawl's whole store as ``portal crawl --dump-db`` does,
+    and load it back."""
+    dump_database(
+        ctx.loader.database, directory,
+        pages=page_rows(ctx.documents, ctx.anchor_terms),
+    )
+    return load_database(directory)
 
 
-def crawl(loader_class, batch: int, workers: int, tmp_path):
-    """A checkpointed crawl; returns its loader and the page relations
-    read after persist at every ``READ_EVERY``-th micro-batch."""
+def checkpointed_crawl(batch: int, workers: int, directory):
+    """A crawl at micro-batch ``batch`` and ``workers`` workers,
+    checkpointed into ``directory``; with it the rows the eager writer
+    built for each page as the persist stage stored it, and a crawler
+    to restore into."""
     web = SyntheticWeb.generate(small_web_config())
     config = fast_engine_config(
         max_retries=2, crawl_workers=workers, crawler_threads=4,
         pipeline_batch_size=batch,
     )
     classifier = make_trained_classifier(web, config)
-    loader = loader_class(Database(validate=True), batch_size=10)
-    crawler = FocusedCrawler(web, classifier, config, loader=loader)
-    crawler.seed(web.seed_homepages(3), topic="ROOT/databases", priority=10.0)
-    reads: list[tuple[int, dict]] = []
 
-    def read(event) -> None:
-        if event.stage == "persist" and event.batch_index % READ_EVERY == 0:
-            reads.append(
-                (event.batch_index, page_relations(loader.database))
+    def crawler() -> FocusedCrawler:
+        return FocusedCrawler(
+            web, classifier, config,
+            loader=BulkLoader(Database(validate=True), batch_size=10),
+        )
+
+    live = crawler()
+    live.seed(web.seed_homepages(3), topic="ROOT/databases", priority=10.0)
+    persisted: dict[str, list] = {name: [] for name in PAGE_RELATIONS}
+    real = PersistStage.run
+
+    def eager(self, items, ctx):
+        items = real(self, items, ctx)
+        for item in items:
+            rows = store_rows_reference(
+                item.document, item.html_doc.anchor_terms
             )
+            for name, page in rows.items():
+                persisted[name].extend(page)
+        return items
 
-    crawler.pipeline.add_hook(read)
-    crawler.crawl(
-        PhaseSettings(name="t", focus=SOFT, fetch_budget=BUDGET),
-        checkpointer=Checkpointer(tmp_path, every=EVERY),
-    )
-    assert crawler.pipeline.hook_errors == 0
-    return loader, reads
+    checkpointer = Checkpointer(directory, every=EVERY)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PersistStage, "run", eager)
+        live.crawl(
+            PhaseSettings(name="t", focus=SOFT, fetch_budget=BUDGET),
+            checkpointer=checkpointer,
+        )
+    assert checkpointer.saves == BUDGET // EVERY
+    # the crawl is over, so a restore may reuse its Web
+    return live, persisted, crawler()
+
+
+@pytest.fixture(scope="module")
+def crawls(tmp_path_factory):
+    """``(batch, workers) -> (crawl, persisted rows, restore target,
+    checkpoint directory)``, each crawled once."""
+    made: dict[tuple[int, int], tuple] = {}
+
+    def crawl(batch: int, workers: int) -> tuple:
+        if (batch, workers) not in made:
+            directory = tmp_path_factory.mktemp("checkpoint")
+            made[batch, workers] = (
+                *checkpointed_crawl(batch, workers, directory), directory
+            )
+        return made[batch, workers]
+
+    return crawl
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("batch", [1, 8])
-def test_deferred_rows_equal_eager_rows(batch, workers, tmp_path) -> None:
-    eager, eager_reads = crawl(EagerLoader, batch, workers, tmp_path / "e")
-    loader, reads = crawl(BulkLoader, batch, workers, tmp_path / "d")
-    assert len(reads) > 3
-    assert [index for index, _ in reads] == [i for i, _ in eager_reads]
-    for (index, rows), (_, expected) in zip(reads, eager_reads):
-        assert rows == expected, f"micro-batch {index}"
-    assert all_relations(loader.database) == all_relations(eager.database)
-    assert (loader.rows_loaded, loader.flushes) == (
-        eager.rows_loaded, eager.flushes
+def test_deferred_rows_equal_eager_rows(
+    batch, workers, crawls, tmp_path
+) -> None:
+    crawler, persisted, _, _ = crawls(batch, workers)
+    ctx = crawler.ctx
+    assert len(ctx.documents) > 3
+    dumped = full_dump(ctx, tmp_path)
+    expected = oracle(ctx.documents, ctx.anchor_terms)
+    for name in PAGE_RELATIONS:
+        # row for row: the reference rows of the pages in doc-id order
+        assert dumped[name].rows() == expected[name], name
+        # and the rows the eager writer built as each page was stored
+        # (it loaded them in flush order, so as a set)
+        assert set(dumped[name].rows()) == set(persisted[name]), name
+        assert len(persisted[name]) == len(expected[name]), name
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_a_restored_chain_gives_its_rows_back(batch, workers, crawls) -> None:
+    """Restore a chain, and :func:`page_rows` over the rebuilt pages
+    is the chain's rows: those of the pages the last save held."""
+    crawler, _, target, directory = crawls(batch, workers)
+    restore_context(target.ctx, directory)
+    segments = load_checkpoint(directory)["database"]["segments"]
+    chain = load_database(
+        [directory / f"database-{number}" for number in segments]
     )
+    rebuilt = page_rows(target.ctx.documents, target.ctx.anchor_terms)
+    saved = len(target.ctx.documents)
+    live = crawler.ctx
+    expected = oracle(live.documents[:saved], live.anchor_terms[:saved])
+    assert saved > 3
+    for name in PAGE_RELATIONS:
+        assert rebuilt[name] == chain[name].rows(), name
+        assert rebuilt[name] == expected[name], name
+    # the crawl's own store holds the chain's other rows, and no page row
+    for name, relation in target.ctx.loader.database.relations.items():
+        held = [] if name in PAGE_RELATIONS else chain[name].rows()
+        assert relation.rows() == held, name
 
 
 @pytest.fixture(scope="module")
-def engines():
-    """The same small-web engine run, with eager and with queued rows;
-    the queued one counts its page-row builds until a relation is read."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.core.engine.BulkLoader", EagerLoader)
-        eager = build_engine()
+def engine_run():
+    """A small-web engine run, counting the pages any page-row build
+    covers while it runs."""
     built: list[int] = []
     with pytest.MonkeyPatch.context() as patch:
-        def counted(document, anchor_terms):
-            built.append(document.doc_id)
-            return page_rows(document, anchor_terms)
+        def counted(documents, anchor_terms):
+            built.extend(document.doc_id for document in documents)
+            return page_rows(documents, anchor_terms)
 
-        page_rows = bulkloader.page_rows
-        patch.setattr(bulkloader, "page_rows", counted)
-        deferred = build_engine()
-        state = {
-            "built": list(built),
-            "rows_loaded": deferred.loader.rows_loaded,
-            "crawl_log": len(deferred.database["crawl_log"]),
-            "stored": {
-                name: len(relation)
-                for name, relation in deferred.database._relations.items()
-            },
-        }
-        relations = all_relations(deferred.database)
-    return eager, deferred, state, relations
+        patch.setattr("repro.storage.schema.page_rows", counted)
+        patch.setattr("repro.robust.checkpoint.page_rows", counted)
+        engine = build_engine()
+    return engine, built
 
 
 class TestNoRowBeforeRead:
-    def test_run_builds_no_page_row(self, engines) -> None:
-        _, deferred, state, _ = engines
-        assert deferred.ctx.documents
-        assert state["built"] == []
-        assert all(state["stored"][name] == 0 for name in PAGE_RELATIONS)
-        assert state["rows_loaded"] == state["crawl_log"] > 0
+    def test_run_builds_no_page_row(self, engine_run) -> None:
+        engine, built = engine_run
+        assert engine.ctx.documents
+        assert built == []
+        assert len(engine.ctx.anchor_terms) == len(engine.ctx.documents)
+        database = engine.database
+        assert all(len(database[name]) == 0 for name in PAGE_RELATIONS)
+        assert engine.loader.rows_loaded == len(database["crawl_log"]) > 0
 
-    def test_first_read_yields_the_oracle_rows(self, engines) -> None:
-        eager, deferred, _, relations = engines
-        assert relations == all_relations(eager.database)
-        assert (deferred.loader.rows_loaded, deferred.loader.flushes) == (
-            eager.loader.rows_loaded, eager.loader.flushes
-        )
-
-    def test_read_of_an_unqueued_relation_does_not_replay(
-        self, engines
+    def test_first_read_yields_the_oracle_rows(
+        self, engine_run, tmp_path
     ) -> None:
-        eager, _, _, _ = engines
-        database = Database()
-        loader = BulkLoader(database, batch_size=10)
-        document = eager.ctx.documents[0]
-        loader.defer(0, document, {})
-        loader.flush_all()  # queued: a marker for the page relations
-        assert len(database["archetypes"]) == len(database["crawl_log"]) == 0
-        assert database.owed is not None
-        assert [row[0] for row in database["documents"].rows()] == [0]
-        assert database.owed is None
-        assert loader.pending == 0
-        assert loader.rows_loaded == sum(
-            len(database[name]) for name in PAGE_RELATIONS
-        )
+        """The page relations' one reader is a dump."""
+        engine, _ = engine_run
+        ctx = engine.ctx
+        dumped = full_dump(ctx, tmp_path)
+        expected = oracle(ctx.documents, ctx.anchor_terms)
+        for name, relation in dumped.relations.items():
+            assert relation.rows() == expected.get(
+                name, engine.database[name].rows()
+            ), name
 
 
-class TestRecrawlKeepsPersistRows:
+class TestRecrawlRefusal:
     @pytest.fixture(scope="class")
-    def portals(self):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("repro.core.engine.BulkLoader", EagerLoader)
-            eager = build_portal()
-        deferred = build_portal()
-        reports = []
-        for portal in (eager, deferred):
-            portal.evolve(3600.0)
-            reports.append(portal.recrawl(budget=60))
-        assert reports[0].stats() == reports[1].stats()
-        return eager, deferred, reports[1].recrawl
+    def recrawled(self):
+        portal = build_portal()
+        portal.evolve(3600.0)
+        return portal, portal.recrawl(budget=60).recrawl
 
-    def test_recrawl_replaced_and_discovered_pages(self, portals) -> None:
-        _, deferred, report = portals
-        assert report.changed > 0 and report.discovered > 0
-        assert len(deferred.engine.ctx.documents) == len(
-            deferred.engine.database["documents"]
-        ) + report.discovered
-
-    def test_relations_are_the_persist_time_rows(self, portals) -> None:
-        eager, deferred, _ = portals
-        assert all_relations(deferred.engine.database) == all_relations(
-            eager.engine.database
-        )
-
-    def test_checkpoint_refuses_as_the_eager_store_does(
-        self, portals, tmp_path
+    def test_recrawl_stores_pages_without_anchor_terms(
+        self, recrawled
     ) -> None:
-        messages = []
-        for portal in portals[:2]:
-            with pytest.raises(StorageError, match="stored pages") as error:
-                save_checkpoint(portal.engine.ctx, CrawlStats(), tmp_path)
-            messages.append(str(error.value))
-        assert messages[0] == messages[1]
+        portal, report = recrawled
+        ctx = portal.engine.ctx
+        assert report.changed > 0 and report.discovered > 0
+        assert len(ctx.documents) == len(ctx.anchor_terms) + report.discovered
+
+    def test_checkpoint_refuses_a_recrawled_context(
+        self, recrawled, tmp_path
+    ) -> None:
+        portal, _ = recrawled
+        with pytest.raises(StorageError, match="stored pages"):
+            save_checkpoint(portal.engine.ctx, CrawlStats(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bad_page_row_is_refused_before_a_byte_is_written(
+    engine_run, tmp_path
+) -> None:
+    """A save and a dump check the page rows they build against the
+    schema first, as loading them through ``bulk_insert`` did."""
+    engine, _ = engine_run
+    ctx = engine.ctx
+    stored = ctx.documents[-1]
+    ctx.documents[-1] = dataclasses.replace(stored, size="big")
+    try:
+        with pytest.raises(SchemaError, match="size"):
+            save_checkpoint(ctx, CrawlStats(), tmp_path / "checkpoint")
+        with pytest.raises(SchemaError, match="size"):
+            full_dump(ctx, tmp_path / "dump")
+    finally:
+        ctx.documents[-1] = stored
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []

@@ -184,8 +184,12 @@ class TestMetricsAreReproducible:
                 capture_output=True,
             )
             outputs.append(out.read_bytes())
-        assert b'"search"' in outputs[0]
         assert outputs[0] == outputs[1]
+        # the engine and the server are two sources: neither replaces
+        # the other under one name
+        sources = json.loads(outputs[0])["sources"]
+        assert "documents_indexed" in sources["search"]
+        assert {"query_cache_hits", "replayed"} <= set(sources["serving"])
 
 
 class TestExitCodeContract:
