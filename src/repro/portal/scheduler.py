@@ -231,8 +231,11 @@ class RecrawlScheduler:
 
     def _analyze(
         self, result: FetchResult, base_url: str, report: RecrawlReport
-    ) -> tuple[dict[str, Counter], list[str], str] | None:
-        """Convert + scan + feature-extract + resolve links.
+    ) -> tuple[
+        dict[str, Counter], list[str], str, dict[str, list[str]]
+    ] | None:
+        """Convert + scan + feature-extract + resolve links; with them
+        the page's anchor terms, which a checkpoint saves beside it.
 
         A payload no content handler claims is not analysed (the
         crawl's ``mime_rejected`` policy): it counts as an error and
@@ -243,7 +246,8 @@ class RecrawlScheduler:
             report.errors += 1
             return None
         counts, page = analysis
-        return counts, resolve_links(base_url, page.links), page.title
+        links = resolve_links(base_url, page.links)
+        return counts, links, page.title, page.anchor_terms
 
     def _discover(self, doc: CrawledDocument) -> int:
         """Push a refreshed document's unseen out-links (new pages born
@@ -288,7 +292,7 @@ class RecrawlScheduler:
         )
         if analysis is None:
             return
-        counts, out_urls, title = analysis
+        counts, out_urls, title, anchor_terms = analysis
         classified = self.engine.classifier.classify(
             counts, mode=HARVESTING_DECISION_MODE
         )
@@ -312,6 +316,7 @@ class RecrawlScheduler:
             fetched_at=self.clock.now,
         )
         self.ctx.documents.append(doc)
+        self.ctx.anchor_terms.append(anchor_terms)
         self.ctx.url_to_doc[doc.final_url] = doc_id
         self.digests.record(
             doc.final_url, content_digest(result.html),
@@ -342,7 +347,7 @@ class RecrawlScheduler:
         analysis = self._analyze(result, url, report)
         if analysis is None:
             return
-        counts, out_urls, title = analysis
+        counts, out_urls, title, anchor_terms = analysis
         updated = dataclasses.replace(
             doc,
             mime=result.mime or doc.mime,
@@ -353,6 +358,7 @@ class RecrawlScheduler:
             fetched_at=self.clock.now,
         )
         self.ctx.documents[doc.doc_id] = updated
+        self.ctx.anchor_terms[doc.doc_id] = anchor_terms
         self.touched.add(doc.doc_id)
         self.pending.record_changed(doc, updated)
         report.changed += 1

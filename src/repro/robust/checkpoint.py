@@ -21,39 +21,42 @@ serializing SVM internals would only duplicate state.  Resume therefore
 requires the caller to rebuild the crawler with an identically trained
 classifier before calling :func:`restore_context`.  If retraining
 happened mid-phase, rebuild it from the ``archetypes`` rows the engine
-upserts at each retraining point.  A save flushes the loader and
-builds the page relations' rows of the pages it adds
-(:func:`~repro.storage.schema.page_rows`), which the crawl never stores.
+upserts at each retraining point.
 
 On-disk layout (via :func:`repro.storage.persistence.dump_state` and
 :func:`~repro.storage.persistence.dump_database`)::
 
     <directory>/crawl.json     # runtime state of the newest save and its
-                               # chain: segment ordinals, row counts
+                               # chain: segment ordinals, page and row
+                               # counts
     <directory>/database-<n>/  # segment n, what save n added: the rows
-                               # each relation gained (a dump segment
-                               # stamped n), and pages.json with what no
-                               # row carries of each new page (final URL,
-                               # IP, non-term counts)
+                               # crawl_log and archetypes gained (a dump
+                               # segment stamped n), and pages.json with
+                               # each new page whole (its record and its
+                               # anchor terms)
 
 A save writes one immutable segment with what changed since the save it
-extends, and a page once: restore replays the chain and rebuilds
-``ctx.documents`` from the ``documents`` / ``terms`` / ``links`` rows
-plus ``pages.json``, and ``ctx.anchor_terms`` from the ``anchor_texts``
-rows.  A relation that saw a keyed overwrite since then is written
-whole and replaces the chain's copy on replay; append-only
-segments hold no garbage (their sum is a full dump), so nothing needs
-compacting.  A context extends only a chain whose published save it
-wrote or restored (``ctx.checkpoint_heads``, by the sha256 of
+extends, and a page once, as the record
+:meth:`~repro.core.records.CrawledDocument.to_dict` gives: restore
+replays the chain and rebuilds ``ctx.documents`` and
+``ctx.anchor_terms`` from those records.  The page relations' rows
+(:func:`~repro.storage.schema.page_rows`) are a view that only a full
+dump writes; no checkpoint builds one.  A relation that saw a keyed
+overwrite since the save extended is written whole and replaces the
+chain's copy on replay; append-only segments hold no garbage (their
+sum is a full dump of what the crawl's database holds), so nothing
+needs compacting.  A context extends only a chain whose published save
+it wrote or restored (``ctx.checkpoint_heads``, by the sha256 of
 ``crawl.json``); anywhere else it starts a new chain.
 
 A save is atomic against a kill at any point.  The one rename that puts
 the new ``crawl.json`` in place publishes its fresh segment; until then
 the previous blob and its untouched chain are the checkpoint, and
 segments outside the published chain are deleted only after it.  A
-restore refuses a chain whose stamps, links or files disagree before
-the context takes anything.  (Nothing is fsynced: this guards against a
-dying process, not a dying machine.)
+restore refuses a chain whose stamps, links, files or page records
+disagree before the context takes anything; a save refuses a page
+record before it writes a byte.  (Nothing is fsynced: this guards
+against a dying process, not a dying machine.)
 """
 
 from __future__ import annotations
@@ -64,12 +67,11 @@ import json
 import pathlib
 import shutil
 from collections import Counter
-from itertools import groupby, repeat
-from operator import itemgetter
+from collections.abc import Iterable
 from typing import Any
 
 from repro.core.records import CrawledDocument, CrawlStats
-from repro.errors import StorageError
+from repro.errors import SchemaError, StorageError
 from repro.storage.database import Database
 from repro.storage.persistence import (
     dump_database,
@@ -77,7 +79,7 @@ from repro.storage.persistence import (
     load_database,
     load_state,
 )
-from repro.storage.schema import PAGE_RELATIONS, page_rows
+from repro.storage.schema import BINGO_SCHEMA, PAGE_RELATIONS, Column
 
 __all__ = [
     "snapshot_context",
@@ -95,10 +97,19 @@ State = dict[str, Any]
 _KIND = "crawl"
 _DB_PREFIX = "database-"
 _PAGES = "pages.json"
-_TERM_SPACE = "term"
-"""The feature space whose counts are the ``terms`` rows."""
-_DOC_ID = itemgetter(0)
-_TERM_TF = itemgetter(1, 2)
+_SAVED = tuple(name for name in BINGO_SCHEMA if name not in PAGE_RELATIONS)
+"""The relations the crawl's database holds: what a segment dumps."""
+_FIELDS = frozenset(CrawledDocument.__dataclass_fields__) | {"anchor_terms"}
+"""The keys of a page record: the page's fields and its anchor terms."""
+_SCALARS = [
+    Column(field, column.type, column.nullable)
+    for field, column in zip(
+        ("doc_id", "url", "host", "mime", "size", "title", "topic",
+         "confidence", "depth", "fetched_at", "page_id"),
+        BINGO_SCHEMA["documents"].columns, strict=True,
+    )
+] + [Column("final_url", str), Column("ip", str)]
+"""A page record's scalar fields, typed as the ``documents`` columns."""
 
 
 def _database_dirs(
@@ -122,20 +133,19 @@ def _blob_digest(directory: pathlib.Path) -> str | None:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _chain(database: Database, segments: list[int], held: State) -> State:
-    """A published save's chain: its segments oldest first, and each
-    relation's row count (``held`` for those ``database`` lacks) and
-    keyed overwrites then -- what a save that extends it need not write
-    again."""
-    relations = database.relations
+def _chain(database: Database, segments: list[int], pages: int) -> State:
+    """A published save's chain: its segments oldest first, its page
+    count, and each saved relation's row count and keyed overwrites
+    then -- what a save that extends it need not write again."""
     return {
         "segments": segments,
-        "rows": {name: len(r) for name, r in relations.items()} | held,
-        "replaced": {name: r.replaced for name, r in relations.items()},
+        "pages": pages,
+        "rows": {name: len(database[name]) for name in _SAVED},
+        "replaced": {name: database[name].replaced for name in _SAVED},
     }
 
 
-_NEW_CHAIN: State = {"segments": [], "rows": {}, "replaced": {}}
+_NEW_CHAIN: State = {"segments": [], "pages": 0, "rows": {}, "replaced": {}}
 """What a save that extends no chain has already written: nothing."""
 
 
@@ -162,41 +172,56 @@ def _stats_from_dict(data: State) -> CrawlStats:
 
 
 # ----------------------------------------------------------------------
-# pages: what the rows do not carry
+# pages: one record each
 # ----------------------------------------------------------------------
 
-def _write_pages(
-    path: pathlib.Path, stamp: int, start: int,
-    documents: list[CrawledDocument],
-) -> None:
-    """``pages.json`` of segment ``stamp``: per page from doc id
-    ``start`` on, its final URL, IP and counts -- ``None`` for the space
-    the ``terms`` rows hold."""
-    pages = [
-        [
-            document.final_url,
-            document.ip,
-            {
-                space: None if space == _TERM_SPACE else counts
-                for space, counts in document.counts.items()
-            },
-        ]
-        for document in documents
-    ]
-    with path.open("w", encoding="utf-8") as out:
-        out.write(json.dumps(
-            {"stamp": stamp, "start": start, "pages": pages},
-            separators=(",", ":"),
-        ))
+def _only(values: Iterable[Any], kind: type) -> bool:
+    return not set(map(type, values)) - {kind}
+
+
+def _check_pages(records: Any, start: int) -> None:
+    """Raise :class:`SchemaError` unless ``records`` are the page
+    records of doc ids ``start`` on: every field there, the scalars of
+    their ``documents`` column types, term counts mapping ``str`` to
+    ``int``, and out-links and anchor terms ``str``."""
+    if type(records) is not list or not _only(records, dict):
+        raise SchemaError("the page records are not a list of objects")
+    if any(record.keys() != _FIELDS for record in records):
+        raise SchemaError(f"a page record's fields are not {sorted(_FIELDS)}")
+    doc_ids = [record["doc_id"] for record in records]
+    if doc_ids != list(range(start, start + len(records))):
+        raise SchemaError(
+            f"the page records' doc ids do not run from {start} on"
+        )
+    for column in _SCALARS:
+        column.check_all([record[column.name] for record in records])
+    for record in records:
+        counts, out_urls, anchors = (
+            record["counts"], record["out_urls"], record["anchor_terms"]
+        )
+        if not (
+            type(counts) is dict and _only(counts.values(), dict)
+            and all(
+                _only(terms, str) and _only(terms.values(), int)
+                for terms in counts.values()
+            )
+            and type(out_urls) is list and _only(out_urls, str)
+            and type(anchors) is dict and _only(anchors.values(), list)
+            and all(_only(terms, str) for terms in anchors.values())
+        ):
+            raise SchemaError(
+                f"page {record['doc_id']}: term counts must map str to "
+                "int, out-links and anchor terms must be str"
+            )
 
 
 def _read_pages(
     segments: list[pathlib.Path], stamps: list[int]
-) -> list[list[Any]]:
-    """Every page entry of a chain, in doc-id order; raises unless each
-    segment's ``pages.json`` is whole, carries the segment's stamp and
-    continues the one before."""
-    pages: list[list[Any]] = []
+) -> list[State]:
+    """Every page record of a chain, in doc-id order; raises unless each
+    segment's ``pages.json`` is whole, carries the segment's stamp,
+    continues the one before and holds well-typed records."""
+    pages: list[State] = []
     for segment, stamp in zip(segments, stamps):
         path = segment / _PAGES
         try:
@@ -212,69 +237,17 @@ def _read_pages(
                 f"{_PAGES} in {segment} is stamped {data.get('stamp')!r}, "
                 f"expected {stamp!r}"
             )
-        entries = data.get("pages")
-        if (
-            data.get("start") != len(pages)
-            or type(entries) is not list
-            or set(map(type, entries)) - {list}
-            or set(map(len, entries)) - {3}
-        ):
+        if data.get("start") != len(pages):
             raise StorageError(
                 f"{_PAGES} in {segment} does not continue the chain's "
                 f"{len(pages)} pages"
             )
-        pages.extend(entries)
-    return pages
-
-
-def _rebuild_documents(
-    database: Database, pages: list[list[Any]]
-) -> tuple[list[CrawledDocument], list[dict[str, list[str]]]]:
-    """The stored pages and their anchor terms, from the page relations'
-    rows (matched by doc id) and the chain's page entries: :func:`page_rows`
-    over them gives those rows back.  A page's ``terms`` rows
-    are its term counts in ``Counter`` order, its ``links`` rows its
-    out-links in order, a repeated target carrying a ``#position``
-    suffix (no normalized URL holds a ``#``), and its ``anchor_texts``
-    rows each target's anchor terms, counted in first-seen order."""
-    rows = {row[0]: row for row in database["documents"].rows()}
-    terms: dict[int, Counter[str]] = {}
-    for doc_id, run in groupby(database["terms"].rows(), _DOC_ID):
-        dict.update(terms.setdefault(doc_id, Counter()), map(_TERM_TF, run))
-    links: dict[int, list[str]] = {}
-    for doc_id, run in groupby(database["links"].rows(), _DOC_ID):
-        links.setdefault(doc_id, []).extend(
-            target.partition("#")[0] for _, target, _ in run
-        )
-    anchors: dict[int, dict[str, list[str]]] = {}
-    for doc_id, target, term, tf in database["anchor_texts"].rows():
-        anchors.setdefault(doc_id, {}).setdefault(target, []).extend(
-            repeat(term, tf)
-        )
-    documents: list[CrawledDocument] = []
-    for doc_id, (final_url, ip, spaces) in enumerate(pages):
         try:
-            (_, url, host, mime, size, title, topic, confidence, depth,
-             fetched_at, page_id) = rows[doc_id]
-        except KeyError:
-            raise StorageError(f"no documents row for page {doc_id}") from None
-        documents.append(CrawledDocument(
-            doc_id=doc_id, url=url, final_url=final_url, page_id=page_id,
-            host=host, ip=ip, mime=mime, size=size, title=title,
-            depth=depth, topic=topic, confidence=confidence,
-            counts={
-                space: (
-                    terms.get(doc_id, Counter()) if counts is None
-                    else Counter(counts)
-                )
-                for space, counts in spaces.items()
-            },
-            out_urls=links.get(doc_id, []),
-            fetched_at=fetched_at,
-        ))
-    return documents, [
-        anchors.get(doc_id, {}) for doc_id in range(len(pages))
-    ]
+            _check_pages(data.get("pages"), len(pages))
+        except SchemaError as error:
+            raise StorageError(f"{_PAGES} in {segment}: {error}") from error
+        pages.extend(data["pages"])
+    return pages
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +256,7 @@ def _rebuild_documents(
 
 def snapshot_context(ctx: Context, stats: CrawlStats) -> State:
     """The serializable runtime state of one crawl context -- all of it
-    but the stored pages, which a save writes as rows.
+    but the stored pages, which a save writes as page records.
 
     The frontier image and the host board are one store each at every
     worker count.  For sharded crawls (``crawl_workers > 1``) a
@@ -337,33 +310,40 @@ def save_checkpoint(
     if len(ctx.anchor_terms) != len(ctx.documents):
         raise StorageError(
             f"the crawl holds anchor terms of {len(ctx.anchor_terms)} of "
-            f"its {len(ctx.documents)} stored pages: a page stored outside "
-            "the crawl pipeline (a recrawl) has no rows to save"
+            f"its {len(ctx.documents)} stored pages: a page is saved "
+            "with its anchor terms"
         )
     ctx.loader.flush_all()
     database = ctx.loader.database
     on_disk = _database_dirs(directory)
     ordinal = on_disk[-1][0] + 1 if on_disk else 1
     head = ctx.checkpoint_heads.get(_blob_digest(directory), _NEW_CHAIN)
+    start = head["pages"]
+    records = [
+        document.to_dict() | {"anchor_terms": anchors}
+        for document, anchors in zip(
+            ctx.documents[start:], ctx.anchor_terms[start:]
+        )
+    ]
+    _check_pages(records, start)
     segment = directory / f"{_DB_PREFIX}{ordinal}"
     segment.mkdir(parents=True)
-    start = head["rows"].get("documents", 0)
-    pages = page_rows(ctx.documents[start:], ctx.anchor_terms[start:])
-    since = {
-        name: head["rows"][name]
-        for name, relation in database.relations.items()
-        if relation.replaced == head["replaced"].get(name)
-    }
     dump_database(
         database, segment, stamp=ordinal,
         after=head["segments"][-1] if head["segments"] else None,
-        since=since, pages=pages,
-    )  # checks the page rows before it writes a byte
-    _write_pages(segment / _PAGES, ordinal, start, ctx.documents[start:])
+        since={
+            name: head["rows"][name] for name in _SAVED
+            if database[name].replaced == head["replaced"].get(name)
+        },
+        relations=_SAVED,
+    )
+    (segment / _PAGES).write_text(json.dumps(
+        {"stamp": ordinal, "start": start, "pages": records},
+        separators=(",", ":"),
+    ), encoding="utf-8")
     state = snapshot_context(ctx, stats)
     state["database"] = chain = _chain(
-        database, head["segments"] + [ordinal],
-        {name: since.get(name, 0) + len(rows) for name, rows in pages.items()},
+        database, head["segments"] + [ordinal], len(ctx.documents)
     )
     # this rename publishes the save; everything before it is invisible
     path = dump_state(state, directory, kind=_KIND)
@@ -389,7 +369,7 @@ def restore_context(
     The context must be bound to the same Web (same generator config
     and seed) and an identically trained classifier, and its loader's
     database must be empty: the stored pages are rebuilt from the
-    chain's page relations, and its other rows go into that database.
+    chain's page records, and its rows go into that database.
     Every file is read and checked before the context takes anything.
     Returns the restored :class:`CrawlStats` to pass back into
     ``crawl(phase, resume=...)``.
@@ -408,10 +388,10 @@ def restore_context(
     digest = _blob_digest(directory)
     state = load_checkpoint(directory)
     chain = state.get("database")
-    if chain is None:
+    if chain is None or "pages" not in chain:
         raise StorageError(
-            f"checkpoint in {directory} names no database chain: it "
-            "predates the segment layout and must be retaken"
+            f"checkpoint in {directory} names no database chain of page "
+            "records: it predates that layout and must be retaken"
         )
 
     # validate the sharding shape before mutating anything: a mismatch
@@ -432,18 +412,19 @@ def restore_context(
         )
     ctx.frontier.check_image(state["frontier"])
 
-    # rows first: a segment that is missing, torn or from another chain
+    # segments first: one that is missing, torn or from another chain
     # raises here, before the context has taken anything from the blob
     segments = chain["segments"]
     paths = [directory / f"{_DB_PREFIX}{number}" for number in segments]
     pages = _read_pages(paths, segments)
-    if len(pages) != chain["rows"]["documents"]:
+    if len(pages) != chain["pages"]:
         raise StorageError(
-            f"checkpoint in {directory} has {len(pages)} page entries for "
-            f"{chain['rows']['documents']} documents rows"
+            f"checkpoint in {directory} has {len(pages)} page records, "
+            f"its blob names {chain['pages']!r}"
         )
     restored = load_database(paths, stamp=segments[-1])
-    documents, anchor_terms = _rebuild_documents(restored, pages)
+    anchor_terms = [record.pop("anchor_terms") for record in pages]
+    documents = list(map(CrawledDocument.from_dict, pages))
 
     ctx.clock.now = state["clock_now"]
     ctx.pool._free_at = list(state["pool_free_at"])
@@ -459,9 +440,8 @@ def restore_context(
     for domain, busy in state["domains"].items():
         ctx.domain_state(domain).busy_until = list(busy)
     ctx.documents, ctx.anchor_terms = documents, anchor_terms
-    for name, relation in database.relations.items():
-        if name not in PAGE_RELATIONS:
-            relation.bulk_insert(restored[name].rows())
+    for name in _SAVED:
+        database[name].bulk_insert(restored[name].rows())
     ctx.url_to_doc = {
         doc.final_url: doc.doc_id for doc in ctx.documents
     }
@@ -481,7 +461,7 @@ def restore_context(
         workers.cross_shard_links = worker_state["cross_shard_links"]
         workers.local_links = worker_state["local_links"]
 
-    ctx.checkpoint_heads[digest] = _chain(restored, segments, {})
+    ctx.checkpoint_heads[digest] = _chain(restored, segments, len(pages))
     ctx.checkpoint_restores += 1
     return _stats_from_dict(state["stats"])
 

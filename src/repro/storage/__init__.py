@@ -17,7 +17,8 @@ lessons which this substrate bakes in:
 The store only appends and dumps: relations take batches and keyed
 upserts, and :func:`dump_database` is their one reader.  The page
 relations are a view of the crawl's stored pages, built in doc-id order
-(:func:`~repro.storage.schema.page_rows`) when a dump writes them.
+(:func:`~repro.storage.schema.page_rows`) when a full dump writes them;
+a checkpoint saves the pages themselves.
 """
 
 from repro.storage.bulkloader import BulkLoader

@@ -8,8 +8,8 @@ reaches ``batch_size`` it is flushed through ``Relation.bulk_insert``.
 ``flush_all`` drains everything; the crawl calls it at its end, at each
 shard barrier and at each checkpoint save.  The crawl loads its fetch
 log (``crawl_log``) this way; the page relations are a view of the
-stored pages (:func:`~repro.storage.schema.page_rows`) and never pass
-through a loader.
+stored pages (:func:`~repro.storage.schema.page_rows`, which only a full
+dump builds) and never pass through a loader.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ archetype row by key (``upsert``), and the one reader is
 :func:`~repro.storage.persistence.dump_database`, which writes
 :meth:`Relation.rows` as they are.  A crawl stores no page-relation
 row: those are a view of its pages (:func:`~repro.storage.schema.
-page_rows`) that a dump writes, and a loaded dump holds.
+page_rows`) that only a full dump writes, and a loaded dump holds; a
+checkpoint saves the pages themselves.
 
 ``bulk_insert`` is the fast path used by the
 :class:`~repro.storage.bulkloader.BulkLoader`: it validates, key-checks

@@ -53,6 +53,7 @@ def dump_database(
     after: Any = None,
     since: Mapping[str, int] | None = None,
     pages: Mapping[str, list[Row]] | None = None,
+    relations: Sequence[str] | None = None,
 ) -> int:
     """Write the relations to ``directory``; returns the rows written.
 
@@ -61,8 +62,9 @@ def dump_database(
     ordinal.  A segment of a chain names the stamp of the segment it
     extends as ``after`` and writes each relation from row
     ``since[name]`` on (from row 0 -- whole -- for a relation ``since``
-    does not name).  ``pages`` (:func:`~repro.storage.schema.page_rows`
-    of the pages the dump adds) replaces the stored page relations; the
+    does not name).  ``relations`` names the relations to write
+    (default: every one).  ``pages`` (:func:`~repro.storage.schema.page_rows`
+    of the stored pages) replaces the stored page relations; the
     database's validation checks it first.  The manifest is written
     last: without it there is no dump.
     """
@@ -73,9 +75,10 @@ def dump_database(
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     since = since or {}
-    relations: dict[str, dict[str, Any]] = {}
+    written: dict[str, dict[str, Any]] = {}
     total = 0
-    for name, relation in database.relations.items():
+    for name in relations or database.relations:
+        relation = database[name]
         columns = relation.schema.column_names
         start = since.get(name, 0)
         records = pages[name] if name in pages else relation.rows()[start:]
@@ -86,7 +89,7 @@ def dump_database(
                     separators=(",", ":"),
                 ))
                 out.write("\n")
-        relations[name] = {
+        written[name] = {
             "rows": len(records), "start": start, "columns": list(columns),
         }
         total += len(records)
@@ -94,7 +97,7 @@ def dump_database(
         "format_version": _FORMAT_VERSION,
         "stamp": stamp,
         "after": after,
-        "relations": relations,
+        "relations": written,
     }
     (directory / _MANIFEST).write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"

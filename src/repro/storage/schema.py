@@ -10,7 +10,8 @@ A stored row is a tuple of values in declared column order, from the
 producer that builds it to the dump file that holds it;
 :meth:`RelationSchema.validate_rows` is the one check of that shape.
 The page relations (:data:`PAGE_RELATIONS`) have one producer,
-:func:`page_rows`, over the stored pages.
+:func:`page_rows`, over the stored pages, and one caller, a full dump
+(``portal crawl --dump-db``): a checkpoint saves the pages themselves.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ class Column:
                 f"got {type(value).__name__}: {value!r}"
             )
 
+    def check_all(self, values: Sequence[Any]) -> None:
+        """:meth:`check` each value, after one pass over the value
+        *types*: it runs only when a value is not of the exact type."""
+        kinds = set(map(type, values))
+        kinds.discard(self.type)
+        if self.nullable:
+            kinds.discard(_NONE)
+        if kinds:
+            for value in values:
+                self.check(value)
+
 
 @dataclass(frozen=True)
 class RelationSchema:
@@ -91,10 +103,8 @@ class RelationSchema:
         """Raise :class:`SchemaError` unless every row is a tuple with
         one value of its column's type per declared column.
 
-        One pass over the row shapes, then one per column over the
-        value *types*, so :meth:`Column.check` (subclasses, ints in
-        float columns, the error message) runs only for a column that
-        holds something other than its exact type."""
+        One pass over the row shapes, then :meth:`Column.check_all`
+        per column."""
         width = len(self.columns)
         if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {width}:
             bad = next(
@@ -106,13 +116,7 @@ class RelationSchema:
                 f"values {self.column_names}, got {bad!r}"
             )
         for column, values in zip(self.columns, zip(*rows)):
-            kinds = set(map(type, values))
-            kinds.discard(column.type)
-            if column.nullable:
-                kinds.discard(_NONE)
-            if kinds:
-                for value in values:
-                    column.check(value)
+            column.check_all(values)
 
 
 def _rel(

@@ -133,7 +133,7 @@ class TestSnapshotRoundTrip:
         stats = crawler.crawl(settings(30))
         snap = snapshot_context(crawler.ctx, stats)
         blob = json.dumps(snap, sort_keys=True)  # must not raise
-        assert "documents" not in snap  # pages are rows, not blob
+        assert "documents" not in snap  # pages are segment records
         save_checkpoint(crawler.ctx, stats, tmp_path)
 
         clone, _ = build_crawler()

@@ -14,7 +14,7 @@ fail these tests rather than match them.
 
 A save writes one segment, what changed since the save it extends; a
 restore replays the chain and rebuilds the stored pages from their
-rows, so every image here holds the pages too.
+records, so every image here holds the pages too.
 """
 
 from __future__ import annotations
@@ -184,10 +184,11 @@ class TestKilledSave:
             shutil.copytree(after_first, tmp_path / "complete"), -1,
         )
         kinds = [kind for kind, _ in complete]
-        # 10 boundaries: the segment's page file, 6 relation files and
-        # manifest, the blob's temp file, one publishing rename; the
-        # segment extends save 1, so nothing is superseded
-        assert kinds == ["write"] * 9 + ["rename"]
+        # 6 boundaries: the segment's 2 relation files (crawl_log,
+        # archetypes), manifest and page file, the blob's temp file, one
+        # publishing rename; the segment extends save 1, so nothing is
+        # superseded
+        assert kinds == ["write"] * 5 + ["rename"]
         assert restored_image(rig, tmp_path / "complete") == second
 
         for kill_at in range(len(complete)):
@@ -213,7 +214,7 @@ class TestKilledSave:
     ) -> None:
         rig, after_first, _, second, crawler, stats = two_saves
         directory = shutil.copytree(after_first, tmp_path / "checkpoint")
-        ran = killed_save(monkeypatch, crawler, stats, directory, 9)
+        ran = killed_save(monkeypatch, crawler, stats, directory, 5)
         assert ("rename", directory / "crawl.json") not in ran
         assert (directory / "database-2").exists()
         save_checkpoint(crawler.ctx, stats, directory)
@@ -237,7 +238,7 @@ class TestKilledSave:
         directory = shutil.copytree(after_first, tmp_path / "checkpoint")
         ran = killed_save(monkeypatch, other, stats, directory, -1)
         assert [kind for kind, _ in ran] == (
-            ["write"] * 9 + ["rename", "rmtree"]
+            ["write"] * 5 + ["rename", "rmtree"]
         )
         assert ran[-1] == ("rmtree", directory / "database-1")
         assert sorted(path.name for path in directory.iterdir()) == [
@@ -254,6 +255,34 @@ class TestKilledSave:
         )
 
 
+def _float_counts(page: dict) -> None:
+    terms = page["counts"]["term"]
+    terms.update((term, float(tf)) for term, tf in terms.items())
+
+
+#: one damage each to a page record of a published chain
+PAGE_DAMAGE = {
+    "size is a str": lambda page: page.update(size="big"),
+    "a tf is a float": _float_counts,
+    "an out-link is not a str": lambda page: page["out_urls"].append(7),
+    "an anchor term is not a str": lambda page: page["anchor_terms"]
+    .setdefault("http://a.example/", []).append(None),
+    "a field is missing": lambda page: page.pop("title"),
+    "a doc id is out of sequence": lambda page: page.update(
+        doc_id=page["doc_id"] + 1
+    ),
+}
+
+
+def assert_refused(rig: Rig, directory, match: str | None = None) -> None:
+    crawler, database = rig.crawler()
+    with pytest.raises(StorageError, match=match):
+        restore_context(crawler.ctx, directory)
+    assert crawler.ctx.documents == [] and crawler.ctx.anchor_terms == []
+    assert not any(map(len, database.relations.values()))
+    assert crawler.ctx.clock.now == 0.0
+
+
 class TestDamagedCheckpoint:
     @pytest.fixture()
     def published(self, two_saves, tmp_path):
@@ -268,8 +297,8 @@ class TestDamagedCheckpoint:
         rig, _, _, second, _, _ = two_saves
         files = sorted(p for p in published.rglob("*") if p.is_file())
         # the blob, and per segment of the chain [1, 2] its page file,
-        # manifest and 6 relation files
-        assert len(files) == 1 + 2 * 8
+        # manifest and 2 relation files (crawl_log, archetypes)
+        assert len(files) == 1 + 2 * 4
         assert {p.parent.name for p in files} == {
             "checkpoint", "database-1", "database-2",
         }
@@ -364,6 +393,31 @@ class TestDamagedCheckpoint:
         assert crawler.ctx.clock.now == 0.0
 
 
+    @pytest.mark.parametrize("damage", sorted(PAGE_DAMAGE))
+    def test_a_bad_page_record_refused(
+        self, two_saves, published, damage
+    ) -> None:
+        """The type checks the page rows got from the schema, now on
+        the page records: restore refuses before it takes anything."""
+        rig = two_saves[0]
+        path = published / "database-2" / "pages.json"
+        data = json.loads(path.read_text())
+        PAGE_DAMAGE[damage](data["pages"][len(data["pages"]) // 2])
+        path.write_text(json.dumps(data))
+        assert_refused(rig, published)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_a_page_count_the_blob_does_not_name_refused(
+        self, two_saves, published, offset
+    ) -> None:
+        rig = two_saves[0]
+        blob = json.loads((published / "crawl.json").read_text())
+        blob["state"]["database"]["pages"] += offset
+        (published / "crawl.json").write_text(json.dumps(blob))
+        assert_refused(rig, published, match="page records")
+
+
+
 class _ImagingCheckpointer(Checkpointer):
     """Keeps the image of what the latest save captured."""
 
@@ -394,8 +448,10 @@ def test_restore_equals_the_saved_database_row_for_row(
     assert restored_image(rig, tmp_path) == (
         saved_state, saved_rows, saved_pages
     )
-    # the segments hold no garbage: their rows sum to one full dump
+    # the segments hold no garbage: their rows sum to the crawl_log and
+    # archetypes rows, and their page records to the stored pages
     written = Counter()
+    pages = 0
     for segment in ("database-1", "database-2", "database-3"):
         manifest = json.loads(
             (tmp_path / segment / "manifest.json").read_text()
@@ -403,7 +459,13 @@ def test_restore_equals_the_saved_database_row_for_row(
         written.update({
             name: info["rows"] for name, info in manifest["relations"].items()
         })
-    assert written == {name: len(rows) for name, rows in saved_rows.items()}
+        pages += len(json.loads(
+            (tmp_path / segment / "pages.json").read_text()
+        )["pages"])
+    assert written == {
+        name: len(saved_rows[name]) for name in ("crawl_log", "archetypes")
+    }
+    assert pages == len(saved_pages) == len(saved_rows["documents"])
 
 
 #: sha256 of each relation file of a full dump of the three-worker
@@ -533,8 +595,10 @@ class TestChains:
             "columns": list(archetypes.schema.column_names),
             "rows": 3, "start": 0,
         }
-        # the append-only relations carry only what they gained
-        assert relations["documents"]["start"] == 10
+        # the segment carries only the pages the crawl gained
+        assert json.loads(
+            (tmp_path / "database-2" / "pages.json").read_text()
+        )["start"] == 10
         restored, restored_database = Rig().crawler()
         restore_context(restored.ctx, tmp_path)
         assert restored_database["archetypes"].rows() == archetypes.rows()

@@ -1,17 +1,18 @@
 """A stored page's rows are deferred to the write: the page relations
 are a view of the stored pages, built in doc-id order by
-:func:`~repro.storage.schema.page_rows` when a dump or a checkpoint
-segment writes them, and they are the rows the eager writer gave.
+:func:`~repro.storage.schema.page_rows` when a dump writes them, and
+they are the rows the eager writer gave.
 
 The oracle is :func:`~tests.storage.reference.store_rows_reference`,
-one page's rows written out by hand.  The crawls here are checkpointed,
-so the segments a save writes are checked along with the full dump, and
-a restored chain must give its rows back.
+one page's rows written out by hand.  The crawls here are checkpointed
+(a segment holds page records, not page rows), so the pages a restored
+chain rebuilds must give the oracle's rows too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.storage.database import Database
 from repro.storage.persistence import dump_database, load_database
 from repro.storage.schema import PAGE_RELATIONS, page_rows
 from repro.web import SyntheticWeb
+from repro.web.urls import resolve_links
 
 from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
@@ -146,7 +148,7 @@ def test_deferred_rows_equal_eager_rows(
 @pytest.mark.parametrize("batch", [1, 8])
 def test_a_restored_chain_gives_its_rows_back(batch, workers, crawls) -> None:
     """Restore a chain, and :func:`page_rows` over the rebuilt pages
-    is the chain's rows: those of the pages the last save held."""
+    is the oracle's rows of the pages the last save held."""
     crawler, _, target, directory = crawls(batch, workers)
     restore_context(target.ctx, directory)
     segments = load_checkpoint(directory)["database"]["segments"]
@@ -159,12 +161,13 @@ def test_a_restored_chain_gives_its_rows_back(batch, workers, crawls) -> None:
     expected = oracle(live.documents[:saved], live.anchor_terms[:saved])
     assert saved > 3
     for name in PAGE_RELATIONS:
-        assert rebuilt[name] == chain[name].rows(), name
         assert rebuilt[name] == expected[name], name
-    # the crawl's own store holds the chain's other rows, and no page row
+    # the chain holds no page row; the crawl's own store holds the
+    # chain's rows
     for name, relation in target.ctx.loader.database.relations.items():
-        held = [] if name in PAGE_RELATIONS else chain[name].rows()
+        held = chain[name].rows()
         assert relation.rows() == held, name
+        assert name not in PAGE_RELATIONS or held == [], name
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +181,6 @@ def engine_run():
             return page_rows(documents, anchor_terms)
 
         patch.setattr("repro.storage.schema.page_rows", counted)
-        patch.setattr("repro.robust.checkpoint.page_rows", counted)
         engine = build_engine()
     return engine, built
 
@@ -207,28 +209,61 @@ class TestNoRowBeforeRead:
             ), name
 
 
-class TestRecrawlRefusal:
+class TestRecrawlAnchorTerms:
     @pytest.fixture(scope="class")
     def recrawled(self):
         portal = build_portal()
         portal.evolve(3600.0)
         return portal, portal.recrawl(budget=60).recrawl
 
-    def test_recrawl_stores_pages_without_anchor_terms(
+    def test_recrawl_keeps_pages_anchor_terms(
         self, recrawled
     ) -> None:
+        """A changed or discovered page's rows are those a fresh scan
+        of its current payload gives: its anchor terms moved with it."""
         portal, report = recrawled
-        ctx = portal.engine.ctx
+        engine = portal.engine
+        ctx = engine.ctx
         assert report.changed > 0 and report.discovered > 0
-        assert len(ctx.documents) == len(ctx.anchor_terms) + report.discovered
+        assert len(ctx.anchor_terms) == len(ctx.documents)
+        touched = sorted(portal.scheduler.touched)
+        assert len(touched) == report.changed + report.discovered
+        for doc_id in touched:
+            stored = ctx.documents[doc_id]
+            payload = engine.web.renderer.payload(
+                engine.web.pages[stored.page_id]
+            )
+            counts, page = engine.analyze_page(payload, stored.mime)
+            fresh = dataclasses.replace(
+                stored, counts=counts,
+                out_urls=resolve_links(stored.final_url, page.links),
+            )
+            assert page_rows([stored], [ctx.anchor_terms[doc_id]]) == (
+                page_rows([fresh], [page.anchor_terms])
+            ), doc_id
 
-    def test_checkpoint_refuses_a_recrawled_context(
+    def test_a_recrawled_context_is_saved_whole(
         self, recrawled, tmp_path
     ) -> None:
+        """A page without its anchor terms is still refused; with them,
+        the recrawled pages are saved as their records."""
         portal, _ = recrawled
-        with pytest.raises(StorageError, match="stored pages"):
-            save_checkpoint(portal.engine.ctx, CrawlStats(), tmp_path)
+        ctx = portal.engine.ctx
+        anchors = ctx.anchor_terms.pop()
+        try:
+            with pytest.raises(StorageError, match="stored pages"):
+                save_checkpoint(ctx, CrawlStats(), tmp_path)
+        finally:
+            ctx.anchor_terms.append(anchors)
         assert list(tmp_path.iterdir()) == []
+        save_checkpoint(ctx, CrawlStats(), tmp_path)
+        records = json.loads(
+            (tmp_path / "database-1" / "pages.json").read_text()
+        )["pages"]
+        assert records == [
+            document.to_dict() | {"anchor_terms": anchors}
+            for document, anchors in zip(ctx.documents, ctx.anchor_terms)
+        ]
 
 
 def test_a_bad_page_row_is_refused_before_a_byte_is_written(

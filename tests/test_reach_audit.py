@@ -31,8 +31,6 @@ KEPT: dict[str, str] = {
     "repro.core.rbtree:RedBlackTree.check_invariants": TEST_ORACLE,
     "repro.core.rbtree:RedBlackTree.check_invariants.<locals>.walk":
         TEST_ORACLE,
-    "repro.core.records:CrawledDocument.from_dict": ROADMAP_ITEM_4,
-    "repro.core.records:CrawledDocument.to_dict": ROADMAP_ITEM_4,
     "repro.experiments.reporting:ExperimentTable.__str__": DECLARATION,
     # a lint rule's finding, and its rendering, only on code that breaks it
     "repro.lint.findings:Finding.render": INPUT_BRANCH,
