@@ -14,12 +14,16 @@ or into the level's OTHERS node when every child says no.
 
 The classifier is agnostic to how feature vectors are built: documents
 arrive as ``{space_name: Counter}`` mappings and each space keeps its own
-tf*idf statistics.
+tf*idf statistics.  Training weights each node's selected features
+only, and so does the decision phase: the compiled kernel
+(:mod:`repro.perf.compiled`) reads each document's term counts and
+weights the terms some member selected, under the idf snapshot it was
+compiled in, so :meth:`HierarchicalClassifier.refresh_idf` drops it.
+No full tf*idf vector of a page is built, and none is cached.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -33,14 +37,13 @@ from repro.ml.naive_bayes import NaiveBayesClassifier
 from repro.ml.rocchio import RocchioClassifier
 from repro.ml.svm import LinearSVM
 from repro.ml.xialpha import XiAlphaEstimate, xi_alpha_estimate
-from repro.perf.cache import VectorCache
 from repro.perf.compiled import (
     ACCEPTANCE_THRESHOLD,
     MODES,
     CompiledClassifier,
     compile_classifier,
 )
-from repro.text.vectorizer import SparseVector, TfIdfVectorizer
+from repro.text.vectorizer import DAMPENED, SparseVector, TfIdfVectorizer
 
 __all__ = [
     "ACCEPTANCE_THRESHOLD",
@@ -138,28 +141,6 @@ class NodeClassifier:
     feature_budget: int = 0
     """The feature count this model was trained with (xi-alpha-chosen
     when the config lists budget candidates)."""
-    _feature_set: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._feature_set = frozenset(self.features)
-
-    def _project(self, vectors: Mapping[str, SparseVector]) -> SparseVector | None:
-        """Restrict the document to this model's selected features.
-
-        Training vectors are projected *before* normalisation, so the
-        decision phase must do the same -- otherwise off-feature mass
-        dilutes the normalised vector and shrinks every decision value.
-        """
-        vector = vectors.get(self.space)
-        if vector is None:
-            return None
-        return vector.project(self._feature_set)
-
-    def decision(self, vectors: Mapping[str, SparseVector]) -> float:
-        vector = self._project(vectors)
-        if vector is None:
-            return 0.0
-        return self.svm.decision(vector)
 
 
 @dataclass
@@ -191,13 +172,11 @@ class HierarchicalClassifier:
         self.models: dict[str, TopicDecisionModel] = {}
         self.trained = False
         self.model_version = 0
-        """Bumped at every (re)training point, which also drops the
-        compiled kernel."""
+        """Bumped at every (re)training point."""
         self._compiled: CompiledClassifier | None = None
-        self._vector_cache = VectorCache()
         self._kernel_stats_retired: dict[str, float] = {}
-        """Accumulated counters of kernels discarded by retraining, so
-        :meth:`stats` reports lifetime totals across recompiles."""
+        """Accumulated counters of kernels discarded by :meth:`refresh_idf`,
+        so :meth:`stats` reports lifetime totals across recompiles."""
 
     # -- corpus statistics --------------------------------------------------
 
@@ -209,56 +188,16 @@ class HierarchicalClassifier:
                 vectorizer.ingest(counts.keys())
 
     def refresh_idf(self) -> None:
-        """Promote live df counts to the idf snapshot (lazy, on retraining)."""
+        """Promote live df counts to the idf snapshot (lazy, on retraining).
+
+        The one writer of the snapshot, and the compiled kernel holds
+        idf columns read from it, so the kernel goes with it.
+        """
         for vectorizer in self.vectorizers.values():
             vectorizer.refresh()
-
-    def _snapshot_key(self) -> tuple[int, ...]:
-        return tuple(
-            self.vectorizers[space].snapshot_version for space in self.spaces
-        )
-
-    def vectorize_many(
-        self, docs: Sequence[TrainingDoc]
-    ) -> list[dict[str, SparseVector]]:
-        """Per-space tf*idf vectors for a whole batch, in one wave.
-
-        Repeat vectorizations of the same document object under the
-        same idf snapshot (archetype re-scoring, training-confidence
-        refreshes) come from the LRU cache; ``refresh_idf`` changes the
-        snapshot key and thereby invalidates every cached vector.  The
-        misses are vectorized together through
-        :func:`repro.perf.text.vectorize_batch` (``vectorize_counts``
-        per document), so a row does not depend on which other
-        documents share it (pinned by tests).
-        """
-        from repro.perf.text import vectorize_batch
-
-        key = self._snapshot_key()
-        cache = self._vector_cache
-        bundles: list[dict[str, SparseVector] | None] = [None] * len(docs)
-        miss_indices: list[int] = []
-        for i, doc in enumerate(docs):
-            cached = cache.get(doc, key)
-            if cached is None:
-                miss_indices.append(i)
-            else:
-                bundles[i] = cached
-        if miss_indices:
-            rows_by_space = {
-                space: vectorize_batch(
-                    self.vectorizers[space],
-                    [docs[i].get(space) or {} for i in miss_indices],
-                )
-                for space in self.spaces
-            }
-            for j, i in enumerate(miss_indices):
-                bundle = {
-                    space: rows_by_space[space][j] for space in self.spaces
-                }
-                cache.put(docs[i], key, bundle)
-                bundles[i] = bundle
-        return bundles  # type: ignore[return-value]
+        if self._compiled is not None:
+            self._retire_kernel_stats(self._compiled)
+        self._compiled = None
 
     # -- training ------------------------------------------------------------
 
@@ -279,9 +218,6 @@ class HierarchicalClassifier:
                 )
         self.trained = True
         self.model_version += 1
-        if self._compiled is not None:
-            self._retire_kernel_stats(self._compiled)
-        self._compiled = None
 
     def retrain_topics(
         self, training: TrainingSet, topics: Sequence[str]
@@ -293,8 +229,8 @@ class HierarchicalClassifier:
         does, but topics outside ``topics`` keep their existing models.
         Callers must include every sibling of a changed topic -- sibling
         models share the changed documents as negatives.  Bumps the
-        model version (retiring the compiled kernel) when anything was
-        retrained; returns the number of models rebuilt.
+        model version when anything was retrained; returns the number of
+        models rebuilt.
         """
         retrained = 0
         self.refresh_idf()
@@ -312,9 +248,6 @@ class HierarchicalClassifier:
             retrained += 1
         if retrained:
             self.model_version += 1
-            if self._compiled is not None:
-                self._retire_kernel_stats(self._compiled)
-            self._compiled = None
         return retrained
 
     def _training_splits(
@@ -379,7 +312,7 @@ class HierarchicalClassifier:
                 # vectorize_counts(counts).project(features), kept terms only
                 vectors = [
                     SparseVector({
-                        term: (1.0 + math.log(tf)) * idf_of[term]
+                        term: DAMPENED[tf] * idf_of[term]
                         for term, tf in counts.items()
                         if tf > 0 and term in idf_of
                     })
@@ -426,7 +359,7 @@ class HierarchicalClassifier:
     # -- decision phase -------------------------------------------------------
 
     def _kernel(self) -> CompiledClassifier:
-        """The compiled decision kernel, recompiled after retraining."""
+        """The compiled decision kernel, recompiled after an idf refresh."""
         if not self.trained:
             raise TrainingError("classifier has not been trained")
         if self._compiled is None:
@@ -443,8 +376,11 @@ class HierarchicalClassifier:
         """Kernel-layer counters (:class:`repro.obs.api.Instrumented`).
 
         ``kernel_*`` totals span every compiled kernel this classifier
-        has used (retraining discards kernels; their counters are
-        retired here, not lost).
+        has used (an idf refresh discards kernels; their counters are
+        retired here, not lost).  No vector cache is on the decision
+        path: ``vector_cache_hits`` / ``_misses`` read 0 and stay only
+        because ``benchmarks/e2e`` still reports their ratio (ROADMAP
+        item 1 drops that row).
         """
         totals = dict(self._kernel_stats_retired)
         if self._compiled is not None:
@@ -453,8 +389,7 @@ class HierarchicalClassifier:
         merged = {
             f"kernel_{key}": value for key, value in sorted(totals.items())
         }
-        for key, value in self._vector_cache.stats().items():
-            merged[f"vector_cache_{key}"] = value
+        merged["vector_cache_hits"] = merged["vector_cache_misses"] = 0.0
         merged["model_version"] = float(self.model_version)
         merged["trained"] = 1.0 if self.trained else 0.0
         return merged
@@ -480,10 +415,11 @@ class HierarchicalClassifier:
         paid once, by the first batch that follows it.
         """
         kernel = self._kernel()
-        bundles = self.vectorize_many(docs)
         return [
             ClassificationResult(topic=topic, confidence=confidence, path=path)
-            for topic, confidence, path in kernel.classify_many(bundles, mode)
+            for topic, confidence, path in kernel.classify_many(
+                self._bundles(docs), mode
+            )
         ]
 
     def confidence_for(
@@ -496,13 +432,20 @@ class HierarchicalClassifier:
         self, docs: Sequence[TrainingDoc], topic: str, mode: str = "single"
     ) -> list[float]:
         """Confidences of many documents under one topic's model: one
-        (cache-assisted) vectorization per document and one evaluation
-        of the topic's tree level for the whole group."""
+        evaluation of the topic's tree level for the whole group."""
         if topic not in self.models:
             raise TrainingError(f"no trained model for topic {topic!r}")
         return [
             confidence
             for _positive, confidence in self._kernel().decide_topic_many(
-                topic, self.vectorize_many(docs), mode
+                topic, self._bundles(docs), mode
             )
+        ]
+
+    def _bundles(self, docs: Sequence[TrainingDoc]) -> list[dict]:
+        """The kernel's input: every space's counts, a missing space as
+        an empty bag (it scores ``bias``, as an empty document does)."""
+        return [
+            {space: doc.get(space) or {} for space in self.spaces}
+            for doc in docs
         ]

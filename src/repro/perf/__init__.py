@@ -9,21 +9,19 @@ kernel is parity-tested against live with the tests
 (``tests/core/reference.py``, ``tests/analysis/reference.py``).
 
 * :mod:`repro.perf.compiled` -- the hierarchical classifier compiled
-  into per-level CSR-style weight blocks (one sparse gather + one
-  ``CsrRows.matvec`` per stacked row per descent wave instead of
-  per-node dict dot products);
-* :mod:`repro.perf.cache` -- an idf-snapshot-keyed LRU cache so a
-  document is tf*idf-vectorized at most once per snapshot;
+  into per-level CSR-style weight blocks with their idf columns (one
+  sparse gather from the cohort's term counts + one ``CsrRows.matvec``
+  per stacked row per descent wave instead of per-node dict dot
+  products; a page is weighted only on selected features);
 * :mod:`repro.perf.csr_hits` -- HITS / Bharat-Henzinger distillation as
   alternating ``CsrRows`` matvecs over int-indexed CSR adjacency;
 * :mod:`repro.perf.text` -- the single-pass HTML scanner, the
   memoizing :class:`~repro.perf.text.TermInterner`, and
-  :func:`~repro.perf.text.vectorize_batch`, the classifier's tf*idf
-  rows per micro-batch.
+  :func:`~repro.perf.text.vectorize_batch`, tf*idf rows for a whole
+  micro-batch.
 """
 
 from repro._lazy import lazy_exports
-from repro.perf.cache import VectorCache
 from repro.perf.text import (
     ScannedPage,
     TermInterner,
@@ -36,7 +34,7 @@ from repro.perf.text import (
 #: :mod:`repro.perf.csr_hits` pull in the ML layer (numpy SVMs) and
 #: through it all of :mod:`repro.text`; deferring them keeps
 #: ``import repro.perf`` cheap for callers that only want the text
-#: substrate or the vector cache.
+#: substrate.
 __getattr__ = lazy_exports(__name__, {
     "CompiledClassifier": "repro.perf.compiled",
     "compile_classifier": "repro.perf.compiled",
@@ -46,7 +44,6 @@ __getattr__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "VectorCache",
     "CompiledClassifier",
     "compile_classifier",
     "CsrAdjacency",

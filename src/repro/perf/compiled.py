@@ -1,15 +1,16 @@
 """The hierarchical classifier compiled into per-level numpy kernels.
 
-A dict-walking decision phase pays one dict projection, one dict
-normalisation and one dict dot product per (child, feature space) pair
-at every descent step.  Compilation flattens each tree level into
-CSR-style blocks: one vocabulary per (level, space), a stacked weight
-matrix with one row per child model, and a 0/1 membership matrix
-encoding each model's selected-feature set.  A descent step scores the
-whole cohort of documents sitting at one node: one CSR gather of the
-cohort against the level vocabulary followed by two sparse-dense
-products per feature space, one ``CsrRows.matvec`` (a ``bincount``
-over the cohort's entries) per stacked row
+Compilation flattens each tree level into CSR-style blocks: one
+vocabulary per (level, space) with its idf column, read once from the
+classifier's idf snapshot, a stacked weight matrix with one row per
+child model, and a 0/1 membership matrix encoding each model's
+selected-feature set.  A descent step scores the whole cohort of
+documents sitting at one node straight from their term counts: one CSR
+gather weights only the vocabulary's terms, ``(1 + log tf) * idf`` for
+each with ``tf > 0`` in counts order (the entries ``vectorize_counts``
+gives those terms), and two sparse-dense products per feature space
+follow, one ``CsrRows.matvec`` (a ``bincount`` over the cohort's
+entries) per stacked row
 
     dots   = X @ W.T                      (stacked w . x)
     norms2 = X**2 @ M.T                   (per-model projected norm)
@@ -23,29 +24,32 @@ associativity; the parity tests in
 ``tests/core/test_compiled_classifier.py`` bound the drift against the
 dict-walking oracle of ``tests/core/reference.py`` at 1e-9).
 Members whose learner has no linear form (Naive Bayes, Rocchio, MaxEnt
-nodes) fall back to the member object's own ``decision``, which is also
-their confidence, so compilation never changes semantics.
+nodes) get the document projected onto their own feature set from the
+same counts and idf, and their learner's ``decision`` on it is also
+their confidence, so compilation never changes semantics.  No page is
+ever weighted on terms outside the features some member selected.
 
 This is the only decision phase: a single document is a cohort of one,
 so a page scores the same whichever caller classified it and however
 many pages shared its batch.
 
-Compiled kernels are immutable snapshots of one trained model; the
-owning classifier drops its kernel at every (re)training point and
-recompiles lazily.
+A compiled kernel is an immutable snapshot of one trained model under
+one idf snapshot; the owning classifier drops it whenever it refreshes
+idf (every (re)training point) and recompiles lazily.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.common import CsrRows, FeatureIndexer
+from repro.ml.common import CsrRows
 from repro.ml.svm import LinearSVM
-from repro.text.vectorizer import SparseVector
+from repro.text.vectorizer import DAMPENED, SparseVector
 
 __all__ = [
     "ACCEPTANCE_THRESHOLD",
@@ -60,14 +64,22 @@ MODES = ("single", "unanimous", "majority", "weighted", "best")
 ACCEPTANCE_THRESHOLD = 0.0
 """Minimum decision value of a member model for a positive vote."""
 
+#: one document's term counts in one feature space (None: space missing)
+Counts = Mapping[str, int] | None
+
+#: one document: its term counts per feature space
+Bundle = Mapping[str, Counts]
+
 
 @dataclass
 class _SpaceBlock:
     """Stacked linear members of one (tree level, feature space)."""
 
     space: str
-    vocabulary: FeatureIndexer
-    """Frozen: the block's feature -> column map."""
+    vocabulary: dict[str, int]
+    """The block's feature -> column map."""
+    idf: np.ndarray
+    """Each column's idf under the snapshot the kernel was compiled in."""
     weights: np.ndarray
     """(rows, vocab) stacked SVM weight rows."""
     membership: np.ndarray
@@ -80,18 +92,33 @@ class _SpaceBlock:
     """(child index, member position) destination of each stacked row."""
 
     def evaluate_many(
-        self, vectors: Sequence[SparseVector | None]
+        self, counts: Sequence[Counts]
     ) -> tuple[np.ndarray, np.ndarray]:
         """(decisions, distances) of shape (docs, rows) for a whole group.
 
-        One CSR gather over the group, then one matvec per stacked row
-        for the dots and one for the projected norms.
-        Documents whose bundle is missing this space score 0.0 (the
-        ``NodeClassifier`` contract), not ``bias``.
+        One CSR gather over the group's term counts, then one matvec per
+        stacked row for the dots and one for the projected norms.
+        A document whose bundle holds ``None`` for this space scores
+        0.0, not ``bias``; an empty bag scores ``bias``.
         """
-        present = np.array([v is not None for v in vectors], dtype=bool)
-        X = self.vocabulary.to_csr(vectors)
-        X2 = CsrRows(X.data * X.data, X.indices, X.indptr, X.shape)
+        column_of = self.vocabulary.get
+        tfs: list[float] = []
+        columns: list[int] = []
+        indptr = [0]
+        for bag in counts:
+            for term, tf in (bag or {}).items():
+                column = column_of(term)
+                if column is not None and tf > 0:
+                    columns.append(column)
+                    tfs.append(DAMPENED[tf])
+            indptr.append(len(columns))
+        indices = np.asarray(columns, dtype=np.intp)
+        data = np.asarray(tfs, dtype=np.float64) * self.idf[indices]
+        X = CsrRows(
+            data, indices, np.asarray(indptr, dtype=np.intp),
+            (len(counts), self.weights.shape[1]),
+        )
+        X2 = CsrRows(data * data, X.indices, X.indptr, X.shape)
         dots = np.column_stack([X.matvec(w) for w in self.weights])
         norms = np.sqrt(
             np.column_stack([X2.matvec(m) for m in self.membership])
@@ -99,9 +126,23 @@ class _SpaceBlock:
         divisor = np.where(norms > 0.0, norms, 1.0)
         decisions = dots / divisor + self.bias[None, :]
         distances = decisions * self.inv_weight_norm[None, :]
-        decisions[~present] = 0.0
-        distances[~present] = 0.0
+        absent = np.array([bag is None for bag in counts], dtype=bool)
+        decisions[absent] = 0.0
+        distances[absent] = 0.0
         return decisions, distances
+
+
+def _projected(
+    counts: Mapping[str, int], idf_of: Mapping[str, float]
+) -> SparseVector:
+    """The document as a member trained on ``idf_of``'s features sees
+    it: ``vectorize_counts(counts).project(features)``, entry for entry
+    and in counts order, with no other term weighted."""
+    return SparseVector({
+        term: DAMPENED[tf] * idf_of[term]
+        for term, tf in counts.items()
+        if tf > 0 and term in idf_of
+    })
 
 
 @dataclass
@@ -119,12 +160,14 @@ class _LevelKernel:
     best_index: np.ndarray
     """Per child, the position of its highest-precision member."""
     blocks: dict[str, _SpaceBlock] = field(default_factory=dict)
-    fallbacks: list[tuple[int, int, object]] = field(default_factory=list)
-    """(child index, member position, NodeClassifier) for members
-    without a compilable linear form."""
+    fallbacks: list[tuple[int, int, Any, dict[str, float]]] = field(
+        default_factory=list
+    )
+    """(child index, member position, NodeClassifier, feature -> idf)
+    for members without a compilable linear form."""
 
     def decide_many(
-        self, bundles: Sequence[Mapping[str, SparseVector]], mode: str
+        self, bundles: Sequence[Bundle], mode: str
     ) -> tuple[np.ndarray, np.ndarray]:
         """(is_positive, confidence) arrays of shape (docs, children).
 
@@ -141,11 +184,14 @@ class _LevelKernel:
             )
             decisions[:, block.child_rows, block.member_rows] = dec
             distances[:, block.child_rows, block.member_rows] = dist
-        for child, position, member in self.fallbacks:
+        for child, position, member, idf_of in self.fallbacks:
             for i, bundle in enumerate(bundles):
+                counts = bundle.get(member.space)
                 # a learner without a hyperplane is as confident as its
                 # raw decision
-                decision = member.decision(bundle)
+                decision = 0.0 if counts is None else member.svm.decision(
+                    _projected(counts, idf_of)
+                )
                 decisions[i, child, position] = decision
                 distances[i, child, position] = decision
         return self._combine_many(decisions, distances, mode)
@@ -207,7 +253,7 @@ class CompiledClassifier:
         """Documents summed over all waves (cohort sizes)."""
 
     def classify_many(
-        self, bundles: Sequence[Mapping[str, SparseVector]], mode: str
+        self, bundles: Sequence[Bundle], mode: str
     ) -> list[tuple[str, float, tuple[tuple[str, float], ...]]]:
         """Top-down descent in waves (paper 2.4): starting at ROOT, the
         documents sitting at the same tree node are scored together
@@ -274,7 +320,7 @@ class CompiledClassifier:
     def decide_topic_many(
         self,
         topic: str,
-        bundles: Sequence[Mapping[str, SparseVector]],
+        bundles: Sequence[Bundle],
         mode: str,
     ) -> list[tuple[bool, float]]:
         """One topic's (is_positive, confidence) per bundle -- the
@@ -293,7 +339,7 @@ class CompiledClassifier:
         ]
 
 
-def _compile_level(parent, children, models) -> _LevelKernel:
+def _compile_level(parent, children, models, vectorizers) -> _LevelKernel:
     # one member per feature space for every child (_train_topic), so
     # the per-child rows below are all the same length
     precisions = np.asarray(
@@ -322,13 +368,19 @@ def _compile_level(parent, children, models) -> _LevelKernel:
                     (child_index, position, member)
                 )
             else:
-                kernel.fallbacks.append((child_index, position, member))
+                idf = vectorizers[member.space].statistics.idf
+                kernel.fallbacks.append((
+                    child_index, position, member,
+                    {feature: idf(feature) for feature in member.features},
+                ))
     for space, entries in per_space.items():
-        kernel.blocks[space] = _compile_space_block(space, entries)
+        kernel.blocks[space] = _compile_space_block(
+            space, entries, vectorizers[space].statistics.idf
+        )
     return kernel
 
 
-def _compile_space_block(space, entries) -> _SpaceBlock:
+def _compile_space_block(space, entries, idf) -> _SpaceBlock:
     vocabulary: dict[str, int] = {}
     exported = []
     for _child, _position, member in entries:
@@ -357,7 +409,10 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
         inv_weight_norm[row] = 1.0 / weight_norm if weight_norm > 0 else 0.0
     return _SpaceBlock(
         space=space,
-        vocabulary=FeatureIndexer(vocabulary),
+        vocabulary=vocabulary,
+        idf=np.asarray(
+            [idf(feature) for feature in vocabulary], dtype=np.float64
+        ),
         weights=stacked,
         membership=membership,
         bias=bias_column,
@@ -370,8 +425,9 @@ def _compile_space_block(space, entries) -> _SpaceBlock:
 def compile_classifier(classifier) -> CompiledClassifier:
     """Compile a trained ``HierarchicalClassifier`` into level kernels.
 
-    The returned object is a pure snapshot: the owner discards it when
-    it retrains and compiles a new one.
+    The returned object is a pure snapshot of the models and of the
+    vectorizers' idf: the owner discards it when it refreshes idf and
+    compiles a new one.
     """
     if not classifier.trained:
         raise TrainingError("cannot compile an untrained classifier")
@@ -385,6 +441,8 @@ def compile_classifier(classifier) -> CompiledClassifier:
         ]
         if not children:
             continue
-        levels[parent] = _compile_level(parent, children, classifier.models)
+        levels[parent] = _compile_level(
+            parent, children, classifier.models, classifier.vectorizers
+        )
         others[parent] = tree.others_of(parent)
     return CompiledClassifier(levels=levels, others=others)

@@ -446,7 +446,9 @@ class RecrawlScheduler:
     def snapshot(self) -> dict:
         """Serializable image of the scheduler's full revisit state.
 
-        Includes the document records the cycle patched and the
+        Includes the document records the cycle patched, each with its
+        anchor terms (``CrawledDocument.to_dict()`` plus
+        ``anchor_terms``, as a crawl checkpoint stores a page), and the
         :attr:`pending` delta (added and changed records by doc id, since
         they are among those records), so a resume against a freshly
         re-crawled context can re-apply every refresh the interrupted
@@ -462,6 +464,7 @@ class RecrawlScheduler:
             "retired": sorted(self.retired),
             "documents": [
                 self.ctx.documents[doc_id].to_dict()
+                | {"anchor_terms": self.ctx.anchor_terms[doc_id]}
                 for doc_id in sorted(self.touched)
             ],
             "pending": {
@@ -489,19 +492,31 @@ class RecrawlScheduler:
         state (the deterministic crawl replay): document records touched
         by the interrupted cycle are patched back in from the pending
         delta, so the resumed cycle continues exactly where it stopped.
+        Each patched page takes its anchor terms with it; a snapshot
+        whose records lack them predates that layout and is refused
+        before anything is restored.
         """
+        records = [dict(record) for record in state["documents"]]
+        if not all("anchor_terms" in record for record in records):
+            raise ConfigError(
+                "the scheduler snapshot stores pages without their anchor "
+                "terms: it predates that layout and must be retaken"
+            )
         self._primed = state["primed"]
         self.frontier.restore(state["frontier"])
         self.digests.restore(state["digests"])
         self.last_crawled = dict(state["last_crawled"])
         self.retired = set(state["retired"])
         self.touched = set()
-        for doc_state in state["documents"]:
-            doc = CrawledDocument.from_dict(doc_state)
+        for record in records:
+            anchor_terms = record.pop("anchor_terms")
+            doc = CrawledDocument.from_dict(record)
             if doc.doc_id < len(self.ctx.documents):
                 self.ctx.documents[doc.doc_id] = doc
+                self.ctx.anchor_terms[doc.doc_id] = anchor_terms
             elif doc.doc_id == len(self.ctx.documents):
                 self.ctx.documents.append(doc)
+                self.ctx.anchor_terms.append(anchor_terms)
             else:
                 raise ConfigError(
                     f"checkpointed doc_id {doc.doc_id} does not extend a "

@@ -463,7 +463,8 @@ def vectorize_batch(
 ) -> list[SparseVector]:
     """tf*idf rows for a whole micro-batch: :meth:`~repro.text.
     vectorizer.TfIdfVectorizer.vectorize_counts` per document, so a row
-    does not depend on the batch it rode in.  The classifier reaches it
-    as ``repro.perf.text.vectorize_batch``, the name the benchmark
-    tracer wraps."""
+    does not depend on the batch it rode in.  No crawl path calls it
+    (the classifier's kernel weights term counts itself); it stays for
+    the benchmark tracer, which wraps it as
+    ``repro.perf.text.vectorize_batch``."""
     return [vectorizer.vectorize_counts(counts) for counts in counts_batch]

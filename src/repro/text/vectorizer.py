@@ -22,6 +22,7 @@ __all__ = [
     "CorpusStatistics",
     "TfIdfVectorizer",
     "cosine_similarity",
+    "DAMPENED",
 ]
 
 
@@ -171,8 +172,8 @@ class _Dampening(dict[int, float]):
         return value
 
 
-#: the ``1 + log tf`` table every vectorizer shares
-_DAMPENED = _Dampening()
+#: the ``1 + log tf`` table every tf*idf weight reads
+DAMPENED = _Dampening()
 
 
 class TfIdfVectorizer:
@@ -216,7 +217,7 @@ class TfIdfVectorizer:
         statistics = self.statistics
         memo = statistics._idf_cache.get
         idf = statistics.idf
-        dampened = _DAMPENED
+        dampened = DAMPENED
         return SparseVector({
             term: dampened[tf] * (memo(term) or idf(term))
             for term, tf in counts.items()

@@ -1,23 +1,24 @@
 """The dict-walking decision phase, kept as the classifier's parity oracle.
 
 This is the per-node formulation ``HierarchicalClassifier`` ran before
-the compiled kernel of :mod:`repro.perf.compiled` replaced it: one dict
+the compiled kernel of :mod:`repro.perf.compiled` replaced it: each
+document vectorized whole (``vectorize_counts`` per space), then one dict
 projection, normalisation and dot product per (child, feature space)
-pair (:meth:`NodeClassifier.decision`, which production keeps as the
-kernel's fallback for non-linear learners, and its hyperplane distance), the
+pair (:func:`member_decision_reference`, and its hyperplane distance), the
 meta-classifier combination of paper 3.5 written out over plain lists,
 and the top-down descent of paper 2.4.  It reads a trained classifier's
-``tree``, ``models`` and ``vectorizers`` and nothing of the kernel or
-the vector cache.  No production module calls it;
-``tests/core/test_compiled_classifier.py`` pins the kernel to it
+``tree``, ``models`` and ``vectorizers`` and nothing of the kernel.  No
+production module calls it; ``tests/core/test_compiled_classifier.py``
+pins the kernel to it
 (identical topics and paths, confidences within 1e-9).  Do not optimise
 this module: its value is that it states the rules one document and one
 member at a time.
 
 ``evaluate_many_reference`` is the kernel's own block product as it
-was written against scipy (two ``csr_matrix`` x dense products);
-``tests/core/test_compiled_classifier.py`` holds ``_SpaceBlock.
-evaluate_many`` to it bit for bit.
+was written against scipy (two ``csr_matrix`` x dense products) over
+whole tf*idf vectors; ``tests/core/test_compiled_classifier.py`` holds
+``_SpaceBlock.evaluate_many`` over the same documents' term counts to it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.classifier import (
     MODES,
     ClassificationResult,
     HierarchicalClassifier,
+    NodeClassifier,
     TopicDecisionModel,
     TrainingDoc,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "classify_reference",
     "decide_reference",
     "evaluate_many_reference",
+    "member_decision_reference",
     "vectorize_reference",
 ]
 
@@ -60,12 +63,25 @@ def vectorize_reference(
     }
 
 
+def member_decision_reference(
+    member: NodeClassifier, vectors: Mapping[str, SparseVector]
+) -> float:
+    """One member's decision: the document's vector in the member's
+    space restricted to its selected features (training projects before
+    normalising, so the decision must too), scored by its learner; 0.0
+    when the bundle lacks the space."""
+    vector = vectors.get(member.space)
+    if vector is None:
+        return 0.0
+    return member.svm.decision(vector.project(frozenset(member.features)))
+
+
 def distance_reference(member, vectors: Mapping[str, SparseVector]) -> float:
     """A member's confidence: for an SVM the signed distance of the
     document from the separating hyperplane, ``decision / ||w||``
     (paper 2.4; 0 when ``w`` is 0), for any other learner its raw
     decision."""
-    decision = member.decision(vectors)
+    decision = member_decision_reference(member, vectors)
     if isinstance(member.svm, LinearSVM):
         norm = member.svm._weight_norm
         return decision / norm if norm else 0.0
@@ -89,11 +105,13 @@ def decide_reference(
             model.members, key=lambda m: m.estimate.precision
         )
         return (
-            member.decision(vectors) > ACCEPTANCE_THRESHOLD,
+            member_decision_reference(member, vectors)
+            > ACCEPTANCE_THRESHOLD,
             distance_reference(member, vectors),
         )
     votes = [
-        1 if member.decision(vectors) > ACCEPTANCE_THRESHOLD else -1
+        1 if member_decision_reference(member, vectors) > ACCEPTANCE_THRESHOLD
+        else -1
         for member in model.members
     ]
     distances = [
@@ -174,7 +192,7 @@ def evaluate_many_reference(
         if vector is not None:
             present[i] = True
             for feature, weight in vector.weights.items():
-                column = block.vocabulary.index_of(feature)
+                column = block.vocabulary.get(feature)
                 if column is not None:
                     cols.append(column)
                     vals.append(weight)

@@ -26,10 +26,8 @@ from repro.core.classifier import (
 from repro.core.config import BingoConfig
 from repro.core.ontology import TopicTree
 from repro.errors import TrainingError
-from repro.ml.common import FeatureIndexer
-from repro.perf.cache import VectorCache
 from repro.perf.compiled import CompiledClassifier, _SpaceBlock
-from repro.text.vectorizer import SparseVector
+from repro.text.vectorizer import TfIdfVectorizer
 
 from tests.conftest import nested_tree
 from tests.core.conftest import fast_engine_config
@@ -37,6 +35,7 @@ from tests.core.reference import (
     classify_reference,
     decide_reference,
     evaluate_many_reference,
+    member_decision_reference,
     vectorize_reference,
 )
 
@@ -61,14 +60,14 @@ def _vocab(prefix: str) -> list[str]:
     ]
 
 
-@pytest.fixture(scope="module")
-def nested_setup():
-    """A two-level tree trained over two feature spaces, plus eval docs."""
+def nested_classifier(spaces=("term",), **config):
+    """A two-level tree trained over ``spaces``, plus eval docs (each
+    holding both of :data:`SPACES`)."""
     tree = nested_tree(
         {"science": {"db": {}, "ml": {}}, "sports": {}}
     )
-    config = BingoConfig(selected_features=80, tf_preselection=300)
-    classifier = HierarchicalClassifier(tree, config)
+    config = BingoConfig(selected_features=80, tf_preselection=300, **config)
+    classifier = HierarchicalClassifier(tree, config, spaces)
     vocabs = {
         "ROOT/science": _vocab("sci"),
         "ROOT/science/db": _vocab("db"),
@@ -94,6 +93,16 @@ def nested_setup():
     # a document missing one feature space entirely
     eval_docs.append({"term": Counter({"db_w1": 2, "db_w2": 1})})
     return classifier, eval_docs
+
+
+@pytest.fixture(scope="module")
+def nested_setup():
+    return nested_classifier()
+
+
+@pytest.fixture(scope="module")
+def two_space_setup():
+    return nested_classifier(SPACES)
 
 
 class TestKernelParity:
@@ -140,17 +149,26 @@ class TestKernelParity:
 
 @st.composite
 def blocks_and_cohorts(draw):
-    """A stacked block of random rows and a cohort scored against it:
-    missing bundles, unknown features and exact-zero weights included."""
+    """A stacked block of random rows, the vectorizer whose snapshot its
+    idf column comes from, and a cohort of term counts scored against
+    it: unknown terms, ``tf <= 0``, empty bags and missing (``None``)
+    bundles included."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    terms = [f"t{j}" for j in range(width + 4)]  # the last 4 unknown
 
     def spread(*shape):
         return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
 
+    vectorizer = TfIdfVectorizer()
+    for _ in range(int(rng.integers(0, 12))):  # none: every idf is 1.0
+        vectorizer.ingest(rng.choice(terms, int(rng.integers(1, 8))))
+    vectorizer.refresh()
+    vocabulary = {f"t{j}": j for j in range(width)}
     block = _SpaceBlock(
         space="term",
-        vocabulary=FeatureIndexer({f"t{j}": j for j in range(width)}),
+        vocabulary=vocabulary,
+        idf=np.array([vectorizer.statistics.idf(f) for f in vocabulary]),
         weights=spread(rows, width),
         membership=(rng.random((rows, width)) < 0.6).astype(float),
         bias=spread(rows),
@@ -158,30 +176,122 @@ def blocks_and_cohorts(draw):
         child_rows=np.arange(rows),
         member_rows=np.zeros(rows, dtype=np.intp),
     )
-    cohort: list[SparseVector | None] = []
+    cohort: list[Counter | None] = []
     for _ in range(draw(st.integers(1, 8))):
         if rng.random() < 0.15:
             cohort.append(None)
             continue
-        features = rng.permutation(width + 4)[: rng.integers(0, width + 4)]
-        weights = spread(len(features))
-        weights[rng.random(len(features)) < 0.1] = 0.0
-        cohort.append(SparseVector({
-            f"t{j}": float(w) for j, w in zip(features.tolist(), weights)
+        chosen = rng.permutation(len(terms))[: rng.integers(0, len(terms))]
+        cohort.append(Counter({
+            terms[j]: int(tf)
+            for j, tf in zip(chosen, rng.integers(-2, 9, len(chosen)))
         }))
-    return block, cohort
+    return block, vectorizer, cohort
 
 
 @given(case=blocks_and_cohorts())
 @settings(max_examples=200, deadline=None)
 def test_evaluate_many_is_its_scipy_formulation(case) -> None:
-    block, cohort = case
+    """The gather from counts is ``vectorize_counts`` followed by the
+    block's CSR gather: the scipy formulation over the whole vectors
+    agrees to the last bit."""
+    block, vectorizer, cohort = case
     decisions, distances = block.evaluate_many(cohort)
+    vectors = [
+        None if counts is None else vectorizer.vectorize_counts(counts)
+        for counts in cohort
+    ]
     expected_decisions, expected_distances = evaluate_many_reference(
-        block, cohort
+        block, vectors
     )
     assert np.array_equal(decisions, expected_decisions)
     assert np.array_equal(distances, expected_distances)
+
+
+class TestNoVectorOnTheDecisionPath:
+    """The kernel weights a page's counts on the features its members
+    read: with ``vectorize_counts`` made to raise, every entry point
+    still decides as the oracle does over the whole vectors."""
+
+    @staticmethod
+    def _forbid_vectors(monkeypatch, classifier) -> None:
+        classifier.refresh_idf()  # the kernel compiles under the patch
+
+        def refuse(self, counts):
+            raise AssertionError("the decision path vectorized a page")
+
+        monkeypatch.setattr(TfIdfVectorizer, "vectorize_counts", refuse)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_svm_entry_points_need_no_vector(
+        self, two_space_setup, monkeypatch, mode
+    ) -> None:
+        classifier, eval_docs = two_space_setup
+        topics = ("ROOT/science", "ROOT/science/db", "ROOT/sports")
+        expected = [classify_reference(classifier, d, mode) for d in eval_docs]
+        expected_confidences = {
+            topic: [
+                decide_reference(
+                    classifier.models[topic],
+                    vectorize_reference(classifier, doc), mode,
+                )[1]
+                for doc in eval_docs
+            ]
+            for topic in topics
+        }
+        self._forbid_vectors(monkeypatch, classifier)
+        batch = classifier.classify_batch(eval_docs, mode)
+        for doc, in_batch, reference in zip(eval_docs, batch, expected):
+            assert classifier.classify(doc, mode) == in_batch
+            assert in_batch.topic == reference.topic
+            assert in_batch.confidence == pytest.approx(
+                reference.confidence, abs=1e-9
+            )
+        for topic in topics:
+            confidences = classifier.confidence_for_batch(
+                eval_docs, topic, mode
+            )
+            assert confidences == pytest.approx(
+                expected_confidences[topic], abs=1e-9
+            )
+
+    @pytest.mark.parametrize("mode", ["single", "best"])
+    def test_fallback_members_decide_from_counts_bit_for_bit(
+        self, monkeypatch, mode
+    ) -> None:
+        """A Naive Bayes member's score is its own decision, so in the
+        modes that consult one member the kernel's confidence is that
+        member's decision over the projected full vector, to the bit."""
+        classifier, eval_docs = nested_classifier(
+            SPACES, node_classifier="naive-bayes"
+        )
+        assert not any(
+            level.blocks for level in classifier._kernel().levels.values()
+        )
+        expected = [classify_reference(classifier, d, mode) for d in eval_docs]
+        expected_confidences = {
+            topic: [
+                decide_reference(
+                    model, vectorize_reference(classifier, doc), mode
+                )[1]
+                for doc in eval_docs
+            ]
+            for topic, model in classifier.models.items()
+        }
+        assert any(
+            member_decision_reference(member, vectorize_reference(
+                classifier, doc
+            )) != 0.0
+            for model in classifier.models.values()
+            for member in model.members
+            for doc in eval_docs
+        )
+        self._forbid_vectors(monkeypatch, classifier)
+        assert classifier.classify_batch(eval_docs, mode) == expected
+        for topic, confidences in expected_confidences.items():
+            assert classifier.confidence_for_batch(
+                eval_docs, topic, mode
+            ) == confidences
 
 
 class TestKernelLifecycle:
@@ -227,32 +337,6 @@ class TestKernelLifecycle:
         assert "use_compiled_kernels" not in BingoConfig.__dataclass_fields__
         with pytest.raises(TypeError):
             BingoConfig(use_compiled_kernels=False)
-
-    def test_vector_cache_hits_and_snapshot_invalidation(self) -> None:
-        tree = TopicTree.from_leaves(["db"])
-        config = BingoConfig(selected_features=50, tf_preselection=150)
-        classifier = HierarchicalClassifier(tree, config)
-        training = {
-            "ROOT/db": topic_docs(_vocab("db"), 15, seed=1),
-            "ROOT/OTHERS": topic_docs(_vocab("bg"), 15, seed=3),
-        }
-        for docs in training.values():
-            for doc in docs:
-                classifier.ingest(doc)
-        classifier.train(training)
-        doc = topic_docs(_vocab("db"), 1, seed=5)[0]
-        cache = classifier._vector_cache
-        classifier.classify(doc)
-        misses = cache.misses
-        classifier.classify(doc)
-        classifier.classify(doc)
-        assert cache.misses == misses  # repeat docs served from cache
-        assert cache.hits >= 2
-        # a new idf snapshot changes the key and invalidates the entry
-        classifier.refresh_idf()
-        classifier.classify(doc)
-        assert cache.misses == misses + 1
-
 
 @pytest.fixture(scope="module")
 def crawled_engine(small_web):
@@ -322,4 +406,7 @@ class TestOneDecisionPhase:
         assert not hasattr(TopicDecisionModel, "decide")
         assert not hasattr(TopicDecisionModel, "best_member")
         assert not hasattr(CompiledClassifier, "classify")
-        assert not hasattr(VectorCache, "get_or_compute")
+        # no vector is built for the kernel, so none is cached
+        assert not hasattr(HierarchicalClassifier, "vectorize_many")
+        with pytest.raises(ImportError):
+            import repro.perf.cache  # noqa: F401

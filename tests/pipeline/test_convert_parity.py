@@ -108,22 +108,27 @@ def test_term_bags_identical_content_and_order(runs) -> None:
 
 
 def test_per_document_vectors_identical(runs) -> None:
-    """tf*idf rows (batched kernel vs reference weighting, each under
-    its own crawl's idf snapshot) agree to the last bit."""
+    """Every page's tf*idf row per space (``vectorize_counts``, each
+    under its own crawl's idf snapshot) agrees to the last bit, entry
+    order included."""
     (new_crawler, _), (old_crawler, _) = runs
-    new_bundles = new_crawler.ctx.classifier.vectorize_many(
-        [d.counts for d in new_crawler.ctx.documents]
-    )
-    old_bundles = [
-        old_crawler.ctx.classifier.vectorize_many([d.counts])[0]
-        for d in old_crawler.ctx.documents
-    ]
-    assert len(new_bundles) == len(old_bundles)
-    for new_bundle, old_bundle in zip(new_bundles, old_bundles):
-        assert set(new_bundle) == set(old_bundle)
-        for space in new_bundle:
-            assert new_bundle[space].weights == old_bundle[space].weights
-            assert new_bundle[space].norm == old_bundle[space].norm
+    new_classifier = new_crawler.ctx.classifier
+    old_classifier = old_crawler.ctx.classifier
+    assert new_classifier.spaces == old_classifier.spaces
+    new_docs = new_crawler.ctx.documents
+    old_docs = old_crawler.ctx.documents
+    assert len(new_docs) == len(old_docs)
+    for space in new_classifier.spaces:
+        for new_doc, old_doc in zip(new_docs, old_docs):
+            new_row = new_classifier.vectorizers[space].vectorize_counts(
+                new_doc.counts.get(space) or {}
+            )
+            old_row = old_classifier.vectorizers[space].vectorize_counts(
+                old_doc.counts.get(space) or {}
+            )
+            assert new_row.weights == old_row.weights
+            assert list(new_row.weights) == list(old_row.weights)
+            assert new_row.norm == old_row.norm
 
 
 def test_clock_and_frontier_identical(runs) -> None:

@@ -19,7 +19,10 @@ import json
 import pytest
 
 from repro.core.frontier import CrawlFrontier
+from repro.core.records import CrawlStats
+from repro.errors import ConfigError
 from repro.portal import LivingPortal, RecrawlScheduler
+from repro.robust.checkpoint import save_checkpoint
 
 from tests.portal.conftest import build_portal
 
@@ -119,6 +122,40 @@ class TestKillMidRecrawl:
         assert len(restored.scheduler.frontier) == len(
             original.scheduler.frontier
         )
+
+
+class TestRestoredAnchorTerms:
+    """A recrawl keeps ``ctx.anchor_terms`` aligned with the pages it
+    changes and discovers; a restore must give that alignment back."""
+
+    def test_restored_anchor_terms_equal_the_original(self, tmp_path):
+        original = build_portal()
+        state = interrupt_and_checkpoint(original)
+        restored = build_portal().restore(state)
+        ours, theirs = original.engine.ctx, restored.engine.ctx
+        assert len(ours.anchor_terms) == len(ours.documents)
+        assert theirs.anchor_terms == ours.anchor_terms
+        assert theirs.documents == ours.documents
+        save_checkpoint(theirs, CrawlStats(), tmp_path)
+        records = json.loads(
+            (tmp_path / "database-1" / "pages.json").read_text()
+        )["pages"]
+        assert records == [
+            document.to_dict() | {"anchor_terms": anchors}
+            for document, anchors in zip(ours.documents, ours.anchor_terms)
+        ]
+
+    def test_a_snapshot_without_anchor_terms_is_refused(self) -> None:
+        original = build_portal()
+        state = interrupt_and_checkpoint(original)
+        for record in state["scheduler"]["documents"]:
+            del record["anchor_terms"]
+        portal = build_portal()
+        documents = list(portal.engine.ctx.documents)
+        with pytest.raises(ConfigError, match="anchor terms"):
+            portal.restore(state)
+        assert portal.engine.ctx.documents == documents
+        assert len(portal.engine.ctx.anchor_terms) == len(documents)
 
 
 def test_the_recrawl_frontier_has_no_worker_count() -> None:

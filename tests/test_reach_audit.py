@@ -44,7 +44,6 @@ KEPT: dict[str, str] = {
     "repro.ml.common:FeatureIndexer.__len__": DECLARATION,
     "repro.obs.api:Hook.__call__": DECLARATION,
     "repro.obs.api:Instrumented.stats": DECLARATION,
-    "repro.perf.cache:VectorCache.__len__": DECLARATION,
     "repro.pipeline.stages:Stage.run": DECLARATION,
     "repro.portal.digests:DigestStore.__contains__": DECLARATION,
     "repro.portal.digests:DigestStore.__len__": DECLARATION,
@@ -82,6 +81,12 @@ KEPT: dict[str, str] = {
     "repro.text.handlers:ContentHandler.sniff": DECLARATION,
     # words joined by an HTML entity; no synthetic page holds one
     "repro.text.scanner:scan_html.<locals>.emit": INPUT_BRANCH,
+    "repro.text.scanner:vectorize_batch": (
+        "benchmark span: benchmarks/e2e/trace.py wraps it (as "
+        "repro.perf.text.vectorize_batch) for text.vectorize, which reads "
+        "0 on every workload until ROADMAP item 1's harness PR drops the "
+        "row; the classifier's kernel weights term counts, no full vector"
+    ),
     "repro.web.dns:DnsZone.__len__": DECLARATION,
     "repro.web.vocab:Vocabulary.__contains__": DECLARATION,
     "repro.web.vocab:Vocabulary.__len__": DECLARATION,
