@@ -103,10 +103,14 @@ def readers() -> list[Reader]:
             *cli, "portal", "evolve", "--seed", "7", "--budget", "200",
             "--seconds", "1800", "--metrics-out", "{tmp}/evolve.prom",
         )),
-        Reader("cli:portal-recrawl", (
-            *cli, "portal", "recrawl", "--seed", "7", "--budget", "300",
-            "--cycles", "2", "--seconds", "1800", "--recrawl-budget", "30",
-        )),
+        *(
+            Reader(f"cli:portal-recrawl{suffix}", (
+                *cli, "portal", "recrawl", "--seed", "7", "--budget", "300",
+                "--cycles", "2", "--seconds", "1800", "--recrawl-budget", "30",
+                *options,
+            ))
+            for suffix, options in (("", ()), ("-w3", ("--workers", "3")))
+        ),
         Reader("cli:expert", (*cli, "expert", "--seed", "7",
                               "--budget", "200")),
         Reader("cli:ablate", (*cli, "ablate")),

@@ -303,11 +303,9 @@ def _open_portal(args):
     )
     portal.open()
     engine.obs.register_source("portal", portal)
-    # read through the portal at snapshot time: restore() replaces the
-    # serving engine, and a registered object would go stale.  (The
-    # other "search" registration is queryload's, on its own registry.)
+    # the other "search" registration is queryload's, on its own registry
     engine.obs.register_source(  # bingolint: disable=stats-schema
-        "search", lambda: portal.search.stats()
+        "search", portal.search
     )
     return engine, portal
 

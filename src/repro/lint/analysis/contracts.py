@@ -43,8 +43,7 @@ CONTRACTS: dict[str, MutationContract] = {
         ),
         funnels=frozenset(
             {
-                "__init__", "epoch", "advance_epoch", "restore_epoch",
-                "index", "apply_delta",
+                "__init__", "epoch", "advance_epoch", "index", "apply_delta",
                 # per-epoch views and exact vectors: filled on first
                 # use (``vector`` is the one funnel that fills
                 # ``_vectors``), dropped only where the epoch is assigned

@@ -18,7 +18,10 @@ the missing half of that lifecycle:
 * :mod:`repro.portal.runtime` -- the :class:`LivingPortal` orchestrator
   tying evolution, recrawl and incremental updates together behind the
   engine's :class:`~repro.search.epoch.Epoch` lifecycle API, with
-  freshness-lag measurement and checkpoint/resume.
+  freshness-lag measurement.
+
+A portal has no checkpoint of its own: a recrawl cycle runs whole, and
+only the crawl underneath it checkpoints (:mod:`repro.robust.checkpoint`).
 """
 
 from repro.portal.digests import DigestStore, content_digest

@@ -15,12 +15,6 @@ import hashlib
 
 __all__ = ["content_digest", "DigestStore"]
 
-#: the keys of a digest row, in the order a snapshot writes them
-_COLUMNS = (
-    "url", "digest", "page_id", "fetched_at", "check_count", "change_count",
-)
-
-
 def content_digest(payload: str | None) -> str:
     """Stable hex digest of a fetched payload (empty payload included)."""
     data = (payload or "").encode("utf-8", errors="replace")
@@ -92,24 +86,3 @@ class DigestStore:
             "digest_changes_detected": float(self.changes_detected),
             "digest_unchanged_hits": float(self.unchanged_hits),
         }
-
-    # -- checkpoint ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serializable image: every row, by URL, plus the counters."""
-        return {
-            "rows": [dict(self._rows[url]) for url in sorted(self._rows)],
-            "recorded": self.recorded,
-            "changes_detected": self.changes_detected,
-            "unchanged_hits": self.unchanged_hits,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Rebuild the store from a :meth:`snapshot` image."""
-        self._rows = {
-            row["url"]: {column: row[column] for column in _COLUMNS}
-            for row in state["rows"]
-        }
-        self.recorded = state["recorded"]
-        self.changes_detected = state["changes_detected"]
-        self.unchanged_hits = state["unchanged_hits"]

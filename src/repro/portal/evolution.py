@@ -23,10 +23,6 @@ layers a mutation schedule on top of a generated
 Ground truth for freshness measurement is :attr:`WebEvolution.changed_at`:
 the simulated time each page's observable content last changed (its own
 mutation/birth/death, or an out-link edit that alters its rendering).
-
-Checkpointing exploits determinism: a snapshot stores only the applied
-tick count; restore replays the schedule against a freshly generated
-Web and lands in the identical state.
 """
 
 from __future__ import annotations
@@ -295,47 +291,3 @@ class WebEvolution:
             "pages_total": float(len(self.web.pages)),
             "pages_alive": float(len(self.web.pages) - len(self._dead)),
         }
-
-    # -- checkpoint ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A tiny image: determinism makes the tick count sufficient."""
-        return {
-            "applied_tick": self.applied_tick,
-            "seed": self.seed,
-            "counters": {
-                "mutations": self.mutations,
-                "deaths": self.deaths,
-                "births": self.births,
-                "links_rotted": self.links_rotted,
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Replay the schedule on a *freshly generated* Web up to the
-        snapshot's tick.  Counters are recomputed by the replay and
-        verified against the stored image."""
-        if self.applied_tick != 0:
-            raise ConfigError(
-                "evolution restore needs a fresh (never-evolved) web; "
-                f"{self.applied_tick} ticks already applied"
-            )
-        if state["seed"] != self.seed:
-            raise ConfigError(
-                f"snapshot was taken under seed {state['seed']}, "
-                f"this evolution uses {self.seed}"
-            )
-        while self.applied_tick < state["applied_tick"]:
-            self.applied_tick += 1
-            self._apply_tick(self.applied_tick)
-        counters = state["counters"]
-        replayed = {
-            "mutations": self.mutations,
-            "deaths": self.deaths,
-            "births": self.births,
-            "links_rotted": self.links_rotted,
-        }
-        if replayed != counters:
-            raise ConfigError(
-                f"evolution replay diverged: {replayed} != {counters}"
-            )

@@ -19,11 +19,11 @@
   the engine's :class:`~repro.search.epoch.Epoch`;
 * :meth:`LivingPortal.freshness` measures how stale the *served* corpus
   is against ground truth -- the freshness-lag-vs-budget gate
-  (``tests/portal/test_freshness_budget.py``) is built on this report;
-* :meth:`LivingPortal.checkpoint` / :meth:`~LivingPortal.restore`
-  round-trip the whole lifecycle (clock, evolution schedule, scheduler
-  state including the mid-cycle pending delta, and the search epoch),
-  so a recrawl killed mid-flight resumes with identical counters.
+  (``tests/portal/test_freshness_budget.py``) is built on this report.
+
+A cycle always runs to completion and folds; the portal takes no
+checkpoint of its own, only the crawl underneath it does
+(:mod:`repro.robust.checkpoint`).
 """
 
 from __future__ import annotations
@@ -76,25 +76,19 @@ class FreshnessReport:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Outcome of one :meth:`LivingPortal.recrawl` call.
-
-    ``folded`` is False for a partial (``fetch_limit``-interrupted)
-    cycle: the delta stays pending on the scheduler and ``search`` /
-    ``models_retrained`` report nothing.
-    """
+    """Outcome of one :meth:`LivingPortal.recrawl` call; ``search`` is
+    None when the cycle changed nothing."""
 
     recrawl: RecrawlReport
     search: DeltaReport | None
     models_retrained: int
     epoch: Epoch
-    folded: bool
 
     def stats(self) -> dict[str, float]:
         merged = dict(self.recrawl.stats())
         if self.search is not None:
             merged.update(self.search.stats())
         merged["cycle_models_retrained"] = float(self.models_retrained)
-        merged["cycle_folded"] = 1.0 if self.folded else 0.0
         merged["cycle_epoch_ordinal"] = float(self.epoch.ordinal)
         return merged
 
@@ -144,26 +138,11 @@ class LivingPortal:
         self.clock.advance(seconds)
         return self.evolution.advance_to(self.clock.now)
 
-    def recrawl(
-        self,
-        budget: int | None,
-        fetch_limit: int | None = None,
-    ) -> CycleReport:
-        """One recrawl cycle: revisit, detect changes, fold the delta.
-
-        ``budget`` is the number of revisits scheduled (None drains an
-        interrupted cycle's leftover frontier -- the resume path).  When
-        ``fetch_limit`` stops the cycle mid-drain, the delta stays
-        pending on the scheduler and nothing is folded; a later
-        ``recrawl(None)`` finishes the cycle and folds everything.
-        """
+    def recrawl(self, budget: int) -> CycleReport:
+        """One recrawl cycle: schedule ``budget`` revisits, drain them,
+        detect changes, fold the delta."""
         self.open()
-        report = self.scheduler.run(budget=budget, fetch_limit=fetch_limit)
-        if fetch_limit is not None and len(self.scheduler.frontier) > 0:
-            return CycleReport(
-                recrawl=report, search=None, models_retrained=0,
-                epoch=self.search.epoch, folded=False,
-            )
+        report = self.scheduler.run(budget)
         delta = self.scheduler.collect_delta()
         search_report = None
         retrained = 0
@@ -181,7 +160,6 @@ class LivingPortal:
             search=search_report,
             models_retrained=retrained,
             epoch=self.search.epoch,
-            folded=True,
         )
 
     # -- measurement ---------------------------------------------------------
@@ -226,63 +204,6 @@ class LivingPortal:
             lag_mean=sum(lags) / len(lags) if lags else 0.0,
             lag_max=max(lags) if lags else 0.0,
         )
-
-    # -- checkpoint ----------------------------------------------------------
-
-    def checkpoint(self) -> dict:
-        """Serializable image of the whole portal lifecycle."""
-        self.open()
-        return {
-            "clock": self.clock.now,
-            "cycles_run": self.cycles_run,
-            "evolution": self.evolution.snapshot(),
-            "scheduler": self.scheduler.snapshot(),
-            "server": self.web.server.snapshot(),
-            "epoch": self.search.epoch.to_dict(),
-        }
-
-    def _served_documents(self) -> list:
-        """The document set the search engine held at checkpoint time.
-
-        The scheduler patches the crawl context eagerly, but the search
-        engine only sees a delta when a cycle *folds* -- so served state
-        is the patched context rolled back by the still-pending delta:
-        pending additions dropped, pending changes reverted to their
-        pre-delta records, and only already-folded removals excluded.
-        """
-        pending = self.scheduler.pending
-        pending_removed = set(pending.removed)
-        folded_removed = self.scheduler.retired - pending_removed
-        pending_added = {doc.doc_id for doc in pending.added}
-        rollback = dict(pending.previous)
-        documents = []
-        for doc in self.ctx.documents:
-            if doc.doc_id in pending_added:
-                continue
-            if doc.doc_id in folded_removed:
-                continue
-            documents.append(rollback.get(doc.doc_id, doc))
-        return documents
-
-    def restore(self, state: dict) -> "LivingPortal":
-        """Rebuild the portal from a :meth:`checkpoint` image.
-
-        Call on a *freshly constructed* portal whose engine re-ran the
-        deterministic crawl and whose web was freshly generated: the
-        evolution schedule is replayed, the scheduler patches the
-        context back to its checkpointed shape, and the search engine is
-        rebuilt over exactly the documents it was serving -- adopting
-        the checkpointed epoch so invalidation continues seamlessly.
-        """
-        self.evolution.restore(state["evolution"])
-        self.clock.advance_to(state["clock"])
-        self.scheduler.restore(state["scheduler"])
-        self.web.server.restore(state["server"])
-        self.search = LocalSearchEngine(self._served_documents())
-        self.search.restore_epoch(Epoch.from_dict(state["epoch"]))
-        self.cycles_run = state["cycles_run"]
-        self._opened = True
-        return self
 
     # -- observability -------------------------------------------------------
 

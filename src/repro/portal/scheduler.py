@@ -13,13 +13,9 @@ fetch costs one digest comparison, a changed fetch is re-analysed
 through the engine's ``analyze_page`` (the crawl's own convert, scan
 and feature-space path), a vanished page becomes a removal.  The
 resulting :class:`~repro.portal.incremental.DocumentDelta` is what the
-portal folds into the search index and the classifier.
-
-Checkpoint/resume mirrors the crawl's fault-tolerance story: the
-frontier snapshot, the digest store, the revisit clock and the counters
-round-trip through :meth:`RecrawlScheduler.snapshot` /
-:meth:`~RecrawlScheduler.restore`, and an interrupted recrawl resumed
-from a checkpoint finishes with identical freshness counters.
+portal folds into the search index and the classifier.  A new page is
+stored through the crawl's own funnel,
+:meth:`~repro.pipeline.context.CrawlContext.register_document`.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from repro.analysis.hits import hits
 from repro.core.engine import HARVESTING_DECISION_MODE, BingoEngine
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.core.records import CrawledDocument
-from repro.errors import ConfigError
 from repro.portal.digests import DigestStore, content_digest
 from repro.portal.incremental import DocumentDelta
 from repro.web.server import FetchResult, FetchStatus
@@ -64,9 +59,8 @@ _LIFETIME_COUNTS = (
 class RecrawlReport:
     """Outcome of one :meth:`RecrawlScheduler.run` call.
 
-    Counts fetches executed by *this call*; the accumulated document
-    delta lives on the scheduler (:meth:`RecrawlScheduler.collect_delta`)
-    so an interrupted cycle can checkpoint it mid-flight.
+    Counts fetches executed by *this call*; the document delta
+    accumulates on the scheduler (:meth:`RecrawlScheduler.collect_delta`).
     """
 
     scheduled: int = 0
@@ -110,15 +104,8 @@ class RecrawlScheduler:
         self.last_crawled: dict[str, float] = {}
         self.retired: set[int] = set()
         """doc_ids of documents observed dead (skipped by scheduling)."""
-        self.touched: set[int] = set()
-        """doc_ids whose context record this scheduler replaced or
-        appended since construction (cumulative across cycles); their
-        current records ride along in :meth:`snapshot` so restore can
-        patch a freshly re-crawled context."""
         self.pending = DocumentDelta()
-        """Delta accumulated since the last :meth:`collect_delta`;
-        checkpointed so an interrupted cycle resumes without losing the
-        refreshes already executed."""
+        """Delta accumulated since the last :meth:`collect_delta`."""
         self._primed = False
         # lifetime counters (freshness bookkeeping across cycles)
         self.cycles = 0
@@ -235,7 +222,7 @@ class RecrawlScheduler:
         dict[str, Counter], list[str], str, dict[str, list[str]]
     ] | None:
         """Convert + scan + feature-extract + resolve links; with them
-        the page's anchor terms, which a checkpoint saves beside it.
+        the page's anchor terms, which the context stores beside it.
 
         A payload no content handler claims is not analysed (the
         crawl's ``mime_rejected`` policy): it counts as an error and
@@ -315,15 +302,12 @@ class RecrawlScheduler:
             out_urls=out_urls,
             fetched_at=self.clock.now,
         )
-        self.ctx.documents.append(doc)
-        self.ctx.anchor_terms.append(anchor_terms)
-        self.ctx.url_to_doc[doc.final_url] = doc_id
+        self.ctx.register_document(doc, anchor_terms)
         self.digests.record(
             doc.final_url, content_digest(result.html),
             at=self.clock.now, page_id=result.page_id,
         )
         self.last_crawled[doc.final_url] = self.clock.now
-        self.touched.add(doc_id)
         self.pending.record_added(doc)
         report.discovered += 1
 
@@ -359,29 +343,19 @@ class RecrawlScheduler:
         )
         self.ctx.documents[doc.doc_id] = updated
         self.ctx.anchor_terms[doc.doc_id] = anchor_terms
-        self.touched.add(doc.doc_id)
         self.pending.record_changed(doc, updated)
         report.changed += 1
         self._discover(updated)
 
-    def run(
-        self,
-        budget: int | None = None,
-        fetch_limit: int | None = None,
-    ) -> RecrawlReport:
+    def run(self, budget: int) -> RecrawlReport:
         """One recrawl cycle: schedule ``budget`` revisits, drain the
         frontier; the document delta accumulates on :attr:`pending`.
-
-        ``budget=None`` skips scheduling and only drains what the
-        frontier already holds (the resume path after a checkpoint).
-        ``fetch_limit`` stops mid-drain -- the test hook for simulated
-        crashes; a later ``run(None)`` continues where this stopped.
+        ``budget=0`` queues nothing and drains what the frontier holds.
         """
         report = RecrawlReport()
-        if budget is not None:
-            report.scheduled = self.schedule(budget)
+        report.scheduled = self.schedule(budget)
         started = self.clock.now
-        while fetch_limit is None or report.fetched < fetch_limit:
+        while True:
             entry = self.frontier.pop()
             if entry is None:
                 ready_at = self.frontier.next_ready_at()
@@ -412,8 +386,7 @@ class RecrawlScheduler:
             self._refresh(entry, result, report)
         report.simulated_seconds = self.clock.now - started
         self.lifetime.add(report)
-        if fetch_limit is None or len(self.frontier) == 0:
-            self.cycles += 1
+        self.cycles += 1
         return report
 
     def collect_delta(self) -> DocumentDelta:
@@ -440,104 +413,3 @@ class RecrawlScheduler:
         for name, value in self.digests.stats().items():
             merged[name] = value
         return merged
-
-    # -- checkpoint ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serializable image of the scheduler's full revisit state.
-
-        Includes the document records the cycle patched, each with its
-        anchor terms (``CrawledDocument.to_dict()`` plus
-        ``anchor_terms``, as a crawl checkpoint stores a page), and the
-        :attr:`pending` delta (added and changed records by doc id, since
-        they are among those records), so a resume against a freshly
-        re-crawled context can re-apply every refresh the interrupted
-        cycle already executed.
-        """
-        return {
-            "primed": self._primed,
-            "frontier": self.frontier.snapshot(),
-            "digests": self.digests.snapshot(),
-            "last_crawled": dict(
-                sorted(self.last_crawled.items())
-            ),
-            "retired": sorted(self.retired),
-            "documents": [
-                self.ctx.documents[doc_id].to_dict()
-                | {"anchor_terms": self.ctx.anchor_terms[doc_id]}
-                for doc_id in sorted(self.touched)
-            ],
-            "pending": {
-                "added": [doc.doc_id for doc in self.pending.added],
-                "changed": [doc.doc_id for doc in self.pending.changed],
-                "removed": list(self.pending.removed),
-                "previous": [
-                    self.pending.previous[doc_id].to_dict()
-                    for doc_id in sorted(self.pending.previous)
-                ],
-            },
-            "counters": {
-                "cycles": self.cycles,
-                **{
-                    f"total_{name}": getattr(self.lifetime, name)
-                    for name in _LIFETIME_COUNTS
-                },
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Rebuild revisit state from a :meth:`snapshot` image.
-
-        Assumes the surrounding context was rebuilt to its *pre-recrawl*
-        state (the deterministic crawl replay): document records touched
-        by the interrupted cycle are patched back in from the pending
-        delta, so the resumed cycle continues exactly where it stopped.
-        Each patched page takes its anchor terms with it; a snapshot
-        whose records lack them predates that layout and is refused
-        before anything is restored.
-        """
-        records = [dict(record) for record in state["documents"]]
-        if not all("anchor_terms" in record for record in records):
-            raise ConfigError(
-                "the scheduler snapshot stores pages without their anchor "
-                "terms: it predates that layout and must be retaken"
-            )
-        self._primed = state["primed"]
-        self.frontier.restore(state["frontier"])
-        self.digests.restore(state["digests"])
-        self.last_crawled = dict(state["last_crawled"])
-        self.retired = set(state["retired"])
-        self.touched = set()
-        for record in records:
-            anchor_terms = record.pop("anchor_terms")
-            doc = CrawledDocument.from_dict(record)
-            if doc.doc_id < len(self.ctx.documents):
-                self.ctx.documents[doc.doc_id] = doc
-                self.ctx.anchor_terms[doc.doc_id] = anchor_terms
-            elif doc.doc_id == len(self.ctx.documents):
-                self.ctx.documents.append(doc)
-                self.ctx.anchor_terms.append(anchor_terms)
-            else:
-                raise ConfigError(
-                    f"checkpointed doc_id {doc.doc_id} does not extend a "
-                    f"context of {len(self.ctx.documents)} documents; "
-                    "restore needs the pre-recrawl context"
-                )
-            self.ctx.url_to_doc[doc.final_url] = doc.doc_id
-            self.touched.add(doc.doc_id)
-        pending = state["pending"]
-        load = CrawledDocument.from_dict
-        documents = self.ctx.documents
-        self.pending = DocumentDelta(
-            added=[documents[doc_id] for doc_id in pending["added"]],
-            changed=[documents[doc_id] for doc_id in pending["changed"]],
-            removed=list(pending["removed"]),
-            previous={
-                doc.doc_id: doc for doc in map(load, pending["previous"])
-            },
-        )
-        counters = state["counters"]
-        self.cycles = counters["cycles"]
-        self.lifetime = RecrawlReport(
-            **{name: counters[f"total_{name}"] for name in _LIFETIME_COUNTS}
-        )

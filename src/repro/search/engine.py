@@ -34,7 +34,7 @@ vectorizes anything.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -259,7 +259,7 @@ class LocalSearchEngine:
         :class:`~repro.search.index.QueryCache` stores entries under it,
         the :class:`~repro.search.index.InvertedIndex` is valid for its
         snapshot component, :class:`~repro.search.serving.QueryServer`
-        stamps responses with it, and portal checkpoints serialise it.
+        stamps responses with it.
         If the vectorizer's idf snapshot refreshed underneath the engine
         (a retraining point), the epoch syncs to it here -- mirroring
         how the legacy tuple read the snapshot version live.
@@ -287,19 +287,6 @@ class LocalSearchEngine:
             self.epoch.advance(
                 reason, snapshot_version=self.vectorizer.snapshot_version
             )
-        )
-
-    def restore_epoch(self, epoch: Epoch) -> Epoch:
-        """Adopt a checkpointed epoch (the portal restore path).
-
-        Ordinal, generation and reason carry over so epoch-keyed
-        invalidation continues exactly where the checkpoint left off;
-        the snapshot component follows the *current* vectorizer, because
-        a restored engine rebuilt its idf statistics from scratch and
-        the stored snapshot version belongs to a dead lineage.
-        """
-        return self._move_epoch(
-            replace(epoch, snapshot_version=self.vectorizer.snapshot_version)
         )
 
     def index(self) -> InvertedIndex:

@@ -9,8 +9,7 @@ portal (:mod:`repro.portal`) multiplies the events that move that state
 the tuple is replaced by one explicit value object:
 
 * an :class:`Epoch` is **immutable and hashable**: result caches key on
-  it directly, checkpoints serialise it (:meth:`Epoch.to_dict`), and
-  responses carry the epoch they were computed under;
+  it directly, and responses carry the epoch they were computed under;
 * every transition is an explicit :meth:`Epoch.advance` with a
   ``reason`` string, so metrics and logs can say *why* the corpus
   moved, not just that it did.
@@ -19,14 +18,13 @@ The engine owns exactly one current epoch
 (:attr:`repro.search.engine.LocalSearchEngine.epoch`); everything else
 -- :class:`~repro.search.index.QueryCache`,
 :class:`~repro.search.index.InvertedIndex`,
-:class:`~repro.search.serving.QueryServer` replay, portal checkpoints --
+:class:`~repro.search.serving.QueryServer` replay --
 only ever consumes epochs, never mutates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
 
 __all__ = ["Epoch"]
 
@@ -84,26 +82,6 @@ class Epoch:
             ordinal=self.ordinal + 1,
             snapshot_version=snapshot_version,
             reason=reason,
-        )
-
-    # -- checkpoints --------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe image for checkpoints (portal scheduler state)."""
-        return {
-            "ordinal": self.ordinal,
-            "snapshot_version": self.snapshot_version,
-            "generation": self.generation,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, state: Mapping[str, Any]) -> "Epoch":
-        return cls(
-            ordinal=int(state["ordinal"]),
-            snapshot_version=int(state["snapshot_version"]),
-            generation=int(state["generation"]),
-            reason=str(state["reason"]),
         )
 
     def __str__(self) -> str:

@@ -149,7 +149,7 @@ class TestUnclaimedPayload:
                 depth=doc.depth, referrer_doc_id=doc.doc_id,
             )
         )
-        report = scheduler.run(None)
+        report = scheduler.run(0)
         assert (report.fetched, report.errors) == (1, 1)
         assert (report.changed, report.discovered, report.dead) == (0, 0, 0)
         assert scheduler.stats()["recrawl_total_errors"] == 1.0

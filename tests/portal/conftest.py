@@ -14,7 +14,7 @@ from repro.web import SyntheticWeb
 from tests.conftest import nested_tree, small_web_config
 from tests.core.conftest import fast_engine_config
 
-#: one evolution seed used across parity/checkpoint scenarios so every
+#: one evolution seed used across parity scenarios so every
 #: rebuilt portal replays the identical mutation schedule
 EVOLUTION_SEED = 11
 

@@ -6,8 +6,6 @@ evolution mutates the page list and URL map in place.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ConfigError
@@ -154,34 +152,3 @@ class TestGroundTruth:
         ]
         assert evo.mutations > 0
         assert mutated
-
-
-class TestCheckpoint:
-    def test_restore_replays_to_identical_state(self) -> None:
-        first = WebEvolution(fresh_web(), busy_config())
-        first.advance_to(first.config.tick_seconds * 9)
-        state = json.loads(json.dumps(first.snapshot()))
-
-        second = WebEvolution(fresh_web(), busy_config())
-        second.restore(state)
-        assert second.stats() == first.stats()
-        assert fingerprint(second.web) == fingerprint(first.web)
-        assert second.changed_at == first.changed_at
-        # and the futures agree too
-        first.advance_to(first.config.tick_seconds * 14)
-        second.advance_to(second.config.tick_seconds * 14)
-        assert fingerprint(second.web) == fingerprint(first.web)
-
-    def test_restore_demands_a_fresh_web(self) -> None:
-        evolved = WebEvolution(fresh_web(), busy_config())
-        evolved.advance_to(evolved.config.tick_seconds * 2)
-        state = evolved.snapshot()
-        with pytest.raises(ConfigError):
-            evolved.restore(state)
-
-    def test_restore_rejects_a_foreign_seed(self) -> None:
-        donor = WebEvolution(fresh_web(), busy_config(seed=5))
-        donor.advance_to(donor.config.tick_seconds * 2)
-        other = WebEvolution(fresh_web(), busy_config(seed=6))
-        with pytest.raises(ConfigError):
-            other.restore(donor.snapshot())

@@ -156,12 +156,6 @@ class TestViewsDoNotOutliveTheirEpoch:
         assert engine.stats()["filter_views"] == 0.0
         self.assert_fresh(engine)
 
-    def test_restore_epoch(self) -> None:
-        engine = self.warmed(random_corpus(23, 30))
-        engine.restore_epoch(engine.epoch.advance("checkpoint"))
-        assert engine.stats()["filter_views"] == 0.0
-        self.assert_fresh(engine)
-
     def test_snapshot_refresh_underneath_the_engine(self) -> None:
         engine = self.warmed(random_corpus(24, 30))
         engine.vectorizer.refresh()

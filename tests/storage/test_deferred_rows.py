@@ -214,19 +214,26 @@ class TestRecrawlAnchorTerms:
     def recrawled(self):
         portal = build_portal()
         portal.evolve(3600.0)
-        return portal, portal.recrawl(budget=60).recrawl
+        before = list(portal.engine.ctx.documents)
+        report = portal.recrawl(budget=60).recrawl
+        # the pages the cycle replaced (a changed page is a new record)
+        # or appended
+        touched = [
+            doc.doc_id for doc in portal.engine.ctx.documents
+            if doc.doc_id >= len(before) or doc is not before[doc.doc_id]
+        ]
+        return portal, report, touched
 
     def test_recrawl_keeps_pages_anchor_terms(
         self, recrawled
     ) -> None:
         """A changed or discovered page's rows are those a fresh scan
         of its current payload gives: its anchor terms moved with it."""
-        portal, report = recrawled
+        portal, report, touched = recrawled
         engine = portal.engine
         ctx = engine.ctx
         assert report.changed > 0 and report.discovered > 0
         assert len(ctx.anchor_terms) == len(ctx.documents)
-        touched = sorted(portal.scheduler.touched)
         assert len(touched) == report.changed + report.discovered
         for doc_id in touched:
             stored = ctx.documents[doc_id]
@@ -247,7 +254,7 @@ class TestRecrawlAnchorTerms:
     ) -> None:
         """A page without its anchor terms is still refused; with them,
         the recrawled pages are saved as their records."""
-        portal, _ = recrawled
+        portal, _, _ = recrawled
         ctx = portal.engine.ctx
         anchors = ctx.anchor_terms.pop()
         try:

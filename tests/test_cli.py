@@ -145,16 +145,15 @@ class TestPortalLifecycleCommands:
         assert sources["search"]["documents_indexed"] > 0
         assert sources["search"]["generation"] >= 1.0
 
-    def test_search_source_follows_a_restore(self) -> None:
-        """``restore()`` replaces the serving engine: the ``search``
-        source must read whichever engine the portal holds now."""
-        argv = ["portal", "evolve", "--budget", "60", "--seconds", "600"]
-        _, original = _open_portal(build_parser().parse_args(argv))
-        original.evolve(600.0)
+    def test_search_source_is_the_serving_engine(self) -> None:
+        """The ``search`` source reads the engine the portal serves
+        with, through a recrawl that folds a delta into it."""
+        argv = ["portal", "recrawl", "--budget", "60"]
         engine, portal = _open_portal(build_parser().parse_args(argv))
-        served_before = portal.search
-        portal.restore(original.checkpoint())
-        assert portal.search is not served_before
+        served = portal.search
+        portal.evolve(3600.0)
+        assert portal.recrawl(20).search is not None
+        assert portal.search is served
         portal.search.search("database research")
         exported = engine.obs.snapshot()["sources"]["search"]
         assert exported == portal.search.stats()

@@ -18,11 +18,6 @@ DECLARATION = (
 )
 INPUT_BRANCH = "input branch: reached only on inputs no reader gives"
 TEST_ORACLE = "test oracle: the tests check the structure's invariants with it"
-ROADMAP_ITEM_4 = (
-    "ROADMAP item 4: the LivingPortal state machine restores through "
-    "LivingPortal.checkpoint / .restore; "
-    "tests/portal/test_checkpoint_resume.py proves the chain until then"
-)
 
 #: ``module:qualname`` -> why the function stays though no reader reaches it
 KEPT: dict[str, str] = {
@@ -47,22 +42,10 @@ KEPT: dict[str, str] = {
     "repro.pipeline.stages:Stage.run": DECLARATION,
     "repro.portal.digests:DigestStore.__contains__": DECLARATION,
     "repro.portal.digests:DigestStore.__len__": DECLARATION,
-    "repro.portal.digests:DigestStore.restore": ROADMAP_ITEM_4,
-    "repro.portal.digests:DigestStore.snapshot": ROADMAP_ITEM_4,
-    "repro.portal.evolution:WebEvolution.restore": ROADMAP_ITEM_4,
-    "repro.portal.evolution:WebEvolution.snapshot": ROADMAP_ITEM_4,
-    "repro.portal.runtime:LivingPortal._served_documents": ROADMAP_ITEM_4,
-    "repro.portal.runtime:LivingPortal.checkpoint": ROADMAP_ITEM_4,
-    "repro.portal.runtime:LivingPortal.restore": ROADMAP_ITEM_4,
-    "repro.portal.scheduler:RecrawlScheduler.restore": ROADMAP_ITEM_4,
-    "repro.portal.scheduler:RecrawlScheduler.snapshot": ROADMAP_ITEM_4,
     "repro.robust.breaker:BreakerBoard.__contains__": DECLARATION,
     "repro.robust.breaker:BreakerBoard.__len__": DECLARATION,
     # fault rates below 1 roll a die; every reader's fault window is certain
     "repro.robust.faults:_unit_roll": INPUT_BRANCH,
-    "repro.search.engine:LocalSearchEngine.restore_epoch": ROADMAP_ITEM_4,
-    "repro.search.epoch:Epoch.from_dict": ROADMAP_ITEM_4,
-    "repro.search.epoch:Epoch.to_dict": ROADMAP_ITEM_4,
     "repro.search.index:InvertedIndex.__contains__": DECLARATION,
     "repro.search.index:QueryCache.__len__": DECLARATION,
     "repro.storage.bulkloader:BulkLoader.add_many": (
