@@ -1,9 +1,9 @@
 """``epoch-mutation``: the Epoch lifecycle.
 
-PR 9 made every piece of query-serving state hang off a typed
-:class:`~repro.search.epoch.Epoch`: the engine's vectors and inverted
-index, the query cache, the idf snapshot and the classifier's decision
-models all advance together through one funnel --
+Every piece of query-serving state hangs off a typed
+:class:`~repro.search.epoch.Epoch`: the engine's filter views and
+inverted index, the query cache, the idf snapshot and the classifier's
+decision models all advance together through one funnel --
 ``apply_delta(reason=)``.  A write that bypasses the funnel leaves
 cache keys, snapshot versions and index contents silently disagreeing.
 ``epoch-mutation`` makes the funnel a checked property: any mutation
@@ -37,17 +37,17 @@ CONTRACTS: dict[str, MutationContract] = {
     "LocalSearchEngine": MutationContract(
         attrs=frozenset(
             {
-                "_epoch", "_vectors", "_index", "_by_id",
+                "_epoch", "_index", "_by_id",
                 "documents", "vectorizer", "_views", "_url_to_doc",
             }
         ),
         funnels=frozenset(
             {
                 "__init__", "epoch", "advance_epoch", "index", "apply_delta",
-                # per-epoch views and exact vectors: filled on first
-                # use (``vector`` is the one funnel that fills
-                # ``_vectors``), dropped only where the epoch is assigned
-                "_move_epoch", "_view", "_authority_scores", "vector",
+                # per-epoch filter views and url map: filled on first
+                # use (``_view`` / ``_authority_scores``), dropped only
+                # where the epoch is assigned
+                "_move_epoch", "_view", "_authority_scores",
             }
         ),
     ),
@@ -55,8 +55,9 @@ CONTRACTS: dict[str, MutationContract] = {
     "InvertedIndex": MutationContract(
         attrs=frozenset(
             {
-                "_doc_ids", "_columns", "_rows", "_cols", "_tfw",
-                "_starts", "_impacts", "doc_count", "postings_total",
+                "_doc_ids", "_columns", "_doc_cols", "_doc_tfw",
+                "_lengths", "exact_norms", "_starts", "_rows", "_impacts",
+                "doc_count", "postings_total",
             }
         ),
         funnels=frozenset({"__init__"}),

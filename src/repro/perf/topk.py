@@ -11,14 +11,14 @@ scores with ``np.partition``, and hands only the documents that reach
 it to the caller's *exact* scorer.
 
 Rank-exactness contract: the approximate score is the exact one with
-its additions, divisions and the document norm's summation in another
-order -- a sum of a handful of non-negative products, so the two
-differ by a few ulp (~1e-15 relative).  Every document within a
-relative :data:`VERIFY_SLACK` (1e-9) of the k-th approximate score is
-verified, ties included, so the verified set contains the true top k
-under the ``(-score, row)`` order and the returned scores come from
-the same callback the brute-force ranker uses -- bit-identical
-results, not merely close ones.
+its additions and divisions in another order -- a sum of a handful of
+non-negative products, so the two differ by a few ulp (~1e-15
+relative).  Every document within a relative :data:`VERIFY_SLACK`
+(1e-9) of the k-th approximate score is verified, ties included, so
+the verified set contains the true top k under the ``(-score, row)``
+order and the returned scores come from the caller's exact scorer,
+which gives the brute-force ranker's floats -- bit-identical results,
+not merely close ones.
 """
 
 from __future__ import annotations

@@ -108,7 +108,6 @@ class RecrawlScheduler:
         """Delta accumulated since the last :meth:`collect_delta`."""
         self._primed = False
         # lifetime counters (freshness bookkeeping across cycles)
-        self.cycles = 0
         self.lifetime = RecrawlReport()
         """The counts of every :meth:`run`'s report, added up."""
 
@@ -119,7 +118,7 @@ class RecrawlScheduler:
 
         Must run *before* the web starts evolving: the digest of the
         page's current payload then equals the digest of the content the
-        crawl actually stored.  Idempotent; returns the rows recorded.
+        crawl actually stored.  Idempotent; returns the digests recorded.
         """
         if self._primed:
             return 0
@@ -131,12 +130,7 @@ class RecrawlScheduler:
             payload = self.web.renderer.payload(page)
             if payload is None:
                 continue
-            self.digests.record(
-                doc.final_url,
-                content_digest(payload),
-                at=doc.fetched_at,
-                page_id=doc.page_id,
-            )
+            self.digests.record(doc.final_url, content_digest(payload))
             self.last_crawled[doc.final_url] = doc.fetched_at
             recorded += 1
         self._primed = True
@@ -303,10 +297,7 @@ class RecrawlScheduler:
             fetched_at=self.clock.now,
         )
         self.ctx.register_document(doc, anchor_terms)
-        self.digests.record(
-            doc.final_url, content_digest(result.html),
-            at=self.clock.now, page_id=result.page_id,
-        )
+        self.digests.record(doc.final_url, content_digest(result.html))
         self.last_crawled[doc.final_url] = self.clock.now
         self.pending.record_added(doc)
         report.discovered += 1
@@ -320,10 +311,7 @@ class RecrawlScheduler:
         if doc is None:
             self._store_new(entry, result, report)
             return
-        status = self.digests.record(
-            url, content_digest(result.html),
-            at=self.clock.now, page_id=result.page_id,
-        )
+        status = self.digests.record(url, content_digest(result.html))
         self.last_crawled[url] = self.clock.now
         if status == DigestStore.UNCHANGED:
             report.unchanged += 1
@@ -386,7 +374,6 @@ class RecrawlScheduler:
             self._refresh(entry, result, report)
         report.simulated_seconds = self.clock.now - started
         self.lifetime.add(report)
-        self.cycles += 1
         return report
 
     def collect_delta(self) -> DocumentDelta:
@@ -394,7 +381,8 @@ class RecrawlScheduler:
 
         The caller folds it into the search engine
         (:meth:`~repro.search.engine.LocalSearchEngine.apply_delta`) and
-        the classifier (:func:`~repro.portal.incremental.fold_into_classifier`).
+        the classifier
+        (:func:`~repro.portal.incremental.fold_into_classifier`).
         """
         delta = self.pending
         self.pending = DocumentDelta()
@@ -403,8 +391,9 @@ class RecrawlScheduler:
     # -- observability -------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
-        """Lifetime freshness counters (:class:`repro.obs.api.Instrumented`)."""
-        merged = {"recrawl_cycles": float(self.cycles)}
+        """Lifetime freshness counters
+        (:class:`repro.obs.api.Instrumented`)."""
+        merged: dict[str, float] = {}
         for name in _LIFETIME_COUNTS:
             merged[f"recrawl_total_{name}"] = float(
                 getattr(self.lifetime, name)

@@ -17,25 +17,26 @@ Two ranking paths produce bit-identical results:
 * the **indexed** top-k path adds the query terms' impact arrays from
   the :class:`~repro.search.index.InvertedIndex` and the filter view's
   static component into one approximate score per document, and
-  computes exact scores -- through the *same* cosine / combination
-  code as the brute path -- only for the documents that reach the k-th
+  computes exact scores only for the documents that reach the k-th
   largest of them (:func:`repro.perf.topk.verified_topk`): ten
   documents scored to return ten.  The parity suite
   (``tests/search/test_parity.py``) pins equality of documents, scores
   and order across filters, weights and ``top_k`` edge cases.
 
-Both read a document's exact tf*idf vector through
-:meth:`LocalSearchEngine.vector`, which builds it the first time it is
-asked for and keeps it while the epoch stands: the index stores no idf
-(see :mod:`repro.search.index`), so neither a build nor a delta fold
-vectorizes anything.
+The brute path builds each candidate's tf*idf vector
+(:meth:`~repro.text.vectorizer.TfIdfVectorizer.vectorize_counts`) and
+calls ``cosine_similarity``.  The indexed path builds no document
+vector: its exact cosine (:func:`_indexed_cosine`) reads the document's
+exact norm from the index and its counts of the query's few terms, and
+repeats ``cosine_similarity``'s products, sums and clamp in their
+order, so both paths return the same floats.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from repro.search.epoch import Epoch
 from repro.search.index import InvertedIndex
 from repro.text.scanner import text_stems
 from repro.text.vectorizer import (
+    DAMPENED,
     SparseVector,
     TfIdfVectorizer,
     cosine_similarity,
@@ -134,14 +136,17 @@ def _min_max_normalize(values: dict[int, float]) -> dict[int, float]:
     return {k: (v - lo) / (hi - lo) for k, v in values.items()}
 
 
+_NO_TERMS: Mapping[str, int] = MappingProxyType({})
+
+
 def _term_counts(document: CrawledDocument) -> Mapping[str, int]:
-    return document.counts.get("term", Counter())
+    return document.counts.get("term", _NO_TERMS)
 
 
 def _reject_duplicate_ids(
     documents: Iterable[CrawledDocument], where: str
 ) -> None:
-    """Rows, vectors and ``_by_id`` are keyed on the doc id."""
+    """Rows, norms and ``_by_id`` are keyed on the doc id."""
     seen: set[int] = set()
     for document in documents:
         if document.doc_id in seen:
@@ -166,6 +171,41 @@ def _combine(
         + weights.confidence * confidence
         + weights.authority * authority
     )
+
+
+def _indexed_cosine(
+    query: Mapping[str, tuple[float, float]],
+    query_norm: float,
+    counts: Mapping[str, int],
+    size: int,
+    norm: float,
+) -> float:
+    """``cosine_similarity(q, vectorize_counts(counts))`` without the
+    document's vector.  ``query`` maps ``q``'s terms, in its order, to
+    ``(weight, idf)`` and ``query_norm`` is its norm; ``size`` and
+    ``norm`` are the document vector's length and norm
+    (:attr:`InvertedIndex.exact_norms
+    <repro.search.index.InvertedIndex.exact_norms>`).  The dot follows
+    ``SparseVector.dot``: the query's order, or the document's counts
+    order when it holds fewer positive terms than the query, over the
+    same products; so the sum, the quotient and the clamp give
+    ``cosine_similarity``'s float."""
+    denom = query_norm * norm
+    if denom == 0.0:
+        return 0.0
+    if size < len(query):
+        dot = sum([
+            DAMPENED[tf] * query[term][1] * query[term][0]
+            for term, tf in counts.items()
+            if tf > 0 and term in query
+        ])
+    else:
+        dot = sum([
+            weight * (DAMPENED[tf] * idf)
+            for term, (weight, idf) in query.items()
+            if (tf := counts.get(term, 0)) > 0
+        ])
+    return max(-1.0, min(1.0, dot / denom))
 
 
 @dataclass
@@ -212,8 +252,6 @@ class LocalSearchEngine:
         self.documents_scored = 0
         """Exact cosine evaluations: every candidate on the brute-force
         path, the verified few on the indexed one."""
-        self.vectors_built = 0
-        """Exact document vectors built by :meth:`vector`."""
         self.authority_runs = 0
         """HITS computations since construction."""
         _reject_duplicate_ids(documents, "the corpus")
@@ -231,25 +269,12 @@ class LocalSearchEngine:
 
     def _move_epoch(self, epoch: Epoch) -> Epoch:
         """The one assignment of the epoch; everything derived per
-        epoch (filter views, the url map, exact vectors -- the idf
-        snapshot only moves with the epoch) is dropped with it."""
+        epoch and filled lazily (filter views, the url map) is dropped
+        with it."""
         self._epoch = epoch
         self._views: dict[tuple[str | None, bool], _FilterView] = {}
         self._url_to_doc: dict[str, int] | None = None
-        self._vectors: dict[int, SparseVector] = {}
         return epoch
-
-    def vector(self, doc_id: int) -> SparseVector:
-        """The document's exact tf*idf vector under the current idf
-        snapshot, built on first request -- the one place that fills
-        the per-epoch memo."""
-        vector = self._vectors.get(doc_id)
-        if vector is None:
-            vector = self._vectors[doc_id] = self.vectorizer.vectorize_counts(
-                _term_counts(self._by_id[doc_id])
-            )
-            self.vectors_built += 1
-        return vector
 
     @property
     def epoch(self) -> Epoch:
@@ -320,8 +345,8 @@ class LocalSearchEngine:
         (:meth:`InvertedIndex.apply_update
         <repro.search.index.InvertedIndex.apply_update>`).  Nothing
         stored holds an idf, so the fold costs the delta whether or not
-        the corpus size moved, and no vector is built: :meth:`vector`
-        does that for the documents later queries verify.  The result
+        the corpus size moved (the next index derives its idf, norms
+        and impacts afresh), and no vector is built.  The result
         is proven identical to a from-scratch engine -- ids, float
         scores, order -- by ``tests/portal/test_incremental_parity``
         and the delta-sequence property in ``tests/search``.
@@ -513,10 +538,14 @@ class LocalSearchEngine:
         query_vector: SparseVector,
         weights: RankingWeights,
     ) -> list[RankedHit]:
-        """Brute-force reference: score and sort *every* candidate."""
+        """Brute-force reference: score and sort *every* candidate,
+        each through its own tf*idf vector (none is kept)."""
         confidences, authorities = self._components(candidates, weights)
+        vectorize = self.vectorizer.vectorize_counts
         cosines = {
-            d.doc_id: cosine_similarity(query_vector, self.vector(d.doc_id))
+            d.doc_id: cosine_similarity(
+                query_vector, vectorize(_term_counts(d))
+            )
             for d in candidates
         }
         hits_list = [
@@ -549,9 +578,10 @@ class LocalSearchEngine:
         The kernel ranks approximate scores -- impact arrays times the
         query's term shares, plus the view's static component -- and
         calls back for the few documents at or within rounding of the
-        k-th; each of those is scored through the exact same
-        ``cosine_similarity`` + :func:`_combine` calls as the brute
-        path, so every returned hit carries the brute path's floats.
+        k-th; each of those is scored through :func:`_indexed_cosine`
+        (``cosine_similarity``'s float, read off the index and the
+        document's counts) + :func:`_combine`, so every returned hit
+        carries the brute path's floats.
         """
         index = self.index()
         confidences, authorities = self._view_components(view, weights)
@@ -573,11 +603,23 @@ class LocalSearchEngine:
                 runs.append((*decoded, share))
 
         doc_ids = view.doc_ids
+        by_id = self._by_id
+        exact_norms = index.exact_norms
+        idf = self.vectorizer.statistics.idf
+        query = {
+            term: (weight, idf(term))
+            for term, weight in query_vector.weights.items()
+        }
+        query_norm = query_vector.norm
         cosines: dict[int, float] = {}
 
         def exact_score(position: int) -> float:
             doc_id = doc_ids[position]
-            cosine = cosine_similarity(query_vector, self.vector(doc_id))
+            cosine = _indexed_cosine(
+                query, query_norm,
+                _term_counts(by_id[doc_id]),
+                *exact_norms[doc_id],
+            )
             cosines[doc_id] = cosine
             return _combine(
                 weights,
@@ -654,7 +696,6 @@ class LocalSearchEngine:
             "queries_failed": float(self.queries_failed),
             "candidates_ranked": float(self.candidates_ranked),
             "documents_scored": float(self.documents_scored),
-            "vectors_built": float(self.vectors_built),
             "documents_indexed": float(len(self.documents)),
             "generation": float(self.generation),
             "filter_views": float(len(self._views)),

@@ -7,24 +7,24 @@ equivalent of the term index, laid out so that folding a recrawl delta
 costs what changed (the paper's vectorizer recomputes idf *lazily*,
 section 2.2):
 
-* **what is stored is idf-free** -- one term-major posting matrix of
-  tf-side weights ``1 + log tf`` in three parallel numpy arrays
-  (document row, term column, weight), sorted by ``(column, row)`` so
-  a term's run is a slice.  Nothing in it depends on the corpus
+* **what is stored is idf-free** -- every document's positive term
+  counts as numpy arrays, document-major: its term columns and their
+  ``1 + log tf`` weights (read from
+  :data:`~repro.text.vectorizer.DAMPENED`) in the document's own counts
+  order, documents in row order.  Nothing in it depends on the corpus
   size, so a delta that moves ``document_count`` touches exactly the
   entries of the documents that left or arrived
-  (:meth:`InvertedIndex.apply_update`: mask, append, re-sort);
-* **what depends on the corpus is derived per epoch** in a handful of
-  O(postings) numpy operations when an index is made: the idf of every
-  column, read from the vectorizer's snapshot (the one source the exact
-  path reads too), ``|doc|`` per row by ``np.bincount`` over the
-  squared ``tfw * idf``, and the normalised impacts ``tfw * idf /
-  |doc|`` that :func:`repro.perf.topk.verified_topk` accumulates.  The
-  norms come out of numpy in another summation order than
+  (:meth:`InvertedIndex.apply_update`: mask, append, one stable radix
+  order by row);
+* **what depends on the corpus is derived per epoch** when an index is
+  made: the idf of every column, read from the vectorizer's snapshot
+  (the one source the query vector reads too); each document's *exact*
+  norm -- ``math.sqrt(sum(...))`` over ``(tfw * idf) ** 2`` in its
+  counts order, the products and the summation of
   :attr:`SparseVector.norm <repro.text.vectorizer.SparseVector.norm>`,
-  a few ulp apart: they feed the *bound* only, whose 1e-9 verify band
-  absorbs that; every returned float is computed from a real
-  ``SparseVector`` by the engine;
+  hence its float; and the term-major runs ``(row, tfw * idf / |doc|)``,
+  a stable radix order of the entries by column, that
+  :func:`repro.perf.topk.verified_topk` accumulates;
 * **rows** number the documents of *one* index in doc-id order.  A
   document without terms still owns a row (the filter views index by
   row), and a term whose last document left reads as unindexed
@@ -40,14 +40,16 @@ without an explicit flush.
 
 from __future__ import annotations
 
-from array import array
+import math
 from collections import OrderedDict
 from collections.abc import Collection, Hashable, Mapping, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.search.epoch import Epoch
+from repro.text.vectorizer import DAMPENED
 
 if TYPE_CHECKING:
     from repro.text.vectorizer import CorpusStatistics
@@ -55,8 +57,32 @@ if TYPE_CHECKING:
 __all__ = ["InvertedIndex", "QueryCache"]
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """A stable argsort of non-negative integer ``keys``: LSD radix in
+    16-bit digits, each pass numpy's stable (counting) sort of uint16."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, int(keys.max(initial=0)).bit_length(), 16):
+        digits = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+    return order
+
+
+def _exact_norms(weights: np.ndarray, lengths: np.ndarray) -> list[float]:
+    """Each row's ``SparseVector.norm``: ``weights`` holds the rows'
+    tf*idf weights back to back, ``lengths`` how many each row owns.
+    Python's own ``sum`` adds each row's squares in order (3.12's is
+    compensated, so no numpy reduction stands in for it)."""
+    squares = weights * weights
+    stops = np.cumsum(lengths).tolist()
+    return [
+        math.sqrt(sum(squares[start:stop].tolist()))
+        for start, stop in zip([0, *stops], stops)
+    ]
+
+
 class InvertedIndex:
-    """The posting matrix plus what one epoch derives from it.
+    """The document-major term counts plus what one epoch derives from
+    them.
 
     An index is immutable: :meth:`apply_update` returns the next one
     and leaves this one as it was.
@@ -68,11 +94,12 @@ class InvertedIndex:
         statistics: "CorpusStatistics",
         doc_ids: np.ndarray,
         columns: dict[str, int],
-        entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+        terms: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> None:
-        """An index over ``entries`` -- ``(rows, cols, tfw)`` sorted by
-        ``(col, row)`` -- under ``statistics``' idf snapshot.  Callers
-        want :meth:`build` or :meth:`apply_update`."""
+        """An index over ``terms`` -- ``(rows, cols, tfw)``, each
+        document's positive counts in its counts order, rows ascending
+        -- under ``statistics``' idf snapshot.  Callers want
+        :meth:`build` or :meth:`apply_update`."""
         self.epoch = epoch
         """The :class:`~repro.search.epoch.Epoch` this index serves.
         The index is valid only while the engine's epoch carries the
@@ -82,27 +109,37 @@ class InvertedIndex:
         document without terms owns a row like any other."""
         self._columns = columns
         """Term -> column, in column order."""
-        self._rows, self._cols, self._tfw = entries
+        rows, self._doc_cols, self._doc_tfw = terms
+        self._lengths = np.bincount(rows, minlength=len(doc_ids))
+        """Row -> its positive terms: the row's slice of ``_doc_cols``
+        / ``_doc_tfw``."""
         self.doc_count = len(doc_ids)
-        self.postings_total = len(self._tfw)
+        self.postings_total = len(self._doc_tfw)
 
-        # -- derived per epoch: O(postings) numpy, O(vocabulary) Python
-        self._starts = np.searchsorted(
-            self._cols, np.arange(len(columns) + 1)
-        )
-        """Column ``c``'s run is ``starts[c]:starts[c + 1]``."""
+        # -- derived per epoch: O(postings) numpy, O(vocabulary +
+        # documents) Python
         idf = np.array([statistics.idf(term) for term in columns])
-        impacts = idf[self._cols]
-        impacts *= self._tfw
-        norms = np.sqrt(
-            np.bincount(
-                self._rows, impacts * impacts, minlength=self.doc_count
-            )
+        weights = idf[self._doc_cols]
+        weights *= self._doc_tfw
+        norms = _exact_norms(weights, self._lengths)
+        self.exact_norms = dict(
+            zip(doc_ids.tolist(), zip(self._lengths.tolist(), norms))
         )
-        # tfw >= 1 and idf >= log 2, so a row with an entry has a
-        # positive norm and a row without one is never divided by
-        impacts /= norms[self._rows]
-        self._impacts = impacts
+        """Doc id -> ``(positive terms, |doc|)``: the length and the
+        :attr:`~repro.text.vectorizer.SparseVector.norm` of the
+        document's tf*idf vector, the same int and float."""
+        self._starts = np.concatenate((
+            [0], np.cumsum(np.bincount(self._doc_cols, minlength=len(columns)))
+        ))
+        """Column ``c``'s run is ``starts[c]:starts[c + 1]``."""
+        # a row with an entry has a positive norm (tfw >= 1, idf >=
+        # log 2); a row without one is never divided by
+        weights /= np.array(norms)[rows]
+        order = _stable_order(self._doc_cols)
+        self._rows = rows[order]
+        self._impacts = weights[order]
+        """The term-major runs: ``(row, tfw * idf / |doc|)`` sorted by
+        ``(column, row)``."""
 
     @property
     def snapshot_version(self) -> int:
@@ -140,57 +177,60 @@ class InvertedIndex:
         counts``, none indexed once ``left`` is gone; a changed
         document is in both).
 
-        The entries of ``left`` are masked out, those of ``arrived``
-        appended -- the only per-posting Python work -- and the matrix
-        re-sorted under the new row numbering; everything that depends
-        on the corpus size is derived afresh from ``statistics``'
-        snapshot, so it makes no difference whether the delta moved
-        ``document_count``.
+        The arriving counts are gathered at C level (``chain``,
+        ``map``, ``np.fromiter``), the entries of ``left`` masked out
+        and the two parts put in row order by one stable radix sort,
+        which keeps each document's counts order; everything that
+        depends on the corpus size is derived afresh from
+        ``statistics``' snapshot, so it makes no difference whether the
+        delta moved ``document_count``.
         """
         columns = dict(self._columns)
-        lengths: list[int] = []
-        new_cols = array("i")
-        new_tfs = array("i")
-        for counts in arrived.values():
-            before = len(new_cols)
-            for term, tf in counts.items():
-                if tf > 0:
-                    new_cols.append(columns.setdefault(term, len(columns)))
-                    new_tfs.append(tf)
-            lengths.append(len(new_cols) - before)
+        counts = list(arrived.values())
+        terms = list(chain.from_iterable(counts))
+        # a column per listed term; one with no positive count reads
+        # as unindexed, like a term whose last document left
+        for term in dict.fromkeys(terms):
+            columns.setdefault(term, len(columns))
+        new_cols = np.fromiter(
+            map(columns.__getitem__, terms), dtype=np.int32,
+            count=len(terms),
+        )
+        del terms
+        tfs = np.fromiter(
+            chain.from_iterable(c.values() for c in counts),
+            dtype=np.int64, count=len(new_cols),
+        )
+        positive = tfs > 0
+        new_cols = new_cols[positive]
+        tfs = tfs[positive]
+        dampened = [DAMPENED[tf] for tf in range(1, tfs.max(initial=0) + 1)]
+        new_tfw = np.array([0.0, *dampened])[tfs]
+        del tfs
+
         gone = np.zeros(self.doc_count, dtype=bool)
         gone[self.rows(np.array(list(left), dtype=np.int64))] = True
-        arrived_ids = np.array(list(arrived), dtype=np.int64)
-        doc_ids = np.union1d(self._doc_ids[~gone], arrived_ids)
-        # old row -> new row (whatever it says for a gone row is masked)
-        renumber = np.searchsorted(doc_ids, self._doc_ids).astype(np.int32)
-        arrived_rows = np.searchsorted(doc_ids, arrived_ids).astype(np.int32)
-
-        keep = ~gone[self._rows]
-        rows = np.concatenate(
-            (renumber[self._rows[keep]], np.repeat(arrived_rows, lengths))
-        )
-        cols = np.concatenate(
-            (self._cols[keep], np.frombuffer(new_cols, dtype=np.intc))
-        )
-        tfw = np.concatenate(
-            (self._tfw[keep], np.frombuffer(new_tfs, dtype=np.intc))
-        )
-        fresh = tfw[len(tfw) - len(new_tfs):]
-        np.log(fresh, out=fresh)
-        fresh += 1.0
-        del keep, new_cols, new_tfs
-        # (col, row) pairs are unique; a stable sort is fast on the
-        # already-sorted kept part.  Peak memory of a build is this
-        # method's transients, hence the in-place arithmetic
-        key = cols.astype(np.int64)
-        key <<= 32
-        key |= rows
-        order = np.argsort(key, kind="stable")
-        del key
-        entries = (rows[order], cols[order], tfw[order])
-        del rows, cols, tfw, fresh, order
-        return InvertedIndex(epoch, statistics, doc_ids, columns, entries)
+        arrived_ids = np.fromiter(arrived, dtype=np.int64, count=len(counts))
+        kept = ~gone
+        doc_ids = np.union1d(self._doc_ids[kept], arrived_ids)
+        renumber = np.searchsorted(doc_ids, self._doc_ids[kept])
+        arrived_rows = np.searchsorted(doc_ids, arrived_ids)
+        lengths = np.fromiter(map(len, counts), dtype=np.int64,
+                              count=len(counts))
+        rows = np.concatenate((
+            np.repeat(renumber.astype(np.int32), self._lengths[kept]),
+            np.repeat(arrived_rows.astype(np.int32), lengths)[positive],
+        ))
+        keep = np.repeat(kept, self._lengths)
+        cols = np.concatenate((self._doc_cols[keep], new_cols))
+        tfw = np.concatenate((self._doc_tfw[keep], new_tfw))
+        del keep, new_cols, new_tfw, positive
+        # kept rows are ascending already; each arrival's entries stay
+        # in its counts order (the exact norm sums in that order)
+        order = _stable_order(rows)
+        in_rows = (rows[order], cols[order], tfw[order])
+        del rows, cols, tfw, order
+        return InvertedIndex(epoch, statistics, doc_ids, columns, in_rows)
 
     # -- access -----------------------------------------------------------
 
@@ -223,16 +263,17 @@ class InvertedIndex:
         """Index counters (:class:`repro.obs.api.Instrumented`).
 
         ``index_compressed_bytes`` keeps the key the benchmark reads; it
-        reports the bytes the per-posting arrays hold, stored and
-        derived (nothing is compressed any more).
+        reports the bytes the per-posting arrays hold, the stored
+        document-major counts and the derived term-major runs (nothing
+        is compressed any more).
         """
         return {
             "index_terms": float(len(self)),
             "index_documents": float(self.doc_count),
             "index_postings": float(self.postings_total),
             "index_compressed_bytes": float(
-                self._rows.nbytes + self._cols.nbytes + self._tfw.nbytes
-                + self._impacts.nbytes
+                self._doc_cols.nbytes + self._doc_tfw.nbytes
+                + self._rows.nbytes + self._impacts.nbytes
             ),
             "index_snapshot_version": float(self.snapshot_version),
             "index_epoch_ordinal": float(self.epoch.ordinal),

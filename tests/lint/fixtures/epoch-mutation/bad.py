@@ -15,7 +15,7 @@ class LocalSearchEngine:
     def __init__(self) -> None:
         self.documents: list[str] = []
         self._views: dict[str, list[str]] = {}
-        self._vectors: dict[str, dict] = {}
+        self._url_to_doc: dict[str, int] = {}
 
     def apply_delta(self, added: list[str]) -> None:
         self.documents = self.documents + list(added)
@@ -46,5 +46,5 @@ def prewarm(engine: LocalSearchEngine, topic: str) -> None:
 
 
 def precompute(engine: LocalSearchEngine, document: str) -> None:
-    # a vector filed from outside is not dropped with its idf snapshot
-    engine._vectors[document] = {}
+    # a url filed from outside is not dropped with its epoch
+    engine._url_to_doc[document] = 0

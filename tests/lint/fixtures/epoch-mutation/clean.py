@@ -18,11 +18,11 @@ class LocalSearchEngine:
     def __init__(self) -> None:
         self.documents: list[str] = []
         self._views: dict[str, list[str]] = {}
-        self._vectors: dict[str, dict] = {}
+        self._url_to_doc: dict[str, int] = {}
 
     def advance_epoch(self) -> None:
         self._views = {}
-        self._vectors = {}
+        self._url_to_doc = {}
 
     def apply_delta(self, added: list[str]) -> None:
         self.documents = self.documents + list(added)
@@ -36,12 +36,12 @@ class LocalSearchEngine:
             ]
         return view
 
-    def vector(self, document: str) -> dict:
-        # the one funnel that fills the per-epoch vector memo
-        vector = self._vectors.get(document)
-        if vector is None:
-            vector = self._vectors[document] = {}
-        return vector
+    def _authority_scores(self, document: str) -> int:
+        # the one funnel that fills the per-epoch url map
+        doc_id = self._url_to_doc.get(document)
+        if doc_id is None:
+            doc_id = self._url_to_doc[document] = len(self._url_to_doc)
+        return doc_id
 
     def filter(self, topic: str) -> list[str]:
         # readers get a copy; only _view fills the store

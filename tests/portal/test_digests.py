@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,35 +21,19 @@ class TestContentDigest:
         assert content_digest(None) == content_digest("")
 
 
-def rows_of(store: DigestStore) -> dict[str, dict]:
-    """The store's digest rows by URL (nothing in ``src`` reads a whole
-    row: the scheduler asks only for a digest)."""
-    return {url: dict(row) for url, row in store._rows.items()}
-
-
-def row_of(store: DigestStore, url: str) -> dict | None:
-    return rows_of(store).get(url)
-
-
 class TestDigestStore:
     def test_new_changed_unchanged_transitions(self) -> None:
         store = DigestStore()
         url = "http://a.example/p.html"
-        assert store.record(url, "d1", at=1.0, page_id=4) == DigestStore.NEW
-        assert store.record(url, "d1", at=2.0) == DigestStore.UNCHANGED
-        assert store.record(url, "d2", at=3.0) == DigestStore.CHANGED
-        row = row_of(store, url)
-        assert row["digest"] == "d2"
-        assert row["page_id"] == 4
-        assert row["fetched_at"] == 3.0
-        assert row["check_count"] == 3
-        assert row["change_count"] == 1
+        assert store.record(url, "d1") == DigestStore.NEW
+        assert store.record(url, "d1") == DigestStore.UNCHANGED
+        assert store.record(url, "d2") == DigestStore.CHANGED
         assert store.digest_of(url) == "d2"
         assert url in store and len(store) == 1
 
     def test_forget_drops_dead_urls(self) -> None:
         store = DigestStore()
-        store.record("http://a.example/p.html", "d1", at=1.0)
+        store.record("http://a.example/p.html", "d1")
         assert store.forget("http://a.example/p.html")
         assert not store.forget("http://a.example/p.html")
         assert store.digest_of("http://a.example/p.html") is None
@@ -56,13 +41,20 @@ class TestDigestStore:
 
     def test_stats_are_snake_case_floats(self) -> None:
         store = DigestStore()
-        store.record("http://a.example/p.html", "d1", at=1.0)
-        store.record("http://a.example/p.html", "d2", at=2.0)
+        store.record("http://a.example/p.html", "d1")
+        store.record("http://a.example/p.html", "d2")
         stats = store.stats()
         assert stats["digests_stored"] == 1.0
         assert stats["digests_recorded"] == 2.0
         assert stats["digest_changes_detected"] == 1.0
         assert all(isinstance(v, float) for v in stats.values())
+
+    def test_a_fetch_time_or_page_id_is_not_stored(self) -> None:
+        store = DigestStore()
+        with pytest.raises(TypeError):
+            store.record("http://a.example/p.html", "d1", at=1.0)
+        with pytest.raises(TypeError):
+            store.record("http://a.example/p.html", "d1", page_id=4)
 
 
 _URLS = st.sampled_from(
@@ -72,8 +64,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(
             st.just("record"), _URLS, st.sampled_from(["d1", "d2", "d3"]),
-            st.floats(0, 1e6, allow_nan=False),
-            st.one_of(st.none(), st.integers(0, 9)),
         ),
         st.tuples(st.just("forget"), _URLS),
     ),
@@ -88,44 +78,30 @@ class TestDigestStoreModel:
     @given(_OPS)
     def test_store_behaves_like_a_dict_of_rows(self, ops: list) -> None:
         store = DigestStore()
-        model: dict[str, dict] = {}
+        model: dict[str, str] = {}
         recorded = changed = unchanged = 0
         for op in ops:
             if op[0] == "forget":
                 url = op[1]
                 assert store.forget(url) == (model.pop(url, None) is not None)
                 continue
-            _, url, digest, at, page_id = op
+            _, url, digest = op
             recorded += 1
-            row = model.get(url)
-            if row is None:
-                model[url] = {
-                    "url": url, "digest": digest, "page_id": page_id,
-                    "fetched_at": at, "check_count": 1, "change_count": 0,
-                }
+            stored = model.get(url)
+            if stored is None:
                 expected = DigestStore.NEW
-            elif row["digest"] == digest:
-                row.update(fetched_at=at, check_count=row["check_count"] + 1)
+            elif stored == digest:
                 unchanged += 1
                 expected = DigestStore.UNCHANGED
             else:
-                row.update(
-                    digest=digest,
-                    page_id=row["page_id"] if page_id is None else page_id,
-                    fetched_at=at,
-                    check_count=row["check_count"] + 1,
-                    change_count=row["change_count"] + 1,
-                )
                 changed += 1
                 expected = DigestStore.CHANGED
-            assert store.record(url, digest, at, page_id=page_id) == expected
+            model[url] = digest
+            assert store.record(url, digest) == expected
         for url in ("http://a.example/", "http://b.example/",
                     "http://c.example/"):
-            assert row_of(store, url) == model.get(url)
             assert (url in store) == (url in model)
-            assert store.digest_of(url) == (
-                model[url]["digest"] if url in model else None
-            )
+            assert store.digest_of(url) == model.get(url)
         assert len(store) == len(model)
         assert store.stats() == {
             "digests_stored": float(len(model)),
@@ -133,7 +109,6 @@ class TestDigestStoreModel:
             "digest_changes_detected": float(changed),
             "digest_unchanged_hits": float(unchanged),
         }
-        assert rows_of(store) == model
 
 
 class TestDocumentDeltaMerge:

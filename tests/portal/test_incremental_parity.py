@@ -97,14 +97,23 @@ class TestIncrementalEqualsRebuild:
     def test_every_vector_is_bit_identical(
         self, evolved_portal, rebuilt
     ) -> None:
-        """Vectors are built on demand, so ask for every one: a memo
-        that survived a fold would be caught here."""
+        """Every served document's vector under the two snapshots, and
+        the exact norm each index scores it with: a norm that survived
+        a fold would be caught here."""
         incremental = evolved_portal.search
-        for doc_id in [d.doc_id for d in rebuilt.documents]:
-            ours = incremental.vector(doc_id)
-            reference = rebuilt.vector(doc_id)
+        ours_norms = incremental.index().exact_norms
+        reference_norms = rebuilt.index().exact_norms
+        assert ours_norms.keys() == reference_norms.keys()
+        for document in rebuilt.documents:
+            counts = document.counts.get("term", Counter())
+            ours = incremental.vectorizer.vectorize_counts(counts)
+            reference = rebuilt.vectorizer.vectorize_counts(counts)
+            doc_id = document.doc_id
             assert ours.weights == reference.weights, doc_id
             assert ours.norm == reference.norm, doc_id
+            assert ours_norms[doc_id] == reference_norms[doc_id] == (
+                len(reference), reference.norm
+            ), doc_id
 
     def test_bound_impacts_are_the_exact_weights_within_rounding(
         self, evolved_portal
@@ -125,7 +134,9 @@ class TestIncrementalEqualsRebuild:
             for doc_id, impact in zip(
                 index._doc_ids[rows].tolist(), impacts.tolist()
             ):
-                vector = engine.vector(doc_id)
+                vector = engine.vectorizer.vectorize_counts(
+                    engine._by_id[doc_id].counts["term"]
+                )
                 exact = vector.weights.get(term, 0.0) / vector.norm
                 assert abs(impact - exact) <= 1e-12 * exact, (term, doc_id)
                 checked += 1

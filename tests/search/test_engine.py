@@ -197,14 +197,22 @@ class TestWorkAccounting:
         assert brute.stats()["documents_scored"] == 5.0
 
 
-    def test_a_fold_costs_what_changed(self) -> None:
-        """A delta writes and drops the entries of its own documents,
-        builds no vector, and leaves the queries after it to build the
-        vectors of the documents they verify -- whether or not the
-        corpus size moved."""
+    def test_a_fold_costs_what_changed(self, monkeypatch) -> None:
+        """A delta writes and drops the entries of its own documents and
+        builds no vector; a query after it builds one, its own, however
+        many documents it verifies -- whether or not the corpus size
+        moved."""
         documents = random_corpus(31, 40)
         engine = LocalSearchEngine(documents)
         engine.search("recovery log")
+        built: list[dict] = []
+        vectorize_counts = engine.vectorizer.vectorize_counts
+
+        def counting(counts):
+            built.append(dict(counts))
+            return vectorize_counts(counts)
+
+        monkeypatch.setattr(engine.vectorizer, "vectorize_counts", counting)
         for added, changed, removed in (
             ([make_doc(40, {"recoveri": 2, "log": 1, "newcom": 1})],
              [make_doc(7, {"log": 3, "code": 1})], [3, 4]),
@@ -215,7 +223,6 @@ class TestWorkAccounting:
                 if d.doc_id in {*removed, *(c.doc_id for c in changed)}
             ]
             postings = engine.stats()["index_postings"]
-            built = engine.stats()["vectors_built"]
             report = engine.apply_delta(
                 added=added, changed=changed, removed=removed
             )
@@ -228,13 +235,12 @@ class TestWorkAccounting:
             assert engine.stats()["index_postings"] == (
                 postings + report.postings_written - report.postings_dropped
             )
-            assert engine.stats()["vectors_built"] == built
+            assert built == []
             scored = engine.stats()["documents_scored"]
             assert len(engine.search("recovery log", top_k=10)) == 10
-            assert 0 < engine.stats()["vectors_built"] - built <= (
-                engine.stats()["documents_scored"] - scored
-            )
-            assert engine.stats()["vectors_built"] - built < len(documents)
+            assert engine.stats()["documents_scored"] - scored >= 10
+            assert built == [{"recoveri": 1, "log": 1}]
+            built.clear()
 
 
 class TestMinMaxNormalize:

@@ -101,13 +101,20 @@ class TestInvertedIndex:
         assert "recoveri" in index
         rows, impacts = index.impacts("recoveri")
         assert rows.tolist() == [0, 2, 4]
+        vectors = {
+            d.doc_id: engine.vectorizer.vectorize_counts(d.counts["term"])
+            for d in engine.documents
+        }
         assert impacts.tolist() == pytest.approx(
             [
-                engine.vector(d).weights["recoveri"] / engine.vector(d).norm
+                vectors[d].weights["recoveri"] / vectors[d].norm
                 for d in (0, 2, 4)
             ],
             rel=1e-12,
         )
+        assert index.exact_norms == {
+            d: (len(vector), vector.norm) for d, vector in vectors.items()
+        }
         assert "unknown-term" not in index
         assert index.impacts("unknown-term") is None
 
@@ -209,6 +216,9 @@ class TestEpochLifecycle:
         engine = LocalSearchEngine(_corpus())
         assert not hasattr(engine, "cache_token")
         assert not hasattr(engine, "refresh")
+        # the per-epoch document-vector memo and its counter
+        assert not hasattr(engine, "vector")
+        assert "vectors_built" not in engine.stats()
         # the cursor walk, and the compressed runs with their codec
         for name in (
             "PostingCursor", "BOUND_INFLATION", "wand_topk",
