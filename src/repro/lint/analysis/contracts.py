@@ -56,7 +56,7 @@ CONTRACTS: dict[str, MutationContract] = {
         attrs=frozenset(
             {
                 "_doc_ids", "_columns", "_doc_cols", "_doc_tfw",
-                "_lengths", "exact_norms", "_starts", "_rows", "_impacts",
+                "_lengths", "_idf", "norms", "_starts", "_rows", "_weights",
                 "doc_count", "postings_total",
             }
         ),

@@ -13,29 +13,25 @@ a linear sum with appropriate weights":
 Two ranking paths produce bit-identical results:
 
 * the **brute-force** reference (:meth:`LocalSearchEngine.rank_all`)
-  scores every filtered document and fully sorts;
-* the **indexed** top-k path adds the query terms' impact arrays from
-  the :class:`~repro.search.index.InvertedIndex` and the filter view's
-  static component into one approximate score per document, and
-  computes exact scores only for the documents that reach the k-th
-  largest of them (:func:`repro.perf.topk.verified_topk`): ten
-  documents scored to return ten.  The parity suite
-  (``tests/search/test_parity.py``) pins equality of documents, scores
-  and order across filters, weights and ``top_k`` edge cases.
-
-The brute path builds each candidate's tf*idf vector
-(:meth:`~repro.text.vectorizer.TfIdfVectorizer.vectorize_counts`) and
-calls ``cosine_similarity``.  The indexed path builds no document
-vector: its exact cosine (:func:`_indexed_cosine`) reads the document's
-exact norm from the index and its counts of the query's few terms, and
-repeats ``cosine_similarity``'s products, sums and clamp in their
-order, so both paths return the same floats.
+  builds each candidate's tf*idf vector
+  (:meth:`~repro.text.vectorizer.TfIdfVectorizer.vectorize_counts`),
+  calls ``cosine_similarity``, and fully sorts;
+* the **indexed** top-k path (:func:`repro.search.index.exact_topk`)
+  builds no document vector: it adds the query terms' runs from the
+  :class:`~repro.search.index.InvertedIndex` into every candidate's
+  dot product, divides by the exact norms the index keeps, combines
+  with the filter view's confidence and authority arrays and selects
+  the top k -- every candidate scored exactly, in arrays, with
+  ``cosine_similarity``'s and :func:`_combine`'s operations in their
+  order.  The parity suite (``tests/search/test_parity.py``) pins
+  equality of documents, scores and order across filters, weights and
+  ``top_k`` edge cases.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -44,13 +40,12 @@ from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits
 from repro.core.records import CrawledDocument
 from repro.errors import SearchError
-# benchmarks/e2e traces the kernel under this module-level name
-from repro.perf.topk import verified_topk as wand_topk
 from repro.search.epoch import Epoch
 from repro.search.index import InvertedIndex
+# benchmarks/e2e traces the kernel under this module-level name
+from repro.search.index import exact_topk as wand_topk
 from repro.text.scanner import text_stems
 from repro.text.vectorizer import (
-    DAMPENED,
     SparseVector,
     TfIdfVectorizer,
     cosine_similarity,
@@ -160,52 +155,17 @@ def _combine(
     weights: RankingWeights, cosine: float, confidence: float,
     authority: float,
 ) -> float:
-    """The weighted linear combination, shared by both ranking paths.
+    """The weighted linear combination of the brute-force path.
 
-    Both the brute-force and the indexed scorer go through this one
-    expression so their floating-point operation order -- and hence
-    every final score -- is bit-identical.
+    The indexed kernel (:func:`~repro.search.index.exact_topk`) makes
+    the same products and additions, left to right, in arrays, so every
+    final score is bit-identical on both paths.
     """
     return (
         weights.cosine * cosine
         + weights.confidence * confidence
         + weights.authority * authority
     )
-
-
-def _indexed_cosine(
-    query: Mapping[str, tuple[float, float]],
-    query_norm: float,
-    counts: Mapping[str, int],
-    size: int,
-    norm: float,
-) -> float:
-    """``cosine_similarity(q, vectorize_counts(counts))`` without the
-    document's vector.  ``query`` maps ``q``'s terms, in its order, to
-    ``(weight, idf)`` and ``query_norm`` is its norm; ``size`` and
-    ``norm`` are the document vector's length and norm
-    (:attr:`InvertedIndex.exact_norms
-    <repro.search.index.InvertedIndex.exact_norms>`).  The dot follows
-    ``SparseVector.dot``: the query's order, or the document's counts
-    order when it holds fewer positive terms than the query, over the
-    same products; so the sum, the quotient and the clamp give
-    ``cosine_similarity``'s float."""
-    denom = query_norm * norm
-    if denom == 0.0:
-        return 0.0
-    if size < len(query):
-        dot = sum([
-            DAMPENED[tf] * query[term][1] * query[term][0]
-            for term, tf in counts.items()
-            if tf > 0 and term in query
-        ])
-    else:
-        dot = sum([
-            weight * (DAMPENED[tf] * idf)
-            for term, (weight, idf) in query.items()
-            if (tf := counts.get(term, 0)) > 0
-        ])
-    return max(-1.0, min(1.0, dot / denom))
 
 
 @dataclass
@@ -218,17 +178,19 @@ class _FilterView:
     """The candidates' ids, ascending: position ``p`` of every array
     below is document ``doc_ids[p]``."""
     rows: np.ndarray | None = None
-    """The candidates' rows in the inverted index, set by the first
-    indexed query (the brute-force path builds no index)."""
-    confidences: dict[int, float] = field(default_factory=dict)
-    authorities: dict[int, float] = field(default_factory=dict)
-    """The normalised maps of :meth:`LocalSearchEngine._components`,
-    filled the first time a query weights the scheme.  A view is never
-    empty, so neither is a computed map: ``{}`` means "not yet"."""
-    confidence_array: np.ndarray | None = None
-    authority_array: np.ndarray | None = None
-    """The same two maps as arrays parallel to ``doc_ids``.  Nothing
-    here depends on request-supplied weights: a request scales them."""
+    """The candidates' rows in the inverted index, ``None`` when they
+    are all of its rows."""
+    norms: np.ndarray | None = None
+    """The candidates' exact norms, a document without terms read as
+    1.0 (see :func:`~repro.search.index.exact_topk`); set with
+    :attr:`rows` by the first indexed query (the brute-force path
+    builds no index)."""
+    confidences: np.ndarray | None = None
+    authorities: np.ndarray | None = None
+    """The normalised maps of :meth:`LocalSearchEngine._components` as
+    arrays parallel to ``doc_ids``, filled the first time a query
+    weights the scheme.  Nothing here depends on request-supplied
+    weights: a request scales them."""
 
 
 class LocalSearchEngine:
@@ -250,8 +212,10 @@ class LocalSearchEngine:
         has to choose from, identical on the indexed and the
         brute-force path -- not the work done, see below."""
         self.documents_scored = 0
-        """Exact cosine evaluations: every candidate on the brute-force
-        path, the verified few on the indexed one."""
+        """Candidates whose cosine is a sum of products: every candidate
+        on the brute-force path (each builds its vector), on the
+        indexed one those the query's runs reach (the others read
+        0.0)."""
         self.authority_runs = 0
         """HITS computations since construction."""
         _reject_duplicate_ids(documents, "the corpus")
@@ -346,7 +310,7 @@ class LocalSearchEngine:
         <repro.search.index.InvertedIndex.apply_update>`).  Nothing
         stored holds an idf, so the fold costs the delta whether or not
         the corpus size moved (the next index derives its idf, norms
-        and impacts afresh), and no vector is built.  The result
+        and term-major runs afresh), and no vector is built.  The result
         is proven identical to a from-scratch engine -- ids, float
         scores, order -- by ``tests/portal/test_incremental_parity``
         and the delta-sequence property in ``tests/search``.
@@ -445,31 +409,32 @@ class LocalSearchEngine:
 
     def _view_components(
         self, view: _FilterView, weights: RankingWeights
-    ) -> tuple[dict[int, float], dict[int, float]]:
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """:meth:`_components` over the view, each scheme computed the
-        first time a query weights it and kept for the epoch."""
+        first time a query weights it and kept for the epoch; ``None``
+        for a scheme the request does not weight."""
         missing = RankingWeights(
             cosine=0.0,
-            confidence=0.0 if view.confidences else weights.confidence,
-            authority=0.0 if view.authorities else weights.authority,
+            confidence=0.0 if view.confidences is not None
+            else weights.confidence,
+            authority=0.0 if view.authorities is not None
+            else weights.authority,
         )
         if missing.confidence > 0 or missing.authority > 0:
             confidences, authorities = self._components(
                 view.candidates, missing
             )
             if confidences:
-                view.confidences = confidences
-                view.confidence_array = np.array(
+                view.confidences = np.array(
                     [confidences.get(d, 0.0) for d in view.doc_ids]
                 )
             if authorities:
-                view.authorities = authorities
-                view.authority_array = np.array(
+                view.authorities = np.array(
                     [authorities.get(d, 0.0) for d in view.doc_ids]
                 )
         return (
-            view.confidences if weights.confidence > 0 else {},
-            view.authorities if weights.authority > 0 else {},
+            view.confidences if weights.confidence > 0 else None,
+            view.authorities if weights.authority > 0 else None,
         )
 
     # -- ranking ------------------------------------------------------------
@@ -573,78 +538,46 @@ class LocalSearchEngine:
         weights: RankingWeights,
         top_k: int,
     ) -> list[RankedHit]:
-        """Index-backed top-k, rank-identical to :meth:`rank_all`.
-
-        The kernel ranks approximate scores -- impact arrays times the
-        query's term shares, plus the view's static component -- and
-        calls back for the few documents at or within rounding of the
-        k-th; each of those is scored through :func:`_indexed_cosine`
-        (``cosine_similarity``'s float, read off the index and the
-        document's counts) + :func:`_combine`, so every returned hit
-        carries the brute path's floats.
-        """
+        """Index-backed top-k, rank-identical to :meth:`rank_all`: the
+        kernel scores every candidate from the index's runs and exact
+        norms and the view's arrays, in ``cosine_similarity``'s and
+        :func:`_combine`'s order, so every returned hit carries the
+        brute path's floats."""
         index = self.index()
         confidences, authorities = self._view_components(view, weights)
-        if view.rows is None:
-            view.rows = index.rows(view.doc_ids)
-        static = None
-        if weights.confidence > 0:
-            static = weights.confidence * view.confidence_array
-        if weights.authority > 0:
-            authority = weights.authority * view.authority_array
-            static = authority if static is None else static + authority
-        runs = []
-        for term in sorted(query_vector.weights):
-            decoded = index.impacts(term)
-            if decoded is not None:
-                share = weights.cosine * (
-                    query_vector.weights[term] / query_vector.norm
-                )
-                runs.append((*decoded, share))
-
-        doc_ids = view.doc_ids
-        by_id = self._by_id
-        exact_norms = index.exact_norms
-        idf = self.vectorizer.statistics.idf
-        query = {
-            term: (weight, idf(term))
-            for term, weight in query_vector.weights.items()
-        }
-        query_norm = query_vector.norm
-        cosines: dict[int, float] = {}
-
-        def exact_score(position: int) -> float:
-            doc_id = doc_ids[position]
-            cosine = _indexed_cosine(
-                query, query_norm,
-                _term_counts(by_id[doc_id]),
-                *exact_norms[doc_id],
+        if view.norms is None:
+            rows = index.rows(view.doc_ids)
+            norms = index.norms[rows]
+            norms[norms == 0.0] = 1.0
+            view.rows = None if len(rows) == index.doc_count else rows
+            view.norms = norms
+        static = [
+            (weight, component)
+            for weight, component in (
+                (weights.confidence, confidences),
+                (weights.authority, authorities),
             )
-            cosines[doc_id] = cosine
-            return _combine(
-                weights,
-                cosine,
-                confidences.get(doc_id, 0.0),
-                authorities.get(doc_id, 0.0),
-            )
-
+            if component is not None
+        ]
         top = wand_topk(
-            runs, index.doc_count, view.rows, static, top_k, exact_score
+            index, query_vector.weights, view.rows,
+            query_vector.norm * view.norms, weights.cosine, static, top_k,
         )
-        self.documents_scored += len(cosines)
-        hits_list = []
-        for score, position in top:
-            doc_id = doc_ids[position]
-            hits_list.append(
-                RankedHit(
-                    document=self._by_id[doc_id],
-                    score=score,
-                    cosine=cosines[doc_id],
-                    confidence=confidences.get(doc_id, 0.0),
-                    authority=authorities.get(doc_id, 0.0),
-                )
+        self.documents_scored += top.reached
+        return [
+            RankedHit(
+                document=self._by_id[view.doc_ids[position]],
+                score=score,
+                cosine=cosine,
+                confidence=0.0 if confidences is None
+                else float(confidences[position]),
+                authority=0.0 if authorities is None
+                else float(authorities[position]),
             )
-        return hits_list
+            for position, score, cosine in zip(
+                top.positions, top.scores, top.cosines
+            )
+        ]
 
     def search(
         self,

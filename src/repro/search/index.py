@@ -18,18 +18,23 @@ section 2.2):
   order by row);
 * **what depends on the corpus is derived per epoch** when an index is
   made: the idf of every column, read from the vectorizer's snapshot
-  (the one source the query vector reads too); each document's *exact*
-  norm -- ``math.sqrt(sum(...))`` over ``(tfw * idf) ** 2`` in its
-  counts order, the products and the summation of
-  :attr:`SparseVector.norm <repro.text.vectorizer.SparseVector.norm>`,
-  hence its float; and the term-major runs ``(row, tfw * idf / |doc|)``,
-  a stable radix order of the entries by column, that
-  :func:`repro.perf.topk.verified_topk` accumulates;
+  (the one source the query vector reads too); each row's *exact*
+  norm (:attr:`InvertedIndex.norms`) -- ``math.sqrt(sum(...))`` over
+  ``(tfw * idf) ** 2`` in its counts order, the products and the
+  summation of :attr:`SparseVector.norm
+  <repro.text.vectorizer.SparseVector.norm>`, hence its float; and the
+  term-major runs ``(row, tfw * idf)``, each posting's tf*idf weight
+  (the document vector's own float), a stable radix order of the
+  entries by column;
 * **rows** number the documents of *one* index in doc-id order.  A
   document without terms still owns a row (the filter views index by
   row), and a term whose last document left reads as unindexed
-  (:meth:`InvertedIndex.impacts` gives ``None``) although its column
+  (:meth:`InvertedIndex.run` gives ``None``) although its column
   lingers until the next from-scratch :meth:`InvertedIndex.build`.
+
+:func:`exact_topk` is the query kernel: every candidate's exact cosine
+straight from the query terms' runs (:meth:`InvertedIndex.dots`), the
+ranking schemes' linear sum, and the top k, all in arrays.
 
 :class:`QueryCache` is the serving tier's result cache: entries are
 keyed on the engine's :class:`~repro.search.epoch.Epoch`, so a
@@ -44,7 +49,7 @@ import math
 from collections import OrderedDict
 from collections.abc import Collection, Hashable, Mapping, Sequence
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,7 +59,12 @@ from repro.text.vectorizer import DAMPENED
 if TYPE_CHECKING:
     from repro.text.vectorizer import CorpusStatistics
 
-__all__ = ["InvertedIndex", "QueryCache"]
+__all__ = ["InvertedIndex", "QueryCache", "TopK", "exact_topk"]
+
+#: whether this interpreter's ``sum`` of floats is compensated
+#: (Neumaier's, from Python 3.12 on) or adds left to right: a property
+#: of the running interpreter, probed once
+_COMPENSATED_SUM = sum([1.0, 1e100, 1.0, -1e100]) != 0.0
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -78,6 +88,30 @@ def _exact_norms(weights: np.ndarray, lengths: np.ndarray) -> list[float]:
         math.sqrt(sum(squares[start:stop].tolist()))
         for start, stop in zip([0, *stops], stops)
     ]
+
+
+#: one query term's run and its weight in the query vector:
+#: ``(rows, tfw * idf, w_q)``
+_QueryRun = tuple[np.ndarray, np.ndarray, float]
+
+
+def _add_compensated(dots: np.ndarray, runs: Sequence[_QueryRun]) -> None:
+    """Add ``weight * weights`` of each run into ``dots`` the way a
+    compensated ``sum`` adds its items: Neumaier's step on every row of
+    a run at once, the compensation added at the end.  Nothing here is
+    negative, so ``|sum| >= |x|`` is ``sum >= x``."""
+    compensation = np.zeros(len(dots))
+    for rows, weights, weight in runs:
+        products = weight * weights
+        sums = dots[rows]
+        totals = sums + products
+        compensation[rows] += np.where(
+            sums >= products,
+            (sums - totals) + products,
+            (products - totals) + sums,
+        )
+        dots[rows] = totals
+    dots += compensation
 
 
 class InvertedIndex:
@@ -118,27 +152,22 @@ class InvertedIndex:
 
         # -- derived per epoch: O(postings) numpy, O(vocabulary +
         # documents) Python
-        idf = np.array([statistics.idf(term) for term in columns])
-        weights = idf[self._doc_cols]
+        self._idf = np.array([statistics.idf(term) for term in columns])
+        """Column -> its idf under the snapshot."""
+        weights = self._idf[self._doc_cols]
         weights *= self._doc_tfw
-        norms = _exact_norms(weights, self._lengths)
-        self.exact_norms = dict(
-            zip(doc_ids.tolist(), zip(self._lengths.tolist(), norms))
-        )
-        """Doc id -> ``(positive terms, |doc|)``: the length and the
-        :attr:`~repro.text.vectorizer.SparseVector.norm` of the
-        document's tf*idf vector, the same int and float."""
+        self.norms = np.array(_exact_norms(weights, self._lengths))
+        """Row -> the :attr:`~repro.text.vectorizer.SparseVector.norm`
+        of the document's tf*idf vector, the same float (0.0 for a
+        document without terms)."""
         self._starts = np.concatenate((
             [0], np.cumsum(np.bincount(self._doc_cols, minlength=len(columns)))
         ))
         """Column ``c``'s run is ``starts[c]:starts[c + 1]``."""
-        # a row with an entry has a positive norm (tfw >= 1, idf >=
-        # log 2); a row without one is never divided by
-        weights /= np.array(norms)[rows]
         order = _stable_order(self._doc_cols)
         self._rows = rows[order]
-        self._impacts = weights[order]
-        """The term-major runs: ``(row, tfw * idf / |doc|)`` sorted by
+        self._weights = weights[order]
+        """The term-major runs: ``(row, tfw * idf)`` sorted by
         ``(column, row)``."""
 
     @property
@@ -239,14 +268,14 @@ class InvertedIndex:
         return int(np.count_nonzero(np.diff(self._starts)))
 
     def __contains__(self, term: str) -> bool:
-        return self.impacts(term) is not None
+        return self.run(term) is not None
 
     def rows(self, doc_ids: Sequence[int] | np.ndarray) -> np.ndarray:
         """The rows of ``doc_ids`` (ascending, all indexed)."""
         return np.searchsorted(self._doc_ids, doc_ids)
 
-    def impacts(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """The term's ``(rows, weight / |doc|)`` run under this index's
+    def run(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The term's ``(rows, tfw * idf)`` run under this index's
         numbering -- two slices -- or None for vocabulary no indexed
         document holds."""
         column = self._columns.get(term)
@@ -255,7 +284,66 @@ class InvertedIndex:
         start, stop = self._starts[column], self._starts[column + 1]
         if start == stop:
             return None
-        return self._rows[start:stop], self._impacts[start:stop]
+        return self._rows[start:stop], self._weights[start:stop]
+
+    def dots(self, query: Mapping[str, float]) -> np.ndarray:
+        """Every row's ``q.dot(d)``: the float ``cosine_similarity(q,
+        d)`` divides, for the query vector ``q`` (its ``weights``) and
+        the row's document vector ``d``.
+
+        ``SparseVector.dot`` sums ``w_q * (tfw * idf)`` over the shared
+        terms with the interpreter's ``sum``, in ``q``'s order unless
+        ``d`` holds fewer terms.  Each run adds its products into one
+        row array in ``q``'s order; where ``sum`` is compensated, the
+        array carries Neumaier's compensation too (a row reached by one
+        or two runs sums the same either way).  A row with fewer terms
+        than ``q`` reached by three or more runs (``q`` has four or
+        more terms) is summed again in its counts order by ``sum``
+        itself.  A row no run reaches reads 0.0.
+        """
+        dots = np.zeros(self.doc_count)
+        runs: list[_QueryRun] = []
+        for term, weight in query.items():
+            run = self.run(term)
+            if run is not None:
+                runs.append((*run, weight))
+        if _COMPENSATED_SUM and len(runs) > 2:
+            _add_compensated(dots, runs)
+        else:
+            for rows, weights, weight in runs:
+                dots[rows] += weight * weights
+        if len(runs) > 2 and len(query) > 3:
+            self._sum_in_counts_order(dots, runs, query)
+        return dots
+
+    def _sum_in_counts_order(
+        self,
+        dots: np.ndarray,
+        runs: Sequence[_QueryRun],
+        query: Mapping[str, float],
+    ) -> None:
+        """Overwrite the dot of each row that ``SparseVector.dot`` sums
+        in the document's order and that three or more terms reach."""
+        reached = np.zeros(self.doc_count, dtype=np.int64)
+        for rows, _, _ in runs:
+            reached[rows] += 1
+        swapped = (reached > 2) & (self._lengths < len(query))
+        by_column = {
+            self._columns[term]: weight for term, weight in query.items()
+            if term in self._columns
+        }
+        stops = np.cumsum(self._lengths)
+        for row in np.flatnonzero(swapped).tolist():
+            entries = slice(stops[row] - self._lengths[row], stops[row])
+            columns = self._doc_cols[entries]
+            dots[row] = sum([
+                by_column[column] * (tfw * idf)
+                for column, tfw, idf in zip(
+                    columns.tolist(), self._doc_tfw[entries].tolist(),
+                    self._idf[columns].tolist(),
+                )
+                if column in by_column
+            ])
 
     # -- observability ----------------------------------------------------
 
@@ -273,11 +361,69 @@ class InvertedIndex:
             "index_postings": float(self.postings_total),
             "index_compressed_bytes": float(
                 self._doc_cols.nbytes + self._doc_tfw.nbytes
-                + self._rows.nbytes + self._impacts.nbytes
+                + self._rows.nbytes + self._weights.nbytes
             ),
             "index_snapshot_version": float(self.snapshot_version),
             "index_epoch_ordinal": float(self.epoch.ordinal),
         }
+
+
+class TopK(NamedTuple):
+    """The best candidates, best first: parallel lists of Python ints
+    and floats (a ``repr`` of a numpy float differs)."""
+
+    positions: list[int]
+    scores: list[float]
+    cosines: list[float]
+    reached: int
+    """Candidates the query's runs reached: those holding one of its
+    terms."""
+
+
+def exact_topk(
+    index: InvertedIndex,
+    query: Mapping[str, float],
+    members: np.ndarray | None,
+    denominators: np.ndarray,
+    cosine_weight: float,
+    static: Sequence[tuple[float, np.ndarray]],
+    k: int,
+) -> TopK:
+    """The top ``k`` candidates under ``(-score, position)``, every
+    candidate scored exactly.
+
+    ``members`` are the candidates' rows (``None``: every row, in
+    order) and ``denominators`` their ``|q| * |d|``, a document
+    without terms read as ``|q| * 1.0``: its dot is 0.0, and
+    ``cosine_similarity`` gives it 0.0 too.  A candidate's cosine is
+    its dot (:meth:`InvertedIndex.dots`) over its denominator, clamped
+    to 1.0 (nothing is negative); its score is ``cosine_weight *
+    cosine`` plus each ``(weight, component)`` of ``static`` in turn,
+    the order of the engine's linear sum -- a skipped zero-weight
+    scheme would add 0.0.  The k-th largest score is found by
+    ``np.partition``, and the candidates that reach it are sorted by
+    ``(-score, position)``.
+    """
+    dots = index.dots(query)
+    if members is not None:
+        dots = dots[members]
+    reached = int(np.count_nonzero(dots))
+    cosines = np.divide(dots, denominators, out=dots)
+    np.minimum(cosines, 1.0, out=cosines)
+    scores = cosine_weight * cosines
+    for weight, component in static:
+        scores += weight * component
+    keep = min(k, len(scores))
+    if keep <= 0:
+        return TopK([], [], [], reached)
+    kth = np.partition(scores, len(scores) - keep)[len(scores) - keep]
+    chosen = np.flatnonzero(scores >= kth)
+    # a stable sort of ascending positions breaks ties by position
+    chosen = chosen[np.argsort(-scores[chosen], kind="stable")[:keep]]
+    return TopK(
+        chosen.tolist(), scores[chosen].tolist(),
+        cosines[chosen].tolist(), reached,
+    )
 
 
 class QueryCache:

@@ -101,9 +101,11 @@ class TestIncrementalEqualsRebuild:
         the exact norm each index scores it with: a norm that survived
         a fold would be caught here."""
         incremental = evolved_portal.search
-        ours_norms = incremental.index().exact_norms
-        reference_norms = rebuilt.index().exact_norms
-        assert ours_norms.keys() == reference_norms.keys()
+        ours_index = incremental.index()
+        reference_index = rebuilt.index()
+        ids = sorted(d.doc_id for d in rebuilt.documents)
+        assert ours_index._doc_ids.tolist() == ids
+        assert reference_index._doc_ids.tolist() == ids
         for document in rebuilt.documents:
             counts = document.counts.get("term", Counter())
             ours = incremental.vectorizer.vectorize_counts(counts)
@@ -111,39 +113,36 @@ class TestIncrementalEqualsRebuild:
             doc_id = document.doc_id
             assert ours.weights == reference.weights, doc_id
             assert ours.norm == reference.norm, doc_id
-            assert ours_norms[doc_id] == reference_norms[doc_id] == (
-                len(reference), reference.norm
+            row = ids.index(doc_id)
+            assert ours_index.norms[row] == reference_index.norms[row] == (
+                reference.norm
             ), doc_id
 
-    def test_bound_impacts_are_the_exact_weights_within_rounding(
-        self, evolved_portal
-    ) -> None:
-        """The two contracts the bound leans on: the index applies the
-        snapshot's idf (its run for a term is as long as the snapshot's
-        df, and a term no document holds any more has no run), and
-        every impact is the exact path's ``weight / |doc|`` to 1e-12
-        relative -- three orders inside the 1e-9 verify band."""
+    def test_term_runs_are_exact_weights(self, evolved_portal) -> None:
+        """The index applies the snapshot's idf: its run for a term is
+        as long as the snapshot's df, a term no document holds any more
+        has no run, and every entry is the document vector's weight for
+        the term, bit for bit."""
         engine = evolved_portal.search
         index = engine.index()
         snapshot_df = engine.vectorizer.statistics._snapshot_df
         assert len(index) == len(snapshot_df)
         checked = 0
         for term in sorted(snapshot_df):
-            rows, impacts = index.impacts(term)
+            rows, weights = index.run(term)
             assert len(rows) == snapshot_df[term], term
-            for doc_id, impact in zip(
-                index._doc_ids[rows].tolist(), impacts.tolist()
+            for doc_id, weight in zip(
+                index._doc_ids[rows].tolist(), weights.tolist()
             ):
                 vector = engine.vectorizer.vectorize_counts(
                     engine._by_id[doc_id].counts["term"]
                 )
-                exact = vector.weights.get(term, 0.0) / vector.norm
-                assert abs(impact - exact) <= 1e-12 * exact, (term, doc_id)
+                assert weight == vector.weights[term], (term, doc_id)
                 checked += 1
         assert checked == index.postings_total
         gone = [term for term in index._columns if term not in snapshot_df]
         assert gone, "three folds retired no term: the case is untested"
-        assert all(index.impacts(term) is None for term in gone)
+        assert all(index.run(term) is None for term in gone)
 
     def test_ranked_results_match_across_topk_and_filters(
         self, evolved_portal, rebuilt

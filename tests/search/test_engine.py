@@ -184,7 +184,9 @@ class TestFailedQueryAccounting:
 class TestWorkAccounting:
     def test_documents_scored_is_the_counter_that_falls(self, corpus) -> None:
         """``candidates_ranked`` is the filtered set's size on either
-        path; ``documents_scored`` is the exact evaluations made."""
+        path; ``documents_scored`` counts the candidates whose cosine is
+        a sum of products: every one on the brute-force path, the three
+        holding "recoveri" on the indexed one."""
         indexed = LocalSearchEngine(corpus)
         brute = LocalSearchEngine(corpus, indexed=False)
         for engine in (indexed, brute):
@@ -193,14 +195,14 @@ class TestWorkAccounting:
             engine.search("recovery", top_k=0)
         assert indexed.stats()["candidates_ranked"] == 10.0
         assert brute.stats()["candidates_ranked"] == 10.0
-        assert indexed.stats()["documents_scored"] == 2.0
+        assert indexed.stats()["documents_scored"] == 3.0
         assert brute.stats()["documents_scored"] == 5.0
 
 
     def test_a_fold_costs_what_changed(self, monkeypatch) -> None:
         """A delta writes and drops the entries of its own documents and
         builds no vector; a query after it builds one, its own, however
-        many documents it verifies -- whether or not the corpus size
+        many documents it scores -- whether or not the corpus size
         moved."""
         documents = random_corpus(31, 40)
         engine = LocalSearchEngine(documents)

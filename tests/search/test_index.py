@@ -3,84 +3,126 @@ the query cache."""
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import numpy as np
 import pytest
 
+import repro.search.engine as engine_module
 import repro.search.index as index_module
-from repro.perf import topk
-from repro.perf.topk import verified_topk
 from repro.search.engine import LocalSearchEngine
 from repro.search.epoch import Epoch
-from repro.search.index import QueryCache
+from repro.search.index import QueryCache, exact_topk
+from repro.text.vectorizer import cosine_similarity
 
 from tests.search.conftest import make_doc
 
+_STEMS = ["recoveri", "algorithm", "sourc", "code", "log", "index"]
+
+
+def _kernel_inputs(engine: LocalSearchEngine, text: str):
+    """The kernel's query weights and every row's ``|q| * |d|`` (a
+    zero norm read as 1.0), the way the engine hands them over."""
+    index = engine.index()
+    query_vector = engine._query_vector(text)
+    norms = np.where(index.norms == 0.0, 1.0, index.norms)
+    return (
+        index, query_vector, query_vector.weights, query_vector.norm * norms
+    )
+
 
 class TestWandKernel:
-    """The bound-then-verify kernel (the class keeps the name of the
-    cursor walk it replaced)."""
+    """The exact top-k kernel (the class keeps the name the engine
+    binds it under, ``wand_topk``)."""
 
     def test_exhaustive_equivalence(self) -> None:
-        """The kernel against a brute-force evaluation of the same
-        runs, the scorer handing back the same sums in another order."""
+        """The kernel against ``cosine_similarity`` over every member's
+        vector, combined in the engine's order and fully sorted, with
+        static components on a coarse grid so that scores tie."""
         rng = random.Random(13)
         for trial in range(25):
-            doc_count = rng.randint(1, 60)
-            runs = []
-            scores = dict.fromkeys(range(doc_count), 0.0)
-            for _ in range(rng.randint(1, 5)):
-                ids = sorted(
-                    rng.sample(range(doc_count), rng.randint(1, doc_count))
-                )
-                impacts = [rng.uniform(0.1, 2.0) for _ in ids]
-                share = rng.uniform(0.1, 2.0)
-                for doc_id, impact in zip(ids, impacts):
-                    scores[doc_id] = share * impact + scores[doc_id]
-                runs.append((np.array(ids), np.array(impacts), share))
-            members = sorted(
+            doc_count = rng.randint(1, 30)
+            documents = [
+                make_doc(doc_id, {
+                    stem: rng.randint(1, 5)
+                    for stem in rng.sample(_STEMS, rng.randint(0, 4))
+                })
+                for doc_id in range(doc_count)
+            ]
+            engine = LocalSearchEngine(documents)
+            text = " ".join(rng.sample(
+                ["recovery", "algorithm", "source", "code", "log"],
+                rng.randint(1, 3),
+            ))
+            index, query_vector, query, denominators = _kernel_inputs(
+                engine, text
+            )
+            rows = sorted(
                 rng.sample(range(doc_count), rng.randint(1, doc_count))
             )
+            members = np.array(rows)
+            static = [
+                (rng.choice([0.5, 1.0]),
+                 np.array([rng.choice([0.0, 0.25]) for _ in rows]))
+                for _ in range(rng.randint(0, 2))
+            ]
+            cosine_weight = rng.choice([0.0, 1.0, 2.0])
             k = rng.randint(1, doc_count + 2)
-            scored: list[int] = []
-
-            def score(position: int) -> float:
-                scored.append(position)
-                return scores[members[position]]
-
-            result = verified_topk(
-                runs, doc_count, np.array(members), None, k, score
+            top = exact_topk(
+                index, query, members, denominators[members],
+                cosine_weight, static, k,
             )
-            expected = sorted(
-                (
-                    (scores[doc_id], position)
-                    for position, doc_id in enumerate(members)
-                ),
-                key=lambda pair: (-pair[0], pair[1]),
-            )[:k]
-            assert result == expected, f"trial {trial}"
-            assert len(scored) == len(set(scored)) == len(expected), (
-                f"trial {trial}: uniform floats do not tie"
-            )
+            expected = []
+            for position, row in enumerate(rows):
+                cosine = cosine_similarity(
+                    query_vector,
+                    engine.vectorizer.vectorize_counts(
+                        documents[row].counts["term"]
+                    ),
+                )
+                score = cosine_weight * cosine
+                for weight, component in static:
+                    score = score + weight * float(component[position])
+                expected.append((-score, position, score, cosine))
+            expected.sort()
+            expected = expected[:k]
+            assert top.positions == [e[1] for e in expected], trial
+            assert top.scores == [e[2] for e in expected], trial
+            assert top.cosines == [e[3] for e in expected], trial
+            assert all(type(x) is float for x in top.scores + top.cosines)
+            assert top.reached == sum(
+                1 for row in rows
+                if any(t in documents[row].counts["term"] for t in query)
+            ), trial
 
     def test_members_filter_and_k_zero(self) -> None:
-        runs = [(np.array([0, 1, 2]), np.array([1.0, 1.0, 1.0]), 1.0)]
-        everyone = np.arange(3)
-        assert verified_topk(runs, 3, everyone, None, 0, float) == []
-        assert verified_topk(runs, 3, np.array([1]), None, 5, float) == [
-            (0.0, 0)
+        documents = [
+            make_doc(0, {"recoveri": 1}),
+            make_doc(1, {"recoveri": 1}),
+            make_doc(2, {"recoveri": 1}),
+            make_doc(3, {"log": 2}),
+            make_doc(4, {}),
         ]
-        # the static component alone decides between equal impacts ...
-        static = np.array([0.0, 0.5, 0.25])
-        top = verified_topk(
-            runs, 3, everyone, static, 2, lambda p: 1.0 + static[p]
+        engine = LocalSearchEngine(documents)
+        index, _, query, denominators = _kernel_inputs(engine, "recovery")
+        top = exact_topk(index, query, None, denominators, 1.0, [], 0)
+        assert top == ([], [], [], 3)
+        top = exact_topk(
+            index, query, np.array([1, 3]), denominators[[1, 3]], 1.0, [], 5
         )
-        assert top == [(1.5, 1), (1.25, 2)]
-        # ... and members nothing matched fill up in position order
-        assert verified_topk([], 3, everyone, None, 2, lambda p: 0.0) == [
-            (0.0, 0), (0.0, 1)
-        ]
+        assert (top.positions, top.scores, top.reached) == (
+            [0, 1], [1.0, 0.0], 1
+        )
+        # the static component alone decides between equal cosines ...
+        static = [(1.0, np.array([0.0, 0.5, 0.25, 0.0, 0.0]))]
+        top = exact_topk(index, query, None, denominators, 1.0, static, 2)
+        assert (top.positions, top.scores) == ([1, 2], [1.5, 1.25])
+        # ... and members nothing reached fill up in position order,
+        # the document without terms (norm 0.0) at cosine 0.0
+        top = exact_topk(index, query, None, denominators, 1.0, [], 5)
+        assert top.positions == [0, 1, 2, 3, 4]
+        assert top.cosines == [1.0, 1.0, 1.0, 0.0, 0.0]
 
 
 def _corpus():
@@ -99,24 +141,20 @@ class TestInvertedIndex:
         index = engine.index()
         assert len(index) == 8
         assert "recoveri" in index
-        rows, impacts = index.impacts("recoveri")
+        rows, weights = index.run("recoveri")
         assert rows.tolist() == [0, 2, 4]
         vectors = {
             d.doc_id: engine.vectorizer.vectorize_counts(d.counts["term"])
             for d in engine.documents
         }
-        assert impacts.tolist() == pytest.approx(
-            [
-                vectors[d].weights["recoveri"] / vectors[d].norm
-                for d in (0, 2, 4)
-            ],
-            rel=1e-12,
-        )
-        assert index.exact_norms == {
-            d: (len(vector), vector.norm) for d, vector in vectors.items()
-        }
+        assert weights.tolist() == [
+            vectors[d].weights["recoveri"] for d in (0, 2, 4)
+        ]
+        assert index.norms.tolist() == [
+            vectors[d].norm for d in sorted(vectors)
+        ]
         assert "unknown-term" not in index
-        assert index.impacts("unknown-term") is None
+        assert index.run("unknown-term") is None
 
     def test_a_document_without_terms_owns_a_row(self) -> None:
         documents = [make_doc(0, {}), *_corpus()[1:], make_doc(7, {})]
@@ -124,7 +162,7 @@ class TestInvertedIndex:
         index = engine.index()
         assert index.doc_count == 6
         assert index.rows([0, 1, 7]).tolist() == [0, 1, 5]
-        rows, _ = index.impacts("recoveri")
+        rows, _ = index.run("recoveri")
         assert rows.tolist() == [2, 4]
         assert [h.document.doc_id for h in engine.search("sport")] == [
             3, 0, 1, 2, 4, 7
@@ -135,12 +173,12 @@ class TestInvertedIndex:
         engine.index()
         engine.apply_delta(removed=[3])
         index = engine.index()
-        assert "sport" not in index and index.impacts("sport") is None
+        assert "sport" not in index and index.run("sport") is None
         assert index.stats()["index_terms"] == float(len(index)) == 6.0
         assert index.stats()["index_postings"] == 9.0
         # ... and is indexed again when a document brings it back
         engine.apply_delta(added=[make_doc(9, {"sport": 1, "log": 1})])
-        rows, _ = engine.index().impacts("sport")
+        rows, _ = engine.index().run("sport")
         assert rows.tolist() == [4]
         assert engine.index().stats()["index_terms"] == 7.0
 
@@ -219,13 +257,14 @@ class TestEpochLifecycle:
         # the per-epoch document-vector memo and its counter
         assert not hasattr(engine, "vector")
         assert "vectors_built" not in engine.stats()
-        # the cursor walk, and the compressed runs with their codec
-        for name in (
-            "PostingCursor", "BOUND_INFLATION", "wand_topk",
-            "encode_doc_ids", "decode_doc_ids",
-        ):
-            assert not hasattr(topk, name)
+        # the cursor walk, the compressed runs with their codec, and
+        # bound-then-verify with its per-document exact scorer
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.perf.topk")
+        for name in ("_indexed_cosine", "VERIFY_SLACK", "verified_topk"):
+            assert not hasattr(engine_module, name)
         assert not hasattr(index_module, "Postings")
-        for name in ("matching_ids", "postings", "terms"):
+        for name in (
+            "matching_ids", "postings", "terms", "impacts", "exact_norms",
+        ):
             assert not hasattr(engine.index(), name)
-

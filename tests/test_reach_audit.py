@@ -47,6 +47,14 @@ KEPT: dict[str, str] = {
     # fault rates below 1 roll a die; every reader's fault window is certain
     "repro.robust.faults:_unit_roll": INPUT_BRANCH,
     "repro.search.index:InvertedIndex.__contains__": DECLARATION,
+    # a document with fewer terms than a query of four or more, three of
+    # them shared; no reader's query pool sends one
+    "repro.search.index:InvertedIndex._sum_in_counts_order": INPUT_BRANCH,
+    "repro.search.index:_add_compensated": (
+        "interpreter branch: taken only where sum is compensated (Python "
+        "3.12+), and the audit runs 3.11; tests/search/test_exact_scorer.py "
+        "runs it under a compensated sum on every interpreter"
+    ),
     "repro.search.index:QueryCache.__len__": DECLARATION,
     "repro.storage.bulkloader:BulkLoader.add_many": (
         "benchmark span: benchmarks/e2e/trace.py wraps it as "
