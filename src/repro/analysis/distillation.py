@@ -19,7 +19,6 @@ The result object is the same :class:`~repro.analysis.hits.HitsResult`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Hashable, Mapping
 
 from repro.analysis.graph import LinkGraph
@@ -28,31 +27,6 @@ from repro.analysis.hits import HitsResult
 __all__ = ["bharat_henzinger"]
 
 Node = Hashable
-
-
-def _edge_weights(graph: LinkGraph) -> tuple[dict, dict]:
-    """Per-edge authority and hub weights under the host rules."""
-    # authority weight of edge (p -> q): 1 / (#docs on host(p) linking to q)
-    by_target_host: dict[tuple[Node, str], int] = defaultdict(int)
-    for target, sources in graph.predecessors.items():
-        for source in sources:
-            by_target_host[(target, graph.host_of(source))] += 1
-    authority_weight = {}
-    for target, sources in graph.predecessors.items():
-        for source in sources:
-            k = by_target_host[(target, graph.host_of(source))]
-            authority_weight[(source, target)] = 1.0 / k
-    # hub weight of edge (p -> q): 1 / (#docs on host(q) linked from p)
-    by_source_host: dict[tuple[Node, str], int] = defaultdict(int)
-    for source, targets in graph.successors.items():
-        for target in targets:
-            by_source_host[(source, graph.host_of(target))] += 1
-    hub_weight = {}
-    for source, targets in graph.successors.items():
-        for target in targets:
-            m = by_source_host[(source, graph.host_of(target))]
-            hub_weight[(source, target)] = 1.0 / m
-    return authority_weight, hub_weight
 
 
 def bharat_henzinger(
@@ -68,18 +42,10 @@ def bharat_henzinger(
     ``tests/analysis/reference.py`` keeps the per-node dict formulation
     the kernel is parity-tested against.
     """
-    nodes = graph.nodes
-    if not nodes:
-        return HitsResult(converged=True)
-    if relevance is None:
-        relevance = {}
-    rel = {node: float(relevance.get(node, 1.0)) for node in nodes}
-    authority_weight, hub_weight = _edge_weights(graph)
-
     # imported lazily: repro.perf.csr_hits imports HitsResult's module
     from repro.perf.csr_hits import bharat_henzinger_csr
 
     return bharat_henzinger_csr(
-        graph, authority_weight, hub_weight, rel,
+        graph, relevance or {},
         max_iterations=max_iterations, tolerance=tolerance,
     )

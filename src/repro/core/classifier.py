@@ -29,7 +29,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.config import BingoConfig
-from repro.core.feature_selection import select_features
+from repro.core.feature_selection import TermCounts, rank_features
 from repro.core.ontology import TopicTree
 from repro.errors import TrainingError
 from repro.ml.maxent import MaxEntClassifier
@@ -50,6 +50,7 @@ __all__ = [
     "MODES",
     "TrainingDoc",
     "TrainingSet",
+    "TrainingCounts",
     "ClassificationResult",
     "NodeClassifier",
     "TopicDecisionModel",
@@ -62,7 +63,13 @@ TrainingDoc = Mapping[str, Counter]
 #: topic name -> training documents
 TrainingSet = Mapping[str, Sequence[TrainingDoc]]
 
+#: topic name -> space -> the term counts of that topic's documents
+TrainingCounts = Mapping[str, Mapping[str, TermCounts]]
+
 SVM_COST = 1.0  #: soft-margin cost of every node SVM
+
+#: space -> (the positives' term counts, each negative topic's)
+_SplitCounts = dict[str, tuple[TermCounts, list[TermCounts]]]
 
 
 def _cross_validation_estimate(
@@ -201,26 +208,36 @@ class HierarchicalClassifier:
 
     # -- training ------------------------------------------------------------
 
-    def train(self, training: TrainingSet) -> None:
+    def train(
+        self, training: TrainingSet, counts: TrainingCounts | None = None
+    ) -> None:
         """(Re)train every tree node's child models from scratch.
 
         ``training`` maps topic names (including OTHERS nodes) to their
-        training documents.  Nodes whose children have no positive
-        examples are skipped -- classification then treats those children
-        as permanently negative.
+        training documents.  ``counts``, when given, holds every topic's
+        per-space :class:`~repro.core.feature_selection.TermCounts`, kept
+        by the caller across training points; otherwise they are counted
+        here.  Nodes whose children have no positive examples are
+        skipped -- classification then treats those children as
+        permanently negative.
         """
         self.refresh_idf()
         self.models = {}
-        for child, positives, negatives in self._training_splits(training):
+        for child, positives, negatives, split in self._training_splits(
+            training, counts
+        ):
             if positives and negatives:
                 self.models[child] = self._train_topic(
-                    child, positives, negatives
+                    child, positives, negatives, split
                 )
         self.trained = True
         self.model_version += 1
 
     def retrain_topics(
-        self, training: TrainingSet, topics: Sequence[str]
+        self,
+        training: TrainingSet,
+        topics: Sequence[str],
+        counts: TrainingCounts | None = None,
     ) -> int:
         """Retrain only the named child topics' decision models.
 
@@ -234,12 +251,12 @@ class HierarchicalClassifier:
         """
         retrained = 0
         self.refresh_idf()
-        for child, positives, negatives in self._training_splits(
-            training, frozenset(topics)
+        for child, positives, negatives, split in self._training_splits(
+            training, counts, frozenset(topics)
         ):
             if positives and negatives:
                 self.models[child] = self._train_topic(
-                    child, positives, negatives
+                    child, positives, negatives, split
                 )
             else:
                 # the topic lost its last usable training data; its
@@ -251,45 +268,79 @@ class HierarchicalClassifier:
         return retrained
 
     def _training_splits(
-        self, training: TrainingSet, only: frozenset[str] | None = None
-    ) -> Iterator[tuple[str, list[TrainingDoc], list[TrainingDoc]]]:
-        """(child, positives, negatives) per child topic, in tree order.
+        self,
+        training: TrainingSet,
+        counts: TrainingCounts | None,
+        only: frozenset[str] | None = None,
+    ) -> Iterator[
+        tuple[str, list[TrainingDoc], list[TrainingDoc], _SplitCounts]
+    ]:
+        """(child, positives, negatives, their term counts) per child
+        topic, in tree order.
 
         Positives are the child's subtree; negatives are its siblings'
-        subtrees plus the parent's OTHERS documents.  ``only`` limits
-        the walk to the named children.
+        subtrees plus the parent's OTHERS documents.  ``counts`` holds
+        every training topic's term counts (None: count them here).
+        ``only`` limits the walk to the named children.
         """
+        if counts is None:
+            counts = {
+                topic: {
+                    space: TermCounts(doc.get(space, {}) for doc in docs)
+                    for space in self.spaces
+                }
+                for topic, docs in training.items()
+            }
         for parent in self.tree.inner_nodes():
             children = self.tree.children_of(parent)
-            others = self.tree.others_of(parent)
             for child in children:
                 if only is not None and child not in only:
                     continue
-                positives = self._docs_of_subtree(training, child)
-                negatives: list[TrainingDoc] = []
-                for sibling in children:
-                    if sibling != child:
-                        negatives.extend(
-                            self._docs_of_subtree(training, sibling)
-                        )
-                negatives.extend(training.get(others, ()))
-                yield child, positives, negatives
+                positive = [
+                    topic for topic in self._subtree(child)
+                    if topic in training
+                ]
+                negative = [
+                    topic
+                    for sibling in children if sibling != child
+                    for topic in self._subtree(sibling)
+                    if topic in training
+                ]
+                others = self.tree.others_of(parent)
+                if others in training:
+                    negative.append(others)
+                split = {
+                    space: (
+                        TermCounts.summed(
+                            [counts[topic][space] for topic in positive]
+                        ),
+                        [counts[topic][space] for topic in negative],
+                    )
+                    for space in self.spaces
+                }
+                yield (
+                    child,
+                    [doc for topic in positive for doc in training[topic]],
+                    [doc for topic in negative for doc in training[topic]],
+                    split,
+                )
 
-    def _docs_of_subtree(
-        self, training: TrainingSet, topic: str
-    ) -> list[TrainingDoc]:
-        """A topic's documents plus those of all real descendants."""
-        docs = list(training.get(topic, ()))
+    def _subtree(self, topic: str) -> list[str]:
+        """A topic and all its real descendants, depth first."""
+        topics = [topic]
         for child in self.tree.children_of(topic):
-            docs.extend(self._docs_of_subtree(training, child))
-        return docs
+            topics.extend(self._subtree(child))
+        return topics
 
     def _train_topic(
         self,
         topic: str,
         positives: Sequence[TrainingDoc],
         negatives: Sequence[TrainingDoc],
+        counts: _SplitCounts,
     ) -> TopicDecisionModel:
+        """One topic's per-space models; ``counts`` holds, per space,
+        the term counts of the positives and of each negative topic."""
         model = TopicDecisionModel(topic=topic)
         labels = [1] * len(positives) + [-1] * len(negatives)
         budgets = tuple(self.config.feature_budget_candidates) or (
@@ -298,9 +349,8 @@ class HierarchicalClassifier:
         for space in self.spaces:
             pos_counts = [doc.get(space, Counter()) for doc in positives]
             neg_counts = [doc.get(space, Counter()) for doc in negatives]
-            ranked = select_features(
-                {topic: pos_counts, "__rest__": neg_counts},
-                topic,
+            ranked = rank_features(
+                pos_counts, *counts[space],
                 tf_preselection=self.config.tf_preselection,
                 selected_features=max(budgets),
             )

@@ -12,6 +12,7 @@ recall (paper sections 2.6 and 3.3).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 
 from repro.analysis.distillation import bharat_henzinger
@@ -20,6 +21,7 @@ from repro.core.archetypes import MAX_ARCHETYPES_PER_TOPIC, select_archetypes
 from repro.core.classifier import HierarchicalClassifier
 from repro.core.config import BingoConfig
 from repro.core.crawler import FocusedCrawler
+from repro.core.feature_selection import TermCounts
 from repro.core.frontier import QueueEntry
 from repro.core.ontology import TopicTree
 from repro.core.records import (
@@ -105,6 +107,43 @@ class _TrainingRecord:
     """Crawler doc_id for promoted archetypes; None for seeds/negatives."""
 
 
+class _TrainingBucket(MutableMapping):
+    """One topic's training records by URL, in insertion order, with
+    the per-space :class:`TermCounts` of their counts kept under every
+    store and delete -- so a retraining point's feature selection counts
+    only the records that changed.  A record's counts change by storing
+    a new record under its URL."""
+
+    def __init__(self, spaces: Iterable[str]) -> None:
+        self._records: dict[str, _TrainingRecord] = {}
+        self.counts = {space: TermCounts() for space in spaces}
+
+    def __getitem__(self, url: str) -> _TrainingRecord:
+        return self._records[url]
+
+    def __setitem__(self, url: str, record: _TrainingRecord) -> None:
+        before = self._records.get(url)
+        if before is not None:
+            self._count(before, TermCounts.remove)
+        self._records[url] = record
+        self._count(record, TermCounts.add)
+
+    def __delitem__(self, url: str) -> None:
+        self._count(self._records.pop(url), TermCounts.remove)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def _count(self, record: _TrainingRecord, update) -> None:
+        for space, counts in self.counts.items():
+            bag = record.counts.get(space)
+            if bag:
+                update(counts, bag)
+
+
 class BingoEngine:
     """A configured BINGO! instance bound to one (synthetic) Web."""
 
@@ -143,7 +182,7 @@ class BingoEngine:
         """The crawl's service container (clock, frontier, dedup, host
         breakers, document store, ...); the engine reads runtime state
         from here, the crawler only drives phases."""
-        self.training: dict[str, dict[str, _TrainingRecord]] = {}
+        self.training: dict[str, _TrainingBucket] = {}
         self.retrainings = 0
         self.link_analysis_runs = 0
         self.link_analysis_iterations = 0
@@ -223,7 +262,7 @@ class BingoEngine:
         for topic, urls in self.seeds.items():
             if topic not in self.tree:
                 raise CrawlError(f"seed topic {topic!r} not in the tree")
-            bucket = self.training.setdefault(topic, {})
+            bucket = self._bucket(topic)
             for url in urls:
                 # the user fetches seeds by hand; transient failures are
                 # simply retried a few times
@@ -264,14 +303,27 @@ class BingoEngine:
             records[page.url] = _TrainingRecord(counts=counts, protected=True)
         for parent in self.tree.inner_nodes():
             others = self.tree.others_of(parent)
-            self.training.setdefault(others, {}).update(records)
+            self._bucket(others).update(records)
+
+    def _bucket(self, topic: str) -> _TrainingBucket:
+        return self.training.setdefault(topic, _TrainingBucket(self.spaces))
+
+    def _training_sets(self) -> tuple[dict, dict]:
+        """The classifier's training input: every topic's record counts
+        and their kept term counts."""
+        return (
+            {
+                topic: [record.counts for record in records.values()]
+                for topic, records in self.training.items()
+            },
+            {
+                topic: records.counts
+                for topic, records in self.training.items()
+            },
+        )
 
     def _train(self) -> None:
-        training_sets = {
-            topic: [record.counts for record in records.values()]
-            for topic, records in self.training.items()
-        }
-        self.classifier.train(training_sets)
+        self.classifier.train(*self._training_sets())
         self._refresh_training_confidences()
 
     def _refresh_training_confidences(self) -> None:
@@ -294,38 +346,30 @@ class BingoEngine:
     # ------------------------------------------------------------------
 
     def _topic_documents(self, topic: str) -> list[CrawledDocument]:
-        return [
-            doc for doc in self.ctx.documents if doc.topic == topic
-        ]
+        documents = self.ctx.documents
+        return [documents[i] for i in self.ctx.topic_docs.get(topic, ())]
 
     def _link_graph_for(self, docs: list[CrawledDocument]) -> LinkGraph:
-        """Base set + successors/predecessors graph over crawled docs."""
-        graph = LinkGraph()
-        url_to_doc = {doc.final_url: doc for doc in self.ctx.documents}
-        base_ids = {doc.doc_id for doc in docs}
-        members = set(base_ids)
-        # successors: out-links resolving to crawled documents
+        """Base set + successors/predecessors graph over crawled docs,
+        read from the context's URL map and in-link index."""
+        documents = self.ctx.documents
+        url_to_doc = self.ctx.url_to_doc
+        in_links = self.ctx.in_links
+        members = {doc.doc_id for doc in docs}
         for doc in docs:
-            for url in doc.out_urls:
-                target = url_to_doc.get(url)
-                if target is not None:
-                    members.add(target.doc_id)
-        # predecessors: crawled documents linking into the base set
-        base_urls = {doc.final_url for doc in docs}
-        for doc in self.ctx.documents:
-            if doc.doc_id in members:
-                continue
-            if any(url in base_urls for url in doc.out_urls):
-                members.add(doc.doc_id)
-        for doc_id in sorted(members):
-            doc = self.ctx.documents[doc_id]
-            graph.add_node(doc_id, host=doc.host)
-        for doc_id in sorted(members):
-            doc = self.ctx.documents[doc_id]
-            for url in doc.out_urls:
-                target = url_to_doc.get(url)
-                if target is not None and target.doc_id in members:
-                    graph.add_edge(doc_id, target.doc_id)
+            # successors: out-links resolving to crawled documents
+            members.update(map(url_to_doc.get, doc.out_urls))
+            # predecessors: crawled documents linking into the base set
+            members.update(in_links.get(doc.final_url, ()))
+        members.discard(None)
+        graph = LinkGraph()
+        ordered = sorted(members)
+        for doc_id in ordered:
+            graph.add_node(doc_id, host=documents[doc_id].host)
+        for doc_id in ordered:
+            for target in map(url_to_doc.get, documents[doc_id].out_urls):
+                if target in members:
+                    graph.add_edge(doc_id, target)
         return graph
 
     def _retrain(self) -> None:
@@ -338,10 +382,10 @@ class BingoEngine:
             if not docs:
                 continue
             graph = self._link_graph_for(docs)
+            documents = self.ctx.documents
             relevance = {
-                doc.doc_id: max(doc.confidence, 0.0) + 0.05
-                for doc in self.ctx.documents
-                if doc.doc_id in graph.successors
+                doc_id: max(documents[doc_id].confidence, 0.0) + 0.05
+                for doc_id in graph.successors
             }
             analysis = bharat_henzinger(graph, relevance=relevance)
             self.link_analysis_runs += 1
@@ -360,7 +404,7 @@ class BingoEngine:
                     docs, key=lambda d: -d.confidence
                 )[:MAX_ARCHETYPES_PER_TOPIC]
             ]
-            records = self.training.setdefault(topic, {})
+            records = self._bucket(topic)
             training_confidences = {
                 record.doc_id if record.doc_id is not None else -(i + 1):
                     record.confidence
@@ -371,8 +415,9 @@ class BingoEngine:
                 for i, record in enumerate(records.values())
                 if record.protected
             }
+            # every candidate is one of the topic's documents
             document_confidences = {
-                doc.doc_id: doc.confidence for doc in self.ctx.documents
+                doc.doc_id: doc.confidence for doc in docs
             }
             enforce = len(records) >= ARCHETYPE_THRESHOLD_WARMUP
             decision = select_archetypes(

@@ -111,44 +111,54 @@ class LinearSVM(BinaryClassifier):
         shape = (len(documents), len(columns))
         row_sq = CsrRows(values, gather, indptr, shape).row_squares().tolist()
         self.radius_sq_ = max(row_sq)
-        # per row, once: its columns, its values, a buffer for the write-back
+        # per row, once: its columns, its values, a buffer for the
+        # write-back, its label and Q_ii
         offsets = indptr.tolist()
         rows = [
-            (gather[lo:hi], values[lo:hi], np.empty(hi - lo))
-            for lo, hi in zip(offsets, offsets[1:])
+            (gather[lo:hi], values[lo:hi], np.empty(hi - lo), y_i, q_ii)
+            for lo, hi, y_i, q_ii in zip(offsets, offsets[1:], y, row_sq)
         ]
-        assert all(len(set(c.tolist())) == len(c) for c, _, _ in rows)
+        assert all(len(set(row[0].tolist())) == len(row[0]) for row in rows)
         alphas = [0.0] * len(y)
         w = np.zeros(len(columns))
+        take, put = w.take, w.put
+        multiply, add = np.multiply, np.add
         rng = np.random.default_rng(self.seed)
         order = np.arange(len(y))
         epochs, converged = 0, False
+        # min / max / abs written out as the comparisons they make
         while epochs < self.max_epochs and not converged:
             epochs += 1
             rng.shuffle(order)
             max_violation = 0.0
             for i in order.tolist():
-                cols, vals, buf = rows[i]
-                wc = w.take(cols)
+                cols, vals, buf, y_i, q_ii = rows[i]
+                wc = take(cols)
                 # projected gradient
-                gradient = y[i] * float(np.dot(wc, vals)) - 1.0
+                gradient = y_i * float(wc.dot(vals)) - 1.0
                 alpha = alphas[i]
                 if alpha <= 0.0:
-                    violation = min(gradient, 0.0)
+                    violation = 0.0 if gradient > 0.0 else gradient
                 elif alpha >= C:
-                    violation = max(gradient, 0.0)
+                    violation = 0.0 if gradient < 0.0 else gradient
                 else:
                     violation = gradient
-                max_violation = max(max_violation, abs(violation))
-                if abs(violation) < 1e-12 or row_sq[i] <= 0.0:
+                size = violation if violation >= 0.0 else -violation
+                if size > max_violation:
+                    max_violation = size
+                if size < 1e-12 or q_ii <= 0.0:
                     continue
-                new_alpha = min(max(alpha - gradient / row_sq[i], 0.0), C)
+                new_alpha = alpha - gradient / q_ii
+                if new_alpha < 0.0:
+                    new_alpha = 0.0
+                elif new_alpha > C:
+                    new_alpha = C
                 delta = new_alpha - alpha
                 if delta != 0.0:
                     alphas[i] = new_alpha
-                    np.multiply(vals, delta * y[i], out=buf)
-                    np.add(wc, buf, out=buf)
-                    w.put(cols, buf)
+                    multiply(vals, delta * y_i, out=buf)
+                    add(wc, buf, out=buf)
+                    put(cols, buf)
             converged = max_violation < self.tol
         self.epochs_, self.converged_ = epochs, converged
 
@@ -156,8 +166,8 @@ class LinearSVM(BinaryClassifier):
         self._weight_norm = float(np.linalg.norm(w))
         self.alphas_ = np.array(alphas, dtype=float)
         margins = np.array([
-            y[i] * float(np.dot(w.take(cols), vals))
-            for i, (cols, vals, _) in enumerate(rows)
+            y_i * float(np.dot(w.take(cols), vals))
+            for cols, vals, _, y_i, _ in rows
         ])
         self.slacks_ = np.maximum(0.0, 1.0 - margins)
         self.n_positive_, self.n_negative_ = y.count(1.0), y.count(-1.0)

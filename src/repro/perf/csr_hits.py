@@ -1,12 +1,13 @@
 """HITS and Bharat/Henzinger distillation as CSR matvec iterations.
 
 A dict formulation (kept as the oracle in ``tests/analysis/
-reference.py``) walks Python dicts once per node per iteration; on the
-10k-node base sets the crawler builds at retraining points that
-dominates the retraining step.  Here the
-:class:`~repro.analysis.graph.LinkGraph` is converted once to
-int-indexed :class:`~repro.ml.common.CsrRows` and each HITS iteration
-becomes two ``bincount`` matvecs with L2 normalisation:
+reference.py``) walks Python dicts once per node per iteration, at
+every retraining point (a crawl-n1 base graph reaches ~750 nodes and
+~1,250 edges) and per search-engine epoch.  Here the
+:class:`~repro.analysis.graph.LinkGraph` is converted once, in arrays,
+to int-indexed :class:`~repro.ml.common.CsrRows` (the host weights are
+counted by ``np.unique``), and each HITS iteration becomes two
+``bincount`` matvecs with L2 normalisation:
 
     authority = A^T @ hub  (rmatvec)     hub = A @ authority  (matvec)
 
@@ -21,7 +22,9 @@ tests bound it at 1e-9).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,7 +35,12 @@ from repro.ml.common import CsrRows
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.graph import LinkGraph
 
-__all__ = ["CsrAdjacency", "hits_csr", "bharat_henzinger_csr"]
+__all__ = [
+    "CsrAdjacency",
+    "hits_csr",
+    "bharat_henzinger_csr",
+    "distillation_matrices",
+]
 
 
 @dataclass
@@ -49,29 +57,25 @@ class CsrAdjacency:
     matrix: CsrRows
 
     @classmethod
-    def from_graph(
-        cls, graph: "LinkGraph", weight_of=None
-    ) -> "CsrAdjacency":
-        """Build the adjacency; ``weight_of(source, target)`` defaults
-        to 1.0 (unweighted HITS)."""
+    def from_graph(cls, graph: "LinkGraph") -> "CsrAdjacency":
+        """Build the unweighted adjacency in arrays: rows in node order,
+        each listing its successors in their set's iteration order (the
+        order ``bincount`` adds them in)."""
         nodes = graph.nodes
         index = graph.node_index()
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for node in nodes:
-            for target in graph.successors.get(node, ()):
-                indices.append(index[target])
-                data.append(
-                    1.0 if weight_of is None else weight_of(node, target)
-                )
-            indptr.append(len(indices))
         n = len(nodes)
+        successors = graph.successors.values()
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(
+            np.fromiter(map(len, successors), dtype=np.intp, count=n),
+            out=indptr[1:],
+        )
+        indices = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(successors)),
+            dtype=np.intp, count=int(indptr[-1]),
+        )
         matrix = CsrRows(
-            np.asarray(data, dtype=np.float64),
-            np.asarray(indices, dtype=np.intp),
-            np.asarray(indptr, dtype=np.intp),
-            (n, n),
+            np.ones(len(indices)), indices, indptr, (n, n)
         )
         return cls(nodes=nodes, index=index, matrix=matrix)
 
@@ -141,36 +145,72 @@ def hits_csr(
     return _result(adjacency.nodes, authority, hub, iterations, converged)
 
 
+def _shared_host_weights(
+    nodes: np.ndarray, hosts: np.ndarray, n_hosts: int
+) -> np.ndarray:
+    """Per edge, ``1 / (edges sharing its node and its other end's host)``."""
+    keys = nodes * n_hosts + hosts
+    _, inverse, counts = np.unique(
+        keys, return_inverse=True, return_counts=True
+    )
+    return 1.0 / counts[inverse]
+
+
+def distillation_matrices(
+    graph: "LinkGraph", relevance: Mapping
+) -> tuple[CsrRows, CsrRows]:
+    """The (authority-step, hub-step) weighted adjacencies of ``graph``.
+
+    Edge p -> q carries authority weight ``1/k * rel[p]``, where k
+    counts the documents on host(p) linking to q, and hub weight
+    ``1/m * rel[q]``, where m counts the documents on host(q) linked
+    from p (the host rules of :mod:`repro.analysis.distillation`);
+    ``relevance`` maps nodes to their [0, 1] weight (1.0 if absent).
+    """
+    adjacency = CsrAdjacency.from_graph(graph)
+    nodes = adjacency.nodes
+    n = len(nodes)
+    host_ids: dict[str, int] = {}
+    host_of = np.fromiter(
+        (host_ids.setdefault(graph.host_of(node), len(host_ids))
+         for node in nodes),
+        dtype=np.intp, count=n,
+    )
+    rel = np.fromiter(
+        (float(relevance.get(node, 1.0)) for node in nodes),
+        dtype=np.float64, count=n,
+    )
+    matrix = adjacency.matrix
+    sources, targets = matrix.row_ids, matrix.indices
+    authority_weight = _shared_host_weights(
+        targets, host_of[sources], len(host_ids)
+    )
+    hub_weight = _shared_host_weights(
+        sources, host_of[targets], len(host_ids)
+    )
+    return (
+        CsrRows(authority_weight * rel[sources], targets, matrix.indptr,
+                (n, n)),
+        CsrRows(hub_weight * rel[targets], targets, matrix.indptr, (n, n)),
+    )
+
+
 def bharat_henzinger_csr(
     graph: "LinkGraph",
-    authority_weight,
-    hub_weight,
-    relevance: dict,
+    relevance: Mapping,
     max_iterations: int = 50,
     tolerance: float = 1e-8,
 ) -> HitsResult:
-    """Host- and relevance-weighted HITS over weighted CSR adjacency.
-
-    ``authority_weight``/``hub_weight`` are the per-edge maps computed
-    by ``repro.analysis.distillation._edge_weights``; ``relevance`` maps
-    every node to its [0, 1] weight.
-    """
+    """Host- and relevance-weighted HITS over the weighted adjacencies
+    of :func:`distillation_matrices`."""
     nodes = graph.nodes
     n = len(nodes)
     if n == 0:
         return HitsResult(converged=True)
     # authority step: sum over p->q of hub[p] * authority_weight * rel[p]
-    authority_adjacency = CsrAdjacency.from_graph(
-        graph,
-        weight_of=lambda p, q: authority_weight[(p, q)] * relevance[p],
-    )
     # hub step: sum over p->q of authority[q] * hub_weight * rel[q]
-    hub_adjacency = CsrAdjacency.from_graph(
-        graph,
-        weight_of=lambda p, q: hub_weight[(p, q)] * relevance[q],
-    )
+    authority_matrix, hub_matrix = distillation_matrices(graph, relevance)
     authority, hub, iterations, converged = _iterate(
-        hub_adjacency.matrix, authority_adjacency.matrix, n,
-        max_iterations, tolerance,
+        hub_matrix, authority_matrix, n, max_iterations, tolerance,
     )
     return _result(nodes, authority, hub, iterations, converged)

@@ -15,6 +15,7 @@ restores the context: everything a resumed crawl needs lives here.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -120,7 +121,15 @@ class CrawlContext:
         self.documents: list = []
         #: per stored page, its link targets' anchor terms
         self.anchor_terms: list[dict[str, list[str]]] = []
+        # the three indexes below are derived from ``documents``, by
+        # ``_index`` for a store and a restore, and kept by a revisit
         self.url_to_doc: dict[str, int] = {}
+        """Final URL -> doc id (the last page stored under it)."""
+        self.topic_docs: dict[str, list[int]] = {}
+        """Topic -> its stored pages' doc ids, ascending."""
+        self.in_links: dict[str, list[int]] = {}
+        """Link target URL -> the doc ids of the stored pages whose
+        out-links name it, ascending, each once."""
         self.docs_since_retrain = 0
         self.log_sequence = 0
         self.checkpoint_saves = 0
@@ -330,15 +339,50 @@ class CrawlContext:
     # ------------------------------------------------------------------
 
     def register_document(self, document, anchor_terms) -> None:
-        """Append a stored page and its anchor terms, index it by final
-        URL, and open its loader workspace (flushes go in that order)."""
+        """Append a stored page and its anchor terms, index it, and
+        open its loader workspace (flushes go in that order)."""
         self.documents.append(document)
         self.anchor_terms.append(anchor_terms)
         if self.loader is not None:
             self.loader.open(
                 self.workspace_for(document.doc_id, document.host)
             )
-        self.url_to_doc[document.final_url] = document.doc_id
+        self._index(document)
+
+    def restore_documents(self, documents: list, anchor_terms: list) -> None:
+        """Replace the document store wholesale (a checkpoint restore)
+        and index every page again, in doc id order."""
+        self.documents, self.anchor_terms = documents, anchor_terms
+        self.url_to_doc, self.topic_docs, self.in_links = {}, {}, {}
+        for document in documents:
+            self._index(document)
+
+    def replace_document(self, document, anchor_terms) -> None:
+        """Swap in a revisited page: same doc id, final URL and topic,
+        new content and out-links."""
+        doc_id = document.doc_id
+        before = self.documents[doc_id]
+        assert (before.final_url, before.topic) == (
+            document.final_url, document.topic
+        )
+        for url in dict.fromkeys(before.out_urls):
+            sources = self.in_links[url]
+            sources.remove(doc_id)
+            if not sources:
+                del self.in_links[url]
+        self.documents[doc_id] = document
+        self.anchor_terms[doc_id] = anchor_terms
+        for url in dict.fromkeys(document.out_urls):
+            insort(self.in_links.setdefault(url, []), doc_id)
+
+    def _index(self, document) -> None:
+        """Enter a page stored after every indexed one in the URL map,
+        its topic's list and the in-link index."""
+        doc_id = document.doc_id
+        self.url_to_doc[document.final_url] = doc_id
+        self.topic_docs.setdefault(document.topic, []).append(doc_id)
+        for url in dict.fromkeys(document.out_urls):
+            self.in_links.setdefault(url, []).append(doc_id)
 
     def document_by_url(self, url: str):
         doc_id = self.url_to_doc.get(url)

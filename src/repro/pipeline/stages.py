@@ -101,8 +101,10 @@ class CrawlItem:
     html_doc: object = None
     counts: dict | None = None
     """Per-feature-space term multisets extracted by analyze."""
-    out_urls: list | None = None
-    """Resolved, crawlable absolute link targets."""
+    links: list | None = None
+    """Resolved, crawlable link targets, parsed
+    (:class:`~repro.web.urls.ParsedUrl`); their URLs are the stored
+    document's ``out_urls``."""
     classification: object = None
     document: object = None
     """The stored :class:`~repro.core.records.CrawledDocument`."""
@@ -339,10 +341,10 @@ class AnalyzeStage:
         stats = ctx.stats
         for item in batch:
             item.counts = space_counts(item.html_doc, ctx.spaces)
-            item.out_urls = resolve_links(
+            item.links = resolve_links(
                 item.result.final_url or item.entry.url, item.html_doc.links
             )
-            stats.extracted_links += len(item.out_urls)
+            stats.extracted_links += len(item.links)
         return batch
 
 
@@ -398,7 +400,7 @@ class PersistStage:
                 topic=classification.topic,
                 confidence=classification.confidence,
                 counts=item.counts,
-                out_urls=item.out_urls,
+                out_urls=[link.url for link in item.links],
                 fetched_at=item.fetched_at,
             )
             ctx.register_document(document, item.html_doc.anchor_terms)
@@ -418,12 +420,14 @@ class ExpandStage:
         for item in batch:
             self.enqueue_links(
                 ctx, item.entry, item.document, item.classification,
-                ctx.phase,
+                ctx.phase, item.links,
             )
         return batch
 
     def enqueue_links(self, ctx, entry, document, classification,
-                      phase) -> None:
+                      phase, links) -> None:
+        """Push ``document``'s out-links; ``links`` are their parses, in
+        ``document.out_urls`` order."""
         accepted = classification.accepted
         topic = classification.topic
         if accepted:
@@ -451,10 +455,7 @@ class ExpandStage:
             priority = max(classification.confidence, 0.0)
         if tunnelled:
             priority *= TUNNEL_PRIORITY_DECAY ** tunnelled
-        for url in document.out_urls:
-            parsed = parse_url(url)
-            if parsed is None:
-                continue
+        for url, parsed in zip(document.out_urls, links):
             if parsed.domain in ctx.config.locked_domains:
                 continue
             if (

@@ -8,8 +8,9 @@ delta container shared by both sides and the **classifier** fold:
 * per-space document-frequency statistics are adjusted by retracting
   the old term sets and ingesting the new ones, then the idf snapshot
   refreshes once;
-* training records whose underlying document changed get their feature
-  counts swapped in place; records of deleted documents are dropped;
+* training records whose underlying document changed are stored again
+  with the new feature counts; records of deleted documents are dropped
+  (both through the bucket that keeps the topic's term counts);
 * only the decision models that can actually differ are retrained --
   the changed topics plus their *siblings* (siblings share the changed
   documents as negative examples) -- via
@@ -18,7 +19,7 @@ delta container shared by both sides and the **classifier** fold:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from typing import TYPE_CHECKING
 
@@ -159,7 +160,9 @@ def fold_into_classifier(
             if record.doc_id is None:
                 continue
             if record.doc_id in changed_by_id:
-                record.counts = changed_by_id[record.doc_id].counts
+                records[url] = replace(
+                    record, counts=changed_by_id[record.doc_id].counts
+                )
                 affected_topics.add(topic)
             elif record.doc_id in removed_ids:
                 del records[url]
@@ -169,10 +172,7 @@ def fold_into_classifier(
 
     # -- partial retrain -----------------------------------------------------
     targets = _affected_children(classifier.tree, affected_topics)
-    training_sets = {
-        topic: [record.counts for record in records.values()]
-        for topic, records in engine.training.items()
-    }
-    retrained = classifier.retrain_topics(training_sets, targets)
+    training, counts = engine._training_sets()
+    retrained = classifier.retrain_topics(training, targets, counts)
     engine._refresh_training_confidences()
     return retrained

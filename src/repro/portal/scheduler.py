@@ -15,7 +15,10 @@ and feature-space path), a vanished page becomes a removal.  The
 resulting :class:`~repro.portal.incremental.DocumentDelta` is what the
 portal folds into the search index and the classifier.  A new page is
 stored through the crawl's own funnel,
-:meth:`~repro.pipeline.context.CrawlContext.register_document`.
+:meth:`~repro.pipeline.context.CrawlContext.register_document`, and a
+changed one through
+:meth:`~repro.pipeline.context.CrawlContext.replace_document`, so the
+context's URL map, topic lists and in-link index follow both.
 """
 
 from __future__ import annotations
@@ -140,9 +143,7 @@ class RecrawlScheduler:
 
     def _authorities(self) -> dict[int, float]:
         """Min-max normalised HITS authority over the crawled graph."""
-        url_to_doc = {
-            doc.final_url: doc.doc_id for doc in self.ctx.documents
-        }
+        url_to_doc = self.ctx.url_to_doc
         graph = LinkGraph()
         for doc in self.ctx.documents:
             if doc.doc_id in self.retired:
@@ -227,7 +228,7 @@ class RecrawlScheduler:
             report.errors += 1
             return None
         counts, page = analysis
-        links = resolve_links(base_url, page.links)
+        links = [link.url for link in resolve_links(base_url, page.links)]
         return counts, links, page.title, page.anchor_terms
 
     def _discover(self, doc: CrawledDocument) -> int:
@@ -329,8 +330,7 @@ class RecrawlScheduler:
             out_urls=out_urls,
             fetched_at=self.clock.now,
         )
-        self.ctx.documents[doc.doc_id] = updated
-        self.ctx.anchor_terms[doc.doc_id] = anchor_terms
+        self.ctx.replace_document(updated, anchor_terms)
         self.pending.record_changed(doc, updated)
         report.changed += 1
         self._discover(updated)

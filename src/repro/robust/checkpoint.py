@@ -439,12 +439,9 @@ def restore_context(
     ctx.domains = {}
     for domain, busy in state["domains"].items():
         ctx.domain_state(domain).busy_until = list(busy)
-    ctx.documents, ctx.anchor_terms = documents, anchor_terms
+    ctx.restore_documents(documents, anchor_terms)
     for name in _SAVED:
         database[name].bulk_insert(restored[name].rows())
-    ctx.url_to_doc = {
-        doc.final_url: doc.doc_id for doc in ctx.documents
-    }
     ctx.docs_since_retrain = state["docs_since_retrain"]
     ctx.log_sequence = state["log_sequence"]
     ctx.converted_formats = Counter(state["converted_formats"])

@@ -26,7 +26,7 @@ from repro.web.urls import (
     MAX_URL_LENGTH,
     ParsedUrl,
     is_crawlable_url,
-    join_url,
+    join_parsed,
     normalize_url,
     parse_url,
     url_hash,
@@ -65,7 +65,7 @@ __all__ = [
     "generate_expert_web",
     "generate_web",
     "is_crawlable_url",
-    "join_url",
+    "join_parsed",
     "normalize_url",
     "parse_url",
     "scale_web_config",

@@ -19,8 +19,9 @@ __all__ = [
     "MAX_URL_LENGTH",
     "ParsedUrl",
     "parse_url",
+    "normalize_parsed",
     "normalize_url",
-    "join_url",
+    "join_parsed",
     "url_hash",
     "is_crawlable_url",
     "resolve_links",
@@ -76,8 +77,9 @@ def parse_url(url: str) -> ParsedUrl | None:
     return ParsedUrl(scheme=scheme, host=host, path=path)
 
 
-def normalize_url(url: str) -> str | None:
-    """Canonical string form (lowercased scheme/host, '/' path default)."""
+def normalize_parsed(url: str) -> ParsedUrl | None:
+    """The parse of :func:`normalize_url`'s result, built without
+    re-parsing it: its ``url`` is that string."""
     parsed = parse_url(url)
     if parsed is None:
         return None
@@ -94,22 +96,31 @@ def normalize_url(url: str) -> str | None:
         segments.append(segment)
     trailing = "/" if path.endswith("/") and segments else ""
     new_path = "/" + "/".join(segments) + trailing if segments else "/"
-    return ParsedUrl(parsed.scheme, parsed.host, new_path).url
+    return ParsedUrl(parsed.scheme, parsed.host, new_path)
 
 
-def join_url(base: str, href: str) -> str | None:
-    """Resolve ``href`` (absolute or relative) against ``base``."""
+def normalize_url(url: str) -> str | None:
+    """Canonical string form (lowercased scheme/host, '/' path default)."""
+    parsed = normalize_parsed(url)
+    return None if parsed is None else parsed.url
+
+
+def join_parsed(base: str, href: str) -> ParsedUrl | None:
+    """Resolve ``href`` (absolute or relative) against ``base``: the
+    normalized parse of the target."""
     if "://" in href:
-        return normalize_url(href)
+        return normalize_parsed(href)
     parsed = parse_url(base)
     if parsed is None:
         return None
     if href.startswith("//"):
-        return normalize_url(f"{parsed.scheme}:{href}")
+        return normalize_parsed(f"{parsed.scheme}:{href}")
     if href.startswith("/"):
-        return normalize_url(f"{parsed.scheme}://{parsed.host}{href}")
+        return normalize_parsed(f"{parsed.scheme}://{parsed.host}{href}")
     directory = parsed.path[: parsed.path.rfind("/") + 1]
-    return normalize_url(f"{parsed.scheme}://{parsed.host}{directory}{href}")
+    return normalize_parsed(
+        f"{parsed.scheme}://{parsed.host}{directory}{href}"
+    )
 
 
 def url_hash(url: str) -> int:
@@ -133,12 +144,18 @@ def is_crawlable_url(url: str) -> bool:
     return len(parsed.host) <= MAX_HOSTNAME_LENGTH
 
 
-def resolve_links(base: str, hrefs: Iterable[str]) -> list[str]:
-    """The crawlable absolute targets of a page's raw hrefs, in
-    document order (duplicates preserved)."""
+def resolve_links(base: str, hrefs: Iterable[str]) -> list[ParsedUrl]:
+    """The crawlable absolute targets of a page's raw hrefs, normalized
+    and parsed, in document order (duplicates preserved); a target's
+    URL is its ``url``.  The sanity limits of :func:`is_crawlable_url`
+    are checked on the normalized parse itself."""
     resolved = []
     for href in hrefs:
-        absolute = join_url(base, href)
-        if absolute is not None and is_crawlable_url(absolute):
-            resolved.append(absolute)
+        target = join_parsed(base, href)
+        if (
+            target is not None
+            and len(target.host) <= MAX_HOSTNAME_LENGTH
+            and len(target.url) <= MAX_URL_LENGTH
+        ):
+            resolved.append(target)
     return resolved

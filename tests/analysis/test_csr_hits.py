@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.analysis
 import repro.analysis.distillation
@@ -18,9 +20,11 @@ import repro.analysis.hits
 from repro.analysis.distillation import bharat_henzinger
 from repro.analysis.graph import LinkGraph
 from repro.analysis.hits import hits
-from repro.perf.csr_hits import CsrAdjacency
+from repro.perf.csr_hits import CsrAdjacency, distillation_matrices
 
 from tests.analysis.reference import (
+    bharat_henzinger_csr_reference,
+    csr_reference,
     bharat_henzinger_reference,
     hits_reference,
 )
@@ -139,15 +143,75 @@ class TestCsrAdjacency:
             assert entry(adjacency.matrix, row, column) == 1.0
 
     def test_weight_of_applies_per_edge(self) -> None:
+        """Each edge's weights are its host counts times the relevance
+        of its source (authority step) or target (hub step)."""
         graph = LinkGraph()
+        for node, host in (("a", "x"), ("d", "x"), ("b", "y"), ("c", "y")):
+            graph.add_node(node, host=host)
         graph.add_edge("a", "b")
         graph.add_edge("a", "c")
-        adjacency = CsrAdjacency.from_graph(
-            graph, weight_of=lambda p, q: 2.0 if q == "b" else 0.5
+        graph.add_edge("d", "b")
+        relevance = {"a": 0.5, "b": 2.0}
+        authority, hub = distillation_matrices(graph, relevance)
+        index = graph.node_index()
+        # a and d share host x, both link b: each a->b / d->b counts 1/2
+        assert entry(authority, index["a"], index["b"]) == 0.5 * 0.5
+        assert entry(authority, index["d"], index["b"]) == 0.5 * 1.0
+        assert entry(authority, index["a"], index["c"]) == 1.0 * 0.5
+        # b and c share host y, both linked from a: 1/2 each
+        assert entry(hub, index["a"], index["b"]) == 0.5 * 2.0
+        assert entry(hub, index["a"], index["c"]) == 0.5 * 1.0
+        assert entry(hub, index["d"], index["b"]) == 1.0 * 2.0
+
+
+@st.composite
+def host_graphs(draw):
+    """Graphs with few hosts (so host counts collide), self-links among
+    the edges (``add_edge`` drops them), nodes added in random order
+    with and without a host, and a partial relevance map."""
+    n = draw(st.integers(0, 14))
+    order = draw(st.permutations(range(n)))
+    graph = LinkGraph()
+    for node in order:
+        host = draw(st.one_of(st.none(), st.sampled_from("xyz")))
+        graph.add_node(node, host=host)
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n + 2), st.integers(0, n + 2)),
+        max_size=4 * n + 4,
+    ))
+    for source, target in edges:
+        graph.add_edge(source, target)
+    relevance = draw(st.dictionaries(
+        st.integers(0, n + 2), st.floats(0.0, 1.0), max_size=n
+    ))
+    return graph, relevance
+
+
+def assert_same_arrays(built, oracle) -> None:
+    for name in ("data", "indices", "indptr"):
+        ours, theirs = getattr(built, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert built.shape == oracle.shape
+
+
+class TestArrayBuiltAdjacency:
+    @given(host_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_csr_arrays_are_the_edge_by_edge_build(self, drawn) -> None:
+        """Bit for bit: the unweighted adjacency, and both weighted
+        adjacencies of the host and relevance rules."""
+        graph, relevance = drawn
+        assert_same_arrays(
+            CsrAdjacency.from_graph(graph).matrix, csr_reference(graph)
         )
-        index = adjacency.index
-        assert entry(adjacency.matrix, index["a"], index["b"]) == 2.0
-        assert entry(adjacency.matrix, index["a"], index["c"]) == 0.5
+        authority, hub = distillation_matrices(graph, relevance)
+        authority_oracle, hub_oracle = bharat_henzinger_csr_reference(
+            graph, relevance
+        )
+        assert_same_arrays(authority, authority_oracle)
+        assert_same_arrays(hub, hub_oracle)
 
 
 class TestOraclesStayOutOfProduction:
@@ -159,6 +223,7 @@ class TestOraclesStayOutOfProduction:
             (repro.analysis.distillation, "bharat_henzinger_reference"),
             (repro.analysis, "hits_reference"),
             (repro.analysis, "bharat_henzinger_reference"),
+            (repro.analysis.distillation, "_edge_weights"),
         ],
     )
     def test_dict_loops_are_gone_from_src(self, module, name) -> None:

@@ -19,6 +19,12 @@ was written against scipy (two ``csr_matrix`` x dense products) over
 whole tf*idf vectors; ``tests/core/test_compiled_classifier.py`` holds
 ``_SpaceBlock.evaluate_many`` over the same documents' term counts to it
 bit for bit.
+
+``select_features_reference`` is MI feature selection as it counted
+every document at every call, before the engine kept its training
+counts (:class:`~repro.core.feature_selection.TermCounts`);
+``tests/core/test_training_counts.py`` holds the kept counts' ranking
+to it.
 """
 
 from __future__ import annotations
@@ -38,11 +44,13 @@ from repro.core.classifier import (
     TopicDecisionModel,
     TrainingDoc,
 )
+from repro.core.feature_selection import FeatureScore, mutual_information
 from repro.errors import TrainingError
 from repro.ml.svm import LinearSVM
 from repro.text.vectorizer import SparseVector
 
 __all__ = [
+    "select_features_reference",
     "classify_reference",
     "decide_reference",
     "evaluate_many_reference",
@@ -211,3 +219,45 @@ def evaluate_many_reference(
     decisions[~present] = 0.0
     distances[~present] = 0.0
     return decisions, distances
+
+
+def select_features_reference(
+    topic_documents, topic: str, tf_preselection: int, selected_features: int
+) -> list[FeatureScore]:
+    """Count every scope's documents, pre-select by ``most_common``,
+    rank by MI (ties by term)."""
+    df_topic: Counter = Counter()
+    tf_topic: Counter = Counter()
+    df_all: Counter = Counter()
+    n_topic = 0
+    n_total = 0
+    for name, documents in topic_documents.items():
+        for terms in documents:
+            if not isinstance(terms, Mapping):
+                terms = Counter(terms)
+            if not terms:
+                continue
+            n_total += 1
+            df_all.update(terms.keys())
+            if name == topic:
+                n_topic += 1
+                df_topic.update(terms.keys())
+                tf_topic.update(terms)
+    if n_topic == 0 or n_total == 0:
+        return []
+    candidates = [term for term, _ in tf_topic.most_common(tf_preselection)]
+    scored = []
+    for term in candidates:
+        weight = mutual_information(
+            n_joint=df_topic[term],
+            n_feature=df_all[term],
+            n_topic=n_topic,
+            n_total=n_total,
+        )
+        if weight > 0.0:
+            scored.append((term, weight))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [
+        FeatureScore(feature=term, weight=weight, rank=rank)
+        for rank, (term, weight) in enumerate(scored[:selected_features], 1)
+    ]

@@ -218,7 +218,7 @@ class TestTrainingVectors:
         must be fed what ``vectorize_counts(counts).project(features)``
         built -- item for item, order included, because the column
         order of the fit (and so every confidence) follows it."""
-        from repro.core.feature_selection import select_features
+        from repro.core.feature_selection import TermCounts, select_features
 
         tree = TopicTree.from_leaves(["db"])
         config = BingoConfig(
@@ -237,9 +237,12 @@ class TestTrainingVectors:
         classifier._fit_node_model = lambda vectors, labels: (
             fed.append(vectors) or fit(vectors, labels)
         )
-        classifier._train_topic("ROOT/db", positives, negatives)
-
         counts = [d["term"] for d in positives + negatives]
+        classifier._train_topic(
+            "ROOT/db", positives, negatives,
+            {"term": (TermCounts(counts[:12]), [TermCounts(counts[12:])])},
+        )
+
         ranked = select_features(
             {"ROOT/db": counts[:12], "__rest__": counts[12:]}, "ROOT/db",
             tf_preselection=100, selected_features=14,

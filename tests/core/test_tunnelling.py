@@ -13,6 +13,7 @@ from repro.pipeline.stages import (
     TUNNEL_PRIORITY_DECAY,
 )
 from repro.text.vectorizer import SparseVector
+from repro.web.urls import parse_url
 
 
 def test_tunnelled_priority_decays_exponentially(small_web) -> None:
@@ -40,7 +41,8 @@ def test_tunnelled_priority_decays_exponentially(small_web) -> None:
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
     crawler.pipeline.expand.enqueue_links(
-        crawler.ctx, entry, document, rejected, settings)
+        crawler.ctx, entry, document, rejected, settings,
+        [parse_url(url) for url in document.out_urls])
     queued = crawler.ctx.frontier.pop()
     assert queued is not None
     # tunnelled step 2: confidence 0.8 * 0.5^2 = 0.2
@@ -74,7 +76,8 @@ def test_tunnelling_stops_at_max_distance(small_web) -> None:
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
     crawler.pipeline.expand.enqueue_links(
-        crawler.ctx, entry, document, rejected, settings)
+        crawler.ctx, entry, document, rejected, settings,
+        [parse_url(url) for url in document.out_urls])
     assert crawler.ctx.frontier.pop() is None
 
 
@@ -104,7 +107,8 @@ def test_accepted_page_resets_tunnel_counter(small_web) -> None:
     )
     settings = PhaseSettings(name="t", focus=SOFT, tunnelling=True)
     crawler.pipeline.expand.enqueue_links(
-        crawler.ctx, entry, document, accepted, settings)
+        crawler.ctx, entry, document, accepted, settings,
+        [parse_url(url) for url in document.out_urls])
     queued = crawler.ctx.frontier.pop()
     assert queued is not None
     # ... but being accepted resets the counter for its own links

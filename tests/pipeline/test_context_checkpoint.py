@@ -28,6 +28,10 @@ from repro.web import SyntheticWeb
 from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
+from tests.pipeline.reference import (
+    context_indexes,
+    context_indexes_reference,
+)
 
 BUDGET = 120
 KILL_AFTER = 60
@@ -97,6 +101,9 @@ class TestContextKillResume:
         assert a.frontier.stats() == b.frontier.stats()
         assert a.log_sequence == b.log_sequence
         assert a.docs_since_retrain == b.docs_since_retrain
+        # the document indexes come back equal, and equal to the store's
+        assert context_indexes(b) == context_indexes(a)
+        assert context_indexes(b) == context_indexes_reference(b.documents)
 
 
 class TestContextSnapshotSurface:

@@ -27,6 +27,10 @@ from repro.web import SyntheticWeb
 from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
 from tests.core.test_crawler import make_trained_classifier
+from tests.pipeline.reference import (
+    context_indexes,
+    context_indexes_reference,
+)
 
 WORKERS = 3
 BUDGET = 120
@@ -89,6 +93,9 @@ class TestShardedKillResume:
         assert a.frontier._sequence == b.frontier._sequence
         assert a.hosts.to_dict() == b.hosts.to_dict()
         assert a.frontier.snapshot() == b.frontier.snapshot()
+        # the document indexes come back equal, and equal to the store's
+        assert context_indexes(b) == context_indexes(a)
+        assert context_indexes(b) == context_indexes_reference(b.documents)
 
     def test_worker_set_counters_survive(self, kill_resume) -> None:
         baseline, _, resumed, _ = kill_resume

@@ -243,7 +243,10 @@ class TestRecrawlAnchorTerms:
             counts, page = engine.analyze_page(payload, stored.mime)
             fresh = dataclasses.replace(
                 stored, counts=counts,
-                out_urls=resolve_links(stored.final_url, page.links),
+                out_urls=[
+                    link.url
+                    for link in resolve_links(stored.final_url, page.links)
+                ],
             )
             assert page_rows([stored], [ctx.anchor_terms[doc_id]]) == (
                 page_rows([fresh], [page.anchor_terms])

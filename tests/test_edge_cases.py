@@ -12,7 +12,7 @@ from repro.text.vectorizer import SparseVector
 from repro.web.clock import SimulatedClock, WorkerPool
 from repro.web.dblp import DblpRegistry
 from repro.web.model import Researcher
-from repro.web.urls import join_url, normalize_url
+from repro.web.urls import join_parsed, normalize_url
 
 
 class TestWorkerPoolExtras:
@@ -60,7 +60,7 @@ class TestDedupForget:
 
 class TestUrlEdges:
     def test_join_with_empty_href(self) -> None:
-        assert join_url("http://h/a/b.html", "") == "http://h/a/"
+        assert join_parsed("http://h/a/b.html", "").url == "http://h/a/"
 
     def test_normalize_preserves_query_like_paths(self) -> None:
         # we model no query strings; '?' stays inside the path segment

@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 from repro.web.urls import (
     MAX_URL_LENGTH,
     is_crawlable_url,
-    join_url,
+    join_parsed,
     normalize_url,
     parse_url,
     url_hash,
 )
+
+
+def join_url(base: str, href: str) -> str | None:
+    """The joined target's URL."""
+    parsed = join_parsed(base, href)
+    return None if parsed is None else parsed.url
 
 
 class TestParseUrl:
