@@ -1,9 +1,10 @@
 """E9 -- section 4.2 micro-efficiency: queues, dedup, DNS cache.
 
 Micro-benchmarks of the crawl-management machinery plus shape checks:
-the red-black-tree frontier sustains high push/pop rates, duplicate
-detection catches alias/copy URLs cheaply, and the caching resolver
-achieves a high hit rate on a Zipf host workload.
+the frontier's bounded queues sustain high push/evict/pop rates and pop
+in priority order, duplicate detection catches alias/copy URLs cheaply,
+and the caching resolver achieves a high hit rate on a Zipf host
+workload.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dedup import DuplicateDetector
-from repro.core.rbtree import RedBlackTree
+from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.experiments.reporting import ExperimentTable
 from repro.web.clock import SimulatedClock
 from repro.web.dns import CachingResolver, DnsServer, DnsZone
@@ -22,22 +23,27 @@ from benchmarks.conftest import record_table
 N_OPS = 5000
 
 
-def test_rbtree_push_pop(benchmark) -> None:
+def test_frontier_push_pop(benchmark) -> None:
+    """N_OPS pushes into one topic whose incoming queue holds 3/4 of
+    them (the worst N_OPS/4 are evicted), then N_OPS/2 ordered pops."""
     rng = np.random.default_rng(0)
-    priorities = rng.random(N_OPS)
+    entries = [
+        QueueEntry(url=f"url{i}", topic="t", priority=float(p), depth=0)
+        for i, p in enumerate(rng.random(N_OPS))
+    ]
 
     def run():
-        tree = RedBlackTree()
-        for i, priority in enumerate(priorities):
-            tree.insert((float(priority), -i), f"url{i}")
-        for _ in range(N_OPS // 2):
-            tree.pop_max()
-        for _ in range(N_OPS // 4):
-            tree.pop_min()
-        return tree
+        frontier = CrawlFrontier(incoming_limit=N_OPS - N_OPS // 4)
+        for entry in entries:
+            frontier.push(entry)
+        popped = [frontier.pop() for _ in range(N_OPS // 2)]
+        return frontier, popped
 
-    tree = benchmark(run)
-    assert len(tree) == N_OPS - N_OPS // 2 - N_OPS // 4
+    frontier, popped = benchmark(run)
+    assert frontier.evictions == N_OPS // 4
+    assert len(frontier) == N_OPS - N_OPS // 2 - N_OPS // 4
+    best = sorted(entries, key=lambda e: e.priority, reverse=True)
+    assert popped == best[: N_OPS // 2]
 
 
 def test_url_hash_fingerprinting(benchmark) -> None:

@@ -2,8 +2,8 @@
 
 This package is the paper's primary contribution: the topic tree, the
 MI feature selection, the hierarchical SVM classifier with meta
-decision modes, archetype selection, the red-black-tree crawl frontier
-with DNS prefetch, three-stage duplicate detection, the focused crawler
+decision modes, archetype selection, the crawl frontier with DNS
+prefetch, three-stage duplicate detection, the focused crawler
 with sharp/soft focus and tunnelling, and the two-phase engine.
 """
 
@@ -24,7 +24,6 @@ from repro.core.feature_selection import (
 )
 from repro.core.frontier import CrawlFrontier, QueueEntry
 from repro.core.ontology import OTHERS_SUFFIX, ROOT, TopicNode, TopicTree
-from repro.core.rbtree import RedBlackTree
 from repro.core.records import (
     SHARP,
     SOFT,
@@ -65,7 +64,6 @@ __all__ = [
     "PhaseSettings",
     "QueueEntry",
     "ROOT",
-    "RedBlackTree",
     "SHARP",
     "SOFT",
     "TopicDecisionModel",

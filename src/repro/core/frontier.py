@@ -1,4 +1,4 @@
-"""The crawl frontier: per-topic incoming/outgoing queues on RB trees.
+"""The crawl frontier: per-topic incoming/outgoing priority queues.
 
 Paper section 4.2: "the queue manager maintains several queues, one
 (large) incoming and one (small) outgoing queue for each topic,
@@ -7,6 +7,13 @@ queues and starts the asynchronous DNS resolution for a small number of
 the best incoming links when the outgoing queue is not sufficiently
 filled.  So expensive DNS lookups are initiated only for promising crawl
 candidates."
+
+Here each queue is a list of ``(key, entry)`` pairs kept in ascending
+key order with :func:`bisect.insort`: the best entry is the last one
+(``pop``), the worst the first (eviction).  Keys are unique, so two
+entries are never compared.  The queues of the shipped workloads stay
+within a few thousand entries, where a sorted list is cheaper than a
+balanced tree (DESIGN.md, E9).
 
 URLs are prioritised by SVM confidence; tunnelled links decay by a
 constant factor per tunnelling step.  Bounded queues evict their *worst*
@@ -26,11 +33,11 @@ good its priority is.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.rbtree import RedBlackTree
 from repro.errors import StorageError
 
 __all__ = ["QueueEntry", "CrawlFrontier"]
@@ -79,26 +86,33 @@ class QueueEntry:
         return cls(**data)
 
 
+Queue = list[tuple[Key, QueueEntry]]
+"""``(key, entry)`` pairs in ascending key order: best last."""
+
+
 @dataclass
 class _TopicQueues:
-    incoming: RedBlackTree = field(default_factory=RedBlackTree)
-    outgoing: RedBlackTree = field(default_factory=RedBlackTree)
+    incoming: Queue = field(default_factory=list)
+    outgoing: Queue = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.incoming) + len(self.outgoing)
 
 
-def _tree_image(tree: RedBlackTree) -> list[list[Any]]:
-    return [
-        [list(key), entry.to_dict()] for key, entry in tree.items_in_order()
-    ]
+def _queue_image(queue: Queue) -> list[list[Any]]:
+    return [[list(key), entry.to_dict()] for key, entry in queue]
 
 
-def _tree_from(image: list[list[Any]]) -> RedBlackTree:
-    tree = RedBlackTree()
-    for key, entry in image:
-        tree.insert(tuple(key), QueueEntry.from_dict(entry))
-    return tree
+def _queue_from(image: list[list[Any]]) -> Queue:
+    """Sorted on the key alone, so an out-of-order image (or one with a
+    repeated key) still loads without comparing entries."""
+    return sorted(
+        (
+            ((key[0], key[1]), QueueEntry.from_dict(entry))
+            for key, entry in image
+        ),
+        key=lambda pair: pair[0],
+    )
 
 
 _COUNTERS = (
@@ -185,9 +199,9 @@ class CrawlFrontier:
         if queues is None:
             queues = self.queues[entry.topic] = _TopicQueues()
         self._sequence += 1
-        queues.incoming.insert((entry.priority, -self._sequence), entry)
+        insort(queues.incoming, ((entry.priority, -self._sequence), entry))
         if len(queues.incoming) > self.incoming_limit:
-            queues.incoming.pop_min()
+            del queues.incoming[0]
             self.evictions += 1
 
     # -- read side ----------------------------------------------------------
@@ -201,16 +215,16 @@ class CrawlFrontier:
     def _refill(self, queues: _TopicQueues) -> None:
         """Move a topic's best incoming links to outgoing, prefetching
         DNS in that order.  Only called with the topic's outgoing queue
-        empty, so entries moved == entries outgoing."""
-        moved = 0
+        empty, so it appends best-first and reverses once."""
+        incoming, outgoing = queues.incoming, queues.outgoing
         limit = min(self.refill_batch, self.outgoing_limit)
-        while moved < limit and queues.incoming:
-            key, entry = queues.incoming.pop_max()
-            if self.prefetch is not None and not self.prefetch(entry.url):
+        while len(outgoing) < limit and incoming:
+            pair = incoming.pop()
+            if self.prefetch is not None and not self.prefetch(pair[1].url):
                 self.dns_drops += 1
                 continue
-            queues.outgoing.insert(key, entry)
-            moved += 1
+            outgoing.append(pair)
+        outgoing.reverse()
 
     def pop(self) -> QueueEntry | None:
         """The globally best *ready* URL across topics, or None.
@@ -220,21 +234,20 @@ class CrawlFrontier:
         the clock there and retries).
         """
         self._release_ready()
-        best: RedBlackTree | None = None
+        best: Queue | None = None
         best_key: Key | None = None
         for queues in self.queues.values():
             if not queues.outgoing:
                 self._refill(queues)
                 if not queues.outgoing:
                     continue
-            key = queues.outgoing.peek_max()[0]
+            key = queues.outgoing[-1][0]
             if best_key is None or key > best_key:
                 best_key = key
                 best = queues.outgoing
         if best is None:
             return None
-        entry: QueueEntry = best.pop_max()[1]
-        return entry
+        return best.pop()[1]
 
     def next_ready_at(self) -> float | None:
         """Earliest ``not_before`` among deferred entries, or None."""
@@ -260,7 +273,7 @@ class CrawlFrontier:
     def snapshot(self) -> dict[str, Any]:
         """Serializable image of the full frontier state.
 
-        Tree keys are stored verbatim so the restored frontier pops in
+        Queue keys are stored verbatim so the restored frontier pops in
         exactly the original order (priority ties break by sequence),
         and so is the topic order ``pop`` breaks cross-topic ties by.
         """
@@ -271,8 +284,8 @@ class CrawlFrontier:
             "seen_urls": sorted(self.seen_urls),
             "queues": {
                 topic: {
-                    "incoming": _tree_image(queues.incoming),
-                    "outgoing": _tree_image(queues.outgoing),
+                    "incoming": _queue_image(queues.incoming),
+                    "outgoing": _queue_image(queues.outgoing),
                 }
                 for topic, queues in self.queues.items()
             },
@@ -303,8 +316,8 @@ class CrawlFrontier:
         self.seen_urls = set(state["seen_urls"])
         self.queues = {
             topic: _TopicQueues(
-                _tree_from(state["queues"][topic]["incoming"]),
-                _tree_from(state["queues"][topic]["outgoing"]),
+                _queue_from(state["queues"][topic]["incoming"]),
+                _queue_from(state["queues"][topic]["outgoing"]),
             )
             for topic in state["topics"]
         }

@@ -41,7 +41,7 @@ from repro.robust.breaker import DEFER_QUARANTINE, DEFER_SLOW
 from repro.text.features import needs_ordered_stems, space_counts
 from repro.web.model import MimeType
 from repro.web.server import FetchStatus
-from repro.web.urls import is_crawlable_url, parse_url, resolve_links
+from repro.web.urls import crawlable_parse, resolve_links
 
 __all__ = [
     "STAGE_NAMES",
@@ -141,11 +141,10 @@ class AdmitStage:
         admitted: list[CrawlItem] = []
         for item in batch:
             url = item.entry.url
-            if not is_crawlable_url(url):
+            parsed = crawlable_parse(url)
+            if parsed is None:
                 stats.url_rejected += 1
                 continue
-            parsed = parse_url(url)
-            assert parsed is not None  # is_crawlable_url guarantees it
             if parsed.domain in ctx.config.locked_domains:
                 stats.locked_skipped += 1
                 continue
@@ -391,7 +390,7 @@ class PersistStage:
                 url=entry.url,
                 final_url=result.final_url or entry.url,
                 page_id=result.page_id,
-                host=parse_url(entry.url).host,
+                host=item.parsed.host,
                 ip=result.ip or "",
                 mime=result.mime or "",
                 size=result.size,

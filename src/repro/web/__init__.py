@@ -25,7 +25,7 @@ from repro.web.urls import (
     MAX_HOSTNAME_LENGTH,
     MAX_URL_LENGTH,
     ParsedUrl,
-    is_crawlable_url,
+    crawlable_parse,
     join_parsed,
     normalize_url,
     parse_url,
@@ -61,10 +61,10 @@ __all__ = [
     "WebGraphConfig",
     "WordFactory",
     "WorkerPool",
+    "crawlable_parse",
     "default_expert_config",
     "generate_expert_web",
     "generate_web",
-    "is_crawlable_url",
     "join_parsed",
     "normalize_url",
     "parse_url",

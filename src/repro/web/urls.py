@@ -23,7 +23,7 @@ __all__ = [
     "normalize_url",
     "join_parsed",
     "url_hash",
-    "is_crawlable_url",
+    "crawlable_parse",
     "resolve_links",
 ]
 
@@ -134,20 +134,22 @@ def url_hash(url: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def is_crawlable_url(url: str) -> bool:
-    """Apply the paper's sanity limits: parseable, host <= 255, URL <= 1000."""
+def crawlable_parse(url: str) -> ParsedUrl | None:
+    """The parse of ``url`` if it passes the paper's sanity limits
+    (parseable, URL <= 1000, host <= 255), else None: the one parse a
+    popped URL gets."""
     if len(url) > MAX_URL_LENGTH:
-        return False
+        return None
     parsed = parse_url(url)
-    if parsed is None:
-        return False
-    return len(parsed.host) <= MAX_HOSTNAME_LENGTH
+    if parsed is None or len(parsed.host) > MAX_HOSTNAME_LENGTH:
+        return None
+    return parsed
 
 
 def resolve_links(base: str, hrefs: Iterable[str]) -> list[ParsedUrl]:
     """The crawlable absolute targets of a page's raw hrefs, normalized
     and parsed, in document order (duplicates preserved); a target's
-    URL is its ``url``.  The sanity limits of :func:`is_crawlable_url`
+    URL is its ``url``.  The sanity limits of :func:`crawlable_parse`
     are checked on the normalized parse itself."""
     resolved = []
     for href in hrefs:

@@ -211,6 +211,27 @@ class TestSnapshotRestore:
         assert order_a == order_b
         assert "http://later/" in order_a
 
+    def test_out_of_order_image_restores_in_key_order(self) -> None:
+        """An image whose queue is out of key order, or repeats a key,
+        restores and pops in key order: entries are never compared.
+        Keys are unique in every image the frontier writes, so the order
+        between the two entries of a repeated key is left open."""
+        frontier = CrawlFrontier()
+        for i, priority in enumerate([0.3, 0.9, 0.6]):
+            frontier.push(entry(f"http://x{i}/", priority=priority))
+        state = frontier.snapshot()
+        incoming = state["queues"]["t"]["incoming"]
+        twin = [list(incoming[1][0]), entry("http://twin/").to_dict()]
+        state["queues"]["t"]["incoming"] = [incoming[2], twin,
+                                            incoming[0], incoming[1]]
+        restored = CrawlFrontier()
+        restored.restore(state)
+        popped = []
+        while (e := restored.pop()) is not None:
+            popped.append(e.url)
+        assert popped[0] == "http://x1/" and popped[3] == "http://x0/"
+        assert sorted(popped[1:3]) == ["http://twin/", "http://x2/"]
+
     def test_snapshot_is_json_clean(self) -> None:
         import json
 
@@ -338,3 +359,71 @@ class TestDeferredCounts:
         restored = CrawlFrontier(now=lambda: clock.now)
         restored.restore(state)
         assert +pending_by_topic(restored) == {"t2": 1}
+
+
+class TestImageBytes:
+    """The snapshot image is pinned byte for byte: the queues' storage
+    may change, the checkpoint it writes may not."""
+
+    IMAGE_SHA256 = (
+        "81d9b61483aaac03ff23560c01577b5154f26090e8573611d1e7279c93442be3"
+    )
+
+    @staticmethod
+    def build() -> tuple[CrawlFrontier, _Clock]:
+        clock = _Clock(0.0)
+        frontier = CrawlFrontier(
+            incoming_limit=3, outgoing_limit=2, refill_batch=2,
+            prefetch=lambda url: "dead" not in url, now=lambda: clock.now,
+        )
+        # t1 holds 3 incoming entries: the fourth push evicts x2 (0.1)
+        for i, priority in enumerate([0.4, 0.9, 0.1, 0.7]):
+            frontier.push(entry(f"http://x{i}/", topic="t1",
+                                priority=priority, depth=i))
+        frontier.push(entry("http://dead/", topic="t2", priority=0.8))
+        frontier.push(entry("http://y0/", topic="t2", priority=0.3))
+        frontier.push(entry("http://y1/", topic="t2", priority=0.6))
+        frontier.push(
+            QueueEntry(url="http://later/", topic="t2", priority=0.95,
+                       depth=1, not_before=30.0)
+        )
+        popped = frontier.pop()  # refills both topics, drops the dead host
+        assert popped is not None and popped.url == "http://x1/"
+        frontier.requeue(QueueEntry(
+            url=popped.url, topic=popped.topic, priority=popped.priority,
+            depth=popped.depth, attempt=1,
+        ))
+        return frontier, clock
+
+    def test_image_bytes_are_pinned(self) -> None:
+        import hashlib
+        import json
+
+        frontier, _clock = self.build()
+        assert frontier.stats() == {
+            "size": 6.0, "enqueued": 8.0, "duplicate_drops": 0.0,
+            "evictions": 1.0, "dns_drops": 1.0, "deferred_total": 1.0,
+        }
+        blob = json.dumps(frontier.snapshot(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.IMAGE_SHA256
+
+    def test_restored_image_drains_in_the_same_order(self) -> None:
+        frontier, clock = self.build()
+        restored = CrawlFrontier(
+            incoming_limit=3, outgoing_limit=2, refill_batch=2,
+            prefetch=lambda url: "dead" not in url, now=lambda: clock.now,
+        )
+        restored.restore(frontier.snapshot())
+        orders: list[list[tuple[str, int]]] = []
+        for queue in (frontier, restored):
+            order = []
+            for now in (0.0, 30.0):
+                clock.now = now
+                while (e := queue.pop()) is not None:
+                    order.append((e.url, e.attempt))
+            orders.append(order)
+        assert orders[0] == orders[1]
+        assert orders[0] == [
+            ("http://x3/", 0), ("http://x1/", 1), ("http://y1/", 0),
+            ("http://x0/", 0), ("http://y0/", 0), ("http://later/", 0),
+        ]

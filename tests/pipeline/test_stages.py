@@ -13,6 +13,7 @@ from repro.pipeline import STAGE_NAMES, CrawlPipeline, Stage
 from repro.storage.bulkloader import BulkLoader
 from repro.storage.database import Database
 from repro.web import SyntheticWeb
+from repro.web.urls import MAX_URL_LENGTH
 
 from tests.conftest import small_web_config
 from tests.core.conftest import fast_engine_config
@@ -103,6 +104,31 @@ class TestStageHooks:
         crawler.crawl(PhaseSettings(name="t", focus=SOFT, fetch_budget=60))
         assert sizes, "classify stage never ran"
         assert max(sizes) > 1, "batched crawl never grouped documents"
+
+
+class TestAdmitScreen:
+    def test_overlong_url_is_rejected_unfetched(self, web, monkeypatch):
+        """A popped URL past the length limit counts ``url_rejected``
+        and never reaches the server; its host resolves, so the
+        frontier's DNS prefetch lets it through to the admit stage."""
+        crawler = build_crawler(web)
+        fetched: list[str] = []
+        fetch = web.server.fetch
+        monkeypatch.setattr(
+            web.server, "fetch", lambda url: fetched.append(url) or fetch(url)
+        )
+        homepage = web.seed_homepages(1)[0].rstrip("/")
+        padding = MAX_URL_LENGTH - len(homepage)
+        crawler.seed(
+            [f"{homepage}/{'p' * padding}", f"{homepage}/{'q' * padding}"],
+            topic="ROOT/databases",
+        )
+        stats = crawler.crawl(
+            PhaseSettings(name="t", focus=SOFT, fetch_budget=5)
+        )
+        assert stats.url_rejected == 2
+        assert fetched == []
+        assert crawler.ctx.documents == []
 
 
 class TestProcessingCostBreakdown:

@@ -17,15 +17,11 @@ DECLARATION = (
     "language calls on the reader's behalf"
 )
 INPUT_BRANCH = "input branch: reached only on inputs no reader gives"
-TEST_ORACLE = "test oracle: the tests check the structure's invariants with it"
 
 #: ``module:qualname`` -> why the function stays though no reader reaches it
 KEPT: dict[str, str] = {
     "repro.analysis.graph:LinkGraph.__len__": DECLARATION,
     "repro.core.ontology:TopicTree.__len__": DECLARATION,
-    "repro.core.rbtree:RedBlackTree.check_invariants": TEST_ORACLE,
-    "repro.core.rbtree:RedBlackTree.check_invariants.<locals>.walk":
-        TEST_ORACLE,
     "repro.experiments.reporting:ExperimentTable.__str__": DECLARATION,
     # a lint rule's finding, and its rendering, only on code that breaks it
     "repro.lint.findings:Finding.render": INPUT_BRANCH,

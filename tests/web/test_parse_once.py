@@ -1,11 +1,13 @@
-"""A resolved link is parsed once: its normalized parse decides.
+"""A URL is parsed once: its parse decides.
 
 ``resolve_links`` returns each target's normalized parse
 (``join_parsed`` / ``normalize_parsed``) instead of the string
 ``normalize_url`` makes,
 checks the crawl's sanity limits on that parse, and the expand stage
-reads the host and registrable domain from it.  Each must decide as
-parsing the normalized string again would, over arbitrary strings.
+reads the host and registrable domain from it.  A URL popped off the
+frontier is screened by ``crawlable_parse``, whose parse the admit
+stage reads its host and domain from.  Each must decide as parsing the
+string again would, over arbitrary strings.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.web.urls import (
     MAX_HOSTNAME_LENGTH,
     MAX_URL_LENGTH,
-    is_crawlable_url,
+    crawlable_parse,
     normalize_parsed,
     normalize_url,
     parse_url,
@@ -41,6 +43,17 @@ bases = st.one_of(
 )
 
 
+def is_crawlable_url_reference(url: str) -> bool:
+    """The two-parse screen: the limits first, then a separate parse
+    for the host and domain."""
+    if len(url) > MAX_URL_LENGTH:
+        return False
+    parsed = parse_url(url)
+    if parsed is None:
+        return False
+    return len(parsed.host) <= MAX_HOSTNAME_LENGTH
+
+
 def join_url_reference(base: str, href: str) -> str | None:
     """The string join: each step normalizes to a string."""
     if "://" in href:
@@ -61,7 +74,7 @@ def resolve_links_reference(base: str, hrefs) -> list[str]:
     resolved = []
     for href in hrefs:
         absolute = join_url_reference(base, href)
-        if absolute is not None and is_crawlable_url(absolute):
+        if absolute is not None and is_crawlable_url_reference(absolute):
             resolved.append(absolute)
     return resolved
 
@@ -93,9 +106,20 @@ def test_links_admit_and_lock_as_the_reparse_does(base, hrefs) -> None:
         # allowed-domain decisions
         assert (link.host, link.domain) == (again.host, again.domain)
         # the admit stage's screen, when the link comes off the frontier
-        assert is_crawlable_url(link.url)
+        assert crawlable_parse(link.url) is not None
         assert len(link.host) <= MAX_HOSTNAME_LENGTH
         assert len(link.url) <= MAX_URL_LENGTH
+
+
+@given(url=st.one_of(url_like, long_host, long_path))
+@settings(max_examples=500, deadline=None)
+def test_a_popped_url_admits_as_the_reparse_does(url) -> None:
+    parsed = crawlable_parse(url)
+    assert (parsed is not None) == is_crawlable_url_reference(url)
+    if parsed is not None:
+        # the admit stage's host (breaker, politeness) and domain (lock,
+        # politeness) come from this parse, not a second one
+        assert parsed == parse_url(url)
 
 
 def test_the_limits_are_checked_on_the_normal_form() -> None:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.web.urls import (
     MAX_URL_LENGTH,
-    is_crawlable_url,
+    crawlable_parse,
     join_parsed,
     normalize_url,
     parse_url,
@@ -88,7 +88,7 @@ class TestNormalize:
     def test_fragment_after_the_host_dropped(self) -> None:
         assert normalize_url("http://a.com#x") == "http://a.com/"
         assert normalize_url("http://a.com?q=1#3") == "http://a.com/?q=1"
-        assert is_crawlable_url("http://a.com#x")
+        assert crawlable_parse("http://a.com#x") is not None
 
     def test_parent_of_root_clamped(self) -> None:
         assert normalize_url("http://h/../../x") == "http://h/x"
@@ -133,24 +133,26 @@ class TestHashAndLimits:
 
     def test_overlong_url_not_crawlable(self) -> None:
         url = "http://h/" + "a" * MAX_URL_LENGTH
-        assert not is_crawlable_url(url)
+        assert crawlable_parse(url) is None
 
     def test_overlong_hostname_not_crawlable(self) -> None:
         url = "http://" + "h" * 300 + ".com/"
-        assert not is_crawlable_url(url)
+        assert crawlable_parse(url) is None
 
     def test_normal_url_crawlable(self) -> None:
-        assert is_crawlable_url("http://example.com/a/b.html")
+        assert crawlable_parse("http://example.com/a/b.html") == parse_url(
+            "http://example.com/a/b.html"
+        )
 
     def test_garbage_not_crawlable(self) -> None:
-        assert not is_crawlable_url("javascript:void(0)")
+        assert crawlable_parse("javascript:void(0)") is None
 
 
 @given(st.text(max_size=50))
 def test_parse_never_crashes(text: str) -> None:
     parse_url(text)
     normalize_url(text)
-    is_crawlable_url(text)
+    crawlable_parse(text)
 
 
 @given(st.from_regex(r"http://[a-z]{1,10}\.com(/[a-z0-9]{0,8}){0,4}/?", fullmatch=True))
