@@ -303,10 +303,7 @@ def _open_portal(args):
     )
     portal.open()
     engine.obs.register_source("portal", portal)
-    # the other "search" registration is queryload's, on its own registry
-    engine.obs.register_source(  # bingolint: disable=stats-schema
-        "search", portal.search
-    )
+    engine.obs.register_source("search", portal.search)
     return engine, portal
 
 

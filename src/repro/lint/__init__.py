@@ -14,12 +14,9 @@ The pieces:
   Finding` record every rule emits;
 * :mod:`repro.lint.registry` -- the pluggable :class:`~repro.lint.
   registry.Rule` base class and the rule registry;
-* :mod:`repro.lint.rules` -- the per-file rules: determinism (wall
-  clock, unseeded randomness, set iteration) and generic hygiene (bare
-  excepts, mutable defaults);
-* :mod:`repro.lint.graph` and :mod:`repro.lint.analysis` -- the
-  project index (symbol table, type map, MRO) and the two
-  whole-program rules, ``epoch-mutation`` and ``stats-schema``;
+* :mod:`repro.lint.rules` -- the rules, each over one file at a
+  time: determinism (wall clock, unseeded randomness, set iteration)
+  and generic hygiene (bare excepts, mutable defaults);
 * :mod:`repro.lint.engine` -- parses files, collects per-line
   ``# bingolint: disable=RULE`` suppressions and runs the rules;
 * :mod:`repro.lint.reporters` -- deterministic text and JSON output;

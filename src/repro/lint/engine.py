@@ -56,7 +56,6 @@ class ModuleUnit:
     module_name: str
     """Dotted import path (``repro.web.clock``) derived from enclosing
     ``__init__.py`` packages; empty for scripts outside a package."""
-    source: str
     tree: ast.Module
     suppressions: dict[int, set[str]] = field(default_factory=dict)
     """Line number -> rule ids silenced on that line (``all`` wildcard)."""
@@ -207,7 +206,6 @@ class LintEngine:
             path=path,
             display_path=_display_path(path),
             module_name=module_name_for(path),
-            source=source,
             tree=tree,
             suppressions=_collect_suppressions(source),
             imports=_collect_imports(tree),
@@ -216,43 +214,15 @@ class LintEngine:
     # -- the run ---------------------------------------------------------
 
     def run(self, paths: Iterable[Path | str]) -> list[Finding]:
-        """Lint ``paths``; returns findings in canonical sorted order.
-
-        Module-scope rules run per file as each parses; project-scope
-        rules run once over the :class:`~repro.lint.graph.
-        ProjectIndex` built from every successfully parsed file (only
-        when such a rule is active).  Per-line suppressions apply to
-        project findings exactly as to module findings, via the
-        finding's display path.
-        """
-        files = self.iter_files(paths)
-        module_rules = [
-            rule for rule in self.rules if rule.scope == "module"
-        ]
-        project_rules = [
-            rule for rule in self.rules if rule.scope == "project"
-        ]
+        """Lint ``paths``; returns findings in canonical sorted order."""
         findings: list[Finding] = []
-        units: list[ModuleUnit] = []
-        for path in files:
+        for path in self.iter_files(paths):
             loaded = self.load(path)
             if isinstance(loaded, Finding):
                 findings.append(loaded)
                 continue
-            units.append(loaded)
-            for rule in module_rules:
+            for rule in self.rules:
                 for finding in rule.check(loaded):
                     if not loaded.is_suppressed(finding):
                         findings.append(finding)
-        if project_rules:
-            from repro.lint.graph import ProjectIndex
-
-            index = ProjectIndex.build(units)
-            by_path = {unit.display_path: unit for unit in units}
-            for rule in project_rules:
-                for finding in rule.check_project(index):
-                    unit = by_path.get(finding.path)
-                    if unit is None or not unit.is_suppressed(finding):
-                        findings.append(finding)
         return sorted(findings)
-

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Iterator, TypeVar
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import ModuleUnit
     from repro.lint.findings import Finding
-    from repro.lint.graph import ProjectIndex
 
 __all__ = ["Rule", "register", "all_rules"]
 
@@ -34,19 +33,9 @@ class Rule:
     id: str = ""
     description: str = ""
     rationale: str = ""
-    scope: str = "module"
-    """``module`` rules see one file at a time via :meth:`check`;
-    ``project`` rules see the whole-program
-    :class:`~repro.lint.graph.ProjectIndex` via :meth:`check_project`
-    after every file has been parsed."""
 
     def check(self, module: "ModuleUnit") -> Iterator["Finding"]:
         """Yield findings for one parsed module."""
-        raise NotImplementedError
-
-    def check_project(self, index: "ProjectIndex") -> Iterator["Finding"]:
-        """Yield findings from the whole-program index
-        (``scope == "project"`` rules only)."""
         raise NotImplementedError
 
     def finding(
@@ -61,17 +50,6 @@ class Rule:
             col=col,
             rule=self.id,
             message=message,
-        )
-
-    def finding_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> "Finding":
-        """Build a finding at an explicit display path (project rules
-        report across modules, so there is no single ``module``)."""
-        from repro.lint.findings import Finding
-
-        return Finding(
-            path=path, line=line, col=col, rule=self.id, message=message
         )
 
 
@@ -92,7 +70,6 @@ def register(cls: RuleT) -> RuleT:
 
 def _ensure_loaded() -> None:
     """Import the shipped rule modules so their registrations fire."""
-    import repro.lint.analysis  # noqa: F401  (import for side effect)
     import repro.lint.rules  # noqa: F401  (import for side effect)
 
 

@@ -57,10 +57,13 @@ class MetricsRegistry:
     ) -> None:
         """Merge ``source.stats()`` (or ``source()``) into every snapshot.
 
-        Re-registering a name replaces the previous source, so a facade
-        that swaps its bulk loader re-wires cleanly.
+        A name is registered once: a second source under it would
+        silently replace the first, and its counters would leave every
+        export.
         """
         _check_name(name)
+        if name in self._sources:
+            raise ValueError(f"metric source {name!r} is already registered")
         if not isinstance(source, Instrumented) and not callable(source):
             raise TypeError(
                 f"source {name!r} must implement stats() or be callable"

@@ -167,7 +167,7 @@ class CrawlContext:
         )
 
     def attach_loader(self, loader) -> None:
-        """Bind (or swap) the bulk loader and register it as a source."""
+        """Bind the bulk loader and register it as a source."""
         self.loader = loader
         if loader is not None and hasattr(loader, "stats"):
             self.obs.register_source("storage", loader)

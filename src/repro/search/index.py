@@ -119,7 +119,8 @@ class InvertedIndex:
     them.
 
     An index is immutable: :meth:`apply_update` returns the next one
-    and leaves this one as it was.
+    and leaves this one as it was.  Its arrays are read-only, so a
+    write into one raises instead of changing an epoch's scores.
     """
 
     def __init__(
@@ -169,6 +170,11 @@ class InvertedIndex:
         self._weights = weights[order]
         """The term-major runs: ``(row, tfw * idf)`` sorted by
         ``(column, row)``."""
+        for array in (
+            self._doc_ids, self._doc_cols, self._doc_tfw, self._lengths,
+            self._idf, self.norms, self._starts, self._rows, self._weights,
+        ):
+            array.flags.writeable = False
 
     @property
     def snapshot_version(self) -> int:

@@ -85,18 +85,24 @@ def normalize_parsed(url: str) -> ParsedUrl | None:
         return None
     # Collapse '.' and '..' path segments; drop fragments.
     path = parsed.path.split("#", 1)[0]
-    segments: list[str] = []
-    for segment in path.split("/"):
-        if segment == "." or segment == "":
-            continue
-        if segment == "..":
-            if segments:
-                segments.pop()
-            continue
-        segments.append(segment)
-    trailing = "/" if path.endswith("/") and segments else ""
-    new_path = "/" + "/".join(segments) + trailing if segments else "/"
-    return ParsedUrl(parsed.scheme, parsed.host, new_path)
+    while True:
+        segments: list[str] = []
+        for segment in path.split("/"):
+            if segment == "." or segment == "":
+                continue
+            if segment == "..":
+                if segments:
+                    segments.pop()
+                continue
+            segments.append(segment)
+        trailing = "/" if path.endswith("/") and segments else ""
+        new_path = "/" + "/".join(segments) + trailing if segments else "/"
+        # parse_url strips a URL's trailing whitespace, which a dropped
+        # fragment or dot segment can leave at the path's end: strip it
+        # and collapse again, so the result parses as itself
+        path = new_path.rstrip()
+        if path == new_path:
+            return ParsedUrl(parsed.scheme, parsed.host, new_path)
 
 
 def normalize_url(url: str) -> str | None:

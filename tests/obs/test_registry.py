@@ -30,6 +30,15 @@ class TestSources:
         owner.hits = 5
         assert registry.snapshot()["sources"]["owner"] == {"hits": 5.0}
 
+    def test_a_name_is_registered_once(self) -> None:
+        """A second source under a name would replace the first and
+        drop its counters from every export: it is refused."""
+        registry = MetricsRegistry()
+        registry.register_source("search", lambda: {"queries": 1.0})
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register_source("search", lambda: {"served": 2.0})
+        assert registry.snapshot()["sources"] == {"search": {"queries": 1.0}}
+
     def test_a_source_must_have_stats_or_be_callable(self) -> None:
         with pytest.raises(TypeError):
             MetricsRegistry().register_source("nothing", object())

@@ -10,6 +10,8 @@ term count equals a fold over the bucket's records.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.feature_selection import TermCounts
@@ -26,12 +28,13 @@ def recrawled():
     portal = build_portal()
     portal.evolve(3600.0)
     before = list(portal.engine.ctx.documents)
+    version = portal.engine.classifier.model_version
     report = portal.recrawl(budget=60)
-    return portal, before, report
+    return portal, before, report, version
 
 
 def test_a_recrawl_leaves_the_indexes_derivable(recrawled) -> None:
-    portal, before, report = recrawled
+    portal, before, report, _ = recrawled
     ctx = portal.engine.ctx
     assert report.recrawl.changed > 0 and report.recrawl.discovered > 0
     assert len(ctx.documents) > len(before)
@@ -42,7 +45,7 @@ def test_a_recrawl_leaves_the_indexes_derivable(recrawled) -> None:
 
 
 def test_the_fold_leaves_the_training_counts_derivable(recrawled) -> None:
-    portal, _, report = recrawled
+    portal, _, report, _ = recrawled
     engine = portal.engine
     assert report.models_retrained > 0
     for records in engine.training.values():
@@ -53,3 +56,21 @@ def test_the_fold_leaves_the_training_counts_derivable(recrawled) -> None:
             assert (kept.documents, kept.df, kept.tf) == (
                 rebuilt.documents, rebuilt.df, rebuilt.tf
             )
+
+
+def test_the_fold_retrains_through_the_classifier(recrawled) -> None:
+    """The fold's models are :meth:`retrain_topics`' on the stored
+    training sets, and they carry a new model version."""
+    portal, _, report, version = recrawled
+    engine = portal.engine
+    classifier = engine.classifier
+    tree = classifier.tree
+    # both topics hang off ROOT: a changed training page retrains both
+    children = [c for p in tree.inner_nodes() for c in tree.children_of(p)]
+    assert report.models_retrained == len(children) > 0
+    assert classifier.model_version > version
+    again = copy.deepcopy(classifier)
+    training, counts = engine._training_sets()
+    assert again.retrain_topics(training, children, counts) == len(children)
+    pages = [doc.counts for doc in engine.ctx.documents]
+    assert classifier.classify_batch(pages) == again.classify_batch(pages)

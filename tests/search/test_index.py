@@ -182,6 +182,34 @@ class TestInvertedIndex:
         assert rows.tolist() == [4]
         assert engine.index().stats()["index_terms"] == 7.0
 
+    def test_an_index_is_read_only(self) -> None:
+        """A write into an index's arrays raises: serving reads them and
+        a fold makes the next index, so the old one stays as it was."""
+        engine = LocalSearchEngine(_corpus())
+        index = engine.index()
+        names = (
+            "_doc_ids", "_doc_cols", "_doc_tfw", "_lengths", "_idf",
+            "norms", "_starts", "_rows", "_weights",
+        )
+        before = {name: getattr(index, name).copy() for name in names}
+        for name in names:
+            array = getattr(index, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        _, weights = index.run("recoveri")
+        with pytest.raises(ValueError, match="read-only"):
+            weights *= 2.0
+        # the whole corpus, a topic and a fold: none writes into it
+        assert engine.search("recovery algorithm")
+        assert engine.search("source code", topic="ROOT/OTHERS")
+        engine.apply_delta(
+            added=[make_doc(9, {"recoveri": 1})], removed=[3]
+        )
+        assert engine.index() is not index
+        for name in names:
+            assert np.array_equal(getattr(index, name), before[name]), name
+
     def test_stats_are_snake_case_floats(self) -> None:
         engine = LocalSearchEngine(_corpus())
         stats = engine.index().stats()

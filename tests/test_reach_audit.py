@@ -23,11 +23,12 @@ KEPT: dict[str, str] = {
     "repro.analysis.graph:LinkGraph.__len__": DECLARATION,
     "repro.core.ontology:TopicTree.__len__": DECLARATION,
     "repro.experiments.reporting:ExperimentTable.__str__": DECLARATION,
-    # a lint rule's finding, and its rendering, only on code that breaks it
+    # a lint rule's finding, its suppression and its rendering, only on
+    # code that breaks it
+    "repro.lint.engine:ModuleUnit.is_suppressed": INPUT_BRANCH,
     "repro.lint.findings:Finding.render": INPUT_BRANCH,
     "repro.lint.findings:Finding.to_dict": INPUT_BRANCH,
     "repro.lint.registry:Rule.check": DECLARATION,
-    "repro.lint.registry:Rule.check_project": DECLARATION,
     "repro.lint.registry:Rule.finding": INPUT_BRANCH,
     "repro.lint.reporters:render_json": INPUT_BRANCH,
     "repro.ml.common:BinaryClassifier.decision": DECLARATION,

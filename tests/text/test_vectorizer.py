@@ -114,6 +114,45 @@ class TestTfIdfVectorizer:
         b = vec.vectorize_counts({"a": 2, "b": 1, "zero": 0})
         assert dict(a) == dict(b)
 
+    @given(
+        st.lists(st.lists(terms, max_size=6), max_size=8),
+        st.lists(st.lists(terms, max_size=6), min_size=1, max_size=8),
+        st.integers(0, 8),
+    )
+    def test_idf_reads_the_last_refresh_until_the_next(
+        self, before: list[list[str]], after: list[list[str]], retract: int
+    ) -> None:
+        """Ingests and retracts move the live counts only: until the
+        next refresh every idf and weight is the last refresh's, then
+        the next one's from the counts as they stand."""
+        vec = TfIdfVectorizer()
+        for doc in before:
+            vec.ingest(doc)
+        vec.refresh()
+        for doc in after:
+            vec.ingest(doc)
+        for doc in before[:retract]:
+            vec.retract(doc)
+        vocabulary = sorted(
+            {term for doc in before + after for term in doc} | {"unseen"}
+        )
+
+        def idf(documents: list[list[str]], term: str) -> float:
+            n = len(documents)
+            df = sum(term in doc for doc in documents)
+            if n == 0:
+                return 1.0
+            return math.log(1.0 + n) if df == 0 else math.log(1.0 + n / df)
+
+        weights = vec.vectorize(vocabulary).weights
+        for term in vocabulary:
+            assert vec.statistics.idf(term) == idf(before, term), term
+            assert weights[term] == idf(before, term), term
+        vec.refresh()
+        live = before[retract:] + after
+        for term in vocabulary:
+            assert vec.statistics.idf(term) == idf(live, term), term
+
     @given(st.lists(terms, max_size=30))
     def test_vector_has_one_weight_per_distinct_term(self, doc: list[str]) -> None:
         vec = TfIdfVectorizer()

@@ -19,6 +19,7 @@ from repro.web.urls import (
     MAX_HOSTNAME_LENGTH,
     MAX_URL_LENGTH,
     crawlable_parse,
+    join_parsed,
     normalize_parsed,
     normalize_url,
     parse_url,
@@ -92,6 +93,28 @@ def test_the_normalized_parse_is_the_parse_of_the_normal_form(url) -> None:
     assert again is not None
     assert (again.scheme, again.host) == (parsed.scheme, parsed.host)
     assert again.domain == parsed.domain
+
+
+@given(base=bases, href=st.one_of(url_like, long_host, long_path))
+@settings(max_examples=1000, deadline=None)
+def test_the_normalized_parse_parses_as_itself(base, href) -> None:
+    # a link is stored, queued and hashed as ``url``: reading it back
+    # must give the same parse, and normalizing it must change nothing
+    for parsed in (normalize_parsed(href), join_parsed(base, href)):
+        if parsed is None:
+            continue
+        assert parse_url(parsed.url) == parsed
+        assert normalize_parsed(parsed.url) == parsed
+
+
+def test_whitespace_before_a_fragment_or_dot_segment_is_stripped() -> None:
+    base = "http://Www.Example.com/a/b/c.html"
+    for href, path in [
+        (" #", "/a/b/"), (" /.", "/a/b/"), (".\u3000#", "/a/b"),
+        (".. #", "/a"),
+    ]:
+        parsed = join_parsed(base, href)
+        assert parsed is not None and parsed.path == path, href
 
 
 @given(base=bases, hrefs=hrefs)
